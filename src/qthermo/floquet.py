@@ -21,9 +21,8 @@ from .lindblad import GKLSGenerator, JumpChannel, stationary_state
 from .operators import (
     DensityMatrix,
     Operator,
+    adjoint_dissipator,
     group_degenerate,
-    vec,
-    unvec,
 )
 from .tolerances import LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
@@ -287,9 +286,22 @@ def build_floquet_generator(
     jumps = [
         JumpChannel(ch.bath_label, ch.omega, ch.op, ch.rate) for ch in channels
     ]
-    return GKLSGenerator(
-        h_av, jumps, baths=baths, include_hamiltonian=False, davies_built=False
-    )
+    return GKLSGenerator(h_av, jumps, baths=baths, include_hamiltonian=False)
+
+
+def _channel_flows(
+    gen: GKLSGenerator,
+    channels: list[FloquetChannel],
+    rho0: DensityMatrix,
+) -> np.ndarray:
+    """Per-channel energy flows r_c Re Tr(D_c^dag(H_av) rho0) into the
+    system, equal to Tr(H_av L_c rho0) = -omega_av R_c with R_c the net
+    jump rate of the channel."""
+    d = gen.dim
+    ops = np.array([ch.op for ch in channels], dtype=complex).reshape(-1, d, d)
+    rates = np.array([ch.rate for ch in channels], dtype=float)
+    terms = adjoint_dissipator(ops, gen.h.mat)
+    return rates * np.real(np.einsum("kij,ji->k", terms, rho0.mat))
 
 
 def floquet_heat_currents(
@@ -305,10 +317,8 @@ def floquet_heat_currents(
     is undefined for them.  (omega_av = omega_q = 0 channels are pure
     dephasing and carry no heat.)
     """
-    from .operators import dissipator_superop
-
     out: dict[str, float] = {label: 0.0 for label in gen.bath_labels}
-    for ch in channels:
+    for ch, flow in zip(channels, _channel_flows(gen, channels, rho0)):
         if ch.rate <= 0.0:
             continue
         if abs(ch.omega_av) < 1e-12:
@@ -318,9 +328,7 @@ def floquet_heat_currents(
                 f"channel at omega = {ch.omega:.12g} has omega_av = 0; its "
                 f"heat-current weight is undefined"
             )
-        dl = ch.rate * dissipator_superop(ch.op).mat
-        flow = float(np.real(np.trace(gen.h.mat @ unvec(dl @ vec(rho0.mat), gen.dim))))
-        out[ch.bath_label] += (ch.omega / ch.omega_av) * flow
+        out[ch.bath_label] += (ch.omega / ch.omega_av) * float(flow)
     return out
 
 
@@ -346,10 +354,8 @@ def drive_power(
     difference q Omega.  Summing the drive quanta over channels at their
     net jump rates gives the output power.
     """
-    from .operators import dissipator_superop
-
     total = 0.0
-    for ch in channels:
+    for ch, flow in zip(channels, _channel_flows(gen, channels, rho0)):
         if ch.rate <= 0.0 or ch.harmonic == 0:
             continue
         if abs(ch.omega_av) < 1e-12:
@@ -358,11 +364,9 @@ def drive_power(
                 f"bookkeeping is undefined"
             )
         drive_quantum = ch.omega - ch.omega_av  # q Omega
-        dl = ch.rate * dissipator_superop(ch.op).mat
-        # Tr(H_av L_c rho) = -omega_av R_c with R_c the net jump rate, so
-        # the drive gives q Omega R_c and receives the negative of it
-        flow = float(np.real(np.trace(gen.h.mat @ unvec(dl @ vec(rho0.mat), gen.dim))))
-        total += (drive_quantum / ch.omega_av) * flow
+        # flow = -omega_av R_c, so the drive gives q Omega R_c and
+        # receives the negative of it
+        total += (drive_quantum / ch.omega_av) * float(flow)
     return total
 
 

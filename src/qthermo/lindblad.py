@@ -20,6 +20,7 @@ from .operators import (
     DensityMatrix,
     Operator,
     Superoperator,
+    adjoint_dissipator,
     dissipator_superop,
     eig_hermitian,
     group_degenerate,
@@ -84,7 +85,6 @@ class GKLSGenerator:
         channels: list[JumpChannel],
         baths: dict[str, BathSpec] | None = None,
         include_hamiltonian: bool = True,
-        davies_built: bool = False,
         coherent_shift: Operator | None = None,
     ):
         if not h.is_hermitian():
@@ -93,12 +93,13 @@ class GKLSGenerator:
         self.channels = list(channels)
         self.baths = dict(baths or {})
         self.include_hamiltonian = include_hamiltonian
-        self.davies_built = davies_built
         # renormalisation correction entering the commutator only; all
         # energy bookkeeping stays with the channel Hamiltonian
         self.coherent_shift = coherent_shift
         self._liouvillian: Superoperator | None = None
         self._bath_parts: dict[str, Superoperator] = {}
+        self._heat_observables: dict[str, np.ndarray] = {}
+        self._log_references: dict[str, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -112,20 +113,42 @@ class GKLSGenerator:
                 seen.append(ch.bath_label)
         return seen
 
+    def _stacked_channels(self, label: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """Operators (K, d, d) and rates (K,) of the channels above the rate
+        floor, optionally restricted to one bath."""
+        chans = [
+            ch for ch in self.channels
+            if (label is None or ch.bath_label == label) and ch.rate > _RATE_FLOOR
+        ]
+        d = self.dim
+        ops = np.array([ch.op for ch in chans], dtype=complex).reshape(-1, d, d)
+        return ops, np.array([ch.rate for ch in chans], dtype=float)
+
     def dissipator(self, label: str | None = None) -> Superoperator:
         """Dissipative part, optionally restricted to one bath."""
         key = label if label is not None else "__all__"
         if key not in self._bath_parts:
-            d = self.dim
-            m = np.zeros((d * d, d * d), dtype=complex)
-            for ch in self.channels:
-                if label is not None and ch.bath_label != label:
-                    continue
-                if ch.rate <= _RATE_FLOOR:
-                    continue
-                m += ch.rate * dissipator_superop(ch.op).mat
-            self._bath_parts[key] = Superoperator(m)
+            self._bath_parts[key] = dissipator_superop(*self._stacked_channels(label))
         return self._bath_parts[key]
+
+    def heat_observable(self, label: str) -> np.ndarray:
+        """Q = D^dag(H) over the channels of one bath, so that the bath's
+        heat current in the state rho is Re Tr(Q rho)."""
+        if label not in self._heat_observables:
+            ops, rates = self._stacked_channels(label)
+            terms = adjoint_dissipator(ops, self.h.mat)
+            self._heat_observables[label] = np.tensordot(rates, terms, axes=1)
+        return self._heat_observables[label]
+
+    def log_gibbs_reference(self, label: str) -> np.ndarray:
+        """Clipped logarithm of the Gibbs state of H at the temperature of
+        the bath registered under ``label``."""
+        if label not in self._log_references:
+            bath = self.baths.get(label)
+            if bath is None:
+                raise ValueError(f"no bath registered under label {label!r}")
+            self._log_references[label] = _clipped_log(gibbs_state(self.h, bath.beta).mat)
+        return self._log_references[label]
 
     def liouvillian(self) -> Superoperator:
         if self._liouvillian is None:
@@ -143,17 +166,14 @@ class GKLSGenerator:
         their adjoints; 1 means only scalars commute (relaxation to a
         unique state is then guaranteed)."""
         d = self.dim
-        eye = np.eye(d)
-        rows = []
         ops = []
         for ch in self.channels:
             if ch.rate > _RATE_FLOOR:
                 ops.extend([ch.op, ch.op.conj().T])
         if not ops:
             return d * d
-        for a in ops:
-            rows.append(np.kron(eye, a) - np.kron(a.T, eye))
-        stack = np.vstack(rows)
+        # rows of X -> [A, X] for every operator A
+        stack = np.vstack([1j * hamiltonian_superop(a).mat for a in ops])
         svals = np.linalg.svd(stack, compute_uv=False)
         scale = svals[0] if svals.size and svals[0] > 0 else 1.0
         return int(np.sum(svals <= 1e-10 * scale))
@@ -256,8 +276,7 @@ def build_davies(
         scale = max(1.0, float(np.max(np.abs(h.mat))))
         if np.max(np.abs(comm)) > ALGEBRAIC * scale:
             raise ValueError("Lamb-shift correction must commute with H")
-    return GKLSGenerator(h, channels, baths=baths, davies_built=True,
-                         coherent_shift=lamb_shift)
+    return GKLSGenerator(h, channels, baths=baths, coherent_shift=lamb_shift)
 
 
 def propagate(gen: GKLSGenerator, rho0: DensityMatrix, t: float) -> DensityMatrix:
@@ -269,13 +288,12 @@ def propagate(gen: GKLSGenerator, rho0: DensityMatrix, t: float) -> DensityMatri
 
 
 def heat_currents(gen: GKLSGenerator, rho: DensityMatrix) -> dict[str, float]:
-    """Per-bath currents J_k = Tr(H L_k rho); positive means heat flowing
-    from bath k into the system."""
-    out = {}
-    for label in gen.bath_labels:
-        drho = gen.dissipator(label).apply_matrix(rho.mat)
-        out[label] = float(np.real(np.trace(gen.h.mat @ drho)))
-    return out
+    """Per-bath currents J_k = Tr(H L_k rho) = Re Tr(L_k^dag(H) rho);
+    positive means heat flowing from bath k into the system."""
+    return {
+        label: float(np.real(np.sum(gen.heat_observable(label).T * rho.mat)))
+        for label in gen.bath_labels
+    }
 
 
 def _clipped_log(rho_mat: np.ndarray, clip: float = 1e-14) -> np.ndarray:
@@ -292,11 +310,7 @@ def entropy_production_rate(gen: GKLSGenerator, rho: DensityMatrix) -> float:
     log_rho = _clipped_log(rho.mat)
     total = 0.0
     for label in gen.bath_labels:
-        bath = gen.baths.get(label)
-        if bath is None:
-            raise ValueError(f"no bath registered under label {label!r}")
-        ref = gibbs_state(gen.h, bath.beta)
-        log_ref = _clipped_log(ref.mat)
+        log_ref = gen.log_gibbs_reference(label)
         drho = gen.dissipator(label).apply_matrix(rho.mat)
         total += -float(np.real(np.trace(drho @ (log_rho - log_ref))))
     return total

@@ -645,41 +645,19 @@ class TricycleSpec:
             raise ValueError(f"unknown representation {self.representation!r}")
 
     @property
+    def levels(self) -> int:
+        """Levels per filter: a qubit is the two-level truncation of the
+        oscillator."""
+        return 2 if self.representation == "qubits" else self.oscillator_levels
+
+    @property
     def omega_w(self) -> float:
         # resonance condition; exact by construction
         return self.omega_h - self.omega_c
 
 
-def _tricycle_hamiltonian_qubits(spec: TricycleSpec) -> tuple[Operator, list[Operator]]:
-    from .operators import SIGMA_MINUS, SIGMA_PLUS
-
-    eye = np.eye(2)
-    num = np.diag([0.0, 1.0])
-
-    def emb(op, slot):
-        mats = [eye, eye, eye]
-        mats[slot] = op
-        return np.kron(np.kron(mats[0], mats[1]), mats[2])
-
-    h = (
-        spec.omega_h * emb(num, 0)
-        + spec.omega_c * emb(num, 1)
-        + spec.omega_w * emb(num, 2)
-    )
-    sm = SIGMA_MINUS
-    sp = SIGMA_PLUS
-    inter = spec.eps * (
-        emb(sm, 0) @ emb(sp, 1) @ emb(sp, 2) + emb(sp, 0) @ emb(sm, 1) @ emb(sm, 2)
-    )
-    h_full = Operator.hermitian(h + inter)
-    couplings = [
-        Operator.hermitian(emb(sm + sp, slot)) for slot in range(3)
-    ]
-    return h_full, couplings
-
-
-def _tricycle_hamiltonian_oscillators(spec: TricycleSpec) -> tuple[Operator, list[Operator]]:
-    d = spec.oscillator_levels
+def _tricycle_hamiltonian(spec: TricycleSpec) -> tuple[Operator, list[Operator]]:
+    d = spec.levels
     a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
     num = a.conj().T @ a
     eye = np.eye(d)
@@ -707,10 +685,7 @@ def build_tricycle(spec: TricycleSpec) -> GKLSGenerator:
     """Global weak-coupling generator of the full interacting filter
     Hamiltonian (local per-filter generators are never used: they can
     push heat against the gradient)."""
-    if spec.representation == "qubits":
-        h, (s_h, s_c, s_w) = _tricycle_hamiltonian_qubits(spec)
-    else:
-        h, (s_h, s_c, s_w) = _tricycle_hamiltonian_oscillators(spec)
+    h, (s_h, s_c, s_w) = _tricycle_hamiltonian(spec)
     return build_davies(
         h,
         [(s_h, spec.bath_h), (s_c, spec.bath_c), (s_w, spec.bath_w)],
@@ -742,14 +717,10 @@ def tricycle_steady(spec: TricycleSpec) -> TricycleSteady:
         t = gen.baths[label].temperature
         if not math.isinf(t):
             second -= j / t
-    if spec.representation == "qubits":
-        diag = np.real(np.diag(rho.mat))
-        # basis order |h c w>: |100> = index 4, |010> = index 2
-        gain = float(diag[4] - diag[2])
-    else:
-        d = spec.oscillator_levels
-        diag = np.real(np.diag(rho.mat))
-        gain = float(diag[d * d] - diag[d])
+    # basis order |h c w>: |100> is index d^2, |010> is index d
+    d = spec.levels
+    diag = np.real(np.diag(rho.mat))
+    gain = float(diag[d * d] - diag[d])
     return TricycleSteady(
         currents=currents,
         second_law_value=second,

@@ -39,6 +39,7 @@ __all__ = [
     "sandwich_superop",
     "hamiltonian_superop",
     "dissipator_superop",
+    "adjoint_dissipator",
     "unitary_superop",
     "identity_superop",
     "group_degenerate",
@@ -240,14 +241,45 @@ def hamiltonian_superop(h: Operator | np.ndarray) -> Superoperator:
     return Superoperator(-1j * (np.kron(eye, hm) - np.kron(hm.T, eye)))
 
 
-def dissipator_superop(v: np.ndarray) -> Superoperator:
-    """Lindblad dissipator rho -> V rho V^dag - (1/2){V^dag V, rho}."""
+def dissipator_superop(v: np.ndarray, rates=None) -> Superoperator:
+    """Lindblad dissipator rho -> sum_k r_k (V_k rho V_k^dag - (1/2){V_k^dag V_k, rho}).
+
+    ``v`` is one d x d operator or a (K, d, d) stack; ``rates`` gives the
+    K weights r_k (all 1 when omitted).  The jump terms of the whole stack
+    come from one product over the flattened operators and the
+    anticommutator is added once, from G = sum_k r_k V_k^dag V_k.
+    """
     v = np.asarray(v, dtype=complex)
-    d = v.shape[0]
+    d = v.shape[-1]
+    stack = v.reshape(-1, d, d)
+    k = stack.shape[0]
+    r = np.ones(k) if rates is None else np.asarray(rates, dtype=float).reshape(-1)
+    if r.shape != (k,):
+        raise ValueError(f"{r.size} rates for {k} operators")
+    flat = stack.reshape(k, d * d)
+    # jump[(a, b), (i, j)] = sum_k r_k conj(V_k)[a, b] V_k[i, j]; the column-
+    # stacked kron(conj(V), V) wants row (a, i) and column (b, j)
+    jump = (r[:, None] * flat.conj()).T @ flat
+    m = jump.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    g = stack.reshape(k * d, d).conj().T @ (r[:, None, None] * stack).reshape(k * d, d)
     eye = np.eye(d)
-    vdv = v.conj().T @ v
-    m = np.kron(v.conj(), v) - 0.5 * (np.kron(eye, vdv) + np.kron(vdv.T, eye))
+    m -= 0.5 * (np.kron(eye, g) + np.kron(g.T, eye))
     return Superoperator(m)
+
+
+def adjoint_dissipator(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Heisenberg-picture dissipator X -> V^dag X V - (1/2){V^dag V, X}.
+
+    ``v`` is one d x d operator or a (K, d, d) stack; the result has the
+    same shape, one d x d action per operator.  Since Tr(X D_k(rho)) =
+    Tr(D_k^dag(X) rho), a ledger that reads X against D_k(rho) needs only
+    the state-independent D_k^dag(X) and one trace per state.
+    """
+    v = np.asarray(v, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    vd = np.conj(np.swapaxes(v, -1, -2))
+    vdv = vd @ v
+    return vd @ x @ v - 0.5 * (vdv @ x + x @ vdv)
 
 
 def unitary_superop(u: Operator | np.ndarray) -> Superoperator:

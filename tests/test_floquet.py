@@ -1,9 +1,13 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthermo.baths import BathSpec
 from qthermo.floquet import (
@@ -11,6 +15,7 @@ from qthermo.floquet import (
     ModulatedGapQubit,
     ModulatedLadder,
     build_floquet_generator,
+    drive_power,
     floquet_decompose,
     floquet_heat_currents,
     harmonic_decompose,
@@ -24,12 +29,15 @@ from qthermo.operators import (
     DensityMatrix,
     Operator,
     cp_check,
+    dissipator_superop,
     matexp,
     random_density,
+    random_unitary,
     trace_distance,
     unvec,
     vec,
 )
+from qthermo.tolerances import ALGEBRAIC
 
 SX = Operator.hermitian(PAULI_X)
 
@@ -254,3 +262,54 @@ class TestGeneratorAndLaws:
         rho0 = DensityMatrix.maximally_mixed(2)
         with pytest.raises(ValueError, match="omega_av = 0"):
             floquet_heat_currents(gen, chans, rho0)
+
+
+@functools.cache
+def ladder_machine():
+    # the driven ladder seen in a fixed complex basis, so that no operator
+    # of the ledger is real or diagonal
+    w = random_unitary(3, np.random.default_rng(7)).mat
+    sched = ModulatedLadder(omega1=1.0, omega2=1.55, amplitude=0.3, big_omega=0.6)
+    dec = floquet_decompose(lambda t: Operator.hermitian(w @ sched(t).mat @ w.conj().T),
+                            sched.tau, 256)
+    lower = Operator.hermitian(w @ np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) @ w.conj().T)
+    upper = Operator.hermitian(w @ np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]) @ w.conj().T)
+    cold = BathSpec(label="cold", temperature=0.8, form_factor="ohmic", gamma=0.2, cutoff=10.0)
+    hot = BathSpec(label="hot", temperature=2.5, form_factor="ohmic", gamma=0.2, cutoff=10.0)
+    channels = harmonic_decompose(dec, lower, 6, cold) + harmonic_decompose(dec, upper, 6, hot)
+    return dec, channels, {"cold": cold, "hot": hot}
+
+
+@functools.cache
+def qubit_machine():
+    _, dec, channels, gen = two_bath_machine(grid=256)
+    return dec, channels, gen.baths
+
+
+class TestLedgersAgainstDenseChannelSuperoperators:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([ladder_machine, qubit_machine]),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_flows_and_power_equal_per_channel_references(self, machine, seed):
+        dec, channels, baths = machine()
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.0, 2.0, size=len(channels))
+        scale[rng.random(len(channels)) < 0.3] = 0.0
+        chans = [dataclasses.replace(ch, rate=ch.rate * f) for ch, f in zip(channels, scale)]
+        gen = build_floquet_generator(chans, dec.h_av, baths)
+        rho = random_density(dec.dim, rng)
+        currents = {label: 0.0 for label in gen.bath_labels}
+        power = 0.0
+        for ch in chans:
+            if ch.rate <= 0.0:
+                continue
+            dl = ch.rate * dissipator_superop(ch.op).mat
+            flow = float(np.real(np.trace(dec.h_av.mat @ unvec(dl @ vec(rho.mat), dec.dim))))
+            currents[ch.bath_label] += (ch.omega / ch.omega_av) * flow
+            if ch.harmonic != 0:
+                power += ((ch.omega - ch.omega_av) / ch.omega_av) * flow
+        got = floquet_heat_currents(gen, chans, rho)
+        assert got.keys() == currents.keys()
+        for label, j in currents.items():
+            assert got[label] == pytest.approx(j, abs=ALGEBRAIC)
+        assert drive_power(gen, chans, rho) == pytest.approx(power, abs=ALGEBRAIC)

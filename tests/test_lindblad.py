@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthermo.baths import BathSpec
 from qthermo.lindblad import (
@@ -24,11 +26,16 @@ from qthermo.operators import (
     DensityMatrix,
     Operator,
     cp_check,
+    dissipator_superop,
     matexp,
     random_density,
+    random_hermitian,
     trace_distance,
+    unvec,
+    vec,
 )
 from qthermo.states import gibbs_state, relative_entropy
+from qthermo.tolerances import ALGEBRAIC
 
 
 def qubit_h(omega=1.0):
@@ -220,6 +227,45 @@ class TestEntropyProduction:
         gen = build_davies(qubit_h(), [(Operator.hermitian(PAULI_X), ohmic_bath("b", 1.0))])
         sigma = entropy_production_rate(gen, DensityMatrix.pure([1.0, 0.0]))
         assert math.isfinite(sigma) and sigma >= -1e-9
+
+    def test_channel_without_registered_bath_rejected(self):
+        hot = ohmic_bath("hot", 2.0)
+        gen = build_davies(qubit_h(), [(Operator.hermitian(PAULI_X), hot)])
+        stray = JumpChannel("stray", 1.0, SIGMA_MINUS, 0.1)
+        bare = GKLSGenerator(gen.h, gen.channels + [stray], baths={"hot": hot})
+        rho = DensityMatrix(np.diag([0.7, 0.3]))
+        # the "hot" reference is cached before "stray" fails; a repeated
+        # call must fail again
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no bath registered under label 'stray'"):
+                entropy_production_rate(bare, rho)
+
+
+class TestHeatCurrentsAgainstDenseSuperoperators:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3, 8]), st.integers(min_value=1, max_value=8),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_heat_currents_equal_trace_of_h_against_dense_dissipators(self, d, k, seed):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(d, rng)
+        labels = ["a", "b", "c"]
+        chans = []
+        for _ in range(k):
+            op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rate = float(rng.choice([0.0, 1e-301, rng.uniform(0.0, 2.0)]))
+            chans.append(JumpChannel(str(rng.choice(labels)), 0.0, op, rate))
+        gen = GKLSGenerator(h, chans)
+        rho = random_density(d, rng)
+        currents = heat_currents(gen, rho)
+        assert list(currents) == gen.bath_labels
+        for label, j in currents.items():
+            dense = np.zeros((d * d, d * d), dtype=complex)
+            for ch in chans:
+                if ch.bath_label == label and ch.rate > 1e-300:
+                    dense += ch.rate * dissipator_superop(ch.op).mat
+            drho = unvec(dense @ vec(rho.mat), d)
+            ref = float(np.real(np.trace(h.mat @ drho)))
+            assert j == pytest.approx(ref, abs=ALGEBRAIC)
 
 
 class TestTrajectoryLedger:

@@ -13,6 +13,7 @@ from qthermo.operators import (
     KrausMap,
     Operator,
     Superoperator,
+    adjoint_dissipator,
     cp_check,
     dissipator_superop,
     eig_hermitian,
@@ -33,6 +34,7 @@ from qthermo.operators import (
     unvec,
     vec,
 )
+from qthermo.tolerances import ALGEBRAIC
 
 
 class TestOperatorTags:
@@ -314,6 +316,52 @@ class TestChoiCp:
         vdv = v.conj().T @ v
         rhs = v @ x @ v.conj().T - 0.5 * (vdv @ x + x @ vdv)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def _kron_dissipator(v):
+    """The single-channel dissipator written with three krons."""
+    eye = np.eye(v.shape[0])
+    vdv = v.conj().T @ v
+    return np.kron(v.conj(), v) - 0.5 * (np.kron(eye, vdv) + np.kron(vdv.T, eye))
+
+
+class TestStackedDissipator:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3, 8]), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_stack_equals_rate_weighted_sum_of_single_superops(self, d, k, seed):
+        rng = np.random.default_rng(seed)
+        ops = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        rates = rng.uniform(0.0, 2.0, size=k)
+        rates[rng.random(k) < 0.3] = 0.0
+        stacked = dissipator_superop(ops, rates).mat
+        single = [dissipator_superop(v).mat for v in ops]
+        for v, m in zip(ops, single):
+            assert np.max(np.abs(m - _kron_dissipator(v))) <= ALGEBRAIC
+        dense = sum(r * m for r, m in zip(rates, single))
+        assert np.max(np.abs(stacked - dense)) <= ALGEBRAIC
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3, 8]), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_adjoint_is_the_hilbert_schmidt_dual(self, d, k, seed):
+        rng = np.random.default_rng(seed)
+        ops = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        terms = adjoint_dissipator(ops, x)
+        assert terms.shape == (k, d, d)
+        for v, t in zip(ops, terms):
+            dual = unvec(_kron_dissipator(v).conj().T @ vec(x), d)
+            assert np.max(np.abs(t - dual)) <= ALGEBRAIC
+        assert np.max(np.abs(adjoint_dissipator(ops[0], x) - terms[0])) <= ALGEBRAIC
+
+    def test_empty_stack_is_zero(self):
+        m = dissipator_superop(np.zeros((0, 3, 3)), np.zeros(0)).mat
+        assert m.shape == (9, 9) and not np.any(m)
+
+    def test_rate_count_must_match(self):
+        with pytest.raises(ValueError, match="2 rates for 3 operators"):
+            dissipator_superop(np.zeros((3, 2, 2)), [1.0, 1.0])
 
 
 def test_trace_distance_basics(rng):
