@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 _RATE_FLOOR = 1e-300
+# smallest reciprocal condition number of a bordered fixed-point system
+# accepted as a one-dimensional null space
+_RCOND_MIN = 1e-12
 
 
 class BohrResolutionError(ValueError):
@@ -82,7 +86,7 @@ class GKLSGenerator:
     def __init__(
         self,
         h: Operator,
-        channels: list[JumpChannel],
+        channels: Sequence[JumpChannel],
         baths: dict[str, BathSpec] | None = None,
         include_hamiltonian: bool = True,
         coherent_shift: Operator | None = None,
@@ -90,7 +94,8 @@ class GKLSGenerator:
         if not h.is_hermitian():
             raise ValueError("generator Hamiltonian must be hermitian")
         self.h = h
-        self.channels = list(channels)
+        # a tuple, so that the caches below cannot go stale
+        self.channels = tuple(channels)
         self.baths = dict(baths or {})
         self.include_hamiltonian = include_hamiltonian
         # renormalisation correction entering the commutator only; all
@@ -198,27 +203,26 @@ def _coupling_channels(
         raise ValueError("coupling operators must be hermitian")
     s_e = basis.conj().T @ s_op.mat @ basis
     groups = group_degenerate(h_evals)
-    centers = [float(np.mean(h_evals[g])) for g in groups]
+    centers = np.array([float(np.mean(h_evals[g])) for g in groups])
     spread = max(float(h_evals.max() - h_evals.min()), 1.0)
     merge_tol = LEVEL_MERGE_REL * spread
     resolve_tol = LEVEL_RESOLVE_REL * spread
-    d = len(h_evals)
 
-    # collect gap -> eigenoperator, only over nonzero blocks
-    raw: list[tuple[float, np.ndarray]] = []
-    for gi, g_from in enumerate(groups):
-        for gj, g_to in enumerate(groups):
-            block = np.zeros((d, d), dtype=complex)
-            for m in g_from:
-                for n in g_to:
-                    block[n, m] = s_e[n, m]
-            if np.max(np.abs(block)) <= 1e-14 * max(1.0, np.max(np.abs(s_e))):
-                continue
-            # S(omega) collects |n><m| with omega = E_m - E_n
-            raw.append((centers[gi] - centers[gj], block))
+    # element (n, m) of s_e lies in the level block (g_from, g_to) of its
+    # column's and its row's groups; keep the blocks with a nonzero entry,
+    # in row-major (g_from, g_to) order
+    label = np.empty(len(h_evals), dtype=int)
+    for k, g in enumerate(groups):
+        label[g] = k
+    to_of, from_of = np.meshgrid(label, label, indexing="ij")
+    abs_se = np.abs(s_e)
+    block_max = np.zeros((len(groups), len(groups)))
+    np.maximum.at(block_max, (from_of, to_of), abs_se)
+    g_from, g_to = np.nonzero(block_max > 1e-14 * max(1.0, np.max(abs_se)))
+    # S(omega) collects |n><m| with omega = E_m - E_n
+    gaps = centers[g_from] - centers[g_to]
 
     # bin gaps; reject unresolved near-degeneracies
-    gaps = np.array([w for w, _ in raw])
     bins = group_degenerate(gaps, tol=merge_tol)
     bin_centers = [float(np.mean(gaps[b])) for b in bins]
     for i in range(len(bin_centers)):
@@ -231,14 +235,17 @@ def _coupling_channels(
                     f"unresolved band ({merge_tol:.1e}, {resolve_tol:.1e})"
                 )
 
+    block_bin = np.full(block_max.shape, -1)
+    for k, b in enumerate(bins):
+        block_bin[g_from[b], g_to[b]] = k
+    elem_bin = block_bin[from_of, to_of]
     channels = []
-    for b, center in zip(bins, bin_centers):
-        op = np.zeros((d, d), dtype=complex)
-        for k in b:
-            op += raw[k][1]
+    for k, center in enumerate(bin_centers):
         rate = spectral_density(center, bath)
         if rate <= _RATE_FLOOR:
             continue
+        # "+ 0.0" stores -0.0 entries of s_e as 0.0
+        op = np.where(elem_bin == k, s_e, 0.0) + 0.0
         # rotate the eigenbasis block back to the computational basis
         op = basis @ op @ basis.conj().T
         channels.append(JumpChannel(bath.label, center, op, rate))
@@ -317,34 +324,51 @@ def entropy_production_rate(gen: GKLSGenerator, rho: DensityMatrix) -> float:
 
 
 def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
-    """The unique null eigenvector of the Liouvillian, normalised to a
-    state.  Rejects degenerate null spaces."""
+    """The unique state annihilated by the Liouvillian.  Rejects
+    degenerate null spaces."""
     lmat = gen.liouvillian().mat
-    evals, evecs = scipy.linalg.eig(lmat)
     scale = max(1.0, float(np.linalg.norm(lmat)))
-    null_tol = 1e-10 * scale
-    null_idx = np.where(np.abs(evals) <= null_tol)[0]
-    if len(null_idx) == 0:
-        null_idx = np.array([int(np.argmin(np.abs(evals)))])
-    if len(null_idx) > 1:
-        raise ValueError(
-            f"stationary state not unique: null space dimension {len(null_idx)}"
-        )
-    v = evecs[:, null_idx[0]]
-    m = unvec(v, gen.dim)
+    return _bordered_fixed_point(lmat, 0.0, gen.dim, "stationary state not unique",
+                                 1e-10 * scale)
+
+
+def _bordered_fixed_point(
+    mat: np.ndarray, shift: float, d: int, degenerate: str, resid_tol: float
+) -> DensityMatrix:
+    """The state rho with (mat - shift) vec(rho) = 0, where mat - shift is a
+    generator (shift 0) or U - I for a trace-preserving map U (shift 1).
+
+    The diagonal rows of such a kernel sum to zero; the first is swapped
+    for the trace functional, scaled to the kernel's largest entry, and
+    the system is solved with one LU factorisation.  An rcond below
+    ``_RCOND_MIN`` (null space not one-dimensional), a non-positive
+    solution or a residual above ``resid_tol`` raises ValueError.  Every
+    kernel used gives the same bits at any BLAS thread count."""
+    n = d * d
+    a = np.array(mat, dtype=complex, order="F")
+    a.flat[:: n + 1] -= shift
+    border = max(float(scipy.linalg.lapack.zlange("M", a)), 1e-300)
+    a[0, :] = 0.0
+    a[0, :: d + 1] = border
+    anorm = scipy.linalg.lapack.zlange("1", a)
+    lu, piv, _ = scipy.linalg.lapack.zgetrf(a, overwrite_a=True)
+    rcond, _ = scipy.linalg.lapack.zgecon(lu, anorm)
+    if not rcond >= _RCOND_MIN:
+        raise ValueError(f"{degenerate}: bordered-system rcond {rcond:.3e} < {_RCOND_MIN:g}")
+    rhs = np.zeros((n, 1), dtype=complex)
+    rhs[0] = border
+    y = scipy.linalg.solve_triangular(
+        lu, scipy.linalg.lapack.zlaswp(rhs, piv), lower=True, unit_diagonal=True
+    )
+    m = unvec(scipy.linalg.solve_triangular(lu, y), d)
     m = (m + m.conj().T) / 2.0
-    tr = float(np.real(np.trace(m)))
-    if abs(tr) < 1e-12:
-        raise ValueError("null eigenvector is traceless; no stationary state")
-    m = m / tr
-    evals_m = np.linalg.eigvalsh(m)
-    if evals_m[0] < -100 * ALGEBRAIC:
-        raise ValueError("null eigenvector is not a positive state")
-    m = _project_to_state(m)
-    rho = DensityMatrix(m)
-    resid = float(np.max(np.abs(gen.liouvillian().apply_matrix(rho.mat))))
-    if resid > 1e-10 * scale:
-        raise ValueError(f"stationary residual too large: {resid:.3e}")
+    if np.linalg.eigvalsh(m)[0] < -100 * ALGEBRAIC:
+        raise ValueError("fixed point is not a positive state")
+    rho = DensityMatrix(_project_to_state(m))
+    v = vec(rho.mat)
+    resid = float(np.max(np.abs(mat @ v - shift * v)))
+    if resid > resid_tol:
+        raise ValueError(f"fixed-point residual too large: {resid:.3e}")
     return rho
 
 

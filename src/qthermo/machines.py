@@ -26,6 +26,7 @@ from .baths import BathSpec
 from .lindblad import (
     BohrResolutionError,
     GKLSGenerator,
+    _bordered_fixed_point,
     build_davies,
     heat_currents,
     stationary_state,
@@ -38,7 +39,6 @@ from .operators import (
     eig_hermitian,
     matexp,
     unitary_superop,
-    unvec,
 )
 from .states import relative_entropy, shannon_entropy_in_basis, von_neumann_entropy
 from .tolerances import DYNAMICAL
@@ -315,37 +315,12 @@ def find_limit_cycle(
     """Fixed point of the cycle propagator and the relative-entropy
     convergence trace of plain iteration toward it.
 
-    The contraction property of relative entropy under CP maps makes the
-    recorded distances non-increasing; degenerate unit eigenspaces are
-    rejected."""
+    The fixed point comes from one bordered solve of U - I; a degenerate
+    unit eigenspace, a non-positive solution or a residual above 1e-10
+    raises.  The contraction property of relative entropy under CP maps
+    makes the recorded distances non-increasing."""
     d = u_cyc.dim
-    evals, evecs = scipy.linalg.eig(u_cyc.mat)
-    unit = np.where(np.abs(evals - 1.0) <= 1e-10)[0]
-    if len(unit) == 0:
-        unit = np.array([int(np.argmin(np.abs(evals - 1.0)))])
-    if len(unit) > 1:
-        raise ValueError(f"cycle fixed point degenerate: multiplicity {len(unit)}")
-    m = unvec(evecs[:, unit[0]], d)
-    m = (m + m.conj().T) / 2.0
-    tr = float(np.real(np.trace(m)))
-    if abs(tr) < 1e-12:
-        raise ValueError("unit eigenvector of the cycle is traceless")
-    m /= tr
-    lam, v = np.linalg.eigh(m)
-    lam = np.clip(lam, 0.0, None)
-    lam /= lam.sum()
-    rho_lc = DensityMatrix((v * lam) @ v.conj().T)
-    resid = float(np.max(np.abs(u_cyc.apply_matrix(rho_lc.mat) - rho_lc.mat)))
-    if resid > 1e-10:
-        # eigensolver gave a poor vector; fall back to power iteration
-        rho_it = DensityMatrix.maximally_mixed(d)
-        for _ in range(max_iter):
-            nxt = u_cyc.apply(rho_it)
-            step = float(np.max(np.abs(nxt.mat - rho_it.mat)))
-            rho_it = nxt
-            if step < 1e-14:
-                break
-        rho_lc = rho_it
+    rho_lc = _bordered_fixed_point(u_cyc.mat, 1.0, d, "cycle fixed point degenerate", 1e-10)
 
     trace_conv: list[float] = []
     rho = start if start is not None else DensityMatrix.maximally_mixed(d)

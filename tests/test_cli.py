@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,6 +157,30 @@ class TestRunners:
         assert run(str(p)) == 0
         threaded = (tmp_path / "b" / "sweep.csv").read_bytes()
         assert serial == threaded
+
+
+def test_blas_thread_count_preserves_output(tmp_path):
+    # each run is a fresh interpreter, since OpenBLAS reads its thread
+    # count once, at import
+    src = str(CONFIGS.parent / "src")
+    names = ["tricycle_fridge", "third_law_sweep", "otto_engine", "floquet_fridge"]
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for name in names:
+            cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+            out = tmp_path / threads / name
+            cfg["output_dir"] = str(out)
+            p = tmp_path / f"{name}_{threads}.json"
+            p.write_text(json.dumps(cfg))
+            proc = subprocess.run([sys.executable, "-m", "qthermo.cli", "run", str(p)],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads, name] = {f.name: f.read_bytes() for f in out.iterdir()}
+    for name in names:
+        assert "certificate.csv" in outputs["1", name]
+        assert outputs["1", name] == outputs["2", name], name
 
 
 class TestToleranceOverrides:

@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthermo.baths import BathSpec
+from qthermo.baths import BathSpec, spectral_density
 from qthermo.lindblad import (
     BohrResolutionError,
     GKLSGenerator,
     JumpChannel,
+    _coupling_channels,
     adiabatic_propagate,
     build_davies,
     davies_audit,
@@ -27,6 +30,7 @@ from qthermo.operators import (
     Operator,
     cp_check,
     dissipator_superop,
+    group_degenerate,
     matexp,
     random_density,
     random_hermitian,
@@ -35,7 +39,7 @@ from qthermo.operators import (
     vec,
 )
 from qthermo.states import gibbs_state, relative_entropy
-from qthermo.tolerances import ALGEBRAIC
+from qthermo.tolerances import ALGEBRAIC, LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
 
 def qubit_h(omega=1.0):
@@ -70,7 +74,7 @@ class TestBuildDavies:
         from dataclasses import replace
 
         gen = build_davies(qubit_h(), [(Operator.hermitian(PAULI_X), replace(bath, coupling=0.0))])
-        assert gen.channels == []
+        assert gen.channels == ()
         rho = random_density(2, rng)
         out = propagate(gen, rho, 0.7)
         import scipy.linalg
@@ -232,7 +236,7 @@ class TestEntropyProduction:
         hot = ohmic_bath("hot", 2.0)
         gen = build_davies(qubit_h(), [(Operator.hermitian(PAULI_X), hot)])
         stray = JumpChannel("stray", 1.0, SIGMA_MINUS, 0.1)
-        bare = GKLSGenerator(gen.h, gen.channels + [stray], baths={"hot": hot})
+        bare = GKLSGenerator(gen.h, gen.channels + (stray,), baths={"hot": hot})
         rho = DensityMatrix(np.diag([0.7, 0.3]))
         # the "hot" reference is cached before "stray" fails; a repeated
         # call must fail again
@@ -404,3 +408,164 @@ def test_channel_pairs_are_adjoint():
                    if abs(c.bohr_frequency + ch.bohr_frequency) < 1e-12]
         assert len(partner) == 1
         assert np.max(np.abs(partner[0].op - ch.op.conj().T)) < 1e-12
+
+
+def _eig_stationary(lmat, d):
+    """Dense oracle: the eigenvector of the eigenvalue nearest zero,
+    normalised to unit trace."""
+    evals, evecs = scipy.linalg.eig(lmat)
+    m = unvec(evecs[:, int(np.argmin(np.abs(evals)))], d)
+    m = (m + m.conj().T) / 2.0
+    return m / np.trace(m).real
+
+
+def _random_davies(rng, d, n_baths, kind="generic"):
+    """Davies generator of a random Hamiltonian with n_baths ohmic baths.
+
+    kind "generic" couples through random hermitian operators; "dephasing"
+    couples through operators diagonal in the eigenbasis of H; "decoupled"
+    leaves a two-level factor of a 2 x (d // 2) product space unperturbed
+    by every coupling."""
+    if kind == "decoupled":
+        m = max(d // 2, 1)
+        h1 = random_hermitian(m, rng).mat
+        h2 = np.diag([0.0, float(rng.uniform(0.5, 2.0))])
+        h = Operator.hermitian(np.kron(h1, np.eye(2)) + np.kron(np.eye(m), h2))
+    else:
+        h = random_hermitian(d, rng)
+    evals, v = np.linalg.eigh(h.mat)
+    couplings = []
+    for k in range(n_baths):
+        if kind == "dephasing":
+            s = v @ np.diag(rng.normal(size=h.dim)) @ v.conj().T
+        elif kind == "decoupled":
+            s = np.kron(random_hermitian(m, rng).mat, np.eye(2))
+        else:
+            s = random_hermitian(h.dim, rng).mat
+        bath = ohmic_bath(f"b{k}", float(rng.uniform(0.3, 3.0)),
+                          gamma=float(rng.uniform(0.05, 0.5)))
+        couplings.append((Operator.hermitian((s + s.conj().T) / 2), bath))
+    return build_davies(h, couplings)
+
+
+class TestStationaryStateAgainstDenseEig:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_bordered_solve_matches_null_eigenvector(self, d, n_baths, seed):
+        gen = _random_davies(np.random.default_rng(seed), d, n_baths)
+        assert gen.has_unique_stationary()
+        rho = stationary_state(gen)
+        oracle = _eig_stationary(gen.liouvillian().mat, d)
+        assert np.max(np.abs(rho.mat - oracle)) <= ALGEBRAIC
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["generic", "dephasing", "decoupled"]),
+           st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_not_unique_exactly_when_commutant_is_nontrivial(self, kind, d, n_baths, seed):
+        gen = _random_davies(np.random.default_rng(seed), d, n_baths, kind)
+        if gen.has_unique_stationary():
+            stationary_state(gen)
+        else:
+            with pytest.raises(ValueError, match="not unique"):
+                stationary_state(gen)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+    def test_generator_scale_does_not_decide_uniqueness(self, scale):
+        # scaling H and every rate by one factor scales L and keeps its
+        # null space; the trace row follows the generator's scale, so a
+        # uniformly slow or fast generator still gives the Gibbs state
+        h, x = oscillator(5)
+        gen = build_davies(h, [(x, ohmic_bath("b", 0.8))])
+        scaled = GKLSGenerator(
+            Operator.hermitian(scale * h.mat),
+            [replace(ch, rate=scale * ch.rate) for ch in gen.channels],
+        )
+        rho = stationary_state(scaled)
+        assert trace_distance(rho, gibbs_state(h, 1 / 0.8)) < 1e-9
+
+
+def _loop_coupling_channels(h_evals, basis, s_op, bath):
+    """Element-by-element block collection kept as the reference for the
+    vectorised ``_coupling_channels``."""
+    s_e = basis.conj().T @ s_op.mat @ basis
+    groups = group_degenerate(h_evals)
+    centers = [float(np.mean(h_evals[g])) for g in groups]
+    spread = max(float(h_evals.max() - h_evals.min()), 1.0)
+    merge_tol = LEVEL_MERGE_REL * spread
+    resolve_tol = LEVEL_RESOLVE_REL * spread
+    d = len(h_evals)
+    raw = []
+    for gi, g_from in enumerate(groups):
+        for gj, g_to in enumerate(groups):
+            block = np.zeros((d, d), dtype=complex)
+            for m in g_from:
+                for n in g_to:
+                    block[n, m] = s_e[n, m]
+            if np.max(np.abs(block)) <= 1e-14 * max(1.0, np.max(np.abs(s_e))):
+                continue
+            raw.append((centers[gi] - centers[gj], block))
+    gaps = np.array([w for w, _ in raw])
+    bins = group_degenerate(gaps, tol=merge_tol)
+    bin_centers = [float(np.mean(gaps[b])) for b in bins]
+    for i in range(len(bin_centers)):
+        for j in range(i + 1, len(bin_centers)):
+            if merge_tol < abs(bin_centers[i] - bin_centers[j]) < resolve_tol:
+                raise BohrResolutionError("unresolved")
+    channels = []
+    for b, center in zip(bins, bin_centers):
+        op = np.zeros((d, d), dtype=complex)
+        for k in b:
+            op += raw[k][1]
+        rate = spectral_density(center, bath)
+        if rate <= 1e-300:
+            continue
+        op = basis @ op @ basis.conj().T
+        channels.append(JumpChannel(bath.label, center, op, rate))
+    return channels
+
+
+class TestCouplingChannelsAgainstLoops:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=9),
+           st.sampled_from(["random", "ladder", "degenerate"]),
+           st.booleans(), st.integers(min_value=0, max_value=10 ** 9))
+    def test_channels_bitwise_equal(self, d, spectrum, eigenbasis, seed):
+        rng = np.random.default_rng(seed)
+        if spectrum == "random":
+            evals = np.sort(rng.normal(size=d))
+        elif spectrum == "ladder":
+            evals = np.arange(d, dtype=float) * rng.choice([0.5, 1.0])
+        else:
+            evals = np.sort(rng.integers(0, 3, size=d).astype(float))
+        # sparse real couplings with signed zeros, or dense complex ones
+        s = -np.abs(rng.normal(size=(d, d))) * (rng.random((d, d)) < 0.5)
+        s = np.where(rng.random((d, d)) < 0.3, -0.0, s)
+        s = np.minimum(s, s.T).astype(complex)
+        if eigenbasis:
+            basis = np.eye(d, dtype=complex)
+        else:
+            s = s + random_hermitian(d, rng).mat
+            basis = scipy.linalg.qr(rng.normal(size=(d, d)))[0].astype(complex)
+        bath = ohmic_bath("b", float(rng.uniform(0.2, 3.0)))
+        args = (evals, basis, Operator.hermitian(s), bath)
+        try:
+            ref = _loop_coupling_channels(*args)
+        except BohrResolutionError:
+            with pytest.raises(BohrResolutionError):
+                _coupling_channels(*args)
+            return
+        got = _coupling_channels(*args)
+        assert [(c.bohr_frequency, c.rate) for c in got] == [
+            (c.bohr_frequency, c.rate) for c in ref
+        ]
+        assert [c.op.tobytes() for c in got] == [c.op.tobytes() for c in ref]
+
+
+def test_generator_channels_cannot_be_appended():
+    gen = build_davies(qubit_h(), [(Operator.hermitian(PAULI_X), ohmic_bath("b", 1.0))])
+    stray = JumpChannel("b", 1.0, SIGMA_MINUS, 5.0)
+    with pytest.raises(AttributeError):
+        gen.channels.append(stray)
+    assert isinstance(gen.channels, tuple)

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthermo.baths import BathSpec
 from qthermo.lindblad import build_davies
@@ -28,9 +30,13 @@ from qthermo.operators import (
     Superoperator,
     cp_check,
     matexp,
+    random_hermitian,
+    random_unitary,
     unitary_superop,
+    unvec,
 )
 from qthermo.states import gibbs_state
+from qthermo.tolerances import ALGEBRAIC
 
 
 def ohmic(label, t, gamma=0.2):
@@ -111,6 +117,35 @@ class TestLimitCycle:
     def test_identity_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             find_limit_cycle(Superoperator(np.eye(4)))
+
+    def test_non_trace_preserving_map_raises_instead_of_iterating(self):
+        # a map that gains trace each cycle has no fixed state; the
+        # bordered solution misses the fixed-point equation and raises
+        u_cyc, _ = compose_cycle(engine_spec(tau_h=1.0, tau_c=1.0))
+        with pytest.raises(ValueError, match="residual too large"):
+            find_limit_cycle(Superoperator((1 + 1e-6) * u_cyc.mat))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=5), st.floats(min_value=0.5, max_value=6.0),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_fixed_point_matches_unit_eigenvector(self, d, t, seed):
+        # a thermalising propagator followed by a random unitary is a CPTP
+        # cycle map with one fixed state.  Strokes stay short: a longer one
+        # makes the map nearly rank one, and then the dense eigenvector is
+        # the less accurate of the two (d = 2, t = 17: fixed-point residual
+        # 1.8e-10 from eig against 8.9e-16 from the bordered solve)
+        rng = np.random.default_rng(seed)
+        bath = ohmic("b", float(rng.uniform(0.3, 3.0)))
+        gen = build_davies(random_hermitian(d, rng), [(random_hermitian(d, rng), bath)])
+        u_cyc = unitary_superop(random_unitary(d, rng)) @ Superoperator(
+            matexp(gen.liouvillian(), t).mat)
+        rho_lc, conv = find_limit_cycle(u_cyc)
+        evals, evecs = scipy.linalg.eig(u_cyc.mat)
+        m = unvec(evecs[:, int(np.argmin(np.abs(evals - 1.0)))], d)
+        m = (m + m.conj().T) / 2.0
+        oracle = m / np.trace(m).real
+        assert np.max(np.abs(rho_lc.mat - oracle)) <= ALGEBRAIC
+        assert conv[-1] < 1e-12
 
     def test_full_thermalisation_converges_in_one_cycle(self):
         spec = engine_spec(tau_h=60.0, tau_c=60.0)
