@@ -68,16 +68,27 @@ class FloquetDecomposition:
         return Operator.unitary(self.u_grid[-1])
 
 
-def _magnus_step(h_of_t, t: float, dt: float) -> np.ndarray:
-    """Fourth-order Magnus (two-point Gauss-Legendre) step generator."""
+def _as_matrix(h) -> np.ndarray:
+    return h.mat if isinstance(h, Operator) else np.asarray(h, dtype=complex)
+
+
+def _magnus_steps(h_of_t, times: np.ndarray, d: int) -> np.ndarray:
+    """Fourth-order Magnus (two-point Gauss-Legendre) propagators of the
+    steps between consecutive times, shape (len(times) - 1, d, d).
+
+    The schedule is sampled into preallocated stacks and every step's
+    exponential comes from one batched call."""
     c = math.sqrt(3.0) / 6.0
-    h1 = h_of_t(t + (0.5 - c) * dt)
-    h2 = h_of_t(t + (0.5 + c) * dt)
-    m1 = h1.mat if isinstance(h1, Operator) else np.asarray(h1, dtype=complex)
-    m2 = h2.mat if isinstance(h2, Operator) else np.asarray(h2, dtype=complex)
-    omega = -0.5j * dt * (m1 + m2) - (math.sqrt(3.0) / 12.0) * dt * dt * (
-        m2 @ m1 - m1 @ m2
-    )
+    t, dt = times[:-1], np.diff(times)
+    n = len(t)
+    m1 = np.empty((n, d, d), dtype=complex)
+    m2 = np.empty((n, d, d), dtype=complex)
+    for k, (t1, t2) in enumerate(zip(t + (0.5 - c) * dt, t + (0.5 + c) * dt)):
+        m1[k] = _as_matrix(h_of_t(t1))
+        m2[k] = _as_matrix(h_of_t(t2))
+    omega = (-0.5j * dt)[:, None, None] * (m1 + m2) - (
+        (math.sqrt(3.0) / 12.0) * dt * dt
+    )[:, None, None] * (m2 @ m1 - m1 @ m2)
     return scipy.linalg.expm(omega)
 
 
@@ -93,13 +104,13 @@ def floquet_decompose(h_of_t, tau: float, grid_points: int = 400) -> FloquetDeco
         raise ValueError("period must be positive")
     if grid_points < 8:
         raise ValueError("need at least 8 grid points per period")
-    d = (h_of_t(0.0).mat if isinstance(h_of_t(0.0), Operator) else np.asarray(h_of_t(0.0))).shape[0]
+    d = _as_matrix(h_of_t(0.0)).shape[0]
     times = np.linspace(0.0, tau, grid_points + 1)
+    steps = _magnus_steps(h_of_t, times, d)
     u_grid = np.empty((grid_points + 1, d, d), dtype=complex)
     u_grid[0] = np.eye(d)
     for k in range(grid_points):
-        step = _magnus_step(h_of_t, times[k], times[k + 1] - times[k])
-        u_grid[k + 1] = step @ u_grid[k]
+        u_grid[k + 1] = steps[k] @ u_grid[k]
     monodromy = u_grid[-1]
     # unitary monodromy is normal: complex Schur form is diagonal
     tmat, z = scipy.linalg.schur(monodromy, output="complex")
@@ -112,9 +123,9 @@ def floquet_decompose(h_of_t, tau: float, grid_points: int = 400) -> FloquetDeco
     quasi = -phases / tau  # folded into (-Omega/2, Omega/2]
     h_av = (z * quasi) @ z.conj().T
     h_av = Operator.hermitian((h_av + h_av.conj().T) / 2.0)
-    up_grid = np.empty_like(u_grid)
-    for k, t in enumerate(times):
-        up_grid[k] = u_grid[k] @ (z * np.exp(1j * quasi * t)) @ z.conj().T
+    # U_p(t_k) = U(t_k) Z exp(i quasi t_k) Z^dag
+    spin = np.exp((1j * quasi)[None, :] * times[:, None])
+    up_grid = (u_grid @ (z * spin[:, None, :])) @ z.conj().T
     dec = FloquetDecomposition(tau=tau, h_av=h_av, times=times, u_grid=u_grid, up_grid=up_grid)
     resid = np.max(np.abs(monodromy - scipy.linalg.expm(-1j * h_av.mat * tau)))
     if resid > 1e-9:
@@ -145,6 +156,14 @@ class FloquetChannel:
         object.__setattr__(self, "op", np.asarray(self.op, dtype=complex))
 
 
+def _coupling_samples(up: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """V^dag U_p(t_k)^dag S U_p(t_k) V for a (n, d, d) stack of periodic
+    parts: the coupling in the interaction picture, written in the
+    eigenbasis V of the averaged Hamiltonian.  The products run left to
+    right, over the whole stack at once."""
+    return (((v.conj().T @ up.conj().swapaxes(-1, -2)) @ s) @ up) @ v
+
+
 def harmonic_decompose(
     dec: FloquetDecomposition,
     s_op: Operator,
@@ -169,11 +188,7 @@ def harmonic_decompose(
     d = dec.dim
     n = len(dec.times) - 1  # periodic samples, endpoint dropped
     evals, v = np.linalg.eigh(dec.h_av.mat)
-    # \tilde S(t_k) = U_p^dag S U_p in the averaged-Hamiltonian eigenbasis
-    s_t = np.empty((n, d, d), dtype=complex)
-    for k in range(n):
-        up = dec.up_grid[k]
-        s_t[k] = v.conj().T @ up.conj().T @ s_op.mat @ up @ v
+    s_t = _coupling_samples(dec.up_grid[:n], v, s_op.mat)
     # DFT over the period: s_t = sum_q c_q exp(-i q Omega t), so the ifft
     # bin m holds c_q with q = m folded to (-n/2, n/2]
     coeffs = np.fft.ifft(s_t, axis=0)

@@ -21,6 +21,7 @@ from .operators import (
     DensityMatrix,
     Operator,
     Superoperator,
+    _state_spectra,
     adjoint_dissipator,
     dissipator_superop,
     eig_hermitian,
@@ -30,7 +31,7 @@ from .operators import (
     vec,
     unvec,
 )
-from .states import gibbs_state, von_neumann_entropy
+from .states import _entropy_of_probs, gibbs_state, von_neumann_entropy
 from .tolerances import ALGEBRAIC, LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
 __all__ = [
@@ -50,6 +51,9 @@ __all__ = [
 ]
 
 _RATE_FLOOR = 1e-300
+# states per ledger block in ``trajectory``: the block and its transients
+# stay near 64 KB at d = 8, so the ledger adds nothing to the peak memory
+_LEDGER_BLOCK = 64
 # smallest reciprocal condition number of a bordered fixed-point system
 # accepted as a one-dimensional null space
 _RCOND_MIN = 1e-12
@@ -294,19 +298,47 @@ def propagate(gen: GKLSGenerator, rho0: DensityMatrix, t: float) -> DensityMatri
     return prop.apply(rho0)
 
 
-def heat_currents(gen: GKLSGenerator, rho: DensityMatrix) -> dict[str, float]:
-    """Per-bath currents J_k = Tr(H L_k rho) = Re Tr(L_k^dag(H) rho);
-    positive means heat flowing from bath k into the system."""
+def _heat_current_stack(gen: GKLSGenerator, stack: np.ndarray) -> dict[str, np.ndarray]:
+    """Re Tr(Q_b rho) per bath for every member of a (n, d, d) stack."""
     return {
-        label: float(np.real(np.sum(gen.heat_observable(label).T * rho.mat)))
+        label: np.real(np.sum(gen.heat_observable(label).T * stack, axis=(-2, -1)))
         for label in gen.bath_labels
     }
 
 
+def heat_currents(gen: GKLSGenerator, rho: DensityMatrix) -> dict[str, float]:
+    """Per-bath currents J_k = Tr(H L_k rho) = Re Tr(L_k^dag(H) rho);
+    positive means heat flowing from bath k into the system."""
+    return {k: float(j[0]) for k, j in _heat_current_stack(gen, rho.mat[None]).items()}
+
+
+def _log_of_spectra(evals: np.ndarray, evecs: np.ndarray, clip: float = 1e-14) -> np.ndarray:
+    """Matrix logarithms, eigenvalues clipped below at ``clip``, of
+    hermitian matrices given by their (..., d) spectra and eigenvectors."""
+    logs = np.log(np.clip(evals, clip, None))
+    return (evecs * logs[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+
+
 def _clipped_log(rho_mat: np.ndarray, clip: float = 1e-14) -> np.ndarray:
-    evals, v = np.linalg.eigh((rho_mat + rho_mat.conj().T) / 2.0)
-    evals = np.clip(evals, clip, None)
-    return (v * np.log(evals)) @ v.conj().T
+    return _log_of_spectra(*np.linalg.eigh((rho_mat + rho_mat.conj().T) / 2.0), clip)
+
+
+def _entropy_production_stack(
+    gen: GKLSGenerator, stack: np.ndarray, evals: np.ndarray, evecs: np.ndarray
+) -> np.ndarray:
+    """-sum_b Re Tr[D_b(rho) (ln rho - ln rho_b)] for every member of a
+    (n, d, d) stack, given the eigendecompositions of the members."""
+    n, d = stack.shape[0], gen.dim
+    log_rho = _log_of_spectra(evals, evecs)
+    # row k is vec(rho_k); row k of the product is vec(D_b(rho_k))
+    vecs = stack.swapaxes(-1, -2).reshape(n, d * d)
+    total = np.zeros(n)
+    for label in gen.bath_labels:
+        log_ref = gen.log_gibbs_reference(label)
+        drho = vecs @ gen.dissipator(label).mat.T
+        # Tr(A X) = sum_j vec(A)_j vec(X^T)_j, and vec(X^T) is X read row-major
+        total -= np.real(np.einsum("kj,kj->k", drho, (log_rho - log_ref).reshape(n, d * d)))
+    return total
 
 
 def entropy_production_rate(gen: GKLSGenerator, rho: DensityMatrix) -> float:
@@ -314,13 +346,8 @@ def entropy_production_rate(gen: GKLSGenerator, rho: DensityMatrix) -> float:
     non-negative dynamical entropy production.  Each bath's reference is
     its own Gibbs state of the generator Hamiltonian (uniform for a
     beta = 0 bath)."""
-    log_rho = _clipped_log(rho.mat)
-    total = 0.0
-    for label in gen.bath_labels:
-        log_ref = gen.log_gibbs_reference(label)
-        drho = gen.dissipator(label).apply_matrix(rho.mat)
-        total += -float(np.real(np.trace(drho @ (log_rho - log_ref))))
-    return total
+    evals, evecs = np.linalg.eigh((rho.mat + rho.mat.conj().T) / 2.0)
+    return float(_entropy_production_stack(gen, rho.mat[None], evals[None], evecs[None])[0])
 
 
 def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
@@ -449,22 +476,41 @@ def trajectory(
     keep_states: bool = False,
 ) -> ThermoLedger:
     """Propagate under a static generator, recording the ledger on the
-    grid.  The Hamiltonian is constant so the power column is zero."""
+    grid.  The Hamiltonian is constant so the power column is zero.
+
+    States are propagated one grid step at a time and the ledger is read
+    from blocks of ``_LEDGER_BLOCK`` states: each block is checked as a
+    stack of density matrices and takes one batched eigendecomposition,
+    one product with each bath's dissipator and batched traces."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
         raise ValueError("grid must be a 1d array of times")
     if np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise ValueError("grid must be strictly increasing and non-negative")
     lmat = gen.liouvillian().mat
-    n = len(grid)
+    n, d = len(grid), gen.dim
     energy = np.zeros(n)
     entropy = np.zeros(n)
     sigma = np.zeros(n)
     currents = {k: np.zeros(n) for k in gen.bath_labels}
     states = []
+    block = np.empty((min(n, _LEDGER_BLOCK), d * d), dtype=complex)
+
+    def record(lo: int, hi: int):
+        # row k of the block is vec(M_k), which read row-major is M_k^T
+        mt = block[: hi - lo].reshape(-1, d, d)
+        rho = (mt.swapaxes(-1, -2) + mt.conj()) / 2.0
+        evals, evecs = _state_spectra(rho, vectors=True)
+        energy[lo:hi] = np.real(np.trace(rho @ gen.h.mat, axis1=-2, axis2=-1))
+        entropy[lo:hi] = _entropy_of_probs(evals)
+        sigma[lo:hi] = _entropy_production_stack(gen, rho, evals, evecs)
+        for k, j in _heat_current_stack(gen, rho).items():
+            currents[k][lo:hi] = j
+        if keep_states:
+            states.extend(DensityMatrix(r) for r in rho)
+
     v = vec(rho0.mat)
     prev_t = 0.0
-    rho = rho0
     step_cache: dict[float, np.ndarray] = {}
     for i, t in enumerate(grid):
         dt = t - prev_t
@@ -473,15 +519,10 @@ def trajectory(
                 step_cache[dt] = scipy.linalg.expm(lmat * dt)
             v = step_cache[dt] @ v
         prev_t = t
-        m = unvec(v, gen.dim)
-        rho = DensityMatrix((m + m.conj().T) / 2.0)
-        energy[i] = float(np.real(np.trace(rho.mat @ gen.h.mat)))
-        entropy[i] = von_neumann_entropy(rho)
-        sigma[i] = entropy_production_rate(gen, rho)
-        for k, val in heat_currents(gen, rho).items():
-            currents[k][i] = val
-        if keep_states:
-            states.append(rho)
+        row = i % _LEDGER_BLOCK
+        block[row] = v
+        if row == len(block) - 1 or i == n - 1:
+            record(i - row, i + 1)
     return ThermoLedger(
         times=grid,
         energy=energy,

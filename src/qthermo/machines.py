@@ -14,6 +14,7 @@ the medium.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -631,29 +632,37 @@ class TricycleSpec:
         return self.omega_h - self.omega_c
 
 
-def _tricycle_hamiltonian(spec: TricycleSpec) -> tuple[Operator, list[Operator]]:
-    d = spec.levels
-    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
+@functools.lru_cache(maxsize=None)
+def _tricycle_pieces(levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frequency-free parts of the tricycle at ``levels`` levels per
+    filter, read-only: the three embedded number operators, the
+    interaction a_h a_c^dag a_w^dag + h.c. and the three couplings
+    a + a^dag."""
+    a = np.diag(np.sqrt(np.arange(1, levels, dtype=float)), k=1)
     num = a.conj().T @ a
-    eye = np.eye(d)
+    eye = np.eye(levels)
 
     def emb(op, slot):
         mats = [eye, eye, eye]
         mats[slot] = op
         return np.kron(np.kron(mats[0], mats[1]), mats[2])
 
-    h = (
-        spec.omega_h * emb(num, 0)
-        + spec.omega_c * emb(num, 1)
-        + spec.omega_w * emb(num, 2)
-    )
-    inter = spec.eps * (
+    nums = np.array([emb(num, slot) for slot in range(3)])
+    inter = (
         emb(a, 0) @ emb(a.conj().T, 1) @ emb(a.conj().T, 2)
         + emb(a.conj().T, 0) @ emb(a, 1) @ emb(a, 2)
     )
-    h_full = Operator.hermitian(h + inter)
-    couplings = [Operator.hermitian(emb(a + a.conj().T, slot)) for slot in range(3)]
-    return h_full, couplings
+    couplings = np.array([emb(a + a.conj().T, slot) for slot in range(3)])
+    for arr in (nums, inter, couplings):
+        arr.setflags(write=False)
+    return nums, inter, couplings
+
+
+def _tricycle_hamiltonian(spec: TricycleSpec) -> tuple[Operator, list[Operator]]:
+    nums, inter, couplings = _tricycle_pieces(spec.levels)
+    h = spec.omega_h * nums[0] + spec.omega_c * nums[1] + spec.omega_w * nums[2]
+    h_full = Operator.hermitian(h + spec.eps * inter)
+    return h_full, [Operator.hermitian(c) for c in couplings]
 
 
 def build_tricycle(spec: TricycleSpec) -> GKLSGenerator:

@@ -60,20 +60,25 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    # a complex entry is finite iff its real and imaginary parts are
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix has NaN or Inf entries")
+
+
 def _as_square_complex(mat) -> np.ndarray:
     arr = np.array(mat, dtype=complex, copy=True, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("empty matrix")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise ValueError("matrix has NaN or Inf entries")
+    _check_finite(arr)
     arr.setflags(write=False)
     return arr
 
 
 def _maxabs(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -144,15 +149,7 @@ class DensityMatrix:
     def __post_init__(self):
         arr = _as_square_complex(self.mat)
         object.__setattr__(self, "mat", arr)
-        herm = _maxabs(arr - arr.conj().T)
-        if herm > STRUCTURAL * max(1.0, _maxabs(arr)):
-            raise ValueError(f"density matrix not hermitian: residual {herm:.3e}")
-        tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > ALGEBRAIC:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        evals = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
-        if evals[0] < -ALGEBRAIC:
-            raise ValueError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
+        _state_spectra(arr[None])
 
     @classmethod
     def pure(cls, ket) -> "DensityMatrix":
@@ -170,6 +167,41 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
+
+
+def _state_spectra(stack: np.ndarray, vectors: bool = False):
+    """Check that every member of a (n, d, d) stack is a density matrix and
+    return the spectra of the symmetrised members.
+
+    The checks, in order over the whole stack, are those of
+    :class:`DensityMatrix`: finite entries, hermitian within STRUCTURAL
+    of the member's largest entry, unit trace within ALGEBRAIC, and no
+    eigenvalue below -ALGEBRAIC.  The first member that fails raises the
+    DensityMatrix message.  Returns the (n, d) ascending eigenvalues and,
+    with ``vectors``, the (n, d, d) eigenvectors (else None), from one
+    batched call.
+    """
+    _check_finite(stack)
+    adj = stack.conj().swapaxes(-1, -2)
+    herm = np.abs(stack - adj).max(axis=(-2, -1))
+    bad = herm > STRUCTURAL * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+    if bad.any():
+        raise ValueError(f"density matrix not hermitian: residual {herm[bad.argmax()]:.3e}")
+    tr = np.trace(stack, axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > ALGEBRAIC
+    if bad.any():
+        raise ValueError(f"density matrix trace {complex(tr[bad.argmax()])} differs from 1")
+    sym = (stack + adj) / 2.0
+    if vectors:
+        evals, evecs = np.linalg.eigh(sym)
+    else:
+        evals, evecs = np.linalg.eigvalsh(sym), None
+    bad = evals[:, 0] < -ALGEBRAIC
+    if bad.any():
+        raise ValueError(
+            f"density matrix has negative eigenvalue {evals[bad.argmax(), 0]:.3e}"
+        )
+    return evals, evecs
 
 
 def vec(mat: np.ndarray) -> np.ndarray:

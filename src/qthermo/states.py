@@ -67,16 +67,17 @@ def spectral_decomposition(rho: DensityMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(lam, projs)
 
 
-def _entropy_of_probs(p: np.ndarray) -> float:
+def _entropy_of_probs(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p along the last axis, with negative weights clipped to
+    zero and 0 ln 0 = 0."""
     p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr(rho ln rho), with 0 ln 0 = 0."""
     lam = np.linalg.eigvalsh(rho.mat)
-    return _entropy_of_probs(lam)
+    return float(_entropy_of_probs(lam))
 
 
 def shannon_entropy_in_basis(rho: DensityMatrix, a: Operator) -> float:
@@ -84,7 +85,7 @@ def shannon_entropy_in_basis(rho: DensityMatrix, a: Operator) -> float:
     the hermitian observable ``a``; never below the von Neumann entropy."""
     _, v = eig_hermitian(a)
     p = np.real(np.einsum("ij,jk,ki->i", v.mat.conj().T, rho.mat, v.mat))
-    return _entropy_of_probs(p)
+    return float(_entropy_of_probs(p))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

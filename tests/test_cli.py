@@ -163,7 +163,8 @@ def test_blas_thread_count_preserves_output(tmp_path):
     # each run is a fresh interpreter, since OpenBLAS reads its thread
     # count once, at import
     src = str(CONFIGS.parent / "src")
-    names = ["tricycle_fridge", "third_law_sweep", "otto_engine", "floquet_fridge"]
+    names = ["tricycle_fridge", "third_law_sweep", "otto_engine", "floquet_fridge",
+             "evolve_qubit"]
     outputs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qthermo.baths import BathSpec
 from qthermo.floquet import (
+    _coupling_samples,
     CircularlyDrivenQubit,
     ModulatedGapQubit,
     ModulatedLadder,
@@ -32,6 +33,7 @@ from qthermo.operators import (
     dissipator_superop,
     matexp,
     random_density,
+    random_hermitian,
     random_unitary,
     trace_distance,
     unvec,
@@ -313,3 +315,94 @@ class TestLedgersAgainstDenseChannelSuperoperators:
         for label, j in currents.items():
             assert got[label] == pytest.approx(j, abs=ALGEBRAIC)
         assert drive_power(gen, chans, rho) == pytest.approx(power, abs=ALGEBRAIC)
+
+
+@dataclasses.dataclass(frozen=True)
+class _RandomDrive:
+    """H(t) = H0 + cos(Omega t) H1 + sin(2 Omega t) H2, returned as a plain
+    array: a generic non-commuting schedule."""
+
+    h0: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
+    big_omega: float
+
+    @property
+    def tau(self) -> float:
+        return 2.0 * math.pi / self.big_omega
+
+    def __call__(self, t):
+        w = self.big_omega * t
+        return self.h0 + math.cos(w) * self.h1 + math.sin(2.0 * w) * self.h2
+
+
+def _loop_floquet(h_of_t, tau, n):
+    """Per-step reference of floquet_decompose: one Magnus exponential and
+    one product per step, one periodic-part product per sample."""
+    def mat(h):
+        return h.mat if isinstance(h, Operator) else np.asarray(h, dtype=complex)
+
+    c = math.sqrt(3.0) / 6.0
+    times = np.linspace(0.0, tau, n + 1)
+    d = mat(h_of_t(0.0)).shape[0]
+    u = np.empty((n + 1, d, d), dtype=complex)
+    u[0] = np.eye(d)
+    for k in range(n):
+        t, dt = times[k], times[k + 1] - times[k]
+        m1 = mat(h_of_t(t + (0.5 - c) * dt))
+        m2 = mat(h_of_t(t + (0.5 + c) * dt))
+        omega = -0.5j * dt * (m1 + m2) - (math.sqrt(3.0) / 12.0) * dt * dt * (
+            m2 @ m1 - m1 @ m2
+        )
+        u[k + 1] = scipy.linalg.expm(omega) @ u[k]
+    tmat, z = scipy.linalg.schur(u[-1], output="complex")
+    phases = np.angle(np.diag(tmat))
+    quasi = -phases / tau
+    h_av = (z * quasi) @ z.conj().T
+    h_av = (h_av + h_av.conj().T) / 2.0
+    up = np.empty_like(u)
+    for k, t in enumerate(times):
+        up[k] = u[k] @ (z * np.exp(1j * quasi * t)) @ z.conj().T
+    return u, up, h_av, phases
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestStackedFloquetAgainstStepLoop:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(["gap", "circular", "ladder", "random"]),
+           st.integers(min_value=8, max_value=300),
+           st.floats(min_value=0.0, max_value=0.8), st.floats(min_value=0.3, max_value=2.0),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_grids_bitwise_equal_to_step_loop(self, kind, n, amp, big_omega, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "gap":
+            sched = ModulatedGapQubit(omega0=1.0, amplitude=amp, big_omega=big_omega)
+        elif kind == "circular":
+            sched = CircularlyDrivenQubit(omega0=1.0, eps=amp, big_omega=big_omega)
+        elif kind == "ladder":
+            sched = ModulatedLadder(1.0, 1.3, amplitude=amp, big_omega=big_omega)
+        else:
+            d = int(rng.integers(2, 5))
+            sched = _RandomDrive(*(random_hermitian(d, rng, scale).mat
+                                   for scale in (1.0, amp, 0.5 * amp)), big_omega)
+        u, up, h_av, phases = _loop_floquet(sched, sched.tau, n)
+        # the branch-cut and reproduction checks are not under test here
+        assume(np.all(np.abs(np.abs(phases) - math.pi) > 1e-6))
+        dec = floquet_decompose(sched, sched.tau, n)
+        assert _bits(dec.u_grid) == _bits(u)
+        assert _bits(dec.up_grid) == _bits(up)
+        assert _bits(dec.h_av.mat) == _bits(h_av)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=200),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_coupling_samples_bitwise_equal_to_point_loop(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        up = np.array([random_unitary(d, rng).mat for _ in range(n)])
+        v = random_unitary(d, rng).mat
+        s = random_hermitian(d, rng).mat
+        loop = np.array([v.conj().T @ u.conj().T @ s @ u @ v for u in up])
+        assert _bits(_coupling_samples(up, v, s)) == _bits(loop)

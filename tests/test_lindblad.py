@@ -569,3 +569,76 @@ def test_generator_channels_cannot_be_appended():
     with pytest.raises(AttributeError):
         gen.channels.append(stray)
     assert isinstance(gen.channels, tuple)
+
+
+def _loop_ledger(gen, rho0, grid):
+    """Per-point reference of the trajectory ledger: every state checked as
+    a DensityMatrix, its entropy from its spectrum, and the per-bath terms
+    from dense superoperators of that bath's channels."""
+    d = gen.dim
+    lmat = gen.liouvillian().mat
+    labels = gen.bath_labels
+    dense = {
+        k: dissipator_superop(np.array([ch.op for ch in gen.channels if ch.bath_label == k]),
+                              [ch.rate for ch in gen.channels if ch.bath_label == k]).mat
+        for k in labels
+    }
+
+    def clipped_log(m):
+        # symmetrised first: a Gibbs state with weights near the clip has
+        # a logarithm that resolves roundoff-level asymmetry of its input
+        lam, u = np.linalg.eigh((m + m.conj().T) / 2.0)
+        return (u * np.log(np.clip(lam, 1e-14, None))) @ u.conj().T
+
+    log_ref = {k: clipped_log(gibbs_state(gen.h, gen.baths[k].beta).mat) for k in labels}
+    rows, states = [], []
+    v, prev = vec(rho0.mat), 0.0
+    for t in grid:
+        if t > prev:
+            v = scipy.linalg.expm(lmat * (t - prev)) @ v
+        prev = t
+        m = unvec(v, d)
+        rho = DensityMatrix((m + m.conj().T) / 2.0)
+        lam = np.clip(np.linalg.eigvalsh(rho.mat), 0.0, None)
+        entropy = -sum(x * math.log(x) for x in lam if x > 0.0)
+        sigma, currents = 0.0, []
+        for k in labels:
+            drho = unvec(dense[k] @ vec(rho.mat), d)
+            sigma -= np.real(np.trace(drho @ (clipped_log(rho.mat) - log_ref[k])))
+            currents.append(np.real(np.trace(gen.h.mat @ drho)))
+        rows.append([np.real(np.trace(rho.mat @ gen.h.mat)), entropy, sigma] + currents)
+        states.append(rho.mat)
+    return np.array(rows), np.array(states)
+
+
+class TestBlockLedgerAgainstPointLoop:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3),
+           st.sampled_from([1, 63, 64, 65, 200]), st.booleans(),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_block_ledger_matches_point_loop(self, d, n_baths, n, uniform, seed):
+        rng = np.random.default_rng(seed)
+        gen = _random_davies(rng, d, n_baths)
+        rho0 = random_density(d, rng, rank=int(rng.integers(1, d + 1)))
+        if uniform:
+            grid = np.linspace(0.0, 0.05 * n, n)
+        else:
+            grid = np.cumsum(rng.uniform(0.01, 0.2, size=n))
+        led = trajectory(gen, rho0, grid, keep_states=True)
+        ref, ref_states = _loop_ledger(gen, rho0, grid)
+        got = np.column_stack([led.energy, led.entropy, led.entropy_production]
+                              + [led.currents[k] for k in gen.bath_labels])
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= ALGEBRAIC
+        assert np.all(led.power == 0.0)
+        assert len(led.states) == n
+        assert np.max(np.abs(np.array([s.mat for s in led.states]) - ref_states)) <= ALGEBRAIC
+
+    def test_states_kept_only_on_request(self):
+        gen = build_davies(qubit_h(), [(Operator.hermitian(PAULI_X), ohmic_bath("b", 1.0))])
+        grid = np.linspace(0.0, 5.0, 130)
+        led = trajectory(gen, DensityMatrix.pure([1.0, 0.0]), grid)
+        assert led.states == []
+        kept = trajectory(gen, DensityMatrix.pure([1.0, 0.0]), grid, keep_states=True)
+        assert all(isinstance(s, DensityMatrix) for s in kept.states)
+        assert kept.to_csv() == led.to_csv()

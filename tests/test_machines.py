@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from qthermo.baths import BathSpec
 from qthermo.lindblad import build_davies
 from qthermo.machines import (
+    _tricycle_hamiltonian,
+    _tricycle_pieces,
     CycleSpec,
     OscillatorMedium,
     QubitMedium,
@@ -354,6 +356,38 @@ class TestTricycle:
         st = tricycle_steady(spec)
         assert st.first_law_residual <= 1e-9
         assert st.second_law_value >= -1e-9
+
+    @pytest.mark.parametrize("representation,levels", [("qubits", 3), ("oscillators", 3),
+                                                        ("oscillators", 4)])
+    def test_cached_pieces_equal_uncached_build(self, representation, levels):
+        def uncached(spec):
+            d = spec.levels
+            a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
+            num = a.conj().T @ a
+            eye = np.eye(d)
+
+            def emb(op, slot):
+                mats = [eye, eye, eye]
+                mats[slot] = op
+                return np.kron(np.kron(mats[0], mats[1]), mats[2])
+
+            h = (spec.omega_h * emb(num, 0) + spec.omega_c * emb(num, 1)
+                 + spec.omega_w * emb(num, 2))
+            inter = spec.eps * (emb(a, 0) @ emb(a.conj().T, 1) @ emb(a.conj().T, 2)
+                                + emb(a.conj().T, 0) @ emb(a, 1) @ emb(a, 2))
+            return h + inter, [emb(a + a.conj().T, slot) for slot in range(3)]
+
+        for omega_c, eps in [(1.0, 0.05), (0.37, 0.2), (2.1, 0.0)]:
+            spec = tricycle_spec(representation=representation, oscillator_levels=levels,
+                                 omega_c=omega_c, eps=eps)
+            h, couplings = _tricycle_hamiltonian(spec)
+            h_ref, couplings_ref = uncached(spec)
+            assert np.array_equal(h.mat, h_ref)
+            assert len(couplings) == 3
+            for c, c_ref in zip(couplings, couplings_ref):
+                assert np.array_equal(c.mat, c_ref)
+        for piece in _tricycle_pieces(spec.levels):
+            assert not piece.flags.writeable
 
     def test_near_degenerate_resonance_rejected(self):
         # eps close to a bare gap spacing collides dressed and bare lines

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qthermo.operators import (
+    _state_spectra,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -49,6 +50,16 @@ class TestOperatorTags:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             Operator.general([[np.nan, 0], [0, 1]])
+
+    @pytest.mark.parametrize("bad", [complex(0.0, np.nan), complex(np.inf, 0.0),
+                                     complex(-np.inf, 0.0), complex(0.0, np.inf),
+                                     complex(0.0, -np.inf)])
+    def test_nonfinite_part_rejected(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        for build in (Operator.general, Superoperator, DensityMatrix):
+            with pytest.raises(ValueError, match="matrix has NaN or Inf entries"):
+                build(m if build is not Superoperator else np.kron(m, np.eye(2)))
 
     def test_density_matrix_validation(self):
         with pytest.raises(ValueError, match="trace"):
@@ -369,3 +380,44 @@ def test_trace_distance_basics(rng):
     sigma = DensityMatrix.pure([0, 1])
     assert trace_distance(rho, sigma) == pytest.approx(1.0)
     assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestStackedStateChecks:
+    """_state_spectra checks a stack of states with the DensityMatrix
+    checks and messages; one bad member fails the whole stack."""
+
+    @staticmethod
+    def _spoil(m, fault):
+        d = m.shape[0]
+        if fault == "trace":
+            return m * 1.001
+        if fault == "negative eigenvalue":
+            return np.diag([1.0 + 1e-6] + [0.0] * (d - 2) + [-1e-6]).astype(complex)
+        if fault == "NaN or Inf":
+            out = m.copy()
+            out[d - 1, 0] = np.nan
+            return out
+        out = m.copy()
+        out[0, d - 1] += 1e-6
+        return out
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=70),
+           st.data(), st.integers(min_value=0, max_value=10 ** 9))
+    def test_one_bad_member_raises_density_matrix_message(self, d, n, data, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_density(d, rng).mat for _ in range(n)])
+        evals, evecs = _state_spectra(stack, vectors=True)
+        assert np.all(np.abs(evals - np.linalg.eigvalsh(stack)) <= ALGEBRAIC)
+        assert np.all(np.abs(stack - (evecs * evals[:, None, :]) @ evecs.conj().swapaxes(1, 2))
+                      <= ALGEBRAIC)
+        fault = data.draw(st.sampled_from(["trace", "negative eigenvalue", "NaN or Inf",
+                                           "not hermitian"]))
+        bad = data.draw(st.integers(min_value=0, max_value=n - 1))
+        stack[bad] = self._spoil(stack[bad], fault)
+        with pytest.raises(ValueError) as err:
+            _state_spectra(stack)
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(stack[bad])
+        assert fault in str(err.value)
+        assert str(err.value) == str(single.value)
