@@ -55,11 +55,11 @@ class TestOperatorTags:
                                      complex(-np.inf, 0.0), complex(0.0, np.inf),
                                      complex(0.0, -np.inf)])
     def test_nonfinite_part_rejected(self, bad):
-        m = np.eye(2, dtype=complex)
-        m[0, 1] = bad
-        for build in (Operator.general, Superoperator, DensityMatrix):
+        for build, d in ((Operator.general, 2), (DensityMatrix, 2), (Superoperator, 4)):
+            m = np.eye(d, dtype=complex)
+            m[0, 1] = bad
             with pytest.raises(ValueError, match="matrix has NaN or Inf entries"):
-                build(m if build is not Superoperator else np.kron(m, np.eye(2)))
+                build(m)
 
     def test_density_matrix_validation(self):
         with pytest.raises(ValueError, match="trace"):
