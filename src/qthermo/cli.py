@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -271,13 +269,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QTHERMO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # --------------------------------------------------------------------------
 # experiment runners; each returns (certificate, artifacts dict name->text)
 
@@ -442,19 +433,7 @@ def _run_third_law(cfg: dict):
     grid = [float(t) for t in p["t_c_grid"]]
     if any(t < 1e-3 for t in grid):
         raise ConfigError("t_c_grid is floored at 1e-3")
-    n_workers = _threads()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futs = [
-                pool.submit(
-                    mc.third_law_sweep, spec, [t],
-                    float(p["ratio_lo"]), float(p["ratio_hi"]),
-                )
-                for t in grid
-            ]
-            rows = [f.result()[0] for f in futs]
-    else:
-        rows = mc.third_law_sweep(spec, grid, float(p["ratio_lo"]), float(p["ratio_hi"]))
+    rows = mc.third_law_sweep(spec, grid, float(p["ratio_lo"]), float(p["ratio_hi"]))
     cert = LawCertificate([])
     cooling = [r for r in rows if not r.no_cooling]
     js = [r.j_c for r in cooling]

@@ -21,8 +21,9 @@ from .lindblad import GKLSGenerator, JumpChannel, stationary_state
 from .operators import (
     DensityMatrix,
     Operator,
+    _bin_frequencies,
+    _level_blocks,
     adjoint_dissipator,
-    group_degenerate,
 )
 from .tolerances import LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
@@ -167,8 +168,8 @@ def _coupling_samples(up: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarra
 def harmonic_decompose(
     dec: FloquetDecomposition,
     s_op: Operator,
-    q_max: int = 5,
-    bath: BathSpec = None,
+    q_max: int,
+    bath: BathSpec,
 ) -> list[FloquetChannel]:
     """Fourier decomposition of U^dag(t) S U(t) over the extended
     frequencies, crossed with the Bohr structure of the averaged
@@ -179,8 +180,6 @@ def harmonic_decompose(
     frequency (the heat-current weight would be ambiguous), or when the
     bath has a pole at one of the harmonics.
     """
-    if bath is None:
-        raise TypeError("harmonic_decompose needs a bath")
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
     if not s_op.is_hermitian():
@@ -202,58 +201,42 @@ def harmonic_decompose(
             f"raise q_max"
         )
 
-    groups = group_degenerate(evals)
-    centers = [float(np.mean(evals[g])) for g in groups]
     spread = max(float(evals.max() - evals.min()), dec.big_omega)
     merge_tol = LEVEL_MERGE_REL * spread
     resolve_tol = LEVEL_RESOLVE_REL * spread
 
-    raw: list[tuple[float, float, int, np.ndarray]] = []
-    for idx in range(n):
-        q = int(q_of_index[idx])
-        if abs(q) > q_max:
-            continue
-        c_q = coeffs[idx]
-        if np.max(np.abs(c_q)) <= _AMP_FLOOR:
-            continue
-        for gi, g_row in enumerate(groups):
-            for gj, g_col in enumerate(groups):
-                block = np.zeros((d, d), dtype=complex)
-                for r in g_row:
-                    for cc in g_col:
-                        block[r, cc] = c_q[r, cc]
-                if np.max(np.abs(block)) <= _AMP_FLOOR:
-                    continue
-                omega_av = centers[gj] - centers[gi]
-                omega_ext = omega_av + q * dec.big_omega
-                raw.append((omega_ext, omega_av, q, block))
-
-    if not raw:
+    # the kept harmonics in ifft order, as one stack; a level block
+    # (g_row, g_col) of harmonic q is a line at omega_av + q Omega
+    kept = np.flatnonzero(np.abs(q_of_index) <= q_max)
+    c_kept = coeffs[kept]
+    label, centers, (member, g_row, g_col) = _level_blocks(evals, np.abs(c_kept), _AMP_FLOOR)
+    if not member.size:
         return []
+    omega_av = centers[g_col] - centers[g_row]
+    q_of_line = q_of_index[kept][member]
+    ext = omega_av + q_of_line * dec.big_omega
+
     # bin extended frequencies; distinct omega_av in one bin is ambiguous
-    ext = np.array([r[0] for r in raw])
-    bins = group_degenerate(ext, tol=merge_tol)
-    centers_ext = [float(np.mean(ext[b])) for b in bins]
-    for i in range(len(centers_ext)):
-        for j in range(i + 1, len(centers_ext)):
-            sep = abs(centers_ext[i] - centers_ext[j])
-            if merge_tol < sep < resolve_tol:
-                raise ValueError(
-                    f"extended frequencies {centers_ext[i]:.12g} and "
-                    f"{centers_ext[j]:.12g} are unresolved for bath {bath.label!r}"
-                )
+    bins, centers_ext, pair = _bin_frequencies(ext, merge_tol, resolve_tol)
+    if pair is not None:
+        i, j = pair
+        raise ValueError(
+            f"extended frequencies {centers_ext[i]:.12g} and "
+            f"{centers_ext[j]:.12g} are unresolved for bath {bath.label!r}"
+        )
     channels = []
-    for b, center in zip(bins, centers_ext):
-        avs = {round(raw[k][1], 9) for k in b}
+    for b, center in zip(bins, centers_ext.tolist()):
+        avs = {round(w, 9) for w in omega_av[b].tolist()}
         if len(avs) > 1:
             raise ValueError(
                 f"extended frequency {center:.12g} mixes averaged-Hamiltonian gaps "
                 f"{sorted(avs)}; the heat-current weight is ambiguous"
             )
         op = np.zeros((d, d), dtype=complex)
-        q_rep = raw[b[0]][2]
+        q_rep = int(q_of_line[b[0]])
         for k in b:
-            op += raw[k][3]
+            in_block = (label[:, None] == g_row[k]) & (label[None, :] == g_col[k])
+            op += np.where(in_block, c_kept[member[k]], 0.0)
         try:
             rate = spectral_density(center, bath)
         except ValueError as exc:
@@ -266,7 +249,7 @@ def harmonic_decompose(
         # rotate back to the computational basis
         op = v @ op @ v.conj().T
         channels.append(
-            FloquetChannel(bath.label, center, raw[b[0]][1], q_rep, op, rate)
+            FloquetChannel(bath.label, center, float(omega_av[b[0]]), q_rep, op, rate)
         )
     return channels
 

@@ -21,6 +21,8 @@ from .operators import (
     DensityMatrix,
     Operator,
     Superoperator,
+    _bin_frequencies,
+    _level_blocks,
     _state_spectra,
     adjoint_dissipator,
     dissipator_superop,
@@ -206,45 +208,37 @@ def _coupling_channels(
     if not s_op.is_hermitian():
         raise ValueError("coupling operators must be hermitian")
     s_e = basis.conj().T @ s_op.mat @ basis
-    groups = group_degenerate(h_evals)
-    centers = np.array([float(np.mean(h_evals[g])) for g in groups])
+    abs_se = np.abs(s_e)
     spread = max(float(h_evals.max() - h_evals.min()), 1.0)
     merge_tol = LEVEL_MERGE_REL * spread
     resolve_tol = LEVEL_RESOLVE_REL * spread
 
     # element (n, m) of s_e lies in the level block (g_from, g_to) of its
-    # column's and its row's groups; keep the blocks with a nonzero entry,
-    # in row-major (g_from, g_to) order
-    label = np.empty(len(h_evals), dtype=int)
-    for k, g in enumerate(groups):
-        label[g] = k
-    to_of, from_of = np.meshgrid(label, label, indexing="ij")
-    abs_se = np.abs(s_e)
-    block_max = np.zeros((len(groups), len(groups)))
-    np.maximum.at(block_max, (from_of, to_of), abs_se)
-    g_from, g_to = np.nonzero(block_max > 1e-14 * max(1.0, np.max(abs_se)))
+    # column's and its row's groups; the transpose lists the blocks with a
+    # nonzero entry in row-major (g_from, g_to) order
+    label, centers, (g_from, g_to) = _level_blocks(
+        h_evals, abs_se.T, 1e-14 * max(1.0, np.max(abs_se))
+    )
     # S(omega) collects |n><m| with omega = E_m - E_n
     gaps = centers[g_from] - centers[g_to]
 
     # bin gaps; reject unresolved near-degeneracies
-    bins = group_degenerate(gaps, tol=merge_tol)
-    bin_centers = [float(np.mean(gaps[b])) for b in bins]
-    for i in range(len(bin_centers)):
-        for j in range(i + 1, len(bin_centers)):
-            sep = abs(bin_centers[i] - bin_centers[j])
-            if merge_tol < sep < resolve_tol:
-                raise BohrResolutionError(
-                    f"Bohr gaps {bin_centers[i]:.12g} and {bin_centers[j]:.12g} of "
-                    f"coupling to bath {bath.label!r} differ by {sep:.3e}, inside the "
-                    f"unresolved band ({merge_tol:.1e}, {resolve_tol:.1e})"
-                )
+    bins, bin_centers, pair = _bin_frequencies(gaps, merge_tol, resolve_tol)
+    if pair is not None:
+        i, j = pair
+        sep = abs(bin_centers[i] - bin_centers[j])
+        raise BohrResolutionError(
+            f"Bohr gaps {bin_centers[i]:.12g} and {bin_centers[j]:.12g} of "
+            f"coupling to bath {bath.label!r} differ by {sep:.3e}, inside the "
+            f"unresolved band ({merge_tol:.1e}, {resolve_tol:.1e})"
+        )
 
-    block_bin = np.full(block_max.shape, -1)
+    block_bin = np.full((len(centers), len(centers)), -1)
     for k, b in enumerate(bins):
         block_bin[g_from[b], g_to[b]] = k
-    elem_bin = block_bin[from_of, to_of]
+    elem_bin = block_bin[label[None, :], label[:, None]]
     channels = []
-    for k, center in enumerate(bin_centers):
+    for k, center in enumerate(bin_centers.tolist()):
         rate = spectral_density(center, bath)
         if rate <= _RATE_FLOOR:
             continue

@@ -546,6 +546,56 @@ def group_degenerate(values: np.ndarray, tol: float | None = None) -> list[np.nd
     return [np.array(g, dtype=int) for g in groups]
 
 
+def _group_centers(values: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+    """Mean value of each group.  A one-member group's centre is its value,
+    the same bits as ``np.mean`` of it; only larger groups call np.mean."""
+    centers = values[[g[0] for g in groups]]
+    for k in np.flatnonzero([len(g) > 1 for g in groups]):
+        centers[k] = np.mean(values[groups[k]])
+    return centers
+
+
+def _level_blocks(evals: np.ndarray, absmat: np.ndarray, floor: float):
+    """Group the levels ``evals`` and find the level blocks of ``absmat``
+    with an entry above ``floor``.
+
+    Entry (r, c) of ``absmat`` lies in the block (label[r], label[c]).
+    ``absmat`` is one nonnegative d x d matrix or a (n, d, d) stack of
+    them.  Returns the (d,) group label of every level, the group centres,
+    and the index arrays of the kept blocks in row-major order: (rows,
+    cols) for one matrix, (members, rows, cols) for a stack.
+    """
+    groups = group_degenerate(evals)
+    label = np.empty(len(evals), dtype=int)
+    for k, g in enumerate(groups):
+        label[g] = k
+    stack = absmat.reshape(-1, *absmat.shape[-2:])
+    block_max = np.zeros((len(stack), len(groups), len(groups)))
+    members = np.arange(len(stack))[:, None, None]
+    np.maximum.at(block_max, (members, label[:, None], label[None, :]), stack)
+    blocks = np.nonzero(block_max > floor)
+    if absmat.ndim == 2:
+        blocks = blocks[1:]
+    return label, _group_centers(evals, groups), blocks
+
+
+def _bin_frequencies(freqs: np.ndarray, merge_tol: float, resolve_tol: float):
+    """Bin frequencies as :func:`group_degenerate` does with ``merge_tol``
+    and find the first pair of bins that the secular approximation can
+    neither merge nor resolve.
+
+    Returns the bins (index arrays, ordered by value), their centres, and
+    the first pair (i, j), i < j in row-major order, whose centres differ
+    by more than ``merge_tol`` and less than ``resolve_tol``, or None.
+    """
+    bins = group_degenerate(freqs, tol=merge_tol)
+    centers = _group_centers(freqs, bins)
+    sep = np.abs(centers[:, None] - centers[None, :])
+    rows, cols = np.nonzero(np.triu((sep > merge_tol) & (sep < resolve_tol), k=1))
+    pair = (int(rows[0]), int(cols[0])) if rows.size else None
+    return bins, centers, pair
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> Operator:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return Operator.hermitian(scale * (g + g.conj().T) / 2.0)

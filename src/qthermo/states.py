@@ -16,6 +16,8 @@ import numpy as np
 from .operators import (
     DensityMatrix,
     Operator,
+    _bin_frequencies,
+    _level_blocks,
     eig_hermitian,
     expect,
     group_degenerate,
@@ -142,26 +144,16 @@ def gibbs_state(
     return DensityMatrix((v * w) @ v.conj().T)
 
 
-def _level_projectors(h: Operator) -> tuple[np.ndarray, list[np.ndarray], list[float]]:
-    """Eigenbasis of H with degenerate levels merged; returns the basis,
-    one projector per merged level, and the level energies."""
-    evals, v = eig_hermitian(h)
-    groups = group_degenerate(evals)
-    projs = []
-    energies = []
-    for g in groups:
-        block = v.mat[:, g]
-        projs.append(block @ block.conj().T)
-        energies.append(float(np.mean(evals[g])))
-    return evals, projs, energies
-
-
 def dephase_time_average(rho: DensityMatrix, h: Operator) -> DensityMatrix:
     """Projection onto the H-eigenprojector blocks: the infinite-time
     average of the unitary orbit of rho.  Degenerate levels are dephased
     blockwise."""
-    _, projs, _ = _level_projectors(h)
-    out = sum(p @ rho.mat @ p for p in projs)
+    evals, v = eig_hermitian(h)
+    rho_e = v.mat.conj().T @ rho.mat @ v.mat
+    # the average keeps the level blocks of rho on the diagonal, where the
+    # row's and the column's levels share a group
+    label, _, _ = _level_blocks(evals, np.abs(rho_e), 0.0)
+    out = v.mat @ np.where(label[:, None] == label[None, :], rho_e, 0.0) @ v.mat.conj().T
     return DensityMatrix((out + out.conj().T) / 2.0)
 
 
@@ -223,20 +215,11 @@ def is_completely_passive(rho: DensityMatrix, h: Operator, n_max: int) -> bool:
         for _ in range(n - 1):
             energies = np.add.outer(energies, evals_h).reshape(-1)
             probs = np.outer(probs, pops).reshape(-1)
-        order = np.argsort(energies)
-        energies = energies[order]
-        probs = probs[order]
         running_min = math.inf
-        i = 0
-        while i < len(energies):
-            j = i
-            while j + 1 < len(energies) and energies[j + 1] - energies[i] <= n * tol_e:
-                j += 1
-            group_max = float(probs[i : j + 1].max())
-            if group_max > running_min + 1e-12:
+        for g in group_degenerate(energies, tol=n * tol_e):
+            if float(probs[g].max()) > running_min + 1e-12:
                 return False
-            running_min = min(running_min, float(probs[i : j + 1].min()))
-            i = j + 1
+            running_min = min(running_min, float(probs[g].min()))
     return True
 
 
@@ -271,35 +254,18 @@ def two_point_correlation(
     p = np.real(np.diag(v.mat.conj().T @ rho.mat @ v.mat))
     a_e = v.mat.conj().T @ a.mat @ v.mat
     b_e = v.mat.conj().T @ b.mat @ v.mat
-    groups = group_degenerate(evals)
-    centers = [float(np.mean(evals[g])) for g in groups]
-    amps: dict[int, complex] = {}
-    omegas: dict[int, float] = {}
-    n_groups = len(groups)
-    for gi in range(n_groups):
-        for gj in range(n_groups):
-            key = gi * n_groups + gj
-            block = 0.0 + 0.0j
-            for m in groups[gi]:
-                for n in groups[gj]:
-                    block += p[m] * a_e[m, n] * b_e[n, m]
-            if abs(block) > 0.0:
-                omegas[key] = centers[gj] - centers[gi]
-                amps[key] = amps.get(key, 0.0) + block
-    # merge identical gaps arising from different level pairs
-    gap_vals = np.array(list(omegas.values()))
-    gap_amps = np.array([amps[k] for k in omegas], dtype=complex)
-    merged: dict[float, complex] = {}
+    # term (m, n) belongs to the line omega = E_n - E_m of its level block
+    terms = p[:, None] * a_e * b_e.T
+    label, centers, (g_row, g_col) = _level_blocks(evals, np.abs(terms), 0.0)
+    block_amps = np.zeros((len(centers), len(centers)), dtype=complex)
+    np.add.at(block_amps, (label[:, None], label[None, :]), terms)
+    block_amps = block_amps[g_row, g_col]
+    # merge identical gaps arising from different level pairs; there is no
+    # unresolved band, so lines farther apart than the merge tolerance stay
     spread = max(float(evals.max() - evals.min()), 1.0)
-    for w, amp in zip(gap_vals, gap_amps):
-        for wm in merged:
-            if abs(w - wm) <= LEVEL_MERGE_REL * spread:
-                merged[wm] += amp
-                break
-        else:
-            merged[w] = amp
-    ws = np.array(sorted(merged))
-    amps_arr = np.array([merged[w] for w in ws])
+    merge_tol = LEVEL_MERGE_REL * spread
+    bins, ws, _ = _bin_frequencies(centers[g_col] - centers[g_row], merge_tol, merge_tol)
+    amps_arr = np.array([block_amps[b].sum() for b in bins], dtype=complex)
     # drop roundoff dust so spurious lines cannot poison ratio checks
     floor = 1e-14 * max(1.0, float(np.max(np.abs(amps_arr))))
     keep = np.abs(amps_arr) > floor

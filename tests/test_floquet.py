@@ -9,10 +9,12 @@ import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qthermo.baths import BathSpec
+from qthermo.baths import BathSpec, spectral_density
 from qthermo.floquet import (
+    _AMP_FLOOR,
     _coupling_samples,
     CircularlyDrivenQubit,
+    FloquetChannel,
     ModulatedGapQubit,
     ModulatedLadder,
     build_floquet_generator,
@@ -31,6 +33,7 @@ from qthermo.operators import (
     Operator,
     cp_check,
     dissipator_superop,
+    group_degenerate,
     matexp,
     random_density,
     random_hermitian,
@@ -39,7 +42,7 @@ from qthermo.operators import (
     unvec,
     vec,
 )
-from qthermo.tolerances import ALGEBRAIC
+from qthermo.tolerances import ALGEBRAIC, LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
 SX = Operator.hermitian(PAULI_X)
 
@@ -383,7 +386,9 @@ class TestStackedFloquetAgainstStepLoop:
         elif kind == "circular":
             sched = CircularlyDrivenQubit(omega0=1.0, eps=amp, big_omega=big_omega)
         elif kind == "ladder":
-            sched = ModulatedLadder(1.0, 1.3, amplitude=amp, big_omega=big_omega)
+            # equal rungs put two level pairs on every gap
+            sched = ModulatedLadder(1.0, float(rng.choice([1.0, 1.3])), amplitude=amp,
+                                    big_omega=big_omega)
         else:
             d = int(rng.integers(2, 5))
             sched = _RandomDrive(*(random_hermitian(d, rng, scale).mat
@@ -406,3 +411,153 @@ class TestStackedFloquetAgainstStepLoop:
         s = random_hermitian(d, rng).mat
         loop = np.array([v.conj().T @ u.conj().T @ s @ u @ v for u in up])
         assert _bits(_coupling_samples(up, v, s)) == _bits(loop)
+
+
+def _loop_harmonic_decompose(dec, s_op, q_max, bath):
+    """Block-by-block reference of harmonic_decompose: each harmonic and
+    each level block in its own loop, each block filled entry by entry."""
+    d = dec.dim
+    n = len(dec.times) - 1
+    evals, v = np.linalg.eigh(dec.h_av.mat)
+    s_t = _coupling_samples(dec.up_grid[:n], v, s_op.mat)
+    coeffs = np.fft.ifft(s_t, axis=0)
+    q_of_index = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+    total_w = float(np.sum(np.abs(coeffs) ** 2))
+    kept_w = float(np.sum(np.abs(coeffs[np.abs(q_of_index) <= q_max]) ** 2))
+    tail = (total_w - kept_w) / max(total_w, 1e-300)
+    if tail > 1e-6:
+        raise ValueError(
+            f"harmonics beyond |q| = {q_max} carry weight {tail:.3e} > 1e-6; "
+            f"raise q_max"
+        )
+    groups = group_degenerate(evals)
+    centers = [float(np.mean(evals[g])) for g in groups]
+    spread = max(float(evals.max() - evals.min()), dec.big_omega)
+    merge_tol = LEVEL_MERGE_REL * spread
+    resolve_tol = LEVEL_RESOLVE_REL * spread
+    raw = []
+    for idx in range(n):
+        q = int(q_of_index[idx])
+        if abs(q) > q_max:
+            continue
+        c_q = coeffs[idx]
+        if np.max(np.abs(c_q)) <= _AMP_FLOOR:
+            continue
+        for gi, g_row in enumerate(groups):
+            for gj, g_col in enumerate(groups):
+                block = np.zeros((d, d), dtype=complex)
+                for r in g_row:
+                    for cc in g_col:
+                        block[r, cc] = c_q[r, cc]
+                if np.max(np.abs(block)) <= _AMP_FLOOR:
+                    continue
+                omega_av = centers[gj] - centers[gi]
+                raw.append((omega_av + q * dec.big_omega, omega_av, q, block))
+    if not raw:
+        return []
+    ext = np.array([r[0] for r in raw])
+    bins = group_degenerate(ext, tol=merge_tol)
+    centers_ext = [float(np.mean(ext[b])) for b in bins]
+    for i in range(len(centers_ext)):
+        for j in range(i + 1, len(centers_ext)):
+            sep = abs(centers_ext[i] - centers_ext[j])
+            if merge_tol < sep < resolve_tol:
+                raise ValueError(
+                    f"extended frequencies {centers_ext[i]:.12g} and "
+                    f"{centers_ext[j]:.12g} are unresolved for bath {bath.label!r}"
+                )
+    channels = []
+    for b, center in zip(bins, centers_ext):
+        avs = {round(raw[k][1], 9) for k in b}
+        if len(avs) > 1:
+            raise ValueError(
+                f"extended frequency {center:.12g} mixes averaged-Hamiltonian gaps "
+                f"{sorted(avs)}; the heat-current weight is ambiguous"
+            )
+        op = np.zeros((d, d), dtype=complex)
+        for k in b:
+            op += raw[k][3]
+        rate = spectral_density(center, bath)
+        if rate <= 0.0:
+            continue
+        op = v @ op @ v.conj().T
+        channels.append(FloquetChannel(bath.label, center, raw[b[0]][1], raw[b[0]][2], op, rate))
+    return channels
+
+
+def _outcome(fn, *args):
+    """Channels as exact tuples and op bytes, or the error type and text."""
+    try:
+        chans = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(c.bath_label, c.omega, c.omega_av, c.harmonic, c.rate, _bits(c.op))
+            for c in chans]
+
+
+def _resonant_qubit(big_omega, amp, offset=0.0):
+    """Gap qubit whose averaged gap is Omega / 2 (1 + offset): the lines
+    omega_av and -omega_av + Omega coincide at offset 0 and sit
+    offset Omega apart otherwise."""
+    return ModulatedGapQubit(omega0=0.5 * big_omega * (1.0 + offset), amplitude=amp,
+                             big_omega=big_omega)
+
+
+class TestHarmonicsAgainstBlockLoop:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(["gap", "resonant", "circular", "ladder", "pair", "random"]),
+           st.integers(min_value=16, max_value=128), st.integers(min_value=3, max_value=16),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_channels_and_errors_bitwise_equal(self, kind, n, q_max, seed):
+        rng = np.random.default_rng(seed)
+        amp, big_omega = rng.uniform(0.0, 0.8), rng.uniform(0.3, 2.0)
+        s_op = SX
+        if kind == "gap":
+            sched = ModulatedGapQubit(omega0=1.0, amplitude=amp, big_omega=big_omega)
+        elif kind == "resonant":
+            # coinciding lines, and lines just outside and well inside the
+            # unresolved band (1e-9, 1e-6) Omega
+            sched = _resonant_qubit(big_omega, amp, float(rng.choice([0.0, 5e-9, 2e-7])))
+        elif kind == "circular":
+            sched = CircularlyDrivenQubit(omega0=1.0, eps=amp, big_omega=big_omega)
+        elif kind == "ladder":
+            # equal rungs put two level pairs on every gap
+            sched = ModulatedLadder(1.0, float(rng.choice([1.0, 1.3])), amplitude=amp,
+                                    big_omega=big_omega)
+            s_op = Operator.hermitian(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+        elif kind == "pair":
+            # two equal qubits: a degenerate middle level, and two level
+            # pairs on every line
+            z = np.kron(PAULI_Z, np.eye(2)) + np.kron(np.eye(2), PAULI_Z)
+            sched = _RandomDrive(0.5 * rng.uniform(0.5, 1.5) * z, 0.5 * amp * z,
+                                 np.zeros((4, 4)), big_omega)
+            s_op = Operator.hermitian(np.kron(PAULI_X, np.eye(2)) + np.kron(np.eye(2), PAULI_X))
+        else:
+            d = int(rng.integers(2, 5))
+            sched = _RandomDrive(*(random_hermitian(d, rng, scale).mat
+                                   for scale in (1.0, amp, 0.5 * amp)), big_omega)
+            s_op = random_hermitian(d, rng)
+        try:
+            dec = floquet_decompose(sched, sched.tau, n)
+        except ValueError:
+            assume(False)  # the branch cut is not under test here
+        bath = unit_bath()
+        got = _outcome(harmonic_decompose, dec, s_op, q_max, bath)
+        assert got == _outcome(_loop_harmonic_decompose, dec, s_op, q_max, bath)
+
+    def test_mixed_averaged_gaps_rejected_as_by_loop(self):
+        sched = _resonant_qubit(1.0, 0.3)
+        dec = floquet_decompose(sched, sched.tau, 64)
+        got = _outcome(harmonic_decompose, dec, SX, 6, unit_bath())
+        assert got[0] is ValueError and "mixes averaged-Hamiltonian gaps" in got[1]
+        assert got == _outcome(_loop_harmonic_decompose, dec, SX, 6, unit_bath())
+
+    def test_unresolved_extended_frequencies_rejected(self):
+        # the lines Omega / 2 (1 +- 2e-7) are 2e-7 Omega apart, inside the
+        # band (1e-9, 1e-6) Omega
+        sched = _resonant_qubit(1.0, 0.3, 2e-7)
+        dec = floquet_decompose(sched, sched.tau, 64)
+        with pytest.raises(ValueError, match="are unresolved for bath 'u'"):
+            harmonic_decompose(dec, SX, 6, unit_bath())
+        got = _outcome(harmonic_decompose, dec, SX, 6, unit_bath())
+        assert got == _outcome(_loop_harmonic_decompose, dec, SX, 6, unit_bath())

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,18 @@ class TestBuildDavies:
         h = Operator.hermitian(np.diag([0.0, 1.0, 2.0 + 1.0e-7]))
         s = Operator.hermitian(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex))
         with pytest.raises(BohrResolutionError):
+            build_davies(h, [(s, ohmic_bath("b", 1.0))])
+
+    def test_unresolved_bohr_gaps_message(self):
+        # the first unresolved pair in value order is (-1 - 1e-7, -1); the
+        # band is (1e-9, 1e-6) times the spread 2 + 1e-7
+        h = Operator.hermitian(np.diag([0.0, 1.0, 2.0 + 1.0e-7]))
+        s = Operator.hermitian(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex))
+        text = (
+            "Bohr gaps -1.0000001 and -1 of coupling to bath 'b' differ by "
+            "1.000e-07, inside the unresolved band (2.0e-09, 2.0e-06)"
+        )
+        with pytest.raises(BohrResolutionError, match=f"^{re.escape(text)}$"):
             build_davies(h, [(s, ohmic_bath("b", 1.0))])
 
     def test_degenerate_gaps_merged(self):

@@ -11,9 +11,12 @@ from qthermo.operators import (
     PAULI_Z,
     DensityMatrix,
     Operator,
+    eig_hermitian,
     expect,
+    group_degenerate,
     random_density,
     random_hermitian,
+    random_unitary,
 )
 from qthermo.states import (
     diagonal_vs_microcanonical,
@@ -31,6 +34,7 @@ from qthermo.states import (
     two_point_correlation,
     von_neumann_entropy,
 )
+from qthermo.tolerances import ALGEBRAIC, LEVEL_MERGE_REL
 
 
 class TestEntropies:
@@ -294,7 +298,62 @@ class TestCompletePassivity:
         assert not is_passive(rho2, h2)
 
 
+def _loop_two_point_correlation(h, beta, a, b):
+    """Block-by-block reference of two_point_correlation: each level block
+    summed entry by entry, and equal gaps merged line by line."""
+    evals, v = eig_hermitian(h)
+    v = v.mat
+    rho = gibbs_state(h, beta)
+    p = np.real(np.diag(v.conj().T @ rho.mat @ v))
+    a_e = v.conj().T @ a.mat @ v
+    b_e = v.conj().T @ b.mat @ v
+    groups = group_degenerate(evals)
+    centers = [float(np.mean(evals[g])) for g in groups]
+    lines = []
+    for gi, g_row in enumerate(groups):
+        for gj, g_col in enumerate(groups):
+            block = 0.0 + 0.0j
+            for m in g_row:
+                for n in g_col:
+                    block += p[m] * a_e[m, n] * b_e[n, m]
+            if abs(block) > 0.0:
+                lines.append((centers[gj] - centers[gi], block))
+    merged = {}
+    spread = max(float(evals.max() - evals.min()), 1.0)
+    for w, amp in lines:
+        for wm in merged:
+            if abs(w - wm) <= LEVEL_MERGE_REL * spread:
+                merged[wm] += amp
+                break
+        else:
+            merged[w] = amp
+    ws = np.array(sorted(merged))
+    amps = np.array([merged[w] for w in ws])
+    keep = np.abs(amps) > 1e-14 * max(1.0, float(np.max(np.abs(amps))))
+    return ws[keep], amps[keep]
+
+
 class TestCorrelations:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=5),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_degenerate_ladder_matches_block_loop(self, multiplicity, seed):
+        # an equally spaced ladder with degenerate rungs, in a random basis:
+        # many level pairs share one gap
+        rng = np.random.default_rng(seed)
+        evals = np.repeat(rng.choice([0.5, 1.0, 1.3]) * np.arange(len(multiplicity)),
+                          multiplicity)
+        u = random_unitary(len(evals), rng).mat
+        h = Operator.hermitian(u @ np.diag(evals) @ u.conj().T)
+        a = random_hermitian(len(evals), rng)
+        b = a if rng.random() < 0.5 else random_hermitian(len(evals), rng)
+        beta = float(rng.uniform(0.1, 3.0))
+        series = two_point_correlation(h, beta, a, b)
+        ws, amps = _loop_two_point_correlation(h, beta, a, b)
+        assert series.omegas.shape == ws.shape
+        assert np.max(np.abs(series.omegas - ws)) <= ALGEBRAIC
+        assert np.max(np.abs(series.amplitudes - amps)) <= ALGEBRAIC
+
     def test_conserved_observable_static(self, rng):
         h = random_hermitian(3, rng)
         series = two_point_correlation(h, 1.0, h, h)
