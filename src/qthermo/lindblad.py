@@ -59,6 +59,10 @@ _LEDGER_BLOCK = 64
 # smallest reciprocal condition number of a bordered fixed-point system
 # accepted as a one-dimensional null space
 _RCOND_MIN = 1e-12
+# entries of a channel, of G or of the coherent part below this fraction of
+# the matrix's largest entry are rotation roundoff (at most 3e-13 at d = 64)
+# and join no index pair to the sector of a stationary solve
+_PATTERN_REL = 1e-10
 
 
 class BohrResolutionError(ValueError):
@@ -161,13 +165,20 @@ class GKLSGenerator:
             self._log_references[label] = _clipped_log(gibbs_state(self.h, bath.beta).mat)
         return self._log_references[label]
 
+    def _coherent_hamiltonian(self) -> np.ndarray | None:
+        """H plus the coherent shift, or None for an interaction-picture
+        generator."""
+        if not self.include_hamiltonian:
+            return None
+        if self.coherent_shift is None:
+            return self.h.mat
+        return self.h.mat + self.coherent_shift.mat
+
     def liouvillian(self) -> Superoperator:
         if self._liouvillian is None:
             m = self.dissipator().mat.copy()
-            if self.include_hamiltonian:
-                h_coh = self.h.mat
-                if self.coherent_shift is not None:
-                    h_coh = h_coh + self.coherent_shift.mat
+            h_coh = self._coherent_hamiltonian()
+            if h_coh is not None:
                 m += hamiltonian_superop(Operator.hermitian(h_coh)).mat
             self._liouvillian = Superoperator(m)
         return self._liouvillian
@@ -201,52 +212,58 @@ def liouvillian(gen: GKLSGenerator) -> Superoperator:
 def _coupling_channels(
     h_evals: np.ndarray,
     basis: np.ndarray,
-    s_op: Operator,
-    bath: BathSpec,
+    couplings: Sequence[tuple[Operator, BathSpec]],
 ) -> list[JumpChannel]:
-    """Secular decomposition of one hermitian coupling against one bath."""
-    if not s_op.is_hermitian():
+    """Secular decomposition of hermitian couplings against their baths,
+    coupling by coupling; the levels of H are grouped once for all."""
+    if not all(s_op.is_hermitian() for s_op, _ in couplings):
         raise ValueError("coupling operators must be hermitian")
-    s_e = basis.conj().T @ s_op.mat @ basis
+    d = len(h_evals)
+    s_e = np.array([basis.conj().T @ s_op.mat @ basis for s_op, _ in couplings])
+    s_e = s_e.reshape(-1, d, d)
     abs_se = np.abs(s_e)
     spread = max(float(h_evals.max() - h_evals.min()), 1.0)
     merge_tol = LEVEL_MERGE_REL * spread
     resolve_tol = LEVEL_RESOLVE_REL * spread
 
     # element (n, m) of s_e lies in the level block (g_from, g_to) of its
-    # column's and its row's groups; the transpose lists the blocks with a
-    # nonzero entry in row-major (g_from, g_to) order
-    label, centers, (g_from, g_to) = _level_blocks(
-        h_evals, abs_se.T, 1e-14 * max(1.0, np.max(abs_se))
+    # column's and its row's groups; the transposes list the blocks with a
+    # nonzero entry in row-major (coupling, g_from, g_to) order
+    floors = 1e-14 * np.maximum(1.0, abs_se.max(axis=(-2, -1)))
+    label, centers, (member, g_from, g_to) = _level_blocks(
+        h_evals, abs_se.swapaxes(-1, -2), floors[:, None, None]
     )
-    # S(omega) collects |n><m| with omega = E_m - E_n
-    gaps = centers[g_from] - centers[g_to]
-
-    # bin gaps; reject unresolved near-degeneracies
-    bins, bin_centers, pair = _bin_frequencies(gaps, merge_tol, resolve_tol)
-    if pair is not None:
-        i, j = pair
-        sep = abs(bin_centers[i] - bin_centers[j])
-        raise BohrResolutionError(
-            f"Bohr gaps {bin_centers[i]:.12g} and {bin_centers[j]:.12g} of "
-            f"coupling to bath {bath.label!r} differ by {sep:.3e}, inside the "
-            f"unresolved band ({merge_tol:.1e}, {resolve_tol:.1e})"
-        )
-
-    block_bin = np.full((len(centers), len(centers)), -1)
-    for k, b in enumerate(bins):
-        block_bin[g_from[b], g_to[b]] = k
-    elem_bin = block_bin[label[None, :], label[:, None]]
     channels = []
-    for k, center in enumerate(bin_centers.tolist()):
-        rate = spectral_density(center, bath)
-        if rate <= _RATE_FLOOR:
-            continue
+    for c, (_, bath) in enumerate(couplings):
+        mine = member == c
+        c_from, c_to = g_from[mine], g_to[mine]
+        # S(omega) collects |n><m| with omega = E_m - E_n
+        gaps = centers[c_from] - centers[c_to]
+
+        # bin gaps; reject unresolved near-degeneracies
+        bins, bin_centers, pair = _bin_frequencies(gaps, merge_tol, resolve_tol)
+        if pair is not None:
+            i, j = pair
+            sep = abs(bin_centers[i] - bin_centers[j])
+            raise BohrResolutionError(
+                f"Bohr gaps {bin_centers[i]:.12g} and {bin_centers[j]:.12g} of "
+                f"coupling to bath {bath.label!r} differ by {sep:.3e}, inside the "
+                f"unresolved band ({merge_tol:.1e}, {resolve_tol:.1e})"
+            )
+
+        block_bin = np.full((len(centers), len(centers)), -1)
+        for k, b in enumerate(bins):
+            block_bin[c_from[b], c_to[b]] = k
+        elem_bin = block_bin[label[None, :], label[:, None]]
+        centers_c = bin_centers.tolist()
+        rates = [spectral_density(center, bath) for center in centers_c]
+        kept = [k for k, rate in enumerate(rates) if rate > _RATE_FLOOR]
         # "+ 0.0" stores -0.0 entries of s_e as 0.0
-        op = np.where(elem_bin == k, s_e, 0.0) + 0.0
-        # rotate the eigenbasis block back to the computational basis
-        op = basis @ op @ basis.conj().T
-        channels.append(JumpChannel(bath.label, center, op, rate))
+        ops = np.where(elem_bin == np.array(kept, dtype=int)[:, None, None], s_e[c], 0.0) + 0.0
+        # rotate the eigenbasis blocks back to the computational basis
+        ops = basis @ ops @ basis.conj().T
+        channels.extend(JumpChannel(bath.label, centers_c[k], op, rates[k])
+                        for k, op in zip(kept, ops))
     return channels
 
 
@@ -265,7 +282,6 @@ def build_davies(
     populations, so every law check is unaffected.
     """
     h_evals, v = eig_hermitian(h)
-    channels = []
     baths = {}
     for s_op, bath in couplings:
         if s_op.dim != h.dim:
@@ -273,7 +289,7 @@ def build_davies(
         if bath.label in baths and baths[bath.label] != bath:
             raise ValueError(f"two different baths share the label {bath.label!r}")
         baths[bath.label] = bath
-        channels.extend(_coupling_channels(h_evals, v.mat, s_op, bath))
+    channels = _coupling_channels(h_evals, v.mat, couplings)
     if lamb_shift is not None:
         if not lamb_shift.is_hermitian():
             raise ValueError("Lamb-shift correction must be hermitian")
@@ -344,62 +360,131 @@ def entropy_production_rate(gen: GKLSGenerator, rho: DensityMatrix) -> float:
     return float(_entropy_production_stack(gen, rho.mat[None], evals[None], evecs[None])[0])
 
 
+def _pattern(stack: np.ndarray) -> np.ndarray:
+    """0/1 pattern of the entries of each member of a (..., d, d) stack
+    above ``_PATTERN_REL`` of the member's largest entry."""
+    mag = np.abs(stack)
+    return (mag > _PATTERN_REL * mag.max(axis=(-2, -1), keepdims=True)).astype(float)
+
+
+def _sector_pairs(jumps: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closure of the diagonal index pairs (i, i) under rho -> V rho V^dag
+    for every pattern V of the (K, d, d) stack ``jumps`` and under
+    rho -> A rho, rho A^dag for the pattern A ``left``.  Returns the rows
+    and columns of the pairs in column-stacked order."""
+    reach = np.eye(left.shape[0])
+    while True:
+        grown = reach + left @ reach + reach @ left.T
+        grown += (jumps @ reach @ jumps.swapaxes(-1, -2)).sum(axis=0)
+        grown = (grown > 0).astype(float)
+        if np.array_equal(grown, reach):
+            cols, rows = np.nonzero(reach.T)
+            return rows, cols
+        reach = grown
+
+
 def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
-    """The unique state annihilated by the Liouvillian.  Rejects
-    degenerate null spaces."""
-    lmat = gen.liouvillian().mat
-    scale = max(1.0, float(np.linalg.norm(lmat)))
-    return _bordered_fixed_point(lmat, 0.0, gen.dim, "stationary state not unique",
-                                 1e-10 * scale)
+    """The unique state annihilated by the generator.  Rejects degenerate
+    null spaces.
+
+    Write the generator as rho -> A rho + rho A^dag + sum_k r_k V_k rho
+    V_k^dag, with A = -i H_coh - G / 2 and G = sum_k r_k V_k^dag V_k.  In
+    the eigenbasis of H it maps the span of the sector, the closure of the
+    diagonal pairs (i, i) under the nonzero patterns of the V_k and of A,
+    into itself, and a unique stationary state lies in that span.  The
+    generator is assembled on the sector alone, at a cost of K s^2 for K
+    channels and s pairs, and solved by ``_bordered_fixed_point``.  For a
+    secular generator the sector is the zero-Bohr sector (s = d for a
+    nondegenerate spectrum); without that symmetry it grows to all d^2
+    pairs.
+
+    The trace row and the rcond are scaled to the whole generator (its
+    coherent spread and G), never to the sector block alone, whose
+    entries may be pure roundoff.  The residual is max |L(rho)| at
+    operator level, held to 1e-10 max(1, |L_s|_F) with L_s the sector
+    block, a submatrix of the generator."""
+    ops, rates = gen._stacked_channels(None)
+    d, k = gen.dim, len(rates)
+    g = ops.reshape(k * d, d).conj().T @ (rates[:, None, None] * ops).reshape(k * d, d)
+    h_coh = gen._coherent_hamiltonian()
+    h_coh = np.zeros((d, d)) if h_coh is None else h_coh
+    a = -1j * h_coh - 0.5 * g
+    v = eig_hermitian(gen.h)[1].mat
+    ops_e, g_e, h_e = (v.conj().T @ x @ v for x in (ops, g, h_coh))
+    # G and H_coh get a pattern each: a large energy offset must not hide G
+    rows, cols = _sector_pairs(_pattern(ops_e), np.maximum(_pattern(g_e), _pattern(h_e)))
+
+    # entry (p, q) of the sector block is the weight of rho[rows[q], cols[q]]
+    # in L(rho)[rows[p], cols[p]]; rr and cc index the flattened d x d
+    # entries (rows[p], rows[q]) and (cols[p], cols[q])
+    rr = rows[:, None] * d + rows[None, :]
+    cc = cols[:, None] * d + cols[None, :]
+    flat = ops_e.reshape(k, d * d)
+    kernel = np.einsum("k,kpq,kpq->pq", rates, flat[:, rr], flat[:, cc].conj())
+    a_e = (-1j * h_e - 0.5 * g_e).reshape(-1)
+    kernel += a_e[rr] * (cols[:, None] == cols[None, :])
+    kernel += (rows[:, None] == rows[None, :]) * a_e[cc].conj()
+    kernel = np.asfortranarray(kernel)
+    resid_tol = 1e-10 * max(1.0, float(np.linalg.norm(kernel)))
+    spread = float(np.ptp(h_e.diagonal().real))
+    border = max(float(scipy.linalg.lapack.zlange("M", kernel)), spread,
+                 float(np.max(np.abs(g_e))), 1e-300)
+    x = _bordered_fixed_point(kernel, np.flatnonzero(rows == cols), border,
+                              "stationary state not unique")
+    m = np.zeros((d, d), dtype=complex)
+    m[rows, cols] = x
+
+    def residual(r: np.ndarray) -> float:
+        jump = np.einsum("k,kij->ij", rates, ops @ r @ ops.conj().swapaxes(-1, -2))
+        return float(np.max(np.abs(jump + a @ r + r @ a.conj().T)))
+
+    return _fixed_point_state(v @ m @ v.conj().T, residual, resid_tol)
 
 
 def _bordered_fixed_point(
-    mat: np.ndarray, shift: float, d: int, degenerate: str, resid_tol: float
-) -> DensityMatrix:
-    """The state rho with (mat - shift) vec(rho) = 0, where mat - shift is a
-    generator (shift 0) or U - I for a trace-preserving map U (shift 1).
+    kernel: np.ndarray, diag: np.ndarray, border: float, degenerate: str
+) -> np.ndarray:
+    """The vector x with kernel x = 0 whose entries at the positions
+    ``diag`` sum to one.
 
-    The diagonal rows of such a kernel sum to zero; the first is swapped
-    for the trace functional, scaled to the kernel's largest entry, and
-    the system is solved with one LU factorisation.  An rcond below
-    ``_RCOND_MIN`` (null space not one-dimensional), a non-positive
-    solution or a residual above ``resid_tol`` raises ValueError.  Every
-    kernel used gives the same bits at any BLAS thread count."""
-    n = d * d
-    a = np.array(mat, dtype=complex, order="F")
-    a.flat[:: n + 1] -= shift
-    border = max(float(scipy.linalg.lapack.zlange("M", a)), 1e-300)
-    a[0, :] = 0.0
-    a[0, :: d + 1] = border
+    ``kernel`` is a generator, or U - I for a trace-preserving map U, on
+    the column-stacked entries of a set of index pairs that it maps into
+    itself, and ``diag`` lists the positions of the diagonal pairs.  The
+    rows at those positions sum to zero; the first is swapped for the
+    trace functional times ``border``, and the system is solved with one
+    LU factorisation, overwriting ``kernel`` when it is Fortran-ordered.
+    An rcond below ``_RCOND_MIN`` (null space not one-dimensional) raises
+    ValueError with the message ``degenerate``.  Every kernel used gives
+    the same bits at any BLAS thread count."""
+    a = np.asfortranarray(kernel, dtype=complex)
+    a[diag[0], :] = 0.0
+    a[diag[0], diag] = border
     anorm = scipy.linalg.lapack.zlange("1", a)
     lu, piv, _ = scipy.linalg.lapack.zgetrf(a, overwrite_a=True)
     rcond, _ = scipy.linalg.lapack.zgecon(lu, anorm)
     if not rcond >= _RCOND_MIN:
         raise ValueError(f"{degenerate}: bordered-system rcond {rcond:.3e} < {_RCOND_MIN:g}")
-    rhs = np.zeros((n, 1), dtype=complex)
-    rhs[0] = border
+    rhs = np.zeros((len(a), 1), dtype=complex)
+    rhs[diag[0]] = border
     y = scipy.linalg.solve_triangular(
         lu, scipy.linalg.lapack.zlaswp(rhs, piv), lower=True, unit_diagonal=True
     )
-    m = unvec(scipy.linalg.solve_triangular(lu, y), d)
-    m = (m + m.conj().T) / 2.0
-    if np.linalg.eigvalsh(m)[0] < -100 * ALGEBRAIC:
+    return scipy.linalg.solve_triangular(lu, y)[:, 0]
+
+
+def _fixed_point_state(m: np.ndarray, residual, resid_tol: float) -> DensityMatrix:
+    """The state of a solved fixed point m: a non-positive m, or a
+    ``residual(rho)`` above ``resid_tol``, raises ValueError."""
+    evals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    if evals[0] < -100 * ALGEBRAIC:
         raise ValueError("fixed point is not a positive state")
-    rho = DensityMatrix(_project_to_state(m))
-    v = vec(rho.mat)
-    resid = float(np.max(np.abs(mat @ v - shift * v)))
+    # clip eigenvalue dust below zero and renormalise
+    evals = np.clip(evals, 0.0, None)
+    rho = DensityMatrix((vecs * (evals / evals.sum())) @ vecs.conj().T)
+    resid = residual(rho.mat)
     if resid > resid_tol:
         raise ValueError(f"fixed-point residual too large: {resid:.3e}")
     return rho
-
-
-def _project_to_state(m: np.ndarray) -> np.ndarray:
-    """Clip eigenvalue dust below zero and renormalise; used only on
-    vectors already known to be states up to roundoff."""
-    evals, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    evals = np.clip(evals, 0.0, None)
-    evals = evals / evals.sum()
-    return (v * evals) @ v.conj().T
 
 
 @dataclass

@@ -28,6 +28,7 @@ from .lindblad import (
     BohrResolutionError,
     GKLSGenerator,
     _bordered_fixed_point,
+    _fixed_point_state,
     build_davies,
     heat_currents,
     stationary_state,
@@ -40,6 +41,8 @@ from .operators import (
     eig_hermitian,
     matexp,
     unitary_superop,
+    unvec,
+    vec,
 )
 from .states import relative_entropy, shannon_entropy_in_basis, von_neumann_entropy
 from .tolerances import DYNAMICAL
@@ -321,7 +324,14 @@ def find_limit_cycle(
     raises.  The contraction property of relative entropy under CP maps
     makes the recorded distances non-increasing."""
     d = u_cyc.dim
-    rho_lc = _bordered_fixed_point(u_cyc.mat, 1.0, d, "cycle fixed point degenerate", 1e-10)
+    kernel = np.array(u_cyc.mat, dtype=complex, order="F")
+    kernel.flat[:: d * d + 1] -= 1.0
+    border = max(float(scipy.linalg.lapack.zlange("M", kernel)), 1e-300)
+    x = _bordered_fixed_point(kernel, np.arange(d) * (d + 1), border,
+                              "cycle fixed point degenerate")
+    rho_lc = _fixed_point_state(
+        unvec(x, d), lambda r: float(np.max(np.abs(u_cyc.mat @ vec(r) - vec(r)))), 1e-10
+    )
 
     trace_conv: list[float] = []
     rho = start if start is not None else DensityMatrix.maximally_mixed(d)

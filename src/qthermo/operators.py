@@ -555,15 +555,16 @@ def _group_centers(values: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
     return centers
 
 
-def _level_blocks(evals: np.ndarray, absmat: np.ndarray, floor: float):
+def _level_blocks(evals: np.ndarray, absmat: np.ndarray, floor: float | np.ndarray):
     """Group the levels ``evals`` and find the level blocks of ``absmat``
     with an entry above ``floor``.
 
     Entry (r, c) of ``absmat`` lies in the block (label[r], label[c]).
     ``absmat`` is one nonnegative d x d matrix or a (n, d, d) stack of
-    them.  Returns the (d,) group label of every level, the group centres,
-    and the index arrays of the kept blocks in row-major order: (rows,
-    cols) for one matrix, (members, rows, cols) for a stack.
+    them; ``floor`` is one number, or for a stack one per member, shaped
+    (n, 1, 1).  Returns the (d,) group label of every level, the group
+    centres, and the index arrays of the kept blocks in row-major order:
+    (rows, cols) for one matrix, (members, rows, cols) for a stack.
     """
     groups = group_degenerate(evals)
     label = np.empty(len(evals), dtype=int)

@@ -142,21 +142,26 @@ class TestRunners:
         }
         assert first == second
 
-    def test_threads_env_preserves_output(self, tmp_path, monkeypatch):
+    def test_sweep_rerun_byte_identical(self, tmp_path):
         cfg = json.loads((CONFIGS / "third_law_sweep.json").read_text())
         cfg["params"]["t_c_grid"] = [0.4, 0.2, 0.1]
         cfg["output_dir"] = str(tmp_path / "a")
         p = tmp_path / "sweep.json"
         p.write_text(json.dumps(cfg))
-        monkeypatch.setenv("QTHERMO_THREADS", "1")
         assert run(str(p)) == 0
-        serial = (tmp_path / "a" / "sweep.csv").read_bytes()
+        first = (tmp_path / "a" / "sweep.csv").read_bytes()
         cfg["output_dir"] = str(tmp_path / "b")
         p.write_text(json.dumps(cfg))
-        monkeypatch.setenv("QTHERMO_THREADS", "3")
         assert run(str(p)) == 0
-        threaded = (tmp_path / "b" / "sweep.csv").read_bytes()
-        assert serial == threaded
+        assert (tmp_path / "b" / "sweep.csv").read_bytes() == first
+
+    def test_tricycle_ladder4(self, tmp_path):
+        # four levels per filter, d = 64; the dense 4096 x 4096
+        # Liouvillian of this machine needs about 1.4 GB
+        p = _with_outdir(tmp_path, "tricycle_ladder4.json")
+        assert run(str(p)) == 0
+        rows = (tmp_path / "out" / "certificate.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",true") for row in rows)
 
 
 def test_blas_thread_count_preserves_output(tmp_path):

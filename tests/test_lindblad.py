@@ -8,11 +8,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qthermo import lindblad
 from qthermo.baths import BathSpec, spectral_density
 from qthermo.lindblad import (
     BohrResolutionError,
     GKLSGenerator,
     JumpChannel,
+    _bordered_fixed_point,
     _coupling_channels,
     adiabatic_propagate,
     build_davies,
@@ -35,6 +37,7 @@ from qthermo.operators import (
     matexp,
     random_density,
     random_hermitian,
+    random_unitary,
     trace_distance,
     unvec,
     vec,
@@ -499,6 +502,134 @@ class TestStationaryStateAgainstDenseEig:
         assert trace_distance(rho, gibbs_state(h, 1 / 0.8)) < 1e-9
 
 
+def _dense_bordered_stationary(gen):
+    """Dense oracle: the bordered solve on the whole d^2 x d^2 Liouvillian,
+    its trace row scaled to the Liouvillian's largest entry."""
+    d = gen.dim
+    kernel = np.array(gen.liouvillian().mat, order="F")
+    border = float(np.max(np.abs(kernel)))
+    m = unvec(_bordered_fixed_point(kernel, np.arange(d) * (d + 1), border, "not unique"), d)
+    m = (m + m.conj().T) / 2.0
+    return m / np.trace(m).real
+
+
+def _spectrum(rng, d, kind):
+    """Levels with repeated values, pairs split by about 1e-4 of the
+    spread (resolved), or an equally spaced ladder."""
+    if kind == "degenerate":
+        return np.sort(rng.integers(0, 3, size=d).astype(float))
+    if kind == "near-degenerate":
+        evals = np.sort(rng.normal(size=d))
+        evals[1::2] = evals[0::2][: d // 2] + 1e-4 * rng.uniform(1.0, 2.0, size=d // 2)
+        return evals
+    return np.arange(d, dtype=float) * rng.uniform(0.5, 1.5)
+
+
+def _record_sector_kernels(monkeypatch):
+    """Copies of every kernel handed to the bordered solver."""
+    kernels = []
+
+    def recording(kernel, *args):
+        kernels.append(np.array(kernel))
+        return _bordered_fixed_point(kernel, *args)
+
+    monkeypatch.setattr(lindblad, "_bordered_fixed_point", recording)
+    return kernels
+
+
+class TestSectorSolveAgainstDenseOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["degenerate", "near-degenerate", "equal-gap"]),
+           st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_davies_sector_solve_matches_dense_oracles(self, spectrum, d, n_baths, seed):
+        rng = np.random.default_rng(seed)
+        u = random_unitary(d, rng).mat
+        h = Operator.hermitian(u @ np.diag(_spectrum(rng, d, spectrum)) @ u.conj().T)
+        couplings = [(random_hermitian(d, rng), ohmic_bath(f"b{k}", float(rng.uniform(0.3, 3.0))))
+                     for k in range(n_baths)]
+        try:
+            gen = build_davies(h, couplings)
+        except BohrResolutionError:
+            return
+        if not gen.has_unique_stationary():
+            with pytest.raises(ValueError, match="not unique"):
+                stationary_state(gen)
+            return
+        rho = stationary_state(gen)
+        assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
+        assert np.max(np.abs(rho.mat - _eig_stationary(gen.liouvillian().mat, d))) <= ALGEBRAIC
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_non_secular_closure_grows_to_every_pair(self, d, k, seed):
+        rng = np.random.default_rng(seed)
+        chans = [JumpChannel("b", 0.0, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
+                             float(rng.uniform(0.1, 2.0))) for _ in range(k)]
+        gen = GKLSGenerator(random_hermitian(d, rng), chans)
+        with pytest.MonkeyPatch.context() as mp:
+            kernels = _record_sector_kernels(mp)
+            rho = stationary_state(gen)
+        assert [kn.shape for kn in kernels] == [(d * d, d * d)]
+        assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
+        assert np.max(np.abs(rho.mat - _eig_stationary(gen.liouvillian().mat, d))) <= ALGEBRAIC
+
+    @pytest.mark.parametrize("through", ["G", "H_coh"])
+    def test_degenerate_coherence_reached_only_through(self, through):
+        # levels 1 and 2 are degenerate and no jump creates their coherence:
+        # G (bath a decays both into 0, one of them weakly) or the Lamb
+        # shift (mixing 1 and 2 fed at two temperatures) does
+        def coupling(*entries):
+            m = np.zeros((3, 3), dtype=complex)
+            for i, j, w in entries:
+                m[i, j] = m[j, i] = w
+            return Operator.hermitian(m)
+
+        h = Operator.hermitian(np.diag([0.0, 1.0, 1.0]))
+        if through == "G":
+            gen = build_davies(h, [(coupling((0, 1, 1.0), (0, 2, 1e-3)), ohmic_bath("a", 0.0)),
+                                   (coupling((0, 1, 1.0)), ohmic_bath("b", 1.0))])
+        else:
+            gen = build_davies(h, [(coupling((0, 1, 1.0)), ohmic_bath("b", 1.0)),
+                                   (coupling((0, 2, 1.0)), ohmic_bath("c", 0.4))],
+                               lamb_shift=coupling((1, 2, 0.3)))
+        assert gen.has_unique_stationary()
+        rho = stationary_state(gen)
+        assert abs(rho.mat[1, 2]) > 1e-6
+        assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
+
+    def test_closure_follows_a_chain_of_coherences(self):
+        # doublets (c, d) at 0 and (a, b) at 1 under a level e at 2: the
+        # hot jump from e makes the coherence (a, b), and only the cold
+        # jumps a -> c, b -> d carry it on to (c, d), a second closure step
+        m = np.zeros((3, 5, 5), dtype=complex)
+        m[0, 2, 4], m[0, 3, 4] = 1.0, 2.0
+        m[1, 0, 2], m[1, 1, 3] = 1.0, 1.0
+        m[2, 0, 3] = 0.5
+        baths = [ohmic_bath("hot", 2.0), ohmic_bath("cold", 0.5), ohmic_bath("warm", 1.0)]
+        h = Operator.hermitian(np.diag([0.0, 0.0, 1.0, 1.0, 2.0]))
+        gen = build_davies(h, [(Operator.hermitian(s + s.T), b) for s, b in zip(m, baths)])
+        assert gen.has_unique_stationary()
+        rho = stationary_state(gen)
+        assert abs(rho.mat[0, 1]) > 1e-2
+        assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
+
+    def test_pure_dephasing_roundoff_sector_not_unique(self, monkeypatch):
+        # the sector is the two populations and its block is roundoff; a
+        # trace row scaled to that block alone would call this unique
+        h = Operator.hermitian(np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.5]]))
+        v = np.linalg.eigh(h.mat)[1]
+        s = Operator.hermitian(v @ np.diag([1.3, -0.4]) @ v.conj().T)
+        gen = build_davies(h, [(s, ohmic_bath("b", 0.7))])
+        assert not gen.has_unique_stationary()
+        kernels = _record_sector_kernels(monkeypatch)
+        with pytest.raises(ValueError, match="not unique"):
+            stationary_state(gen)
+        assert kernels[0].shape == (2, 2)
+        assert 0.0 < np.max(np.abs(kernels[0])) < 1e-15
+
+
 def _loop_coupling_channels(h_evals, basis, s_op, bath):
     """Element-by-element block collection kept as the reference for the
     vectorised ``_coupling_channels``."""
@@ -543,8 +674,9 @@ class TestCouplingChannelsAgainstLoops:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(min_value=2, max_value=9),
            st.sampled_from(["random", "ladder", "degenerate"]),
-           st.booleans(), st.integers(min_value=0, max_value=10 ** 9))
-    def test_channels_bitwise_equal(self, d, spectrum, eigenbasis, seed):
+           st.booleans(), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_channels_bitwise_equal(self, d, spectrum, eigenbasis, n_couplings, seed):
         rng = np.random.default_rng(seed)
         if spectrum == "random":
             evals = np.sort(rng.normal(size=d))
@@ -552,26 +684,28 @@ class TestCouplingChannelsAgainstLoops:
             evals = np.arange(d, dtype=float) * rng.choice([0.5, 1.0])
         else:
             evals = np.sort(rng.integers(0, 3, size=d).astype(float))
-        # sparse real couplings with signed zeros, or dense complex ones
-        s = -np.abs(rng.normal(size=(d, d))) * (rng.random((d, d)) < 0.5)
-        s = np.where(rng.random((d, d)) < 0.3, -0.0, s)
-        s = np.minimum(s, s.T).astype(complex)
-        if eigenbasis:
-            basis = np.eye(d, dtype=complex)
-        else:
-            s = s + random_hermitian(d, rng).mat
-            basis = scipy.linalg.qr(rng.normal(size=(d, d)))[0].astype(complex)
-        bath = ohmic_bath("b", float(rng.uniform(0.2, 3.0)))
-        args = (evals, basis, Operator.hermitian(s), bath)
+        basis = (np.eye(d, dtype=complex) if eigenbasis
+                 else scipy.linalg.qr(rng.normal(size=(d, d)))[0].astype(complex))
+        couplings = []
+        for k in range(n_couplings):
+            # sparse real couplings with signed zeros, or dense complex ones
+            s = -np.abs(rng.normal(size=(d, d))) * (rng.random((d, d)) < 0.5)
+            s = np.where(rng.random((d, d)) < 0.3, -0.0, s)
+            s = np.minimum(s, s.T).astype(complex)
+            if not eigenbasis:
+                s = s + random_hermitian(d, rng).mat
+            bath = ohmic_bath(f"b{k}", float(rng.uniform(0.2, 3.0)))
+            couplings.append((Operator.hermitian(s), bath))
         try:
-            ref = _loop_coupling_channels(*args)
+            ref = [c for s_op, bath in couplings
+                   for c in _loop_coupling_channels(evals, basis, s_op, bath)]
         except BohrResolutionError:
             with pytest.raises(BohrResolutionError):
-                _coupling_channels(*args)
+                _coupling_channels(evals, basis, couplings)
             return
-        got = _coupling_channels(*args)
-        assert [(c.bohr_frequency, c.rate) for c in got] == [
-            (c.bohr_frequency, c.rate) for c in ref
+        got = _coupling_channels(evals, basis, couplings)
+        assert [(c.bath_label, c.bohr_frequency, c.rate) for c in got] == [
+            (c.bath_label, c.bohr_frequency, c.rate) for c in ref
         ]
         assert [c.op.tobytes() for c in got] == [c.op.tobytes() for c in ref]
 

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qthermo import lindblad, operators
 from qthermo.baths import BathSpec
 from qthermo.lindblad import build_davies
 from qthermo.machines import (
@@ -388,6 +389,32 @@ class TestTricycle:
                 assert np.array_equal(c.mat, c_ref)
         for piece in _tricycle_pieces(spec.levels):
             assert not piece.flags.writeable
+
+    def test_steady_state_builds_no_superoperator(self, monkeypatch):
+        # the stationary solve works on the zero-Bohr sector alone
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a d^2 x d^2 superoperator was built")
+
+        for module in (operators, lindblad):
+            monkeypatch.setattr(module, "dissipator_superop", forbidden)
+            monkeypatch.setattr(module, "hamiltonian_superop", forbidden)
+        monkeypatch.setattr(lindblad.GKLSGenerator, "liouvillian", forbidden)
+        sides = []
+        solve = lindblad._bordered_fixed_point
+
+        def recording(kernel, *args):
+            sides.append(len(kernel))
+            return solve(kernel, *args)
+
+        monkeypatch.setattr(lindblad, "_bordered_fixed_point", recording)
+        st = tricycle_steady(tricycle_spec(representation="oscillators",
+                                           oscillator_levels=3, omega_c=0.2))
+        # nondegenerate spectrum: the sector is the 27 populations, so
+        # rotation roundoff has joined no coherence to it
+        assert sides == [27]
+        assert st.state.dim == 27
+        assert st.first_law_residual <= 1e-9
+        assert st.currents["cold"] > 0
 
     def test_near_degenerate_resonance_rejected(self):
         # eps close to a bare gap spacing collides dressed and bare lines
