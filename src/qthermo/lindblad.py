@@ -63,6 +63,10 @@ _RCOND_MIN = 1e-12
 # the matrix's largest entry are rotation roundoff (at most 3e-13 at d = 64)
 # and join no index pair to the sector of a stationary solve
 _PATTERN_REL = 1e-10
+# largest side of a Liouvillian that ``stationary_state`` takes whole from
+# the generator instead of assembling a sector: a qubit's is 4 x 4 and its
+# sector holds at least half of the pairs, so a sector saves no memory
+_WHOLE_LIOUVILLIAN_SIDE = 4
 
 
 class BohrResolutionError(ValueError):
@@ -383,33 +387,12 @@ def _sector_pairs(jumps: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.n
         reach = grown
 
 
-def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
-    """The unique state annihilated by the generator.  Rejects degenerate
-    null spaces.
-
-    Write the generator as rho -> A rho + rho A^dag + sum_k r_k V_k rho
-    V_k^dag, with A = -i H_coh - G / 2 and G = sum_k r_k V_k^dag V_k.  In
-    the eigenbasis of H it maps the span of the sector, the closure of the
-    diagonal pairs (i, i) under the nonzero patterns of the V_k and of A,
-    into itself, and a unique stationary state lies in that span.  The
-    generator is assembled on the sector alone, at a cost of K s^2 for K
-    channels and s pairs, and solved by ``_bordered_fixed_point``.  For a
-    secular generator the sector is the zero-Bohr sector (s = d for a
-    nondegenerate spectrum); without that symmetry it grows to all d^2
-    pairs.
-
-    The trace row and the rcond are scaled to the whole generator (its
-    coherent spread and G), never to the sector block alone, whose
-    entries may be pure roundoff.  The residual is max |L(rho)| at
-    operator level, held to 1e-10 max(1, |L_s|_F) with L_s the sector
-    block, a submatrix of the generator."""
-    ops, rates = gen._stacked_channels(None)
-    d, k = gen.dim, len(rates)
-    g = ops.reshape(k * d, d).conj().T @ (rates[:, None, None] * ops).reshape(k * d, d)
-    h_coh = gen._coherent_hamiltonian()
-    h_coh = np.zeros((d, d)) if h_coh is None else h_coh
-    a = -1j * h_coh - 0.5 * g
-    v = eig_hermitian(gen.h)[1].mat
+def _sector_block(ops, rates, g, h_coh, h):
+    """The generator's block on its sector in the eigenbasis of h, with
+    the sector's rows and columns, the eigenvectors, and G and H_coh in
+    that basis."""
+    k, d = len(rates), h.dim
+    v = eig_hermitian(h)[1].mat
     ops_e, g_e, h_e = (v.conj().T @ x @ v for x in (ops, g, h_coh))
     # G and H_coh get a pattern each: a large energy offset must not hide G
     rows, cols = _sector_pairs(_pattern(ops_e), np.maximum(_pattern(g_e), _pattern(h_e)))
@@ -424,7 +407,45 @@ def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
     a_e = (-1j * h_e - 0.5 * g_e).reshape(-1)
     kernel += a_e[rr] * (cols[:, None] == cols[None, :])
     kernel += (rows[:, None] == rows[None, :]) * a_e[cc].conj()
-    kernel = np.asfortranarray(kernel)
+    return np.asfortranarray(kernel), rows, cols, v, g_e, h_e
+
+
+def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
+    """The unique state annihilated by the generator.  Rejects degenerate
+    null spaces.
+
+    Write the generator as rho -> A rho + rho A^dag + sum_k r_k V_k rho
+    V_k^dag, with A = -i H_coh - G / 2 and G = sum_k r_k V_k^dag V_k.  In
+    the eigenbasis of H it maps the span of the sector, the closure of the
+    diagonal pairs (i, i) under the nonzero patterns of the V_k and of A,
+    into itself, and a unique stationary state lies in that span.  The
+    generator is assembled on the sector alone, at a cost of K s^2 for K
+    channels and s pairs, and solved by ``_bordered_fixed_point``.  For a
+    secular generator the sector is the zero-Bohr sector (s = d for a
+    nondegenerate spectrum); without that symmetry it grows to all d^2
+    pairs.  A generator with a Liouvillian of side up to
+    ``_WHOLE_LIOUVILLIAN_SIDE`` (a qubit) is solved on all its pairs in
+    the computational basis, with the generator's cached Liouvillian as
+    the block.
+
+    The trace row and the rcond are scaled to the whole generator (its
+    coherent spread and G), never to the sector block alone, whose
+    entries may be pure roundoff.  The residual is max |L(rho)| at
+    operator level, held to 1e-10 max(1, |L_s|_F) with L_s the block, a
+    submatrix of the generator."""
+    ops, rates = gen._stacked_channels(None)
+    d, k = gen.dim, len(rates)
+    g = ops.reshape(k * d, d).conj().T @ (rates[:, None, None] * ops).reshape(k * d, d)
+    h_coh = gen._coherent_hamiltonian()
+    h_coh = np.zeros((d, d)) if h_coh is None else h_coh
+    a = -1j * h_coh - 0.5 * g
+    if d * d <= _WHOLE_LIOUVILLIAN_SIDE:
+        # every pair, in the computational basis
+        kernel = np.array(gen.liouvillian().mat, order="F")
+        cols, rows = np.divmod(np.arange(d * d), d)
+        v, g_e, h_e = np.eye(d), g, h_coh
+    else:
+        kernel, rows, cols, v, g_e, h_e = _sector_block(ops, rates, g, h_coh, gen.h)
     resid_tol = 1e-10 * max(1.0, float(np.linalg.norm(kernel)))
     spread = float(np.ptp(h_e.diagonal().real))
     border = max(float(scipy.linalg.lapack.zlange("M", kernel)), spread,

@@ -616,17 +616,19 @@ class TestSectorSolveAgainstDenseOracle:
         assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
 
     def test_pure_dephasing_roundoff_sector_not_unique(self, monkeypatch):
-        # the sector is the two populations and its block is roundoff; a
+        # the sector is the three populations and its block is roundoff; a
         # trace row scaled to that block alone would call this unique
-        h = Operator.hermitian(np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.5]]))
+        h = Operator.hermitian(np.array([[0.3, 0.4 - 0.2j, 0.1],
+                                         [0.4 + 0.2j, -0.5, 0.2j],
+                                         [0.1, -0.2j, 0.9]]))
         v = np.linalg.eigh(h.mat)[1]
-        s = Operator.hermitian(v @ np.diag([1.3, -0.4]) @ v.conj().T)
+        s = Operator.hermitian(v @ np.diag([1.3, -0.4, 0.6]) @ v.conj().T)
         gen = build_davies(h, [(s, ohmic_bath("b", 0.7))])
         assert not gen.has_unique_stationary()
         kernels = _record_sector_kernels(monkeypatch)
         with pytest.raises(ValueError, match="not unique"):
             stationary_state(gen)
-        assert kernels[0].shape == (2, 2)
+        assert kernels[0].shape == (3, 3)
         assert 0.0 < np.max(np.abs(kernels[0])) < 1e-15
 
 
