@@ -59,14 +59,17 @@ _LEDGER_BLOCK = 64
 # smallest reciprocal condition number of a bordered fixed-point system
 # accepted as a one-dimensional null space
 _RCOND_MIN = 1e-12
-# entries of a channel, of G or of the coherent part below this fraction of
-# the matrix's largest entry are rotation roundoff (at most 3e-13 at d = 64)
-# and join no index pair to the sector of a stationary solve
+# entries of a channel below this fraction of the channel's largest entry
+# are rotation roundoff (at most 3e-13 at d = 64) and join no index pair to
+# the sector of a stationary solve
 _PATTERN_REL = 1e-10
-# largest side of a Liouvillian that ``stationary_state`` takes whole from
-# the generator instead of assembling a sector: a qubit's is 4 x 4 and its
-# sector holds at least half of the pairs, so a sector saves no memory
+# a generator with at most this many index pairs (a qubit) is solved on its
+# whole Liouvillian, whose 4 x 4 solve costs about what the sector's
+# certificate does; larger ones take their sector when it is certified
 _WHOLE_LIOUVILLIAN_SIDE = 4
+# smallest second eigenvalue of the commutant form, relative to tr G, that
+# certifies a sector solve as the generator's only stationary state
+_COMMUTANT_GAP_REL = 1e-12
 
 
 class BohrResolutionError(ValueError):
@@ -189,8 +192,10 @@ class GKLSGenerator:
 
     def commutant_dimension(self) -> int:
         """Dimension of the joint commutant of all channel operators and
-        their adjoints; 1 means only scalars commute (relaxation to a
-        unique state is then guaranteed)."""
+        their adjoints; 1 means only scalars commute.  When the channels
+        span a set closed under adjoints, relaxation to a unique state is
+        then guaranteed; otherwise a stationary coherence that no
+        population reaches may still be free."""
         d = self.dim
         ops = []
         for ch in self.channels:
@@ -387,26 +392,162 @@ def _sector_pairs(jumps: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.n
         reach = grown
 
 
-def _sector_block(ops, rates, g, h_coh, h):
-    """The generator's block on its sector in the eigenbasis of h, with
-    the sector's rows and columns, the eigenvectors, and G and H_coh in
-    that basis."""
-    k, d = len(rates), h.dim
-    v = eig_hermitian(h)[1].mat
-    ops_e, g_e, h_e = (v.conj().T @ x @ v for x in (ops, g, h_coh))
-    # G and H_coh get a pattern each: a large energy offset must not hide G
-    rows, cols = _sector_pairs(_pattern(ops_e), np.maximum(_pattern(g_e), _pattern(h_e)))
-
-    # entry (p, q) of the sector block is the weight of rho[rows[q], cols[q]]
-    # in L(rho)[rows[p], cols[p]]; rr and cc index the flattened d x d
-    # entries (rows[p], rows[q]) and (cols[p], cols[q])
-    rr = rows[:, None] * d + rows[None, :]
-    cc = cols[:, None] * d + cols[None, :]
+def _pair_jumps(ops_e: np.ndarray, rates: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Entry (p, q) is sum_k r_k V_k[a, c] conj(V_k[b, d]) for the pairs
+    p = (a, b) and q = (c, d) listed by ``rows`` and ``cols``: the weight of
+    rho[c, d] in the jump part of L(rho)[a, b]."""
+    k, d = ops_e.shape[:2]
     flat = ops_e.reshape(k, d * d)
-    kernel = np.einsum("k,kpq,kpq->pq", rates, flat[:, rr], flat[:, cc].conj())
-    a_e = (-1j * h_e - 0.5 * g_e).reshape(-1)
-    kernel += a_e[rr] * (cols[:, None] == cols[None, :])
-    kernel += (rows[:, None] == rows[None, :]) * a_e[cc].conj()
+    rr = flat[:, rows[:, None] * d + rows[None, :]]
+    cc = flat[:, cols[:, None] * d + cols[None, :]]
+    return np.einsum("k,kpq,kpq->pq", rates, rr, cc.conj())
+
+
+def _self_adjoint_span(ops_e: np.ndarray, jumps: np.ndarray) -> bool:
+    """Whether the adjoint of every channel is a multiple of a channel, so
+    that the channels span a self-adjoint set.  The candidates for V_i^dag
+    are the channels whose pattern (``jumps``) is V_i's transposed."""
+    k = len(ops_e)
+    by_pattern: dict[bytes, list[int]] = {}
+    for j, p in enumerate(jumps):
+        by_pattern.setdefault(p.tobytes(), []).append(j)
+    cands = [by_pattern.get(p.T.tobytes(), []) for p in jumps]
+    if not all(cands):
+        return False
+    flat = ops_e.reshape(k, -1)
+    trans = ops_e.swapaxes(-1, -2).reshape(k, -1)
+    norms = np.linalg.norm(flat, axis=1)
+
+    def multiple(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # whether V_j = c V_i^dag, c = Tr(V_i V_j) / |V_i|^2, pair by pair
+        t, v = trans[i], flat[j]
+        c = np.einsum("pq,pq->p", t, v) / norms[i] ** 2
+        return np.linalg.norm(v - c[:, None] * t.conj(), axis=1) <= ALGEBRAIC * norms[j]
+
+    first = multiple(slice(None), np.array([c[0] for c in cands]))
+    return all(ok or multiple(np.full(len(c), i), np.array(c)).any()
+               for i, (ok, c) in enumerate(zip(first, cands)))
+
+
+def _trivial_commutant(ops_e, rates, g_e, rows, cols, jumps) -> bool:
+    """Whether only scalars commute with every channel V_k among the
+    operators on the pairs listed by ``rows`` and ``cols``, whose J
+    (``_pair_jumps``) is ``jumps``.
+
+    On those pairs sum_k r_k |[V_k, X]|^2 is the form delta_bd G[a, c] +
+    delta_ac G'[d, b] - J - J^dag between the pairs (a, b) and (c, d),
+    with G = sum_k r_k V_k^dag V_k and G' = sum_k r_k V_k V_k^dag.  Its
+    null space holds the identity; a second eigenvalue above
+    ``_COMMUTANT_GAP_REL`` tr G leaves it nothing else."""
+    d = ops_e.shape[1]
+    # row a of ``wide`` lists V_k[a, j] over (k, j), so wide r wide^dag = G'
+    wide = ops_e.transpose(1, 0, 2).reshape(d, -1)
+    g_out = (wide * np.repeat(rates, d)) @ wide.conj().T
+    form = g_e[rows[:, None], rows[None, :]] * (cols[:, None] == cols[None, :])
+    form += (rows[:, None] == rows[None, :]) * g_out[cols[None, :], cols[:, None]]
+    form -= jumps + jumps.conj().T
+    # the form is at most 4 tr G, with tr G = sum_k r_k |V_k|_F^2; unlike
+    # the form's own largest eigenvalue, tr G is not roundoff when every
+    # channel commutes with every operator on the pairs
+    return bool(np.linalg.eigvalsh(form)[1] > _COMMUTANT_GAP_REL * np.trace(g_e).real)
+
+
+def _commuting_pairs(energies: np.ndarray, h_e: np.ndarray, links: np.ndarray):
+    """Rows and columns of index pairs whose span holds every operator
+    commuting with H_coh, given in the eigenbasis of H as ``h_e``; or None
+    when no such set short of all d^2 pairs is found.
+
+    Levels join when ``energies`` (of H, or zeros when H_coh = 0) lie in
+    one degenerate group or ``links`` (the pattern of the coherent shift)
+    joins them.  H_coh is block diagonal over the resulting components,
+    and when the Gershgorin hulls of the blocks are disjoint no
+    eigenvalue is shared between two of them, so an operator commuting
+    with H_coh is block diagonal too."""
+    d = len(energies)
+    tol = LEVEL_MERGE_REL * max(float(np.ptp(energies)), 1.0)
+    label = np.concatenate(([0], np.cumsum(np.diff(energies) > tol)))
+    link = label[:, None] == label[None, :]
+    if label[-1] == 0:
+        return None
+    if links.any():
+        link = _commuting_components(link, links, h_e)
+        if link is None:
+            return None
+    cols, rows = np.nonzero(link.T)
+    return rows, cols
+
+
+def _commuting_components(link: np.ndarray, links: np.ndarray, h_e: np.ndarray):
+    """The components of the level groups ``link`` joined by ``links``, or
+    None when they are one component or the Gershgorin hulls of H_coh's
+    blocks on them overlap."""
+    d = len(link)
+    link = (link | (links > 0)).astype(float)
+    while True:
+        grown = (link @ link > 0).astype(float)
+        if np.array_equal(grown, link):
+            break
+        link = grown
+    if link.all():
+        return None
+    centre = h_e.diagonal().real
+    radius = np.sum(np.abs(h_e), axis=1) - np.abs(h_e.diagonal())
+    comp = np.argmax(link, axis=1)
+    lo, hi = np.full(d, np.inf), np.full(d, -np.inf)
+    np.minimum.at(lo, comp, centre - radius)
+    np.maximum.at(hi, comp, centre + radius)
+    present = np.unique(comp)
+    order = np.argsort(lo[present])
+    lo, hi = lo[present][order], hi[present][order]
+    if np.any(lo[1:] <= np.maximum.accumulate(hi)[:-1]):
+        return None
+    return link > 0
+
+
+def _certified_sector(gen: GKLSGenerator, ops, rates, g, h_coh):
+    """The generator's block on its sector in the eigenbasis of H, with
+    the sector's rows and columns, the eigenvectors, and G and H_coh in
+    that basis; or None when the sector is all d^2 pairs or is not
+    certified to hold every stationary state.
+
+    The generator maps the sector into itself, so a second null vector of
+    the block is one of the generator, and the bordered solve rejects it.
+    Null vectors outside the sector, which no population reaches, are
+    ruled out by Spohn's condition (Lett. Math. Phys. 2, 33 (1977)): the
+    channels span a self-adjoint set, and only scalars commute with them
+    and H_coh.  The support projection P of a stationary state then
+    commutes with every channel, its adjoint and H_coh, so P = 1; every
+    stationary state is faithful, and two of them would give, by their
+    difference, one that is not.  The commutant is checked on the pairs
+    of ``_commuting_pairs`` (``_trivial_commutant``)."""
+    d = gen.dim
+    evals, v = eig_hermitian(gen.h)
+    v = v.mat
+    ops_e, g_e, h_e = (v.conj().T @ x @ v for x in (ops, g, h_coh))
+    jumps = _pattern(ops_e)
+    # H is diagonal here, and the coherent shift has a pattern of its own.
+    # G needs none once the channels span a self-adjoint set: G joins a
+    # and b when a channel sends both to one level i, and the channel
+    # along its adjoint then feeds (a, b) from (i, i)
+    links = np.zeros((d, d))
+    if gen.include_hamiltonian and gen.coherent_shift is not None:
+        links = _pattern(v.conj().T @ gen.coherent_shift.mat @ v)
+    rows, cols = _sector_pairs(jumps, links)
+    commuting = _commuting_pairs(evals if gen.include_hamiltonian else np.zeros(d), h_e, links)
+    if len(rows) == d * d or commuting is None or not _self_adjoint_span(ops_e, jumps):
+        return None
+    z_rows, z_cols = commuting
+    jumps_z = _pair_jumps(ops_e, rates, z_rows, z_cols)
+    if not _trivial_commutant(ops_e, rates, g_e, z_rows, z_cols, jumps_z):
+        return None
+    # a secular sector lies inside Z and reads its J from there
+    where = np.full(d * d, -1)
+    where[z_cols * d + z_rows] = np.arange(len(z_rows))
+    at = where[cols * d + rows]
+    kernel = jumps_z[np.ix_(at, at)] if np.all(at >= 0) else _pair_jumps(ops_e, rates, rows, cols)
+    a_e = -1j * h_e - 0.5 * g_e
+    kernel += a_e[rows[:, None], rows[None, :]] * (cols[:, None] == cols[None, :])
+    kernel += (rows[:, None] == rows[None, :]) * a_e[cols[:, None], cols[None, :]].conj()
     return np.asfortranarray(kernel), rows, cols, v, g_e, h_e
 
 
@@ -417,35 +558,37 @@ def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
     Write the generator as rho -> A rho + rho A^dag + sum_k r_k V_k rho
     V_k^dag, with A = -i H_coh - G / 2 and G = sum_k r_k V_k^dag V_k.  In
     the eigenbasis of H it maps the span of the sector, the closure of the
-    diagonal pairs (i, i) under the nonzero patterns of the V_k and of A,
-    into itself, and a unique stationary state lies in that span.  The
-    generator is assembled on the sector alone, at a cost of K s^2 for K
-    channels and s pairs, and solved by ``_bordered_fixed_point``.  For a
-    secular generator the sector is the zero-Bohr sector (s = d for a
-    nondegenerate spectrum); without that symmetry it grows to all d^2
-    pairs.  A generator with a Liouvillian of side up to
-    ``_WHOLE_LIOUVILLIAN_SIDE`` (a qubit) is solved on all its pairs in
-    the computational basis, with the generator's cached Liouvillian as
-    the block.
+    diagonal pairs (i, i) under the nonzero patterns of the V_k and of the
+    coherent shift, into itself when the V_k span a self-adjoint set.
+    When ``_certified_sector`` shows that every stationary state lies in
+    that span, the generator is assembled on the sector alone, at a cost
+    of K s^2 for K channels and s pairs; for a secular generator this is
+    the zero-Bohr sector (s = d for a nondegenerate spectrum).  Otherwise,
+    and for a qubit, the block is the generator's whole Liouvillian in
+    the computational basis.  Either block is solved by
+    ``_bordered_fixed_point``.
 
     The trace row and the rcond are scaled to the whole generator (its
-    coherent spread and G), never to the sector block alone, whose
-    entries may be pure roundoff.  The residual is max |L(rho)| at
-    operator level, held to 1e-10 max(1, |L_s|_F) with L_s the block, a
-    submatrix of the generator."""
+    coherent spread and G), never to the block alone, whose entries may
+    be pure roundoff.  The residual is max |L(rho)| at operator level,
+    held to 1e-10 max(1, |L_s|_F) with L_s the block, a submatrix of the
+    generator."""
     ops, rates = gen._stacked_channels(None)
     d, k = gen.dim, len(rates)
     g = ops.reshape(k * d, d).conj().T @ (rates[:, None, None] * ops).reshape(k * d, d)
     h_coh = gen._coherent_hamiltonian()
     h_coh = np.zeros((d, d)) if h_coh is None else h_coh
-    a = -1j * h_coh - 0.5 * g
-    if d * d <= _WHOLE_LIOUVILLIAN_SIDE:
+    sector = None
+    if d * d > _WHOLE_LIOUVILLIAN_SIDE:
+        sector = _certified_sector(gen, ops, rates, g, h_coh)
+    if sector is None:
         # every pair, in the computational basis
         kernel = np.array(gen.liouvillian().mat, order="F")
         cols, rows = np.divmod(np.arange(d * d), d)
         v, g_e, h_e = np.eye(d), g, h_coh
     else:
-        kernel, rows, cols, v, g_e, h_e = _sector_block(ops, rates, g, h_coh, gen.h)
+        kernel, rows, cols, v, g_e, h_e = sector
+    a = -1j * h_coh - 0.5 * g
     resid_tol = 1e-10 * max(1.0, float(np.linalg.norm(kernel)))
     spread = float(np.ptp(h_e.diagonal().real))
     border = max(float(scipy.linalg.lapack.zlange("M", kernel)), spread,

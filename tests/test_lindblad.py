@@ -580,24 +580,26 @@ class TestSectorSolveAgainstDenseOracle:
         # levels 1 and 2 are degenerate and no jump creates their coherence:
         # G (bath a decays both into 0, one of them weakly) or the Lamb
         # shift (mixing 1 and 2 fed at two temperatures) does
-        def coupling(*entries):
-            m = np.zeros((3, 3), dtype=complex)
-            for i, j, w in entries:
-                m[i, j] = m[j, i] = w
-            return Operator.hermitian(m)
-
-        h = Operator.hermitian(np.diag([0.0, 1.0, 1.0]))
-        if through == "G":
-            gen = build_davies(h, [(coupling((0, 1, 1.0), (0, 2, 1e-3)), ohmic_bath("a", 0.0)),
-                                   (coupling((0, 1, 1.0)), ohmic_bath("b", 1.0))])
-        else:
-            gen = build_davies(h, [(coupling((0, 1, 1.0)), ohmic_bath("b", 1.0)),
-                                   (coupling((0, 2, 1.0)), ohmic_bath("c", 0.4))],
-                               lamb_shift=coupling((1, 2, 0.3)))
+        gen = _degenerate_coherence_generator(through)
         assert gen.has_unique_stationary()
         rho = stationary_state(gen)
         assert abs(rho.mat[1, 2]) > 1e-6
         assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
+
+    def test_weak_lamb_shift_keeps_its_coherence(self, monkeypatch):
+        # the Lamb shift and every rate 1e-11 of the level spacing: the
+        # shift's own pattern, not one shared with H, brings the coherence
+        # (1, 2) into the sector
+        gen = _degenerate_coherence_generator("H_coh")
+        weak = GKLSGenerator(gen.h, [replace(ch, rate=1e-11 * ch.rate) for ch in gen.channels],
+                             baths=gen.baths,
+                             coherent_shift=Operator.hermitian(1e-11 * gen.coherent_shift.mat))
+        kernels = _record_sector_kernels(monkeypatch)
+        rho = stationary_state(weak)
+        assert [kn.shape for kn in kernels] == [(5, 5)]
+        assert abs(rho.mat[1, 2]) > 1e-2
+        assert np.max(np.abs(rho.mat - _dense_bordered_stationary(weak))) <= ALGEBRAIC
+        assert np.max(np.abs(rho.mat - stationary_state(gen).mat)) <= ALGEBRAIC
 
     def test_closure_follows_a_chain_of_coherences(self):
         # doublets (c, d) at 0 and (a, b) at 1 under a level e at 2: the
@@ -615,9 +617,10 @@ class TestSectorSolveAgainstDenseOracle:
         assert abs(rho.mat[0, 1]) > 1e-2
         assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
 
-    def test_pure_dephasing_roundoff_sector_not_unique(self, monkeypatch):
-        # the sector is the three populations and its block is roundoff; a
-        # trace row scaled to that block alone would call this unique
+    def test_pure_dephasing_not_unique(self, monkeypatch):
+        # the sector is the three populations and its block is roundoff;
+        # every diagonal operator commutes with the channel, so the sector
+        # is not certified and the whole generator is solved
         h = Operator.hermitian(np.array([[0.3, 0.4 - 0.2j, 0.1],
                                          [0.4 + 0.2j, -0.5, 0.2j],
                                          [0.1, -0.2j, 0.9]]))
@@ -628,8 +631,93 @@ class TestSectorSolveAgainstDenseOracle:
         kernels = _record_sector_kernels(monkeypatch)
         with pytest.raises(ValueError, match="not unique"):
             stationary_state(gen)
-        assert kernels[0].shape == (3, 3)
-        assert 0.0 < np.max(np.abs(kernels[0])) < 1e-15
+        assert [kn.shape for kn in kernels] == [(9, 9)]
+
+    def test_coherence_no_population_reaches_not_unique(self, monkeypatch):
+        # levels 1 and 2 are fed from 0 and swapped by sigma_x: the sector
+        # (the populations) has one stationary state, 1/2 (P_1 + P_2), but
+        # the coherence |1><2| + |2><1| is stationary too.  The channels are
+        # not closed under adjoints, so the sector is not certified; the
+        # commutant alone calls this generator unique
+        def unit(i, j):
+            m = np.zeros((3, 3), dtype=complex)
+            m[i, j] = 1.0
+            return m
+
+        gen = GKLSGenerator(Operator.hermitian(np.diag([0.0, 1.0, 1.0])),
+                            [JumpChannel("b", 1.0, unit(1, 0), 1.0),
+                             JumpChannel("b", 1.0, unit(2, 0), 1.0),
+                             JumpChannel("b", 0.0, unit(1, 2) + unit(2, 1), 1.0)])
+        assert gen.has_unique_stationary()
+        kernels = _record_sector_kernels(monkeypatch)
+        with pytest.raises(ValueError, match="not unique"):
+            stationary_state(gen)
+        assert [kn.shape for kn in kernels] == [(9, 9)]
+
+    def test_noiseless_coherence_outside_sector_not_unique(self, monkeypatch):
+        # a thermal qubit beside an idle one flipped by sigma_x: the four
+        # populations have one stationary state, but 1 x sigma_x commutes
+        # with every channel, so the idle qubit's coherence is free too
+        sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        gen = GKLSGenerator(Operator.hermitian(np.kron(np.diag([0.0, 1.0]), np.eye(2))),
+                            [JumpChannel("a", 1.0, np.kron(sm, np.eye(2)), 1.0),
+                             JumpChannel("a", -1.0, np.kron(sm.T, np.eye(2)), 0.3),
+                             JumpChannel("b", 0.0, np.kron(np.eye(2), PAULI_X), 0.5)])
+        assert not gen.has_unique_stationary()
+        kernels = _record_sector_kernels(monkeypatch)
+        with pytest.raises(ValueError, match="not unique"):
+            stationary_state(gen)
+        assert [kn.shape for kn in kernels] == [(16, 16)]
+
+    def test_shift_closing_a_gap_not_unique(self, monkeypatch):
+        # as above, but the idle qubit's levels differ by 0.3 in H and the
+        # coherent shift closes that gap: every level is its own group of
+        # H, yet 1 x sigma_x commutes with H_coh and every channel
+        sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        gap = np.kron(np.eye(2), np.diag([0.0, 0.3]))
+        gen = GKLSGenerator(Operator.hermitian(np.kron(np.diag([0.0, 1.0]), np.eye(2)) + gap),
+                            [JumpChannel("a", 1.0, np.kron(sm, np.eye(2)), 1.0),
+                             JumpChannel("a", -1.0, np.kron(sm.T, np.eye(2)), 0.3),
+                             JumpChannel("b", 0.0, np.kron(np.eye(2), PAULI_X), 0.5)],
+                            coherent_shift=Operator.hermitian(-gap))
+        assert not gen.has_unique_stationary()
+        kernels = _record_sector_kernels(monkeypatch)
+        with pytest.raises(ValueError, match="not unique"):
+            stationary_state(gen)
+        assert [kn.shape for kn in kernels] == [(16, 16)]
+
+    def test_adjoint_found_among_channels_of_one_pattern(self, monkeypatch):
+        # two baths couple the same ladder transitions with different
+        # weights, so their channels share patterns; each adjoint is a
+        # multiple of the other bath's channel only, and the sector stands
+        h = Operator.hermitian(np.diag([0.0, 1.0, 2.0]))
+        ladder = np.diag([1.0, 1.0], 1)
+        weighted = np.diag([1.0, 3.0], 1)
+        gen = build_davies(h, [(Operator.hermitian(ladder + ladder.T), ohmic_bath("a", 0.7)),
+                               (Operator.hermitian(weighted + weighted.T), ohmic_bath("b", 1.5))])
+        kernels = _record_sector_kernels(monkeypatch)
+        rho = stationary_state(gen)
+        assert [kn.shape for kn in kernels] == [(3, 3)]
+        assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
+
+
+def _degenerate_coherence_generator(through):
+    """Levels 0 < 1 = 2 whose coherence (1, 2) no jump creates: G does
+    when bath a decays both 1 and 2 into 0, one of them weakly; the Lamb
+    shift does when it mixes 1 and 2, fed from 0 at two temperatures."""
+    def coupling(*entries):
+        m = np.zeros((3, 3), dtype=complex)
+        for i, j, w in entries:
+            m[i, j] = m[j, i] = w
+        return Operator.hermitian(m)
+
+    h = Operator.hermitian(np.diag([0.0, 1.0, 1.0]))
+    if through == "G":
+        return build_davies(h, [(coupling((0, 1, 1.0), (0, 2, 1e-3)), ohmic_bath("a", 0.0)),
+                                (coupling((0, 1, 1.0)), ohmic_bath("b", 1.0))])
+    return build_davies(h, [(coupling((0, 1, 1.0)), ohmic_bath("b", 1.0)),
+                            (coupling((0, 2, 1.0)), ohmic_bath("c", 0.4))],
+                        lamb_shift=coupling((1, 2, 0.3)))
 
 
 def _loop_coupling_channels(h_evals, basis, s_op, bath):
