@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -23,27 +24,15 @@ from . import floquet as fl
 from . import machines as mc
 from .baths import BathSpec, verify_kms_ratio
 from .lindblad import build_davies, davies_audit, trajectory
-from .operators import DensityMatrix, Operator, random_density
+from .operators import PAULI_X, PAULI_Z, DensityMatrix, Operator, random_density
 from .states import (
     diagonal_vs_microcanonical,
     heisenberg_chain,
     kms_check,
+    site_operator,
     two_point_correlation,
 )
 from .tolerances import DYNAMICAL
-
-EXPERIMENT_KINDS = (
-    "evolve",
-    "davies-audit",
-    "otto",
-    "otto-optimize",
-    "tricycle",
-    "third-law-sweep",
-    "floquet",
-    "eth-check",
-    "correlations",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -51,13 +40,6 @@ class ConfigError(ValueError):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    path.write_text("\n".join(lines) + "\n")
 
 
 @dataclass
@@ -110,85 +92,6 @@ _BATH_KEYS = {
 }
 
 _MEDIUM_KEYS = {"kind": str, "transverse": (int, float), "levels": int}
-
-_PARAM_SCHEMAS: dict[str, dict[str, object]] = {
-    "evolve": {
-        "medium": dict, "omega": (int, float), "baths": list,
-        "initial": str, "t_final": (int, float), "points": int,
-    },
-    "davies-audit": {"medium": dict, "omega": (int, float), "baths": list},
-    "otto": {
-        "medium": dict, "omega_h": (int, float), "omega_c": (int, float),
-        "bath_h": dict, "bath_c": dict,
-        "tau_h": (int, float), "tau_c": (int, float),
-        "tau_hc": (int, float), "tau_ch": (int, float),
-        "protocol": str, "order": str, "dephase_after_adiabats": bool,
-    },
-    "otto-optimize": {
-        "medium": dict, "omega_h": (int, float), "omega_c": (int, float),
-        "bath_h": dict, "bath_c": dict,
-        "tau_h": (int, float), "tau_c": (int, float),
-        "tau_hc": (int, float), "tau_ch": (int, float),
-        "protocol": str, "free": dict,
-    },
-    "tricycle": {
-        "omega_h": (int, float), "omega_c": (int, float),
-        "bath_h": dict, "bath_c": dict, "bath_w": dict,
-        "eps": (int, float), "representation": str, "oscillator_levels": int,
-    },
-    "third-law-sweep": {
-        "omega_h": (int, float), "omega_c": (int, float),
-        "bath_h": dict, "bath_c": dict, "bath_w": dict,
-        "eps": (int, float), "t_c_grid": list,
-        "ratio_lo": (int, float), "ratio_hi": (int, float),
-    },
-    "floquet": {
-        "omega0": (int, float), "amplitude": (int, float),
-        "drive_omega": (int, float), "baths": list,
-        "q_max": int, "grid_points": int,
-    },
-    "eth-check": {
-        "n_spins": int, "field_scale": (int, float), "window": (int, float),
-        "site": int,
-    },
-    "correlations": {
-        "medium": dict, "omega": (int, float), "beta": (int, float),
-    },
-}
-
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "evolve": ("baths",),
-    "davies-audit": ("baths",),
-    "otto": ("bath_h", "bath_c"),
-    "otto-optimize": ("bath_h", "bath_c", "free"),
-    "tricycle": ("bath_h", "bath_c", "bath_w"),
-    "third-law-sweep": ("bath_h", "bath_c", "bath_w", "t_c_grid"),
-    "floquet": ("baths",),
-    "eth-check": (),
-    "correlations": (),
-}
-
-_DEFAULTS: dict[str, dict] = {
-    "evolve": {"medium": {"kind": "qubit"}, "omega": 1.0, "initial": "excited",
-               "t_final": 20.0, "points": 200},
-    "davies-audit": {"medium": {"kind": "qubit"}, "omega": 1.0},
-    "otto": {"medium": {"kind": "qubit"}, "omega_h": 2.0, "omega_c": 1.0,
-             "tau_h": 20.0, "tau_c": 20.0, "tau_hc": 1.0, "tau_ch": 1.0,
-             "protocol": "adiabatic", "order": "engine",
-             "dephase_after_adiabats": False},
-    "otto-optimize": {"medium": {"kind": "qubit"}, "omega_h": 6.0, "omega_c": 3.0,
-                      "tau_h": 2.0, "tau_c": 2.0, "tau_hc": 0.01, "tau_ch": 0.01,
-                      "protocol": "adiabatic"},
-    "tricycle": {"omega_h": 3.0, "omega_c": 1.0, "eps": 0.05,
-                 "representation": "qubits", "oscillator_levels": 3},
-    "third-law-sweep": {"omega_h": 3.0, "omega_c": 1.0, "eps": 1e-3,
-                        "ratio_lo": 0.2, "ratio_hi": 3.0},
-    "floquet": {"omega0": 1.0, "amplitude": 0.6, "drive_omega": 0.45,
-                "q_max": 5, "grid_points": 512},
-    "eth-check": {"n_spins": 8, "field_scale": 0.5, "window": 0.4, "site": 4},
-    "correlations": {"medium": {"kind": "qubit"}, "omega": 1.0, "beta": 1.0},
-}
-
 
 def _check_keys(mapping: dict, allowed: dict, where: str):
     for key, val in mapping.items():
@@ -249,11 +152,12 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"unknown experiment kind {kind!r}; valid kinds: {', '.join(EXPERIMENT_KINDS)}"
         )
-    params = dict(_DEFAULTS[kind])
+    entry = _KINDS[kind]
+    params = dict(entry.defaults)
     user_params = raw.get("params", {})
-    _check_keys(user_params, _PARAM_SCHEMAS[kind], f"params of {kind}")
+    _check_keys(user_params, entry.schema, f"params of {kind}")
     params.update(user_params)
-    missing = [k for k in _REQUIRED[kind] if k not in params]
+    missing = [k for k in entry.required if k not in params]
     if missing:
         raise ConfigError(f"experiment {kind!r} missing required params: {missing}")
     return {
@@ -458,8 +362,6 @@ def _run_floquet(cfg: dict):
         big_omega=float(p["drive_omega"]),
     )
     dec = fl.floquet_decompose(sched, sched.tau, int(p["grid_points"]))
-    from .operators import PAULI_X
-
     s_op = Operator.hermitian(PAULI_X)
     channels = []
     for b in baths:
@@ -483,9 +385,6 @@ def _run_eth(cfg: dict):
     rng = _rng(cfg["seed"])
     n = int(p["n_spins"])
     h = heisenberg_chain(n, rng, float(p["field_scale"]))
-    from .operators import PAULI_Z
-    from .states import site_operator
-
     site = int(p["site"])
     if not 0 <= site < n:
         raise ConfigError(f"site {site} out of range for {n} spins")
@@ -519,17 +418,101 @@ def _run_correlations(cfg: dict):
     return cert, {"correlations.csv": "\n".join(lines) + "\n"}
 
 
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "davies-audit": _run_davies_audit,
-    "otto": _run_otto,
-    "otto-optimize": _run_otto_optimize,
-    "tricycle": _run_tricycle,
-    "third-law-sweep": _run_third_law,
-    "floquet": _run_floquet,
-    "eth-check": _run_eth,
-    "correlations": _run_correlations,
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: the allowed params and their types, the params
+    a config must set, the defaults of the others, and the runner."""
+
+    schema: dict[str, object]
+    required: tuple[str, ...]
+    defaults: dict
+    runner: Callable
+
+
+_KINDS: dict[str, _Kind] = {
+    "evolve": _Kind(
+        schema={"medium": dict, "omega": (int, float), "baths": list,
+                "initial": str, "t_final": (int, float), "points": int},
+        required=("baths",),
+        defaults={"medium": {"kind": "qubit"}, "omega": 1.0, "initial": "excited",
+                  "t_final": 20.0, "points": 200},
+        runner=_run_evolve,
+    ),
+    "davies-audit": _Kind(
+        schema={"medium": dict, "omega": (int, float), "baths": list},
+        required=("baths",),
+        defaults={"medium": {"kind": "qubit"}, "omega": 1.0},
+        runner=_run_davies_audit,
+    ),
+    "otto": _Kind(
+        schema={"medium": dict, "omega_h": (int, float), "omega_c": (int, float),
+                "bath_h": dict, "bath_c": dict,
+                "tau_h": (int, float), "tau_c": (int, float),
+                "tau_hc": (int, float), "tau_ch": (int, float),
+                "protocol": str, "order": str, "dephase_after_adiabats": bool},
+        required=("bath_h", "bath_c"),
+        defaults={"medium": {"kind": "qubit"}, "omega_h": 2.0, "omega_c": 1.0,
+                  "tau_h": 20.0, "tau_c": 20.0, "tau_hc": 1.0, "tau_ch": 1.0,
+                  "protocol": "adiabatic", "order": "engine",
+                  "dephase_after_adiabats": False},
+        runner=_run_otto,
+    ),
+    "otto-optimize": _Kind(
+        schema={"medium": dict, "omega_h": (int, float), "omega_c": (int, float),
+                "bath_h": dict, "bath_c": dict,
+                "tau_h": (int, float), "tau_c": (int, float),
+                "tau_hc": (int, float), "tau_ch": (int, float),
+                "protocol": str, "free": dict},
+        required=("bath_h", "bath_c", "free"),
+        defaults={"medium": {"kind": "qubit"}, "omega_h": 6.0, "omega_c": 3.0,
+                  "tau_h": 2.0, "tau_c": 2.0, "tau_hc": 0.01, "tau_ch": 0.01,
+                  "protocol": "adiabatic"},
+        runner=_run_otto_optimize,
+    ),
+    "tricycle": _Kind(
+        schema={"omega_h": (int, float), "omega_c": (int, float),
+                "bath_h": dict, "bath_c": dict, "bath_w": dict,
+                "eps": (int, float), "representation": str, "oscillator_levels": int},
+        required=("bath_h", "bath_c", "bath_w"),
+        defaults={"omega_h": 3.0, "omega_c": 1.0, "eps": 0.05,
+                  "representation": "qubits", "oscillator_levels": 3},
+        runner=_run_tricycle,
+    ),
+    "third-law-sweep": _Kind(
+        schema={"omega_h": (int, float), "omega_c": (int, float),
+                "bath_h": dict, "bath_c": dict, "bath_w": dict,
+                "eps": (int, float), "t_c_grid": list,
+                "ratio_lo": (int, float), "ratio_hi": (int, float)},
+        required=("bath_h", "bath_c", "bath_w", "t_c_grid"),
+        defaults={"omega_h": 3.0, "omega_c": 1.0, "eps": 1e-3,
+                  "ratio_lo": 0.2, "ratio_hi": 3.0},
+        runner=_run_third_law,
+    ),
+    "floquet": _Kind(
+        schema={"omega0": (int, float), "amplitude": (int, float),
+                "drive_omega": (int, float), "baths": list,
+                "q_max": int, "grid_points": int},
+        required=("baths",),
+        defaults={"omega0": 1.0, "amplitude": 0.6, "drive_omega": 0.45,
+                  "q_max": 5, "grid_points": 512},
+        runner=_run_floquet,
+    ),
+    "eth-check": _Kind(
+        schema={"n_spins": int, "field_scale": (int, float), "window": (int, float),
+                "site": int},
+        required=(),
+        defaults={"n_spins": 8, "field_scale": 0.5, "window": 0.4, "site": 4},
+        runner=_run_eth,
+    ),
+    "correlations": _Kind(
+        schema={"medium": dict, "omega": (int, float), "beta": (int, float)},
+        required=(),
+        defaults={"medium": {"kind": "qubit"}, "omega": 1.0, "beta": 1.0},
+        runner=_run_correlations,
+    ),
 }
+
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def _apply_tolerance_overrides(cert: LawCertificate, overrides: dict):
@@ -554,7 +537,7 @@ def run(config_path: str) -> int:
     """Execute one experiment config; returns the process exit code."""
     try:
         cfg = load_config(config_path)
-        cert, artifacts = _RUNNERS[cfg["kind"]](cfg)
+        cert, artifacts = _KINDS[cfg["kind"]].runner(cfg)
         _apply_tolerance_overrides(cert, cfg["tolerances"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -584,17 +567,14 @@ def describe(kind: str) -> str:
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     lines = [f"experiment {kind!r}", "parameters (with defaults where set):"]
-    schema = _PARAM_SCHEMAS[kind]
-    defaults = _DEFAULTS[kind]
-    required = set(_REQUIRED[kind])
-    for key in schema:
-        spec_t = schema[key]
+    entry = _KINDS[kind]
+    for key, spec_t in entry.schema.items():
         if isinstance(spec_t, tuple):
             type_name = "number"
         else:
             type_name = {dict: "object", list: "array"}.get(spec_t, spec_t.__name__)
-        mark = " (required)" if key in required else ""
-        default = f" = {json.dumps(defaults[key])}" if key in defaults else ""
+        mark = " (required)" if key in entry.required else ""
+        default = f" = {json.dumps(entry.defaults[key])}" if key in entry.defaults else ""
         lines.append(f"  {key}: {type_name}{default}{mark}")
     lines.append("top-level keys: kind, seed, output_dir, params, tolerance_overrides")
     return "\n".join(lines)

@@ -19,6 +19,9 @@ import scipy.linalg
 from .baths import BathSpec, spectral_density
 from .lindblad import GKLSGenerator, JumpChannel, stationary_state
 from .operators import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DensityMatrix,
     Operator,
     _bin_frequencies,
@@ -424,14 +427,10 @@ class ModulatedGapQubit:
         return 2.0 * math.pi / self.big_omega
 
     def __call__(self, t: float) -> Operator:
-        from .operators import PAULI_Z
-
         w = self.omega0 + self.amplitude * math.sin(self.big_omega * t)
         return Operator.hermitian(0.5 * w * PAULI_Z)
 
     def derivative(self, t: float) -> Operator:
-        from .operators import PAULI_Z
-
         dw = self.amplitude * self.big_omega * math.cos(self.big_omega * t)
         return Operator.hermitian(0.5 * dw * PAULI_Z)
 
@@ -450,8 +449,6 @@ class CircularlyDrivenQubit:
         return 2.0 * math.pi / self.big_omega
 
     def __call__(self, t: float) -> Operator:
-        from .operators import PAULI_X, PAULI_Y, PAULI_Z
-
         wt = self.big_omega * t
         m = 0.5 * self.omega0 * PAULI_Z + 0.5 * self.eps * (
             math.cos(wt) * PAULI_X + math.sin(wt) * PAULI_Y

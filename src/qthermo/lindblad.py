@@ -25,11 +25,13 @@ from .operators import (
     _level_blocks,
     _state_spectra,
     adjoint_dissipator,
+    cp_check,
     dissipator_superop,
     eig_hermitian,
     group_degenerate,
     hamiltonian_superop,
     matexp,
+    unitary_superop,
     vec,
     unvec,
 )
@@ -210,6 +212,11 @@ class GKLSGenerator:
         return int(np.sum(svals <= 1e-10 * scale))
 
     def has_unique_stationary(self) -> bool:
+        """Whether only scalars commute with the channels and their adjoints.
+
+        That decides uniqueness of the stationary state only for channel
+        sets closed under adjoints.  The SVD runs on a (2K d^2, d^2) stack
+        for K channels, so this serves small d only."""
         return self.commutant_dimension() == 1
 
 
@@ -886,8 +893,6 @@ def davies_audit(gen: GKLSGenerator, times=(0.1, 1.0)) -> dict[str, float]:
       gibbs_residual        -- |L rho_beta| for a common-temperature bath set
       detailed_balance      -- worst rate-ratio deviation from exp(-beta w)
     """
-    from .operators import cp_check
-
     out: dict[str, float] = {}
     lmat = gen.liouvillian()
     min_eig = math.inf
@@ -909,7 +914,7 @@ def davies_audit(gen: GKLSGenerator, times=(0.1, 1.0)) -> dict[str, float]:
     # population block decoupling, in the H eigenbasis
     evals, v = eig_hermitian(gen.h)
     d = gen.dim
-    basis_change = np.kron(v.mat.conj(), v.mat)  # vec(V^dag X V) = (V^T kron V^dag) vec X
+    basis_change = unitary_superop(v).mat  # its adjoint maps X to V^dag X V
     l_in_basis = basis_change.conj().T @ gen.dissipator().mat @ basis_change
     pop_idx = [i * d + i for i in range(d)]
     coh_idx = [i * d + j for j in range(d) for i in range(d) if i != j]

@@ -34,17 +34,22 @@ from .lindblad import (
     stationary_state,
 )
 from .operators import (
+    PAULI_X,
+    PAULI_Z,
     DensityMatrix,
     Operator,
     Superoperator,
     cp_check,
     eig_hermitian,
+    hamiltonian_superop,
+    identity_superop,
     matexp,
+    sandwich_superop,
     unitary_superop,
     unvec,
     vec,
 )
-from .states import relative_entropy, shannon_entropy_in_basis, von_neumann_entropy
+from .states import gibbs_state, relative_entropy, shannon_entropy_in_basis, von_neumann_entropy
 from .tolerances import DYNAMICAL
 
 __all__ = [
@@ -86,13 +91,9 @@ class QubitMedium:
         return 2
 
     def hamiltonian(self, omega: float) -> Operator:
-        from .operators import PAULI_X, PAULI_Z
-
         return Operator.hermitian(0.5 * omega * PAULI_Z + 0.5 * self.transverse * PAULI_X)
 
     def coupling(self) -> Operator:
-        from .operators import PAULI_X
-
         return Operator.hermitian(PAULI_X)
 
 
@@ -158,32 +159,27 @@ class StrokeOp:
 
 
 def _dephase_superop(h: Operator) -> Superoperator:
-    """Pinch in the eigenbasis of h (kills energy-basis coherence)."""
+    """Pinch in the eigenbasis of h (kills energy-basis coherence):
+    rho -> sum_j P_j rho P_j^dag over the eigenprojectors P_j."""
     _, v = eig_hermitian(h)
-    d = h.dim
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        p = np.outer(v.mat[:, j], v.mat[:, j].conj())
-        m += np.kron(p.conj(), p)
-    return Superoperator(m)
+    cols = v.mat.T
+    p = cols[:, :, None] * cols.conj()[:, None, :]
+    return sandwich_superop(p, p.conj().swapaxes(-1, -2))
 
 
 def _adiabat_superop(medium, spec: StrokeSpec) -> Superoperator:
     h_s = medium.hamiltonian(spec.omega_start)
     h_e = medium.hamiltonian(spec.omega_end)
     if spec.protocol == "sudden":
-        return Superoperator(np.eye(medium.dim**2))
+        return identity_superop(medium.dim)
     if spec.protocol == "adiabatic":
         # ideal infinitely slow limit: populations ride the instantaneous
-        # eigenbasis, coherences average away
+        # eigenbasis, coherences average away; rho -> sum_j K_j rho K_j^dag
+        # with the transfer operators K_j = |e_j(end)><e_j(start)|
         _, v_s = eig_hermitian(h_s)
         _, v_e = eig_hermitian(h_e)
-        d = medium.dim
-        m = np.zeros((d * d, d * d), dtype=complex)
-        for j in range(d):
-            k = np.outer(v_e.mat[:, j], v_s.mat[:, j].conj())
-            m += np.kron(k.conj(), k)
-        return Superoperator(m)
+        k = v_e.mat.T[:, :, None] * v_s.mat.T.conj()[:, None, :]
+        return sandwich_superop(k, k.conj().swapaxes(-1, -2))
     # linear-ramp: time-ordered unitary on a refined grid
     steps = max(64, int(math.ceil(spec.duration * 200)))
     dt = spec.duration / steps
@@ -272,9 +268,10 @@ def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
     """Compile the strokes and compose the cycle propagator (chronological
     application; the product reads right to left).
 
-    Every stroke is verified completely positive and trace preserving;
-    the non-commutation witness |[U_expansion, U_hot]| is computed but not
-    enforced (it vanishes only in degenerate limits)."""
+    Every stroke is verified completely positive and trace preserving.
+    The non-commutation witness |[U_expansion, U_hot]| is not computed
+    here; :func:`noncommutation_witness` reads it from the returned
+    strokes."""
     ops = []
     strokes = spec.strokes()
     for st in strokes:
@@ -412,8 +409,6 @@ def run_otto(spec: CycleSpec, cycles: int = 0) -> CycleReport:
     u_cyc, ops = compose_cycle(spec)
     start = None
     if cycles > 0:
-        from .states import gibbs_state
-
         rho = gibbs_state(ops[0].h_in, spec.bath_h.beta)
         for _ in range(cycles):
             rho = u_cyc.apply(rho)
@@ -558,8 +553,6 @@ def sudden_limit_check(spec: CycleSpec, tau_list) -> list[tuple[float, float]]:
     medium = spec.medium
     gen_h = build_davies(medium.hamiltonian(spec.omega_h), [(medium.coupling(), spec.bath_h)])
     gen_c = build_davies(medium.hamiltonian(spec.omega_c), [(medium.coupling(), spec.bath_c)])
-    from .operators import hamiltonian_superop
-
     l_h = gen_h.liouvillian().mat
     l_c = gen_c.liouvillian().mat
     l_hc = hamiltonian_superop(medium.hamiltonian(spec.omega_c)).mat

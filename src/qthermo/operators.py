@@ -4,6 +4,10 @@ Vectorization is column-stacking throughout: ``vec(A)`` stacks the columns
 of ``A``, so ``vec(A B C) = (C^T kron A) vec(B)``.  Every superoperator in
 this package acts on column-stacked operators; mixing conventions is the
 classic source of silent sign bugs, so all conversions live here.
+:func:`sandwich_superop` is the one kernel that writes rho -> A rho B in
+this form; every builder uses it except the rate-weighted jump sum of
+:func:`dissipator_superop`, one product over the whole channel stack.
+``kron`` is kept for tensor products of Hilbert spaces.
 
 Units are hbar = k_B = 1 everywhere.
 """
@@ -261,16 +265,33 @@ def identity_superop(dim: int) -> Superoperator:
 
 
 def sandwich_superop(a: np.ndarray, b: np.ndarray) -> Superoperator:
-    """The map rho -> A rho B as a superoperator: (B^T kron A)."""
-    return Superoperator(np.kron(np.asarray(b).T, np.asarray(a)))
+    """The map rho -> sum_k A_k rho B_k as a superoperator: sum_k (B_k^T kron A_k).
+
+    ``a`` and ``b`` are both d x d or both (K, d, d) stacks; a stack is
+    summed in member order, starting from zero.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"cannot sandwich between shapes {a.shape} and {b.shape}")
+    d = a.shape[-1]
+    if a.ndim == 3:
+        m = np.zeros((d * d, d * d), dtype=complex)
+        for ak, bk in zip(a, b):
+            m += sandwich_superop(ak, bk).mat
+        return Superoperator(m)
+    # one broadcast outer product of contiguous operands, laid out as a
+    # Kronecker product lays them out, so that it runs the same multiply
+    # loop and gives the same bits; entry ((i, k), (j, l)) is B[j, i] A[k, l]
+    b_t = np.ascontiguousarray(b.T)[:, None, :, None]
+    a_c = np.ascontiguousarray(a)[None, :, None, :]
+    return Superoperator((b_t * a_c).reshape(d * d, d * d))
 
 
 def hamiltonian_superop(h: Operator | np.ndarray) -> Superoperator:
     """The commutator generator rho -> -i [H, rho]."""
     hm = h.mat if isinstance(h, Operator) else np.asarray(h, dtype=complex)
-    d = hm.shape[0]
-    eye = np.eye(d)
-    return Superoperator(-1j * (np.kron(eye, hm) - np.kron(hm.T, eye)))
+    eye = np.eye(hm.shape[0])
+    return Superoperator(-1j * (sandwich_superop(hm, eye).mat - sandwich_superop(eye, hm).mat))
 
 
 def dissipator_superop(v: np.ndarray, rates=None) -> Superoperator:
@@ -295,7 +316,7 @@ def dissipator_superop(v: np.ndarray, rates=None) -> Superoperator:
     m = jump.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     g = stack.reshape(k * d, d).conj().T @ (r[:, None, None] * stack).reshape(k * d, d)
     eye = np.eye(d)
-    m -= 0.5 * (np.kron(eye, g) + np.kron(g.T, eye))
+    m -= 0.5 * (sandwich_superop(g, eye).mat + sandwich_superop(eye, g).mat)
     return Superoperator(m)
 
 
@@ -317,7 +338,7 @@ def adjoint_dissipator(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 def unitary_superop(u: Operator | np.ndarray) -> Superoperator:
     """Conjugation map rho -> U rho U^dag."""
     um = u.mat if isinstance(u, Operator) else np.asarray(u, dtype=complex)
-    return Superoperator(np.kron(um.conj(), um))
+    return sandwich_superop(um, um.conj().T)
 
 
 def eig_hermitian(a: Operator) -> tuple[np.ndarray, Operator]:
@@ -482,8 +503,8 @@ class KrausMap:
         return self.kraus_ops[0].shape[0]
 
     def as_superoperator(self) -> Superoperator:
-        m = sum(np.kron(w.T, w.conj().T) for w in self.kraus_ops)
-        return Superoperator(m)
+        ws = np.array(self.kraus_ops)
+        return sandwich_superop(ws.conj().swapaxes(-1, -2), ws)
 
 
 def kraus_apply(kmap: KrausMap, rho: DensityMatrix) -> DensityMatrix:

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DensityMatrix,
     Operator,
     _bin_frequencies,
@@ -313,8 +316,6 @@ def heisenberg_chain(
     drawn from [-field_scale, field_scale]; spin-1/2 operators S = sigma/2."""
     if n_spins > 12:
         raise ValueError("chain capped at 12 spins for dense diagonalisation")
-    from .operators import PAULI_X, PAULI_Y, PAULI_Z
-
     dim = 2**n_spins
     h = np.zeros((dim, dim), dtype=complex)
     for i in range(n_spins - 1):

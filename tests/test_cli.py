@@ -85,6 +85,126 @@ class TestConfigValidation:
         assert main(["describe", "bogus"]) == 1
 
 
+# the text of ``qthermo list`` and then of ``qthermo describe`` for every
+# kind, in kind order: kinds, schema keys, types, defaults and marks
+_CLI_TEXT = """\
+available experiment kinds:
+  evolve
+  davies-audit
+  otto
+  otto-optimize
+  tricycle
+  third-law-sweep
+  floquet
+  eth-check
+  correlations
+
+experiment 'evolve'
+parameters (with defaults where set):
+  medium: object = {"kind": "qubit"}
+  omega: number = 1.0
+  baths: array (required)
+  initial: str = "excited"
+  t_final: number = 20.0
+  points: int = 200
+top-level keys: kind, seed, output_dir, params, tolerance_overrides
+
+experiment 'davies-audit'
+parameters (with defaults where set):
+  medium: object = {"kind": "qubit"}
+  omega: number = 1.0
+  baths: array (required)
+top-level keys: kind, seed, output_dir, params, tolerance_overrides
+
+experiment 'otto'
+parameters (with defaults where set):
+  medium: object = {"kind": "qubit"}
+  omega_h: number = 2.0
+  omega_c: number = 1.0
+  bath_h: object (required)
+  bath_c: object (required)
+  tau_h: number = 20.0
+  tau_c: number = 20.0
+  tau_hc: number = 1.0
+  tau_ch: number = 1.0
+  protocol: str = "adiabatic"
+  order: str = "engine"
+  dephase_after_adiabats: bool = false
+top-level keys: kind, seed, output_dir, params, tolerance_overrides
+
+experiment 'otto-optimize'
+parameters (with defaults where set):
+  medium: object = {"kind": "qubit"}
+  omega_h: number = 6.0
+  omega_c: number = 3.0
+  bath_h: object (required)
+  bath_c: object (required)
+  tau_h: number = 2.0
+  tau_c: number = 2.0
+  tau_hc: number = 0.01
+  tau_ch: number = 0.01
+  protocol: str = "adiabatic"
+  free: object (required)
+top-level keys: kind, seed, output_dir, params, tolerance_overrides
+
+experiment 'tricycle'
+parameters (with defaults where set):
+  omega_h: number = 3.0
+  omega_c: number = 1.0
+  bath_h: object (required)
+  bath_c: object (required)
+  bath_w: object (required)
+  eps: number = 0.05
+  representation: str = "qubits"
+  oscillator_levels: int = 3
+top-level keys: kind, seed, output_dir, params, tolerance_overrides
+
+experiment 'third-law-sweep'
+parameters (with defaults where set):
+  omega_h: number = 3.0
+  omega_c: number = 1.0
+  bath_h: object (required)
+  bath_c: object (required)
+  bath_w: object (required)
+  eps: number = 0.001
+  t_c_grid: array (required)
+  ratio_lo: number = 0.2
+  ratio_hi: number = 3.0
+top-level keys: kind, seed, output_dir, params, tolerance_overrides
+
+experiment 'floquet'
+parameters (with defaults where set):
+  omega0: number = 1.0
+  amplitude: number = 0.6
+  drive_omega: number = 0.45
+  baths: array (required)
+  q_max: int = 5
+  grid_points: int = 512
+top-level keys: kind, seed, output_dir, params, tolerance_overrides
+
+experiment 'eth-check'
+parameters (with defaults where set):
+  n_spins: int = 8
+  field_scale: number = 0.5
+  window: number = 0.4
+  site: int = 4
+top-level keys: kind, seed, output_dir, params, tolerance_overrides
+
+experiment 'correlations'
+parameters (with defaults where set):
+  medium: object = {"kind": "qubit"}
+  omega: number = 1.0
+  beta: number = 1.0
+top-level keys: kind, seed, output_dir, params, tolerance_overrides
+"""
+
+
+def test_list_and_describe_text_pinned():
+    kinds = [line.strip() for line in list_experiments().splitlines()[1:]]
+    text = "\n\n".join([list_experiments()] + [describe(k) for k in kinds])
+    assert text + "\n" == _CLI_TEXT
+
+
 class TestRunners:
     def test_evolve_pass(self, tmp_path):
         p = _with_outdir(tmp_path, "evolve_qubit.json")
@@ -169,7 +289,7 @@ def test_blas_thread_count_preserves_output(tmp_path):
     # count once, at import
     src = str(CONFIGS.parent / "src")
     names = ["tricycle_fridge", "third_law_sweep", "otto_engine", "floquet_fridge",
-             "evolve_qubit"]
+             "evolve_qubit", "davies_audit_oscillator"]
     outputs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,

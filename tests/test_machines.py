@@ -11,11 +11,14 @@ from qthermo import lindblad, operators
 from qthermo.baths import BathSpec
 from qthermo.lindblad import build_davies
 from qthermo.machines import (
+    _adiabat_superop,
+    _dephase_superop,
     _tricycle_hamiltonian,
     _tricycle_pieces,
     CycleSpec,
     OscillatorMedium,
     QubitMedium,
+    StrokeSpec,
     TricycleSpec,
     compose_cycle,
     find_limit_cycle,
@@ -32,6 +35,7 @@ from qthermo.operators import (
     Operator,
     Superoperator,
     cp_check,
+    eig_hermitian,
     matexp,
     random_hermitian,
     random_unitary,
@@ -260,6 +264,71 @@ class TestQuantumFriction:
         assert w_deph < w_ideal
         rep = run_otto(dephased)
         assert rep.entropy_production >= -1e-9
+
+
+def _kron_dephase(h):
+    """The eigenbasis pinch summed over projectors with np.kron."""
+    _, v = eig_hermitian(h)
+    d = h.dim
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for j in range(d):
+        p = np.outer(v.mat[:, j], v.mat[:, j].conj())
+        m += np.kron(p.conj(), p)
+    return m
+
+
+def _kron_adiabat(medium, spec):
+    """The ideal adiabat summed over transfer operators with np.kron."""
+    _, v_s = eig_hermitian(medium.hamiltonian(spec.omega_start))
+    _, v_e = eig_hermitian(medium.hamiltonian(spec.omega_end))
+    d = medium.dim
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for j in range(d):
+        k = np.outer(v_e.mat[:, j], v_s.mat[:, j].conj())
+        m += np.kron(k.conj(), k)
+    return m
+
+
+class TestStrokeSuperopsBitwise:
+    """The stroke builders give the bits of the kron sums they replaced."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10 ** 9))
+    def test_dephase_superop(self, d, seed):
+        h = random_hermitian(d, np.random.default_rng(seed))
+        for h_op in (h, OscillatorMedium(levels=d).hamiltonian(1.3)):
+            got = _dephase_superop(h_op).mat
+            assert got.tobytes() == _kron_dephase(h_op).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=6),
+           st.floats(min_value=0.05, max_value=2.0), st.floats(min_value=0.1, max_value=5.0),
+           st.floats(min_value=0.1, max_value=5.0))
+    def test_adiabatic_adiabat_superop(self, levels, transverse, omega_start, omega_end):
+        spec = StrokeSpec(kind="adiabat", duration=1.0, omega_start=omega_start,
+                          omega_end=omega_end, protocol="adiabatic")
+        for medium in (QubitMedium(transverse=transverse), OscillatorMedium(levels=levels)):
+            got = _adiabat_superop(medium, spec).mat
+            assert got.tobytes() == _kron_adiabat(medium, spec).tobytes()
+
+
+def test_otto_and_davies_audit_call_no_kron(monkeypatch):
+    # every superoperator of an Otto cycle and of the audit comes from the
+    # operators kernel; np.kron is left for Hilbert-space tensor products
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.kron was called")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    for protocol in ("adiabatic", "linear-ramp", "sudden"):
+        rep = run_otto(engine_spec(medium=QubitMedium(transverse=0.5), protocol=protocol,
+                                   dephase_after_adiabats=True))
+        scale = max(abs(rep.work), abs(rep.q_h), abs(rep.q_c))
+        assert abs(rep.work - rep.q_h - rep.q_c) <= 1e-8 * scale
+    medium = OscillatorMedium(levels=4)
+    gen = build_davies(medium.hamiltonian(1.0), [(medium.coupling(), ohmic("hot", 1.0))])
+    audit = lindblad.davies_audit(gen)
+    assert audit["cp_min_eig"] >= -1e-9
+    assert audit["pop_coherence_mix"] <= 1e-10
 
 
 class TestOptimizePower:

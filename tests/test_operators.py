@@ -28,6 +28,7 @@ from qthermo.operators import (
     random_density,
     random_hermitian,
     random_unitary,
+    sandwich_superop,
     tensor,
     to_choi,
     trace_distance,
@@ -373,6 +374,107 @@ class TestStackedDissipator:
     def test_rate_count_must_match(self):
         with pytest.raises(ValueError, match="2 rates for 3 operators"):
             dissipator_superop(np.zeros((3, 2, 2)), [1.0, 1.0])
+
+
+# (d, K): a dimension and a stack of 1..d members
+_dims_and_stacks = st.integers(min_value=1, max_value=6).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(min_value=1, max_value=d)))
+
+
+def _with_zeros(rng, shape):
+    """Complex entries, about a third of them scaled to zero so that zeros
+    of either sign reach the builders."""
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    m[rng.random(shape) < 0.3] *= 0.0
+    return m
+
+
+def _same_bits(got, ref):
+    ref = np.asarray(ref, dtype=complex)
+    return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def _kron_sum(a_stack, b_stack):
+    """sum_k B_k^T kron A_k with np.kron, in member order from zero."""
+    d = a_stack.shape[-1]
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for a, b in zip(a_stack, b_stack):
+        m += np.kron(b.T, a)
+    return m
+
+
+def _kron_anticommutator_dissipator(v, rates):
+    """The stacked dissipator with its anticommutator written with kron."""
+    d = v.shape[-1]
+    k = v.shape[0]
+    flat = v.reshape(k, d * d)
+    jump = (rates[:, None] * flat.conj()).T @ flat
+    m = jump.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    g = v.reshape(k * d, d).conj().T @ (rates[:, None, None] * v).reshape(k * d, d)
+    eye = np.eye(d)
+    m -= 0.5 * (np.kron(eye, g) + np.kron(g.T, eye))
+    return m
+
+
+class TestSandwichKernelBitwise:
+    """Every builder on sandwich_superop gives the bits of its kron form."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_dims_and_stacks, st.integers(min_value=0, max_value=10 ** 9))
+    def test_sandwich_superop(self, dk, seed):
+        d, k = dk
+        rng = np.random.default_rng(seed)
+        a, b = _with_zeros(rng, (k, d, d)), _with_zeros(rng, (k, d, d))
+        assert _same_bits(sandwich_superop(a[0], b[0]).mat, np.kron(b[0].T, a[0]))
+        assert _same_bits(sandwich_superop(a, b).mat, _kron_sum(a, b))
+        at, bt = a.conj().swapaxes(-1, -2), b.swapaxes(-1, -2)  # strided views
+        assert _same_bits(sandwich_superop(at, bt).mat, _kron_sum(at, bt))
+        with pytest.raises(ValueError, match="cannot sandwich"):
+            sandwich_superop(a[0], b)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_dims_and_stacks, st.integers(min_value=0, max_value=10 ** 9))
+    def test_hamiltonian_superop(self, dk, seed):
+        d, _ = dk
+        rng = np.random.default_rng(seed)
+        eye = np.eye(d)
+        general = _with_zeros(rng, (d, d))
+        for h in (Operator.hermitian(general + general.conj().T), general):
+            hm = h.mat if isinstance(h, Operator) else h
+            ref = -1j * (np.kron(eye, hm) - np.kron(hm.T, eye))
+            assert _same_bits(hamiltonian_superop(h).mat, ref)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_dims_and_stacks, st.integers(min_value=0, max_value=10 ** 9))
+    def test_dissipator_anticommutator(self, dk, seed):
+        d, k = dk
+        rng = np.random.default_rng(seed)
+        v = _with_zeros(rng, (k, d, d))
+        rates = rng.uniform(0.0, 2.0, size=k)
+        rates[rng.random(k) < 0.3] = 0.0
+        assert _same_bits(dissipator_superop(v, rates).mat,
+                          _kron_anticommutator_dissipator(v, rates))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_dims_and_stacks, st.integers(min_value=0, max_value=10 ** 9))
+    def test_unitary_superop(self, dk, seed):
+        d, _ = dk
+        u = random_unitary(d, np.random.default_rng(seed))
+        ref = np.kron(u.mat.conj(), u.mat)
+        assert _same_bits(unitary_superop(u).mat, ref)
+        assert _same_bits(unitary_superop(u.mat).mat, ref)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_dims_and_stacks, st.integers(min_value=0, max_value=10 ** 9))
+    def test_kraus_superoperator(self, dk, seed):
+        d, k = dk
+        rng = np.random.default_rng(seed)
+        # a (K d) x d isometry: its blocks B_j give W_j = B_j^dag with
+        # sum_j W_j W_j^dag = I
+        q, _ = np.linalg.qr(rng.normal(size=(k * d, d)) + 1j * rng.normal(size=(k * d, d)))
+        kmap = KrausMap(tuple(q[j * d:(j + 1) * d].conj().T for j in range(k)))
+        ref = sum(np.kron(w.T, w.conj().T) for w in kmap.kraus_ops)
+        assert _same_bits(kmap.as_superoperator().mat, ref)
 
 
 def test_trace_distance_basics(rng):
