@@ -25,6 +25,8 @@ from .operators import (
     DensityMatrix,
     Operator,
     _bin_frequencies,
+    _check_finite,
+    _first_nonhermitian,
     _level_blocks,
     adjoint_dissipator,
 )
@@ -76,20 +78,29 @@ def _as_matrix(h) -> np.ndarray:
     return h.mat if isinstance(h, Operator) else np.asarray(h, dtype=complex)
 
 
-def _magnus_steps(h_of_t, times: np.ndarray, d: int) -> np.ndarray:
+def _magnus_steps(h_of_t, times: np.ndarray) -> np.ndarray:
     """Fourth-order Magnus (two-point Gauss-Legendre) propagators of the
-    steps between consecutive times, shape (len(times) - 1, d, d).
+    steps between consecutive times, shape (len(times) - 1, d, d), with d
+    taken from the first sample.
 
-    The schedule is sampled into preallocated stacks and every step's
+    The schedule is sampled in time order into one preallocated stack,
+    which is checked once for finite, hermitian samples; every step's
     exponential comes from one batched call."""
     c = math.sqrt(3.0) / 6.0
     t, dt = times[:-1], np.diff(times)
-    n = len(t)
-    m1 = np.empty((n, d, d), dtype=complex)
-    m2 = np.empty((n, d, d), dtype=complex)
-    for k, (t1, t2) in enumerate(zip(t + (0.5 - c) * dt, t + (0.5 + c) * dt)):
-        m1[k] = _as_matrix(h_of_t(t1))
-        m2[k] = _as_matrix(h_of_t(t2))
+    nodes = np.stack([t + (0.5 - c) * dt, t + (0.5 + c) * dt], axis=1).ravel()
+    samples = (_as_matrix(h_of_t(s)) for s in nodes)
+    first = next(samples)
+    h = np.empty((len(nodes),) + first.shape, dtype=complex)
+    h[0] = first
+    for k, m in enumerate(samples, 1):
+        h[k] = m
+    _check_finite(h)
+    bad = _first_nonhermitian(h)
+    if bad is not None:
+        raise ValueError(f"schedule sample at t = {nodes[bad[0]]:.12g} is not hermitian: "
+                         f"|H - H^dag| = {bad[1]:.3e}")
+    m1, m2 = h[0::2], h[1::2]
     omega = (-0.5j * dt)[:, None, None] * (m1 + m2) - (
         (math.sqrt(3.0) / 12.0) * dt * dt
     )[:, None, None] * (m2 @ m1 - m1 @ m2)
@@ -108,9 +119,9 @@ def floquet_decompose(h_of_t, tau: float, grid_points: int = 400) -> FloquetDeco
         raise ValueError("period must be positive")
     if grid_points < 8:
         raise ValueError("need at least 8 grid points per period")
-    d = _as_matrix(h_of_t(0.0)).shape[0]
     times = np.linspace(0.0, tau, grid_points + 1)
-    steps = _magnus_steps(h_of_t, times, d)
+    steps = _magnus_steps(h_of_t, times)
+    d = steps.shape[-1]
     u_grid = np.empty((grid_points + 1, d, d), dtype=complex)
     u_grid[0] = np.eye(d)
     for k in range(grid_points):
@@ -426,13 +437,9 @@ class ModulatedGapQubit:
     def tau(self) -> float:
         return 2.0 * math.pi / self.big_omega
 
-    def __call__(self, t: float) -> Operator:
+    def __call__(self, t: float) -> np.ndarray:
         w = self.omega0 + self.amplitude * math.sin(self.big_omega * t)
-        return Operator.hermitian(0.5 * w * PAULI_Z)
-
-    def derivative(self, t: float) -> Operator:
-        dw = self.amplitude * self.big_omega * math.cos(self.big_omega * t)
-        return Operator.hermitian(0.5 * dw * PAULI_Z)
+        return 0.5 * w * PAULI_Z
 
 
 @dataclass(frozen=True)
@@ -448,12 +455,11 @@ class CircularlyDrivenQubit:
     def tau(self) -> float:
         return 2.0 * math.pi / self.big_omega
 
-    def __call__(self, t: float) -> Operator:
+    def __call__(self, t: float) -> np.ndarray:
         wt = self.big_omega * t
-        m = 0.5 * self.omega0 * PAULI_Z + 0.5 * self.eps * (
+        return 0.5 * self.omega0 * PAULI_Z + 0.5 * self.eps * (
             math.cos(wt) * PAULI_X + math.sin(wt) * PAULI_Y
         )
-        return Operator.hermitian(m)
 
     def rotating_gap(self) -> float:
         return math.hypot(self.omega0 - self.big_omega, self.eps)
@@ -474,14 +480,7 @@ class ModulatedLadder:
     def tau(self) -> float:
         return 2.0 * math.pi / self.big_omega
 
-    def __call__(self, t: float) -> Operator:
-        base = np.diag([0.0, self.omega1, self.omega1 + self.omega2])
-        num = np.diag([0.0, 1.0, 2.0])
-        return Operator.hermitian(
-            base + self.amplitude * math.sin(self.big_omega * t) * num
-        )
-
-    def derivative(self, t: float) -> Operator:
-        num = np.diag([0.0, 1.0, 2.0])
-        dw = self.amplitude * self.big_omega * math.cos(self.big_omega * t)
-        return Operator.hermitian(dw * num)
+    def __call__(self, t: float) -> np.ndarray:
+        levels = np.array([0.0, self.omega1, self.omega1 + self.omega2], dtype=complex)
+        num = np.array([0.0, 1.0, 2.0])
+        return np.diag(levels + self.amplitude * math.sin(self.big_omega * t) * num)

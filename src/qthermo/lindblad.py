@@ -470,7 +470,6 @@ def _commuting_pairs(energies: np.ndarray, h_e: np.ndarray, links: np.ndarray):
     and when the Gershgorin hulls of the blocks are disjoint no
     eigenvalue is shared between two of them, so an operator commuting
     with H_coh is block diagonal too."""
-    d = len(energies)
     tol = LEVEL_MERGE_REL * max(float(np.ptp(energies)), 1.0)
     label = np.concatenate(([0], np.cumsum(np.diff(energies) > tol)))
     link = label[:, None] == label[None, :]

@@ -49,7 +49,7 @@ from .operators import (
     unvec,
     vec,
 )
-from .states import gibbs_state, relative_entropy, shannon_entropy_in_basis, von_neumann_entropy
+from .states import relative_entropy, shannon_entropy_in_basis, von_neumann_entropy
 from .tolerances import DYNAMICAL
 
 __all__ = [
@@ -308,13 +308,13 @@ def noncommutation_witness(ops: list[StrokeOp]) -> float:
     return float(np.linalg.norm(comm, 2))
 
 
-def find_limit_cycle(
-    u_cyc: Superoperator,
-    max_iter: int = 2000,
-    start: DensityMatrix | None = None,
-) -> tuple[DensityMatrix, list[float]]:
+_MAX_ITER = 2000
+
+
+def find_limit_cycle(u_cyc: Superoperator) -> tuple[DensityMatrix, list[float]]:
     """Fixed point of the cycle propagator and the relative-entropy
-    convergence trace of plain iteration toward it.
+    convergence trace of plain iteration toward it from the maximally
+    mixed state, for at most ``_MAX_ITER`` cycles.
 
     The fixed point comes from one bordered solve of U - I; a degenerate
     unit eigenspace, a non-positive solution or a residual above 1e-10
@@ -331,8 +331,8 @@ def find_limit_cycle(
     )
 
     trace_conv: list[float] = []
-    rho = start if start is not None else DensityMatrix.maximally_mixed(d)
-    for _ in range(max_iter):
+    rho = DensityMatrix.maximally_mixed(d)
+    for _ in range(_MAX_ITER):
         dist = relative_entropy(rho, rho_lc)
         trace_conv.append(dist)
         if dist < 1e-12:
@@ -400,20 +400,10 @@ def _walk_cycle(ops: list[StrokeOp], rho_start: DensityMatrix):
     return rho, work_extracted, heat, stroke_energy
 
 
-def run_otto(spec: CycleSpec, cycles: int = 0) -> CycleReport:
-    """Drive the cycle to its limit cycle and report the energy split.
-
-    ``cycles`` > 0 additionally applies that many cycles from a thermal
-    start before the fixed-point analysis (the convergence trace is
-    recorded either way)."""
+def run_otto(spec: CycleSpec) -> CycleReport:
+    """Drive the cycle to its limit cycle and report the energy split."""
     u_cyc, ops = compose_cycle(spec)
-    start = None
-    if cycles > 0:
-        rho = gibbs_state(ops[0].h_in, spec.bath_h.beta)
-        for _ in range(cycles):
-            rho = u_cyc.apply(rho)
-        start = rho
-    rho_lc, conv = find_limit_cycle(u_cyc, start=start)
+    rho_lc, conv = find_limit_cycle(u_cyc)
     rho_end, work, heat, stroke_energy = _walk_cycle(ops, rho_lc)
 
     flags = []
@@ -461,7 +451,6 @@ def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
     u_cyc, ops = compose_cycle(spec)
     rho_lc, _ = find_limit_cycle(u_cyc)
     rho = rho_lc
-    h_prev = ops[0].h_in
     extra_work = 0.0
     entropy_gap = 0.0
     for op in ops:
@@ -479,7 +468,6 @@ def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
             extra_work += e_actual - e_ideal
             gap = shannon_entropy_in_basis(rho, op.h_out) - von_neumann_entropy(rho)
             entropy_gap = max(entropy_gap, gap)
-        h_prev = op.h_out
     return extra_work, entropy_gap
 
 

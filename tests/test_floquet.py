@@ -111,6 +111,49 @@ class TestDecomposition:
             floquet_decompose(sched, sched.tau, 128)
 
 
+@pytest.mark.parametrize("after", [1.0, 1.1])
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[0.0, 1e-10j], [1e-10j, 0.0]]), "not hermitian"),
+    (np.array([[0.0, 1e-8j], [1e-8j, 0.0]]), "not hermitian"),
+    (np.array([[np.nan, 0.0], [0.0, 0.0]]), "matrix has NaN or Inf entries"),
+])
+def test_bad_array_schedule_rejected_at_its_first_sample(bad, message, after):
+    # a raw-array schedule, clean up to t = after and bad from then on;
+    # the first bad sample is the later Gauss node of a step for
+    # after = 1.0 and the earlier one for after = 1.1
+    base = np.array([[0.3, 0.0], [0.0, -0.3]], dtype=complex)
+    tau, n = 2.0 * math.pi / 0.45, 64
+    with pytest.raises(ValueError, match=message) as err:
+        floquet_decompose(lambda t: base + bad if t > after else base, tau, n)
+    if message == "not hermitian":
+        c = math.sqrt(3.0) / 6.0
+        times = np.linspace(0.0, tau, n + 1)
+        t, dt = times[:-1], np.diff(times)
+        nodes = np.sort(np.concatenate([t + (0.5 - c) * dt, t + (0.5 + c) * dt]))
+        assert f"t = {nodes[nodes > after][0]:.12g} " in str(err.value)
+        assert "|H - H^dag| = 2.000e" in str(err.value)
+
+
+def test_floquet_decompose_builds_no_operator_per_sample(monkeypatch):
+    # the schedule is checked as one stack; Operator construction must not
+    # grow with the grid
+    built = []
+    post_init = Operator.__post_init__
+
+    def counting(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counting)
+    sched = ModulatedGapQubit(omega0=1.0, amplitude=0.6, big_omega=0.45)
+    counts = []
+    for n in (64, 4096):
+        built.clear()
+        floquet_decompose(sched, sched.tau, n)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
 class TestHarmonics:
     def test_undriven_reduces_to_static_lines(self):
         sched = ModulatedGapQubit(omega0=1.0, amplitude=0.0, big_omega=0.45)
@@ -275,7 +318,7 @@ def ladder_machine():
     # of the ledger is real or diagonal
     w = random_unitary(3, np.random.default_rng(7)).mat
     sched = ModulatedLadder(omega1=1.0, omega2=1.55, amplitude=0.3, big_omega=0.6)
-    dec = floquet_decompose(lambda t: Operator.hermitian(w @ sched(t).mat @ w.conj().T),
+    dec = floquet_decompose(lambda t: Operator.hermitian(w @ sched(t) @ w.conj().T),
                             sched.tau, 256)
     lower = Operator.hermitian(w @ np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) @ w.conj().T)
     upper = Operator.hermitian(w @ np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]) @ w.conj().T)
