@@ -124,10 +124,19 @@ class GKLSGenerator:
         self._bath_parts: dict[str, Superoperator] = {}
         self._heat_observables: dict[str, np.ndarray] = {}
         self._log_references: dict[str, np.ndarray] = {}
+        self._eigenbasis: tuple[np.ndarray, Operator] | None = None
 
     @property
     def dim(self) -> int:
         return self.h.dim
+
+    def eigenbasis(self) -> tuple[np.ndarray, Operator]:
+        """Ascending eigenvalues of H and the unitary of its eigenvectors,
+        as :func:`eig_hermitian` gives them, computed once; both read-only.
+        ``build_davies`` hands over the decomposition it computed."""
+        if self._eigenbasis is None:
+            self._eigenbasis = _eigenbasis(self.h)
+        return self._eigenbasis
 
     @property
     def bath_labels(self) -> list[str]:
@@ -220,6 +229,14 @@ class GKLSGenerator:
         return self.commutant_dimension() == 1
 
 
+def _eigenbasis(h: Operator) -> tuple[np.ndarray, Operator]:
+    """:func:`eig_hermitian` with read-only eigenvalues; the eigenvector
+    unitary is an Operator, read-only already."""
+    evals, v = eig_hermitian(h)
+    evals.setflags(write=False)
+    return evals, v
+
+
 def liouvillian(gen: GKLSGenerator) -> Superoperator:
     """Matrix form of the generator acting on column-stacked operators."""
     return gen.liouvillian()
@@ -278,6 +295,7 @@ def _coupling_channels(
         ops = np.where(elem_bin == np.array(kept, dtype=int)[:, None, None], s_e[c], 0.0) + 0.0
         # rotate the eigenbasis blocks back to the computational basis
         ops = basis @ ops @ basis.conj().T
+        ops.setflags(write=False)
         channels.extend(JumpChannel(bath.label, centers_c[k], op, rates[k])
                         for k, op in zip(kept, ops))
     return channels
@@ -297,7 +315,7 @@ def build_davies(
     coherent part only (the renormalisation hook); it moves no
     populations, so every law check is unaffected.
     """
-    h_evals, v = eig_hermitian(h)
+    h_evals, v = _eigenbasis(h)
     baths = {}
     for s_op, bath in couplings:
         if s_op.dim != h.dim:
@@ -313,7 +331,9 @@ def build_davies(
         scale = max(1.0, float(np.max(np.abs(h.mat))))
         if np.max(np.abs(comm)) > ALGEBRAIC * scale:
             raise ValueError("Lamb-shift correction must commute with H")
-    return GKLSGenerator(h, channels, baths=baths, coherent_shift=lamb_shift)
+    gen = GKLSGenerator(h, channels, baths=baths, coherent_shift=lamb_shift)
+    gen._eigenbasis = h_evals, v
+    return gen
 
 
 def propagate(gen: GKLSGenerator, rho0: DensityMatrix, t: float) -> DensityMatrix:
@@ -527,7 +547,7 @@ def _certified_sector(gen: GKLSGenerator, ops, rates, g, h_coh):
     difference, one that is not.  The commutant is checked on the pairs
     of ``_commuting_pairs`` (``_trivial_commutant``)."""
     d = gen.dim
-    evals, v = eig_hermitian(gen.h)
+    evals, v = gen.eigenbasis()
     v = v.mat
     ops_e, g_e, h_e = (v.conj().T @ x @ v for x in (ops, g, h_coh))
     jumps = _pattern(ops_e)
@@ -812,13 +832,18 @@ def adiabatic_propagate(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
 
+    def hamiltonian(t: float) -> Operator:
+        # a schedule may return arrays, as the Floquet schedules do
+        h = h_of_t(t)
+        return h if isinstance(h, Operator) else Operator.hermitian(h)
+
     def deriv(t: float) -> np.ndarray:
         if dh_dt is not None:
             d = dh_dt(t)
             return d.mat if isinstance(d, Operator) else np.asarray(d, dtype=complex)
         eps = max(1e-7, 1e-7 * abs(t))
-        hi = h_of_t(t + eps).mat
-        lo = h_of_t(t - eps).mat if t - eps >= grid[0] else h_of_t(t).mat
+        hi = hamiltonian(t + eps).mat
+        lo = hamiltonian(t - eps).mat if t - eps >= grid[0] else hamiltonian(t).mat
         span = 2 * eps if t - eps >= grid[0] else eps
         return (hi - lo) / span
 
@@ -845,12 +870,12 @@ def adiabatic_propagate(
         if keep_states:
             states.append(rho)
 
-    gen0 = build_davies(h_of_t(grid[0]), couplings)
+    gen0 = build_davies(hamiltonian(grid[0]), couplings)
     record(0, gen0, grid[0])
     for i in range(1, n):
         t_a, t_b = grid[i - 1], grid[i]
         dt = t_b - t_a
-        h_mid = h_of_t(0.5 * (t_a + t_b))
+        h_mid = hamiltonian(0.5 * (t_a + t_b))
         omega_max = _max_bohr_frequency(h_mid)
         dt_cap = (2 * math.pi / omega_max) / 10.0 if omega_max > 0 else dt
         n_sub = max(max(1, substeps), int(math.ceil(dt / dt_cap)))
@@ -864,11 +889,11 @@ def adiabatic_propagate(
         sub = np.linspace(t_a, t_b, n_sub + 1)
         for j in range(n_sub):
             tm = 0.5 * (sub[j] + sub[j + 1])
-            gen = build_davies(h_of_t(tm), couplings)
+            gen = build_davies(hamiltonian(tm), couplings)
             m = scipy.linalg.expm(gen.liouvillian().mat * (sub[j + 1] - sub[j]))
             out = unvec(m @ vec(rho.mat), rho.dim)
             rho = DensityMatrix((out + out.conj().T) / 2.0)
-        record(i, build_davies(h_of_t(t_b), couplings), t_b)
+        record(i, build_davies(hamiltonian(t_b), couplings), t_b)
     return ThermoLedger(
         times=grid,
         energy=energy,
@@ -911,7 +936,7 @@ def davies_audit(gen: GKLSGenerator, times=(0.1, 1.0)) -> dict[str, float]:
     out["hamiltonian_commute"] = float(np.max(np.abs(comm))) / scale
 
     # population block decoupling, in the H eigenbasis
-    evals, v = eig_hermitian(gen.h)
+    evals, v = gen.eigenbasis()
     d = gen.dim
     basis_change = unitary_superop(v).mat  # its adjoint maps X to V^dag X V
     l_in_basis = basis_change.conj().T @ gen.dissipator().mat @ basis_change

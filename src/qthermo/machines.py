@@ -39,8 +39,8 @@ from .operators import (
     DensityMatrix,
     Operator,
     Superoperator,
+    _state_spectra,
     cp_check,
-    eig_hermitian,
     hamiltonian_superop,
     identity_superop,
     matexp,
@@ -49,7 +49,7 @@ from .operators import (
     unvec,
     vec,
 )
-from .states import relative_entropy, shannon_entropy_in_basis, von_neumann_entropy
+from .states import _relative_entropy_of_spectra, shannon_entropy_in_basis, von_neumann_entropy
 from .tolerances import DYNAMICAL
 
 __all__ = [
@@ -158,27 +158,43 @@ class StrokeOp:
         return self.spec.kind == "isochore"
 
 
-def _dephase_superop(h: Operator) -> Superoperator:
-    """Pinch in the eigenbasis of h (kills energy-basis coherence):
-    rho -> sum_j P_j rho P_j^dag over the eigenprojectors P_j."""
-    _, v = eig_hermitian(h)
-    cols = v.mat.T
+# isochore generators kept by ``_isochore_generator``: an Otto optimisation
+# revisits its hot stroke at every evaluation, and at d = 10 one entry holds
+# about 330 KB (the dissipator and the Liouvillian)
+_ISOCHORE_CACHE = 32
+
+
+@functools.lru_cache(maxsize=_ISOCHORE_CACHE)
+def _isochore_generator(medium, omega: float, bath: BathSpec) -> GKLSGenerator:
+    """The weak-coupling generator of ``medium`` at frequency ``omega``
+    against ``bath``, with its eigenbasis and its Liouvillian built.
+
+    Every cycle that has this stroke shares it: its channels are a tuple,
+    its arrays are read-only, and it never leaves this module."""
+    gen = build_davies(medium.hamiltonian(omega), [(medium.coupling(), bath)])
+    gen.liouvillian()
+    return gen
+
+
+def _dephase_superop(v: np.ndarray) -> Superoperator:
+    """Pinch in the eigenbasis given by the columns of v (kills energy-basis
+    coherence): rho -> sum_j P_j rho P_j^dag over the projectors P_j."""
+    cols = v.T
     p = cols[:, :, None] * cols.conj()[:, None, :]
     return sandwich_superop(p, p.conj().swapaxes(-1, -2))
 
 
-def _adiabat_superop(medium, spec: StrokeSpec) -> Superoperator:
-    h_s = medium.hamiltonian(spec.omega_start)
-    h_e = medium.hamiltonian(spec.omega_end)
+def _adiabat_superop(medium, spec: StrokeSpec, v_start: np.ndarray,
+                     v_end: np.ndarray) -> Superoperator:
+    """The adiabat's propagator; ``v_start`` and ``v_end`` hold the
+    eigenvectors of H(omega_start) and H(omega_end) as columns."""
     if spec.protocol == "sudden":
         return identity_superop(medium.dim)
     if spec.protocol == "adiabatic":
         # ideal infinitely slow limit: populations ride the instantaneous
         # eigenbasis, coherences average away; rho -> sum_j K_j rho K_j^dag
         # with the transfer operators K_j = |e_j(end)><e_j(start)|
-        _, v_s = eig_hermitian(h_s)
-        _, v_e = eig_hermitian(h_e)
-        k = v_e.mat.T[:, :, None] * v_s.mat.T.conj()[:, None, :]
+        k = v_end.T[:, :, None] * v_start.T.conj()[:, None, :]
         return sandwich_superop(k, k.conj().swapaxes(-1, -2))
     # linear-ramp: time-ordered unitary on a refined grid
     steps = max(64, int(math.ceil(spec.duration * 200)))
@@ -191,19 +207,16 @@ def _adiabat_superop(medium, spec: StrokeSpec) -> Superoperator:
     return unitary_superop(u)
 
 
-def _compile_stroke(medium, spec: StrokeSpec) -> StrokeOp:
+def _compile_stroke(medium, spec: StrokeSpec, gens: dict[float, GKLSGenerator]) -> StrokeOp:
+    """The stroke's propagator; ``gens`` maps each isochore frequency of
+    the cycle to its generator, whose H and eigenbasis the adiabats share."""
     if spec.kind == "isochore":
-        h = medium.hamiltonian(spec.omega)
-        gen = build_davies(h, [(medium.coupling(), spec.bath)])
+        gen = gens[spec.omega]
         sop = matexp(gen.liouvillian(), spec.duration)
-        return StrokeOp(spec=spec, superop=sop, h_in=h, h_out=h)
-    sop = _adiabat_superop(medium, spec)
-    return StrokeOp(
-        spec=spec,
-        superop=sop,
-        h_in=medium.hamiltonian(spec.omega_start),
-        h_out=medium.hamiltonian(spec.omega_end),
-    )
+        return StrokeOp(spec=spec, superop=sop, h_in=gen.h, h_out=gen.h)
+    start, end = gens[spec.omega_start], gens[spec.omega_end]
+    sop = _adiabat_superop(medium, spec, start.eigenbasis()[1].mat, end.eigenbasis()[1].mat)
+    return StrokeOp(spec=spec, superop=sop, h_in=start.h, h_out=end.h)
 
 
 @dataclass(frozen=True)
@@ -264,6 +277,16 @@ class CycleSpec:
         return self.tau_h + self.tau_c + self.tau_hc + self.tau_ch
 
 
+def _cycle_generators(spec: CycleSpec) -> dict[float, GKLSGenerator]:
+    """The isochore generators of the cycle by frequency: omega_h against
+    the hot bath, omega_c against the cold one.  The adiabats run between
+    their two Hamiltonians."""
+    return {
+        spec.omega_h: _isochore_generator(spec.medium, spec.omega_h, spec.bath_h),
+        spec.omega_c: _isochore_generator(spec.medium, spec.omega_c, spec.bath_c),
+    }
+
+
 def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
     """Compile the strokes and compose the cycle propagator (chronological
     application; the product reads right to left).
@@ -273,9 +296,9 @@ def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
     here; :func:`noncommutation_witness` reads it from the returned
     strokes."""
     ops = []
-    strokes = spec.strokes()
-    for st in strokes:
-        op = _compile_stroke(spec.medium, st)
+    gens = _cycle_generators(spec)
+    for st in spec.strokes():
+        op = _compile_stroke(spec.medium, st, gens)
         ok, min_eig = cp_check(op.superop)
         drift = op.superop.trace_preservation_residual()
         if not ok or drift > DYNAMICAL:
@@ -285,7 +308,7 @@ def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
             )
         ops.append(op)
         if st.kind == "adiabat" and spec.dephase_after_adiabats:
-            pinch = _dephase_superop(op.h_out)
+            pinch = _dephase_superop(gens[st.omega_end].eigenbasis()[1].mat)
             ops.append(StrokeOp(
                 spec=StrokeSpec(kind="adiabat", duration=0.0,
                                 omega_start=st.omega_end, omega_end=st.omega_end,
@@ -330,14 +353,19 @@ def find_limit_cycle(u_cyc: Superoperator) -> tuple[DensityMatrix, list[float]]:
         unvec(x, d), lambda r: float(np.max(np.abs(u_cyc.mat @ vec(r) - vec(r)))), 1e-10
     )
 
+    # rho_lc is diagonalised once; each iterate's one eigendecomposition
+    # both checks it as a state and enters its relative entropy
+    mu, w = np.linalg.eigh(rho_lc.mat)
     trace_conv: list[float] = []
-    rho = DensityMatrix.maximally_mixed(d)
+    rho = (np.eye(d) / d).astype(complex)  # the maximally mixed state
+    lam, u = _state_spectra(rho[None], vectors=True)
     for _ in range(_MAX_ITER):
-        dist = relative_entropy(rho, rho_lc)
+        dist = _relative_entropy_of_spectra(lam[0], u[0], mu, w)
         trace_conv.append(dist)
         if dist < 1e-12:
             break
-        rho = u_cyc.apply(rho)
+        rho = _symmetrised(u_cyc.apply_matrix(rho))
+        lam, u = _state_spectra(rho[None], vectors=True)
     return rho_lc, trace_conv
 
 
@@ -366,23 +394,33 @@ class CycleReport:
         return self.heat.get("cold", 0.0)
 
 
-def _walk_cycle(ops: list[StrokeOp], rho_start: DensityMatrix):
-    """Chronological walk recording heat per bath and extracted work,
-    including quench work at frequency-mismatched stroke junctions."""
+def _symmetrised(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 as a C-ordered array, the matrix that
+    :meth:`Superoperator.apply` hands to its DensityMatrix."""
+    return np.ascontiguousarray((m + m.conj().T) / 2.0)
+
+
+def _walk_cycle(ops: list[StrokeOp], rho_start: np.ndarray):
+    """Chronological walk from the state ``rho_start`` recording heat per
+    bath and extracted work, including quench work at frequency-mismatched
+    stroke junctions.  The states after the strokes are checked as one
+    stack before any energy is read from them."""
+    rhos = [rho_start]
+    for op in ops:
+        rhos.append(_symmetrised(op.superop.apply_matrix(rhos[-1])))
+    _state_spectra(np.array(rhos[1:]))
     heat: dict[str, float] = {}
     stroke_energy = []
     work_extracted = 0.0
-    rho = rho_start
     h_prev = ops[0].h_in
-    for op in ops:
+    for op, rho, rho_out in zip(ops, rhos, rhos[1:]):
         if np.max(np.abs(op.h_in.mat - h_prev.mat)) > 1e-12:
             # sudden junction quench: energy jump at fixed state is work
-            jump = float(np.real(np.trace(rho.mat @ (op.h_in.mat - h_prev.mat))))
+            jump = float(np.real(np.trace(rho @ (op.h_in.mat - h_prev.mat))))
             work_extracted -= jump
             stroke_energy.append(("junction-quench", -jump))
-        e_in = float(np.real(np.trace(rho.mat @ op.h_in.mat)))
-        rho = op.superop.apply(rho)
-        e_out = float(np.real(np.trace(rho.mat @ op.h_out.mat)))
+        e_in = float(np.real(np.trace(rho @ op.h_in.mat)))
+        e_out = float(np.real(np.trace(rho_out @ op.h_out.mat)))
         delta = e_out - e_in
         if op.is_isochore:
             label = op.spec.bath.label
@@ -394,17 +432,17 @@ def _walk_cycle(ops: list[StrokeOp], rho_start: DensityMatrix):
         h_prev = op.h_out
     # close the cycle back to the first stroke's Hamiltonian
     if np.max(np.abs(ops[0].h_in.mat - h_prev.mat)) > 1e-12:
-        jump = float(np.real(np.trace(rho.mat @ (ops[0].h_in.mat - h_prev.mat))))
+        jump = float(np.real(np.trace(rhos[-1] @ (ops[0].h_in.mat - h_prev.mat))))
         work_extracted -= jump
         stroke_energy.append(("junction-quench", -jump))
-    return rho, work_extracted, heat, stroke_energy
+    return work_extracted, heat, stroke_energy
 
 
 def run_otto(spec: CycleSpec) -> CycleReport:
     """Drive the cycle to its limit cycle and report the energy split."""
     u_cyc, ops = compose_cycle(spec)
     rho_lc, conv = find_limit_cycle(u_cyc)
-    rho_end, work, heat, stroke_energy = _walk_cycle(ops, rho_lc)
+    work, heat, stroke_energy = _walk_cycle(ops, rho_lc.mat)
 
     flags = []
     q_h = heat.get(spec.bath_h.label, 0.0)
@@ -450,6 +488,7 @@ def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
     stroke exit (the coherence signature)."""
     u_cyc, ops = compose_cycle(spec)
     rho_lc, _ = find_limit_cycle(u_cyc)
+    gens = _cycle_generators(spec)
     rho = rho_lc
     extra_work = 0.0
     entropy_gap = 0.0
@@ -460,7 +499,9 @@ def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
             e_actual = float(np.real(np.trace(rho.mat @ op.h_out.mat))) - float(
                 np.real(np.trace(rho_in.mat @ op.h_in.mat))
             )
-            ideal = _adiabat_superop(spec.medium, replace(op.spec, protocol="adiabatic"))
+            ideal = _adiabat_superop(spec.medium, replace(op.spec, protocol="adiabatic"),
+                                     gens[op.spec.omega_start].eigenbasis()[1].mat,
+                                     gens[op.spec.omega_end].eigenbasis()[1].mat)
             rho_ideal = ideal.apply(rho_in)
             e_ideal = float(np.real(np.trace(rho_ideal.mat @ op.h_out.mat))) - float(
                 np.real(np.trace(rho_in.mat @ op.h_in.mat))
@@ -538,13 +579,12 @@ def sudden_limit_check(spec: CycleSpec, tau_list) -> list[tuple[float, float]]:
     the matched eigenvalue distance between the split and merged
     propagators.  It vanishes to third order in tau (the raw operator-norm
     gap between the two matrices is only second order)."""
-    medium = spec.medium
-    gen_h = build_davies(medium.hamiltonian(spec.omega_h), [(medium.coupling(), spec.bath_h)])
-    gen_c = build_davies(medium.hamiltonian(spec.omega_c), [(medium.coupling(), spec.bath_c)])
+    gens = _cycle_generators(spec)
+    gen_h, gen_c = gens[spec.omega_h], gens[spec.omega_c]
     l_h = gen_h.liouvillian().mat
     l_c = gen_c.liouvillian().mat
-    l_hc = hamiltonian_superop(medium.hamiltonian(spec.omega_c)).mat
-    l_ch = hamiltonian_superop(medium.hamiltonian(spec.omega_h)).mat
+    l_hc = hamiltonian_superop(gen_c.h).mat
+    l_ch = hamiltonian_superop(gen_h.h).mat
     l_sum = l_h + l_c + l_hc + l_ch
     rows = []
     for tau in tau_list:

@@ -193,32 +193,39 @@ def _state_spectra(stack: np.ndarray, vectors: bool = False):
     """Check that every member of a (n, d, d) stack is a density matrix and
     return the spectra of the symmetrised members.
 
-    The checks, in order over the whole stack, are those of
-    :class:`DensityMatrix`: finite entries, hermitian within STRUCTURAL
-    of the member's largest entry, unit trace within ALGEBRAIC, and no
-    eigenvalue below -ALGEBRAIC.  The first member that fails raises the
-    DensityMatrix message.  Returns the (n, d) ascending eigenvalues and,
-    with ``vectors``, the (n, d, d) eigenvectors (else None), from one
-    batched call.
+    The checks are those of :class:`DensityMatrix`, in its order: finite
+    entries, hermitian within STRUCTURAL of the member's largest entry,
+    unit trace within ALGEBRAIC, and no eigenvalue below -ALGEBRAIC.  The
+    first member that fails any of them raises the message that
+    DensityMatrix raises for it, so a stack of consecutive states fails
+    as checking them one by one would.  Each check runs only on the
+    members before the first failure found so far.  Returns the (n, d)
+    ascending eigenvalues and, with ``vectors``, the (n, d, d)
+    eigenvectors (else None), from one batched call.
     """
-    _check_finite(stack)
-    bad = _first_nonhermitian(stack)
+    n, fail = len(stack), None
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        n, fail = int(finite.argmin()), "matrix has NaN or Inf entries"
+    bad = _first_nonhermitian(stack[:n])
     if bad is not None:
-        raise ValueError(f"density matrix not hermitian: residual {bad[1]:.3e}")
-    tr = np.trace(stack, axis1=-2, axis2=-1)
+        n, fail = bad[0], f"density matrix not hermitian: residual {bad[1]:.3e}"
+    tr = np.trace(stack[:n], axis1=-2, axis2=-1)
     bad = np.abs(tr - 1.0) > ALGEBRAIC
     if bad.any():
-        raise ValueError(f"density matrix trace {complex(tr[bad.argmax()])} differs from 1")
-    sym = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+        n = int(bad.argmax())
+        fail = f"density matrix trace {complex(tr[n])} differs from 1"
+    sym = (stack[:n] + stack[:n].conj().swapaxes(-1, -2)) / 2.0
     if vectors:
         evals, evecs = np.linalg.eigh(sym)
     else:
         evals, evecs = np.linalg.eigvalsh(sym), None
     bad = evals[:, 0] < -ALGEBRAIC
     if bad.any():
-        raise ValueError(
-            f"density matrix has negative eigenvalue {evals[bad.argmax(), 0]:.3e}"
-        )
+        n = int(bad.argmax())
+        fail = f"density matrix has negative eigenvalue {evals[n, 0]:.3e}"
+    if fail is not None:
+        raise ValueError(fail)
     return evals, evecs
 
 

@@ -98,8 +98,13 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     outside the support of sigma."""
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    lam, u = np.linalg.eigh(rho.mat)
-    mu, w = np.linalg.eigh(sigma.mat)
+    return _relative_entropy_of_spectra(*np.linalg.eigh(rho.mat), *np.linalg.eigh(sigma.mat))
+
+
+def _relative_entropy_of_spectra(lam: np.ndarray, u: np.ndarray, mu: np.ndarray,
+                                 w: np.ndarray) -> float:
+    """:func:`relative_entropy` of the states with ascending spectra and
+    eigenvectors (lam, u) and (mu, w)."""
     lam = np.clip(lam, 0.0, None)
     overlap = np.abs(u.conj().T @ w) ** 2  # overlap[i, j] = |<u_i|w_j>|^2
     mass_on_sigma_modes = lam @ overlap

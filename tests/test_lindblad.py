@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qthermo import lindblad
 from qthermo.baths import BathSpec, spectral_density
+from qthermo.floquet import ModulatedGapQubit
 from qthermo.lindblad import (
     BohrResolutionError,
     GKLSGenerator,
@@ -388,6 +389,56 @@ class TestAdiabaticDriving:
         with pytest.warns(UserWarning, match="refining"):
             adiabatic_propagate(lambda t: qubit_h(5.0), [(sx, bath)],
                                 DensityMatrix.maximally_mixed(2), grid)
+
+
+def test_generator_diagonalises_its_hamiltonian_once(monkeypatch):
+    # build_davies hands its eigendecomposition to the generator; the
+    # stationary solve and the audit read it from there
+    calls = []
+    original = lindblad.eig_hermitian
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(lindblad, "eig_hermitian", counting)
+    h = Operator.hermitian(np.diag([0.0, 1.0, 2.5]))
+    a = np.diag([1.0, 1.0], k=1)
+    gen = build_davies(h, [(Operator.hermitian(a + a.T), ohmic_bath("b", 1.0))])
+    stationary_state(gen)
+    davies_audit(gen)
+    assert len(calls) == 1
+    evals, v = gen.eigenbasis()
+    ref_evals, ref_v = original(h)
+    assert evals.tobytes() == ref_evals.tobytes() and v.mat.tobytes() == ref_v.mat.tobytes()
+    assert not evals.flags.writeable and not v.mat.flags.writeable
+    # a generator built directly computes it on first use, once
+    direct = GKLSGenerator(h, gen.channels, baths=gen.baths)
+    assert direct.eigenbasis() is direct.eigenbasis()
+    assert len(calls) == 2
+    assert direct.eigenbasis()[0].tobytes() == ref_evals.tobytes()
+    assert stationary_state(direct).mat.tobytes() == stationary_state(gen).mat.tobytes()
+
+
+def test_array_schedule_gives_the_ledger_of_its_operator_form():
+    # the shipped Floquet schedules return arrays; adiabatic_propagate wraps
+    # each sample once, so the ledger is the one of the same schedule
+    # returning Operators, bit for bit
+    sched = ModulatedGapQubit(1.0, 0.1, 0.05)
+    bath = ohmic_bath("b", 1.0)
+    rho0 = DensityMatrix(np.diag([0.8, 0.2]))
+    grid = np.linspace(0.0, 1.0, 5)
+    for couplings in ([], [(Operator.hermitian(PAULI_X), bath)]):
+        got = adiabatic_propagate(sched, couplings, rho0, grid, keep_states=True)
+        ref = adiabatic_propagate(lambda t: Operator.hermitian(sched(t)), couplings, rho0,
+                                  grid, keep_states=True)
+        for col in ("energy", "power", "entropy", "entropy_production"):
+            assert getattr(got, col).tobytes() == getattr(ref, col).tobytes()
+        assert got.currents.keys() == ref.currents.keys()
+        for k in got.currents:
+            assert got.currents[k].tobytes() == ref.currents[k].tobytes()
+        for a, b in zip(got.states, ref.states, strict=True):
+            assert a.mat.tobytes() == b.mat.tobytes()
 
 
 class TestLambShiftHook:

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,14 +8,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthermo import lindblad, operators
+from qthermo import lindblad, machines, operators
 from qthermo.baths import BathSpec
 from qthermo.lindblad import build_davies
 from qthermo.machines import (
+    _PROTOCOLS,
     _adiabat_superop,
     _dephase_superop,
     _tricycle_hamiltonian,
     _tricycle_pieces,
+    _walk_cycle,
     CycleSpec,
     OscillatorMedium,
     QubitMedium,
@@ -32,17 +35,22 @@ from qthermo.machines import (
     tricycle_steady,
 )
 from qthermo.operators import (
+    PAULI_Z,
+    DensityMatrix,
     Operator,
     Superoperator,
     cp_check,
     eig_hermitian,
+    identity_superop,
     matexp,
     random_hermitian,
     random_unitary,
+    sandwich_superop,
     unitary_superop,
     unvec,
+    vec,
 )
-from qthermo.states import gibbs_state
+from qthermo.states import gibbs_state, relative_entropy
 from qthermo.tolerances import ALGEBRAIC
 
 
@@ -297,7 +305,7 @@ class TestStrokeSuperopsBitwise:
     def test_dephase_superop(self, d, seed):
         h = random_hermitian(d, np.random.default_rng(seed))
         for h_op in (h, OscillatorMedium(levels=d).hamiltonian(1.3)):
-            got = _dephase_superop(h_op).mat
+            got = _dephase_superop(eig_hermitian(h_op)[1].mat).mat
             assert got.tobytes() == _kron_dephase(h_op).tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -308,7 +316,9 @@ class TestStrokeSuperopsBitwise:
         spec = StrokeSpec(kind="adiabat", duration=1.0, omega_start=omega_start,
                           omega_end=omega_end, protocol="adiabatic")
         for medium in (QubitMedium(transverse=transverse), OscillatorMedium(levels=levels)):
-            got = _adiabat_superop(medium, spec).mat
+            _, v_s = eig_hermitian(medium.hamiltonian(omega_start))
+            _, v_e = eig_hermitian(medium.hamiltonian(omega_end))
+            got = _adiabat_superop(medium, spec, v_s.mat, v_e.mat).mat
             assert got.tobytes() == _kron_adiabat(medium, spec).tobytes()
 
 
@@ -329,6 +339,239 @@ def test_otto_and_davies_audit_call_no_kron(monkeypatch):
     audit = lindblad.davies_audit(gen)
     assert audit["cp_min_eig"] >= -1e-9
     assert audit["pop_coherence_mix"] <= 1e-10
+
+
+def _reference_strokes(spec):
+    """(superoperator, h_in, h_out, label, bath label or None) of every
+    stroke, built as before the isochore generators were cached: a fresh
+    build_davies and matexp per isochore, eig_hermitian at each adiabat end
+    and for each pinch, and fresh Hamiltonians for the energy bookkeeping."""
+    medium = spec.medium
+    out = []
+    for st_ in spec.strokes():
+        if st_.kind == "isochore":
+            h = medium.hamiltonian(st_.omega)
+            gen = build_davies(h, [(medium.coupling(), st_.bath)])
+            out.append((matexp(gen.liouvillian(), st_.duration).mat, h, h, st_.label,
+                        st_.bath.label))
+            continue
+        h_s, h_e = medium.hamiltonian(st_.omega_start), medium.hamiltonian(st_.omega_end)
+        if st_.protocol == "sudden":
+            sop = identity_superop(medium.dim).mat
+        elif st_.protocol == "adiabatic":
+            _, v_s = eig_hermitian(h_s)
+            _, v_e = eig_hermitian(h_e)
+            k = v_e.mat.T[:, :, None] * v_s.mat.T.conj()[:, None, :]
+            sop = sandwich_superop(k, k.conj().swapaxes(-1, -2)).mat
+        else:
+            steps = max(64, int(math.ceil(st_.duration * 200)))
+            u = np.eye(medium.dim, dtype=complex)
+            for j in range(steps):
+                w = st_.omega_start + (st_.omega_end - st_.omega_start) * ((j + 0.5) / steps)
+                u = scipy.linalg.expm(-1j * medium.hamiltonian(w).mat * (st_.duration / steps)) @ u
+            sop = unitary_superop(u).mat
+        out.append((sop, h_s, h_e, st_.label, None))
+        if spec.dephase_after_adiabats:
+            _, v = eig_hermitian(h_e)
+            p = v.mat.T[:, :, None] * v.mat.T.conj()[:, None, :]
+            out.append((sandwich_superop(p, p.conj().swapaxes(-1, -2)).mat, h_e, h_e,
+                        f"dephase-after-{st_.label}", None))
+    return out
+
+
+def _reference_walk(strokes, rho):
+    """Work, heat and stroke energies, one DensityMatrix per state."""
+    heat, stroke_energy, work = {}, [], 0.0
+    h_first = h_prev = strokes[0][1]
+    for sop, h_in, h_out, label, bath in strokes:
+        if np.max(np.abs(h_in.mat - h_prev.mat)) > 1e-12:
+            jump = float(np.real(np.trace(rho.mat @ (h_in.mat - h_prev.mat))))
+            work -= jump
+            stroke_energy.append(("junction-quench", -jump))
+        e_in = float(np.real(np.trace(rho.mat @ h_in.mat)))
+        rho = Superoperator(sop).apply(rho)
+        delta = float(np.real(np.trace(rho.mat @ h_out.mat))) - e_in
+        if bath is not None:
+            heat[bath] = heat.get(bath, 0.0) + delta
+            stroke_energy.append((label, delta))
+        else:
+            work -= delta
+            stroke_energy.append((label, -delta))
+        h_prev = h_out
+    if np.max(np.abs(h_first.mat - h_prev.mat)) > 1e-12:
+        jump = float(np.real(np.trace(rho.mat @ (h_first.mat - h_prev.mat))))
+        work -= jump
+        stroke_energy.append(("junction-quench", -jump))
+    return work, heat, stroke_energy
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+_MEDIA = st.one_of(
+    st.floats(min_value=0.05, max_value=1.0).map(lambda j: QubitMedium(transverse=j)),
+    st.integers(min_value=2, max_value=6).map(lambda n: OscillatorMedium(levels=n)),
+)
+
+
+class TestCompiledCycleBitwise:
+    """Cycles compiled from the cached generators give the bits of cycles
+    built stroke by stroke from fresh generators and decompositions."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_MEDIA, st.sampled_from(_PROTOCOLS), st.sampled_from(["engine", "refrigerator"]),
+           st.booleans(), st.floats(min_value=0.3, max_value=1.5),
+           st.floats(min_value=1.2, max_value=3.0), st.floats(min_value=0.5, max_value=4.0),
+           st.floats(min_value=0.1, max_value=1.0),
+           st.lists(st.floats(min_value=0.02, max_value=1.0), min_size=4, max_size=4))
+    def test_strokes_and_report_match_fresh_build(self, medium, protocol, order, dephase,
+                                                  omega_c, ratio, t_h, t_c, taus):
+        spec = CycleSpec(
+            medium=medium, omega_h=ratio * omega_c, omega_c=omega_c,
+            bath_h=ohmic("hot", t_h, gamma=1.0), bath_c=ohmic("cold", t_c, gamma=1.0),
+            tau_h=8 * taus[0], tau_c=8 * taus[1], tau_hc=taus[2], tau_ch=taus[3],
+            protocol=protocol, order=order, dephase_after_adiabats=dephase,
+        )
+        ref = _reference_strokes(spec)
+        u_ref = np.eye(medium.dim ** 2, dtype=complex)
+        for sop, *_ in ref:
+            u_ref = sop @ u_ref
+        # a cold cache, then a warm one
+        for _ in range(2):
+            u_cyc, ops = compose_cycle(spec)
+            assert u_cyc.mat.tobytes() == u_ref.tobytes()
+            assert len(ops) == len(ref)
+            for op, (sop, h_in, h_out, label, _) in zip(ops, ref):
+                assert op.spec.label == label
+                assert op.superop.mat.tobytes() == sop.tobytes()
+                assert op.h_in.mat.tobytes() == h_in.mat.tobytes()
+                assert op.h_out.mat.tobytes() == h_out.mat.tobytes()
+
+        rho_lc, _ = find_limit_cycle(Superoperator(u_ref))
+        conv, rho = [], DensityMatrix.maximally_mixed(medium.dim)
+        for _ in range(machines._MAX_ITER):
+            conv.append(relative_entropy(rho, rho_lc))
+            if conv[-1] < 1e-12:
+                break
+            rho = Superoperator(u_ref).apply(rho)
+        work, heat, stroke_energy = _reference_walk(ref, rho_lc)
+        rep = run_otto(spec)
+        assert rep.limit_cycle.mat.tobytes() == rho_lc.mat.tobytes()
+        assert _bits(rep.convergence) == _bits(conv)
+        assert _bits(rep.work) == _bits(work)
+        assert _bits(rep.power) == _bits(work / spec.cycle_time())
+        assert rep.heat.keys() == heat.keys()
+        assert _bits(list(rep.heat.values())) == _bits(list(heat.values()))
+        assert [k for k, _ in rep.stroke_energy] == [k for k, _ in stroke_energy]
+        assert _bits([e for _, e in rep.stroke_energy]) == _bits([e for _, e in stroke_energy])
+
+
+def _count_calls(monkeypatch, fn):
+    """Replace fn in every qthermo namespace with a wrapper recording the
+    arguments of each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qthermo" or name.startswith("qthermo."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+class TestIsochoreCache:
+    def test_cycle_diagonalises_each_hamiltonian_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, operators.eig_hermitian)
+        for protocol in _PROTOCOLS:
+            for dephase in (False, True):
+                machines._isochore_generator.cache_clear()
+                spec = engine_spec(medium=QubitMedium(transverse=0.5), protocol=protocol,
+                                   dephase_after_adiabats=dephase)
+                calls.clear()
+                compose_cycle(spec)
+                assert len(calls) <= 2
+                calls.clear()
+                compose_cycle(spec)
+                run_otto(spec)
+                assert calls == []
+
+    @pytest.mark.filterwarnings("ignore:power optimisation hit its evaluation cap")
+    def test_optimize_power_builds_each_stroke_generator_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, lindblad.build_davies)
+        runs = _count_calls(monkeypatch, machines.run_otto)
+        spec = CycleSpec(
+            medium=QubitMedium(), omega_h=6.0, omega_c=3.0,
+            bath_h=ohmic("hot", 4.0, gamma=2.0), bath_c=ohmic("cold", 1.0, gamma=2.0),
+            tau_h=2.0, tau_c=2.0, tau_hc=0.01, tau_ch=0.01,
+        )
+        optimize_power(spec, {"omega_c": (1.8, 5.4), "tau_h": (0.3, 6.0), "tau_c": (0.3, 6.0)},
+                       restarts=1, max_evals=20)
+        keys = {(h.mat.tobytes(), couplings[0][1]) for h, couplings in calls}
+        assert len(calls) == len(keys)
+        # the hot stroke is shared by every evaluation
+        assert len(calls) < 2 * len(runs)
+        assert len(calls) <= machines._isochore_generator.cache_info().maxsize
+
+    def test_cached_arrays_reject_writes_and_the_cache_is_bounded(self):
+        maxsize = machines._isochore_generator.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < math.inf
+        for medium in (QubitMedium(transverse=0.3), OscillatorMedium(levels=4)):
+            gen = machines._isochore_generator(medium, 1.0, ohmic("hot", 1.0))
+            assert machines._isochore_generator(medium, 1.0, ohmic("hot", 1.0)) is gen
+            assert isinstance(gen.channels, tuple)
+            evals, v = gen.eigenbasis()
+            arrays = [gen.h.mat, evals, v.mat, gen.liouvillian().mat, gen.dissipator().mat]
+            arrays += [ch.op for ch in gen.channels]
+            for arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+
+
+def _non_positive_map():
+    """A qubit map with the unique fixed state diag(0.7, 0.3) that sends
+    the maximally mixed state to diag(-0.3, 1.3):
+    X -> Tr(X) rho_star + 5 Tr(A X) sigma_z, with Tr(A rho_star) = 0."""
+    rho_star = np.diag([0.7, 0.3]).astype(complex)
+    a = np.diag([0.3, -0.7]).astype(complex)
+    return Superoperator(np.outer(vec(rho_star), vec(np.eye(2)))
+                         + 5.0 * np.outer(vec(PAULI_Z), vec(a.T)))
+
+
+def _parent_message(superops, rho):
+    """The message of the first state that Superoperator.apply rejects."""
+    with pytest.raises(ValueError) as err:
+        for sop in superops:
+            rho = sop.apply(rho)
+    return str(err.value)
+
+
+class TestNonPositiveStroke:
+    def test_limit_cycle_iteration_raises_the_state_message(self):
+        bad = _non_positive_map()
+        expected = _parent_message([bad], DensityMatrix.maximally_mixed(2))
+        assert "negative eigenvalue" in expected
+        with pytest.raises(ValueError) as err:
+            find_limit_cycle(bad)
+        assert str(err.value) == expected
+
+    def test_walk_raises_the_message_of_the_first_bad_state(self):
+        # the state after the bad stroke has a negative eigenvalue and the
+        # one after the next has trace 1.5; the earlier fault is reported
+        h = QubitMedium().hamiltonian(1.0)
+        stroke = StrokeSpec(kind="adiabat", duration=0.0, protocol="sudden", label="injected")
+        superops = [identity_superop(2), _non_positive_map(), Superoperator(1.5 * np.eye(4))]
+        ops = [machines.StrokeOp(spec=stroke, superop=s, h_in=h, h_out=h) for s in superops]
+        rho = DensityMatrix.maximally_mixed(2)
+        expected = _parent_message(superops, rho)
+        assert "negative eigenvalue" in expected
+        with pytest.raises(ValueError) as err:
+            _walk_cycle(ops, rho.mat)
+        assert str(err.value) == expected
 
 
 class TestOptimizePower:

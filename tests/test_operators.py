@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qthermo.operators import (
+    _first_nonhermitian,
     _state_spectra,
     PAULI_X,
     PAULI_Y,
@@ -523,3 +524,44 @@ class TestStackedStateChecks:
             DensityMatrix(stack[bad])
         assert fault in str(err.value)
         assert str(err.value) == str(single.value)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=8),
+           st.data(), st.integers(min_value=0, max_value=10 ** 9))
+    def test_first_failing_member_decides_the_message(self, d, n, data, seed):
+        # two members spoiled by different faults: the earlier one raises,
+        # with the message of the first DensityMatrix check it fails, as
+        # checking the states one by one would
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_density(d, rng).mat for _ in range(n)])
+        faults = ["trace", "negative eigenvalue", "NaN or Inf", "not hermitian"]
+        first = data.draw(st.integers(min_value=0, max_value=n - 2))
+        later = data.draw(st.integers(min_value=first + 1, max_value=n - 1))
+        fault_first = data.draw(st.sampled_from(faults))
+        fault_later = data.draw(st.sampled_from([f for f in faults if f != fault_first]))
+        stack[first] = self._spoil(stack[first], fault_first)
+        stack[later] = self._spoil(stack[later], fault_later)
+        with pytest.raises(ValueError) as err:
+            _state_spectra(stack, vectors=True)
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(stack[first])
+        assert str(err.value) == str(single.value)
+
+
+def test_hermiticity_bound_is_floored_at_one():
+    # a member's bound is STRUCTURAL max(1, |A|): a small-norm member keeps
+    # the absolute floor, so its residual is not held to STRUCTURAL |A|.  The
+    # large member's residual is above STRUCTURAL, so the stack takes the
+    # per-member bounds rather than the fast path
+    def member(norm, resid):
+        m = np.array([[norm, 0.5 * norm], [0.5 * norm, -norm]], dtype=complex)
+        m[0, 1] += 0.5 * resid
+        m[1, 0] -= 0.5 * resid
+        return m
+
+    stack = np.array([member(1e-3, 1e-13), member(1e3, 1e-10)])
+    assert _first_nonhermitian(stack) is None
+    stack[0] = member(1e-3, 2e-12)
+    index, resid = _first_nonhermitian(stack)
+    assert index == 0
+    assert resid == pytest.approx(2e-12, rel=1e-3)
