@@ -29,6 +29,7 @@ from .operators import (
     _first_nonhermitian,
     _level_blocks,
     adjoint_dissipator,
+    unitary_exp,
 )
 from .tolerances import LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
@@ -84,8 +85,11 @@ def _magnus_steps(h_of_t, times: np.ndarray) -> np.ndarray:
     taken from the first sample.
 
     The schedule is sampled in time order into one preallocated stack,
-    which is checked once for finite, hermitian samples; every step's
-    exponential comes from one batched call."""
+    which is checked once for finite, hermitian samples.  Each step's
+    exponent Omega is anti-hermitian, so exp(Omega) = exp(-iK) with the
+    hermitian K = i Omega; K is formed in Omega's buffer once the sample
+    stack is freed, and every step's exponential comes from one batched
+    ``eigh`` (:func:`unitary_exp`)."""
     c = math.sqrt(3.0) / 6.0
     t, dt = times[:-1], np.diff(times)
     nodes = np.stack([t + (0.5 - c) * dt, t + (0.5 + c) * dt], axis=1).ravel()
@@ -104,7 +108,9 @@ def _magnus_steps(h_of_t, times: np.ndarray) -> np.ndarray:
     omega = (-0.5j * dt)[:, None, None] * (m1 + m2) - (
         (math.sqrt(3.0) / 12.0) * dt * dt
     )[:, None, None] * (m2 @ m1 - m1 @ m2)
-    return scipy.linalg.expm(omega)
+    del h, m1, m2
+    omega *= 1j
+    return unitary_exp(omega)
 
 
 def floquet_decompose(h_of_t, tau: float, grid_points: int = 400) -> FloquetDecomposition:
@@ -142,7 +148,7 @@ def floquet_decompose(h_of_t, tau: float, grid_points: int = 400) -> FloquetDeco
     spin = np.exp((1j * quasi)[None, :] * times[:, None])
     up_grid = (u_grid @ (z * spin[:, None, :])) @ z.conj().T
     dec = FloquetDecomposition(tau=tau, h_av=h_av, times=times, u_grid=u_grid, up_grid=up_grid)
-    resid = np.max(np.abs(monodromy - scipy.linalg.expm(-1j * h_av.mat * tau)))
+    resid = np.max(np.abs(monodromy - unitary_exp(h_av.mat[None] * tau)[0]))
     if resid > 1e-9:
         raise ValueError(f"averaged Hamiltonian does not reproduce the monodromy: {resid:.3e}")
     edge = max(

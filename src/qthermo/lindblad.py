@@ -25,7 +25,7 @@ from .operators import (
     _level_blocks,
     _state_spectra,
     adjoint_dissipator,
-    cp_check,
+    cptp_residuals,
     dissipator_superop,
     eig_hermitian,
     group_degenerate,
@@ -200,33 +200,6 @@ class GKLSGenerator:
                 m += hamiltonian_superop(Operator.hermitian(h_coh)).mat
             self._liouvillian = Superoperator(m)
         return self._liouvillian
-
-    def commutant_dimension(self) -> int:
-        """Dimension of the joint commutant of all channel operators and
-        their adjoints; 1 means only scalars commute.  When the channels
-        span a set closed under adjoints, relaxation to a unique state is
-        then guaranteed; otherwise a stationary coherence that no
-        population reaches may still be free."""
-        d = self.dim
-        ops = []
-        for ch in self.channels:
-            if ch.rate > _RATE_FLOOR:
-                ops.extend([ch.op, ch.op.conj().T])
-        if not ops:
-            return d * d
-        # rows of X -> [A, X] for every operator A
-        stack = np.vstack([1j * hamiltonian_superop(a).mat for a in ops])
-        svals = np.linalg.svd(stack, compute_uv=False)
-        scale = svals[0] if svals.size and svals[0] > 0 else 1.0
-        return int(np.sum(svals <= 1e-10 * scale))
-
-    def has_unique_stationary(self) -> bool:
-        """Whether only scalars commute with the channels and their adjoints.
-
-        That decides uniqueness of the stationary state only for channel
-        sets closed under adjoints.  The SVD runs on a (2K d^2, d^2) stack
-        for K channels, so this serves small d only."""
-        return self.commutant_dimension() == 1
 
 
 def _eigenbasis(h: Operator) -> tuple[np.ndarray, Operator]:
@@ -919,15 +892,11 @@ def davies_audit(gen: GKLSGenerator, times=(0.1, 1.0)) -> dict[str, float]:
     """
     out: dict[str, float] = {}
     lmat = gen.liouvillian()
-    min_eig = math.inf
-    drift = 0.0
-    for t in times:
-        prop = matexp(lmat, t)
-        _, me = cp_check(prop)
-        min_eig = min(min_eig, me)
-        drift = max(drift, prop.trace_preservation_residual())
-    out["cp_min_eig"] = min_eig
-    out["trace_drift"] = drift
+    side = lmat.mat.shape[0]
+    props = np.array([matexp(lmat, t).mat for t in times]).reshape(-1, side, side)
+    min_eig, drift = cptp_residuals(props)
+    out["cp_min_eig"] = float(min_eig.min(initial=math.inf))
+    out["trace_drift"] = float(drift.max(initial=0.0))
 
     hpart = hamiltonian_superop(gen.h).mat
     dpart = gen.dissipator().mat

@@ -9,6 +9,11 @@ this form; every builder uses it except the rate-weighted jump sum of
 :func:`dissipator_superop`, one product over the whole channel stack.
 ``kron`` is kept for tensor products of Hilbert spaces.
 
+Two kernels act on whole stacks in one batched LAPACK call:
+:func:`unitary_exp` gives exp(-iK) for a stack of hermitian K, and
+:func:`cptp_residuals` gives the smallest Choi eigenvalue and the trace
+drift of a stack of superoperators.
+
 Units are hbar = k_B = 1 everywhere.
 """
 
@@ -30,6 +35,7 @@ __all__ = [
     "KrausMap",
     "eig_hermitian",
     "matexp",
+    "unitary_exp",
     "tensor",
     "partial_trace",
     "expect",
@@ -37,6 +43,7 @@ __all__ = [
     "kraus_apply",
     "to_choi",
     "cp_check",
+    "cptp_residuals",
     "trace_distance",
     "vec",
     "unvec",
@@ -277,8 +284,7 @@ class Superoperator:
     def trace_preservation_residual(self) -> float:
         """Max deviation of the dual action on the identity: trace(S rho)
         equals trace(rho) for all rho iff vec(I)^dag S = vec(I)^dag."""
-        iv = vec(np.eye(self.dim)).conj()
-        return _maxabs(iv @ self.mat - iv)
+        return float(cptp_residuals(self.mat[None])[1][0])
 
 
 def identity_superop(dim: int) -> Superoperator:
@@ -374,6 +380,20 @@ def eig_hermitian(a: Operator) -> tuple[np.ndarray, Operator]:
         raise ValueError("eig_hermitian: input is not hermitian")
     evals, evecs = np.linalg.eigh((a.mat + a.mat.conj().T) / 2.0)
     return evals, Operator.unitary(evecs)
+
+
+def unitary_exp(k: np.ndarray) -> np.ndarray:
+    """exp(-iK) for every member of a complex (n, d, d) stack of hermitian
+    K, as V diag(exp(-i lam)) V^dag from one batched ``eigh``; only the
+    lower triangle of each K is read.
+
+    The result is written over ``k`` and returned, so callers pass a stack
+    they no longer need: a Floquet grid's 8192 steps would otherwise hold
+    one more stack of their size at the peak of the run."""
+    lam, v = np.linalg.eigh(k)
+    vh = v.conj().swapaxes(-1, -2)
+    v *= np.exp(-1j * lam)[..., None, :]
+    return np.matmul(v, vh, out=k)
 
 
 def _is_normal(m: np.ndarray) -> bool:
@@ -533,25 +553,41 @@ def kraus_apply(kmap: KrausMap, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix((out + out.conj().T) / 2.0)
 
 
+def _choi_stack(stack: np.ndarray) -> np.ndarray:
+    """Choi matrices of a (n, d^2, d^2) stack of superoperators."""
+    n, side = stack.shape[0], stack.shape[-1]
+    d = math.isqrt(side)
+    return stack.reshape(n, d, d, d, d).transpose(0, 4, 2, 3, 1).reshape(n, side, side)
+
+
 def to_choi(s: Superoperator) -> Operator:
     """Choi matrix of a superoperator via its action on the (unnormalised)
     maximally entangled reference: C = sum_ij |i><j| kron S(|i><j|)."""
-    d = s.dim
-    s4 = s.mat.reshape(d, d, d, d)
-    choi = s4.transpose(3, 1, 2, 0).reshape(d * d, d * d)
-    return Operator(choi, kind="general")
+    return Operator(_choi_stack(s.mat[None])[0], kind="general")
+
+
+def cptp_residuals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest Choi eigenvalue and trace drift of every member of a
+    (n, d^2, d^2) stack of superoperators: the one CPTP check.
+
+    The Choi matrix of a hermiticity-preserving map is hermitian; residual
+    non-hermiticity is symmetrised away before the spectra are taken, all
+    in one batched ``eigvalsh``.  The drift is max |vec(I)^dag S -
+    vec(I)^dag|, zero iff trace(S rho) = trace(rho) for all rho.  Returns
+    two (n,) arrays.
+    """
+    choi = _choi_stack(stack)
+    herm = (choi + choi.conj().swapaxes(-1, -2)) / 2.0
+    min_eig = np.linalg.eigvalsh(herm)[:, 0]
+    iv = vec(np.eye(math.isqrt(stack.shape[-1]))).conj()
+    drift = np.abs(iv @ stack - iv).max(axis=-1)
+    return min_eig, drift
 
 
 def cp_check(s: Superoperator) -> tuple[bool, float]:
-    """Complete positivity via the Choi spectrum.
-
-    Returns (is_cp, min_eig).  The Choi matrix of a hermiticity-preserving
-    map is hermitian; residual non-hermiticity is symmetrised away before
-    the spectrum is taken.
-    """
-    choi = to_choi(s).mat
-    herm = (choi + choi.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
+    """Complete positivity via the Choi spectrum: (is_cp, min_eig), the
+    single-map case of :func:`cptp_residuals`."""
+    min_eig = float(cptp_residuals(s.mat[None])[0][0])
     return (min_eig >= -DYNAMICAL, min_eig)
 
 

@@ -285,24 +285,29 @@ class TestRunners:
 
 
 def test_blas_thread_count_preserves_output(tmp_path):
-    # each run is a fresh interpreter, since OpenBLAS reads its thread
-    # count once, at import
+    # OpenBLAS reads its thread count once per process, so each thread
+    # count gets one fresh interpreter that runs every config in turn
     src = str(CONFIGS.parent / "src")
-    names = ["tricycle_fridge", "third_law_sweep", "otto_engine", "floquet_fridge",
-             "evolve_qubit", "davies_audit_oscillator"]
+    names = ["tricycle_fridge", "third_law_sweep", "otto_engine", "otto_optimize",
+             "floquet_fridge", "evolve_qubit", "davies_audit_oscillator"]
+    script = ("import sys; from qthermo.cli import run; "
+              "codes = [run(p) for p in sys.argv[1:]]; print(codes); sys.exit(any(codes))")
     outputs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        paths = []
         for name in names:
             cfg = json.loads((CONFIGS / f"{name}.json").read_text())
-            out = tmp_path / threads / name
-            cfg["output_dir"] = str(out)
+            cfg["output_dir"] = str(tmp_path / threads / name)
             p = tmp_path / f"{name}_{threads}.json"
             p.write_text(json.dumps(cfg))
-            proc = subprocess.run([sys.executable, "-m", "qthermo.cli", "run", str(p)],
-                                  env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
+            paths.append(str(p))
+        proc = subprocess.run([sys.executable, "-c", script, *paths],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        for name in names:
+            out = tmp_path / threads / name
             outputs[threads, name] = {f.name: f.read_bytes() for f in out.iterdir()}
     for name in names:
         assert "certificate.csv" in outputs["1", name]

@@ -39,6 +39,7 @@ from qthermo.operators import (
     random_hermitian,
     random_unitary,
     trace_distance,
+    unitary_exp,
     unvec,
     vec,
 )
@@ -383,8 +384,10 @@ class _RandomDrive:
 
 
 def _loop_floquet(h_of_t, tau, n):
-    """Per-step reference of floquet_decompose: one Magnus exponential and
-    one product per step, one periodic-part product per sample."""
+    """Per-step reference of floquet_decompose: one Magnus exponential
+    exp(Omega) = exp(-iK), K = i Omega, from the package kernel on a
+    one-member stack, and one product per step; one periodic-part product
+    per sample."""
     def mat(h):
         return h.mat if isinstance(h, Operator) else np.asarray(h, dtype=complex)
 
@@ -400,7 +403,7 @@ def _loop_floquet(h_of_t, tau, n):
         omega = -0.5j * dt * (m1 + m2) - (math.sqrt(3.0) / 12.0) * dt * dt * (
             m2 @ m1 - m1 @ m2
         )
-        u[k + 1] = scipy.linalg.expm(omega) @ u[k]
+        u[k + 1] = unitary_exp((omega * 1j)[None])[0] @ u[k]
     tmat, z = scipy.linalg.schur(u[-1], output="complex")
     phases = np.angle(np.diag(tmat))
     quasi = -phases / tau

@@ -46,6 +46,7 @@ from qthermo.operators import (
     random_hermitian,
     random_unitary,
     sandwich_superop,
+    unitary_exp,
     unitary_superop,
     unvec,
     vec,
@@ -345,7 +346,8 @@ def _reference_strokes(spec):
     """(superoperator, h_in, h_out, label, bath label or None) of every
     stroke, built as before the isochore generators were cached: a fresh
     build_davies and matexp per isochore, eig_hermitian at each adiabat end
-    and for each pinch, and fresh Hamiltonians for the energy bookkeeping."""
+    and for each pinch, one exp(-i H dt) per linear-ramp step, and fresh
+    Hamiltonians for the energy bookkeeping."""
     medium = spec.medium
     out = []
     for st_ in spec.strokes():
@@ -368,7 +370,8 @@ def _reference_strokes(spec):
             u = np.eye(medium.dim, dtype=complex)
             for j in range(steps):
                 w = st_.omega_start + (st_.omega_end - st_.omega_start) * ((j + 0.5) / steps)
-                u = scipy.linalg.expm(-1j * medium.hamiltonian(w).mat * (st_.duration / steps)) @ u
+                k = medium.hamiltonian(w).mat * (st_.duration / steps)
+                u = unitary_exp(k[None])[0] @ u
             sop = unitary_superop(u).mat
         out.append((sop, h_s, h_e, st_.label, None))
         if spec.dephase_after_adiabats:
@@ -572,6 +575,42 @@ class TestNonPositiveStroke:
         with pytest.raises(ValueError) as err:
             _walk_cycle(ops, rho.mat)
         assert str(err.value) == expected
+
+
+def test_first_non_cptp_stroke_in_time_order_is_reported(monkeypatch):
+    # the expansion (second stroke) is trace preserving but not CP, and the
+    # compression (fourth) is CP but has trace 1.5: the stacked check
+    # reports the expansion alone, with its own Choi eigenvalue and drift
+    faulty = {"expansion": _non_positive_map(), "compression": Superoperator(1.5 * np.eye(4))}
+    ideal = _adiabat_superop
+
+    def injected(medium, spec, v_start, v_end):
+        if spec.label in faulty:
+            return faulty[spec.label]
+        return ideal(medium, spec, v_start, v_end)
+
+    def message(label):
+        sop = faulty[label]
+        return (f"stroke {label!r} is not CPTP (choi min eig {cp_check(sop)[1]:.3e}, "
+                f"trace drift {sop.trace_preservation_residual():.3e})")
+
+    monkeypatch.setattr(machines, "_adiabat_superop", injected)
+    spec = engine_spec()
+    assert [st_.label for st_ in spec.strokes()][1::2] == ["expansion", "compression"]
+    expected = message("expansion")
+    with pytest.raises(ValueError) as err:
+        compose_cycle(spec)
+    assert str(err.value) == expected
+    assert "compression" not in str(err.value)
+    with pytest.raises(ValueError) as err:
+        run_otto(spec)
+    assert str(err.value) == expected
+    # with the expansion ideal again, the compression fails on its drift
+    del faulty["expansion"]
+    assert cp_check(faulty["compression"])[0]
+    with pytest.raises(ValueError) as err:
+        compose_cycle(spec)
+    assert str(err.value) == message("compression")
 
 
 class TestOptimizePower:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from qthermo.operators import (
     Superoperator,
     adjoint_dissipator,
     cp_check,
+    cptp_residuals,
     dissipator_superop,
     eig_hermitian,
     evolve_unitary,
@@ -33,11 +35,12 @@ from qthermo.operators import (
     tensor,
     to_choi,
     trace_distance,
+    unitary_exp,
     unitary_superop,
     unvec,
     vec,
 )
-from qthermo.tolerances import ALGEBRAIC
+from qthermo.tolerances import ALGEBRAIC, DYNAMICAL
 
 
 class TestOperatorTags:
@@ -565,3 +568,81 @@ def test_hermiticity_bound_is_floored_at_one():
     index, resid = _first_nonhermitian(stack)
     assert index == 0
     assert resid == pytest.approx(2e-12, rel=1e-3)
+
+
+class TestUnitaryExp:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=6),
+           st.sampled_from(["generic", "degenerate", "scalar"]),
+           st.floats(min_value=0.01, max_value=5.0), st.integers(min_value=0, max_value=10 ** 9))
+    def test_matches_expm_member_by_member(self, d, n, spectrum, scale, seed):
+        # degenerate spectra repeat integer levels; a scalar K has one level
+        rng = np.random.default_rng(seed)
+        ks = []
+        for _ in range(n):
+            if spectrum == "generic":
+                lam = rng.normal(size=d)
+            elif spectrum == "degenerate":
+                lam = rng.integers(-2, 3, size=d).astype(float)
+            else:
+                lam = np.full(d, rng.normal())
+            u = random_unitary(d, rng).mat
+            k = scale * (u * lam) @ u.conj().T
+            ks.append((k + k.conj().T) / 2.0)
+        stack = np.array(ks)
+        work = stack.copy()
+        got = unitary_exp(work)
+        assert got is work  # the result is written over the input
+        for j, k in enumerate(stack):
+            assert np.max(np.abs(got[j] - scipy.linalg.expm(-1j * k))) <= ALGEBRAIC
+            assert np.max(np.abs(got[j].conj().T @ got[j] - np.eye(d))) <= ALGEBRAIC
+            # a member alone gives the bits it gets inside the stack
+            assert unitary_exp(stack[j:j + 1].copy())[0].tobytes() == got[j].tobytes()
+
+
+def _random_channel(rng, d, n_kraus=3):
+    """Superoperator of a random CPTP map: W_j = S^(-1/2) G_j with
+    S = sum_j G_j G_j^dag, so that sum_j W_j W_j^dag = I."""
+    g = rng.normal(size=(n_kraus, d, d)) + 1j * rng.normal(size=(n_kraus, d, d))
+    lam, v = np.linalg.eigh(np.einsum("kij,klj->il", g, g.conj()))
+    w = (v * lam ** -0.5) @ v.conj().T @ g
+    return KrausMap(tuple(w)).as_superoperator().mat
+
+
+class TestCptpResiduals:
+    @staticmethod
+    def _reference(m):
+        # the single-map formulas: the Choi matrix sum_ij |i><j| kron S(|i><j|),
+        # symmetrised, and its lowest eigenvalue; the dual action on the identity
+        d = math.isqrt(m.shape[0])
+        choi = m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+        min_eig = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0]
+        iv = vec(np.eye(d)).conj()
+        return min_eig, np.abs(iv @ m - iv).max()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_stack_agrees_bitwise_with_single_map_checks(self, d, n, seed):
+        # CPTP members, and members that are neither CP nor trace preserving
+        rng = np.random.default_rng(seed)
+        stack = np.array([
+            _random_channel(rng, d) if j % 2 == 0 else
+            rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+            for j in range(n)
+        ])
+        min_eig, drift = cptp_residuals(stack)
+        assert min_eig.shape == drift.shape == (n,)
+        for j, m in enumerate(stack):
+            ok, me = cp_check(Superoperator(m))
+            assert np.float64(me).tobytes() == min_eig[j].tobytes()
+            assert ok == (me >= -DYNAMICAL)
+            tp = Superoperator(m).trace_preservation_residual()
+            assert np.float64(tp).tobytes() == drift[j].tobytes()
+            ref_eig, ref_drift = self._reference(m)
+            assert ref_eig.tobytes() == min_eig[j].tobytes()
+            assert ref_drift.tobytes() == drift[j].tobytes()
+            if j % 2 == 0:
+                assert ok and tp <= ALGEBRAIC
+            else:
+                assert not ok
