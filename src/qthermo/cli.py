@@ -54,21 +54,18 @@ class LawCertificate:
             raise ValueError("sense must be >= or <=")
         self.entries.append((name, value, threshold, sense))
 
+    @staticmethod
+    def _holds(value: float, threshold: float, sense: str) -> bool:
+        # NaN fails either sense
+        return value >= threshold if sense == ">=" else value <= threshold
+
     def passed(self) -> bool:
-        for _, value, threshold, sense in self.entries:
-            if math.isnan(value):
-                return False
-            if sense == ">=" and not value >= threshold:
-                return False
-            if sense == "<=" and not value <= threshold:
-                return False
-        return True
+        return all(self._holds(*entry[1:]) for entry in self.entries)
 
     def to_csv(self) -> str:
         lines = ["check,value,threshold,sense,pass"]
         for name, value, threshold, sense in self.entries:
-            ok = (value >= threshold) if sense == ">=" else (value <= threshold)
-            ok = ok and not math.isnan(value)
+            ok = self._holds(value, threshold, sense)
             lines.append(
                 f"{name},{_fmt(value)},{_fmt(threshold)},{sense},{'true' if ok else 'false'}"
             )

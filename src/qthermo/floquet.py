@@ -388,11 +388,11 @@ def drive_power(
     return total
 
 
-def limit_cycle_laws(
-    gen: GKLSGenerator,
-    channels: list[FloquetChannel],
-    cold_label: str = "cold",
-) -> LimitCycleReport:
+# the bath whose positive heat current makes the machine a refrigerator
+_COLD_LABEL = "cold"
+
+
+def limit_cycle_laws(gen: GKLSGenerator, channels: list[FloquetChannel]) -> LimitCycleReport:
     """Evaluate the limit-cycle laws at the interaction-picture stationary
     state.
 
@@ -412,7 +412,7 @@ def limit_cycle_laws(
         if not math.isinf(bath.temperature):
             second += j / bath.temperature
     scale = max(max(abs(v) for v in currents.values()), abs(power), 1e-30)
-    if currents.get(cold_label, 0.0) > 1e-12 * scale:
+    if currents.get(_COLD_LABEL, 0.0) > 1e-12 * scale:
         regime = "refrigerator"
     elif power > 1e-12 * scale:
         regime = "engine"

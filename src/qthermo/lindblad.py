@@ -507,7 +507,9 @@ def _certified_sector(gen: GKLSGenerator, ops, rates, g, h_coh):
     """The generator's block on its sector in the eigenbasis of H, with
     the sector's rows and columns, the eigenvectors, and G and H_coh in
     that basis; or None when the sector is all d^2 pairs or is not
-    certified to hold every stationary state.
+    certified to hold every stationary state.  A generator without
+    channels is never certified: its commutant holds every function of
+    H_coh.
 
     The generator maps the sector into itself, so a second null vector of
     the block is one of the generator, and the bordered solve rejects it.
@@ -519,6 +521,8 @@ def _certified_sector(gen: GKLSGenerator, ops, rates, g, h_coh):
     stationary state is faithful, and two of them would give, by their
     difference, one that is not.  The commutant is checked on the pairs
     of ``_commuting_pairs`` (``_trivial_commutant``)."""
+    if not len(rates):
+        return None
     d = gen.dim
     evals, v = gen.eigenbasis()
     v = v.mat

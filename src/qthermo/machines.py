@@ -340,25 +340,30 @@ def noncommutation_witness(ops: list[StrokeOp]) -> float:
 _MAX_ITER = 2000
 
 
-def find_limit_cycle(u_cyc: Superoperator) -> tuple[DensityMatrix, list[float]]:
-    """Fixed point of the cycle propagator and the relative-entropy
-    convergence trace of plain iteration toward it from the maximally
-    mixed state, for at most ``_MAX_ITER`` cycles.
-
-    The fixed point comes from one bordered solve of U - I; a degenerate
-    unit eigenspace, a non-positive solution or a residual above 1e-10
-    raises.  The contraction property of relative entropy under CP maps
-    makes the recorded distances non-increasing."""
+def _limit_cycle_state(u_cyc: Superoperator) -> DensityMatrix:
+    """Fixed point of the cycle propagator from one bordered solve of
+    U - I; a degenerate unit eigenspace, a non-positive solution or a
+    residual above 1e-10 raises."""
     d = u_cyc.dim
     kernel = np.array(u_cyc.mat, dtype=complex, order="F")
     kernel.flat[:: d * d + 1] -= 1.0
     border = max(float(scipy.linalg.lapack.zlange("M", kernel)), 1e-300)
     x = _bordered_fixed_point(kernel, np.arange(d) * (d + 1), border,
                               "cycle fixed point degenerate")
-    rho_lc = _fixed_point_state(
+    return _fixed_point_state(
         unvec(x, d), lambda r: float(np.max(np.abs(u_cyc.mat @ vec(r) - vec(r)))), 1e-10
     )
 
+
+def find_limit_cycle(u_cyc: Superoperator) -> tuple[DensityMatrix, list[float]]:
+    """Fixed point of the cycle propagator (:func:`_limit_cycle_state`)
+    and the relative-entropy convergence trace of plain iteration toward
+    it from the maximally mixed state, for at most ``_MAX_ITER`` cycles.
+
+    The contraction property of relative entropy under CP maps makes the
+    recorded distances non-increasing."""
+    rho_lc = _limit_cycle_state(u_cyc)
+    d = u_cyc.dim
     # rho_lc is diagonalised once; each iterate's one eigendecomposition
     # both checks it as a state and enters its relative entropy
     mu, w = np.linalg.eigh(rho_lc.mat)
@@ -387,7 +392,6 @@ class CycleReport:
     power: float                     # W / cycle time
     entropy_production: float        # -sum_k Q_k / T_k per cycle
     limit_cycle: DensityMatrix
-    convergence: list[float]
     is_engine: bool
     flags: tuple[str, ...] = ()
 
@@ -410,13 +414,15 @@ def _walk_cycle(ops: list[StrokeOp], rho_start: np.ndarray):
     """Chronological walk from the state ``rho_start`` recording heat per
     bath and extracted work, including quench work at frequency-mismatched
     stroke junctions.  The states after the strokes are checked as one
-    stack before any energy is read from them."""
+    stack before any energy is read from them.  Also returns the states,
+    ``rho_start`` first, and each stroke's <H_out>_out - <H_in>_in."""
     rhos = [rho_start]
     for op in ops:
         rhos.append(_symmetrised(op.superop.apply_matrix(rhos[-1])))
     _state_spectra(np.array(rhos[1:]))
     heat: dict[str, float] = {}
     stroke_energy = []
+    deltas = []
     work_extracted = 0.0
     h_prev = ops[0].h_in
     for op, rho, rho_out in zip(ops, rhos, rhos[1:]):
@@ -428,6 +434,7 @@ def _walk_cycle(ops: list[StrokeOp], rho_start: np.ndarray):
         e_in = float(np.real(np.trace(rho @ op.h_in.mat)))
         e_out = float(np.real(np.trace(rho_out @ op.h_out.mat)))
         delta = e_out - e_in
+        deltas.append(delta)
         if op.is_isochore:
             label = op.spec.bath.label
             heat[label] = heat.get(label, 0.0) + delta
@@ -441,14 +448,14 @@ def _walk_cycle(ops: list[StrokeOp], rho_start: np.ndarray):
         jump = float(np.real(np.trace(rhos[-1] @ (ops[0].h_in.mat - h_prev.mat))))
         work_extracted -= jump
         stroke_energy.append(("junction-quench", -jump))
-    return work_extracted, heat, stroke_energy
+    return work_extracted, heat, stroke_energy, rhos, deltas
 
 
 def run_otto(spec: CycleSpec) -> CycleReport:
     """Drive the cycle to its limit cycle and report the energy split."""
     u_cyc, ops = compose_cycle(spec)
-    rho_lc, conv = find_limit_cycle(u_cyc)
-    work, heat, stroke_energy = _walk_cycle(ops, rho_lc.mat)
+    rho_lc = _limit_cycle_state(u_cyc)
+    work, heat, stroke_energy, _, _ = _walk_cycle(ops, rho_lc.mat)
 
     flags = []
     q_h = heat.get(spec.bath_h.label, 0.0)
@@ -477,7 +484,6 @@ def run_otto(spec: CycleSpec) -> CycleReport:
         power=work / spec.cycle_time(),
         entropy_production=sigma,
         limit_cycle=rho_lc,
-        convergence=conv,
         is_engine=is_engine,
         flags=tuple(flags),
     )
@@ -491,30 +497,26 @@ def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
     same entry state; the summed excess is the coherence work and cannot
     be negative when the entry states are passive.  Also returns the
     largest energy-basis Shannon-minus-von-Neumann entropy gap seen at a
-    stroke exit (the coherence signature)."""
+    stroke exit (the coherence signature).  The states and the actual
+    energy changes are those of the limit-cycle walk."""
     u_cyc, ops = compose_cycle(spec)
-    rho_lc, _ = find_limit_cycle(u_cyc)
+    *_, rhos, deltas = _walk_cycle(ops, _limit_cycle_state(u_cyc).mat)
     gens = _cycle_generators(spec)
-    rho = rho_lc
     extra_work = 0.0
     entropy_gap = 0.0
-    for op in ops:
-        rho_in = rho
-        rho = op.superop.apply(rho)
-        if not op.is_isochore:
-            e_actual = float(np.real(np.trace(rho.mat @ op.h_out.mat))) - float(
-                np.real(np.trace(rho_in.mat @ op.h_in.mat))
-            )
-            ideal = _adiabat_superop(spec.medium, replace(op.spec, protocol="adiabatic"),
-                                     gens[op.spec.omega_start].eigenbasis()[1].mat,
-                                     gens[op.spec.omega_end].eigenbasis()[1].mat)
-            rho_ideal = ideal.apply(rho_in)
-            e_ideal = float(np.real(np.trace(rho_ideal.mat @ op.h_out.mat))) - float(
-                np.real(np.trace(rho_in.mat @ op.h_in.mat))
-            )
-            extra_work += e_actual - e_ideal
-            gap = shannon_entropy_in_basis(rho, op.h_out) - von_neumann_entropy(rho)
-            entropy_gap = max(entropy_gap, gap)
+    for op, rho_in, rho_out, e_actual in zip(ops, rhos, rhos[1:], deltas):
+        if op.is_isochore:
+            continue
+        ideal = _adiabat_superop(spec.medium, replace(op.spec, protocol="adiabatic"),
+                                 gens[op.spec.omega_start].eigenbasis()[1].mat,
+                                 gens[op.spec.omega_end].eigenbasis()[1].mat)
+        rho_ideal = DensityMatrix(_symmetrised(ideal.apply_matrix(rho_in)))
+        e_in = float(np.real(np.trace(rho_in @ op.h_in.mat)))
+        e_ideal = float(np.real(np.trace(rho_ideal.mat @ op.h_out.mat))) - e_in
+        extra_work += e_actual - e_ideal
+        rho = DensityMatrix(rho_out)
+        gap = shannon_entropy_in_basis(rho, op.h_out) - von_neumann_entropy(rho)
+        entropy_gap = max(entropy_gap, gap)
     return extra_work, entropy_gap
 
 
@@ -761,12 +763,15 @@ class SweepRow:
     no_cooling: bool = False
 
 
+# cold-frequency candidates per sweep point, half coarse and half fine
+_SWEEP_EVALS = 40
+
+
 def third_law_sweep(
     spec: TricycleSpec,
     t_c_grid,
     ratio_lo: float = 0.2,
     ratio_hi: float = 3.0,
-    evals_per_point: int = 40,
 ) -> list[SweepRow]:
     """Cooling-current sweep toward absolute zero.
 
@@ -789,38 +794,30 @@ def third_law_sweep(
         lo, hi = ratio_lo * t_c, ratio_hi * t_c
         hi = min(hi, 0.95 * spec.omega_h)
 
-        def j_c_of(omega_c: float) -> float:
+        def solve(omega_c: float) -> tuple[float, TricycleSteady | None]:
             try:
-                trial = replace(
-                    spec,
-                    omega_c=omega_c,
-                    bath_c=replace(spec.bath_c, temperature=t_c),
-                )
-                return tricycle_steady(trial).currents[spec.bath_c.label]
+                steady = tricycle_steady(replace(
+                    spec, omega_c=omega_c, bath_c=replace(spec.bath_c, temperature=t_c)))
             except (ValueError, BohrResolutionError):
-                return -math.inf
+                return -math.inf, None
+            return steady.currents[spec.bath_c.label], steady
 
         # golden-section style bounded scan: coarse grid then refine
-        grid = np.linspace(lo, hi, evals_per_point // 2)
-        vals = np.array([j_c_of(w) for w in grid])
-        k = int(np.argmax(vals))
+        grid = np.linspace(lo, hi, _SWEEP_EVALS // 2)
+        k = int(np.argmax([solve(w)[0] for w in grid]))
         a = grid[max(0, k - 1)]
         b = grid[min(len(grid) - 1, k + 1)]
-        fine = np.linspace(a, b, evals_per_point - evals_per_point // 2)
-        fvals = np.array([j_c_of(w) for w in fine])
-        kk = int(np.argmax(fvals))
-        best_w, best_j = float(fine[kk]), float(fvals[kk])
+        fine = np.linspace(a, b, _SWEEP_EVALS - _SWEEP_EVALS // 2)
+        solves = [solve(w) for w in fine]
+        kk = int(np.argmax([j for j, _ in solves]))
+        best_w, best_j = float(fine[kk]), float(solves[kk][0])
         if not math.isfinite(best_j) or best_j <= 0:
             rows.append(SweepRow(t_c, best_w, max(best_j, 0.0) if math.isfinite(best_j) else 0.0,
                                  0.0, 0.0, no_cooling=True))
             continue
-        trial = replace(
-            spec, omega_c=best_w, bath_c=replace(spec.bath_c, temperature=t_c)
-        )
-        steady = tricycle_steady(trial)
         # in the cooling window the amplifier inversion p2 - p1 is negative;
         # the cold current tracks the cooling inversion, its mirror image
-        gain = -steady.gain
+        gain = -solves[kk][1].gain
         cond = best_j / (best_w * gain) if abs(gain) > 1e-300 else math.nan
         rows.append(SweepRow(t_c, best_w, best_j, cond, gain))
     return rows

@@ -45,6 +45,18 @@ class TestCertificate:
         cert.add("x", math.nan, 0.0, ">=")
         assert not cert.passed()
 
+    @pytest.mark.parametrize("value", [-1.0, 0.0, 1.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("threshold", [0.0, math.nan])
+    @pytest.mark.parametrize("sense", [">=", "<="])
+    def test_pass_column_is_the_verdict_of_its_row(self, value, threshold, sense):
+        cert = LawCertificate([])
+        cert.add("x", value, threshold, sense)
+        column = cert.to_csv().splitlines()[1].rsplit(",", 1)[1]
+        assert column == ("true" if cert.passed() else "false")
+        expected = not (math.isnan(value) or math.isnan(threshold)) and (
+            value >= threshold if sense == ">=" else value <= threshold)
+        assert cert.passed() == expected
+
 
 class TestConfigValidation:
     def test_unknown_kind(self, tmp_path):
@@ -236,6 +248,17 @@ class TestRunners:
         p = _with_outdir(tmp_path, "tricycle_fridge.json")
         assert run(str(p)) == 0
 
+    def test_uncoupled_tricycle_is_not_unique(self, tmp_path, capsys):
+        # no bath reaches the filters: a model error, exit 1, at d = 8
+        cfg = json.loads((CONFIGS / "tricycle_fridge.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        for bath in ("bath_h", "bath_c", "bath_w"):
+            cfg["params"][bath]["coupling"] = 0
+        p = tmp_path / "uncoupled.json"
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 1
+        assert "error: stationary state not unique" in capsys.readouterr().err
+
     def test_correlations(self, tmp_path):
         p = _with_outdir(tmp_path, "correlations_qubit.json")
         assert run(str(p)) == 0
@@ -286,18 +309,21 @@ class TestRunners:
 
 def test_blas_thread_count_preserves_output(tmp_path):
     # OpenBLAS reads its thread count once per process, so each thread
-    # count gets one fresh interpreter that runs every config in turn
+    # count gets one fresh interpreter that runs every config in turn;
+    # every shipped config that writes artifacts is covered
     src = str(CONFIGS.parent / "src")
-    names = ["tricycle_fridge", "third_law_sweep", "otto_engine", "otto_optimize",
-             "floquet_fridge", "evolve_qubit", "davies_audit_oscillator"]
+    codes = {"tricycle_fridge": 0, "third_law_sweep": 0, "otto_engine": 0, "otto_optimize": 0,
+             "floquet_fridge": 0, "evolve_qubit": 0, "davies_audit_oscillator": 0,
+             "correlations_qubit": 0, "eth_chain": 0, "tricycle_ladder4": 0,
+             "evolve_kms_fault": 2}
     script = ("import sys; from qthermo.cli import run; "
-              "codes = [run(p) for p in sys.argv[1:]]; print(codes); sys.exit(any(codes))")
+              "print([run(p) for p in sys.argv[1:]])")
     outputs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         paths = []
-        for name in names:
+        for name in codes:
             cfg = json.loads((CONFIGS / f"{name}.json").read_text())
             cfg["output_dir"] = str(tmp_path / threads / name)
             p = tmp_path / f"{name}_{threads}.json"
@@ -306,10 +332,11 @@ def test_blas_thread_count_preserves_output(tmp_path):
         proc = subprocess.run([sys.executable, "-c", script, *paths],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        for name in names:
+        assert proc.stdout.splitlines()[-1] == str(list(codes.values())), proc.stderr
+        for name in codes:
             out = tmp_path / threads / name
             outputs[threads, name] = {f.name: f.read_bytes() for f in out.iterdir()}
-    for name in names:
+    for name in codes:
         assert "certificate.csv" in outputs["1", name]
         assert outputs["1", name] == outputs["2", name], name
 

@@ -580,6 +580,19 @@ class TestStationaryStateAgainstDenseEig:
         rho = stationary_state(scaled)
         assert trace_distance(rho, gibbs_state(h, 1 / 0.8)) < 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_channel_free_generator_is_not_unique(self, d):
+        # no channel, or a bath at zero coupling: every function of H is
+        # stationary, at every size
+        rng = np.random.default_rng(d)
+        h = random_hermitian(d, rng)
+        off = replace(ohmic_bath("b", 1.0), coupling=0.0)
+        for gen in (GKLSGenerator(h, []), build_davies(h, [(random_hermitian(d, rng), off)])):
+            assert gen.channels == ()
+            assert _stationary_dimension(gen) == d
+            with pytest.raises(ValueError, match="stationary state not unique"):
+                stationary_state(gen)
+
 
 def _dense_bordered_stationary(gen):
     """Dense oracle: the bordered solve on the whole d^2 x d^2 Liouvillian,

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthermo import lindblad, machines, operators
+from qthermo import lindblad, machines, operators, states
 from qthermo.baths import BathSpec
 from qthermo.lindblad import build_davies
 from qthermo.machines import (
@@ -51,7 +51,12 @@ from qthermo.operators import (
     unvec,
     vec,
 )
-from qthermo.states import gibbs_state, relative_entropy
+from qthermo.states import (
+    gibbs_state,
+    relative_entropy,
+    shannon_entropy_in_basis,
+    von_neumann_entropy,
+)
 from qthermo.tolerances import ALGEBRAIC
 
 
@@ -451,7 +456,7 @@ class TestCompiledCycleBitwise:
                 assert op.h_in.mat.tobytes() == h_in.mat.tobytes()
                 assert op.h_out.mat.tobytes() == h_out.mat.tobytes()
 
-        rho_lc, _ = find_limit_cycle(Superoperator(u_ref))
+        rho_lc, trace = find_limit_cycle(u_cyc)
         conv, rho = [], DensityMatrix.maximally_mixed(medium.dim)
         for _ in range(machines._MAX_ITER):
             conv.append(relative_entropy(rho, rho_lc))
@@ -460,8 +465,8 @@ class TestCompiledCycleBitwise:
             rho = Superoperator(u_ref).apply(rho)
         work, heat, stroke_energy = _reference_walk(ref, rho_lc)
         rep = run_otto(spec)
+        assert _bits(trace) == _bits(conv)
         assert rep.limit_cycle.mat.tobytes() == rho_lc.mat.tobytes()
-        assert _bits(rep.convergence) == _bits(conv)
         assert _bits(rep.work) == _bits(work)
         assert _bits(rep.power) == _bits(work / spec.cycle_time())
         assert rep.heat.keys() == heat.keys()
@@ -485,6 +490,65 @@ def _count_calls(monkeypatch, fn):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+def _reference_friction(spec):
+    """quantum_friction stroke by stroke from the limit cycle, applying
+    every stroke again with one DensityMatrix per state."""
+    u_cyc, ops = compose_cycle(spec)
+    rho, _ = find_limit_cycle(u_cyc)
+    gens = machines._cycle_generators(spec)
+    extra_work, entropy_gap = 0.0, 0.0
+    for op in ops:
+        rho_in = rho
+        rho = op.superop.apply(rho)
+        if op.is_isochore:
+            continue
+        e_in = float(np.real(np.trace(rho_in.mat @ op.h_in.mat)))
+        e_actual = float(np.real(np.trace(rho.mat @ op.h_out.mat))) - e_in
+        ideal = _adiabat_superop(spec.medium, replace(op.spec, protocol="adiabatic"),
+                                 gens[op.spec.omega_start].eigenbasis()[1].mat,
+                                 gens[op.spec.omega_end].eigenbasis()[1].mat)
+        e_ideal = float(np.real(np.trace(ideal.apply(rho_in).mat @ op.h_out.mat))) - e_in
+        extra_work += e_actual - e_ideal
+        gap = shannon_entropy_in_basis(rho, op.h_out) - von_neumann_entropy(rho)
+        entropy_gap = max(entropy_gap, gap)
+    return extra_work, entropy_gap
+
+
+class TestOneWalkPerReport:
+    """run_otto and quantum_friction solve for the limit cycle and walk it
+    once; only find_limit_cycle iterates toward it."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_MEDIA, st.sampled_from(_PROTOCOLS), st.sampled_from(["engine", "refrigerator"]),
+           st.booleans(), st.floats(min_value=0.3, max_value=1.5),
+           st.floats(min_value=1.2, max_value=3.0),
+           st.lists(st.floats(min_value=0.02, max_value=1.0), min_size=4, max_size=4))
+    def test_friction_matches_stroke_by_stroke_reference(self, medium, protocol, order,
+                                                         dephase, omega_c, ratio, taus):
+        spec = CycleSpec(
+            medium=medium, omega_h=ratio * omega_c, omega_c=omega_c,
+            bath_h=ohmic("hot", 2.0, gamma=1.0), bath_c=ohmic("cold", 0.5, gamma=1.0),
+            tau_h=8 * taus[0], tau_c=8 * taus[1], tau_hc=taus[2], tau_ch=taus[3],
+            protocol=protocol, order=order, dephase_after_adiabats=dephase,
+        )
+        assert _bits(quantum_friction(spec)) == _bits(_reference_friction(spec))
+
+    def test_reports_make_no_convergence_walk(self, monkeypatch):
+        entropies = _count_calls(monkeypatch, states._relative_entropy_of_spectra)
+        walks = _count_calls(monkeypatch, machines._walk_cycle)
+        spec = engine_spec(medium=QubitMedium(transverse=0.5), protocol="sudden",
+                           tau_h=1.0, tau_c=1.0)
+        run_otto(spec)
+        assert entropies == []
+        assert len(walks) == 1
+        quantum_friction(spec)
+        assert entropies == []
+        assert len(walks) == 2
+        # the counter sees the walk of find_limit_cycle
+        find_limit_cycle(compose_cycle(spec)[0])
+        assert len(entropies) > 3
 
 
 class TestIsochoreCache:
@@ -819,6 +883,24 @@ class TestThirdLawSweep:
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError, match="floored"):
             third_law_sweep(tricycle_spec(), [0.5, 1e-4])
+
+    def test_each_candidate_is_solved_once(self, monkeypatch):
+        # 40 candidates per cold temperature, and the best one's gain is
+        # reported from its own solve
+        calls = _count_calls(monkeypatch, machines.tricycle_steady)
+        spec = tricycle_spec(
+            bath_c=BathSpec(label="cold", temperature=0.5, form_factor="power",
+                            exponent=2.0, gamma=0.1, cutoff=20.0),
+            eps=1e-3,
+        )
+        rows = third_law_sweep(spec, [0.4, 0.1])
+        assert len(calls) == 2 * 40
+        for row in rows:
+            assert not row.no_cooling
+            best = tricycle_steady(replace(spec, omega_c=row.omega_c_star,
+                                           bath_c=replace(spec.bath_c, temperature=row.t_c)))
+            assert _bits(row.gain) == _bits(-best.gain)
+            assert _bits(row.j_c) == _bits(best.currents["cold"])
 
 
 def test_third_law_flat_bath_exponent_reported():
