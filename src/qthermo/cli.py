@@ -3,9 +3,9 @@
 ``qthermo run <config.json>`` dispatches one experiment described by a
 strict JSON schema, writes CSV artifacts plus a law certificate, and
 exits 0 only when every law check passes (2 on a failed check, 1 on a
-config or model error).  All randomness flows from the single config
-seed through a counter-based generator, so outputs are byte-identical
-across runs.
+config, model or internal error; an internal error keeps its
+traceback).  All randomness flows from the single config seed through
+a counter-based generator, so outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -539,8 +540,12 @@ def run(config_path: str) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # model construction failures
+    except ValueError as exc:  # model errors, BohrResolutionError and LinAlgError among them
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a bug: keep its traceback
+        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 1
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)

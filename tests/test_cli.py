@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qthermo import cli
 from qthermo.cli import (
     ConfigError,
     LawCertificate,
@@ -257,7 +259,24 @@ class TestRunners:
         p = tmp_path / "uncoupled.json"
         p.write_text(json.dumps(cfg))
         assert run(str(p)) == 1
-        assert "error: stationary state not unique" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: stationary state not unique" in err
+        assert "internal error" not in err and "Traceback" not in err
+
+    def test_internal_error_keeps_its_traceback(self, tmp_path, capsys, monkeypatch):
+        # a bug in a runner (here a KeyError) is reported apart from config
+        # and model errors, with its traceback; the exit code stays 1
+        def broken(cfg):
+            return {}["missing"]
+
+        monkeypatch.setitem(cli._KINDS, "evolve",
+                            dataclasses.replace(cli._KINDS["evolve"], runner=broken))
+        p = _with_outdir(tmp_path, "evolve_qubit.json")
+        assert run(str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: 'missing'\n")
+        assert "Traceback" in err and "KeyError" in err and "in broken" in err
+        assert not (tmp_path / "out").exists()
 
     def test_correlations(self, tmp_path):
         p = _with_outdir(tmp_path, "correlations_qubit.json")
@@ -339,6 +358,36 @@ def test_blas_thread_count_preserves_output(tmp_path):
     for name in codes:
         assert "certificate.csv" in outputs["1", name]
         assert outputs["1", name] == outputs["2", name], name
+
+
+def test_no_shipped_run_loads_scipy_optimize():
+    # a fresh interpreter, since the tests in this process import
+    # scipy.optimize themselves
+    src = str(CONFIGS.parent / "src")
+    script = f"""
+import sys, warnings
+from pathlib import Path
+import qthermo.cli as cli
+from qthermo import machines as mc
+loaded = {{}}
+for p in Path({str(CONFIGS)!r}).glob("*.json"):
+    try:
+        loaded[p.stem] = cli.load_config(str(p))
+    except cli.ConfigError:
+        pass
+p = loaded["otto_optimize"]["params"]
+free = {{k: tuple(v) for k, v in p["free"].items()}}
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    mc.optimize_power(cli._otto_spec(p, "otto-optimize"), free, restarts=1, max_evals=10)
+p = loaded["third_law_sweep"]["params"]
+mc.third_law_sweep(cli._tricycle_spec(p, "third-law-sweep"), [0.4])
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestToleranceOverrides:

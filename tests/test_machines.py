@@ -1,20 +1,23 @@
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthermo import lindblad, machines, operators, states
+from qthermo import cli, lindblad, machines, operators, states
 from qthermo.baths import BathSpec
 from qthermo.lindblad import build_davies
 from qthermo.machines import (
     _PROTOCOLS,
     _adiabat_superop,
     _dephase_superop,
+    _nelder_mead,
     _tricycle_hamiltonian,
     _tricycle_pieces,
     _walk_cycle,
@@ -678,11 +681,24 @@ def test_first_non_cptp_stroke_in_time_order_is_reported(monkeypatch):
 
 
 class TestOptimizePower:
-    def test_collapsed_box_returns_point(self):
+    def test_collapsed_box_returns_point(self, monkeypatch):
+        # the one point is run once, with the bits of a plain run there
+        runs = _count_calls(monkeypatch, machines.run_otto)
         spec = engine_spec(tau_h=4.0, tau_c=4.0)
         best, power, eta = optimize_power(spec, {"tau_h": (4.0, 4.0)})
+        assert len(runs) == 1
         assert best["tau_h"] == pytest.approx(4.0)
         assert power == pytest.approx(run_otto(spec).power, rel=1e-9)
+        rep = run_otto(spec)
+        assert _bits([power, eta]) == _bits([rep.power, rep.efficiency])
+
+    def test_otto_optimize_config_runs_428_cycles(self, monkeypatch):
+        # the midpoint, three restarts of at most 200 evaluations and the
+        # final report, as many as SciPy's search made
+        runs = _count_calls(monkeypatch, machines.run_otto)
+        spec, free = _otto_optimize_config()
+        optimize_power(spec, free, seed=11)
+        assert len(runs) == 428
 
     def test_curzon_ahlborn_reference_value(self):
         assert 1.0 - math.sqrt(1.0 / 4.0) == pytest.approx(0.5)
@@ -707,6 +723,95 @@ class TestOptimizePower:
         assert abs(eta - eta_ca) / eta_ca <= 0.10
 
 
+def _searches(f, x0, lo, hi, maxfev):
+    """Run SciPy's bounded Nelder–Mead and `_nelder_mead` on f; assert
+    that they evaluate the same points and return the same bits, and
+    return the evaluated points and `_nelder_mead`'s result."""
+    theirs, ours = [], []
+    res = scipy.optimize.minimize(
+        lambda x: (theirs.append(x.tobytes()), f(x))[1], x0, method="Nelder-Mead",
+        bounds=list(zip(lo, hi)), options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-10},
+    )
+    result = _nelder_mead(lambda x: (ours.append(x.tobytes()), f(x))[1],
+                          x0, lo, hi, maxfev, 1e-4, 1e-10)
+    x, fun, success = result
+    assert ours == theirs
+    assert x.tobytes() == res.x.tobytes()
+    assert _bits(fun) == _bits(res.fun)
+    assert success is bool(res.success)
+    return ours, result
+
+
+def _otto_optimize_config():
+    p = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs"
+                            / "otto_optimize.json"))["params"]
+    return cli._otto_spec(p, "otto-optimize"), {k: tuple(v) for k, v in p["free"].items()}
+
+
+class TestNelderMeadAgainstScipy:
+    """`_nelder_mead` is SciPy's bounded Nelder–Mead, point for point."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_same_points_and_bits(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        lo, hi, x0 = [], [], []
+        for _ in range(n):
+            a = data.draw(st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)))
+            width = data.draw(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=4.0)))
+            u = data.draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                    st.floats(min_value=0.0, max_value=1.0)))
+            lo.append(a)
+            hi.append(a + width)
+            x0.append(a + u * width)
+        lo, hi, x0 = np.array(lo), np.array(hi), np.array(x0)
+        maxfev = data.draw(st.integers(min_value=1, max_value=300))
+        kind = data.draw(st.sampled_from(["constant", "smooth", "steps"]))
+        centre = np.array(data.draw(st.lists(st.floats(min_value=-4.0, max_value=4.0),
+                                             min_size=n, max_size=n)))
+
+        def f(x):
+            if kind == "constant":
+                return 1.0
+            if kind == "smooth":
+                return float(np.sum((x - centre) ** 2) + 0.1 * np.sum(np.sin(5.0 * x)))
+            return float(np.round(np.sum(np.abs(x - centre)), 1))
+
+        points, _ = _searches(f, x0, lo, hi, maxfev)
+        assert 0 < len(points) <= maxfev
+
+    def test_cap_below_the_simplex_fails(self):
+        # three vertices, two evaluations: the third vertex keeps +inf
+        points, (_, _, success) = _searches(lambda x: float(x @ x), np.array([0.5, 0.5]),
+                                            np.zeros(2), np.ones(2), 2)
+        assert len(points) == 2 and not success
+
+    def test_cap_inside_a_shrink_re_sorts_the_simplex(self):
+        # the cap ends a shrink after a shrunk vertex has beaten the best
+        # one; only the final re-sort makes that vertex the returned x
+        def f(x):
+            return float(np.sum((x - np.array([0.5, 2.3])) ** 2) + np.sum(np.sin(5.0 * x)))
+
+        points, (_, _, success) = _searches(f, np.array([2.8, 3.8]), np.zeros(2),
+                                            np.full(2, 4.0), 21)
+        assert len(points) == 21 and not success
+
+    def test_one_restart_of_the_otto_optimize_objective(self, monkeypatch):
+        # optimize_power's own objective, compared inside the real search
+        spec, free = _otto_optimize_config()
+        searched = []
+
+        def compared(f, x0, lo, hi, maxfev, xatol, fatol):
+            assert (maxfev, xatol, fatol) == (200, 1e-4, 1e-10)
+            points, result = _searches(f, x0, lo, hi, maxfev)
+            searched.append(points)
+            return result
+
+        monkeypatch.setattr(machines, "_nelder_mead", compared)
+        optimize_power(spec, free, seed=11, restarts=1)
+        assert len(searched) == 1 and len(searched[0]) > 20
+
+
 class TestSuddenLimit:
     def test_halving_tau_cuts_error_eightfold(self):
         spec = engine_spec(medium=QubitMedium(transverse=0.4))
@@ -720,6 +825,21 @@ class TestSuddenLimit:
         rows = sudden_limit_check(spec, taus)
         slope = fit_loglog_slope(rows)
         assert 2.7 <= slope <= 3.3
+
+    def test_half_compression_is_exponentiated_once_per_tau(self, monkeypatch):
+        # the split's two half steps share one expm, and the merged
+        # generator gets its own: five per tau
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counting(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        spec = engine_spec(medium=QubitMedium(transverse=0.4))
+        sudden_limit_check(spec, [0.04, 0.02, 0.01])
+        assert len(calls) == 15
 
     def test_commuting_generators_exact(self):
         # no transverse term: every stroke generator is diagonal in the
