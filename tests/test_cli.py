@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -328,22 +329,24 @@ class TestRunners:
 
 def test_blas_thread_count_preserves_output(tmp_path):
     # OpenBLAS reads its thread count once per process, so each thread
-    # count gets one fresh interpreter that runs every config in turn;
-    # every shipped config that writes artifacts is covered
+    # count gets one fresh interpreter that runs every shipped config in
+    # turn; exit codes and the sha256 of every artifact must match
+    # golden_artifacts.json, recorded under one BLAS thread
+    golden = json.loads((Path(__file__).parent / "golden_artifacts.json").read_text())
+    assert sorted(golden) == sorted(p.stem for p in CONFIGS.glob("*.json"))
     src = str(CONFIGS.parent / "src")
-    codes = {"tricycle_fridge": 0, "third_law_sweep": 0, "otto_engine": 0, "otto_optimize": 0,
-             "floquet_fridge": 0, "evolve_qubit": 0, "davies_audit_oscillator": 0,
-             "correlations_qubit": 0, "eth_chain": 0, "tricycle_ladder4": 0,
-             "evolve_kms_fault": 2}
     script = ("import sys; from qthermo.cli import run; "
               "print([run(p) for p in sys.argv[1:]])")
-    outputs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         paths = []
-        for name in codes:
-            cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        for name in golden:
+            try:
+                cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+            except json.JSONDecodeError:  # a config that must fail to load
+                paths.append(str(CONFIGS / f"{name}.json"))
+                continue
             cfg["output_dir"] = str(tmp_path / threads / name)
             p = tmp_path / f"{name}_{threads}.json"
             p.write_text(json.dumps(cfg))
@@ -351,13 +354,13 @@ def test_blas_thread_count_preserves_output(tmp_path):
         proc = subprocess.run([sys.executable, "-c", script, *paths],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines()[-1] == str(list(codes.values())), proc.stderr
-        for name in codes:
+        codes = [entry["exit"] for entry in golden.values()]
+        assert proc.stdout.splitlines()[-1] == str(codes), proc.stderr
+        for name, entry in golden.items():
             out = tmp_path / threads / name
-            outputs[threads, name] = {f.name: f.read_bytes() for f in out.iterdir()}
-    for name in codes:
-        assert "certificate.csv" in outputs["1", name]
-        assert outputs["1", name] == outputs["2", name], name
+            got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in out.iterdir()} if out.exists() else {}
+            assert got == entry["artifacts"], (threads, name)
 
 
 def test_no_shipped_run_loads_scipy_optimize():
