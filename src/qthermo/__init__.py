@@ -49,7 +49,6 @@ from .lindblad import (
     davies_audit,
     entropy_production_rate,
     heat_currents,
-    liouvillian,
     propagate,
     stationary_state,
     trajectory,

@@ -19,11 +19,11 @@ symmetric "singular bath") are both admitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BathSpec", "SpectralFunction", "occupation", "spectral_density", "verify_kms_ratio"]
+__all__ = ["BathSpec", "occupation", "spectral_density", "verify_kms_ratio"]
 
 _FAMILIES = ("flat", "ohmic", "power")
 
@@ -77,19 +77,6 @@ class BathSpec:
         if math.isinf(self.temperature):
             return 0.0
         return 1.0 / self.temperature
-
-    def with_absorption_scale(self, scale: float) -> "BathSpec":
-        return replace(self, absorption_scale=scale)
-
-
-@dataclass(frozen=True)
-class SpectralFunction:
-    """Callable wrapper pairing a rate table with its bath of origin."""
-
-    spec: BathSpec
-
-    def __call__(self, omega: float) -> float:
-        return spectral_density(omega, self.spec)
 
 
 def occupation(x: float, spec: BathSpec) -> float:
@@ -179,24 +166,19 @@ def spectral_density(omega: float, spec: BathSpec) -> float:
     return spec.coupling * _form_factor(w, spec) * n * spec.absorption_scale
 
 
-def verify_kms_ratio(
-    spec: BathSpec,
-    omegas,
-    rate_fn=None,
-) -> float:
+def verify_kms_ratio(spec: BathSpec, omegas) -> float:
     """Max residual of R(-w) = exp(-beta (w - mu)) R(w) over the samples.
 
-    ``rate_fn`` may override the rate table (fault injection); the
-    chemical potential enters for particle-exchanging couplings, reducing
-    to the plain Boltzmann factor at mu = 0.
+    The chemical potential enters for particle-exchanging couplings,
+    reducing to the plain Boltzmann factor at mu = 0; a bath with
+    ``absorption_scale`` != 1 fails the relation by construction.
     """
-    rate = rate_fn if rate_fn is not None else (lambda w: spectral_density(w, spec))
     beta = spec.beta
     eps = 1e-300
     worst = 0.0
     for w in np.atleast_1d(np.asarray(omegas, dtype=float)):
-        r_plus = rate(float(w))
-        r_minus = rate(float(-w))
+        r_plus = spectral_density(float(w), spec)
+        r_minus = spectral_density(float(-w), spec)
         arg = -beta * (w - spec.mu) if not math.isinf(beta) else (
             -math.inf if w > spec.mu else (math.inf if w < spec.mu else 0.0)
         )

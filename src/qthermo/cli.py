@@ -43,6 +43,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _csv(header: list[str], rows) -> str:
+    """CSV text of a header and rows; strings are written as they are,
+    numbers through `_fmt`."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class LawCertificate:
     """Law-check numbers with their thresholds; the verdict is a pure
@@ -64,13 +72,9 @@ class LawCertificate:
         return all(self._holds(*entry[1:]) for entry in self.entries)
 
     def to_csv(self) -> str:
-        lines = ["check,value,threshold,sense,pass"]
-        for name, value, threshold, sense in self.entries:
-            ok = self._holds(value, threshold, sense)
-            lines.append(
-                f"{name},{_fmt(value)},{_fmt(threshold)},{sense},{'true' if ok else 'false'}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(["check", "value", "threshold", "sense", "pass"],
+                    [entry + ("true" if self._holds(*entry[1:]) else "false",)
+                     for entry in self.entries])
 
 
 # --------------------------------------------------------------------------
@@ -231,11 +235,8 @@ def _run_davies_audit(cfg: dict):
         cert.add("gibbs_residual", audit["gibbs_residual"], DYNAMICAL, "<=")
     cert.add("detailed_balance", audit["detailed_balance"], 1e-10, "<=")
     cert.add("bath_kms_residual", kms_resid, DYNAMICAL, "<=")
-    rows = [[ch.bath_label, ch.bohr_frequency, ch.rate] for ch in gen.channels]
-    lines = ["bath,bohr_frequency,rate"] + [
-        f"{r[0]},{_fmt(r[1])},{_fmt(r[2])}" for r in rows
-    ]
-    return cert, {"channels.csv": "\n".join(lines) + "\n"}
+    rows = [(ch.bath_label, ch.bohr_frequency, ch.rate) for ch in gen.channels]
+    return cert, {"channels.csv": _csv(["bath", "bohr_frequency", "rate"], rows)}
 
 
 def _otto_spec(p: dict, where: str) -> mc.CycleSpec:
@@ -280,8 +281,7 @@ def _run_otto(cfg: dict):
     row = [0, rep.work, rep.q_h, rep.q_c,
            rep.efficiency if rep.efficiency is not None else math.nan,
            rep.power, rep.entropy_production]
-    lines = [",".join(header), ",".join(_fmt(v) for v in row)]
-    return cert, {"cycle.csv": "\n".join(lines) + "\n"}
+    return cert, {"cycle.csv": _csv(header, [row])}
 
 
 def _run_otto_optimize(cfg: dict):
@@ -299,8 +299,7 @@ def _run_otto_optimize(cfg: dict):
     cert = _otto_certificate(spec, rep)
     header = list(best) + ["max_power", "eta_at_max_power"]
     row = [best[k] for k in best] + [pmax, eta if eta is not None else math.nan]
-    lines = [",".join(header), ",".join(_fmt(v) for v in row)]
-    return cert, {"optimum.csv": "\n".join(lines) + "\n"}
+    return cert, {"optimum.csv": _csv(header, [row])}
 
 
 def _tricycle_spec(p: dict, where: str) -> mc.TricycleSpec:
@@ -325,8 +324,7 @@ def _run_tricycle(cfg: dict):
     labels = list(st.currents)
     header = [f"J_{k}" for k in labels] + ["second_law_value", "gain"]
     row = [st.currents[k] for k in labels] + [st.second_law_value, st.gain]
-    lines = [",".join(header), ",".join(_fmt(v) for v in row)]
-    return cert, {"steady.csv": "\n".join(lines) + "\n"}
+    return cert, {"steady.csv": _csv(header, [row])}
 
 
 def _run_third_law(cfg: dict):
@@ -343,12 +341,8 @@ def _run_third_law(cfg: dict):
     cert.add("cooling_current_monotone", 1.0 if mono else 0.0, 1.0, ">=")
     if cooling:
         cert.add("conductance_min", min(r.conductance for r in cooling), 0.0, ">=")
-    out = ["T_c,omega_c_star,J_c,K,G"]
-    for r in rows:
-        out.append(
-            ",".join(_fmt(v) for v in (r.t_c, r.omega_c_star, r.j_c, r.conductance, r.gain))
-        )
-    return cert, {"sweep.csv": "\n".join(out) + "\n"}
+    table = [(r.t_c, r.omega_c_star, r.j_c, r.conductance, r.gain) for r in rows]
+    return cert, {"sweep.csv": _csv(["T_c", "omega_c_star", "J_c", "K", "G"], table)}
 
 
 def _run_floquet(cfg: dict):
@@ -371,11 +365,10 @@ def _run_floquet(cfg: dict):
     cert.add("limit_cycle_second_law", report.second_law_value, DYNAMICAL, "<=")
     labels = list(report.currents)
     header = ["param"] + [f"J_{k}" for k in labels] + ["P", "second_law_value", "regime"]
-    row = [_fmt(sched.amplitude)] + [_fmt(report.currents[k]) for k in labels] + [
-        _fmt(report.power), _fmt(report.second_law_value), report.regime,
+    row = [sched.amplitude] + [report.currents[k] for k in labels] + [
+        report.power, report.second_law_value, report.regime,
     ]
-    lines = [",".join(header), ",".join(row)]
-    return cert, {"limit_cycle.csv": "\n".join(lines) + "\n"}
+    return cert, {"limit_cycle.csv": _csv(header, [row])}
 
 
 def _run_eth(cfg: dict):
@@ -396,8 +389,7 @@ def _run_eth(cfg: dict):
     diag, micro, gap = diagonal_vs_microcanonical(h, ket, a, float(p["window"]))
     cert = LawCertificate([])
     cert.add("diagonal_vs_microcanonical_gap", gap, 0.1 * 2.0, "<=")
-    lines = ["diag_avg,micro_avg,gap", ",".join(_fmt(v) for v in (diag, micro, gap))]
-    return cert, {"eth.csv": "\n".join(lines) + "\n"}
+    return cert, {"eth.csv": _csv(["diag_avg", "micro_avg", "gap"], [(diag, micro, gap)])}
 
 
 def _run_correlations(cfg: dict):
@@ -410,10 +402,8 @@ def _run_correlations(cfg: dict):
     resid = kms_check(f_ab, f_ab, beta)
     cert = LawCertificate([])
     cert.add("kms_residual", resid, DYNAMICAL, "<=")
-    lines = ["omega,amp_re,amp_im"]
-    for w, amp in zip(f_ab.omegas, f_ab.amplitudes):
-        lines.append(",".join(_fmt(v) for v in (w, amp.real, amp.imag)))
-    return cert, {"correlations.csv": "\n".join(lines) + "\n"}
+    rows = [(w, amp.real, amp.imag) for w, amp in zip(f_ab.omegas, f_ab.amplitudes)]
+    return cert, {"correlations.csv": _csv(["omega", "amp_re", "amp_im"], rows)}
 
 
 @dataclass(frozen=True)
@@ -426,6 +416,14 @@ class _Kind:
     defaults: dict
     runner: Callable
 
+
+# the params an Otto cycle and its power optimisation share, in the order
+# `describe` lists them
+_OTTO_SCHEMA = {"medium": dict, "omega_h": (int, float), "omega_c": (int, float),
+                "bath_h": dict, "bath_c": dict,
+                "tau_h": (int, float), "tau_c": (int, float),
+                "tau_hc": (int, float), "tau_ch": (int, float),
+                "protocol": str}
 
 _KINDS: dict[str, _Kind] = {
     "evolve": _Kind(
@@ -443,11 +441,7 @@ _KINDS: dict[str, _Kind] = {
         runner=_run_davies_audit,
     ),
     "otto": _Kind(
-        schema={"medium": dict, "omega_h": (int, float), "omega_c": (int, float),
-                "bath_h": dict, "bath_c": dict,
-                "tau_h": (int, float), "tau_c": (int, float),
-                "tau_hc": (int, float), "tau_ch": (int, float),
-                "protocol": str, "order": str, "dephase_after_adiabats": bool},
+        schema={**_OTTO_SCHEMA, "order": str, "dephase_after_adiabats": bool},
         required=("bath_h", "bath_c"),
         defaults={"medium": {"kind": "qubit"}, "omega_h": 2.0, "omega_c": 1.0,
                   "tau_h": 20.0, "tau_c": 20.0, "tau_hc": 1.0, "tau_ch": 1.0,
@@ -456,11 +450,7 @@ _KINDS: dict[str, _Kind] = {
         runner=_run_otto,
     ),
     "otto-optimize": _Kind(
-        schema={"medium": dict, "omega_h": (int, float), "omega_c": (int, float),
-                "bath_h": dict, "bath_c": dict,
-                "tau_h": (int, float), "tau_c": (int, float),
-                "tau_hc": (int, float), "tau_ch": (int, float),
-                "protocol": str, "free": dict},
+        schema={**_OTTO_SCHEMA, "free": dict},
         required=("bath_h", "bath_c", "free"),
         defaults={"medium": {"kind": "qubit"}, "omega_h": 6.0, "omega_c": 3.0,
                   "tau_h": 2.0, "tau_c": 2.0, "tau_hc": 0.01, "tau_ch": 0.01,

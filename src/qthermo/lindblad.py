@@ -44,7 +44,6 @@ __all__ = [
     "ThermoLedger",
     "BohrResolutionError",
     "build_davies",
-    "liouvillian",
     "propagate",
     "trajectory",
     "adiabatic_propagate",
@@ -210,11 +209,6 @@ def _eigenbasis(h: Operator) -> tuple[np.ndarray, Operator]:
     return evals, v
 
 
-def liouvillian(gen: GKLSGenerator) -> Superoperator:
-    """Matrix form of the generator acting on column-stacked operators."""
-    return gen.liouvillian()
-
-
 def _coupling_channels(
     h_evals: np.ndarray,
     basis: np.ndarray,
@@ -331,15 +325,15 @@ def heat_currents(gen: GKLSGenerator, rho: DensityMatrix) -> dict[str, float]:
     return {k: float(j[0]) for k, j in _heat_current_stack(gen, rho.mat[None]).items()}
 
 
-def _log_of_spectra(evals: np.ndarray, evecs: np.ndarray, clip: float = 1e-14) -> np.ndarray:
-    """Matrix logarithms, eigenvalues clipped below at ``clip``, of
-    hermitian matrices given by their (..., d) spectra and eigenvectors."""
-    logs = np.log(np.clip(evals, clip, None))
+def _log_of_spectra(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """Matrix logarithms, eigenvalues clipped below at 1e-14, of hermitian
+    matrices given by their (..., d) spectra and eigenvectors."""
+    logs = np.log(np.clip(evals, 1e-14, None))
     return (evecs * logs[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
-def _clipped_log(rho_mat: np.ndarray, clip: float = 1e-14) -> np.ndarray:
-    return _log_of_spectra(*np.linalg.eigh((rho_mat + rho_mat.conj().T) / 2.0), clip)
+def _clipped_log(rho_mat: np.ndarray) -> np.ndarray:
+    return _log_of_spectra(*np.linalg.eigh((rho_mat + rho_mat.conj().T) / 2.0))
 
 
 def _entropy_production_stack(
@@ -665,10 +659,6 @@ class ThermoLedger:
     entropy_production: np.ndarray
     currents: dict[str, np.ndarray]
     states: list[DensityMatrix] = field(default_factory=list)
-
-    @property
-    def bath_labels(self) -> list[str]:
-        return list(self.currents)
 
     def total_current(self) -> np.ndarray:
         if not self.currents:

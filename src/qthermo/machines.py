@@ -24,7 +24,6 @@ import scipy.linalg
 
 from .baths import BathSpec
 from .lindblad import (
-    BohrResolutionError,
     GKLSGenerator,
     _bordered_fixed_point,
     _fixed_point_state,
@@ -176,12 +175,14 @@ def _isochore_generator(medium, omega: float, bath: BathSpec) -> GKLSGenerator:
     return gen
 
 
-def _dephase_superop(v: np.ndarray) -> Superoperator:
-    """Pinch in the eigenbasis given by the columns of v (kills energy-basis
-    coherence): rho -> sum_j P_j rho P_j^dag over the projectors P_j."""
-    cols = v.T
-    p = cols[:, :, None] * cols.conj()[:, None, :]
-    return sandwich_superop(p, p.conj().swapaxes(-1, -2))
+def _transfer_superop(v_start: np.ndarray, v_end: np.ndarray) -> Superoperator:
+    """rho -> sum_j K_j rho K_j^dag with the transfer operators
+    K_j = |e_j(end)><e_j(start)| between the eigenbases held as columns of
+    ``v_start`` and ``v_end``: the ideal adiabat, whose populations ride
+    the instantaneous eigenbasis while coherences average away, and for
+    v_start = v_end the pinch that kills energy-basis coherence."""
+    k = v_end.T[:, :, None] * v_start.T.conj()[:, None, :]
+    return sandwich_superop(k, k.conj().swapaxes(-1, -2))
 
 
 def _adiabat_superop(medium, spec: StrokeSpec, v_start: np.ndarray,
@@ -190,12 +191,8 @@ def _adiabat_superop(medium, spec: StrokeSpec, v_start: np.ndarray,
     eigenvectors of H(omega_start) and H(omega_end) as columns."""
     if spec.protocol == "sudden":
         return identity_superop(medium.dim)
-    if spec.protocol == "adiabatic":
-        # ideal infinitely slow limit: populations ride the instantaneous
-        # eigenbasis, coherences average away; rho -> sum_j K_j rho K_j^dag
-        # with the transfer operators K_j = |e_j(end)><e_j(start)|
-        k = v_end.T[:, :, None] * v_start.T.conj()[:, None, :]
-        return sandwich_superop(k, k.conj().swapaxes(-1, -2))
+    if spec.protocol == "adiabatic":  # the ideal infinitely slow limit
+        return _transfer_superop(v_start, v_end)
     # linear-ramp: time-ordered unitary on a refined grid, midpoint
     # steps exp(-i H(w_k) dt) from one stacked call
     steps = max(64, int(math.ceil(spec.duration * 200)))
@@ -251,6 +248,9 @@ class CycleSpec:
             raise ValueError(f"unknown cycle order {self.order!r}")
         if self.protocol not in _PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        if self.bath_h.label == self.bath_c.label:
+            # the cycle walk books heat by bath label
+            raise ValueError(f"hot and cold baths share the label {self.bath_h.label!r}")
 
     def strokes(self) -> list[StrokeSpec]:
         """Chronological stroke list."""
@@ -313,7 +313,8 @@ def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
         ops.append(op)
         st = op.spec
         if st.kind == "adiabat" and spec.dephase_after_adiabats:
-            pinch = _dephase_superop(gens[st.omega_end].eigenbasis()[1].mat)
+            v = gens[st.omega_end].eigenbasis()[1].mat
+            pinch = _transfer_superop(v, v)
             ops.append(StrokeOp(
                 spec=StrokeSpec(kind="adiabat", duration=0.0,
                                 omega_start=st.omega_end, omega_end=st.omega_end,
@@ -385,6 +386,8 @@ class CycleReport:
 
     work: float                      # net extracted work per cycle
     heat: dict[str, float]           # per-bath heat into the medium
+    q_h: float                       # heat from the cycle's hot bath
+    q_c: float                       # heat from the cycle's cold bath
     stroke_energy: list[tuple[str, float]]
     efficiency: float | None         # W / Q_h when operating as an engine
     cop: float | None                # Q_c / |W| when operating as a refrigerator
@@ -393,14 +396,6 @@ class CycleReport:
     limit_cycle: DensityMatrix
     is_engine: bool
     flags: tuple[str, ...] = ()
-
-    @property
-    def q_h(self) -> float:
-        return self.heat.get("hot", 0.0)
-
-    @property
-    def q_c(self) -> float:
-        return self.heat.get("cold", 0.0)
 
 
 def _symmetrised(m: np.ndarray) -> np.ndarray:
@@ -470,13 +465,14 @@ def run_otto(spec: CycleSpec) -> CycleReport:
     if work < -DYNAMICAL * scale and q_c > 0:
         cop = q_c / (-work)
     sigma = 0.0
-    for label, q in heat.items():
-        bath = spec.bath_h if label == spec.bath_h.label else spec.bath_c
+    for q, bath in ((q_h, spec.bath_h), (q_c, spec.bath_c)):
         if not math.isinf(bath.temperature):
             sigma -= q / bath.temperature
     return CycleReport(
         work=work,
         heat=heat,
+        q_h=q_h,
+        q_c=q_c,
         stroke_energy=stroke_energy,
         efficiency=efficiency,
         cop=cop,
@@ -506,9 +502,8 @@ def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
     for op, rho_in, rho_out, e_actual in zip(ops, rhos, rhos[1:], deltas):
         if op.is_isochore:
             continue
-        ideal = _adiabat_superop(spec.medium, replace(op.spec, protocol="adiabatic"),
-                                 gens[op.spec.omega_start].eigenbasis()[1].mat,
-                                 gens[op.spec.omega_end].eigenbasis()[1].mat)
+        ideal = _transfer_superop(gens[op.spec.omega_start].eigenbasis()[1].mat,
+                                  gens[op.spec.omega_end].eigenbasis()[1].mat)
         rho_ideal = DensityMatrix(_symmetrised(ideal.apply_matrix(rho_in)))
         e_in = float(np.real(np.trace(rho_in @ op.h_in.mat)))
         e_ideal = float(np.real(np.trace(rho_ideal.mat @ op.h_out.mat))) - e_in
@@ -633,7 +628,7 @@ def optimize_power(
         params = {k: float(v) for k, v in zip(names, np.clip(x, lo, hi))}
         try:
             rep = run_otto(replace(spec, **params))
-        except (ValueError, BohrResolutionError):
+        except ValueError:  # BohrResolutionError among them
             return 0.0
         return rep.power if rep.work > 0 else 0.0
 
@@ -707,10 +702,11 @@ def _matched_eigenvalue_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(cost[rows, cols].max())
 
 
-def fit_loglog_slope(rows, err_floor: float = 1e-12, err_cap: float = 1e-2) -> float:
+def fit_loglog_slope(rows) -> float:
     """Least-squares slope of log(err) vs log(tau), using only rows inside
-    the asymptotic band (errors below the cap, above the roundoff floor)."""
-    pts = [(t, e) for t, e in rows if err_floor < e < err_cap]
+    the asymptotic band (errors below the cap 1e-2, above the roundoff
+    floor 1e-12)."""
+    pts = [(t, e) for t, e in rows if 1e-12 < e < 1e-2]
     if len(pts) < 2:
         raise ValueError("not enough points in the asymptotic band to fit")
     x = np.log([t for t, _ in pts])
@@ -887,11 +883,12 @@ def third_law_sweep(
             try:
                 steady = tricycle_steady(replace(
                     spec, omega_c=omega_c, bath_c=replace(spec.bath_c, temperature=t_c)))
-            except (ValueError, BohrResolutionError):
+            except ValueError:  # BohrResolutionError among them
                 return -math.inf, None
             return steady.currents[spec.bath_c.label], steady
 
-        # golden-section style bounded scan: coarse grid then refine
+        # a coarse grid over [lo, hi], then as many points again between
+        # the neighbours of its best point
         grid = np.linspace(lo, hi, _SWEEP_EVALS // 2)
         k = int(np.argmax([solve(w)[0] for w in grid]))
         a = grid[max(0, k - 1)]

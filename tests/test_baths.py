@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestKmsRatio:
         assert verify_kms_ratio(spec, omegas) <= 1e-10
 
     def test_corrupted_rates_detected(self):
-        spec = ohmic(1.0).with_absorption_scale(1.1)
+        spec = replace(ohmic(1.0), absorption_scale=1.1)
         resid = verify_kms_ratio(spec, np.geomspace(0.1, 3.0, 20))
         # residual is 0.1 exp(-beta w) at each sample, approx 0.1 at small w
         assert 0.08 <= resid <= 0.11
@@ -149,11 +150,3 @@ class TestKmsRatio:
                         form_factor="flat", gamma=1.0, cutoff=30.0)
         assert verify_kms_ratio(spec, np.linspace(0.1, 4.0, 40)) <= 1e-10
 
-
-def test_spectral_function_wrapper():
-    from qthermo.baths import SpectralFunction
-
-    spec = ohmic(1.3)
-    fn = SpectralFunction(spec)
-    for w in (0.5, -0.5, 2.0):
-        assert fn(w) == spectral_density(w, spec)

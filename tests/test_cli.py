@@ -247,6 +247,29 @@ class TestRunners:
         cols = row.split(",")
         assert float(cols[4]) == pytest.approx(0.5, abs=1e-8)  # eta
 
+    def test_otto_heats_follow_the_bath_labels(self, tmp_path):
+        # relabelled baths give the hot/cold run's cycle.csv byte for byte
+        p = _with_outdir(tmp_path, "otto_engine.json")
+        assert run(str(p)) == 0
+        expected = (tmp_path / "out" / "cycle.csv").read_bytes()
+        cfg = json.loads(p.read_text())
+        cfg["params"]["bath_h"]["label"] = "H"
+        cfg["params"]["bath_c"]["label"] = "C"
+        cfg["output_dir"] = str(tmp_path / "relabelled")
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 0
+        assert (tmp_path / "relabelled" / "cycle.csv").read_bytes() == expected
+
+    def test_otto_baths_sharing_a_label_rejected(self, tmp_path, capsys):
+        p = _with_outdir(tmp_path, "otto_engine.json")
+        cfg = json.loads(p.read_text())
+        cfg["params"]["bath_c"]["label"] = cfg["params"]["bath_h"]["label"]
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'hot'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_tricycle(self, tmp_path):
         p = _with_outdir(tmp_path, "tricycle_fridge.json")
         assert run(str(p)) == 0

@@ -16,8 +16,8 @@ from qthermo.lindblad import build_davies
 from qthermo.machines import (
     _PROTOCOLS,
     _adiabat_superop,
-    _dephase_superop,
     _nelder_mead,
+    _transfer_superop,
     _tricycle_hamiltonian,
     _tricycle_pieces,
     _walk_cycle,
@@ -314,7 +314,8 @@ class TestStrokeSuperopsBitwise:
     def test_dephase_superop(self, d, seed):
         h = random_hermitian(d, np.random.default_rng(seed))
         for h_op in (h, OscillatorMedium(levels=d).hamiltonian(1.3)):
-            got = _dephase_superop(eig_hermitian(h_op)[1].mat).mat
+            v = eig_hermitian(h_op)[1].mat
+            got = _transfer_superop(v, v).mat
             assert got.tobytes() == _kron_dephase(h_op).tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -517,6 +518,24 @@ def _reference_friction(spec):
         gap = shannon_entropy_in_basis(rho, op.h_out) - von_neumann_entropy(rho)
         entropy_gap = max(entropy_gap, gap)
     return extra_work, entropy_gap
+
+
+class TestOttoBathLabels:
+    """The cycle's heats are booked under its own baths' labels."""
+
+    def test_heats_read_from_the_cycles_baths(self):
+        spec = engine_spec()
+        relabelled = replace(spec, bath_h=replace(spec.bath_h, label="H"),
+                             bath_c=replace(spec.bath_c, label="C"))
+        rep, rel = run_otto(spec), run_otto(relabelled)
+        assert rel.q_h == rel.heat["H"] > 0 and rel.q_c == rel.heat["C"] < 0
+        assert _bits([rel.q_h, rel.q_c, rel.work, rel.efficiency, rel.entropy_production]) \
+            == _bits([rep.q_h, rep.q_c, rep.work, rep.efficiency, rep.entropy_production])
+
+    def test_shared_label_rejected(self):
+        spec = engine_spec()
+        with pytest.raises(ValueError, match="share the label 'hot'"):
+            replace(spec, bath_c=replace(spec.bath_c, label="hot"))
 
 
 class TestOneWalkPerReport:

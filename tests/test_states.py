@@ -122,6 +122,30 @@ class TestGibbs:
         with pytest.raises(ValueError, match="non-negative"):
             gibbs_state(Operator.hermitian(PAULI_Z), -1.0)
 
+    def test_grand_canonical_population_ratios(self, rng):
+        # H and N share a random eigenbasis; in it the populations go as
+        # exp(-beta (E - mu N))
+        u = random_unitary(4, rng).mat
+        e = np.array([0.0, 0.7, 1.1, 1.9])
+        n = np.array([0.0, 1.0, 1.0, 2.0])
+        h = Operator.hermitian(u @ np.diag(e) @ u.conj().T)
+        num = Operator.hermitian(u @ np.diag(n) @ u.conj().T)
+        beta, mu = 1.3, 0.4
+        rho = gibbs_state(h, beta, mu=mu, number_op=num)
+        pops = np.real(np.diag(u.conj().T @ rho.mat @ u))
+        expected = np.exp(-beta * ((e - e[0]) - mu * (n - n[0])))
+        assert np.allclose(pops / pops[0], expected, rtol=1e-10, atol=0.0)
+        assert pops.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_chemical_potential_needs_number_operator(self):
+        with pytest.raises(ValueError, match="number operator"):
+            gibbs_state(Operator.hermitian(PAULI_Z), 1.0, mu=0.3)
+
+    def test_noncommuting_number_operator_rejected(self):
+        num = Operator.hermitian((np.eye(2) + PAULI_X) / 2.0)
+        with pytest.raises(ValueError, match=r"\[H, N\] != 0"):
+            gibbs_state(Operator.hermitian(PAULI_Z), 1.0, mu=0.3, number_op=num)
+
     def test_commutes_with_h(self, rng):
         h = random_hermitian(4, rng)
         rho = gibbs_state(h, 0.8)
