@@ -188,9 +188,8 @@ def _run_evolve(cfg: dict):
     gen = build_davies(h, couplings)
     rng = _rng(cfg["seed"])
     if p["initial"] == "excited":
-        ket = np.zeros(medium.dim)
-        ket[0] = 1.0
-        rho0 = DensityMatrix.pure(ket)
+        # the top eigenvector of H
+        rho0 = DensityMatrix.pure(gen.eigenbasis()[1].mat[:, -1])
     elif p["initial"] == "random":
         rho0 = random_density(medium.dim, rng)
     elif p["initial"] == "mixed":
@@ -348,6 +347,12 @@ def _run_third_law(cfg: dict):
 def _run_floquet(cfg: dict):
     p = cfg["params"]
     baths = [_parse_bath(b, "floquet.baths") for b in p["baths"]]
+    # channels and currents are booked by bath label
+    by_label = {}
+    for b in baths:
+        if b.label in by_label:
+            raise ConfigError(f"two Floquet baths share the label {b.label!r}")
+        by_label[b.label] = b
     sched = fl.ModulatedGapQubit(
         omega0=float(p["omega0"]),
         amplitude=float(p["amplitude"]),
@@ -358,7 +363,7 @@ def _run_floquet(cfg: dict):
     channels = []
     for b in baths:
         channels.extend(fl.harmonic_decompose(dec, s_op, int(p["q_max"]), b))
-    gen = fl.build_floquet_generator(channels, dec.h_av, {b.label: b for b in baths})
+    gen = fl.build_floquet_generator(channels, dec.h_av, by_label)
     report = fl.limit_cycle_laws(gen, channels)
     cert = LawCertificate([])
     cert.add("limit_cycle_first_law", report.first_law_residual, 1e-8, "<=")

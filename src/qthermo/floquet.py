@@ -388,10 +388,6 @@ def drive_power(
     return total
 
 
-# the bath whose positive heat current makes the machine a refrigerator
-_COLD_LABEL = "cold"
-
-
 def limit_cycle_laws(gen: GKLSGenerator, channels: list[FloquetChannel]) -> LimitCycleReport:
     """Evaluate the limit-cycle laws at the interaction-picture stationary
     state.
@@ -400,7 +396,9 @@ def limit_cycle_laws(gen: GKLSGenerator, channels: list[FloquetChannel]) -> Limi
     channel-resolved ledgers (drive quanta against bath quanta); their
     mismatch equals the residual internal-energy drift of the computed
     stationary state, so the first-law number is a consistency check of
-    the whole stack rather than an identity.
+    the whole stack rather than an identity.  The machine is a
+    refrigerator when heat flows in from its coldest bath (the lowest
+    temperature, the first registered on a tie).
     """
     rho0 = stationary_state(gen)
     currents = floquet_heat_currents(gen, channels, rho0)
@@ -412,7 +410,8 @@ def limit_cycle_laws(gen: GKLSGenerator, channels: list[FloquetChannel]) -> Limi
         if not math.isinf(bath.temperature):
             second += j / bath.temperature
     scale = max(max(abs(v) for v in currents.values()), abs(power), 1e-30)
-    if currents.get(_COLD_LABEL, 0.0) > 1e-12 * scale:
+    coldest = min(gen.baths, key=lambda label: gen.baths[label].temperature)
+    if currents.get(coldest, 0.0) > 1e-12 * scale:
         regime = "refrigerator"
     elif power > 1e-12 * scale:
         regime = "engine"

@@ -107,7 +107,6 @@ class GKLSGenerator:
         channels: Sequence[JumpChannel],
         baths: dict[str, BathSpec] | None = None,
         include_hamiltonian: bool = True,
-        coherent_shift: Operator | None = None,
     ):
         if not h.is_hermitian():
             raise ValueError("generator Hamiltonian must be hermitian")
@@ -116,9 +115,6 @@ class GKLSGenerator:
         self.channels = tuple(channels)
         self.baths = dict(baths or {})
         self.include_hamiltonian = include_hamiltonian
-        # renormalisation correction entering the commutator only; all
-        # energy bookkeeping stays with the channel Hamiltonian
-        self.coherent_shift = coherent_shift
         self._liouvillian: Superoperator | None = None
         self._bath_parts: dict[str, Superoperator] = {}
         self._heat_observables: dict[str, np.ndarray] = {}
@@ -182,21 +178,11 @@ class GKLSGenerator:
             self._log_references[label] = _clipped_log(gibbs_state(self.h, bath.beta).mat)
         return self._log_references[label]
 
-    def _coherent_hamiltonian(self) -> np.ndarray | None:
-        """H plus the coherent shift, or None for an interaction-picture
-        generator."""
-        if not self.include_hamiltonian:
-            return None
-        if self.coherent_shift is None:
-            return self.h.mat
-        return self.h.mat + self.coherent_shift.mat
-
     def liouvillian(self) -> Superoperator:
         if self._liouvillian is None:
             m = self.dissipator().mat.copy()
-            h_coh = self._coherent_hamiltonian()
-            if h_coh is not None:
-                m += hamiltonian_superop(Operator.hermitian(h_coh)).mat
+            if self.include_hamiltonian:
+                m += hamiltonian_superop(self.h).mat
             self._liouvillian = Superoperator(m)
         return self._liouvillian
 
@@ -268,20 +254,13 @@ def _coupling_channels(
     return channels
 
 
-def build_davies(
-    h: Operator,
-    couplings: list[tuple[Operator, BathSpec]],
-    lamb_shift: Operator | None = None,
-) -> GKLSGenerator:
+def build_davies(h: Operator, couplings: list[tuple[Operator, BathSpec]]) -> GKLSGenerator:
     """Weak-coupling generator: channels enumerate the Bohr frequencies of
     H for each hermitian coupling, with rates drawn from the bath's
     spectral function.  Detailed balance of the rates, and with it Gibbs
-    stationarity at a common bath temperature, hold by construction.
-
-    ``lamb_shift`` adds a hermitian correction commuting with H to the
-    coherent part only (the renormalisation hook); it moves no
-    populations, so every law check is unaffected.
-    """
+    stationarity at a common bath temperature, hold by construction.  The
+    coherent part is H alone: a Lamb shift commutes with H and moves no
+    populations, so no law reads it."""
     h_evals, v = _eigenbasis(h)
     baths = {}
     for s_op, bath in couplings:
@@ -290,15 +269,7 @@ def build_davies(
         if bath.label in baths and baths[bath.label] != bath:
             raise ValueError(f"two different baths share the label {bath.label!r}")
         baths[bath.label] = bath
-    channels = _coupling_channels(h_evals, v.mat, couplings)
-    if lamb_shift is not None:
-        if not lamb_shift.is_hermitian():
-            raise ValueError("Lamb-shift correction must be hermitian")
-        comm = h.mat @ lamb_shift.mat - lamb_shift.mat @ h.mat
-        scale = max(1.0, float(np.max(np.abs(h.mat))))
-        if np.max(np.abs(comm)) > ALGEBRAIC * scale:
-            raise ValueError("Lamb-shift correction must commute with H")
-    gen = GKLSGenerator(h, channels, baths=baths, coherent_shift=lamb_shift)
+    gen = GKLSGenerator(h, _coupling_channels(h_evals, v.mat, couplings), baths=baths)
     gen._eigenbasis = h_evals, v
     return gen
 
@@ -370,15 +341,13 @@ def _pattern(stack: np.ndarray) -> np.ndarray:
     return (mag > _PATTERN_REL * mag.max(axis=(-2, -1), keepdims=True)).astype(float)
 
 
-def _sector_pairs(jumps: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sector_pairs(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closure of the diagonal index pairs (i, i) under rho -> V rho V^dag
-    for every pattern V of the (K, d, d) stack ``jumps`` and under
-    rho -> A rho, rho A^dag for the pattern A ``left``.  Returns the rows
+    for every pattern V of the (K, d, d) stack ``jumps``.  Returns the rows
     and columns of the pairs in column-stacked order."""
-    reach = np.eye(left.shape[0])
+    reach = np.eye(jumps.shape[-1])
     while True:
-        grown = reach + left @ reach + reach @ left.T
-        grown += (jumps @ reach @ jumps.swapaxes(-1, -2)).sum(axis=0)
+        grown = reach + (jumps @ reach @ jumps.swapaxes(-1, -2)).sum(axis=0)
         grown = (grown > 0).astype(float)
         if np.array_equal(grown, reach):
             cols, rows = np.nonzero(reach.T)
@@ -446,91 +415,50 @@ def _trivial_commutant(ops_e, rates, g_e, rows, cols, jumps) -> bool:
     return bool(np.linalg.eigvalsh(form)[1] > _COMMUTANT_GAP_REL * np.trace(g_e).real)
 
 
-def _commuting_pairs(energies: np.ndarray, h_e: np.ndarray, links: np.ndarray):
-    """Rows and columns of index pairs whose span holds every operator
-    commuting with H_coh, given in the eigenbasis of H as ``h_e``; or None
-    when no such set short of all d^2 pairs is found.
-
-    Levels join when ``energies`` (of H, or zeros when H_coh = 0) lie in
-    one degenerate group or ``links`` (the pattern of the coherent shift)
-    joins them.  H_coh is block diagonal over the resulting components,
-    and when the Gershgorin hulls of the blocks are disjoint no
-    eigenvalue is shared between two of them, so an operator commuting
-    with H_coh is block diagonal too."""
+def _commuting_pairs(energies: np.ndarray):
+    """Rows and columns of the index pairs inside the degenerate level
+    groups of ``energies``, the ascending levels of H, whose span holds
+    every operator commuting with H; or None when all levels form one
+    group."""
     tol = LEVEL_MERGE_REL * max(float(np.ptp(energies)), 1.0)
     label = np.concatenate(([0], np.cumsum(np.diff(energies) > tol)))
-    link = label[:, None] == label[None, :]
     if label[-1] == 0:
         return None
-    if links.any():
-        link = _commuting_components(link, links, h_e)
-        if link is None:
-            return None
-    cols, rows = np.nonzero(link.T)
+    cols, rows = np.nonzero(label[None, :] == label[:, None])
     return rows, cols
 
 
-def _commuting_components(link: np.ndarray, links: np.ndarray, h_e: np.ndarray):
-    """The components of the level groups ``link`` joined by ``links``, or
-    None when they are one component or the Gershgorin hulls of H_coh's
-    blocks on them overlap."""
-    d = len(link)
-    link = (link | (links > 0)).astype(float)
-    while True:
-        grown = (link @ link > 0).astype(float)
-        if np.array_equal(grown, link):
-            break
-        link = grown
-    if link.all():
-        return None
-    centre = h_e.diagonal().real
-    radius = np.sum(np.abs(h_e), axis=1) - np.abs(h_e.diagonal())
-    comp = np.argmax(link, axis=1)
-    lo, hi = np.full(d, np.inf), np.full(d, -np.inf)
-    np.minimum.at(lo, comp, centre - radius)
-    np.maximum.at(hi, comp, centre + radius)
-    present = np.unique(comp)
-    order = np.argsort(lo[present])
-    lo, hi = lo[present][order], hi[present][order]
-    if np.any(lo[1:] <= np.maximum.accumulate(hi)[:-1]):
-        return None
-    return link > 0
-
-
-def _certified_sector(gen: GKLSGenerator, ops, rates, g, h_coh):
+def _certified_sector(gen: GKLSGenerator, ops, rates, g):
     """The generator's block on its sector in the eigenbasis of H, with
-    the sector's rows and columns, the eigenvectors, and G and H_coh in
-    that basis; or None when the sector is all d^2 pairs or is not
-    certified to hold every stationary state.  A generator without
-    channels is never certified: its commutant holds every function of
-    H_coh.
+    the sector's rows and columns, the eigenvectors, and G and H in that
+    basis; or None when the sector is all d^2 pairs or is not certified
+    to hold every stationary state.  A generator without channels is
+    never certified: its commutant holds every function of H.  Nor is an
+    interaction-picture generator, which has no H to split the levels.
 
     The generator maps the sector into itself, so a second null vector of
     the block is one of the generator, and the bordered solve rejects it.
     Null vectors outside the sector, which no population reaches, are
     ruled out by Spohn's condition (Lett. Math. Phys. 2, 33 (1977)): the
     channels span a self-adjoint set, and only scalars commute with them
-    and H_coh.  The support projection P of a stationary state then
-    commutes with every channel, its adjoint and H_coh, so P = 1; every
-    stationary state is faithful, and two of them would give, by their
-    difference, one that is not.  The commutant is checked on the pairs
-    of ``_commuting_pairs`` (``_trivial_commutant``)."""
-    if not len(rates):
+    and H.  The support projection P of a stationary state then commutes
+    with every channel, its adjoint and H, so P = 1; every stationary
+    state is faithful, and two of them would give, by their difference,
+    one that is not.  The commutant is checked on the pairs of
+    ``_commuting_pairs`` (``_trivial_commutant``)."""
+    if not len(rates) or not gen.include_hamiltonian:
         return None
     d = gen.dim
     evals, v = gen.eigenbasis()
     v = v.mat
-    ops_e, g_e, h_e = (v.conj().T @ x @ v for x in (ops, g, h_coh))
+    ops_e, g_e, h_e = (v.conj().T @ x @ v for x in (ops, g, gen.h.mat))
     jumps = _pattern(ops_e)
-    # H is diagonal here, and the coherent shift has a pattern of its own.
-    # G needs none once the channels span a self-adjoint set: G joins a
-    # and b when a channel sends both to one level i, and the channel
-    # along its adjoint then feeds (a, b) from (i, i)
-    links = np.zeros((d, d))
-    if gen.include_hamiltonian and gen.coherent_shift is not None:
-        links = _pattern(v.conj().T @ gen.coherent_shift.mat @ v)
-    rows, cols = _sector_pairs(jumps, links)
-    commuting = _commuting_pairs(evals if gen.include_hamiltonian else np.zeros(d), h_e, links)
+    # H is diagonal here, and G needs no pattern once the channels span a
+    # self-adjoint set: G joins a and b when a channel sends both to one
+    # level i, and the channel along its adjoint then feeds (a, b) from
+    # (i, i)
+    rows, cols = _sector_pairs(jumps)
+    commuting = _commuting_pairs(evals)
     if len(rows) == d * d or commuting is None or not _self_adjoint_span(ops_e, jumps):
         return None
     z_rows, z_cols = commuting
@@ -553,17 +481,17 @@ def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
     null spaces.
 
     Write the generator as rho -> A rho + rho A^dag + sum_k r_k V_k rho
-    V_k^dag, with A = -i H_coh - G / 2 and G = sum_k r_k V_k^dag V_k.  In
-    the eigenbasis of H it maps the span of the sector, the closure of the
-    diagonal pairs (i, i) under the nonzero patterns of the V_k and of the
-    coherent shift, into itself when the V_k span a self-adjoint set.
-    When ``_certified_sector`` shows that every stationary state lies in
-    that span, the generator is assembled on the sector alone, at a cost
-    of K s^2 for K channels and s pairs; for a secular generator this is
-    the zero-Bohr sector (s = d for a nondegenerate spectrum).  Otherwise,
-    and for a qubit, the block is the generator's whole Liouvillian in
-    the computational basis.  Either block is solved by
-    ``_bordered_fixed_point``.
+    V_k^dag, with A = -i H - G / 2 (H = 0 in the interaction picture)
+    and G = sum_k r_k V_k^dag V_k.  In the eigenbasis of H it maps the
+    span of the sector, the closure of the diagonal pairs (i, i) under
+    the nonzero patterns of the V_k, into itself when the V_k span a
+    self-adjoint set.  When ``_certified_sector`` shows that every
+    stationary state lies in that span, the generator is assembled on the
+    sector alone, at a cost of K s^2 for K channels and s pairs; for a
+    secular generator this is the zero-Bohr sector (s = d for a
+    nondegenerate spectrum).  Otherwise, and for a qubit, the block is
+    the generator's whole Liouvillian in the computational basis.  Either
+    block is solved by ``_bordered_fixed_point``.
 
     The trace row and the rcond are scaled to the whole generator (its
     coherent spread and G), never to the block alone, whose entries may
@@ -573,11 +501,10 @@ def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
     ops, rates = gen._stacked_channels(None)
     d, k = gen.dim, len(rates)
     g = ops.reshape(k * d, d).conj().T @ (rates[:, None, None] * ops).reshape(k * d, d)
-    h_coh = gen._coherent_hamiltonian()
-    h_coh = np.zeros((d, d)) if h_coh is None else h_coh
+    h_coh = gen.h.mat if gen.include_hamiltonian else np.zeros((d, d))
     sector = None
     if d * d > _WHOLE_LIOUVILLIAN_SIDE:
-        sector = _certified_sector(gen, ops, rates, g, h_coh)
+        sector = _certified_sector(gen, ops, rates, g)
     if sector is None:
         # every pair, in the computational basis
         kernel = np.array(gen.liouvillian().mat, order="F")

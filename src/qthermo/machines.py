@@ -385,15 +385,12 @@ class CycleReport:
     """Per-cycle energy bookkeeping at the limit cycle."""
 
     work: float                      # net extracted work per cycle
-    heat: dict[str, float]           # per-bath heat into the medium
     q_h: float                       # heat from the cycle's hot bath
     q_c: float                       # heat from the cycle's cold bath
-    stroke_energy: list[tuple[str, float]]
     efficiency: float | None         # W / Q_h when operating as an engine
     cop: float | None                # Q_c / |W| when operating as a refrigerator
     power: float                     # W / cycle time
     entropy_production: float        # -sum_k Q_k / T_k per cycle
-    limit_cycle: DensityMatrix
     is_engine: bool
     flags: tuple[str, ...] = ()
 
@@ -415,7 +412,6 @@ def _walk_cycle(ops: list[StrokeOp], rho_start: np.ndarray):
         rhos.append(_symmetrised(op.superop.apply_matrix(rhos[-1])))
     _state_spectra(np.array(rhos[1:]))
     heat: dict[str, float] = {}
-    stroke_energy = []
     deltas = []
     work_extracted = 0.0
     h_prev = ops[0].h_in
@@ -424,7 +420,6 @@ def _walk_cycle(ops: list[StrokeOp], rho_start: np.ndarray):
             # sudden junction quench: energy jump at fixed state is work
             jump = float(np.real(np.trace(rho @ (op.h_in.mat - h_prev.mat))))
             work_extracted -= jump
-            stroke_energy.append(("junction-quench", -jump))
         e_in = float(np.real(np.trace(rho @ op.h_in.mat)))
         e_out = float(np.real(np.trace(rho_out @ op.h_out.mat)))
         delta = e_out - e_in
@@ -432,24 +427,20 @@ def _walk_cycle(ops: list[StrokeOp], rho_start: np.ndarray):
         if op.is_isochore:
             label = op.spec.bath.label
             heat[label] = heat.get(label, 0.0) + delta
-            stroke_energy.append((op.spec.label or "isochore", delta))
         else:
             work_extracted -= delta
-            stroke_energy.append((op.spec.label or "adiabat", -delta))
         h_prev = op.h_out
     # close the cycle back to the first stroke's Hamiltonian
     if np.max(np.abs(ops[0].h_in.mat - h_prev.mat)) > 1e-12:
         jump = float(np.real(np.trace(rhos[-1] @ (ops[0].h_in.mat - h_prev.mat))))
         work_extracted -= jump
-        stroke_energy.append(("junction-quench", -jump))
-    return work_extracted, heat, stroke_energy, rhos, deltas
+    return work_extracted, heat, rhos, deltas
 
 
 def run_otto(spec: CycleSpec) -> CycleReport:
     """Drive the cycle to its limit cycle and report the energy split."""
     u_cyc, ops = compose_cycle(spec)
-    rho_lc = _limit_cycle_state(u_cyc)
-    work, heat, stroke_energy, _, _ = _walk_cycle(ops, rho_lc.mat)
+    work, heat, _, _ = _walk_cycle(ops, _limit_cycle_state(u_cyc).mat)
 
     flags = []
     q_h = heat.get(spec.bath_h.label, 0.0)
@@ -470,15 +461,12 @@ def run_otto(spec: CycleSpec) -> CycleReport:
             sigma -= q / bath.temperature
     return CycleReport(
         work=work,
-        heat=heat,
         q_h=q_h,
         q_c=q_c,
-        stroke_energy=stroke_energy,
         efficiency=efficiency,
         cop=cop,
         power=work / spec.cycle_time(),
         entropy_production=sigma,
-        limit_cycle=rho_lc,
         is_engine=is_engine,
         flags=tuple(flags),
     )

@@ -236,6 +236,21 @@ class TestRunners:
         cert = (tmp_path / "out" / "certificate.csv").read_text()
         assert "false" in cert
 
+    def test_evolve_excited_oscillator_starts_in_its_top_level(self, tmp_path):
+        # a 4-level oscillator at omega = 1 starts in |3>, E = 3, and gives
+        # heat to its cold bath
+        cfg = {"kind": "evolve", "output_dir": str(tmp_path / "out"),
+               "params": {"medium": {"kind": "oscillator", "levels": 4},
+                          "baths": [{"label": "b", "temperature": 0.1, "form_factor": "ohmic",
+                                     "gamma": 0.2, "cutoff": 10.0}],
+                          "initial": "excited", "t_final": 0.5, "points": 11}}
+        p = tmp_path / "excited.json"
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 0
+        first = (tmp_path / "out" / "ledger.csv").read_text().splitlines()[1]
+        t, e, *_, j_b = map(float, first.split(","))
+        assert t == 0.05 and 2.9 < e < 3.0 and j_b < 0
+
     def test_davies_audit(self, tmp_path):
         p = _with_outdir(tmp_path, "davies_audit_oscillator.json")
         assert run(str(p)) == 0
@@ -315,6 +330,32 @@ class TestRunners:
         assert run(str(p)) == 0
         report = (tmp_path / "out" / "limit_cycle.csv").read_text()
         assert "refrigerator" in report
+
+    def test_floquet_regime_follows_the_coldest_bath(self, tmp_path):
+        # relabelled baths give the hot/cold run's row, its regime included
+        p = _with_outdir(tmp_path, "floquet_fridge.json")
+        assert run(str(p)) == 0
+        expected = (tmp_path / "out" / "limit_cycle.csv").read_text()
+        cfg = json.loads(p.read_text())
+        for bath, label in zip(cfg["params"]["baths"], ("H", "C"), strict=True):
+            bath["label"] = label
+        cfg["output_dir"] = str(tmp_path / "relabelled")
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 0
+        report = (tmp_path / "relabelled" / "limit_cycle.csv").read_text()
+        assert report == expected.replace("J_hot,J_cold", "J_H,J_C")
+        assert "refrigerator" in report
+
+    def test_floquet_baths_sharing_a_label_rejected(self, tmp_path, capsys):
+        p = _with_outdir(tmp_path, "floquet_fridge.json")
+        cfg = json.loads(p.read_text())
+        for bath in cfg["params"]["baths"]:
+            bath["label"] = "hot"
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'hot'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         p = _with_outdir(tmp_path, "evolve_qubit.json")

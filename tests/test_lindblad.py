@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from qthermo import lindblad
 from qthermo.baths import BathSpec, spectral_density
-from qthermo.floquet import ModulatedGapQubit
+from qthermo.floquet import (
+    ModulatedGapQubit,
+    ModulatedLadder,
+    build_floquet_generator,
+    floquet_decompose,
+    harmonic_decompose,
+)
 from qthermo.lindblad import (
     BohrResolutionError,
     GKLSGenerator,
@@ -76,8 +82,6 @@ class TestBuildDavies:
 
     def test_zero_coupling_pure_hamiltonian(self, rng):
         bath = ohmic_bath("b", 1.0)
-        from dataclasses import replace
-
         gen = build_davies(qubit_h(), [(Operator.hermitian(PAULI_X), replace(bath, coupling=0.0))])
         assert gen.channels == ()
         rho = random_density(2, rng)
@@ -461,31 +465,6 @@ def test_array_schedule_gives_the_ledger_of_its_operator_form():
             assert a.mat.tobytes() == b.mat.tobytes()
 
 
-class TestLambShiftHook:
-    def test_commuting_shift_preserves_laws(self):
-        bath = ohmic_bath("b", 1.0)
-        sx = Operator.hermitian(PAULI_X)
-        shift = Operator.hermitian(0.05 * PAULI_Z)
-        gen = build_davies(qubit_h(), [(sx, bath)], lamb_shift=shift)
-        assert gen.coherent_shift is shift
-        audit = davies_audit(gen)
-        # populations and every law number are untouched by the shift
-        assert audit["detailed_balance"] <= 1e-10
-        assert audit["cp_min_eig"] >= -1e-9
-        assert audit["gibbs_residual"] <= 1e-9
-        plain = build_davies(qubit_h(), [(sx, bath)])
-        rho0 = DensityMatrix(np.diag([0.9, 0.1]))
-        a = propagate(gen, rho0, 3.0)
-        b = propagate(plain, rho0, 3.0)
-        assert np.allclose(np.diag(a.mat), np.diag(b.mat), atol=1e-12)
-
-    def test_noncommuting_shift_rejected(self):
-        bath = ohmic_bath("b", 1.0)
-        sx = Operator.hermitian(PAULI_X)
-        with pytest.raises(ValueError, match="commute"):
-            build_davies(qubit_h(), [(sx, bath)], lamb_shift=sx)
-
-
 def test_channel_pairs_are_adjoint():
     # channels of a hermitian coupling come in (omega, -omega) adjoint pairs
     gen = build_davies(qubit_h(1.3), [(Operator.hermitian(PAULI_X),
@@ -667,31 +646,14 @@ class TestSectorSolveAgainstDenseOracle:
         assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
         assert np.max(np.abs(rho.mat - _eig_stationary(gen.liouvillian().mat, d))) <= ALGEBRAIC
 
-    @pytest.mark.parametrize("through", ["G", "H_coh"])
-    def test_degenerate_coherence_reached_only_through(self, through):
+    def test_degenerate_coherence_reached_only_through(self):
         # levels 1 and 2 are degenerate and no jump creates their coherence:
-        # G (bath a decays both into 0, one of them weakly) or the Lamb
-        # shift (mixing 1 and 2 fed at two temperatures) does
-        gen = _degenerate_coherence_generator(through)
+        # G does, since bath a decays both into 0, one of them weakly
+        gen = _degenerate_coherence_generator()
         assert _stationary_dimension(gen) == 1
         rho = stationary_state(gen)
         assert abs(rho.mat[1, 2]) > 1e-6
         assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
-
-    def test_weak_lamb_shift_keeps_its_coherence(self, monkeypatch):
-        # the Lamb shift and every rate 1e-11 of the level spacing: the
-        # shift's own pattern, not one shared with H, brings the coherence
-        # (1, 2) into the sector
-        gen = _degenerate_coherence_generator("H_coh")
-        weak = GKLSGenerator(gen.h, [replace(ch, rate=1e-11 * ch.rate) for ch in gen.channels],
-                             baths=gen.baths,
-                             coherent_shift=Operator.hermitian(1e-11 * gen.coherent_shift.mat))
-        kernels = _record_sector_kernels(monkeypatch)
-        rho = stationary_state(weak)
-        assert [kn.shape for kn in kernels] == [(5, 5)]
-        assert abs(rho.mat[1, 2]) > 1e-2
-        assert np.max(np.abs(rho.mat - _dense_bordered_stationary(weak))) <= ALGEBRAIC
-        assert np.max(np.abs(rho.mat - stationary_state(gen).mat)) <= ALGEBRAIC
 
     def test_closure_follows_a_chain_of_coherences(self):
         # doublets (c, d) at 0 and (a, b) at 1 under a level e at 2: the
@@ -762,22 +724,24 @@ class TestSectorSolveAgainstDenseOracle:
             stationary_state(gen)
         assert [kn.shape for kn in kernels] == [(16, 16)]
 
-    def test_shift_closing_a_gap_not_unique(self, monkeypatch):
-        # as above, but the idle qubit's levels differ by 0.3 in H and the
-        # coherent shift closes that gap: every level is its own group of
-        # H, yet 1 x sigma_x commutes with H_coh and every channel
-        sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        gap = np.kron(np.eye(2), np.diag([0.0, 0.3]))
-        gen = GKLSGenerator(Operator.hermitian(np.kron(np.diag([0.0, 1.0]), np.eye(2)) + gap),
-                            [JumpChannel("a", 1.0, np.kron(sm, np.eye(2)), 1.0),
-                             JumpChannel("a", -1.0, np.kron(sm.T, np.eye(2)), 0.3),
-                             JumpChannel("b", 0.0, np.kron(np.eye(2), PAULI_X), 0.5)],
-                            coherent_shift=Operator.hermitian(-gap))
-        assert _stationary_dimension(gen) > 1
+    def test_interaction_picture_solved_on_its_whole_liouvillian(self, monkeypatch):
+        # a Floquet generator carries no H to split its levels, so no
+        # sector is sought: the driven ladder's whole 9 x 9 Liouvillian goes
+        # to the bordered solver, and no channel is rotated for a sector
+        sched = ModulatedLadder(omega1=1.0, omega2=1.55, amplitude=0.3, big_omega=0.6)
+        dec = floquet_decompose(sched, sched.tau, 256)
+        lower = Operator.hermitian(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+        upper = Operator.hermitian(np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]))
+        cold, hot = ohmic_bath("cold", 0.8), ohmic_bath("hot", 2.5)
+        channels = harmonic_decompose(dec, lower, 6, cold) + harmonic_decompose(dec, upper, 6, hot)
+        gen = build_floquet_generator(channels, dec.h_av, {"cold": cold, "hot": hot})
         kernels = _record_sector_kernels(monkeypatch)
-        with pytest.raises(ValueError, match="not unique"):
-            stationary_state(gen)
-        assert [kn.shape for kn in kernels] == [(16, 16)]
+        patterns, pattern = [], lindblad._pattern
+        monkeypatch.setattr(lindblad, "_pattern",
+                            lambda stack: patterns.append(stack) or pattern(stack))
+        rho = stationary_state(gen)
+        assert [kn.shape for kn in kernels] == [(9, 9)] and not patterns
+        assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
 
     def test_adjoint_found_among_channels_of_one_pattern(self, monkeypatch):
         # two baths couple the same ladder transitions with different
@@ -794,10 +758,9 @@ class TestSectorSolveAgainstDenseOracle:
         assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
 
 
-def _degenerate_coherence_generator(through):
-    """Levels 0 < 1 = 2 whose coherence (1, 2) no jump creates: G does
-    when bath a decays both 1 and 2 into 0, one of them weakly; the Lamb
-    shift does when it mixes 1 and 2, fed from 0 at two temperatures."""
+def _degenerate_coherence_generator():
+    """Levels 0 < 1 = 2 whose coherence (1, 2) no jump creates; G does, as
+    bath a decays both 1 and 2 into 0, one of them weakly."""
     def coupling(*entries):
         m = np.zeros((3, 3), dtype=complex)
         for i, j, w in entries:
@@ -805,12 +768,8 @@ def _degenerate_coherence_generator(through):
         return Operator.hermitian(m)
 
     h = Operator.hermitian(np.diag([0.0, 1.0, 1.0]))
-    if through == "G":
-        return build_davies(h, [(coupling((0, 1, 1.0), (0, 2, 1e-3)), ohmic_bath("a", 0.0)),
-                                (coupling((0, 1, 1.0)), ohmic_bath("b", 1.0))])
-    return build_davies(h, [(coupling((0, 1, 1.0)), ohmic_bath("b", 1.0)),
-                            (coupling((0, 2, 1.0)), ohmic_bath("c", 0.4))],
-                        lamb_shift=coupling((1, 2, 0.3)))
+    return build_davies(h, [(coupling((0, 1, 1.0), (0, 2, 1e-3)), ohmic_bath("a", 0.0)),
+                            (coupling((0, 1, 1.0)), ohmic_bath("b", 1.0))])
 
 
 def _loop_coupling_channels(h_evals, basis, s_op, bath):
