@@ -251,8 +251,8 @@ def _otto_spec(p: dict, where: str) -> mc.CycleSpec:
         tau_hc=float(p["tau_hc"]),
         tau_ch=float(p["tau_ch"]),
         protocol=p["protocol"],
-        order=p.get("order", "engine"),
-        dephase_after_adiabats=bool(p.get("dephase_after_adiabats", False)),
+        order=p["order"],
+        dephase_after_adiabats=bool(p["dephase_after_adiabats"]),
     )
 
 
@@ -459,7 +459,10 @@ _KINDS: dict[str, _Kind] = {
         required=("bath_h", "bath_c", "free"),
         defaults={"medium": {"kind": "qubit"}, "omega_h": 6.0, "omega_c": 3.0,
                   "tau_h": 2.0, "tau_c": 2.0, "tau_hc": 0.01, "tau_ch": 0.01,
-                  "protocol": "adiabatic"},
+                  "protocol": "adiabatic",
+                  # outside the schema, so fixed: the search maximises
+                  # engine power only
+                  "order": "engine", "dephase_after_adiabats": False},
         runner=_run_otto_optimize,
     ),
     "tricycle": _Kind(
@@ -520,6 +523,17 @@ def _apply_tolerance_overrides(cert: LawCertificate, overrides: dict):
             )
         if not isinstance(value, (int, float)):
             raise ConfigError(f"tolerance override {key!r} must be a number")
+    for name, _, threshold, sense in cert.entries:
+        if name not in overrides:
+            continue
+        value = float(overrides[name])
+        # toward failure: up for a lower bound, down for an upper bound
+        tighter = value >= threshold if sense == ">=" else value <= threshold
+        if not tighter:
+            raise ConfigError(
+                f"tolerance override {name!r} loosens its check ({sense}): default "
+                f"{threshold:g}, requested {value:g}; an override may only tighten"
+            )
     cert.entries = [
         (name, value, float(overrides.get(name, threshold)), sense)
         for name, value, threshold, sense in cert.entries

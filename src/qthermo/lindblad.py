@@ -60,9 +60,9 @@ _LEDGER_BLOCK = 64
 # smallest reciprocal condition number of a bordered fixed-point system
 # accepted as a one-dimensional null space
 _RCOND_MIN = 1e-12
-# entries of a channel below this fraction of the channel's largest entry
-# are rotation roundoff (at most 3e-13 at d = 64) and join no index pair to
-# the sector of a stationary solve
+# entries of a Bohr bin below this fraction of the bin's largest entry are
+# roundoff of the rotation into the eigenbasis and join no index pair to the
+# sector of a stationary solve
 _PATTERN_REL = 1e-10
 # a generator with at most this many index pairs (a qubit) is solved on its
 # whole Liouvillian, whose 4 x 4 solve costs about what the sector's
@@ -97,8 +97,12 @@ class JumpChannel:
 class GKLSGenerator:
     """Hamiltonian plus weighted jump channels; exposes the Liouvillian.
 
-    ``include_hamiltonian`` is switched off for interaction-picture
-    generators whose coherent part lives in the frame transformation.
+    A generator is built either from explicit channels or, by
+    :func:`build_davies`, from the Bohr-indexed tables of its couplings
+    (:class:`_Tables`); for the latter ``channels`` is a view derived from
+    the tables on first use.  ``include_hamiltonian`` is switched off for
+    interaction-picture generators whose coherent part lives in the frame
+    transformation.
     """
 
     def __init__(
@@ -112,34 +116,58 @@ class GKLSGenerator:
             raise ValueError("generator Hamiltonian must be hermitian")
         self.h = h
         # a tuple, so that the caches below cannot go stale
-        self.channels = tuple(channels)
+        self._channels: tuple[JumpChannel, ...] | None = tuple(channels)
+        self._tables: _Tables | None = None
         self.baths = dict(baths or {})
         self.include_hamiltonian = include_hamiltonian
         self._liouvillian: Superoperator | None = None
         self._bath_parts: dict[str, Superoperator] = {}
         self._heat_observables: dict[str, np.ndarray] = {}
         self._log_references: dict[str, np.ndarray] = {}
+        # ascending eigenvalues and eigenvector matrix of H, read-only arrays
+        self._eig: tuple[np.ndarray, np.ndarray] | None = None
         self._eigenbasis: tuple[np.ndarray, Operator] | None = None
+
+    @classmethod
+    def _tabled(cls, h: Operator, tables: "_Tables", evals: np.ndarray, v: np.ndarray,
+                baths: dict[str, BathSpec]) -> "GKLSGenerator":
+        gen = cls(h, (), baths)
+        gen._channels, gen._tables, gen._eig = None, tables, (evals, v)
+        return gen
 
     @property
     def dim(self) -> int:
         return self.h.dim
+
+    @property
+    def channels(self) -> tuple[JumpChannel, ...]:
+        """The jump channels; those of a tabled generator are rotated out of
+        the eigenbasis of H once, on first use."""
+        if self._channels is None:
+            self._channels = _table_channels(self._tables, self._eig[1])
+        return self._channels
 
     def eigenbasis(self) -> tuple[np.ndarray, Operator]:
         """Ascending eigenvalues of H and the unitary of its eigenvectors,
         as :func:`eig_hermitian` gives them, computed once; both read-only.
         ``build_davies`` hands over the decomposition it computed."""
         if self._eigenbasis is None:
-            self._eigenbasis = _eigenbasis(self.h)
+            if self._eig is None:
+                evals, v = eig_hermitian(self.h)
+                evals.setflags(write=False)
+                self._eigenbasis = evals, v
+            else:
+                self._eigenbasis = self._eig[0], Operator.unitary(self._eig[1])
         return self._eigenbasis
 
     @property
     def bath_labels(self) -> list[str]:
-        seen = []
-        for ch in self.channels:
-            if ch.bath_label not in seen:
-                seen.append(ch.bath_label)
-        return seen
+        if self._tables is not None:
+            t = self._tables
+            names = [label for label, rates in zip(t.labels, t.bin_rates) if rates]
+        else:
+            names = [ch.bath_label for ch in self.channels]
+        return list(dict.fromkeys(names))
 
     def _stacked_channels(self, label: str | None) -> tuple[np.ndarray, np.ndarray]:
         """Operators (K, d, d) and rates (K,) of the channels above the rate
@@ -161,11 +189,17 @@ class GKLSGenerator:
 
     def heat_observable(self, label: str) -> np.ndarray:
         """Q = D^dag(H) over the channels of one bath, so that the bath's
-        heat current in the state rho is Re Tr(Q rho)."""
+        heat current in the state rho is Re Tr(Q rho).  A tabled generator
+        reads it from its tables (:func:`_table_heat_observables`)."""
         if label not in self._heat_observables:
-            ops, rates = self._stacked_channels(label)
-            terms = adjoint_dissipator(ops, self.h.mat)
-            self._heat_observables[label] = np.tensordot(rates, terms, axes=1)
+            if self._tables is not None:
+                _table_heat_observables([self])
+                if label not in self._heat_observables:
+                    return np.zeros((self.dim, self.dim), dtype=complex)
+            else:
+                ops, rates = self._stacked_channels(label)
+                terms = adjoint_dissipator(ops, self.h.mat)
+                self._heat_observables[label] = np.tensordot(rates, terms, axes=1)
         return self._heat_observables[label]
 
     def log_gibbs_reference(self, label: str) -> np.ndarray:
@@ -187,26 +221,32 @@ class GKLSGenerator:
         return self._liouvillian
 
 
-def _eigenbasis(h: Operator) -> tuple[np.ndarray, Operator]:
-    """:func:`eig_hermitian` with read-only eigenvalues; the eigenvector
-    unitary is an Operator, read-only already."""
-    evals, v = eig_hermitian(h)
-    evals.setflags(write=False)
-    return evals, v
+@dataclass(frozen=True)
+class _Tables:
+    """The couplings of a weak-coupling generator as Bohr-indexed tables in
+    the eigenbasis of H (Davies, Commun. Math. Phys. 39, 91 (1974)).
+
+    Coupling c, to the bath ``labels[c]``, is ``s_e[c]`` = V^dag S_c V.
+    Each of its elements lies in at most one Bohr bin: ``bins[c]`` holds
+    the bin of each element, or -1 outside every bin whose rate clears the
+    rate floor, and ``rates[c]`` the rate of that bin (0 outside).  Bin k
+    is the channel ``s_e[c]`` restricted to ``bins[c] == k``, at the Bohr
+    frequency ``freqs[c][k]`` with the rate ``bin_rates[c][k]``.  Tables
+    of one shape stack into dense (n, C, d, d) arrays, whatever their
+    channel counts."""
+
+    labels: tuple[str, ...]
+    s_e: np.ndarray
+    bins: np.ndarray
+    rates: np.ndarray
+    freqs: tuple[tuple[float, ...], ...]
+    bin_rates: tuple[tuple[float, ...], ...]
 
 
-def _coupling_channels(
-    h_evals: np.ndarray,
-    basis: np.ndarray,
-    couplings: Sequence[tuple[Operator, BathSpec]],
-) -> list[JumpChannel]:
-    """Secular decomposition of hermitian couplings against their baths,
+def _coupling_tables(h_evals: np.ndarray, s_e: np.ndarray, couplings) -> _Tables:
+    """Secular decomposition of hermitian couplings, given in the
+    eigenbasis of H as the (C, d, d) stack ``s_e``, against their baths,
     coupling by coupling; the levels of H are grouped once for all."""
-    if not all(s_op.is_hermitian() for s_op, _ in couplings):
-        raise ValueError("coupling operators must be hermitian")
-    d = len(h_evals)
-    s_e = np.array([basis.conj().T @ s_op.mat @ basis for s_op, _ in couplings])
-    s_e = s_e.reshape(-1, d, d)
     abs_se = np.abs(s_e)
     spread = max(float(h_evals.max() - h_evals.min()), 1.0)
     merge_tol = LEVEL_MERGE_REL * spread
@@ -219,7 +259,9 @@ def _coupling_channels(
     label, centers, (member, g_from, g_to) = _level_blocks(
         h_evals, abs_se.swapaxes(-1, -2), floors[:, None, None]
     )
-    channels = []
+    bins = np.full(s_e.shape, -1)
+    rates = np.zeros(s_e.shape)
+    freqs, bin_rates = [], []
     for c, (_, bath) in enumerate(couplings):
         mine = member == c
         c_from, c_to = g_from[mine], g_to[mine]
@@ -227,7 +269,7 @@ def _coupling_channels(
         gaps = centers[c_from] - centers[c_to]
 
         # bin gaps; reject unresolved near-degeneracies
-        bins, bin_centers, pair = _bin_frequencies(gaps, merge_tol, resolve_tol)
+        groups, bin_centers, pair = _bin_frequencies(gaps, merge_tol, resolve_tol)
         if pair is not None:
             i, j = pair
             sep = abs(bin_centers[i] - bin_centers[j])
@@ -238,40 +280,134 @@ def _coupling_channels(
             )
 
         block_bin = np.full((len(centers), len(centers)), -1)
-        for k, b in enumerate(bins):
-            block_bin[c_from[b], c_to[b]] = k
+        if groups:
+            flat = np.concatenate(groups)
+            block_bin[c_from[flat], c_to[flat]] = np.repeat(np.arange(len(groups)),
+                                                            [len(g) for g in groups])
         elem_bin = block_bin[label[None, :], label[:, None]]
         centers_c = bin_centers.tolist()
-        rates = [spectral_density(center, bath) for center in centers_c]
-        kept = [k for k, rate in enumerate(rates) if rate > _RATE_FLOOR]
+        rates_c = [spectral_density(center, bath) for center in centers_c]
+        kept = [k for k, rate in enumerate(rates_c) if rate > _RATE_FLOOR]
+        # kept bins are renumbered 0, 1, ...; the last entry sends -1 to -1
+        renumber = np.full(len(centers_c) + 1, -1)
+        renumber[kept] = np.arange(len(kept))
+        bins[c] = renumber[elem_bin]
+        bin_rates.append(tuple(rates_c[k] for k in kept))
+        freqs.append(tuple(centers_c[k] for k in kept))
+        rates[c] = np.array(bin_rates[-1] + (0.0,))[bins[c]]
+    for arr in (bins, rates):
+        arr.setflags(write=False)
+    return _Tables(tuple(bath.label for _, bath in couplings), s_e, bins, rates,
+                   tuple(freqs), tuple(bin_rates))
+
+
+def _table_channels(t: _Tables, basis: np.ndarray) -> tuple[JumpChannel, ...]:
+    """The channels of the tables rotated back to the computational basis,
+    read-only, in coupling order and ascending Bohr frequency."""
+    channels = []
+    for c, label in enumerate(t.labels):
+        k = len(t.bin_rates[c])
         # "+ 0.0" stores -0.0 entries of s_e as 0.0
-        ops = np.where(elem_bin == np.array(kept, dtype=int)[:, None, None], s_e[c], 0.0) + 0.0
-        # rotate the eigenbasis blocks back to the computational basis
+        ops = np.where(t.bins[c] == np.arange(k)[:, None, None], t.s_e[c], 0.0) + 0.0
         ops = basis @ ops @ basis.conj().T
         ops.setflags(write=False)
-        channels.extend(JumpChannel(bath.label, centers_c[k], op, rates[k])
-                        for k, op in zip(kept, ops))
-    return channels
+        channels.extend(JumpChannel(label, freq, op, rate)
+                        for freq, op, rate in zip(t.freqs[c], ops, t.bin_rates[c]))
+    return tuple(channels)
+
+
+def _davies_stack(hs: Sequence[Operator], couplings) -> list[GKLSGenerator | BohrResolutionError]:
+    """Weak-coupling generators of the Hamiltonians ``hs`` (one dimension)
+    against one list of hermitian couplings: one batched ``eigh`` and one
+    batched rotation of the couplings into every eigenbasis; only the Bohr
+    binning runs member by member.  A member whose gaps the secular
+    approximation can neither merge nor resolve is its
+    BohrResolutionError.  Each member's bits are those of building it
+    alone."""
+    d = hs[0].dim
+    baths = {}
+    for s_op, bath in couplings:
+        if s_op.dim != d:
+            raise ValueError("coupling dimension does not match the Hamiltonian")
+        if bath.label in baths and baths[bath.label] != bath:
+            raise ValueError(f"two different baths share the label {bath.label!r}")
+        baths[bath.label] = bath
+    if any(h.dim != d for h in hs):
+        raise ValueError("the Hamiltonians of one stack must share their dimension")
+    if not all(h.is_hermitian() for h in hs):
+        raise ValueError("generator Hamiltonian must be hermitian")
+    if not all(s_op.is_hermitian() for s_op, _ in couplings):
+        raise ValueError("coupling operators must be hermitian")
+    mats = np.array([h.mat for h in hs])
+    evals, v = np.linalg.eigh((mats + mats.conj().swapaxes(-1, -2)) / 2.0)
+    s = np.array([s_op.mat for s_op, _ in couplings], dtype=complex).reshape(-1, d, d)
+    s_e = v.conj().swapaxes(-1, -2)[:, None] @ s[None] @ v[:, None]
+    for arr in (evals, v, s_e):
+        arr.setflags(write=False)
+    gens = []
+    for h, e_i, v_i, s_i in zip(hs, evals, v, s_e):
+        try:
+            tables = _coupling_tables(e_i, s_i, couplings)
+        except BohrResolutionError as exc:
+            gens.append(exc)
+            continue
+        gens.append(GKLSGenerator._tabled(h, tables, e_i, v_i, baths))
+    return gens
 
 
 def build_davies(h: Operator, couplings: list[tuple[Operator, BathSpec]]) -> GKLSGenerator:
     """Weak-coupling generator: channels enumerate the Bohr frequencies of
     H for each hermitian coupling, with rates drawn from the bath's
-    spectral function.  Detailed balance of the rates, and with it Gibbs
+    spectral function, held as the Bohr-indexed tables of
+    :class:`_Tables`.  Detailed balance of the rates, and with it Gibbs
     stationarity at a common bath temperature, hold by construction.  The
     coherent part is H alone: a Lamb shift commutes with H and moves no
     populations, so no law reads it."""
-    h_evals, v = _eigenbasis(h)
-    baths = {}
-    for s_op, bath in couplings:
-        if s_op.dim != h.dim:
-            raise ValueError("coupling dimension does not match the Hamiltonian")
-        if bath.label in baths and baths[bath.label] != bath:
-            raise ValueError(f"two different baths share the label {bath.label!r}")
-        baths[bath.label] = bath
-    gen = GKLSGenerator(h, _coupling_channels(h_evals, v.mat, couplings), baths=baths)
-    gen._eigenbasis = h_evals, v
+    (gen,) = _davies_stack([h], couplings)
+    if isinstance(gen, BohrResolutionError):
+        raise gen
     return gen
+
+
+def _stacked_tables(gens: Sequence[GKLSGenerator]):
+    """The tables, eigenvalues and eigenvectors of tabled generators of one
+    shape as (n, C, d, d), (n, d) and (n, d, d) arrays."""
+    tabs = [g._tables for g in gens]
+    return (np.array([t.s_e for t in tabs]), np.array([t.bins for t in tabs]),
+            np.array([t.rates for t in tabs]), np.array([g._eig[0] for g in gens]),
+            np.array([g._eig[1] for g in gens]))
+
+
+def _bin_products(s: np.ndarray, bins: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """x[..., m, a, b] = r conj(S[m, a]) S[m, b] when the elements (m, a)
+    and (m, b) of the (..., d, d) tables lie in one bin of rate r, else 0.
+    Summed over m it is sum_k r_k V_k^dag V_k over the bins k; the array
+    is (..., d, d, d), never d^4."""
+    same = (bins[..., :, :, None] == bins[..., :, None, :]) & (bins >= 0)[..., :, :, None]
+    return np.where(same, (rates * s.conj())[..., :, :, None] * s[..., :, None, :], 0.0)
+
+
+def _table_heat_observables(gens: Sequence[GKLSGenerator]) -> tuple[list[str], np.ndarray]:
+    """Q_b = D_b^dag(H) of every bath, in the computational basis, for a
+    stack of tabled generators of one shape and one list of coupling
+    labels; each is also cached on its generator.  Returns the L bath
+    labels, in the order of their first coupling, and the (n, L, d, d)
+    observables.
+
+    In the eigenbasis, Q[a, b] = sum_{k, m} r_k conj(V_k[m, a]) V_k[m, b]
+    (E_m - (E_a + E_b) / 2): one pass over the tables per coupling,
+    whatever its channel count."""
+    labels = list(dict.fromkeys(gens[0]._tables.labels))
+    s, bins, rates, evals, v = _stacked_tables(gens)
+    x = _bin_products(s, bins, rates)
+    jump = (x * evals[:, None, :, None, None]).sum(axis=2)
+    q_e = jump - 0.5 * x.sum(axis=2) * (evals[:, None, :, None] + evals[:, None, None, :])
+    coupling_labels = np.array(gens[0]._tables.labels)
+    q_e = np.stack([q_e[:, coupling_labels == label].sum(axis=1) for label in labels], axis=1)
+    q = v[:, None] @ q_e @ v.conj().swapaxes(-1, -2)[:, None]
+    for gen, q_i in zip(gens, q):
+        gen._heat_observables.update(zip(labels, q_i))
+    return labels, q
 
 
 def propagate(gen: GKLSGenerator, rho0: DensityMatrix, t: float) -> DensityMatrix:
@@ -282,12 +418,20 @@ def propagate(gen: GKLSGenerator, rho0: DensityMatrix, t: float) -> DensityMatri
     return prop.apply(rho0)
 
 
+def _currents(q: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re Tr(Q_l rho) for (..., L, d, d) observables and (..., d, d) states:
+    (..., L).  The products are laid out C-ordered, so that each trace sums
+    its terms in one order whatever the leading shape."""
+    prod = np.multiply(np.swapaxes(q, -1, -2), rho[..., None, :, :], order="C")
+    return np.real(np.sum(prod, axis=(-2, -1)))
+
+
 def _heat_current_stack(gen: GKLSGenerator, stack: np.ndarray) -> dict[str, np.ndarray]:
     """Re Tr(Q_b rho) per bath for every member of a (n, d, d) stack."""
-    return {
-        label: np.real(np.sum(gen.heat_observable(label).T * stack, axis=(-2, -1)))
-        for label in gen.bath_labels
-    }
+    labels = gen.bath_labels
+    q = np.array([gen.heat_observable(label) for label in labels]).reshape(-1, gen.dim, gen.dim)
+    j = _currents(q, stack)
+    return {label: j[:, k] for k, label in enumerate(labels)}
 
 
 def heat_currents(gen: GKLSGenerator, rho: DensityMatrix) -> dict[str, float]:
@@ -334,146 +478,264 @@ def entropy_production_rate(gen: GKLSGenerator, rho: DensityMatrix) -> float:
     return float(_entropy_production_stack(gen, rho.mat[None], evals[None], evecs[None])[0])
 
 
-def _pattern(stack: np.ndarray) -> np.ndarray:
-    """0/1 pattern of the entries of each member of a (..., d, d) stack
-    above ``_PATTERN_REL`` of the member's largest entry."""
-    mag = np.abs(stack)
-    return (mag > _PATTERN_REL * mag.max(axis=(-2, -1), keepdims=True)).astype(float)
+def _bin_ids(bins: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ids of the bins of (n, C, d, d) tables, distinct across members and
+    couplings and member-major, with -1 outside every bin; and their
+    number."""
+    n, c = bins.shape[:2]
+    k = int(bins.max(initial=-1)) + 1
+    base = (np.arange(n * c) * k).reshape(n, c, 1, 1)
+    return np.where(bins >= 0, bins + base, -1), n * c * k
 
 
-def _sector_pairs(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closure of the diagonal index pairs (i, i) under rho -> V rho V^dag
-    for every pattern V of the (K, d, d) stack ``jumps``.  Returns the rows
-    and columns of the pairs in column-stacked order."""
-    reach = np.eye(jumps.shape[-1])
-    while True:
-        grown = reach + (jumps @ reach @ jumps.swapaxes(-1, -2)).sum(axis=0)
-        grown = (grown > 0).astype(float)
-        if np.array_equal(grown, reach):
-            cols, rows = np.nonzero(reach.T)
-            return rows, cols
-        reach = grown
+def _closure(pattern: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """The closure of the diagonal index pairs (i, i) under rho -> V rho
+    V^dag for every channel V of each member of (n, C, d, d) tables,
+    whose nonzero entries are ``pattern``: a pair (c, d) feeds (a, b) when
+    one bin holds (a, c) and (b, d).  Each pair is expanded once, at
+    C d^2 per pair.  Returns the (n, d, d) boolean mask of the pairs."""
+    n, _, d, _ = pattern.shape
+    b = np.where(pattern, bins, -1)
+    reach = np.zeros((n, d, d), dtype=bool)
+    member, i = np.divmod(np.arange(n * d), d)
+    reach[member, i, i] = True
+    front = member, i, i
+    while len(front[0]):
+        member, c, dd = front
+        b_in, b_out = b[member, :, :, c], b[member, :, :, dd]  # (F, C, d)
+        hit = ((b_in[..., :, None] == b_out[..., None, :])
+               & (b_in >= 0)[..., :, None]).any(axis=1)
+        starts = np.flatnonzero(np.r_[True, member[1:] != member[:-1]])
+        grown = np.zeros_like(reach)
+        grown[member[starts]] = np.logical_or.reduceat(hit, starts, axis=0)
+        fresh = grown & ~reach
+        reach |= fresh
+        front = np.nonzero(fresh)
+    return reach
 
 
-def _pair_jumps(ops_e: np.ndarray, rates: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+def _adjoint_closed(s: np.ndarray, ids: np.ndarray, n_ids: int,
+                    pattern: np.ndarray) -> np.ndarray:
+    """Per member of (n, C, d, d) tables with bin ids ``ids``: whether the
+    channels span a self-adjoint set, each channel's adjoint being c V_j,
+    within ALGEBRAIC of |V_j|, for the channel V_j of its own coupling on
+    the mirrored entries.  A hermitian coupling puts the adjoint of its
+    channel at omega in its own bin at -omega; a channel whose mirrored
+    pattern is not one bin of its coupling fails."""
+    n = len(s)
+    ids_t, s_t = ids.swapaxes(-1, -2), s.swapaxes(-1, -2)
+    ok = (pattern == pattern.swapaxes(-1, -2)).all(axis=(1, 2, 3))
+    # the mirror f(i) of bin i holds the mirror images of its pattern entries
+    lo, hi = np.full(n_ids, n_ids), np.full(n_ids, -1)
+    np.minimum.at(lo, ids[pattern], ids_t[pattern])
+    np.maximum.at(hi, ids[pattern], ids_t[pattern])
+    present = lo <= hi
+    ok &= ~(present & ((lo != hi) | (lo < 0))).reshape(n, -1).any(axis=1)
+    f = np.where(present & (lo == hi), hi, -1)
+    finv = np.full(n_ids + 1, -1)
+    finv[f[f >= 0]] = np.flatnonzero(f >= 0)
+    kept = ids >= 0
+    mag2 = np.abs(s) ** 2
+    norm2 = np.bincount(ids[kept], mag2[kept], minlength=n_ids)
+    # c_i = Tr(V_i V_f(i)) / |V_i|^2, over the entries of bin i mirrored into f(i)
+    pair = kept & (ids_t == np.where(kept, f[ids], -2))
+    prod = (s * s_t)[pair]
+    num = (np.bincount(ids[pair], prod.real, minlength=n_ids)
+           + 1j * np.bincount(ids[pair], prod.imag, minlength=n_ids))
+    coef = num / np.where(norm2 > 0, norm2, 1.0)
+    # |V_f(i) - c_i V_i^dag|^2 entry by entry: entry (a, b) holds V_j[a, b]
+    # for j = ids[a, b], the target of bin src = f^-1(j), and V_i^dag[a, b]
+    # = conj(S[b, a]) for i = ids_t[a, b]
+    src = np.where(kept, finv[ids], -1)
+    adj = ids_t
+    both = (src >= 0) & (src == adj)
+    only_j = (src >= 0) & ~both
+    only_i = (adj >= 0) & ~both
+    resid = (np.bincount(src[both], np.abs(s - coef[adj] * s_t.conj())[both] ** 2, minlength=n_ids)
+             + np.bincount(src[only_j], mag2[only_j], minlength=n_ids)
+             + np.bincount(adj[only_i], (np.abs(coef[adj]) ** 2 * np.abs(s_t) ** 2)[only_i],
+                           minlength=n_ids))
+    bad = present & (f >= 0) & (resid > ALGEBRAIC ** 2 * norm2[f])
+    return ok & ~bad.reshape(n, -1).any(axis=1)
+
+
+def _pair_lists(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns, in column-stacked order, of the pairs of a (g, d, d)
+    mask whose members all hold the same number P of pairs: two (g, P)
+    arrays."""
+    _, cols, rows = np.nonzero(mask.swapaxes(-1, -2))
+    return rows.reshape(len(mask), -1), cols.reshape(len(mask), -1)
+
+
+def _by_size(mask: np.ndarray, members: np.ndarray):
+    """The members (indices into ``mask``) grouped by their pair count,
+    each group with its ``_pair_lists``."""
+    sizes = mask.sum(axis=(1, 2))
+    for size in np.unique(sizes[members]):
+        sel = members[sizes[members] == size]
+        yield (sel, *_pair_lists(mask[sel]))
+
+
+def _table_pair_jumps(s, bins, rates, rows, cols) -> np.ndarray:
     """Entry (p, q) is sum_k r_k V_k[a, c] conj(V_k[b, d]) for the pairs
-    p = (a, b) and q = (c, d) listed by ``rows`` and ``cols``: the weight of
-    rho[c, d] in the jump part of L(rho)[a, b]."""
-    k, d = ops_e.shape[:2]
-    flat = ops_e.reshape(k, d * d)
-    rr = flat[:, rows[:, None] * d + rows[None, :]]
-    cc = flat[:, cols[:, None] * d + cols[None, :]]
-    return np.einsum("k,kpq,kpq->pq", rates, rr, cc.conj())
+    p = (a, b) and q = (c, d) listed by the (g, P) ``rows`` and ``cols``:
+    the weight of rho[c, d] in the jump part of L(rho)[a, b], read from
+    (g, C, d, d) tables; (g, P, P)."""
+    i = np.arange(len(s))[:, None, None]
+    ac = rows[:, :, None], rows[:, None, :]
+    bd = cols[:, :, None], cols[:, None, :]
+    out = np.zeros((len(s), rows.shape[1], rows.shape[1]), dtype=complex)
+    for c in range(s.shape[1]):
+        b_ac = bins[i, c, ac[0], ac[1]]
+        same = (b_ac >= 0) & (b_ac == bins[i, c, bd[0], bd[1]])
+        out += np.where(same, rates[i, c, ac[0], ac[1]] * s[i, c, ac[0], ac[1]]
+                        * s[i, c, bd[0], bd[1]].conj(), 0.0)
+    return out
 
 
-def _self_adjoint_span(ops_e: np.ndarray, jumps: np.ndarray) -> bool:
-    """Whether the adjoint of every channel is a multiple of a channel, so
-    that the channels span a self-adjoint set.  The candidates for V_i^dag
-    are the channels whose pattern (``jumps``) is V_i's transposed."""
-    k = len(ops_e)
-    by_pattern: dict[bytes, list[int]] = {}
-    for j, p in enumerate(jumps):
-        by_pattern.setdefault(p.tobytes(), []).append(j)
-    cands = [by_pattern.get(p.T.tobytes(), []) for p in jumps]
-    if not all(cands):
-        return False
-    flat = ops_e.reshape(k, -1)
-    trans = ops_e.swapaxes(-1, -2).reshape(k, -1)
-    norms = np.linalg.norm(flat, axis=1)
+def _certified_sectors(s, bins, rates, evals, g_e) -> tuple[np.ndarray, np.ndarray]:
+    """The sectors of (n, C, d, d) tables with the (n, d) levels of H, as an
+    (n, d, d) mask of index pairs, and the members whose sector is
+    certified to hold every stationary state; ``g_e`` is G = sum_k r_k
+    V_k^dag V_k of each member.
 
-    def multiple(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        # whether V_j = c V_i^dag, c = Tr(V_i V_j) / |V_i|^2, pair by pair
-        t, v = trans[i], flat[j]
-        c = np.einsum("pq,pq->p", t, v) / norms[i] ** 2
-        return np.linalg.norm(v - c[:, None] * t.conj(), axis=1) <= ALGEBRAIC * norms[j]
-
-    first = multiple(slice(None), np.array([c[0] for c in cands]))
-    return all(ok or multiple(np.full(len(c), i), np.array(c)).any()
-               for i, (ok, c) in enumerate(zip(first, cands)))
-
-
-def _trivial_commutant(ops_e, rates, g_e, rows, cols, jumps) -> bool:
-    """Whether only scalars commute with every channel V_k among the
-    operators on the pairs listed by ``rows`` and ``cols``, whose J
-    (``_pair_jumps``) is ``jumps``.
-
-    On those pairs sum_k r_k |[V_k, X]|^2 is the form delta_bd G[a, c] +
-    delta_ac G'[d, b] - J - J^dag between the pairs (a, b) and (c, d),
-    with G = sum_k r_k V_k^dag V_k and G' = sum_k r_k V_k V_k^dag.  Its
-    null space holds the identity; a second eigenvalue above
-    ``_COMMUTANT_GAP_REL`` tr G leaves it nothing else."""
-    d = ops_e.shape[1]
-    # row a of ``wide`` lists V_k[a, j] over (k, j), so wide r wide^dag = G'
-    wide = ops_e.transpose(1, 0, 2).reshape(d, -1)
-    g_out = (wide * np.repeat(rates, d)) @ wide.conj().T
-    form = g_e[rows[:, None], rows[None, :]] * (cols[:, None] == cols[None, :])
-    form += (rows[:, None] == rows[None, :]) * g_out[cols[None, :], cols[:, None]]
-    form -= jumps + jumps.conj().T
-    # the form is at most 4 tr G, with tr G = sum_k r_k |V_k|_F^2; unlike
-    # the form's own largest eigenvalue, tr G is not roundoff when every
-    # channel commutes with every operator on the pairs
-    return bool(np.linalg.eigvalsh(form)[1] > _COMMUTANT_GAP_REL * np.trace(g_e).real)
-
-
-def _commuting_pairs(energies: np.ndarray):
-    """Rows and columns of the index pairs inside the degenerate level
-    groups of ``energies``, the ascending levels of H, whose span holds
-    every operator commuting with H; or None when all levels form one
-    group."""
-    tol = LEVEL_MERGE_REL * max(float(np.ptp(energies)), 1.0)
-    label = np.concatenate(([0], np.cumsum(np.diff(energies) > tol)))
-    if label[-1] == 0:
-        return None
-    cols, rows = np.nonzero(label[None, :] == label[:, None])
-    return rows, cols
+    Certificate (Spohn, Lett. Math. Phys. 2, 33 (1977)): the sector, the
+    closure of the diagonal pairs under the channels (``_closure``), is
+    not all d^2 pairs; H has more than one level group; the channels span
+    a self-adjoint set (``_adjoint_closed``); and only scalars commute
+    with them and H.  The commutant is checked on the pairs Z inside the
+    degenerate level groups of H, where sum_k r_k |[V_k, X]|^2 is the form
+    delta_bd G[a, c] + delta_ac G'[d, b] - J - J^dag between the pairs
+    (a, b) and (c, d), with G' = sum_k r_k V_k V_k^dag; its null space
+    holds the identity, and a second eigenvalue above
+    ``_COMMUTANT_GAP_REL`` tr G leaves it nothing else (the form is at
+    most 4 tr G, and tr G is not roundoff when every channel commutes with
+    every operator on Z).  The support projection P of a stationary state
+    then commutes with every channel, its adjoint and H, so P = 1: every
+    stationary state is faithful, and two of them would give, by their
+    difference, one that is not.  The generator maps the sector into
+    itself, so a second null vector of its block is one of the generator,
+    and the bordered solve rejects it."""
+    n, _, d, _ = s.shape
+    ids, n_ids = _bin_ids(bins)
+    kept = ids >= 0
+    # entries below _PATTERN_REL of their bin's largest join no pair
+    mag = np.abs(s)
+    top = np.zeros(n_ids + 1)
+    np.maximum.at(top, ids[kept], mag[kept])
+    pattern = kept & (mag > _PATTERN_REL * top[ids])
+    reach = _closure(pattern, bins)
+    if not kept.any():
+        return reach, np.zeros(0, dtype=int)
+    tol = LEVEL_MERGE_REL * np.maximum(np.ptp(evals, axis=1), 1.0)
+    level = np.concatenate([np.zeros((n, 1), dtype=int),
+                            np.cumsum(np.diff(evals, axis=1) > tol[:, None], axis=1)], axis=1)
+    candidates = np.flatnonzero(
+        kept.any(axis=(1, 2, 3)) & (level[:, -1] > 0) & (reach.sum(axis=(1, 2)) < d * d)
+        & _adjoint_closed(s, ids, n_ids, pattern))
+    if not len(candidates):
+        return reach, candidates
+    g_out = _bin_products(*(x.swapaxes(-1, -2) for x in (s, bins, rates))).sum(axis=(1, 2)).conj()
+    certified = []
+    for sel, rows, cols in _by_size(level[:, :, None] == level[:, None, :], candidates):
+        i = np.arange(len(sel))[:, None, None]
+        rp, rq, cp, cq = rows[:, :, None], rows[:, None, :], cols[:, :, None], cols[:, None, :]
+        jumps = _table_pair_jumps(s[sel], bins[sel], rates[sel], rows, cols)
+        form = g_e[sel][i, rp, rq] * (cp == cq) + (rp == rq) * g_out[sel][i, cq, cp]
+        form -= jumps + jumps.conj().swapaxes(-1, -2)
+        gap = np.linalg.eigvalsh(form)[:, 1]
+        certified.extend(sel[gap > _COMMUTANT_GAP_REL * np.trace(g_e[sel], axis1=1, axis2=2).real])
+    return reach, np.sort(np.array(certified, dtype=int))
 
 
-def _certified_sector(gen: GKLSGenerator, ops, rates, g):
-    """The generator's block on its sector in the eigenbasis of H, with
-    the sector's rows and columns, the eigenvectors, and G and H in that
-    basis; or None when the sector is all d^2 pairs or is not certified
-    to hold every stationary state.  A generator without channels is
-    never certified: its commutant holds every function of H.  Nor is an
-    interaction-picture generator, which has no H to split the levels.
+def _sector_states(gens: Sequence[GKLSGenerator]) -> list:
+    """Stationary states of tabled generators of one shape, solved on their
+    certified sectors (``_certified_sectors``) in the eigenbasis of H as
+    one stack.  Entry i is the state, a ValueError, or None when the
+    sector of generator i is not certified."""
+    s, bins, rates, evals, v = _stacked_tables(gens)
+    n, _, d, _ = s.shape
+    out: list = [None] * n
+    g_e = _bin_products(s, bins, rates).sum(axis=(1, 2))
+    reach, certified = _certified_sectors(s, bins, rates, evals, g_e)
+    a_e = -0.5 * g_e
+    a_e[:, np.arange(d), np.arange(d)] -= 1j * evals
+    for sel, rows, cols in _by_size(reach, certified):
+        i = np.arange(len(sel))[:, None, None]
+        rp, rq, cp, cq = rows[:, :, None], rows[:, None, :], cols[:, :, None], cols[:, None, :]
+        kernel = _table_pair_jumps(s[sel], bins[sel], rates[sel], rows, cols)
+        kernel += a_e[sel][i, rp, rq] * (cp == cq)
+        kernel += (rp == rq) * a_e[sel][i, cp, cq].conj()
+        # the trace row and the rcond are scaled to the whole generator, its
+        # coherent spread and G, never to the block alone, whose entries may
+        # be pure roundoff; the residual is held to 1e-10 max(1, |block|_F)
+        mag_k = np.abs(kernel)
+        resid_tol = 1e-10 * np.maximum(1.0, np.sqrt(np.sum(mag_k ** 2, axis=(1, 2))))
+        border = np.maximum.reduce([mag_k.max(axis=(1, 2)), np.ptp(evals[sel], axis=1),
+                                    np.abs(g_e[sel]).max(axis=(1, 2)), np.full(len(sel), 1e-300)])
+        m = np.zeros((len(sel), d, d), dtype=complex)
+        solved = np.zeros(len(sel), dtype=bool)
+        # LAPACK factorises one matrix per call
+        for j, (block, r, c, edge) in enumerate(zip(kernel, rows, cols, border)):
+            try:
+                m[j, r, c] = _bordered_fixed_point(np.asfortranarray(block), np.flatnonzero(r == c),
+                                                   float(edge), "stationary state not unique")
+                solved[j] = True
+            except ValueError as exc:
+                out[sel[j]] = exc
+        sel, m, resid_tol = sel[solved], m[solved], resid_tol[solved]
+        if not len(sel):
+            continue
+        vs = v[sel]
+        states = _fixed_point_states(vs @ m @ vs.conj().swapaxes(-1, -2))
+        rho = np.array([x.mat if isinstance(x, DensityMatrix) else np.zeros((d, d))
+                        for x in states])
+        # the operator-level residual max |L(rho)|, with the jump part read
+        # from the tables bin by bin
+        rho_e = vs.conj().swapaxes(-1, -2) @ rho @ vs
+        lr = _table_jumps(s[sel], bins[sel], rates[sel], rho_e)
+        lr += a_e[sel] @ rho_e + rho_e @ a_e[sel].conj().swapaxes(-1, -2)
+        resid = np.abs(vs @ lr @ vs.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+        for j, state, res, res_tol in zip(sel, states, resid, resid_tol):
+            if isinstance(state, DensityMatrix) and res > res_tol:
+                state = ValueError(f"fixed-point residual too large: {res:.3e}")
+            out[j] = state
+    return out
 
-    The generator maps the sector into itself, so a second null vector of
-    the block is one of the generator, and the bordered solve rejects it.
-    Null vectors outside the sector, which no population reaches, are
-    ruled out by Spohn's condition (Lett. Math. Phys. 2, 33 (1977)): the
-    channels span a self-adjoint set, and only scalars commute with them
-    and H.  The support projection P of a stationary state then commutes
-    with every channel, its adjoint and H, so P = 1; every stationary
-    state is faithful, and two of them would give, by their difference,
-    one that is not.  The commutant is checked on the pairs of
-    ``_commuting_pairs`` (``_trivial_commutant``)."""
-    if not len(rates) or not gen.include_hamiltonian:
-        return None
-    d = gen.dim
-    evals, v = gen.eigenbasis()
-    v = v.mat
-    ops_e, g_e, h_e = (v.conj().T @ x @ v for x in (ops, g, gen.h.mat))
-    jumps = _pattern(ops_e)
-    # H is diagonal here, and G needs no pattern once the channels span a
-    # self-adjoint set: G joins a and b when a channel sends both to one
-    # level i, and the channel along its adjoint then feeds (a, b) from
-    # (i, i)
-    rows, cols = _sector_pairs(jumps)
-    commuting = _commuting_pairs(evals)
-    if len(rows) == d * d or commuting is None or not _self_adjoint_span(ops_e, jumps):
-        return None
-    z_rows, z_cols = commuting
-    jumps_z = _pair_jumps(ops_e, rates, z_rows, z_cols)
-    if not _trivial_commutant(ops_e, rates, g_e, z_rows, z_cols, jumps_z):
-        return None
-    # a secular sector lies inside Z and reads its J from there
-    where = np.full(d * d, -1)
-    where[z_cols * d + z_rows] = np.arange(len(z_rows))
-    at = where[cols * d + rows]
-    kernel = jumps_z[np.ix_(at, at)] if np.all(at >= 0) else _pair_jumps(ops_e, rates, rows, cols)
-    a_e = -1j * h_e - 0.5 * g_e
-    kernel += a_e[rows[:, None], rows[None, :]] * (cols[:, None] == cols[None, :])
-    kernel += (rows[:, None] == rows[None, :]) * a_e[cols[:, None], cols[None, :]].conj()
-    return np.asfortranarray(kernel), rows, cols, v, g_e, h_e
+
+def _table_jumps(s, bins, rates, rho_e) -> np.ndarray:
+    """sum_k r_k V_k rho V_k^dag for (g, C, d, d) tables and (g, d, d)
+    states in the eigenbasis, bin by bin: K d^3 for K bins."""
+    out = np.zeros_like(rho_e)
+    rs = rates * s
+    s_h, bins_t = s.conj().swapaxes(-1, -2), bins.swapaxes(-1, -2)
+    for k in range(int(bins.max(initial=-1)) + 1):
+        left = np.where(bins == k, rs, 0.0)
+        out += (left @ rho_e[:, None] @ np.where(bins_t == k, s_h, 0.0)).sum(axis=1)
+    return out
+
+
+def _stationary_stack(gens: Sequence[GKLSGenerator]) -> list:
+    """Stationary states of a stack of generators: entry i is the state of
+    generator i or the ValueError that solving it raised.  Tabled
+    generators larger than a qubit are solved on their sectors, one stack
+    per shape (``_sector_states``); the others, and those whose sector is
+    not certified, on their whole Liouvillian (``_liouvillian_state``)."""
+    out: list = [None] * len(gens)
+    shapes: dict[tuple, list[int]] = {}
+    for i, gen in enumerate(gens):
+        if gen._tables is not None and gen.dim ** 2 > _WHOLE_LIOUVILLIAN_SIDE:
+            shapes.setdefault(gen._tables.s_e.shape, []).append(i)
+    for idx in shapes.values():
+        for i, state in zip(idx, _sector_states([gens[i] for i in idx])):
+            out[i] = state
+    for i, gen in enumerate(gens):
+        if out[i] is None:
+            try:
+                out[i] = _liouvillian_state(gen)
+            except ValueError as exc:
+                out[i] = exc
+    return out
 
 
 def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
@@ -485,48 +747,42 @@ def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
     and G = sum_k r_k V_k^dag V_k.  In the eigenbasis of H it maps the
     span of the sector, the closure of the diagonal pairs (i, i) under
     the nonzero patterns of the V_k, into itself when the V_k span a
-    self-adjoint set.  When ``_certified_sector`` shows that every
-    stationary state lies in that span, the generator is assembled on the
-    sector alone, at a cost of K s^2 for K channels and s pairs; for a
-    secular generator this is the zero-Bohr sector (s = d for a
-    nondegenerate spectrum).  Otherwise, and for a qubit, the block is
-    the generator's whole Liouvillian in the computational basis.  Either
-    block is solved by ``_bordered_fixed_point``.
+    self-adjoint set.  A generator built by ``build_davies`` is solved on
+    its sector, read from its tables, when ``_sector_states`` certifies
+    that every stationary state lies in that span; for a secular generator
+    this is the zero-Bohr sector (s = d for a nondegenerate spectrum).
+    Otherwise, for a qubit and for a generator built from explicit
+    channels, the block is the whole Liouvillian in the computational
+    basis.  Either block is solved by ``_bordered_fixed_point``, and the
+    state is checked by its operator-level residual max |L(rho)|."""
+    (state,) = _stationary_stack([gen])
+    if isinstance(state, ValueError):
+        raise state
+    return state
 
-    The trace row and the rcond are scaled to the whole generator (its
-    coherent spread and G), never to the block alone, whose entries may
-    be pure roundoff.  The residual is max |L(rho)| at operator level,
-    held to 1e-10 max(1, |L_s|_F) with L_s the block, a submatrix of the
-    generator."""
+
+def _liouvillian_state(gen: GKLSGenerator) -> DensityMatrix:
+    """The stationary state from the whole Liouvillian in the computational
+    basis; its residual is held to 1e-10 max(1, |L|_F)."""
     ops, rates = gen._stacked_channels(None)
     d, k = gen.dim, len(rates)
+    kernel = np.array(gen.liouvillian().mat, order="F")
     g = ops.reshape(k * d, d).conj().T @ (rates[:, None, None] * ops).reshape(k * d, d)
     h_coh = gen.h.mat if gen.include_hamiltonian else np.zeros((d, d))
-    sector = None
-    if d * d > _WHOLE_LIOUVILLIAN_SIDE:
-        sector = _certified_sector(gen, ops, rates, g)
-    if sector is None:
-        # every pair, in the computational basis
-        kernel = np.array(gen.liouvillian().mat, order="F")
-        cols, rows = np.divmod(np.arange(d * d), d)
-        v, g_e, h_e = np.eye(d), g, h_coh
-    else:
-        kernel, rows, cols, v, g_e, h_e = sector
     a = -1j * h_coh - 0.5 * g
     resid_tol = 1e-10 * max(1.0, float(np.linalg.norm(kernel)))
-    spread = float(np.ptp(h_e.diagonal().real))
+    spread = float(np.ptp(h_coh.diagonal().real))
     border = max(float(scipy.linalg.lapack.zlange("M", kernel)), spread,
-                 float(np.max(np.abs(g_e))), 1e-300)
+                 float(np.max(np.abs(g))), 1e-300)
+    cols, rows = np.divmod(np.arange(d * d), d)
     x = _bordered_fixed_point(kernel, np.flatnonzero(rows == cols), border,
                               "stationary state not unique")
-    m = np.zeros((d, d), dtype=complex)
-    m[rows, cols] = x
 
     def residual(r: np.ndarray) -> float:
         jump = np.einsum("k,kij->ij", rates, ops @ r @ ops.conj().swapaxes(-1, -2))
         return float(np.max(np.abs(jump + a @ r + r @ a.conj().T)))
 
-    return _fixed_point_state(v @ m @ v.conj().T, residual, resid_tol)
+    return _fixed_point_state(unvec(x, d), residual, resid_tol)
 
 
 def _bordered_fixed_point(
@@ -554,21 +810,44 @@ def _bordered_fixed_point(
         raise ValueError(f"{degenerate}: bordered-system rcond {rcond:.3e} < {_RCOND_MIN:g}")
     rhs = np.zeros((len(a), 1), dtype=complex)
     rhs[diag[0]] = border
-    y = scipy.linalg.solve_triangular(
-        lu, scipy.linalg.lapack.zlaswp(rhs, piv), lower=True, unit_diagonal=True
-    )
-    return scipy.linalg.solve_triangular(lu, y)[:, 0]
+    # the LAPACK triangular solves that scipy.linalg.solve_triangular calls
+    # for Fortran-ordered factors, without its checks of each argument
+    y, _ = scipy.linalg.lapack.ztrtrs(lu, scipy.linalg.lapack.zlaswp(rhs, piv),
+                                      lower=1, unitdiag=1)
+    x, info = scipy.linalg.lapack.ztrtrs(lu, y)
+    if info:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x[:, 0]
+
+
+def _fixed_point_states(mats: np.ndarray) -> list:
+    """The states of a (n, d, d) stack of solved fixed points: entry i is a
+    DensityMatrix, or the ValueError of a non-positive member.  Eigenvalue
+    dust below zero is clipped and the spectrum renormalised."""
+    evals, vecs = np.linalg.eigh((mats + mats.conj().swapaxes(-1, -2)) / 2.0)
+    positive = ~(evals[:, 0] < -100 * ALGEBRAIC)
+    evals = np.clip(evals, 0.0, None)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        weights = evals / evals.sum(axis=-1, keepdims=True)
+    rho = (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    out = []
+    for ok, r in zip(positive, rho):
+        if not ok:
+            out.append(ValueError("fixed point is not a positive state"))
+            continue
+        try:
+            out.append(DensityMatrix(r))
+        except ValueError as exc:
+            out.append(exc)
+    return out
 
 
 def _fixed_point_state(m: np.ndarray, residual, resid_tol: float) -> DensityMatrix:
     """The state of a solved fixed point m: a non-positive m, or a
     ``residual(rho)`` above ``resid_tol``, raises ValueError."""
-    evals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if evals[0] < -100 * ALGEBRAIC:
-        raise ValueError("fixed point is not a positive state")
-    # clip eigenvalue dust below zero and renormalise
-    evals = np.clip(evals, 0.0, None)
-    rho = DensityMatrix((vecs * (evals / evals.sum())) @ vecs.conj().T)
+    (rho,) = _fixed_point_states(m[None])
+    if isinstance(rho, ValueError):
+        raise rho
     resid = residual(rho.mat)
     if resid > resid_tol:
         raise ValueError(f"fixed-point residual too large: {resid:.3e}")

@@ -24,12 +24,16 @@ import scipy.linalg
 
 from .baths import BathSpec
 from .lindblad import (
+    BohrResolutionError,
     GKLSGenerator,
     _bordered_fixed_point,
+    _currents,
+    _davies_stack,
     _fixed_point_state,
+    _stationary_stack,
+    _table_heat_observables,
     build_davies,
-    heat_currents,
-    stationary_state,
+    stationary_state,  # re-exported: tools that wrap it look it up here as well
 )
 from .operators import (
     PAULI_X,
@@ -616,7 +620,7 @@ def optimize_power(
         params = {k: float(v) for k, v in zip(names, np.clip(x, lo, hi))}
         try:
             rep = run_otto(replace(spec, **params))
-        except ValueError:  # BohrResolutionError among them
+        except BohrResolutionError:
             return 0.0
         return rep.power if rep.work > 0 else 0.0
 
@@ -745,11 +749,11 @@ class TricycleSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def _tricycle_pieces(levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tricycle_pieces(levels: int) -> tuple[np.ndarray, np.ndarray, tuple[Operator, ...]]:
     """The frequency-free parts of the tricycle at ``levels`` levels per
     filter, read-only: the three embedded number operators, the
     interaction a_h a_c^dag a_w^dag + h.c. and the three couplings
-    a + a^dag."""
+    a + a^dag as hermitian Operators."""
     a = np.diag(np.sqrt(np.arange(1, levels, dtype=float)), k=1)
     num = a.conj().T @ a
     eye = np.eye(levels)
@@ -764,28 +768,27 @@ def _tricycle_pieces(levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         emb(a, 0) @ emb(a.conj().T, 1) @ emb(a.conj().T, 2)
         + emb(a.conj().T, 0) @ emb(a, 1) @ emb(a, 2)
     )
-    couplings = np.array([emb(a + a.conj().T, slot) for slot in range(3)])
-    for arr in (nums, inter, couplings):
+    for arr in (nums, inter):
         arr.setflags(write=False)
-    return nums, inter, couplings
+    return nums, inter, tuple(Operator.hermitian(emb(a + a.conj().T, slot)) for slot in range(3))
 
 
-def _tricycle_hamiltonian(spec: TricycleSpec) -> tuple[Operator, list[Operator]]:
-    nums, inter, couplings = _tricycle_pieces(spec.levels)
+def _tricycle_hamiltonian(spec: TricycleSpec) -> Operator:
+    nums, inter, _ = _tricycle_pieces(spec.levels)
     h = spec.omega_h * nums[0] + spec.omega_c * nums[1] + spec.omega_w * nums[2]
-    h_full = Operator.hermitian(h + spec.eps * inter)
-    return h_full, [Operator.hermitian(c) for c in couplings]
+    return Operator.hermitian(h + spec.eps * inter)
+
+
+def _tricycle_couplings(spec: TricycleSpec) -> list[tuple[Operator, BathSpec]]:
+    couplings = _tricycle_pieces(spec.levels)[2]
+    return list(zip(couplings, (spec.bath_h, spec.bath_c, spec.bath_w)))
 
 
 def build_tricycle(spec: TricycleSpec) -> GKLSGenerator:
     """Global weak-coupling generator of the full interacting filter
     Hamiltonian (local per-filter generators are never used: they can
     push heat against the gradient)."""
-    h, (s_h, s_c, s_w) = _tricycle_hamiltonian(spec)
-    return build_davies(
-        h,
-        [(s_h, spec.bath_h), (s_c, spec.bath_c), (s_w, spec.bath_w)],
-    )
+    return build_davies(_tricycle_hamiltonian(spec), _tricycle_couplings(spec))
 
 
 @dataclass(frozen=True)
@@ -797,6 +800,46 @@ class TricycleSteady:
     state: DensityMatrix
 
 
+def _tricycle_steady_stack(spec: TricycleSpec, omegas_c) -> list:
+    """:func:`tricycle_steady` of ``spec`` at each cold frequency of
+    ``omegas_c``, all solved as one stack: one batched ``eigh``
+    (``_davies_stack``), one stacked stationary solve and one stacked
+    evaluation of the heat observables.  Entry i is the TricycleSteady of
+    the i-th frequency, or the ValueError (a BohrResolutionError among
+    them) that its build or solve raised; each entry's bits are those of
+    solving it alone."""
+    specs = [replace(spec, omega_c=float(w)) for w in omegas_c]
+    gens = _davies_stack([_tricycle_hamiltonian(sp) for sp in specs], _tricycle_couplings(spec))
+    out: list = list(gens)
+    built = [i for i, gen in enumerate(gens) if isinstance(gen, GKLSGenerator)]
+    for i, state in zip(built, _stationary_stack([gens[i] for i in built])):
+        out[i] = state
+    solved = [i for i in built if isinstance(out[i], DensityMatrix)]
+    if not solved:
+        return out
+    labels, q = _table_heat_observables([gens[i] for i in solved])
+    rho = np.array([out[i].mat for i in solved])
+    # basis order |h c w>: |100> is index d^2, |010> is index d
+    d = spec.levels
+    for i, j, r in zip(solved, _currents(q, rho), rho):
+        gen = gens[i]
+        currents = {label: float(x) for label, x in zip(labels, j) if label in gen.bath_labels}
+        second = 0.0
+        for label, x in currents.items():
+            t = gen.baths[label].temperature
+            if not math.isinf(t):
+                second -= x / t
+        diag = np.real(np.diag(r))
+        out[i] = TricycleSteady(
+            currents=currents,
+            second_law_value=second,
+            first_law_residual=abs(sum(currents.values())),
+            gain=float(diag[d * d] - diag[d]),
+            state=out[i],
+        )
+    return out
+
+
 def tricycle_steady(spec: TricycleSpec) -> TricycleSteady:
     """Steady-state currents and law values of the three-bath machine.
 
@@ -804,26 +847,10 @@ def tricycle_steady(spec: TricycleSpec) -> TricycleSteady:
     hot and cold filter states, the three-level-amplifier inversion
     reading of the machine; it changes sign together with the cooling
     window."""
-    gen = build_tricycle(spec)
-    rho = stationary_state(gen)
-    currents = heat_currents(gen, rho)
-    first = abs(sum(currents.values()))
-    second = 0.0
-    for label, j in currents.items():
-        t = gen.baths[label].temperature
-        if not math.isinf(t):
-            second -= j / t
-    # basis order |h c w>: |100> is index d^2, |010> is index d
-    d = spec.levels
-    diag = np.real(np.diag(rho.mat))
-    gain = float(diag[d * d] - diag[d])
-    return TricycleSteady(
-        currents=currents,
-        second_law_value=second,
-        first_law_residual=first,
-        gain=gain,
-        state=rho,
-    )
+    (steady,) = _tricycle_steady_stack(spec, [spec.omega_c])
+    if isinstance(steady, ValueError):
+        raise steady
+    return steady
 
 
 @dataclass(frozen=True)
@@ -851,8 +878,10 @@ def third_law_sweep(
     For each cold temperature the cold filter frequency is optimised over
     the bracket [ratio_lo, ratio_hi] * T_c to maximise the cooling current
     J_c; rows report the optimum, the gain, and the conductance
-    K = J_c / (omega_c G).  Candidate frequencies that collide with the
-    interaction-split Bohr structure are skipped rather than guessed.
+    K = J_c / (omega_c G).  Each grid of candidates is solved as one stack
+    (``_tricycle_steady_stack``).  Candidate frequencies that collide with
+    the interaction-split Bohr structure (BohrResolutionError) are skipped
+    rather than guessed; any other solver error reaches the caller.
 
     For a power-law cold bath of exponent p (J(w) ~ w**p), the optimum
     omega_c* stays proportional to T_c below the cooling-window edge
@@ -860,29 +889,36 @@ def third_law_sweep(
     cooling current as J_c ~ T_c**(p + 1); the third-law acceptance
     criterion checks the fitted exponent against p + 1."""
     rows = []
+    label = spec.bath_c.label
     for t_c in t_c_grid:
         t_c = float(t_c)
         if t_c < 1e-3:
             raise ValueError("cold temperature grid is floored at 1e-3")
         lo, hi = ratio_lo * t_c, ratio_hi * t_c
         hi = min(hi, 0.95 * spec.omega_h)
+        at_t_c = replace(spec, bath_c=replace(spec.bath_c, temperature=t_c))
 
-        def solve(omega_c: float) -> tuple[float, TricycleSteady | None]:
-            try:
-                steady = tricycle_steady(replace(
-                    spec, omega_c=omega_c, bath_c=replace(spec.bath_c, temperature=t_c)))
-            except ValueError:  # BohrResolutionError among them
-                return -math.inf, None
-            return steady.currents[spec.bath_c.label], steady
+        def solve(omegas) -> list[tuple[float, TricycleSteady | None]]:
+            # one stack per grid; a Bohr collision skips its candidate
+            out = []
+            for steady in _tricycle_steady_stack(at_t_c, omegas):
+                if isinstance(steady, BohrResolutionError):
+                    out.append((-math.inf, None))
+                elif isinstance(steady, ValueError):
+                    raise steady
+                else:
+                    out.append((steady.currents[label], steady))
+            return out
 
         # a coarse grid over [lo, hi], then as many points again between
-        # the neighbours of its best point
+        # the neighbours of its best point; np.linspace sets both ends of
+        # the fine grid exactly, so they reuse the coarse solves
         grid = np.linspace(lo, hi, _SWEEP_EVALS // 2)
-        k = int(np.argmax([solve(w)[0] for w in grid]))
-        a = grid[max(0, k - 1)]
-        b = grid[min(len(grid) - 1, k + 1)]
-        fine = np.linspace(a, b, _SWEEP_EVALS - _SWEEP_EVALS // 2)
-        solves = [solve(w) for w in fine]
+        coarse = solve(grid)
+        k = int(np.argmax([j for j, _ in coarse]))
+        ka, kb = max(0, k - 1), min(len(grid) - 1, k + 1)
+        fine = np.linspace(grid[ka], grid[kb], _SWEEP_EVALS - _SWEEP_EVALS // 2)
+        solves = [coarse[ka], *solve(fine[1:-1]), coarse[kb]]
         kk = int(np.argmax([j for j, _ in solves]))
         best_w, best_j = float(fine[kk]), float(solves[kk][0])
         if not math.isfinite(best_j) or best_j <= 0:

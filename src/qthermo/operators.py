@@ -164,7 +164,8 @@ class Operator:
         return Operator(self.mat.conj().T, kind=self.kind)
 
     def is_hermitian(self) -> bool:
-        return _first_nonhermitian(self.mat[None]) is None
+        # the tag was verified at construction, and ``mat`` is read-only
+        return self.kind == "hermitian" or _first_nonhermitian(self.mat[None]) is None
 
 
 @dataclass(frozen=True)
@@ -623,11 +624,12 @@ def group_degenerate(values: np.ndarray, tol: float | None = None) -> list[np.nd
 
 
 def _group_centers(values: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
-    """Mean value of each group.  A one-member group's centre is its value,
-    the same bits as ``np.mean`` of it; only larger groups call np.mean."""
+    """Mean value of each group, with the bits of ``np.mean`` of it: a
+    one-member group's centre is its value, and a larger group's is
+    ``np.mean``'s own sum divided by the group size, without its wrapper."""
     centers = values[[g[0] for g in groups]]
     for k in np.flatnonzero([len(g) > 1 for g in groups]):
-        centers[k] = np.mean(values[groups[k]])
+        centers[k] = np.add.reduce(values[groups[k]]) / len(groups[k])
     return centers
 
 

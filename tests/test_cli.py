@@ -466,6 +466,32 @@ class TestToleranceOverrides:
         p.write_text(json.dumps(cfg))
         assert run(str(p)) == 2
 
+    def test_loosening_override_rejected(self, tmp_path, capsys):
+        # the KMS fault fails gibbs_residual (<= 1e-9); raising that bound
+        # would print PASS, so any override that loosens a check is a config
+        # error naming the check, its default and the requested value
+        cfg = json.loads((CONFIGS / "evolve_kms_fault.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["tolerance_overrides"] = {"gibbs_residual": 1.0}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tolerance override 'gibbs_residual' loosens")
+        assert "default 1e-09, requested 1" in err
+        assert not (tmp_path / "out").exists()
+        # a lower bound is loosened by lowering it
+        cfg = json.loads((CONFIGS / "evolve_qubit.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out2")
+        cfg["tolerance_overrides"] = {"second_law_min_margin": -1.0}
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 1
+        assert "default -1e-09, requested -1" in capsys.readouterr().err
+        # an override equal to the default, or tighter, is accepted
+        cfg["tolerance_overrides"] = {"second_law_min_margin": -1e-9, "first_law_residual": 1e-7}
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 0
+
     def test_unknown_override_rejected(self, tmp_path):
         cfg = json.loads((CONFIGS / "evolve_qubit.json").read_text())
         cfg["output_dir"] = str(tmp_path / "out")

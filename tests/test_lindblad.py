@@ -22,7 +22,11 @@ from qthermo.lindblad import (
     GKLSGenerator,
     JumpChannel,
     _bordered_fixed_point,
-    _coupling_channels,
+    _coupling_tables,
+    _davies_stack,
+    _stationary_stack,
+    _table_channels,
+    _table_heat_observables,
     adiabatic_propagate,
     build_davies,
     davies_audit,
@@ -416,8 +420,9 @@ class TestAdiabaticDriving:
 
 
 def test_generator_diagonalises_its_hamiltonian_once(monkeypatch):
-    # build_davies hands its eigendecomposition to the generator; the
-    # stationary solve and the audit read it from there
+    # build_davies diagonalises H in its batched eigh and hands the result
+    # to the generator; the stationary solve and the audit read it from
+    # there and never call eig_hermitian
     calls = []
     original = lindblad.eig_hermitian
 
@@ -431,17 +436,19 @@ def test_generator_diagonalises_its_hamiltonian_once(monkeypatch):
     gen = build_davies(h, [(Operator.hermitian(a + a.T), ohmic_bath("b", 1.0))])
     stationary_state(gen)
     davies_audit(gen)
-    assert len(calls) == 1
+    assert calls == []
     evals, v = gen.eigenbasis()
     ref_evals, ref_v = original(h)
     assert evals.tobytes() == ref_evals.tobytes() and v.mat.tobytes() == ref_v.mat.tobytes()
     assert not evals.flags.writeable and not v.mat.flags.writeable
-    # a generator built directly computes it on first use, once
+    # a generator built from explicit channels computes it on first use,
+    # once; it is solved on its whole Liouvillian, the Davies generator on
+    # its sector from the tables
     direct = GKLSGenerator(h, gen.channels, baths=gen.baths)
     assert direct.eigenbasis() is direct.eigenbasis()
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert direct.eigenbasis()[0].tobytes() == ref_evals.tobytes()
-    assert stationary_state(direct).mat.tobytes() == stationary_state(gen).mat.tobytes()
+    assert np.max(np.abs(stationary_state(direct).mat - stationary_state(gen).mat)) <= ALGEBRAIC
 
 
 def test_array_schedule_gives_the_ledger_of_its_operator_form():
@@ -631,6 +638,30 @@ class TestSectorSolveAgainstDenseOracle:
         assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
         assert np.max(np.abs(rho.mat - _eig_stationary(gen.liouvillian().mat, d))) <= ALGEBRAIC
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(["degenerate", "near-degenerate", "equal-gap"]),
+                    min_size=2, max_size=4),
+           st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_stacked_sector_solves_match_dense_oracles(self, spectra, d, n_baths, seed):
+        # one stack of generators sharing their couplings, each member held
+        # to both dense oracles, or rejected exactly when its Liouvillian's
+        # null space holds more than one state
+        rng = np.random.default_rng(seed)
+        couplings = [(random_hermitian(d, rng), ohmic_bath(f"b{k}", float(rng.uniform(0.3, 3.0))))
+                     for k in range(n_baths)]
+        hs = []
+        for spectrum in spectra:
+            u = random_unitary(d, rng).mat
+            hs.append(Operator.hermitian(u @ np.diag(_spectrum(rng, d, spectrum)) @ u.conj().T))
+        gens = [g for g in _davies_stack(hs, couplings) if isinstance(g, GKLSGenerator)]
+        for gen, state in zip(gens, _stationary_stack(gens)):
+            if _stationary_dimension(gen) > 1:
+                assert isinstance(state, ValueError) and "not unique" in str(state)
+                continue
+            assert np.max(np.abs(state.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
+            assert np.max(np.abs(state.mat - _eig_stationary(gen.liouvillian().mat, d))) <= ALGEBRAIC
+
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=4),
            st.integers(min_value=0, max_value=10 ** 9))
@@ -687,6 +718,22 @@ class TestSectorSolveAgainstDenseOracle:
             stationary_state(gen)
         assert [kn.shape for kn in kernels] == [(9, 9)]
 
+    def test_adjoint_off_by_more_than_algebraic_leaves_the_sector(self, monkeypatch):
+        # the weak ladder channel's adjoint matches its mirrored channel only
+        # to 4e-9 of its norm (the coupling is hermitian to 5e-13 of its
+        # largest entry), so the channels are not certified to span a
+        # self-adjoint set and the whole Liouvillian is solved
+        s = np.zeros((4, 4), dtype=complex)
+        s[0, 1] = s[1, 0] = s[1, 2] = 1e-4
+        s[2, 1] = 1e-4 + 5e-13
+        s[0, 3] = s[3, 0] = 1.0
+        gen = build_davies(Operator.hermitian(np.diag([0.0, 1.0, 2.0, 5.0])),
+                           [(Operator.hermitian(s), ohmic_bath("b", 1.0))])
+        kernels = _record_sector_kernels(monkeypatch)
+        rho = stationary_state(gen)
+        assert [kn.shape for kn in kernels] == [(16, 16)]
+        assert np.max(np.abs(rho.mat - _eig_stationary(gen.liouvillian().mat, 4))) <= ALGEBRAIC
+
     def test_coherence_no_population_reaches_not_unique(self, monkeypatch):
         # levels 1 and 2 are fed from 0 and swapped by sigma_x: the sector
         # (the populations) has one stationary state, 1/2 (P_1 + P_2), but
@@ -725,9 +772,9 @@ class TestSectorSolveAgainstDenseOracle:
         assert [kn.shape for kn in kernels] == [(16, 16)]
 
     def test_interaction_picture_solved_on_its_whole_liouvillian(self, monkeypatch):
-        # a Floquet generator carries no H to split its levels, so no
-        # sector is sought: the driven ladder's whole 9 x 9 Liouvillian goes
-        # to the bordered solver, and no channel is rotated for a sector
+        # a Floquet generator is built from explicit channels and carries no
+        # H to split its levels, so no sector is sought: the driven ladder's
+        # whole 9 x 9 Liouvillian goes to the bordered solver
         sched = ModulatedLadder(omega1=1.0, omega2=1.55, amplitude=0.3, big_omega=0.6)
         dec = floquet_decompose(sched, sched.tau, 256)
         lower = Operator.hermitian(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
@@ -736,17 +783,17 @@ class TestSectorSolveAgainstDenseOracle:
         channels = harmonic_decompose(dec, lower, 6, cold) + harmonic_decompose(dec, upper, 6, hot)
         gen = build_floquet_generator(channels, dec.h_av, {"cold": cold, "hot": hot})
         kernels = _record_sector_kernels(monkeypatch)
-        patterns, pattern = [], lindblad._pattern
-        monkeypatch.setattr(lindblad, "_pattern",
-                            lambda stack: patterns.append(stack) or pattern(stack))
+        sectors = []
+        monkeypatch.setattr(lindblad, "_sector_states", sectors.append)
         rho = stationary_state(gen)
-        assert [kn.shape for kn in kernels] == [(9, 9)] and not patterns
+        assert [kn.shape for kn in kernels] == [(9, 9)] and not sectors
         assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
 
     def test_adjoint_found_among_channels_of_one_pattern(self, monkeypatch):
         # two baths couple the same ladder transitions with different
-        # weights, so their channels share patterns; each adjoint is a
-        # multiple of the other bath's channel only, and the sector stands
+        # weights, so their channels share patterns; each adjoint is the
+        # mirrored channel of its own coupling, not the other bath's
+        # channel of the same pattern, and the sector stands
         h = Operator.hermitian(np.diag([0.0, 1.0, 2.0]))
         ladder = np.diag([1.0, 1.0], 1)
         weighted = np.diag([1.0, 3.0], 1)
@@ -756,6 +803,84 @@ class TestSectorSolveAgainstDenseOracle:
         rho = stationary_state(gen)
         assert [kn.shape for kn in kernels] == [(3, 3)]
         assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
+
+
+def _stack_hamiltonian(rng, d, kind):
+    """A random Hamiltonian of one of four kinds: "generic"; "degenerate",
+    with repeated levels; "flat", a multiple of the identity, whose one
+    level group no certificate accepts, so that its stationary state comes
+    from the whole Liouvillian; "collision", with two Bohr gaps inside the
+    unresolved band of every coupling that links levels 0, 1 and 2."""
+    u = random_unitary(d, rng).mat
+    if kind == "flat":
+        evals = np.full(d, float(rng.uniform(-1.0, 1.0)))
+    elif kind == "collision":
+        evals = np.concatenate([[0.0, 1.0, 2.0 + 1e-7], 3.0 + np.arange(d - 3)])
+    else:
+        evals = _spectrum(rng, d, "degenerate" if kind == "degenerate" else "near-degenerate")
+    return Operator.hermitian(u @ np.diag(evals) @ u.conj().T)
+
+
+def _outcome(result):
+    """A solve's state bits, or its error's type and message."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return result.mat.tobytes()
+
+
+class TestStackSolvesMemberByMember:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(["generic", "degenerate", "flat", "collision"]),
+                    min_size=2, max_size=5),
+           st.integers(min_value=3, max_value=6), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_stack_gives_the_bits_of_single_solves(self, kinds, d, n_baths, seed):
+        rng = np.random.default_rng(seed)
+        hs = [_stack_hamiltonian(rng, d, kind) for kind in kinds]
+        couplings = [(random_hermitian(d, rng), ohmic_bath(f"b{k}", float(rng.uniform(0.3, 3.0))))
+                     for k in range(n_baths)]
+        gens = _davies_stack(hs, couplings)
+        built = [g for g in gens if isinstance(g, GKLSGenerator)]
+        states = iter(_stationary_stack(built))
+        for h, gen in zip(hs, gens):
+            try:
+                single = build_davies(h, couplings)
+            except BohrResolutionError as exc:
+                assert _outcome(gen) == _outcome(exc)
+                continue
+            assert isinstance(gen, GKLSGenerator)
+            assert [(c.bath_label, c.bohr_frequency, c.rate, c.op.tobytes()) for c in gen.channels] \
+                == [(c.bath_label, c.bohr_frequency, c.rate, c.op.tobytes()) for c in single.channels]
+            try:
+                ref = stationary_state(single)
+            except ValueError as exc:
+                ref = exc
+            assert _outcome(next(states)) == _outcome(ref)
+        if built:
+            labels, qs = _table_heat_observables(built)
+            for gen, q in zip(built, qs):
+                single = build_davies(gen.h, couplings)
+                for label, q_l in zip(labels, q):
+                    assert q_l.tobytes() == single.heat_observable(label).tobytes()
+
+    def test_mixed_stack(self, monkeypatch):
+        # a certified member, one whose certificate fails (one level group)
+        # and one Bohr collision: the failed member alone goes to the whole
+        # Liouvillian, and every member keeps its single-solve bits
+        rng = np.random.default_rng(7)
+        kinds = ["generic", "flat", "collision", "degenerate"]
+        hs = [_stack_hamiltonian(rng, 4, kind) for kind in kinds]
+        couplings = [(random_hermitian(4, rng), ohmic_bath(f"b{k}", 1.0 + k)) for k in range(2)]
+        gens = _davies_stack(hs, couplings)
+        assert isinstance(gens[2], BohrResolutionError)
+        built = [gens[0], gens[1], gens[3]]
+        kernels = _record_sector_kernels(monkeypatch)
+        states = _stationary_stack(built)
+        assert sorted(kn.shape for kn in kernels) == [(4, 4), (6, 6), (16, 16)]
+        for gen, state in zip(built, states):
+            assert isinstance(state, DensityMatrix)
+            assert state.mat.tobytes() == stationary_state(build_davies(gen.h, couplings)).mat.tobytes()
+            assert np.max(np.abs(state.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
 
 
 def _degenerate_coherence_generator():
@@ -770,6 +895,14 @@ def _degenerate_coherence_generator():
     h = Operator.hermitian(np.diag([0.0, 1.0, 1.0]))
     return build_davies(h, [(coupling((0, 1, 1.0), (0, 2, 1e-3)), ohmic_bath("a", 0.0)),
                             (coupling((0, 1, 1.0)), ohmic_bath("b", 1.0))])
+
+
+def _coupling_channels(h_evals, basis, couplings):
+    """The channels that ``build_davies`` derives from its tables, for the
+    levels ``h_evals`` with the eigenvectors ``basis``."""
+    d = len(h_evals)
+    s_e = np.array([basis.conj().T @ s_op.mat @ basis for s_op, _ in couplings]).reshape(-1, d, d)
+    return _table_channels(_coupling_tables(h_evals, s_e, couplings), basis)
 
 
 def _loop_coupling_channels(h_evals, basis, s_op, bath):

@@ -18,6 +18,7 @@ from qthermo.machines import (
     _adiabat_superop,
     _nelder_mead,
     _transfer_superop,
+    _tricycle_couplings,
     _tricycle_hamiltonian,
     _tricycle_pieces,
     _walk_cycle,
@@ -712,6 +713,33 @@ class TestOptimizePower:
         optimize_power(spec, free, seed=11)
         assert len(runs) == 428
 
+    @pytest.mark.filterwarnings("ignore:power optimisation hit its evaluation cap")
+    def test_only_bohr_collisions_score_zero(self, monkeypatch):
+        # a Bohr collision is a non-engine point; any other failure of a
+        # cycle evaluation reaches the caller
+        from qthermo.lindblad import BohrResolutionError
+
+        spec = engine_spec()
+        free = {"tau_h": (2.0, 6.0)}
+        run = machines.run_otto
+        calls = []
+
+        def failing(error):
+            def otto(cycle):
+                calls.append(cycle)
+                if len(calls) == 2:
+                    raise error
+                return run(cycle)
+            return otto
+
+        monkeypatch.setattr(machines, "run_otto", failing(BohrResolutionError("collision")))
+        optimize_power(spec, free, restarts=1, max_evals=10)
+        calls.clear()
+        monkeypatch.setattr(machines, "run_otto",
+                            failing(ValueError("fixed point is not a positive state")))
+        with pytest.raises(ValueError, match="not a positive state"):
+            optimize_power(spec, free, restarts=1, max_evals=10)
+
     def test_curzon_ahlborn_reference_value(self):
         assert 1.0 - math.sqrt(1.0 / 4.0) == pytest.approx(0.5)
 
@@ -928,14 +956,17 @@ class TestTricycle:
         for omega_c, eps in [(1.0, 0.05), (0.37, 0.2), (2.1, 0.0)]:
             spec = tricycle_spec(representation=representation, oscillator_levels=levels,
                                  omega_c=omega_c, eps=eps)
-            h, couplings = _tricycle_hamiltonian(spec)
+            h = _tricycle_hamiltonian(spec)
+            couplings = [c for c, _ in _tricycle_couplings(spec)]
             h_ref, couplings_ref = uncached(spec)
             assert np.array_equal(h.mat, h_ref)
             assert len(couplings) == 3
             for c, c_ref in zip(couplings, couplings_ref):
                 assert np.array_equal(c.mat, c_ref)
-        for piece in _tricycle_pieces(spec.levels):
+        nums, inter, couplings = _tricycle_pieces(spec.levels)
+        for piece in (nums, inter, *(c.mat for c in couplings)):
             assert not piece.flags.writeable
+        assert all(c.kind == "hermitian" for c in couplings)
 
     def test_steady_state_builds_no_superoperator(self, monkeypatch):
         # the stationary solve works on the zero-Bohr sector alone
@@ -1017,22 +1048,78 @@ class TestThirdLawSweep:
             third_law_sweep(tricycle_spec(), [0.5, 1e-4])
 
     def test_each_candidate_is_solved_once(self, monkeypatch):
-        # 40 candidates per cold temperature, and the best one's gain is
-        # reported from its own solve
-        calls = _count_calls(monkeypatch, machines.tricycle_steady)
+        # 20 coarse candidates and 18 fine ones per cold temperature, each
+        # grid one stack: the fine grid's two ends are coarse points, whose
+        # solves are reused; the best one's gain is reported from its own
+        # solve
+        calls = _count_calls(monkeypatch, machines._tricycle_steady_stack)
         spec = tricycle_spec(
             bath_c=BathSpec(label="cold", temperature=0.5, form_factor="power",
                             exponent=2.0, gamma=0.1, cutoff=20.0),
             eps=1e-3,
         )
         rows = third_law_sweep(spec, [0.4, 0.1])
-        assert len(calls) == 2 * 40
+        assert [len(omegas) for _, omegas in calls] == [20, 18, 20, 18]
+        for (_, coarse), (_, fine) in zip(calls[::2], calls[1::2]):
+            assert not set(np.asarray(coarse).tolist()) & set(np.asarray(fine).tolist())
         for row in rows:
             assert not row.no_cooling
             best = tricycle_steady(replace(spec, omega_c=row.omega_c_star,
                                            bath_c=replace(spec.bath_c, temperature=row.t_c)))
             assert _bits(row.gain) == _bits(-best.gain)
             assert _bits(row.j_c) == _bits(best.currents["cold"])
+
+    def test_rows_equal_candidate_by_candidate_solves(self):
+        # the stacked sweep against the scan written with one tricycle_steady
+        # call per candidate, 40 per cold temperature
+        spec = tricycle_spec(
+            bath_c=BathSpec(label="cold", temperature=0.5, form_factor="power",
+                            exponent=3.0, gamma=0.1, cutoff=20.0),
+            eps=1e-3,
+        )
+        grid_t = [0.4, 0.11, 0.031]
+        rows = third_law_sweep(spec, grid_t)
+        for t_c, row in zip(grid_t, rows):
+            at = replace(spec, bath_c=replace(spec.bath_c, temperature=t_c))
+
+            def solve(w):
+                st = tricycle_steady(replace(at, omega_c=float(w)))
+                return st.currents["cold"], st
+
+            grid = np.linspace(0.2 * t_c, min(3.0 * t_c, 0.95 * spec.omega_h), 20)
+            k = int(np.argmax([solve(w)[0] for w in grid]))
+            fine = np.linspace(grid[max(0, k - 1)], grid[min(19, k + 1)], 20)
+            solves = [solve(w) for w in fine]
+            kk = int(np.argmax([j for j, _ in solves]))
+            gain = -solves[kk][1].gain
+            ref = (t_c, float(fine[kk]), solves[kk][0], solves[kk][0] / (fine[kk] * gain), gain)
+            got = (row.t_c, row.omega_c_star, row.j_c, row.conductance, row.gain)
+            assert [_bits(x) for x in got] == [_bits(float(x)) for x in ref]
+
+    def test_only_bohr_collisions_are_skipped(self, monkeypatch):
+        # a candidate whose build raises BohrResolutionError scores -inf and
+        # the sweep goes on; a solver failure of any other kind reaches the
+        # caller
+        from qthermo.lindblad import BohrResolutionError
+
+        spec = tricycle_spec(eps=1e-3)
+        build, solve = machines._davies_stack, machines._stationary_stack
+
+        def colliding(hs, couplings):
+            gens = build(hs, couplings)
+            return [BohrResolutionError("collision")] + gens[1:]
+
+        monkeypatch.setattr(machines, "_davies_stack", colliding)
+        assert len(third_law_sweep(spec, [0.4])) == 1
+
+        def failing(gens):
+            states = solve(gens)
+            states[3] = ValueError("stationary state not unique: bordered-system rcond 0")
+            return states
+
+        monkeypatch.setattr(machines, "_stationary_stack", failing)
+        with pytest.raises(ValueError, match="stationary state not unique"):
+            third_law_sweep(spec, [0.4])
 
 
 def test_third_law_flat_bath_exponent_reported():
