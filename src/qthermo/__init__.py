@@ -8,32 +8,24 @@ of thermodynamics.
 
 from .operators import (
     DensityMatrix,
-    KrausMap,
     Operator,
     Superoperator,
     cp_check,
     eig_hermitian,
-    evolve_unitary,
     expect,
-    kraus_apply,
     matexp,
-    partial_trace,
-    tensor,
-    to_choi,
     trace_distance,
 )
 from .baths import BathSpec, occupation, spectral_density, verify_kms_ratio
 from .states import (
     CorrelationSeries,
     diagonal_vs_microcanonical,
-    dephase_time_average,
     ergotropy,
     gibbs_state,
     heisenberg_chain,
     is_completely_passive,
     is_passive,
     kms_check,
-    microcanonical_state,
     relative_entropy,
     shannon_entropy_in_basis,
     two_point_correlation,
@@ -49,7 +41,6 @@ from .lindblad import (
     davies_audit,
     entropy_production_rate,
     heat_currents,
-    propagate,
     stationary_state,
     trajectory,
 )

@@ -95,12 +95,19 @@ _BATH_KEYS = {
 
 _MEDIUM_KEYS = {"kind": str, "transverse": (int, float), "levels": int}
 
+
+def _is_a(val, expected) -> bool:
+    """isinstance, except that JSON true and false are not numbers,
+    although bool subclasses int."""
+    return isinstance(val, expected) and (expected is bool or not isinstance(val, bool))
+
+
 def _check_keys(mapping: dict, allowed: dict, where: str):
     for key, val in mapping.items():
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
         expected = allowed[key]
-        if not isinstance(val, expected):  # type: ignore[arg-type]
+        if not _is_a(val, expected):
             raise ConfigError(
                 f"key {key!r} in {where} has type {type(val).__name__}, "
                 f"expected {expected}"
@@ -108,6 +115,8 @@ def _check_keys(mapping: dict, allowed: dict, where: str):
 
 
 def _parse_bath(raw: dict, where: str) -> BathSpec:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"bath in {where} must be an object, got {type(raw).__name__}")
     _check_keys(raw, _BATH_KEYS, where)
     if "label" not in raw:
         raise ConfigError(f"bath in {where} needs a label")
@@ -290,8 +299,9 @@ def _run_otto_optimize(cfg: dict):
     for key, bounds in p["free"].items():
         if key not in ("omega_c", "omega_h", "tau_h", "tau_c", "tau_hc", "tau_ch"):
             raise ConfigError(f"cannot optimise over {key!r}")
-        if (not isinstance(bounds, list)) or len(bounds) != 2:
-            raise ConfigError(f"bounds of {key!r} must be [lo, hi]")
+        if (not isinstance(bounds, list) or len(bounds) != 2
+                or not all(_is_a(b, (int, float)) for b in bounds)):
+            raise ConfigError(f"bounds of {key!r} must be two numbers [lo, hi]")
         free[key] = (float(bounds[0]), float(bounds[1]))
     best, pmax, eta = mc.optimize_power(spec, free, seed=cfg["seed"])
     rep = mc.run_otto(replace(spec, **best))
@@ -309,8 +319,8 @@ def _tricycle_spec(p: dict, where: str) -> mc.TricycleSpec:
         bath_c=_parse_bath(p["bath_c"], f"{where}.bath_c"),
         bath_w=_parse_bath(p["bath_w"], f"{where}.bath_w"),
         eps=float(p["eps"]),
-        representation=p.get("representation", "qubits"),
-        oscillator_levels=int(p.get("oscillator_levels", 3)),
+        representation=p["representation"],
+        oscillator_levels=int(p["oscillator_levels"]),
     )
 
 
@@ -329,6 +339,8 @@ def _run_tricycle(cfg: dict):
 def _run_third_law(cfg: dict):
     p = cfg["params"]
     spec = _tricycle_spec(p, "third-law-sweep")
+    if not all(_is_a(t, (int, float)) for t in p["t_c_grid"]):
+        raise ConfigError("t_c_grid entries must be numbers")
     grid = [float(t) for t in p["t_c_grid"]]
     if any(t < 1e-3 for t in grid):
         raise ConfigError("t_c_grid is floored at 1e-3")
@@ -481,7 +493,9 @@ _KINDS: dict[str, _Kind] = {
                 "ratio_lo": (int, float), "ratio_hi": (int, float)},
         required=("bath_h", "bath_c", "bath_w", "t_c_grid"),
         defaults={"omega_h": 3.0, "omega_c": 1.0, "eps": 1e-3,
-                  "ratio_lo": 0.2, "ratio_hi": 3.0},
+                  "ratio_lo": 0.2, "ratio_hi": 3.0,
+                  # outside the schema, so fixed: the sweep runs qubit filters
+                  "representation": "qubits", "oscillator_levels": 3},
         runner=_run_third_law,
     ),
     "floquet": _Kind(
@@ -521,7 +535,7 @@ def _apply_tolerance_overrides(cert: LawCertificate, overrides: dict):
                 f"tolerance override {key!r} matches no law check "
                 f"(available: {sorted(names)})"
             )
-        if not isinstance(value, (int, float)):
+        if not _is_a(value, (int, float)):
             raise ConfigError(f"tolerance override {key!r} must be a number")
     for name, _, threshold, sense in cert.entries:
         if name not in overrides:

@@ -44,7 +44,6 @@ __all__ = [
     "ThermoLedger",
     "BohrResolutionError",
     "build_davies",
-    "propagate",
     "trajectory",
     "adiabatic_propagate",
     "entropy_production_rate",
@@ -408,14 +407,6 @@ def _table_heat_observables(gens: Sequence[GKLSGenerator]) -> tuple[list[str], n
     for gen, q_i in zip(gens, q):
         gen._heat_observables.update(zip(labels, q_i))
     return labels, q
-
-
-def propagate(gen: GKLSGenerator, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """exp(L t) applied to the state."""
-    if t < 0:
-        raise ValueError("propagation time must be >= 0")
-    prop = matexp(gen.liouvillian(), t)
-    return prop.apply(rho0)
 
 
 def _currents(q: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -69,7 +69,6 @@ __all__ = [
     "quantum_friction",
     "optimize_power",
     "sudden_limit_check",
-    "build_tricycle",
     "tricycle_steady",
     "third_law_sweep",
     "TricycleSteady",
@@ -298,9 +297,7 @@ def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
 
     Every stroke is compiled first and then verified completely positive
     and trace preserving, all in one stacked check; the first failing
-    stroke in chronological order is reported.  The non-commutation
-    witness |[U_expansion, U_hot]| is not computed here;
-    :func:`noncommutation_witness` reads it from the returned strokes."""
+    stroke in chronological order is reported."""
     gens = _cycle_generators(spec)
     strokes = [_compile_stroke(spec.medium, st, gens) for st in spec.strokes()]
     min_eig, drift = cptp_residuals(np.array([op.superop.mat for op in strokes]))
@@ -329,16 +326,6 @@ def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
     for op in ops:
         total = op.superop.mat @ total
     return Superoperator(total), ops
-
-
-def noncommutation_witness(ops: list[StrokeOp]) -> float:
-    """|[U_expansion, U_hot]| for the first adiabat/isochore pair found."""
-    iso = next((o for o in ops if o.is_isochore), None)
-    adi = next((o for o in ops if not o.is_isochore), None)
-    if iso is None or adi is None:
-        return 0.0
-    comm = adi.superop.mat @ iso.superop.mat - iso.superop.mat @ adi.superop.mat
-    return float(np.linalg.norm(comm, 2))
 
 
 _MAX_ITER = 2000
@@ -784,13 +771,6 @@ def _tricycle_couplings(spec: TricycleSpec) -> list[tuple[Operator, BathSpec]]:
     return list(zip(couplings, (spec.bath_h, spec.bath_c, spec.bath_w)))
 
 
-def build_tricycle(spec: TricycleSpec) -> GKLSGenerator:
-    """Global weak-coupling generator of the full interacting filter
-    Hamiltonian (local per-filter generators are never used: they can
-    push heat against the gradient)."""
-    return build_davies(_tricycle_hamiltonian(spec), _tricycle_couplings(spec))
-
-
 @dataclass(frozen=True)
 class TricycleSteady:
     currents: dict[str, float]
@@ -841,7 +821,10 @@ def _tricycle_steady_stack(spec: TricycleSpec, omegas_c) -> list:
 
 
 def tricycle_steady(spec: TricycleSpec) -> TricycleSteady:
-    """Steady-state currents and law values of the three-bath machine.
+    """Steady-state currents and law values of the three-bath machine,
+    from the global weak-coupling generator of the full interacting
+    filter Hamiltonian (local per-filter generators can push heat against
+    the gradient).
 
     The gain is the population imbalance between the single-excitation
     hot and cold filter states, the three-level-amplifier inversion

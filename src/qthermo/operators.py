@@ -1,4 +1,7 @@
-"""Dense complex operator algebra for small quantum systems.
+"""Dense complex operator algebra for small quantum systems: tagged
+operators and density matrices with their checks, hermitian
+eigensolvers, matrix exponentials, the superoperator builders and the
+CPTP check that certifies every propagator.
 
 Vectorization is column-stacking throughout: ``vec(A)`` stacks the columns
 of ``A``, so ``vec(A B C) = (C^T kron A) vec(B)``.  Every superoperator in
@@ -7,7 +10,8 @@ classic source of silent sign bugs, so all conversions live here.
 :func:`sandwich_superop` is the one kernel that writes rho -> A rho B in
 this form; every builder uses it except the rate-weighted jump sum of
 :func:`dissipator_superop`, one product over the whole channel stack.
-``kron`` is kept for tensor products of Hilbert spaces.
+``np.kron`` is left to the models that build tensor products of Hilbert
+spaces.
 
 Two kernels act on whole stacks in one batched LAPACK call:
 :func:`unitary_exp` gives exp(-iK) for a stack of hermitian K, and
@@ -20,8 +24,7 @@ Units are hbar = k_B = 1 everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -32,16 +35,10 @@ __all__ = [
     "Operator",
     "DensityMatrix",
     "Superoperator",
-    "KrausMap",
     "eig_hermitian",
     "matexp",
     "unitary_exp",
-    "tensor",
-    "partial_trace",
     "expect",
-    "evolve_unitary",
-    "kraus_apply",
-    "to_choi",
     "cp_check",
     "cptp_residuals",
     "trace_distance",
@@ -55,20 +52,17 @@ __all__ = [
     "identity_superop",
     "group_degenerate",
     "random_hermitian",
-    "random_unitary",
     "random_density",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
     "SIGMA_MINUS",
-    "SIGMA_PLUS",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
-SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -148,20 +142,9 @@ class Operator:
     def unitary(cls, mat) -> "Operator":
         return cls(mat, kind="unitary")
 
-    @classmethod
-    def general(cls, mat) -> "Operator":
-        return cls(mat, kind="general")
-
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls(np.eye(dim), kind="unitary")
-
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def dag(self) -> "Operator":
-        return Operator(self.mat.conj().T, kind=self.kind)
 
     def is_hermitian(self) -> bool:
         # the tag was verified at construction, and ``mat`` is read-only
@@ -192,9 +175,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.mat @ self.mat)))
 
 
 def _state_spectra(stack: np.ndarray, vectors: bool = False):
@@ -278,9 +258,6 @@ class Superoperator:
         out = self.apply_matrix(rho.mat)
         out = (out + out.conj().T) / 2.0
         return DensityMatrix(out)
-
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
-        return Superoperator(self.mat @ other.mat)
 
     def trace_preservation_residual(self) -> float:
         """Max deviation of the dual action on the identity: trace(S rho)
@@ -427,76 +404,6 @@ def matexp(x: Operator | Superoperator, t: float = 1.0):
     return Operator(out, kind=kind)
 
 
-def _combine_kind(kinds: Sequence[str]) -> str:
-    if all(k == "hermitian" for k in kinds):
-        return "hermitian"
-    if all(k == "unitary" for k in kinds):
-        return "unitary"
-    return "general"
-
-
-def tensor(*ops):
-    """Kronecker product with row-major subsystem ordering.
-
-    Accepts Operators (returns an Operator) or DensityMatrices (returns a
-    DensityMatrix).
-    """
-    if not ops:
-        raise ValueError("tensor of nothing")
-    if all(isinstance(o, DensityMatrix) for o in ops):
-        out = ops[0].mat
-        for o in ops[1:]:
-            out = np.kron(out, o.mat)
-        return DensityMatrix(out)
-    mats = []
-    kinds = []
-    for o in ops:
-        if isinstance(o, Operator):
-            mats.append(o.mat)
-            kinds.append(o.kind)
-        elif isinstance(o, DensityMatrix):
-            mats.append(o.mat)
-            kinds.append("hermitian")
-        else:
-            mats.append(np.asarray(o, dtype=complex))
-            kinds.append("general")
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return Operator(out, kind=_combine_kind(kinds))
-
-
-def partial_trace(op, dims: Sequence[int], keep: Iterable[int]):
-    """Trace out subsystems, keeping those indexed (from 0) in ``keep``.
-
-    ``dims`` lists the subsystem dimensions in tensor order; their product
-    must equal the operator dimension.  Returns the same wrapper type as
-    the input.
-    """
-    is_rho = isinstance(op, DensityMatrix)
-    m = op.mat if isinstance(op, (Operator, DensityMatrix)) else np.asarray(op)
-    dims = list(int(d) for d in dims)
-    n = len(dims)
-    if int(np.prod(dims)) != m.shape[0]:
-        raise ValueError(f"dims {dims} do not factor dimension {m.shape[0]}")
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    arr = m.reshape(dims + dims)
-    row_idx = list(range(n))
-    col_idx = [i + n if i in keep else i for i in range(n)]
-    out_idx = [i for i in keep] + [i + n for i in keep]
-    traced = np.einsum(arr, row_idx + col_idx, out_idx)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    traced = traced.reshape(d_keep, d_keep)
-    if is_rho:
-        return DensityMatrix((traced + traced.conj().T) / 2.0)
-    if isinstance(op, Operator):
-        kind = "hermitian" if op.kind == "hermitian" else "general"
-        return Operator(traced, kind=kind)
-    return traced
-
-
 def expect(rho: DensityMatrix, a: Operator):
     """Tr(rho A); returns a float for hermitian observables."""
     if rho.dim != a.dim:
@@ -507,64 +414,11 @@ def expect(rho: DensityMatrix, a: Operator):
     return val
 
 
-def evolve_unitary(rho: DensityMatrix, u: Operator) -> DensityMatrix:
-    """U rho U^dag.  Rejects non-unitary input."""
-    um = u.mat
-    resid = _maxabs(um.conj().T @ um - np.eye(u.dim))
-    if resid > ALGEBRAIC:
-        raise ValueError(f"evolve_unitary: U not unitary, residual {resid:.3e}")
-    out = um @ rho.mat @ um.conj().T
-    return DensityMatrix((out + out.conj().T) / 2.0)
-
-
-@dataclass(frozen=True)
-class KrausMap:
-    """A CP trace-preserving map rho -> sum_j W_j^dag rho W_j with the
-    normalisation sum_j W_j W_j^dag = I."""
-
-    kraus_ops: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        ops = tuple(_as_square_complex(w) for w in self.kraus_ops)
-        if not ops:
-            raise ValueError("KrausMap needs at least one operator")
-        d = ops[0].shape[0]
-        if any(w.shape[0] != d for w in ops):
-            raise ValueError("Kraus operators must share one dimension")
-        object.__setattr__(self, "kraus_ops", ops)
-        resid = _maxabs(sum(w @ w.conj().T for w in ops) - np.eye(d))
-        if resid > ALGEBRAIC:
-            raise ValueError(
-                f"Kraus set not normalised: |sum W W^dag - I| = {resid:.3e}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
-
-    def as_superoperator(self) -> Superoperator:
-        ws = np.array(self.kraus_ops)
-        return sandwich_superop(ws.conj().swapaxes(-1, -2), ws)
-
-
-def kraus_apply(kmap: KrausMap, rho: DensityMatrix) -> DensityMatrix:
-    if kmap.dim != rho.dim:
-        raise ValueError("dimension mismatch between map and state")
-    out = sum(w.conj().T @ rho.mat @ w for w in kmap.kraus_ops)
-    return DensityMatrix((out + out.conj().T) / 2.0)
-
-
 def _choi_stack(stack: np.ndarray) -> np.ndarray:
     """Choi matrices of a (n, d^2, d^2) stack of superoperators."""
     n, side = stack.shape[0], stack.shape[-1]
     d = math.isqrt(side)
     return stack.reshape(n, d, d, d, d).transpose(0, 4, 2, 3, 1).reshape(n, side, side)
-
-
-def to_choi(s: Superoperator) -> Operator:
-    """Choi matrix of a superoperator via its action on the (unnormalised)
-    maximally entangled reference: C = sum_ij |i><j| kron S(|i><j|)."""
-    return Operator(_choi_stack(s.mat[None])[0], kind="general")
 
 
 def cptp_residuals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -678,13 +532,6 @@ def _bin_frequencies(freqs: np.ndarray, merge_tol: float, resolve_tol: float):
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> Operator:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return Operator.hermitian(scale * (g + g.conj().T) / 2.0)
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> Operator:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return Operator.unitary(q)
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:

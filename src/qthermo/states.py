@@ -1,9 +1,9 @@
 """State functionals and structure tests.
 
-Entropies, Gibbs states, passivity and ergotropy, time-averaged dephasing,
-equilibrium correlation functions with their detailed-balance frequency
-relation, and a desk-scale diagonal-ensemble vs microcanonical comparison
-on a seeded random-field spin chain.
+Entropies, Gibbs states, passivity and ergotropy, equilibrium
+correlation functions with their detailed-balance frequency relation,
+and a desk-scale diagonal-ensemble vs microcanonical comparison on a
+seeded random-field spin chain.
 """
 
 from __future__ import annotations
@@ -28,15 +28,11 @@ from .operators import (
 from .tolerances import ALGEBRAIC, LEVEL_MERGE_REL
 
 __all__ = [
-    "SpectralDecomposition",
     "CorrelationSeries",
-    "spectral_decomposition",
     "von_neumann_entropy",
     "shannon_entropy_in_basis",
     "relative_entropy",
     "gibbs_state",
-    "dephase_time_average",
-    "microcanonical_state",
     "is_passive",
     "ergotropy",
     "is_completely_passive",
@@ -48,28 +44,6 @@ __all__ = [
 ]
 
 _LOG_CLIP = 1e-300
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues and eigenprojectors of a density matrix."""
-
-    eigenvalues: np.ndarray
-    projectors: tuple
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        if abs(float(lam.sum()) - 1.0) > ALGEBRAIC:
-            raise ValueError("spectral weights do not sum to one")
-        if lam.min() < -ALGEBRAIC:
-            raise ValueError("negative spectral weight")
-        object.__setattr__(self, "eigenvalues", lam)
-
-
-def spectral_decomposition(rho: DensityMatrix) -> SpectralDecomposition:
-    lam, v = np.linalg.eigh(rho.mat)
-    projs = tuple(np.outer(v[:, j], v[:, j].conj()) for j in range(rho.dim))
-    return SpectralDecomposition(lam, projs)
 
 
 def _entropy_of_probs(p: np.ndarray) -> np.ndarray:
@@ -152,30 +126,6 @@ def gibbs_state(
     return DensityMatrix((v * w) @ v.conj().T)
 
 
-def dephase_time_average(rho: DensityMatrix, h: Operator) -> DensityMatrix:
-    """Projection onto the H-eigenprojector blocks: the infinite-time
-    average of the unitary orbit of rho.  Degenerate levels are dephased
-    blockwise."""
-    evals, v = eig_hermitian(h)
-    rho_e = v.mat.conj().T @ rho.mat @ v.mat
-    # the average keeps the level blocks of rho on the diagonal, where the
-    # row's and the column's levels share a group
-    label, _, _ = _level_blocks(evals, np.abs(rho_e), 0.0)
-    out = v.mat @ np.where(label[:, None] == label[None, :], rho_e, 0.0) @ v.mat.conj().T
-    return DensityMatrix((out + out.conj().T) / 2.0)
-
-
-def microcanonical_state(h: Operator, energy: float) -> DensityMatrix:
-    """Uniform mixture over the eigenstates with E_j <= energy."""
-    evals, v = eig_hermitian(h)
-    sel = evals <= energy
-    if not np.any(sel):
-        raise ValueError(f"no eigenvalue at or below E = {energy}")
-    block = v.mat[:, sel]
-    out = block @ block.conj().T / int(sel.sum())
-    return DensityMatrix(out)
-
-
 def ergotropy(rho: DensityMatrix, h: Operator) -> tuple[float, DensityMatrix]:
     """Maximal unitarily extractable work and the associated passive state.
 
@@ -242,9 +192,6 @@ class CorrelationSeries:
     def __post_init__(self):
         object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
-
-    def evaluate(self, t: float) -> complex:
-        return complex(np.sum(self.amplitudes * np.exp(-1j * self.omegas * t)))
 
     def static_value(self) -> complex:
         return complex(np.sum(self.amplitudes))

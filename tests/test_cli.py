@@ -457,6 +457,38 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+class TestConfigEntryTypes:
+    """A value of the wrong type is a config error that writes nothing,
+    never a run on a coerced value or an internal error.  JSON true and
+    false are not numbers, although bool subclasses int."""
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("evolve_qubit.json", lambda c: c["params"].update(omega=True),
+         "key 'omega' in params of evolve has type bool"),
+        ("evolve_qubit.json", lambda c: c.update(seed=False),
+         "key 'seed' in config root has type bool"),
+        ("evolve_qubit.json", lambda c: c.update(tolerance_overrides={"first_law_residual": False}),
+         "tolerance override 'first_law_residual' must be a number"),
+        ("evolve_qubit.json", lambda c: c["params"]["baths"].append(3),
+         "bath in evolve.baths must be an object, got int"),
+        ("third_law_sweep.json", lambda c: c["params"]["t_c_grid"].append({}),
+         "t_c_grid entries must be numbers"),
+        ("otto_optimize.json", lambda c: c["params"]["free"].update(tau_h=[{}, 6.0]),
+         "bounds of 'tau_h' must be two numbers"),
+    ], ids=["bool-param", "bool-seed", "bool-override", "bath-entry", "t_c_grid-entry",
+            "free-bound"])
+    def test_wrong_type_is_a_config_error(self, tmp_path, capsys, name, edit, message):
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        edit(cfg)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
+
 class TestToleranceOverrides:
     def test_override_tightens_to_failure(self, tmp_path):
         cfg = json.loads((CONFIGS / "evolve_qubit.json").read_text())
