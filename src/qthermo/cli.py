@@ -221,7 +221,10 @@ def _run_evolve(cfg: dict):
         ledger.first_law_residual() / ledger.current_scale(),
         1e-6, "<=",
     )
-    return cert, {"ledger.csv": ledger.to_csv()}
+    header = ["t", "E", "P", "S_vn", "sigma"] + [f"J_{k}" for k in ledger.currents]
+    rows = zip(ledger.times, ledger.energy, ledger.power, ledger.entropy,
+               ledger.entropy_production, *ledger.currents.values())
+    return cert, {"ledger.csv": _csv(header, rows)}
 
 
 def _run_davies_audit(cfg: dict):
@@ -295,6 +298,8 @@ def _run_otto(cfg: dict):
 def _run_otto_optimize(cfg: dict):
     p = cfg["params"]
     spec = _otto_spec(p, "otto-optimize")
+    if not p["free"]:
+        raise ConfigError("free must name at least one parameter to optimise")
     free = {}
     for key, bounds in p["free"].items():
         if key not in ("omega_c", "omega_h", "tau_h", "tau_c", "tau_hc", "tau_ch"):
@@ -342,6 +347,8 @@ def _run_third_law(cfg: dict):
     if not all(_is_a(t, (int, float)) for t in p["t_c_grid"]):
         raise ConfigError("t_c_grid entries must be numbers")
     grid = [float(t) for t in p["t_c_grid"]]
+    if not grid:
+        raise ConfigError("t_c_grid must hold at least one temperature")
     if any(t < 1e-3 for t in grid):
         raise ConfigError("t_c_grid is floored at 1e-3")
     rows = mc.third_law_sweep(spec, grid, float(p["ratio_lo"]), float(p["ratio_hi"]))

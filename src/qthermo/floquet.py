@@ -5,7 +5,9 @@ part and the exponential of an averaged Hamiltonian.  Coupling operators
 then decompose over the extended frequency ladder
 omega_q = omega_av + q Omega, and the resulting interaction-picture
 generator is time independent; its stationary state dressed by the
-periodic propagator is the limit cycle.
+periodic propagator is the limit cycle.  The limit-cycle ledger books
+each channel's flow once, splitting every jump's quantum between its
+bath and the drive.
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ __all__ = [
     "floquet_decompose",
     "harmonic_decompose",
     "build_floquet_generator",
-    "floquet_heat_currents",
     "limit_cycle_laws",
-    "drive_power",
     "ModulatedGapQubit",
 ]
 
@@ -280,36 +280,35 @@ def build_floquet_generator(
     return GKLSGenerator(h_av, jumps, baths=baths, include_hamiltonian=False)
 
 
-def _channel_flows(
+def _floquet_ledger(
     gen: GKLSGenerator,
     channels: list[FloquetChannel],
-    rho0: DensityMatrix,
-) -> np.ndarray:
-    """Per-channel energy flows r_c Re Tr(D_c^dag(H_av) rho0) into the
-    system, equal to Tr(H_av L_c rho0) = -omega_av R_c with R_c the net
-    jump rate of the channel."""
+    rho: DensityMatrix,
+) -> tuple[dict[str, float], float]:
+    """Per-bath heat currents and the net power delivered to the drive at
+    the state rho, from one pass over the channels.
+
+    Each channel's energy flow r_c Re Tr(D_c^dag(H_av) rho) into the
+    system equals -omega_av R_c, with R_c its net jump rate; the flows of
+    all channels come from one batched adjoint dissipator.  Every jump of
+    the channel at omega_q = omega_av + q Omega moves the system by
+    omega_av and the bath by omega_q, and the drive supplies the
+    difference q Omega.  So the bath is booked (omega_q / omega_av) times
+    the flow and, for q != 0, the drive (omega_q - omega_av) / omega_av
+    times it.
+
+    Channels with omega_av = 0 but omega_q != 0 are rejected: their
+    weights are undefined.  (omega_av = omega_q = 0 channels are pure
+    dephasing and carry no energy quantum.)
+    """
     d = gen.dim
     ops = np.array([ch.op for ch in channels], dtype=complex).reshape(-1, d, d)
     rates = np.array([ch.rate for ch in channels], dtype=float)
     terms = adjoint_dissipator(ops, gen.h.mat)
-    return rates * np.real(np.einsum("kij,ji->k", terms, rho0.mat))
-
-
-def floquet_heat_currents(
-    gen: GKLSGenerator,
-    channels: list[FloquetChannel],
-    rho0: DensityMatrix,
-) -> dict[str, float]:
-    """Per-bath heat currents at the interaction-picture stationary state:
-    each channel contributes its energy quantum omega_q at its net jump
-    rate, written as (omega_q / omega_av) Tr(H_av L_ch rho).
-
-    Channels with omega_av = 0 but omega_q != 0 are rejected: the weight
-    is undefined for them.  (omega_av = omega_q = 0 channels are pure
-    dephasing and carry no heat.)
-    """
-    out: dict[str, float] = {label: 0.0 for label in gen.bath_labels}
-    for ch, flow in zip(channels, _channel_flows(gen, channels, rho0)):
+    flows = rates * np.real(np.einsum("kij,ji->k", terms, rho.mat))
+    currents: dict[str, float] = {label: 0.0 for label in gen.bath_labels}
+    power = 0.0
+    for ch, flow in zip(channels, flows.tolist()):
         if ch.rate <= 0.0:
             continue
         if abs(ch.omega_av) < 1e-12:
@@ -319,8 +318,12 @@ def floquet_heat_currents(
                 f"channel at omega = {ch.omega:.12g} has omega_av = 0; its "
                 f"heat-current weight is undefined"
             )
-        out[ch.bath_label] += (ch.omega / ch.omega_av) * float(flow)
-    return out
+        currents[ch.bath_label] += (ch.omega / ch.omega_av) * flow
+        if ch.harmonic != 0:
+            # flow = -omega_av R_c, so the drive gives q Omega R_c and
+            # receives the negative of it
+            power += ((ch.omega - ch.omega_av) / ch.omega_av) * flow
+    return currents, power
 
 
 @dataclass(frozen=True)
@@ -333,49 +336,21 @@ class LimitCycleReport:
     stationary: DensityMatrix
 
 
-def drive_power(
-    gen: GKLSGenerator,
-    channels: list[FloquetChannel],
-    rho0: DensityMatrix,
-) -> float:
-    """Net power delivered to the driving field at the state rho0.
-
-    Every jump of the channel at omega_q = omega_av + q Omega moves the
-    system by omega_av and the bath by omega_q; the drive supplies the
-    difference q Omega.  Summing the drive quanta over channels at their
-    net jump rates gives the output power.
-    """
-    total = 0.0
-    for ch, flow in zip(channels, _channel_flows(gen, channels, rho0)):
-        if ch.rate <= 0.0 or ch.harmonic == 0:
-            continue
-        if abs(ch.omega_av) < 1e-12:
-            raise ValueError(
-                f"channel at omega = {ch.omega:.12g} has omega_av = 0; drive "
-                f"bookkeeping is undefined"
-            )
-        drive_quantum = ch.omega - ch.omega_av  # q Omega
-        # flow = -omega_av R_c, so the drive gives q Omega R_c and
-        # receives the negative of it
-        total += (drive_quantum / ch.omega_av) * float(flow)
-    return total
-
-
 def limit_cycle_laws(gen: GKLSGenerator, channels: list[FloquetChannel]) -> LimitCycleReport:
     """Evaluate the limit-cycle laws at the interaction-picture stationary
     state.
 
-    Power and per-bath heat currents come from two separate
-    channel-resolved ledgers (drive quanta against bath quanta); their
-    mismatch equals the residual internal-energy drift of the computed
-    stationary state, so the first-law number is a consistency check of
-    the whole stack rather than an identity.  The machine is a
-    refrigerator when heat flows in from its coldest bath (the lowest
-    temperature, the first registered on a tie).
+    Power and per-bath heat currents come from one channel-resolved pass
+    that books each jump's drive quanta apart from its bath quanta
+    (:func:`_floquet_ledger`); their mismatch equals the residual
+    internal-energy drift of the computed stationary state, so the
+    first-law number is a consistency check of the whole stack rather
+    than an identity.  The machine is a refrigerator when heat flows in
+    from its coldest bath (the lowest temperature, the first registered
+    on a tie).
     """
     rho0 = stationary_state(gen)
-    currents = floquet_heat_currents(gen, channels, rho0)
-    power = drive_power(gen, channels, rho0)
+    currents, power = _floquet_ledger(gen, channels, rho0)
     total = sum(currents.values())
     second = 0.0
     for label, j in currents.items():

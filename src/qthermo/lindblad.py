@@ -3,7 +3,10 @@
 Direct construction from jump channels, the weak-coupling (secular)
 construction from a Hamiltonian, hermitian coupling operators and bath
 rate tables, propagation, thermodynamic ledgers, and the audits used by
-the law-certification suite.
+the law-certification suite.  Static and slowly driven trajectories read
+their ledgers through one stacked kernel (``_ledger_columns``);
+``heat_currents`` and ``entropy_production_rate`` are the one-state case
+of the kernels it calls.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .operators import (
     vec,
     unvec,
 )
-from .states import _entropy_of_probs, gibbs_state, von_neumann_entropy
+from .states import _entropy_of_probs, gibbs_state
 from .tolerances import ALGEBRAIC, LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
 __all__ = [
@@ -887,19 +890,17 @@ class ThermoLedger:
         vals.append(float(np.max(np.abs(self.power))))
         return max(max(vals) if vals else 0.0, 1e-30)
 
-    def to_csv(self) -> str:
-        cols = ["t", "E", "P", "S_vn", "sigma"] + [f"J_{k}" for k in self.currents]
-        lines = [",".join(cols)]
-        for i in range(len(self.times)):
-            row = [
-                self.times[i],
-                self.energy[i],
-                self.power[i],
-                self.entropy[i],
-                self.entropy_production[i],
-            ] + [self.currents[k][i] for k in self.currents]
-            lines.append(",".join(format(x, ".12g") for x in row))
-        return "\n".join(lines) + "\n"
+
+def _ledger_columns(gen: GKLSGenerator, rho: np.ndarray):
+    """Energy, von Neumann entropy, entropy production and per-bath heat
+    currents of every member of a (n, d, d) stack of states, which is
+    checked first as a stack of density matrices.  One batched
+    eigendecomposition serves the check, the entropy and ln rho; the rest
+    are one product with each bath's dissipator and batched traces."""
+    evals, evecs = _state_spectra(rho, vectors=True)
+    energy = np.real(np.trace(rho @ gen.h.mat, axis1=-2, axis2=-1))
+    sigma = _entropy_production_stack(gen, rho, evals, evecs)
+    return energy, _entropy_of_probs(evals), sigma, _heat_current_stack(gen, rho)
 
 
 def trajectory(
@@ -912,9 +913,8 @@ def trajectory(
     grid.  The Hamiltonian is constant so the power column is zero.
 
     States are propagated one grid step at a time and the ledger is read
-    from blocks of ``_LEDGER_BLOCK`` states: each block is checked as a
-    stack of density matrices and takes one batched eigendecomposition,
-    one product with each bath's dissipator and batched traces."""
+    from blocks of ``_LEDGER_BLOCK`` states, each as one stack
+    (:func:`_ledger_columns`)."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
         raise ValueError("grid must be a 1d array of times")
@@ -933,11 +933,8 @@ def trajectory(
         # row k of the block is vec(M_k), which read row-major is M_k^T
         mt = block[: hi - lo].reshape(-1, d, d)
         rho = (mt.swapaxes(-1, -2) + mt.conj()) / 2.0
-        evals, evecs = _state_spectra(rho, vectors=True)
-        energy[lo:hi] = np.real(np.trace(rho @ gen.h.mat, axis1=-2, axis2=-1))
-        entropy[lo:hi] = _entropy_of_probs(evals)
-        sigma[lo:hi] = _entropy_production_stack(gen, rho, evals, evecs)
-        for k, j in _heat_current_stack(gen, rho).items():
+        energy[lo:hi], entropy[lo:hi], sigma[lo:hi], js = _ledger_columns(gen, rho)
+        for k, j in js.items():
             currents[k][lo:hi] = j
         if keep_states:
             states.extend(DensityMatrix(r) for r in rho)
@@ -987,8 +984,10 @@ def adiabatic_propagate(
 
     Steps longer than a tenth of the fastest Bohr period are refined
     (with a warning) so the instantaneous-generator picture stays inside
-    its window of validity.  Power is -Tr(rho dH/dt), from the supplied
-    derivative or a centred difference of the schedule.
+    its window of validity.  Each grid point's ledger is read as a stack
+    of one by the kernel of :func:`trajectory` (:func:`_ledger_columns`),
+    against the generator of that point.  Power is -Tr(rho dH/dt), from
+    the supplied derivative or a centred difference of the schedule.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -1024,13 +1023,11 @@ def adiabatic_propagate(
     rho = rho0
 
     def record(i: int, gen: GKLSGenerator, t: float):
-        energy[i] = float(np.real(np.trace(rho.mat @ gen.h.mat)))
+        row = slice(i, i + 1)
+        energy[row], entropy[row], sigma[row], js = _ledger_columns(gen, rho.mat[None])
+        for k, j in js.items():
+            currents[k][row] = j
         power[i] = -float(np.real(np.trace(rho.mat @ deriv(t))))
-        entropy[i] = von_neumann_entropy(rho)
-        if gen.channels:
-            sigma[i] = entropy_production_rate(gen, rho)
-            for k, val in heat_currents(gen, rho).items():
-                currents[k][i] = val
         if keep_states:
             states.append(rho)
 

@@ -374,34 +374,11 @@ def unitary_exp(k: np.ndarray) -> np.ndarray:
     return np.matmul(v, vh, out=k)
 
 
-def _is_normal(m: np.ndarray) -> bool:
-    scale = max(1.0, _maxabs(m)) ** 2
-    return _maxabs(m @ m.conj().T - m.conj().T @ m) <= 100 * STRUCTURAL * scale
-
-
-def matexp(x: Operator | Superoperator, t: float = 1.0):
-    """exp(X t), eigendecomposition for normal matrices and Pade
-    scaling-and-squaring otherwise.  Returns the same wrapper type."""
-    if isinstance(x, Superoperator):
-        return Superoperator(scipy.linalg.expm(x.mat * t))
-    if not isinstance(x, Operator):
-        raise TypeError("matexp expects an Operator or Superoperator")
-    m = x.mat
-    if x.kind == "hermitian" or _is_normal(m):
-        # Schur of a normal matrix is diagonal, giving exp through the
-        # spectrum with orthonormal vectors.
-        tvals, z = scipy.linalg.schur(m, output="complex")
-        out = (z * np.exp(np.diag(tvals) * t)) @ z.conj().T
-    else:
-        out = scipy.linalg.expm(m * t)
-    kind = "general"
-    if abs(np.imag(t)) == 0.0:
-        if x.is_hermitian():
-            kind = "hermitian"
-            out = (out + out.conj().T) / 2.0
-        elif _maxabs(m + m.conj().T) <= STRUCTURAL * max(1.0, _maxabs(m)):
-            kind = "unitary"
-    return Operator(out, kind=kind)
+def matexp(x: Superoperator, t: float = 1.0) -> Superoperator:
+    """exp(X t) of a superoperator, by Pade scaling-and-squaring."""
+    if not isinstance(x, Superoperator):
+        raise TypeError("matexp expects a Superoperator")
+    return Superoperator(scipy.linalg.expm(x.mat * t))
 
 
 def expect(rho: DensityMatrix, a: Operator):

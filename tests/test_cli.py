@@ -460,7 +460,9 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
 class TestConfigEntryTypes:
     """A value of the wrong type is a config error that writes nothing,
     never a run on a coerced value or an internal error.  JSON true and
-    false are not numbers, although bool subclasses int."""
+    false are not numbers, although bool subclasses int.  An empty sweep
+    grid or free set is one too: it would certify a header alone, or an
+    optimum over nothing."""
 
     @pytest.mark.parametrize("name, edit, message", [
         ("evolve_qubit.json", lambda c: c["params"].update(omega=True),
@@ -475,8 +477,12 @@ class TestConfigEntryTypes:
          "t_c_grid entries must be numbers"),
         ("otto_optimize.json", lambda c: c["params"]["free"].update(tau_h=[{}, 6.0]),
          "bounds of 'tau_h' must be two numbers"),
+        ("third_law_sweep.json", lambda c: c["params"].update(t_c_grid=[]),
+         "t_c_grid must hold at least one temperature"),
+        ("otto_optimize.json", lambda c: c["params"].update(free={}),
+         "free must name at least one parameter to optimise"),
     ], ids=["bool-param", "bool-seed", "bool-override", "bath-entry", "t_c_grid-entry",
-            "free-bound"])
+            "free-bound", "empty-t_c_grid", "empty-free"])
     def test_wrong_type_is_a_config_error(self, tmp_path, capsys, name, edit, message):
         cfg = json.loads((CONFIGS / name).read_text())
         cfg["output_dir"] = str(tmp_path / "out")

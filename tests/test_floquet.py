@@ -9,16 +9,16 @@ import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qthermo import floquet
 from qthermo.baths import BathSpec, spectral_density
 from qthermo.floquet import (
     _AMP_FLOOR,
     _coupling_samples,
+    _floquet_ledger,
     FloquetChannel,
     ModulatedGapQubit,
     build_floquet_generator,
-    drive_power,
     floquet_decompose,
-    floquet_heat_currents,
     harmonic_decompose,
     limit_cycle_laws,
 )
@@ -311,9 +311,23 @@ class TestGeneratorAndLaws:
         chans = harmonic_decompose(dec, SX, 6, bath)
         assert any(abs(c.omega_av) < 1e-12 and abs(c.omega) > 1e-12 for c in chans)
         gen = build_floquet_generator(chans, dec.h_av, {"b": bath})
-        rho0 = DensityMatrix.maximally_mixed(2)
         with pytest.raises(ValueError, match="omega_av = 0"):
-            floquet_heat_currents(gen, chans, rho0)
+            limit_cycle_laws(gen, chans)
+
+    def test_limit_cycle_laws_computes_the_channel_flows_once(self, monkeypatch):
+        # the heat currents and the drive power are booked from one batched
+        # pass of per-channel flows
+        calls = []
+        original = floquet.adjoint_dissipator
+
+        def counting(ops, h):
+            calls.append(len(ops))
+            return original(ops, h)
+
+        monkeypatch.setattr(floquet, "adjoint_dissipator", counting)
+        _, _, channels, gen = two_bath_machine()
+        limit_cycle_laws(gen, channels)
+        assert calls == [len(channels)]
 
 
 @functools.cache
@@ -360,11 +374,11 @@ class TestLedgersAgainstDenseChannelSuperoperators:
             currents[ch.bath_label] += (ch.omega / ch.omega_av) * flow
             if ch.harmonic != 0:
                 power += ((ch.omega - ch.omega_av) / ch.omega_av) * flow
-        got = floquet_heat_currents(gen, chans, rho)
+        got, got_power = _floquet_ledger(gen, chans, rho)
         assert got.keys() == currents.keys()
         for label, j in currents.items():
             assert got[label] == pytest.approx(j, abs=ALGEBRAIC)
-        assert drive_power(gen, chans, rho) == pytest.approx(power, abs=ALGEBRAIC)
+        assert got_power == pytest.approx(power, abs=ALGEBRAIC)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthermo import lindblad
+from qthermo import cli, lindblad, states
 from qthermo.baths import BathSpec, spectral_density
 from qthermo.floquet import (
     ModulatedGapQubit,
@@ -50,7 +50,7 @@ from qthermo.operators import (
     unvec,
     vec,
 )
-from qthermo.states import gibbs_state, relative_entropy
+from qthermo.states import gibbs_state, relative_entropy, von_neumann_entropy
 from qthermo.tolerances import ALGEBRAIC, LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
 from models import ModulatedLadder, random_unitary
@@ -63,6 +63,13 @@ def qubit_h(omega=1.0):
 def ohmic_bath(label, t, gamma=0.2, cutoff=10.0):
     return BathSpec(label=label, temperature=t, form_factor="ohmic",
                     gamma=gamma, cutoff=cutoff)
+
+
+def ledger_csv(led):
+    """The ledger as the evolve runner writes it."""
+    header = ["t", "E", "P", "S_vn", "sigma"] + [f"J_{k}" for k in led.currents]
+    return cli._csv(header, zip(led.times, led.energy, led.power, led.entropy,
+                                led.entropy_production, *led.currents.values()))
 
 
 def oscillator(d, omega=1.0):
@@ -316,9 +323,9 @@ class TestTrajectoryLedger:
         assert np.all(led.entropy_production >= -1e-9)
         # energy relaxes toward the thermal value monotonically here
         assert led.energy[0] > led.energy[-1]
-        csv = led.to_csv()
-        head = csv.splitlines()[0]
-        assert head == "t,E,P,S_vn,sigma,J_b"
+        lines = ledger_csv(led).splitlines()
+        assert lines[0] == "t,E,P,S_vn,sigma,J_b"
+        assert len(lines) == len(grid) + 1
 
     def test_first_law_static(self):
         # with constant H, dE/dt must equal the total heat current
@@ -399,6 +406,37 @@ class TestAdiabaticDriving:
             rho_t = gibbs_state(qubit_h(omega), 1.0)
             resid = np.max(np.abs(gen.dissipator().apply_matrix(rho_t.mat)))
             assert resid <= 1e-9
+
+    def test_columns_are_the_per_state_ledger(self, monkeypatch):
+        # each grid point is read through trajectory's stacked kernel, not
+        # through the one-state functions, and gives what they give at the
+        # state and the generator of that point
+        def boom(*args):
+            raise AssertionError("per-state ledger function called")
+
+        for module, name in ((lindblad, "von_neumann_entropy"), (states, "von_neumann_entropy"),
+                             (lindblad, "entropy_production_rate"), (lindblad, "heat_currents")):
+            monkeypatch.setattr(module, name, boom, raising=False)
+        couplings = [(Operator.hermitian(PAULI_X), ohmic_bath("c", 0.5, gamma=0.3)),
+                     (Operator.hermitian(PAULI_X + 0.5 * PAULI_Z), ohmic_bath("h", 2.0))]
+
+        def h_of_t(t):
+            return Operator.hermitian(0.5 * (1.0 + 0.2 * t) * PAULI_Z + 0.1 * PAULI_X)
+
+        rho0 = random_density(2, np.random.default_rng(3))
+        grid = np.linspace(0.0, 3.0, 31)
+        led = adiabatic_propagate(h_of_t, couplings, rho0, grid, keep_states=True)
+        monkeypatch.undo()
+        assert list(led.currents) == ["c", "h"]
+        for i, (t, rho) in enumerate(zip(grid, led.states)):
+            gen = build_davies(h_of_t(t), couplings)
+            assert led.energy[i] == pytest.approx(
+                float(np.real(np.trace(rho.mat @ gen.h.mat))), abs=ALGEBRAIC)
+            assert led.entropy[i] == pytest.approx(von_neumann_entropy(rho), abs=ALGEBRAIC)
+            assert led.entropy_production[i] == pytest.approx(
+                entropy_production_rate(gen, rho), abs=ALGEBRAIC)
+            for k, j in heat_currents(gen, rho).items():
+                assert led.currents[k][i] == pytest.approx(j, abs=ALGEBRAIC)
 
     def test_coarse_grid_warns_and_refines(self):
         bath = ohmic_bath("b", 1.0)
@@ -1053,4 +1091,4 @@ class TestBlockLedgerAgainstPointLoop:
         assert led.states == []
         kept = trajectory(gen, DensityMatrix.pure([1.0, 0.0]), grid, keep_states=True)
         assert all(isinstance(s, DensityMatrix) for s in kept.states)
-        assert kept.to_csv() == led.to_csv()
+        assert ledger_csv(kept) == ledger_csv(led)
