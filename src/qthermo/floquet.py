@@ -27,6 +27,7 @@ from .operators import (
     _bin_frequencies,
     _check_finite,
     _first_nonhermitian,
+    _group_indices,
     _level_blocks,
     adjoint_dissipator,
     unitary_exp,
@@ -220,23 +221,29 @@ def harmonic_decompose(
     # (g_row, g_col) of harmonic q is a line at omega_av + q Omega
     kept = np.flatnonzero(np.abs(q_of_index) <= q_max)
     c_kept = coeffs[kept]
-    label, centers, (member, g_row, g_col) = _level_blocks(evals, np.abs(c_kept), _AMP_FLOOR)
+    level_tol = np.array([LEVEL_MERGE_REL * max(float(evals.max() - evals.min()), 1.0)])
+    (label,), centers, _, _, kept_blocks = _level_blocks(evals[None], level_tol,
+                                                         np.abs(c_kept)[None], _AMP_FLOOR)
+    member, g_row, g_col = np.unravel_index(kept_blocks, c_kept.shape)
     if not member.size:
         return []
     omega_av = centers[g_col] - centers[g_row]
     q_of_line = q_of_index[kept][member]
     ext = omega_av + q_of_line * dec.big_omega
 
-    # bin extended frequencies; distinct omega_av in one bin is ambiguous
-    bins, centers_ext, pair = _bin_frequencies(ext, merge_tol, resolve_tol)
-    if pair is not None:
-        i, j = pair
+    # bin extended frequencies, all in segment 0; distinct omega_av in one
+    # bin is ambiguous
+    seg = np.zeros(len(ext), dtype=int)
+    order, start, _, centers_ext, pairs = _bin_frequencies(ext, seg, np.array([merge_tol]),
+                                                           np.array([resolve_tol]))
+    if pairs:
+        i, j = pairs[0]
         raise ValueError(
             f"extended frequencies {centers_ext[i]:.12g} and "
             f"{centers_ext[j]:.12g} are unresolved for bath {bath.label!r}"
         )
     channels = []
-    for b, center in zip(bins, centers_ext.tolist()):
+    for b, center in zip(_group_indices(order, start), centers_ext.tolist()):
         avs = {round(w, 9) for w in omega_av[b].tolist()}
         if len(avs) > 1:
             raise ValueError(

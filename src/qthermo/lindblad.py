@@ -245,62 +245,74 @@ class _Tables:
     bin_rates: tuple[tuple[float, ...], ...]
 
 
-def _coupling_tables(h_evals: np.ndarray, s_e: np.ndarray, couplings) -> _Tables:
-    """Secular decomposition of hermitian couplings, given in the
-    eigenbasis of H as the (C, d, d) stack ``s_e``, against their baths,
-    coupling by coupling; the levels of H are grouped once for all."""
+def _stack_tables(evals: np.ndarray, s_e: np.ndarray,
+                  couplings) -> list[_Tables | BohrResolutionError]:
+    """The tables of the couplings ``s_e`` (n, C, d, d), given in the
+    eigenbases of n Hamiltonians with the ascending levels ``evals``
+    (n, d), in one segmented pass: levels grouped per member, the level
+    blocks of all members and couplings found at once, and Bohr gaps
+    binned per (member, coupling).  Entry i is member i's tables, or the
+    BohrResolutionError of its first unresolved coupling, as a build of
+    the member alone gives them; the rate of each distinct (bath, gap) is
+    drawn once, in the order in which those builds first draw it."""
+    n, n_c, d = s_e.shape[:3]
     abs_se = np.abs(s_e)
-    spread = max(float(h_evals.max() - h_evals.min()), 1.0)
-    merge_tol = LEVEL_MERGE_REL * spread
-    resolve_tol = LEVEL_RESOLVE_REL * spread
-
+    spread = np.maximum(evals[:, -1] - evals[:, 0], 1.0)
+    merge_tol, resolve_tol = LEVEL_MERGE_REL * spread, LEVEL_RESOLVE_REL * spread
     # element (n, m) of s_e lies in the level block (g_from, g_to) of its
-    # column's and its row's groups; the transposes list the blocks with a
-    # nonzero entry in row-major (coupling, g_from, g_to) order
+    # column's and its row's groups; on the transposes, the kept blocks come
+    # in row-major (member, coupling, g_from, g_to) order
     floors = 1e-14 * np.maximum(1.0, abs_se.max(axis=(-2, -1)))
-    label, centers, (member, g_from, g_to) = _level_blocks(
-        h_evals, abs_se.swapaxes(-1, -2), floors[:, None, None]
+    _, centers, first, block, kept_blocks = _level_blocks(
+        evals, merge_tol, abs_se.swapaxes(-1, -2), floors[..., None, None]
     )
-    bins = np.full(s_e.shape, -1)
-    rates = np.zeros(s_e.shape)
-    freqs, bin_rates = [], []
-    for c, (_, bath) in enumerate(couplings):
-        mine = member == c
-        c_from, c_to = g_from[mine], g_to[mine]
-        # S(omega) collects |n><m| with omega = E_m - E_n
-        gaps = centers[c_from] - centers[c_to]
-
-        # bin gaps; reject unresolved near-degeneracies
-        groups, bin_centers, pair = _bin_frequencies(gaps, merge_tol, resolve_tol)
-        if pair is not None:
-            i, j = pair
-            sep = abs(bin_centers[i] - bin_centers[j])
-            raise BohrResolutionError(
-                f"Bohr gaps {bin_centers[i]:.12g} and {bin_centers[j]:.12g} of "
-                f"coupling to bath {bath.label!r} differ by {sep:.3e}, inside the "
-                f"unresolved band ({merge_tol:.1e}, {resolve_tol:.1e})"
+    seg, g_from, g_to = np.unravel_index(kept_blocks, (n * n_c, d, d))
+    head = first[seg // n_c]
+    # S(omega) collects |n><m| with omega = E_m - E_n
+    gaps = centers[head + g_from] - centers[head + g_to]
+    _, _, block_bin, bin_centers, pairs = _bin_frequencies(
+        gaps, seg, merge_tol.repeat(n_c), resolve_tol.repeat(n_c)
+    )
+    labels = tuple(bath.label for _, bath in couplings)
+    errors = {}  # member: (first unresolved coupling, its error)
+    for s, (i, j) in pairs.items():
+        m, c = divmod(s, n_c)
+        if m not in errors:
+            errors[m] = c, BohrResolutionError(
+                f"Bohr gaps {bin_centers[i]:.12g} and {bin_centers[j]:.12g} of coupling to "
+                f"bath {labels[c]!r} differ by {abs(bin_centers[i] - bin_centers[j]):.3e}, "
+                f"inside the unresolved band ({merge_tol[m]:.1e}, {resolve_tol[m]:.1e})"
             )
 
-        block_bin = np.full((len(centers), len(centers)), -1)
-        if groups:
-            flat = np.concatenate(groups)
-            block_bin[c_from[flat], c_to[flat]] = np.repeat(np.arange(len(groups)),
-                                                            [len(g) for g in groups])
-        elem_bin = block_bin[label[None, :], label[:, None]]
-        centers_c = bin_centers.tolist()
-        rates_c = [spectral_density(center, bath) for center in centers_c]
-        kept = [k for k, rate in enumerate(rates_c) if rate > _RATE_FLOOR]
-        # kept bins are renumbered 0, 1, ...; the last entry sends -1 to -1
-        renumber = np.full(len(centers_c) + 1, -1)
-        renumber[kept] = np.arange(len(kept))
-        bins[c] = renumber[elem_bin]
-        bin_rates.append(tuple(rates_c[k] for k in kept))
-        freqs.append(tuple(centers_c[k] for k in kept))
-        rates[c] = np.array(bin_rates[-1] + (0.0,))[bins[c]]
-    for arr in (bins, rates):
+    # kept bins are renumbered 0, 1, ... within their segment; the others,
+    # and the elements in no block (the last slot), are -1 at rate 0
+    bin_seg = np.empty(len(bin_centers), dtype=int)
+    bin_seg[block_bin] = seg
+    local, rates = np.full(len(bin_centers) + 1, -1), np.zeros(len(bin_centers) + 1)
+    freqs, bin_rates = [[] for _ in range(n * n_c)], [[] for _ in range(n * n_c)]
+    drawn: dict[tuple[str, int], float] = {}
+    for k, (s, center, bits) in enumerate(zip(bin_seg.tolist(), bin_centers.tolist(),
+                                              bin_centers.view(np.int64).tolist())):
+        m, c = divmod(s, n_c)
+        if m in errors and c >= errors[m][0]:
+            continue
+        rate = drawn.get((labels[c], bits))
+        if rate is None:
+            rate = drawn[labels[c], bits] = spectral_density(center, couplings[c][1])
+        if rate > _RATE_FLOOR:
+            local[k], rates[k] = len(freqs[s]), rate
+            freqs[s].append(center)
+            bin_rates[s].append(rate)
+    elem_bin = np.full(s_e.size, -1)
+    elem_bin[kept_blocks] = block_bin
+    elem_bin = elem_bin[block.swapaxes(-1, -2)]
+    bins, elem_rates = local[elem_bin], rates[elem_bin]
+    for arr in (bins, elem_rates):
         arr.setflags(write=False)
-    return _Tables(tuple(bath.label for _, bath in couplings), s_e, bins, rates,
-                   tuple(freqs), tuple(bin_rates))
+    return [errors[m][1] if m in errors else _Tables(
+        labels, s_e[m], bins[m], elem_rates[m], tuple(map(tuple, freqs[m * n_c:(m + 1) * n_c])),
+        tuple(map(tuple, bin_rates[m * n_c:(m + 1) * n_c])),
+    ) for m in range(n)]
 
 
 def _table_channels(t: _Tables, basis: np.ndarray) -> tuple[JumpChannel, ...]:
@@ -320,12 +332,12 @@ def _table_channels(t: _Tables, basis: np.ndarray) -> tuple[JumpChannel, ...]:
 
 def _davies_stack(hs: Sequence[Operator], couplings) -> list[GKLSGenerator | BohrResolutionError]:
     """Weak-coupling generators of the Hamiltonians ``hs`` (one dimension)
-    against one list of hermitian couplings: one batched ``eigh`` and one
-    batched rotation of the couplings into every eigenbasis; only the Bohr
-    binning runs member by member.  A member whose gaps the secular
-    approximation can neither merge nor resolve is its
-    BohrResolutionError.  Each member's bits are those of building it
-    alone."""
+    against one list of hermitian couplings: one batched ``eigh``, one
+    batched rotation of the couplings into every eigenbasis and one
+    segmented binning pass over the whole stack (:func:`_stack_tables`).
+    A member whose gaps the secular approximation can neither merge nor
+    resolve is its BohrResolutionError.  Each member's bits are those of
+    building it alone."""
     d = hs[0].dim
     baths = {}
     for s_op, bath in couplings:
@@ -346,15 +358,9 @@ def _davies_stack(hs: Sequence[Operator], couplings) -> list[GKLSGenerator | Boh
     s_e = v.conj().swapaxes(-1, -2)[:, None] @ s[None] @ v[:, None]
     for arr in (evals, v, s_e):
         arr.setflags(write=False)
-    gens = []
-    for h, e_i, v_i, s_i in zip(hs, evals, v, s_e):
-        try:
-            tables = _coupling_tables(e_i, s_i, couplings)
-        except BohrResolutionError as exc:
-            gens.append(exc)
-            continue
-        gens.append(GKLSGenerator._tabled(h, tables, e_i, v_i, baths))
-    return gens
+    tables = _stack_tables(evals, s_e, couplings)
+    return [t if isinstance(t, BohrResolutionError) else GKLSGenerator._tabled(h, t, e, vi, baths)
+            for h, t, e, vi in zip(hs, tables, evals, v)]
 
 
 def build_davies(h: Operator, couplings: list[tuple[Operator, BathSpec]]) -> GKLSGenerator:
@@ -986,8 +992,9 @@ def adiabatic_propagate(
     (with a warning) so the instantaneous-generator picture stays inside
     its window of validity.  Each grid point's ledger is read as a stack
     of one by the kernel of :func:`trajectory` (:func:`_ledger_columns`),
-    against the generator of that point.  Power is -Tr(rho dH/dt), from
-    the supplied derivative or a centred difference of the schedule.
+    against the generator of that point; its check is the one check of
+    that state.  Power is -Tr(rho dH/dt), from the supplied derivative or
+    a centred difference of the schedule.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -1020,16 +1027,16 @@ def adiabatic_propagate(
     states = []
 
     warned = False
-    rho = rho0
+    rho = rho0.mat
 
     def record(i: int, gen: GKLSGenerator, t: float):
         row = slice(i, i + 1)
-        energy[row], entropy[row], sigma[row], js = _ledger_columns(gen, rho.mat[None])
+        energy[row], entropy[row], sigma[row], js = _ledger_columns(gen, rho[None])
         for k, j in js.items():
             currents[k][row] = j
-        power[i] = -float(np.real(np.trace(rho.mat @ deriv(t))))
+        power[i] = -float(np.real(np.trace(rho @ deriv(t))))
         if keep_states:
-            states.append(rho)
+            states.append(DensityMatrix(rho))
 
     gen0 = build_davies(hamiltonian(grid[0]), couplings)
     record(0, gen0, grid[0])
@@ -1049,11 +1056,14 @@ def adiabatic_propagate(
             warned = True
         sub = np.linspace(t_a, t_b, n_sub + 1)
         for j in range(n_sub):
+            if j:
+                # the state between two substeps, which no ledger row reads
+                _state_spectra(rho[None])
             tm = 0.5 * (sub[j] + sub[j + 1])
             gen = build_davies(hamiltonian(tm), couplings)
             m = scipy.linalg.expm(gen.liouvillian().mat * (sub[j + 1] - sub[j]))
-            out = unvec(m @ vec(rho.mat), rho.dim)
-            rho = DensityMatrix((out + out.conj().T) / 2.0)
+            out = unvec(m @ vec(rho), rho0.dim)
+            rho = (out + out.conj().T) / 2.0
         record(i, build_davies(hamiltonian(t_b), couplings), t_b)
     return ThermoLedger(
         times=grid,

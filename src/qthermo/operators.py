@@ -18,6 +18,10 @@ Two kernels act on whole stacks in one batched LAPACK call:
 :func:`cptp_residuals` gives the smallest Choi eigenvalue and the trace
 drift of a stack of superoperators.
 
+One clustering kernel, :func:`_cluster`, makes every secular decision:
+it groups levels and bins Bohr frequencies of many segments (a stack
+member, or a member and coupling) in one array pass.
+
 Units are hbar = k_B = 1 everywhere.
 """
 
@@ -430,10 +434,50 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return 0.5 * float(np.sum(svals))
 
 
-def group_degenerate(values: np.ndarray, tol: float | None = None) -> list[np.ndarray]:
-    """Cluster a sorted-or-not list of reals into degenerate groups.
+def _cluster(values: np.ndarray, seg: np.ndarray, tol: np.ndarray):
+    """Group the values of each segment by the head rule: in ascending
+    order, a value joins the open group of its segment if it lies within
+    ``tol[segment]`` of the group's first value (its head).
 
-    Values within ``tol`` of the running cluster head join that cluster.
+    ``seg`` is the segment number of each value.  Returns the order that
+    sorts the values by segment, then value (ties in ``np.argsort``'s
+    order), the position in it where each group starts, the group of each
+    value, and the group centres with the bits of ``np.mean``: a lone
+    value, or ``np.add.reduce`` over the size, summed per size on the rows
+    of one array, which reduces each row as it reduces a lone one.
+    """
+    order = values.argsort()
+    order = order[seg[order].argsort(kind="stable")]
+    v, seg = values[order], seg[order]
+    t = tol[seg]
+    # a value more than tol above its neighbour is more than tol above every
+    # earlier head; only a run of closer neighbours wider than tol is walked
+    m = len(v)
+    opens = np.empty(m + 1, dtype=bool)
+    opens[0] = opens[m] = True
+    np.greater(v[1:] - v[:-1], t[1:], out=opens[1:m])
+    opens[1:m] |= seg[1:] != seg[:-1]
+    bounds = opens.nonzero()[0]
+    for j in (v[bounds[1:] - 1] - v[bounds[:-1]] > t[bounds[:-1]]).nonzero()[0].tolist():
+        head, stop = int(bounds[j]), int(bounds[j + 1])
+        while head < stop:
+            opens[head] = True
+            head += int((v[head:stop] - v[head]).searchsorted(t[head], side="right"))
+    bounds = opens.nonzero()[0]
+    start, size = bounds[:-1], bounds[1:] - bounds[:-1]
+    group = np.empty(m, dtype=int)
+    group[order] = np.arange(len(start)).repeat(size)
+    centers = v[start]
+    for k in (np.bincount(size)[2:].nonzero()[0] + 2).tolist():
+        at = size == k
+        centers[at] = np.add.reduce(v[start[at, None] + np.arange(k)], axis=1) / k
+    return order, start, group, centers
+
+
+def group_degenerate(values: np.ndarray, tol: float | None = None) -> list[np.ndarray]:
+    """Cluster a sorted-or-not list of reals into degenerate groups, the
+    one-segment case of :func:`_cluster`.
+
     Default tolerance is LEVEL_MERGE_REL times the spread (or 1 for a flat
     spectrum).  Returns index arrays, ordered by cluster value.
     """
@@ -441,69 +485,58 @@ def group_degenerate(values: np.ndarray, tol: float | None = None) -> list[np.nd
     if tol is None:
         spread = float(values.max() - values.min()) if values.size else 0.0
         tol = LEVEL_MERGE_REL * max(spread, 1.0)
-    order = np.argsort(values)
-    groups: list[list[int]] = []
-    head = None
-    for idx in order:
-        v = values[idx]
-        if head is None or v - head > tol:
-            groups.append([idx])
-            head = v
-        else:
-            groups[-1].append(idx)
-    return [np.array(g, dtype=int) for g in groups]
+    return _group_indices(*_cluster(values, np.zeros(len(values), dtype=int), np.array([tol]))[:2])
 
 
-def _group_centers(values: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
-    """Mean value of each group, with the bits of ``np.mean`` of it: a
-    one-member group's centre is its value, and a larger group's is
-    ``np.mean``'s own sum divided by the group size, without its wrapper."""
-    centers = values[[g[0] for g in groups]]
-    for k in np.flatnonzero([len(g) > 1 for g in groups]):
-        centers[k] = np.add.reduce(values[groups[k]]) / len(groups[k])
-    return centers
+def _group_indices(order: np.ndarray, start: np.ndarray) -> list[np.ndarray]:
+    """The index arrays of the groups of :func:`_cluster`, in sorted order."""
+    return [order[a:b] for a, b in zip(start.tolist(), start[1:].tolist() + [len(order)])]
 
 
-def _level_blocks(evals: np.ndarray, absmat: np.ndarray, floor: float | np.ndarray):
-    """Group the levels ``evals`` and find the level blocks of ``absmat``
-    with an entry above ``floor``.
-
-    Entry (r, c) of ``absmat`` lies in the block (label[r], label[c]).
-    ``absmat`` is one nonnegative d x d matrix or a (n, d, d) stack of
-    them; ``floor`` is one number, or for a stack one per member, shaped
-    (n, 1, 1).  Returns the (d,) group label of every level, the group
-    centres, and the index arrays of the kept blocks in row-major order:
-    (rows, cols) for one matrix, (members, rows, cols) for a stack.
+def _level_blocks(evals: np.ndarray, tol: np.ndarray, absmat: np.ndarray, floor):
+    """Group the (n, d) levels of n members, member i within ``tol[i]``,
+    and find the level blocks with an entry above ``floor`` of the
+    (n, K, d, d) nonnegative stack ``absmat``; ``floor`` is one number or
+    (n, K, 1, 1).  Entry (r, c) of ``absmat[i, k]`` lies in the block
+    (i, k, label[i, r], label[i, c]).  Returns the (n, d) label of each
+    level within its member, the centres of all groups, member by member,
+    the index of each member's first group among them, the flat index in
+    an (n, K, d, d) array of the block of every entry, and the ascending
+    flat indices of the kept blocks.
     """
-    groups = group_degenerate(evals)
-    label = np.empty(len(evals), dtype=int)
-    for k, g in enumerate(groups):
-        label[g] = k
-    stack = absmat.reshape(-1, *absmat.shape[-2:])
-    block_max = np.zeros((len(stack), len(groups), len(groups)))
-    members = np.arange(len(stack))[:, None, None]
-    np.maximum.at(block_max, (members, label[:, None], label[None, :]), stack)
-    blocks = np.nonzero(block_max > floor)
-    if absmat.ndim == 2:
-        blocks = blocks[1:]
-    return label, _group_centers(evals, groups), blocks
+    n, k, d = absmat.shape[:3]
+    _, _, group, centers = _cluster(evals.reshape(-1), np.arange(n).repeat(d), tol)
+    group = group.reshape(n, d)
+    first = group[:, 0]
+    label = group - first[:, None]
+    block = (label[:, :, None] * d + label[:, None, :])[:, None] \
+        + np.arange(0, n * k * d * d, d * d).reshape(n, k, 1, 1)
+    hit = np.zeros(absmat.size, dtype=bool)
+    hit[block[absmat > floor]] = True
+    return label, centers, first, block, hit.nonzero()[0]
 
 
-def _bin_frequencies(freqs: np.ndarray, merge_tol: float, resolve_tol: float):
-    """Bin frequencies as :func:`group_degenerate` does with ``merge_tol``
-    and find the first pair of bins that the secular approximation can
-    neither merge nor resolve.
-
-    Returns the bins (index arrays, ordered by value), their centres, and
-    the first pair (i, j), i < j in row-major order, whose centres differ
-    by more than ``merge_tol`` and less than ``resolve_tol``, or None.
+def _bin_frequencies(freqs: np.ndarray, seg: np.ndarray, merge_tol: np.ndarray,
+                     resolve_tol: np.ndarray):
+    """Bin the frequencies of each segment as :func:`_cluster` does with
+    ``merge_tol``.  Returns what it returns and, keyed by segment, the
+    first pair (i, j) of bins of the segment, i < j in row-major order,
+    whose centres differ by more than ``merge_tol`` and less than
+    ``resolve_tol`` (a pair the secular approximation can neither merge
+    nor resolve).
     """
-    bins = group_degenerate(freqs, tol=merge_tol)
-    centers = _group_centers(freqs, bins)
-    sep = np.abs(centers[:, None] - centers[None, :])
-    rows, cols = np.nonzero(np.triu((sep > merge_tol) & (sep < resolve_tol), k=1))
-    pair = (int(rows[0]), int(cols[0])) if rows.size else None
-    return bins, centers, pair
+    order, start, group, centers = _cluster(freqs, seg, merge_tol)
+    bin_seg = seg[order[start]]
+    # a segment whose ascending centres lie resolve_tol apart has no pair
+    near = (centers[1:] - centers[:-1] < resolve_tol[bin_seg[1:]]) & (bin_seg[1:] == bin_seg[:-1])
+    pairs = {}
+    for s in dict.fromkeys(bin_seg[1:][near].tolist()):
+        lo, hi = bin_seg.searchsorted([s, s + 1])
+        sep = np.abs(centers[lo:hi, None] - centers[None, lo:hi])
+        rows, cols = np.triu((sep > merge_tol[s]) & (sep < resolve_tol[s]), k=1).nonzero()
+        if rows.size:
+            pairs[s] = (lo + int(rows[0]), lo + int(cols[0]))
+    return order, start, group, centers, pairs
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> Operator:

@@ -19,7 +19,8 @@ from .operators import (
     PAULI_Z,
     DensityMatrix,
     Operator,
-    _bin_frequencies,
+    _cluster,
+    _group_indices,
     _level_blocks,
     eig_hermitian,
     expect,
@@ -211,16 +212,17 @@ def two_point_correlation(
     b_e = v.mat.conj().T @ b.mat @ v.mat
     # term (m, n) belongs to the line omega = E_n - E_m of its level block
     terms = p[:, None] * a_e * b_e.T
-    label, centers, (g_row, g_col) = _level_blocks(evals, np.abs(terms), 0.0)
+    # levels and lines both merge within LEVEL_MERGE_REL of the spread;
+    # there is no unresolved band, so lines farther apart than that stay
+    tol = np.array([LEVEL_MERGE_REL * max(float(evals.max() - evals.min()), 1.0)])
+    (label,), centers, _, _, kept = _level_blocks(evals[None], tol, np.abs(terms)[None, None], 0.0)
+    g_row, g_col = np.unravel_index(kept, terms.shape)
     block_amps = np.zeros((len(centers), len(centers)), dtype=complex)
     np.add.at(block_amps, (label[:, None], label[None, :]), terms)
     block_amps = block_amps[g_row, g_col]
-    # merge identical gaps arising from different level pairs; there is no
-    # unresolved band, so lines farther apart than the merge tolerance stay
-    spread = max(float(evals.max() - evals.min()), 1.0)
-    merge_tol = LEVEL_MERGE_REL * spread
-    bins, ws, _ = _bin_frequencies(centers[g_col] - centers[g_row], merge_tol, merge_tol)
-    amps_arr = np.array([block_amps[b].sum() for b in bins], dtype=complex)
+    gaps = centers[g_col] - centers[g_row]
+    order, start, _, ws = _cluster(gaps, np.zeros(len(gaps), dtype=int), tol)
+    amps_arr = np.array([block_amps[b].sum() for b in _group_indices(order, start)], dtype=complex)
     # drop roundoff dust so spurious lines cannot poison ratio checks
     floor = 1e-14 * max(1.0, float(np.max(np.abs(amps_arr))))
     keep = np.abs(amps_arr) > floor

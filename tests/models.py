@@ -1,6 +1,7 @@
 """Models and tools that only the tests use: a Haar-random unitary, two
-driven schedules with closed-form Floquet structure, and the
-reconstruction check of a harmonic decomposition."""
+driven schedules with closed-form Floquet structure, the reconstruction
+check of a harmonic decomposition, and the per-value clustering loop
+that is the reference of the segmented kernel."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from qthermo.floquet import FloquetChannel, FloquetDecomposition
 from qthermo.operators import PAULI_X, PAULI_Y, PAULI_Z, Operator
+from qthermo.tolerances import LEVEL_MERGE_REL
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> Operator:
@@ -80,3 +82,25 @@ def reconstruction_residual(
             synth += np.exp(-1j * ch.omega * t) * ch.op
         worst = max(worst, float(np.max(np.abs(synth - target))))
     return worst
+
+
+def loop_group_degenerate(values, tol: float | None = None) -> list[np.ndarray]:
+    """Cluster a list of reals into degenerate groups, value by value:
+    values within ``tol`` of the running cluster head join that cluster.
+    Default tolerance is LEVEL_MERGE_REL times the spread (or 1 for a flat
+    spectrum).  Returns index arrays, ordered by cluster value."""
+    values = np.asarray(values, dtype=float)
+    if tol is None:
+        spread = float(values.max() - values.min()) if values.size else 0.0
+        tol = LEVEL_MERGE_REL * max(spread, 1.0)
+    order = np.argsort(values)
+    groups: list[list[int]] = []
+    head = None
+    for idx in order:
+        v = values[idx]
+        if head is None or v - head > tol:
+            groups.append([idx])
+            head = v
+        else:
+            groups[-1].append(idx)
+    return [np.array(g, dtype=int) for g in groups]

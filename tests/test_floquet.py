@@ -30,7 +30,6 @@ from qthermo.operators import (
     Operator,
     cp_check,
     dissipator_superop,
-    group_degenerate,
     matexp,
     random_density,
     random_hermitian,
@@ -44,6 +43,7 @@ from qthermo.tolerances import ALGEBRAIC, LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 from models import (
     CircularlyDrivenQubit,
     ModulatedLadder,
+    loop_group_degenerate,
     random_unitary,
     reconstruction_residual,
 )
@@ -493,7 +493,7 @@ def _loop_harmonic_decompose(dec, s_op, q_max, bath):
             f"harmonics beyond |q| = {q_max} carry weight {tail:.3e} > 1e-6; "
             f"raise q_max"
         )
-    groups = group_degenerate(evals)
+    groups = loop_group_degenerate(evals)
     centers = [float(np.mean(evals[g])) for g in groups]
     spread = max(float(evals.max() - evals.min()), dec.big_omega)
     merge_tol = LEVEL_MERGE_REL * spread
@@ -519,7 +519,7 @@ def _loop_harmonic_decompose(dec, s_op, q_max, bath):
     if not raw:
         return []
     ext = np.array([r[0] for r in raw])
-    bins = group_degenerate(ext, tol=merge_tol)
+    bins = loop_group_degenerate(ext, tol=merge_tol)
     centers_ext = [float(np.mean(ext[b])) for b in bins]
     for i in range(len(centers_ext)):
         for j in range(i + 1, len(centers_ext)):

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qthermo import cli, lindblad, states
+from qthermo import cli, lindblad, operators, states
 from qthermo.baths import BathSpec, spectral_density
 from qthermo.floquet import (
     ModulatedGapQubit,
@@ -21,8 +21,8 @@ from qthermo.lindblad import (
     GKLSGenerator,
     JumpChannel,
     _bordered_fixed_point,
-    _coupling_tables,
     _davies_stack,
+    _stack_tables,
     _stationary_stack,
     _table_channels,
     _table_heat_observables,
@@ -42,7 +42,6 @@ from qthermo.operators import (
     Operator,
     cp_check,
     dissipator_superop,
-    group_degenerate,
     matexp,
     random_density,
     random_hermitian,
@@ -53,7 +52,7 @@ from qthermo.operators import (
 from qthermo.states import gibbs_state, relative_entropy, von_neumann_entropy
 from qthermo.tolerances import ALGEBRAIC, LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
-from models import ModulatedLadder, random_unitary
+from models import ModulatedLadder, loop_group_degenerate, random_unitary
 
 
 def qubit_h(omega=1.0):
@@ -437,6 +436,26 @@ class TestAdiabaticDriving:
                 entropy_production_rate(gen, rho), abs=ALGEBRAIC)
             for k, j in heat_currents(gen, rho).items():
                 assert led.currents[k][i] == pytest.approx(j, abs=ALGEBRAIC)
+
+    def test_each_state_is_checked_once(self, monkeypatch):
+        # the ledger's density-matrix check is the one check of a recorded
+        # state, and a state between two substeps is checked once: on a
+        # 41-point ramp with two substeps, 41 + 40 checks
+        rho0 = DensityMatrix(np.diag([0.7, 0.3]))
+        checked = []
+        original = operators._state_spectra
+
+        def counting(stack, vectors=False):
+            checked.append(len(stack))
+            return original(stack, vectors)
+
+        for module in (operators, lindblad):
+            monkeypatch.setattr(module, "_state_spectra", counting)
+        grid = np.linspace(0.0, 2.0, 41)
+        led = adiabatic_propagate(lambda t: qubit_h(1.0 + 0.1 * t), [], rho0, grid,
+                                  dh_dt=lambda t: Operator.hermitian(0.05 * PAULI_Z), substeps=2)
+        assert sum(checked) == 41 + 40
+        assert led.states == []
 
     def test_coarse_grid_warns_and_refines(self):
         bath = ohmic_bath("b", 1.0)
@@ -911,6 +930,63 @@ class TestStackSolvesMemberByMember:
             assert np.max(np.abs(state.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
 
 
+def _tables_bits(t):
+    return (t.labels, t.s_e.tobytes(), t.bins.tobytes(), t.rates.tobytes(),
+            [np.array(f).tobytes() for f in t.freqs], [np.array(r).tobytes() for r in t.bin_rates])
+
+
+class TestStackTablesMemberByMember:
+    def test_mixed_group_counts_and_a_collision(self, monkeypatch):
+        # members with 4, 2, 4 and 1 level groups and a repeated member, with
+        # a Bohr collision in the middle on the second coupling: each
+        # member's tables, or its error, are those of its own stack of one,
+        # and the stack draws each distinct (bath, gap) rate once, in the
+        # order in which building the members one by one first draws it
+        rng = np.random.default_rng(5)
+        d = 4
+
+        def rotated(evals):
+            u = random_unitary(d, rng).mat
+            return Operator.hermitian(u @ np.diag(evals) @ u.conj().T)
+
+        generic = rotated(np.sort(rng.normal(size=d)))
+        hs = [generic, rotated([0.0, 0.0, 1.3, 1.3]),
+              Operator.hermitian(np.diag([0.0, 1.0, 2.0 + 1e-7, 3.0])), generic,
+              Operator.hermitian(0.7 * np.eye(d))]
+        edge = np.zeros((d, d))
+        edge[0, 3] = edge[3, 0] = 1.0
+        couplings = [(Operator.hermitian(edge), ohmic_bath("a", 1.0)),
+                     (random_hermitian(d, rng), ohmic_bath("b", 2.0)),
+                     (random_hermitian(d, rng), ohmic_bath("a", 1.0))]
+        calls = []
+        original = lindblad.spectral_density
+
+        def counting(omega, spec):
+            calls.append((spec.label, np.float64(omega).tobytes()))
+            return original(omega, spec)
+
+        monkeypatch.setattr(lindblad, "spectral_density", counting)
+        gens = _davies_stack(hs, couplings)
+        stack_calls, single_calls = list(calls), []
+        for h, gen in zip(hs, gens):
+            calls.clear()
+            (single,) = _davies_stack([h], couplings)
+            single_calls.append(list(calls))
+            if isinstance(single, BohrResolutionError):
+                assert isinstance(gen, BohrResolutionError) and str(gen) == str(single)
+                assert "coupling to bath 'b'" in str(gen)
+            else:
+                assert _tables_bits(gen._tables) == _tables_bits(single._tables)
+        assert [type(g).__name__ for g in gens] == ["GKLSGenerator", "GKLSGenerator",
+                                                    "BohrResolutionError", "GKLSGenerator",
+                                                    "GKLSGenerator"]
+        assert stack_calls == list(dict.fromkeys(sum(single_calls, [])))
+        assert len(stack_calls) < len(sum(single_calls, []))
+        # alone, the colliding member draws the rates of its first coupling
+        # and stops at its second
+        assert single_calls[2] == [("a", np.float64(w).tobytes()) for w in (-3.0, 3.0)]
+
+
 def _degenerate_coherence_generator():
     """Levels 0 < 1 = 2 whose coherence (1, 2) no jump creates; G does, as
     bath a decays both 1 and 2 into 0, one of them weakly."""
@@ -930,14 +1006,17 @@ def _coupling_channels(h_evals, basis, couplings):
     levels ``h_evals`` with the eigenvectors ``basis``."""
     d = len(h_evals)
     s_e = np.array([basis.conj().T @ s_op.mat @ basis for s_op, _ in couplings]).reshape(-1, d, d)
-    return _table_channels(_coupling_tables(h_evals, s_e, couplings), basis)
+    (tables,) = _stack_tables(h_evals[None], s_e[None], couplings)
+    if isinstance(tables, BohrResolutionError):
+        raise tables
+    return _table_channels(tables, basis)
 
 
 def _loop_coupling_channels(h_evals, basis, s_op, bath):
     """Element-by-element block collection kept as the reference for the
     vectorised ``_coupling_channels``."""
     s_e = basis.conj().T @ s_op.mat @ basis
-    groups = group_degenerate(h_evals)
+    groups = loop_group_degenerate(h_evals)
     centers = [float(np.mean(h_evals[g])) for g in groups]
     spread = max(float(h_evals.max() - h_evals.min()), 1.0)
     merge_tol = LEVEL_MERGE_REL * spread
@@ -954,7 +1033,7 @@ def _loop_coupling_channels(h_evals, basis, s_op, bath):
                 continue
             raw.append((centers[gi] - centers[gj], block))
     gaps = np.array([w for w, _ in raw])
-    bins = group_degenerate(gaps, tol=merge_tol)
+    bins = loop_group_degenerate(gaps, tol=merge_tol)
     bin_centers = [float(np.mean(gaps[b])) for b in bins]
     for i in range(len(bin_centers)):
         for j in range(i + 1, len(bin_centers)):

@@ -1007,6 +1007,24 @@ class TestTricycle:
 
 
 class TestThirdLawSweep:
+    def test_shipped_sweep_bins_once_per_grid_stack(self, monkeypatch):
+        # the 8 cold temperatures of the shipped sweep solve a coarse and a
+        # fine grid each, and each grid's Bohr gaps are binned in one pass
+        # over its stack, not candidate by candidate
+        config = Path(__file__).resolve().parent.parent / "configs" / "third_law_sweep.json"
+        p = cli.load_config(str(config))["params"]
+        passes = []
+        original = lindblad._bin_frequencies
+
+        def counting(*args):
+            passes.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lindblad, "_bin_frequencies", counting)
+        rows = third_law_sweep(cli._tricycle_spec(p, "third-law-sweep"), p["t_c_grid"])
+        assert len(rows) == len(p["t_c_grid"]) == 8
+        assert len(passes) == 16
+
     def test_sweep_structure_and_monotonicity(self):
         spec = tricycle_spec(
             bath_c=BathSpec(label="cold", temperature=0.5, form_factor="power",

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qthermo.operators import (
+    _bin_frequencies,
     _choi_stack,
+    _cluster,
     _first_nonhermitian,
     _state_spectra,
     PAULI_X,
@@ -22,6 +24,7 @@ from qthermo.operators import (
     dissipator_superop,
     eig_hermitian,
     expect,
+    group_degenerate,
     hamiltonian_superop,
     identity_superop,
     matexp,
@@ -36,7 +39,7 @@ from qthermo.operators import (
 )
 from qthermo.tolerances import ALGEBRAIC, DYNAMICAL
 
-from models import random_unitary
+from models import loop_group_degenerate, random_unitary
 
 
 class TestOperatorTags:
@@ -540,3 +543,89 @@ class TestCptpResiduals:
                 assert ok and tp <= ALGEBRAIC
             else:
                 assert not ok
+
+
+# one run of values for a segment with tolerance tol: a head-rule chain
+# (0, 0.6 tol, 1.2 tol), exact ties, or a group of 2-12 values within tol
+# of its lowest, whose centre crosses numpy's 8-value pairwise block once
+# the group holds 9 or more
+_runs = st.one_of(
+    st.tuples(st.just("chain"), st.floats(-4.0, 4.0)),
+    st.tuples(st.just("ties"), st.floats(-4.0, 4.0), st.integers(2, 5)),
+    st.tuples(st.just("group"), st.floats(-4.0, 4.0),
+              st.lists(st.floats(0.0, 1.0), min_size=1, max_size=11)),
+)
+_segments = st.lists(
+    st.tuples(st.sampled_from([1e-9, 1e-6, 0.25]), st.lists(_runs, max_size=4)),
+    min_size=1, max_size=5,
+)
+
+
+def _segment_values(tol, runs):
+    vals = []
+    for run in runs:
+        if run[0] == "chain":
+            vals += [run[1], run[1] + 0.6 * tol, run[1] + 1.2 * tol]
+        elif run[0] == "ties":
+            vals += [run[1]] * run[2]
+        else:
+            vals += [run[1]] + [run[1] + f * tol for f in run[2]]
+    return np.array(vals, dtype=float)
+
+
+class TestClusterAgainstLoop:
+    """The segmented clustering kernel against the per-value reference
+    loop (``models.loop_group_degenerate``), run segment by segment."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_segments, st.randoms(use_true_random=False))
+    def test_segments_bitwise_equal_to_loop(self, segments, rnd):
+        per_seg = [_segment_values(tol, runs) for tol, runs in segments]
+        # empty and one-value segments, next to the generated ones
+        per_seg += [np.array([]), np.array([rnd.uniform(-4.0, 4.0)])]
+        tols = np.array([tol for tol, _ in segments] + [1e-9, 1e-9])
+        seg = np.concatenate([np.full(len(v), k) for k, v in enumerate(per_seg)]).astype(int)
+        values = np.concatenate(per_seg)
+        shuffle = list(range(len(values)))
+        rnd.shuffle(shuffle)
+        values, seg = values[shuffle], seg[shuffle]
+        resolve = 40.0 * tols
+        order, start, group, centers, pairs = _bin_frequencies(values, seg, tols, resolve)
+        ends = start[1:].tolist() + [len(order)]
+        ref_pairs = {}
+        k = 0
+        for s_id in range(len(per_seg)):
+            idx = np.flatnonzero(seg == s_id)
+            ref = loop_group_degenerate(values[idx], tols[s_id])
+            ref_centers = [np.mean(values[idx][g]) for g in ref]
+            for j, g in enumerate(ref):
+                assert sorted(order[start[k + j]:ends[k + j]].tolist()) == sorted(idx[g].tolist())
+                assert np.all(group[idx[g]] == k + j)
+                assert centers[k + j].tobytes() == ref_centers[j].tobytes()
+            sep = np.abs(np.subtract.outer(ref_centers, ref_centers))
+            rows, cols = np.nonzero(np.triu((sep > tols[s_id]) & (sep < resolve[s_id]), k=1))
+            if rows.size:
+                ref_pairs[s_id] = (k + int(rows[0]), k + int(cols[0]))
+            k += len(ref)
+        assert k == len(start) == len(centers)
+        assert pairs == ref_pairs
+        # the one-segment case is group_degenerate, index arrays and all
+        for v, tol in zip(per_seg, tols):
+            got = group_degenerate(v, tol)
+            ref = loop_group_degenerate(v, tol)
+            assert [sorted(g.tolist()) for g in got] == [sorted(g.tolist()) for g in ref]
+        one = np.zeros(len(values), dtype=int)
+        o1, s1, _, c1 = _cluster(values, one, tols[:1])
+        assert o1.tobytes() == np.argsort(values).tobytes()
+        ref = loop_group_degenerate(values, tols[0])
+        assert c1.tobytes() == np.array([np.mean(values[g]) for g in ref]).tobytes()
+
+    def test_head_rule_splits_a_chain_of_close_neighbours(self):
+        # neighbours 0.6 tol apart that span 1.2 tol: the third value is
+        # more than tol above the head, so it opens a group
+        tol = 1e-6
+        values = np.array([2.0 + 1.2 * tol, 2.0, 2.0 + 0.6 * tol, 5.0])
+        assert [g.tolist() for g in group_degenerate(values, tol)] == [[1, 2], [0], [3]]
+        _, start, group, centers = _cluster(values, np.zeros(4, dtype=int), np.array([tol]))
+        assert start.tolist() == [0, 2, 3] and group.tolist() == [1, 0, 0, 2]
+        assert centers[0].tobytes() == np.mean(values[[1, 2]]).tobytes()

@@ -13,7 +13,6 @@ from qthermo.operators import (
     Operator,
     eig_hermitian,
     expect,
-    group_degenerate,
     random_density,
     random_hermitian,
 )
@@ -34,7 +33,7 @@ from qthermo.states import (
 )
 from qthermo.tolerances import ALGEBRAIC, LEVEL_MERGE_REL
 
-from models import random_unitary
+from models import loop_group_degenerate, random_unitary
 
 
 class TestEntropies:
@@ -307,7 +306,7 @@ def _loop_two_point_correlation(h, beta, a, b):
     p = np.real(np.diag(v.conj().T @ rho.mat @ v))
     a_e = v.conj().T @ a.mat @ v
     b_e = v.conj().T @ b.mat @ v
-    groups = group_degenerate(evals)
+    groups = loop_group_degenerate(evals)
     centers = [float(np.mean(evals[g])) for g in groups]
     lines = []
     for gi, g_row in enumerate(groups):
