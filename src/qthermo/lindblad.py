@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -25,6 +26,9 @@ from .operators import (
     Operator,
     Superoperator,
     _bin_frequencies,
+    _commutators,
+    _density_matrices,
+    _dissipators,
     _level_blocks,
     _state_spectra,
     adjoint_dissipator,
@@ -315,19 +319,47 @@ def _stack_tables(evals: np.ndarray, s_e: np.ndarray,
     ) for m in range(n)]
 
 
+def _table_ops(t: _Tables) -> tuple[np.ndarray, np.ndarray]:
+    """The channel operators (K, d, d) of the tables in the eigenbasis of
+    H, in coupling order and ascending Bohr frequency, and their rates."""
+    d = t.s_e.shape[-1]
+    ops = [np.where(t.bins[c] == np.arange(len(r))[:, None, None], t.s_e[c], 0.0)
+           for c, r in enumerate(t.bin_rates)]
+    # "+ 0.0" stores -0.0 entries of s_e as 0.0
+    return (np.concatenate([np.zeros((0, d, d), dtype=complex), *ops]) + 0.0,
+            np.array([rate for r in t.bin_rates for rate in r], dtype=float))
+
+
 def _table_channels(t: _Tables, basis: np.ndarray) -> tuple[JumpChannel, ...]:
     """The channels of the tables rotated back to the computational basis,
     read-only, in coupling order and ascending Bohr frequency."""
-    channels = []
-    for c, label in enumerate(t.labels):
-        k = len(t.bin_rates[c])
-        # "+ 0.0" stores -0.0 entries of s_e as 0.0
-        ops = np.where(t.bins[c] == np.arange(k)[:, None, None], t.s_e[c], 0.0) + 0.0
-        ops = basis @ ops @ basis.conj().T
-        ops.setflags(write=False)
-        channels.extend(JumpChannel(label, freq, op, rate)
-                        for freq, op, rate in zip(t.freqs[c], ops, t.bin_rates[c]))
-    return tuple(channels)
+    ops, rates = _table_ops(t)
+    ops = basis @ ops @ basis.conj().T
+    ops.setflags(write=False)
+    labels = [label for label, r in zip(t.labels, t.bin_rates) for _ in r]
+    freqs = [freq for f in t.freqs for freq in f]
+    return tuple(JumpChannel(label, freq, op, rate)
+                 for label, freq, op, rate in zip(labels, freqs, ops, rates.tolist()))
+
+
+def _liouvillian_stack(gens: Sequence[GKLSGenerator]) -> None:
+    """Build the Liouvillians of tabled generators of one dimension in one
+    pass per channel count: the channels of every member rotated out of
+    its eigenbasis at once, then the dissipators (:func:`_dissipators`)
+    and the commutators with H as stacks.  Each Liouvillian has the bits
+    of building it alone with :meth:`GKLSGenerator.liouvillian`."""
+    by_count: dict[int, list] = {}
+    for gen in gens:
+        ops, rates = _table_ops(gen._tables)
+        by_count.setdefault(len(rates), []).append((gen, ops, rates))
+    for group in by_count.values():
+        members = [gen for gen, _, _ in group]
+        v = np.array([gen._eig[1] for gen in members])[:, None]
+        ops = v @ np.array([ops for _, ops, _ in group]) @ v.conj().swapaxes(-1, -2)
+        m = _dissipators(ops, np.array([rates for _, _, rates in group]))
+        m += _commutators(np.array([gen.h.mat for gen in members]))
+        for gen, mi in zip(members, m):
+            gen._liouvillian = Superoperator(mi)
 
 
 def _davies_stack(hs: Sequence[Operator], couplings) -> list[GKLSGenerator | BohrResolutionError]:
@@ -830,15 +862,10 @@ def _fixed_point_states(mats: np.ndarray) -> list:
     with np.errstate(invalid="ignore", divide="ignore"):
         weights = evals / evals.sum(axis=-1, keepdims=True)
     rho = (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    out = []
-    for ok, r in zip(positive, rho):
-        if not ok:
-            out.append(ValueError("fixed point is not a positive state"))
-            continue
-        try:
-            out.append(DensityMatrix(r))
-        except ValueError as exc:
-            out.append(exc)
+    out: list = [ValueError("fixed point is not a positive state")] * len(rho)
+    kept = positive.nonzero()[0]
+    for i, state in zip(kept, _density_matrices(rho[kept])):
+        out[i] = state
     return out
 
 
@@ -990,11 +1017,15 @@ def adiabatic_propagate(
 
     Steps longer than a tenth of the fastest Bohr period are refined
     (with a warning) so the instantaneous-generator picture stays inside
-    its window of validity.  Each grid point's ledger is read as a stack
-    of one by the kernel of :func:`trajectory` (:func:`_ledger_columns`),
-    against the generator of that point; its check is the one check of
-    that state.  Power is -Tr(rho dH/dt), from the supplied derivative or
-    a centred difference of the schedule.
+    its window of validity.  The generators of each block of at most
+    ``_LEDGER_BLOCK`` grid steps, at its substep midpoints and grid times,
+    come from one `_davies_stack`, with the bits of building each alone;
+    a generator's BohrResolutionError is raised when the loop reaches it.
+    Each grid point's ledger is read as a stack of one by the kernel of
+    :func:`trajectory` (:func:`_ledger_columns`), against the generator of
+    that point; its check is the one check of that state.  Power is
+    -Tr(rho dH/dt), from the supplied derivative or a centred difference
+    of the schedule.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -1038,33 +1069,55 @@ def adiabatic_propagate(
         if keep_states:
             states.append(DensityMatrix(rho))
 
-    gen0 = build_davies(hamiltonian(grid[0]), couplings)
-    record(0, gen0, grid[0])
+    # every Hamiltonian the loop diagonalises is known before the loop: a
+    # block of grid steps queues its substep grids and one stack of the
+    # generators of their midpoints and ends, in the order the loop reads
+    # them; a generator's BohrResolutionError is raised where it is read
+    steps: deque = deque()
+    gens: deque = deque()
+
+    def queue_block(first: int) -> None:
+        hs = [hamiltonian(grid[0])] if first == 1 else []
+        for i in range(first, min(first + _LEDGER_BLOCK, n)):
+            t_a, t_b = grid[i - 1], grid[i]
+            dt = t_b - t_a
+            omega_max = _max_bohr_frequency(hamiltonian(0.5 * (t_a + t_b)))
+            dt_cap = (2 * math.pi / omega_max) / 10.0 if omega_max > 0 else dt
+            n_sub = max(max(1, substeps), int(math.ceil(dt / dt_cap)))
+            sub = np.linspace(t_a, t_b, n_sub + 1)
+            steps.append((sub, dt, n_sub > max(1, substeps)))
+            hs.extend(hamiltonian(0.5 * (sub[j] + sub[j + 1])) for j in range(n_sub))
+            hs.append(hamiltonian(t_b))
+        gens.extend(_davies_stack(hs, couplings))
+
+    def next_generator() -> GKLSGenerator:
+        gen = gens.popleft()
+        if isinstance(gen, BohrResolutionError):
+            raise gen
+        return gen
+
+    queue_block(1)
+    record(0, next_generator(), grid[0])
     for i in range(1, n):
-        t_a, t_b = grid[i - 1], grid[i]
-        dt = t_b - t_a
-        h_mid = hamiltonian(0.5 * (t_a + t_b))
-        omega_max = _max_bohr_frequency(h_mid)
-        dt_cap = (2 * math.pi / omega_max) / 10.0 if omega_max > 0 else dt
-        n_sub = max(max(1, substeps), int(math.ceil(dt / dt_cap)))
-        if n_sub > max(1, substeps) and not warned:
+        if not steps:
+            queue_block(i)
+        sub, dt, refined = steps.popleft()
+        if refined and not warned:
             warnings.warn(
                 f"adiabatic step {dt:.3g} exceeds a tenth of the Bohr period; "
                 f"refining internally",
                 stacklevel=2,
             )
             warned = True
-        sub = np.linspace(t_a, t_b, n_sub + 1)
-        for j in range(n_sub):
+        for j in range(len(sub) - 1):
             if j:
                 # the state between two substeps, which no ledger row reads
                 _state_spectra(rho[None])
-            tm = 0.5 * (sub[j] + sub[j + 1])
-            gen = build_davies(hamiltonian(tm), couplings)
+            gen = next_generator()
             m = scipy.linalg.expm(gen.liouvillian().mat * (sub[j + 1] - sub[j]))
             out = unvec(m @ vec(rho), rho0.dim)
             rho = (out + out.conj().T) / 2.0
-        record(i, build_davies(hamiltonian(t_b), couplings), t_b)
+        record(i, next_generator(), grid[i])
     return ThermoLedger(
         times=grid,
         energy=energy,

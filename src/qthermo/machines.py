@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,10 +31,10 @@ from .lindblad import (
     _bordered_fixed_point,
     _currents,
     _davies_stack,
-    _fixed_point_state,
+    _fixed_point_states,
+    _liouvillian_stack,
     _stationary_stack,
     _table_heat_observables,
-    build_davies,
     stationary_state,  # re-exported: tools that wrap it look it up here as well
 )
 from .operators import (
@@ -41,14 +43,11 @@ from .operators import (
     DensityMatrix,
     Operator,
     Superoperator,
+    _sandwich,
     _state_spectra,
     cptp_residuals,
     hamiltonian_superop,
-    identity_superop,
-    matexp,
-    sandwich_superop,
     unitary_exp,
-    unitary_superop,
     unvec,
     vec,
 )
@@ -160,64 +159,96 @@ class StrokeOp:
         return self.spec.kind == "isochore"
 
 
-# isochore generators kept by ``_isochore_generator``: an Otto optimisation
-# revisits its hot stroke at every evaluation, and at d = 10 one entry holds
-# about 330 KB (the dissipator and the Liouvillian)
+# isochore generators kept by `_isochore_generators`, most recently used
+# last: an Otto optimisation revisits its hot stroke at every evaluation, and
+# at d = 10 one entry holds about 170 KB, mostly its Liouvillian
 _ISOCHORE_CACHE = 32
+_isochores: OrderedDict[tuple, GKLSGenerator] = OrderedDict()
+_isochores_lock = threading.Lock()
 
 
-@functools.lru_cache(maxsize=_ISOCHORE_CACHE)
-def _isochore_generator(medium, omega: float, bath: BathSpec) -> GKLSGenerator:
-    """The weak-coupling generator of ``medium`` at frequency ``omega``
-    against ``bath``, with its eigenbasis and its Liouvillian built.
+def _isochore_generators(medium, points) -> list[GKLSGenerator | BohrResolutionError]:
+    """The weak-coupling generators of ``medium`` at each (omega, bath) of
+    ``points``, with their eigenbases and Liouvillians built.
 
-    Every cycle that has this stroke shares it: its channels are a tuple,
-    its arrays are read-only, and it never leaves this module."""
-    gen = build_davies(medium.hamiltonian(omega), [(medium.coupling(), bath)])
-    gen.liouvillian()
-    return gen
+    Generators missing from the cache are built with one `_davies_stack`
+    per bath, then kept; a point whose Bohr gaps collide is its
+    BohrResolutionError, and is not kept.  Every cycle that has a stroke
+    shares its generator: its channels are a tuple, its arrays are
+    read-only, and it never leaves this module."""
+    keys = [(medium, omega, bath) for omega, bath in points]
+    found: dict = {}
+    with _isochores_lock:
+        for key in keys:
+            if key in _isochores:
+                _isochores.move_to_end(key)
+                found[key] = _isochores[key]
+    missing: dict[BathSpec, list] = {}
+    for _, omega, bath in dict.fromkeys(k for k in keys if k not in found):
+        missing.setdefault(bath, []).append(omega)
+    built = []
+    for bath, omegas in missing.items():
+        gens = _davies_stack([medium.hamiltonian(w) for w in omegas], [(medium.coupling(), bath)])
+        for omega, gen in zip(omegas, gens):
+            if isinstance(gen, GKLSGenerator):
+                built.append((medium, omega, bath))
+            found[medium, omega, bath] = gen
+    _liouvillian_stack([found[key] for key in built])
+    with _isochores_lock:
+        for key in built:
+            _isochores[key] = found[key]
+        while len(_isochores) > _ISOCHORE_CACHE:
+            _isochores.popitem(last=False)
+    return [found[key] for key in keys]
+
+
+def _transfer_maps(v_start: np.ndarray, v_end: np.ndarray) -> np.ndarray:
+    """rho -> sum_j K_j rho K_j^dag with the transfer operators
+    K_j = |e_j(end)><e_j(start)| between the eigenbases held as columns of
+    each member of the (..., d, d) stacks ``v_start`` and ``v_end``: the
+    ideal adiabat, whose populations ride the instantaneous eigenbasis
+    while coherences average away, and for v_start = v_end the pinch that
+    kills energy-basis coherence.  Returns the (..., d^2, d^2) maps, each
+    with the bits of `sandwich_superop` on its transfer operators."""
+    k = v_end.swapaxes(-1, -2)[..., :, :, None] * v_start.swapaxes(-1, -2).conj()[..., :, None, :]
+    k_dag = k.conj().swapaxes(-1, -2)
+    d = v_start.shape[-1]
+    m = np.zeros(v_start.shape[:-2] + (d * d, d * d), dtype=complex)
+    for j in range(d):  # summed in sandwich_superop's member order
+        m += _sandwich(k[..., j, :, :], k_dag[..., j, :, :])
+    return m
 
 
 def _transfer_superop(v_start: np.ndarray, v_end: np.ndarray) -> Superoperator:
-    """rho -> sum_j K_j rho K_j^dag with the transfer operators
-    K_j = |e_j(end)><e_j(start)| between the eigenbases held as columns of
-    ``v_start`` and ``v_end``: the ideal adiabat, whose populations ride
-    the instantaneous eigenbasis while coherences average away, and for
-    v_start = v_end the pinch that kills energy-basis coherence."""
-    k = v_end.T[:, :, None] * v_start.T.conj()[:, None, :]
-    return sandwich_superop(k, k.conj().swapaxes(-1, -2))
+    """The transfer map of :func:`_transfer_maps` between two eigenbases."""
+    return Superoperator(_transfer_maps(v_start, v_end))
 
 
-def _adiabat_superop(medium, spec: StrokeSpec, v_start: np.ndarray,
-                     v_end: np.ndarray) -> Superoperator:
-    """The adiabat's propagator; ``v_start`` and ``v_end`` hold the
-    eigenvectors of H(omega_start) and H(omega_end) as columns."""
-    if spec.protocol == "sudden":
-        return identity_superop(medium.dim)
-    if spec.protocol == "adiabatic":  # the ideal infinitely slow limit
-        return _transfer_superop(v_start, v_end)
+def _adiabat_superops(medium, kind: str, strokes: list[StrokeSpec], v_start: np.ndarray,
+                      v_end: np.ndarray) -> np.ndarray:
+    """The (n, d^2, d^2) propagators of one operation of n cycles:
+    ``strokes`` are its n StrokeSpecs, ``kind`` is their protocol, or
+    ``pinch`` for a dephasing pinch, and ``v_start`` and ``v_end`` hold the
+    eigenvectors of H(omega_start) and H(omega_end) of each as columns."""
+    n, side = len(strokes), medium.dim ** 2
+    if kind == "sudden":
+        return np.broadcast_to(np.eye(side, dtype=complex), (n, side, side))
+    if kind in ("adiabatic", "pinch"):  # the ideal infinitely slow limit
+        return _transfer_maps(v_start, v_end)
     # linear-ramp: time-ordered unitary on a refined grid, midpoint
-    # steps exp(-i H(w_k) dt) from one stacked call
-    steps = max(64, int(math.ceil(spec.duration * 200)))
-    dt = spec.duration / steps
-    fracs = (np.arange(steps) + 0.5) / steps
-    ws = spec.omega_start + (spec.omega_end - spec.omega_start) * fracs
-    u = np.eye(medium.dim, dtype=complex)
-    for step in unitary_exp(np.array([medium.hamiltonian(w).mat * dt for w in ws])):
-        u = step @ u
-    return unitary_superop(u)
-
-
-def _compile_stroke(medium, spec: StrokeSpec, gens: dict[float, GKLSGenerator]) -> StrokeOp:
-    """The stroke's propagator; ``gens`` maps each isochore frequency of
-    the cycle to its generator, whose H and eigenbasis the adiabats share."""
-    if spec.kind == "isochore":
-        gen = gens[spec.omega]
-        sop = matexp(gen.liouvillian(), spec.duration)
-        return StrokeOp(spec=spec, superop=sop, h_in=gen.h, h_out=gen.h)
-    start, end = gens[spec.omega_start], gens[spec.omega_end]
-    sop = _adiabat_superop(medium, spec, start.eigenbasis()[1].mat, end.eigenbasis()[1].mat)
-    return StrokeOp(spec=spec, superop=sop, h_in=start.h, h_out=end.h)
+    # steps exp(-i H(w_k) dt) from one stacked call per stroke
+    us = []
+    for spec in strokes:
+        steps = max(64, int(math.ceil(spec.duration * 200)))
+        dt = spec.duration / steps
+        fracs = (np.arange(steps) + 0.5) / steps
+        ws = spec.omega_start + (spec.omega_end - spec.omega_start) * fracs
+        u = np.eye(medium.dim, dtype=complex)
+        for step in unitary_exp(np.array([medium.hamiltonian(w).mat * dt for w in ws])):
+            u = step @ u
+        us.append(u)
+    us = np.array(us)
+    return _sandwich(us, us.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -281,79 +312,190 @@ class CycleSpec:
         return self.tau_h + self.tau_c + self.tau_hc + self.tau_ch
 
 
+def _cycle_ops(spec: CycleSpec) -> list[tuple[str, StrokeSpec]]:
+    """The cycle's operations in time order, each with its kind: every
+    stroke (``isochore`` or its protocol) and, with
+    ``dephase_after_adiabats``, after each adiabat a ``pinch``, booked as a
+    zero-time sudden stroke at the adiabat's final frequency."""
+    ops = []
+    for st in spec.strokes():
+        ops.append(("isochore" if st.kind == "isochore" else st.protocol, st))
+        if st.kind == "adiabat" and spec.dephase_after_adiabats:
+            ops.append(("pinch", StrokeSpec(
+                kind="adiabat", duration=0.0, omega_start=st.omega_end, omega_end=st.omega_end,
+                protocol="sudden", label=f"dephase-after-{st.label}")))
+    return ops
+
+
+def _ends(st: StrokeSpec) -> tuple[float, float]:
+    """The frequencies in force at the entry and the exit of a stroke."""
+    if st.kind == "isochore":
+        return st.omega, st.omega
+    return st.omega_start, st.omega_end
+
+
 def _cycle_generators(spec: CycleSpec) -> dict[float, GKLSGenerator]:
     """The isochore generators of the cycle by frequency: omega_h against
     the hot bath, omega_c against the cold one.  The adiabats run between
     their two Hamiltonians."""
-    return {
-        spec.omega_h: _isochore_generator(spec.medium, spec.omega_h, spec.bath_h),
-        spec.omega_c: _isochore_generator(spec.medium, spec.omega_c, spec.bath_c),
-    }
+    gens = _isochore_generators(spec.medium, [(spec.omega_h, spec.bath_h),
+                                              (spec.omega_c, spec.bath_c)])
+    for gen in gens:
+        if isinstance(gen, BohrResolutionError):
+            raise gen
+    return dict(zip((spec.omega_h, spec.omega_c), gens))
+
+
+@dataclass(frozen=True)
+class _CycleStack:
+    """The cycles of a stack whose generators were built: ``members`` are
+    their places in the stack; for each, ``kinds`` and ``ops`` list its
+    operations in time order (:func:`_cycle_ops`) and ``gens`` its
+    generators by frequency; ``sops`` (m, K, d^2, d^2) holds the
+    operations' propagators and ``total`` (m, d^2, d^2) the cycle
+    propagators, products read right to left."""
+
+    members: list[int]
+    kinds: list[str]
+    ops: list[list[StrokeSpec]]
+    gens: list[dict[float, GKLSGenerator]]
+    sops: np.ndarray
+    total: np.ndarray
+
+    def hamiltonians(self, j: int) -> tuple[list[Operator], list[Operator]]:
+        """The Hamiltonians of cycle j at the entry and at the exit of each
+        operation."""
+        ends = [_ends(st) for st in self.ops[j]]
+        return [self.gens[j][w].h for w, _ in ends], [self.gens[j][w].h for _, w in ends]
+
+
+def _compile_stack(specs) -> tuple[list, _CycleStack | None]:
+    """Compile the cycles ``specs``, which share their medium, protocol,
+    order and dephasing: the missing isochore generators from one
+    `_davies_stack` per bath, every isochore's exp(L tau) from one stacked
+    ``expm`` (which takes the slices one by one), every adiabat from one
+    broadcast sandwich, and every stroke verified completely positive and
+    trace preserving in one stacked check; the cycles are composed as
+    stacked products.  Returns, per cycle, None or the ValueError that
+    compiling it alone raises (its hot generator's BohrResolutionError
+    before its cold one's; then its first stroke in time order that is not
+    finite or not CPTP), and the stack of the cycles whose generators were
+    built.  Each cycle's bits are those of compiling it alone."""
+    first = specs[0]
+    shape = (first.medium, first.protocol, first.order, first.dephase_after_adiabats)
+    if any((sp.medium, sp.protocol, sp.order, sp.dephase_after_adiabats) != shape for sp in specs):
+        raise ValueError("the cycles of one stack must share their medium, protocol, "
+                         "order and dephasing")
+    medium = first.medium
+    side = medium.dim ** 2
+    out: list = [None] * len(specs)
+    built = _isochore_generators(medium, [p for sp in specs for p in (
+        (sp.omega_h, sp.bath_h), (sp.omega_c, sp.bath_c))])
+    members, gens = [], []
+    for i, (sp, hot, cold) in enumerate(zip(specs, built[::2], built[1::2])):
+        if isinstance(hot, BohrResolutionError) or isinstance(cold, BohrResolutionError):
+            out[i] = hot if isinstance(hot, BohrResolutionError) else cold
+        else:
+            members.append(i)
+            gens.append({sp.omega_h: hot, sp.omega_c: cold})
+    if not members:
+        return out, None
+    kinds = [kind for kind, _ in _cycle_ops(first)]
+    ops = [[st for _, st in _cycle_ops(specs[i])] for i in members]
+    sops = np.empty((len(members), len(kinds), side, side), dtype=complex)
+    iso = [k for k, kind in enumerate(kinds) if kind == "isochore"]
+    sops[:, iso] = scipy.linalg.expm(np.array([
+        g[st.omega].liouvillian().mat * st.duration
+        for op, g in zip(ops, gens) for st in (op[k] for k in iso)
+    ])).reshape(len(members), len(iso), side, side)
+    for k, kind in enumerate(kinds):
+        if kind != "isochore":
+            ends = [_ends(op[k]) for op in ops]
+            v_in = np.array([g[w].eigenbasis()[1].mat for g, (w, _) in zip(gens, ends)])
+            v_out = np.array([g[w].eigenbasis()[1].mat for g, (_, w) in zip(gens, ends)])
+            sops[:, k] = _adiabat_superops(medium, kind, [op[k] for op in ops], v_in, v_out)
+    # the strokes, not the pinches, are checked, as a Superoperator checks
+    # its entries and then as one stack of CPTP residuals
+    strokes = [k for k, kind in enumerate(kinds) if kind != "pinch"]
+    checked = sops[:, strokes]
+    finite = np.isfinite(checked).all(axis=(1, 2, 3))
+    min_eig, drift = (arr.reshape(-1, len(strokes)) for arr in cptp_residuals(
+        checked[finite].reshape(-1, side, side)))
+    bad = ~(min_eig >= -DYNAMICAL) | (drift > DYNAMICAL)
+    for j in (~finite).nonzero()[0]:
+        out[members[j]] = ValueError("matrix has NaN or Inf entries")
+    for j, row, eig, dr in zip(finite.nonzero()[0], bad, min_eig, drift):
+        if row.any():
+            k = int(row.argmax())
+            st = ops[j][strokes[k]]
+            out[members[j]] = ValueError(
+                f"stroke {st.label or st.kind!r} is not CPTP "
+                f"(choi min eig {eig[k]:.3e}, trace drift {dr[k]:.3e})"
+            )
+    total = np.broadcast_to(np.eye(side, dtype=complex), (len(members), side, side))
+    for k in range(len(kinds)):
+        total = sops[:, k] @ total
+    return out, _CycleStack(members, kinds, ops, gens, sops, total)
 
 
 def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
     """Compile the strokes and compose the cycle propagator (chronological
-    application; the product reads right to left).
-
-    Every stroke is compiled first and then verified completely positive
-    and trace preserving, all in one stacked check; the first failing
-    stroke in chronological order is reported."""
-    gens = _cycle_generators(spec)
-    strokes = [_compile_stroke(spec.medium, st, gens) for st in spec.strokes()]
-    min_eig, drift = cptp_residuals(np.array([op.superop.mat for op in strokes]))
-    bad = ~(min_eig >= -DYNAMICAL) | (drift > DYNAMICAL)
-    if bad.any():
-        k = int(bad.argmax())
-        st = strokes[k].spec
-        raise ValueError(
-            f"stroke {st.label or st.kind!r} is not CPTP "
-            f"(choi min eig {min_eig[k]:.3e}, trace drift {drift[k]:.3e})"
-        )
-    ops = []
-    for op in strokes:
-        ops.append(op)
-        st = op.spec
-        if st.kind == "adiabat" and spec.dephase_after_adiabats:
-            v = gens[st.omega_end].eigenbasis()[1].mat
-            pinch = _transfer_superop(v, v)
-            ops.append(StrokeOp(
-                spec=StrokeSpec(kind="adiabat", duration=0.0,
-                                omega_start=st.omega_end, omega_end=st.omega_end,
-                                protocol="sudden", label=f"dephase-after-{st.label}"),
-                superop=pinch, h_in=op.h_out, h_out=op.h_out,
-            ))
-    total = np.eye(spec.medium.dim ** 2, dtype=complex)
-    for op in ops:
-        total = op.superop.mat @ total
-    return Superoperator(total), ops
+    application; the product reads right to left): the stack of one of
+    :func:`_compile_stack`.  Every stroke is verified completely positive
+    and trace preserving; the first failing stroke in chronological order
+    is reported."""
+    (error,), stack = _compile_stack([spec])
+    if error is not None:
+        raise error
+    ops = [StrokeOp(spec=st, superop=Superoperator(sop), h_in=h_in, h_out=h_out)
+           for st, sop, h_in, h_out in zip(stack.ops[0], stack.sops[0], *stack.hamiltonians(0))]
+    return Superoperator(stack.total[0]), ops
 
 
 _MAX_ITER = 2000
 
 
-def _limit_cycle_state(u_cyc: Superoperator) -> DensityMatrix:
-    """Fixed point of the cycle propagator from one bordered solve of
-    U - I; a degenerate unit eigenspace, a non-positive solution or a
-    residual above 1e-10 raises."""
-    d = u_cyc.dim
-    kernel = np.array(u_cyc.mat, dtype=complex, order="F")
-    kernel.flat[:: d * d + 1] -= 1.0
-    border = max(float(scipy.linalg.lapack.zlange("M", kernel)), 1e-300)
-    x = _bordered_fixed_point(kernel, np.arange(d) * (d + 1), border,
-                              "cycle fixed point degenerate")
-    return _fixed_point_state(
-        unvec(x, d), lambda r: float(np.max(np.abs(u_cyc.mat @ vec(r) - vec(r)))), 1e-10
-    )
+def _limit_cycle_states(u: np.ndarray) -> list:
+    """Fixed points of a (n, d^2, d^2) stack of cycle propagators, each
+    from one bordered solve of U - I; entry i is the DensityMatrix of
+    member i, or the ValueError of a degenerate unit eigenspace, a
+    non-positive solution or a residual above 1e-10."""
+    side = u.shape[-1]
+    d = math.isqrt(side)
+    out: list = [None] * len(u)
+    solved, xs = [], []
+    for i, m in enumerate(u):
+        kernel = np.array(m, dtype=complex, order="F")
+        kernel.flat[:: side + 1] -= 1.0
+        border = max(float(scipy.linalg.lapack.zlange("M", kernel)), 1e-300)
+        try:
+            xs.append(unvec(_bordered_fixed_point(kernel, np.arange(d) * (d + 1), border,
+                                                  "cycle fixed point degenerate"), d))
+            solved.append(i)
+        except ValueError as exc:
+            out[i] = exc
+    if not solved:
+        return out
+    for i, rho in zip(solved, _fixed_point_states(np.array(xs))):
+        if isinstance(rho, DensityMatrix):
+            r = vec(rho.mat)
+            resid = float(np.max(np.abs(u[i] @ r - r)))
+            if resid > 1e-10:
+                rho = ValueError(f"fixed-point residual too large: {resid:.3e}")
+        out[i] = rho
+    return out
 
 
 def find_limit_cycle(u_cyc: Superoperator) -> tuple[DensityMatrix, list[float]]:
-    """Fixed point of the cycle propagator (:func:`_limit_cycle_state`)
+    """Fixed point of the cycle propagator (:func:`_limit_cycle_states`)
     and the relative-entropy convergence trace of plain iteration toward
     it from the maximally mixed state, for at most ``_MAX_ITER`` cycles.
 
     The contraction property of relative entropy under CP maps makes the
     recorded distances non-increasing."""
-    rho_lc = _limit_cycle_state(u_cyc)
+    (rho_lc,) = _limit_cycle_states(u_cyc.mat[None])
+    if isinstance(rho_lc, ValueError):
+        raise rho_lc
     d = u_cyc.dim
     # rho_lc is diagonalised once; each iterate's one eigendecomposition
     # both checks it as a state and enters its relative entropy
@@ -392,47 +534,97 @@ def _symmetrised(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((m + m.conj().T) / 2.0)
 
 
-def _walk_cycle(ops: list[StrokeOp], rho_start: np.ndarray):
-    """Chronological walk from the state ``rho_start`` recording heat per
-    bath and extracted work, including quench work at frequency-mismatched
-    stroke junctions.  The states after the strokes are checked as one
-    stack before any energy is read from them.  Also returns the states,
-    ``rho_start`` first, and each stroke's <H_out>_out - <H_in>_in."""
-    rhos = [rho_start]
-    for op in ops:
-        rhos.append(_symmetrised(op.superop.apply_matrix(rhos[-1])))
-    _state_spectra(np.array(rhos[1:]))
-    heat: dict[str, float] = {}
-    deltas = []
-    work_extracted = 0.0
-    h_prev = ops[0].h_in
-    for op, rho, rho_out in zip(ops, rhos, rhos[1:]):
-        if np.max(np.abs(op.h_in.mat - h_prev.mat)) > 1e-12:
-            # sudden junction quench: energy jump at fixed state is work
-            jump = float(np.real(np.trace(rho @ (op.h_in.mat - h_prev.mat))))
-            work_extracted -= jump
-        e_in = float(np.real(np.trace(rho @ op.h_in.mat)))
-        e_out = float(np.real(np.trace(rho_out @ op.h_out.mat)))
-        delta = e_out - e_in
-        deltas.append(delta)
-        if op.is_isochore:
-            label = op.spec.bath.label
-            heat[label] = heat.get(label, 0.0) + delta
+def _walk_states(sops: np.ndarray, rho_start: np.ndarray) -> tuple[np.ndarray, list]:
+    """The states of n chronological walks: from the (n, d, d) states
+    ``rho_start`` through the K propagators (n, K, d^2, d^2) of each, as
+    an (n, K + 1, d, d) array, ``rho_start`` first.  The states after the
+    propagators are checked as one stack; entry i of the list is None, or
+    the message that DensityMatrix raises for walk i's first bad state,
+    as a ValueError."""
+    n, n_ops, side = sops.shape[:3]
+    d = rho_start.shape[-1]
+    rhos = np.empty((n, n_ops + 1, d, d), dtype=complex)
+    rhos[:, 0] = rho_start
+    for k in range(n_ops):
+        # S vec(rho) with vec the column stacking, then (m + m^dag) / 2
+        x = rhos[:, k].swapaxes(-1, -2).reshape(n, side, 1)
+        m = (sops[:, k] @ x).reshape(n, d, d).swapaxes(-1, -2)
+        rhos[:, k + 1] = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    errors: list = [None] * n
+    try:
+        _state_spectra(rhos[:, 1:].reshape(-1, d, d))
+    except ValueError:
+        for i in range(n):
+            try:
+                _state_spectra(rhos[i, 1:])
+            except ValueError as exc:
+                errors[i] = exc
+    return rhos, errors
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """A cycle walked from its limit cycle: the states (K + 1, d, d) from
+    the limit cycle on, each operation's <H_out>_out - <H_in>_in, the
+    extracted work (junction quenches included) and the heat per bath
+    label."""
+
+    rhos: np.ndarray
+    deltas: list[float]
+    work: float
+    heat: dict[str, float]
+
+
+def _walk_stack(specs) -> list:
+    """Compile (:func:`_compile_stack`), solve and walk the cycles
+    ``specs``: one LU per cycle for its limit cycle, one stacked state
+    check of every walk, and the energies as stacked traces.  Entry i is
+    cycle i's _Walk, or the ValueError that walking it alone raises."""
+    out, stack = _compile_stack(specs)
+    if stack is None:
+        return out
+    compiled = [j for j, i in enumerate(stack.members) if out[i] is None]
+    starts = {}
+    for j, rho in zip(compiled, _limit_cycle_states(stack.total[compiled])):
+        if isinstance(rho, ValueError):
+            out[stack.members[j]] = rho
         else:
-            work_extracted -= delta
-        h_prev = op.h_out
-    # close the cycle back to the first stroke's Hamiltonian
-    if np.max(np.abs(ops[0].h_in.mat - h_prev.mat)) > 1e-12:
-        jump = float(np.real(np.trace(rhos[-1] @ (ops[0].h_in.mat - h_prev.mat))))
-        work_extracted -= jump
-    return work_extracted, heat, rhos, deltas
+            starts[j] = rho.mat
+    if not starts:
+        return out
+    live = list(starts)
+    rhos, errors = _walk_states(stack.sops[live], np.array(list(starts.values())))
+    ends = [stack.hamiltonians(j) for j in live]
+    h_in = np.array([[h.mat for h in entry] for entry, _ in ends])
+    h_out = np.array([[h.mat for h in exit_] for _, exit_ in ends])
+    e_in = np.real(np.trace(rhos[:, :-1] @ h_in, axis1=-2, axis2=-1))
+    deltas = (np.real(np.trace(rhos[:, 1:] @ h_out, axis1=-2, axis2=-1)) - e_in).tolist()
+    # a sudden quench at a junction whose Hamiltonians differ, the closing
+    # one included, is work: the energy jump at a fixed state
+    jump_h = np.concatenate([h_in[:, 1:], h_in[:, :1]], axis=1) - h_out
+    jumps = np.real(np.trace(rhos[:, 1:] @ jump_h, axis1=-2, axis2=-1)).tolist()
+    quench = (np.abs(jump_h).max(axis=(-2, -1)) > 1e-12).tolist()
+    for j, err, rho, delta, jump, at in zip(live, errors, rhos, deltas, jumps, quench):
+        if err is not None:
+            out[stack.members[j]] = err
+            continue
+        work, heat = 0.0, {}
+        for k, (kind, st) in enumerate(zip(stack.kinds, stack.ops[j])):
+            if k and at[k - 1]:
+                work -= jump[k - 1]
+            if kind == "isochore":
+                heat[st.bath.label] = heat.get(st.bath.label, 0.0) + delta[k]
+            else:
+                work -= delta[k]
+        if at[-1]:
+            work -= jump[-1]
+        out[stack.members[j]] = _Walk(rho, delta, work, heat)
+    return out
 
 
-def run_otto(spec: CycleSpec) -> CycleReport:
-    """Drive the cycle to its limit cycle and report the energy split."""
-    u_cyc, ops = compose_cycle(spec)
-    work, heat, _, _ = _walk_cycle(ops, _limit_cycle_state(u_cyc).mat)
-
+def _report(spec: CycleSpec, walk: _Walk) -> CycleReport:
+    """The energy split of a walked cycle."""
+    work, heat = walk.work, walk.heat
     flags = []
     q_h = heat.get(spec.bath_h.label, 0.0)
     q_c = heat.get(spec.bath_c.label, 0.0)
@@ -463,6 +655,27 @@ def run_otto(spec: CycleSpec) -> CycleReport:
     )
 
 
+def _otto_stack(specs) -> list:
+    """The CycleReport of each cycle of ``specs`` (which share their
+    medium, protocol, order and dephasing), all compiled, solved and
+    walked as one stack (:func:`_walk_stack`); entry i is the report of
+    cycle i, or the ValueError (a BohrResolutionError among them) that
+    :func:`run_otto` raises for it.  Each entry's bits are those of
+    evaluating its cycle alone, whatever the stack."""
+    return [w if isinstance(w, ValueError) else _report(spec, w)
+            for spec, w in zip(specs, _walk_stack(specs))]
+
+
+def run_otto(spec: CycleSpec) -> CycleReport:
+    """Drive the cycle to its limit cycle and report the energy split:
+    the stack of one of :func:`_otto_stack`, which finds the limit cycle
+    from one bordered solve and walks the cycle once from it."""
+    (rep,) = _otto_stack([spec])
+    if isinstance(rep, ValueError):
+        raise rep
+    return rep
+
+
 def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
     """Extra work demanded by nonadiabatic driving.
 
@@ -472,29 +685,33 @@ def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
     be negative when the entry states are passive.  Also returns the
     largest energy-basis Shannon-minus-von-Neumann entropy gap seen at a
     stroke exit (the coherence signature).  The states and the actual
-    energy changes are those of the limit-cycle walk."""
-    u_cyc, ops = compose_cycle(spec)
-    *_, rhos, deltas = _walk_cycle(ops, _limit_cycle_state(u_cyc).mat)
+    energy changes are those of the limit-cycle walk of :func:`run_otto`,
+    a stack of one."""
+    (walk,) = _walk_stack([spec])
+    if isinstance(walk, ValueError):
+        raise walk
     gens = _cycle_generators(spec)
     extra_work = 0.0
     entropy_gap = 0.0
-    for op, rho_in, rho_out, e_actual in zip(ops, rhos, rhos[1:], deltas):
-        if op.is_isochore:
+    for k, (kind, st) in enumerate(_cycle_ops(spec)):
+        if kind == "isochore":
             continue
-        ideal = _transfer_superop(gens[op.spec.omega_start].eigenbasis()[1].mat,
-                                  gens[op.spec.omega_end].eigenbasis()[1].mat)
+        rho_in, rho_out = walk.rhos[k], walk.rhos[k + 1]
+        h_in, h_out = gens[st.omega_start].h, gens[st.omega_end].h
+        ideal = _transfer_superop(gens[st.omega_start].eigenbasis()[1].mat,
+                                  gens[st.omega_end].eigenbasis()[1].mat)
         rho_ideal = DensityMatrix(_symmetrised(ideal.apply_matrix(rho_in)))
-        e_in = float(np.real(np.trace(rho_in @ op.h_in.mat)))
-        e_ideal = float(np.real(np.trace(rho_ideal.mat @ op.h_out.mat))) - e_in
-        extra_work += e_actual - e_ideal
+        e_in = float(np.real(np.trace(rho_in @ h_in.mat)))
+        e_ideal = float(np.real(np.trace(rho_ideal.mat @ h_out.mat))) - e_in
+        extra_work += walk.deltas[k] - e_ideal
         rho = DensityMatrix(rho_out)
-        gap = shannon_entropy_in_basis(rho, op.h_out) - von_neumann_entropy(rho)
+        gap = shannon_entropy_in_basis(rho, h_out) - von_neumann_entropy(rho)
         entropy_gap = max(entropy_gap, gap)
     return extra_work, entropy_gap
 
 
 class _EvaluationCap(Exception):
-    """Raised by `_nelder_mead`'s counted objective past its last evaluation."""
+    """Raised inside `_nelder_mead_steps` at its first evaluation past the cap."""
 
 
 def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -502,27 +719,29 @@ def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.n
     return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
-def _nelder_mead(f, x0, lo, hi, maxfev: int, xatol: float, fatol: float):
+def _nelder_mead_steps(x0, lo, hi, maxfev: int, xatol: float, fatol: float):
     """Minimise f over the box [lo, hi] by the Nelder–Mead simplex
     (Comput. J. 7, 308 (1965)) with reflection 1, expansion 2 and
-    contraction and shrink ½.
+    contraction and shrink ½, as a generator: it yields a copy of each
+    point it wants evaluated, is sent f there, and returns (x, fun,
+    success), where success is False when the evaluation cap ended the
+    search.
 
     This is SciPy 1.17.1's ``minimize(method="Nelder-Mead")`` with
     ``bounds`` and ``maxfev`` set, repeated operation for operation so
     that it evaluates the same points and returns the same bits: the
     initial simplex steps 5 % along each axis (0.00025 from a zero
     coordinate) and is reflected into the box, then clipped; every trial
-    point is clipped; f receives a copy of each point; the first call past
-    ``maxfev`` ends the search at once.  Returns (x, fun, success), where
-    success is False when the evaluation cap ended the search."""
+    point is clipped; the first evaluation past ``maxfev`` ends the search
+    at once."""
     calls = 0
 
-    def func(x: np.ndarray) -> float:
+    def func(x: np.ndarray):
         nonlocal calls
         if calls >= maxfev:
             raise _EvaluationCap
         calls += 1
-        return f(np.copy(x))
+        return (yield np.copy(x))
 
     x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
     n = len(x0)
@@ -536,7 +755,7 @@ def _nelder_mead(f, x0, lo, hi, maxfev: int, xatol: float, fatol: float):
     fsim = np.full((n + 1,), np.inf)
     try:
         for k in range(n + 1):
-            fsim[k] = func(sim[k])
+            fsim[k] = yield from func(sim[k])
     except _EvaluationCap:
         pass
     sim, fsim = _sorted_simplex(sim, fsim)
@@ -548,32 +767,45 @@ def _nelder_mead(f, x0, lo, hi, maxfev: int, xatol: float, fatol: float):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = np.clip(2 * xbar - sim[-1], lo, hi)
-            fxr = func(xr)
+            fxr = yield from func(xr)
             if fxr < fsim[0]:
                 xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
-                fxe = func(xe)
+                fxe = yield from func(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:
                     xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
-                    fxc = func(xc)
+                    fxc = yield from func(xc)
                     shrink = not fxc <= fxr
                 else:
                     xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
-                    fxc = func(xc)
+                    fxc = yield from func(xc)
                     shrink = not fxc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for j in range(1, n + 1):
                         sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
-                        fsim[j] = func(sim[j])
+                        fsim[j] = yield from func(sim[j])
         except _EvaluationCap:
             pass
         sim, fsim = _sorted_simplex(sim, fsim)
     return sim[0], np.min(fsim), calls < maxfev
+
+
+def _nelder_mead(f, x0, lo, hi, maxfev: int, xatol: float, fatol: float):
+    """Minimise f over the box [lo, hi] by driving
+    :func:`_nelder_mead_steps` (SciPy's bounded Nelder–Mead, point for
+    point) with f; returns (x, fun, success)."""
+    search = _nelder_mead_steps(x0, lo, hi, maxfev, xatol, fatol)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def optimize_power(
@@ -587,12 +819,19 @@ def optimize_power(
 
     ``free`` maps CycleSpec field names (stroke durations, and optionally
     ``omega_c``/``omega_h``) to search bounds.  The search is the
-    in-library bounded Nelder–Mead simplex (`_nelder_mead`, which
+    in-library bounded Nelder–Mead simplex (`_nelder_mead_steps`, which
     reproduces SciPy's bounded ``minimize(method="Nelder-Mead")`` bit for
-    bit) with seeded restarts, each capped at ``max_evals`` evaluations;
-    non-engine points score zero power.  A box collapsed to one point runs
-    that point alone.  Returns (best parameters, max power, efficiency
-    there)."""
+    bit) from the box's midpoint and seeded restarts, each capped at
+    ``max_evals`` evaluations; non-engine points and Bohr collisions score
+    zero power.  The restarts are independent, so they run in lockstep:
+    each round evaluates the pending point of every running restart (and
+    the midpoint, in the first) as one stack of cycles (`_otto_stack`).
+    The result, any error and the warning when no restart converged are
+    those of running the restarts one after another: the restarts are
+    compared in order, and an error raised for a restart surfaces only
+    once every earlier restart has finished without one.  A box collapsed
+    to one point runs that point alone.  Returns (best parameters, max
+    power, efficiency there)."""
     names = list(free)
     lo = np.array([free[k][0] for k in names], dtype=float)
     hi = np.array([free[k][1] for k in names], dtype=float)
@@ -603,27 +842,69 @@ def optimize_power(
         rep = run_otto(replace(spec, **{k: float(v) for k, v in zip(names, lo)}))
         return dict(zip(names, lo)), rep.power, rep.efficiency
 
-    def objective(x: np.ndarray) -> float:
-        params = {k: float(v) for k, v in zip(names, np.clip(x, lo, hi))}
-        try:
-            rep = run_otto(replace(spec, **params))
-        except BohrResolutionError:
-            return 0.0
-        return rep.power if rep.work > 0 else 0.0
+    def scores(points) -> list:
+        # the power of each point, 0 for a non-engine point or a Bohr
+        # collision, or the ValueError that evaluating it raises
+        out, specs, at = [], [], []
+        for x in points:
+            try:
+                specs.append(replace(spec, **dict(zip(names, map(float, np.clip(x, lo, hi))))))
+                at.append(len(out))
+                out.append(None)
+            except ValueError as exc:
+                out.append(exc)
+        for i, rep in zip(at, _otto_stack(specs) if specs else ()):
+            if isinstance(rep, BohrResolutionError):
+                out[i] = 0.0
+            elif isinstance(rep, ValueError):
+                out[i] = rep
+            else:
+                out[i] = rep.power if rep.work > 0 else 0.0
+        return out
 
     rng = np.random.default_rng(seed)
+    searches = [_nelder_mead_steps(lo + rng.uniform(0.15, 0.85, size=len(names)) * span,
+                                   lo, hi, max_evals, 1e-4, 1e-10) for _ in range(restarts)]
+    pending, results, failed = {}, {}, {}
+
+    def advance(r: int, value):
+        try:
+            pending[r] = searches[r].send(value)
+        except StopIteration as stop:
+            pending.pop(r, None)
+            results[r] = stop.value
+
+    for r in range(restarts):
+        advance(r, None)
     best_x = (lo + hi) / 2.0
-    best_p = objective(best_x)
+    best_p = None
+    while best_p is None or pending:
+        running = sorted(pending)
+        values = scores(([best_x] if best_p is None else []) + [pending[r] for r in running])
+        if best_p is None:
+            best_p = values.pop(0)
+            if isinstance(best_p, ValueError):
+                raise best_p
+        for r, value in zip(running, values):
+            if r not in pending:
+                continue
+            if isinstance(value, ValueError):
+                # the restarts from r on no longer decide the outcome
+                failed[r] = value
+                for q in [q for q in pending if q >= r]:
+                    del pending[q]
+            else:
+                advance(r, -value)
+    if failed:
+        raise failed[min(failed)]
     any_converged = False
-    for _ in range(restarts):
-        x0 = lo + rng.uniform(0.15, 0.85, size=len(names)) * span
-        x, fun, success = _nelder_mead(lambda p: -objective(p), x0, lo, hi,
-                                       max_evals, 1e-4, 1e-10)
+    for r in range(restarts):
+        x, fun, success = results[r]
         any_converged = any_converged or success
         if -fun > best_p:
             best_p = -fun
             best_x = np.clip(x, lo, hi)
-    if not any_converged:
+    if restarts and not any_converged:
         warnings.warn("power optimisation hit its evaluation cap in every "
                       "restart; returning the best point found", stacklevel=2)
     best = {k: float(v) for k, v in zip(names, best_x)}

@@ -221,6 +221,31 @@ def _state_spectra(stack: np.ndarray, vectors: bool = False):
     return evals, evecs
 
 
+def _density_matrices(stack: np.ndarray) -> list:
+    """A DensityMatrix of every member of a (n, d, d) stack, or the
+    ValueError that constructing it raises.  The stack is checked once
+    (:func:`_state_spectra`), and member by member only when that check
+    fails; each state's matrix is its member's, read-only."""
+    arr = np.array(stack, dtype=complex, order="C")
+    try:
+        _state_spectra(arr)
+    except ValueError:
+        out = []
+        for m in arr:
+            try:
+                out.append(DensityMatrix(m))
+            except ValueError as exc:
+                out.append(exc)
+        return out
+    arr.setflags(write=False)
+    states = []
+    for m in arr:
+        rho = object.__new__(DensityMatrix)  # checked above, with its own checks
+        object.__setattr__(rho, "mat", m)
+        states.append(rho)
+    return states
+
+
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
     return np.asarray(mat).reshape(-1, order="F")
@@ -282,34 +307,46 @@ def sandwich_superop(a: np.ndarray, b: np.ndarray) -> Superoperator:
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"cannot sandwich between shapes {a.shape} and {b.shape}")
-    d = a.shape[-1]
     if a.ndim == 3:
+        d = a.shape[-1]
         m = np.zeros((d * d, d * d), dtype=complex)
         for ak, bk in zip(a, b):
-            m += sandwich_superop(ak, bk).mat
+            m += _sandwich(ak, bk)
         return Superoperator(m)
+    return Superoperator(_sandwich(a, b))
+
+
+def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """B^T kron A for every pair of the (..., d, d) stacks ``a`` and ``b``,
+    as a (..., d^2, d^2) array whose members have the bits of the pairs
+    taken alone."""
+    d = a.shape[-1]
     # one broadcast outer product of contiguous operands, laid out as a
     # Kronecker product lays them out, so that it runs the same multiply
     # loop and gives the same bits; entry ((i, k), (j, l)) is B[j, i] A[k, l]
-    b_t = np.ascontiguousarray(b.T)[:, None, :, None]
-    a_c = np.ascontiguousarray(a)[None, :, None, :]
-    return Superoperator((b_t * a_c).reshape(d * d, d * d))
+    b_t = np.ascontiguousarray(b.swapaxes(-1, -2))[..., :, None, :, None]
+    a_c = np.ascontiguousarray(a)[..., None, :, None, :]
+    return (b_t * a_c).reshape(a.shape[:-2] + (d * d, d * d))
 
 
 def hamiltonian_superop(h: Operator | np.ndarray) -> Superoperator:
     """The commutator generator rho -> -i [H, rho]."""
     hm = h.mat if isinstance(h, Operator) else np.asarray(h, dtype=complex)
-    eye = np.eye(hm.shape[0])
-    return Superoperator(-1j * (sandwich_superop(hm, eye).mat - sandwich_superop(eye, hm).mat))
+    return Superoperator(_commutators(hm[None])[0])
+
+
+def _commutators(h: np.ndarray) -> np.ndarray:
+    """-i [H, .] of every member of a (n, d, d) stack, as (n, d^2, d^2)."""
+    eye = np.broadcast_to(np.eye(h.shape[-1]), h.shape)
+    return -1j * (_sandwich(h, eye) - _sandwich(eye, h))
 
 
 def dissipator_superop(v: np.ndarray, rates=None) -> Superoperator:
     """Lindblad dissipator rho -> sum_k r_k (V_k rho V_k^dag - (1/2){V_k^dag V_k, rho}).
 
     ``v`` is one d x d operator or a (K, d, d) stack; ``rates`` gives the
-    K weights r_k (all 1 when omitted).  The jump terms of the whole stack
-    come from one product over the flattened operators and the
-    anticommutator is added once, from G = sum_k r_k V_k^dag V_k.
+    K weights r_k (all 1 when omitted); the stack of one of
+    :func:`_dissipators`.
     """
     v = np.asarray(v, dtype=complex)
     d = v.shape[-1]
@@ -318,15 +355,25 @@ def dissipator_superop(v: np.ndarray, rates=None) -> Superoperator:
     r = np.ones(k) if rates is None else np.asarray(rates, dtype=float).reshape(-1)
     if r.shape != (k,):
         raise ValueError(f"{r.size} rates for {k} operators")
-    flat = stack.reshape(k, d * d)
+    return Superoperator(_dissipators(stack[None], r[None])[0])
+
+
+def _dissipators(v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The dissipators of n channel stacks, V (n, K, d, d) at the rates r
+    (n, K), as (n, d^2, d^2).  The jump terms of each stack come from one
+    product over its flattened operators and the anticommutator is added
+    once, from G = sum_k r_k V_k^dag V_k."""
+    n, k, d = v.shape[:3]
+    flat = v.reshape(n, k, d * d)
     # jump[(a, b), (i, j)] = sum_k r_k conj(V_k)[a, b] V_k[i, j]; the column-
     # stacked kron(conj(V), V) wants row (a, i) and column (b, j)
-    jump = (r[:, None] * flat.conj()).T @ flat
-    m = jump.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    g = stack.reshape(k * d, d).conj().T @ (r[:, None, None] * stack).reshape(k * d, d)
-    eye = np.eye(d)
-    m -= 0.5 * (sandwich_superop(g, eye).mat + sandwich_superop(eye, g).mat)
-    return Superoperator(m)
+    jump = (r[..., None] * flat.conj()).swapaxes(-1, -2) @ flat
+    m = jump.reshape(n, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(n, d * d, d * d)
+    g = (v.reshape(n, k * d, d).conj().swapaxes(-1, -2)
+         @ (r[..., None, None] * v).reshape(n, k * d, d))
+    eye = np.broadcast_to(np.eye(d), g.shape)
+    m -= 0.5 * (_sandwich(g, eye) + _sandwich(eye, g))
+    return m
 
 
 def adjoint_dissipator(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -440,13 +487,14 @@ def _cluster(values: np.ndarray, seg: np.ndarray, tol: np.ndarray):
     ``tol[segment]`` of the group's first value (its head).
 
     ``seg`` is the segment number of each value.  Returns the order that
-    sorts the values by segment, then value (ties in ``np.argsort``'s
-    order), the position in it where each group starts, the group of each
+    sorts the values by segment, then value (tied values in their input
+    order, so that the result does not depend on the CPU's sort kernel),
+    the position in it where each group starts, the group of each
     value, and the group centres with the bits of ``np.mean``: a lone
     value, or ``np.add.reduce`` over the size, summed per size on the rows
     of one array, which reduces each row as it reduces a lone one.
     """
-    order = values.argsort()
+    order = values.argsort(kind="stable")
     order = order[seg[order].argsort(kind="stable")]
     v, seg = values[order], seg[order]
     t = tol[seg]

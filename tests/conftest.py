@@ -13,4 +13,4 @@ def rng():
 def _fresh_isochore_cache():
     # call counts must not depend on which test warmed the Otto generator
     # cache first
-    machines._isochore_generator.cache_clear()
+    machines._isochores.clear()

@@ -1,16 +1,20 @@
 """Models and tools that only the tests use: a Haar-random unitary, two
 driven schedules with closed-form Floquet structure, the reconstruction
-check of a harmonic decomposition, and the per-value clustering loop
-that is the reference of the segmented kernel."""
+check of a harmonic decomposition, the per-value clustering loop that is
+the reference of the segmented kernel, and the restart-after-restart
+power search that is the reference of the lockstep one."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from qthermo import machines
 from qthermo.floquet import FloquetChannel, FloquetDecomposition
+from qthermo.lindblad import BohrResolutionError
 from qthermo.operators import PAULI_X, PAULI_Y, PAULI_Z, Operator
 from qthermo.tolerances import LEVEL_MERGE_REL
 
@@ -93,7 +97,7 @@ def loop_group_degenerate(values, tol: float | None = None) -> list[np.ndarray]:
     if tol is None:
         spread = float(values.max() - values.min()) if values.size else 0.0
         tol = LEVEL_MERGE_REL * max(spread, 1.0)
-    order = np.argsort(values)
+    order = np.argsort(values, kind="stable")
     groups: list[list[int]] = []
     head = None
     for idx in order:
@@ -104,3 +108,44 @@ def loop_group_degenerate(values, tol: float | None = None) -> list[np.ndarray]:
         else:
             groups[-1].append(idx)
     return [np.array(g, dtype=int) for g in groups]
+
+
+def sequential_optimize_power(spec, free, seed=7, restarts=3, max_evals=200, trace=None):
+    """`machines.optimize_power` with its restarts run one after another,
+    each driving `machines._nelder_mead` with one `machines.run_otto` per
+    point, and the evaluation-cap warning only when a restart ran.  When
+    ``trace`` is a list, it receives (restart, parameters) for every
+    evaluated point in order, restart -1 being the box's midpoint."""
+    names = list(free)
+    lo = np.array([free[k][0] for k in names], dtype=float)
+    hi = np.array([free[k][1] for k in names], dtype=float)
+    span = hi - lo
+
+    def objective(x, restart):
+        params = {k: float(v) for k, v in zip(names, np.clip(x, lo, hi))}
+        if trace is not None:
+            trace.append((restart, params))
+        try:
+            rep = machines.run_otto(replace(spec, **params))
+        except BohrResolutionError:
+            return 0.0
+        return rep.power if rep.work > 0 else 0.0
+
+    rng = np.random.default_rng(seed)
+    best_x = (lo + hi) / 2.0
+    best_p = objective(best_x, -1)
+    any_converged = False
+    for r in range(restarts):
+        x0 = lo + rng.uniform(0.15, 0.85, size=len(names)) * span
+        x, fun, success = machines._nelder_mead(lambda p: -objective(p, r), x0, lo, hi,
+                                                max_evals, 1e-4, 1e-10)
+        any_converged = any_converged or success
+        if -fun > best_p:
+            best_p = -fun
+            best_x = np.clip(x, lo, hi)
+    if restarts and not any_converged:
+        warnings.warn("power optimisation hit its evaluation cap in every "
+                      "restart; returning the best point found", stacklevel=2)
+    best = {k: float(v) for k, v in zip(names, best_x)}
+    rep = machines.run_otto(replace(spec, **best))
+    return best, rep.power, rep.efficiency

@@ -334,6 +334,26 @@ class TestTrajectoryLedger:
         assert led.first_law_residual() <= 1e-6 * led.current_scale()
 
 
+def test_liouvillian_stack_is_bitwise_each_generator_alone():
+    # generators with different channel counts in one stack, among them one
+    # with no coupling above the rate floor, get the bits of liouvillian()
+    # the evenly spaced middle member merges its two gaps into one channel
+    h = [Operator.hermitian(np.diag(levels)) for levels in
+         ([0.0, 1.0, 2.5], [0.0, 1.3, 2.6], [0.0, 0.7, 1.75])]
+    a = np.diag([1.0, 1.0], k=1)
+    s = Operator.hermitian(a + a.T + 0.2 * np.diag([1.0, -1.0, 0.5]))
+    s2 = Operator.hermitian(s.mat @ s.mat)
+    assert len({len(gen.channels) for gen in _davies_stack(h, [(s, ohmic_bath("b", 1.0))])}) == 2
+    for couplings in ([(s, ohmic_bath("b", 1.0))],
+                      [(s, ohmic_bath("b", 1.0)), (s2, ohmic_bath("c", 0.3))],
+                      [(s, replace(ohmic_bath("b", 1.0), coupling=0.0))], []):
+        stacked = _davies_stack(h, couplings)
+        alone = [build_davies(x, couplings) for x in h]
+        lindblad._liouvillian_stack(stacked)
+        for got, ref in zip(stacked, alone):
+            assert got.liouvillian().mat.tobytes() == ref.liouvillian().mat.tobytes()
+
+
 class TestAdiabaticDriving:
     def test_constant_schedule_matches_trajectory(self):
         bath = ohmic_bath("b", 1.0)
@@ -456,6 +476,79 @@ class TestAdiabaticDriving:
                                   dh_dt=lambda t: Operator.hermitian(0.05 * PAULI_Z), substeps=2)
         assert sum(checked) == 41 + 40
         assert led.states == []
+
+    def test_one_generator_stack_per_block_of_grid_steps(self, monkeypatch):
+        # a 41-point ramp with two substeps reads 121 generators, all from
+        # one stack; a 130-point grid takes blocks of 64, 64 and 1 steps
+        stacks = []
+        original = lindblad._davies_stack
+
+        def counting(hs, couplings):
+            stacks.append(len(hs))
+            return original(hs, couplings)
+
+        monkeypatch.setattr(lindblad, "_davies_stack", counting)
+        couplings = [(Operator.hermitian(PAULI_X), ohmic_bath("b", 1.0))]
+        rho0 = DensityMatrix(np.diag([0.7, 0.3]))
+        adiabatic_propagate(lambda t: qubit_h(1.0 + 0.1 * t), couplings, rho0,
+                            np.linspace(0.0, 2.0, 41), substeps=2)
+        assert stacks == [1 + 40 * 3]
+        stacks.clear()
+        adiabatic_propagate(lambda t: qubit_h(1.0 + 0.1 * t), couplings, rho0,
+                            np.linspace(0.0, 2.0, 130))
+        assert stacks == [1 + 64 * 2, 64 * 2, 1 * 2]
+
+    @pytest.mark.parametrize("substeps, points", [(1, 9), (2, 41), (3, 70)])
+    def test_ledger_bitwise_the_per_point_builds(self, substeps, points):
+        couplings = [(Operator.hermitian(PAULI_X), ohmic_bath("c", 0.5, gamma=0.3)),
+                     (Operator.hermitian(PAULI_X + 0.5 * PAULI_Z), ohmic_bath("h", 2.0))]
+
+        def h_of_t(t):
+            return Operator.hermitian(0.5 * (1.0 + 0.2 * t) * PAULI_Z + 0.1 * PAULI_X)
+
+        rho0 = random_density(2, np.random.default_rng(5))
+        grid = np.linspace(0.0, 3.0, points)
+        got = adiabatic_propagate(h_of_t, couplings, rho0, grid, keep_states=True,
+                                  substeps=substeps)
+        ref = _per_point_ledger(h_of_t, couplings, rho0, grid, substeps)
+        for col in ("energy", "power", "entropy", "entropy_production"):
+            assert getattr(got, col).tobytes() == ref[col].tobytes()
+        assert list(got.currents) == list(ref["currents"])
+        for k, j in got.currents.items():
+            assert j.tobytes() == ref["currents"][k].tobytes()
+        assert [s.mat.tobytes() for s in got.states] == [r.tobytes() for r in ref["states"]]
+
+    def test_a_collision_is_raised_where_the_loop_reads_it(self, monkeypatch):
+        # the generator of the 5th grid time collides: the four grid times
+        # before it are recorded first, and a state check that fails at the
+        # 3rd grid time is the error reported
+        couplings = [(Operator.hermitian(PAULI_X), ohmic_bath("b", 1.0))]
+        grid = np.linspace(0.0, 1.0, 9)
+        rho0 = DensityMatrix(np.diag([0.7, 0.3]))
+        stack, columns = lindblad._davies_stack, lindblad._ledger_columns
+        recorded, fail_at = [], None
+
+        def colliding(hs, cs):
+            # one substep per grid step: grid time k is member 2 k
+            out = stack(hs, cs)
+            out[2 * 4] = BohrResolutionError("collision at the 5th grid time")
+            return out
+
+        def checked(gen, rho):
+            recorded.append(gen)
+            if len(recorded) == fail_at:
+                raise ValueError("state check failed at the 3rd grid time")
+            return columns(gen, rho)
+
+        monkeypatch.setattr(lindblad, "_davies_stack", colliding)
+        monkeypatch.setattr(lindblad, "_ledger_columns", checked)
+        with pytest.raises(BohrResolutionError, match="5th grid time"):
+            adiabatic_propagate(lambda t: qubit_h(1.0 + t), couplings, rho0, grid)
+        assert len(recorded) == 4
+        recorded.clear()
+        fail_at = 3
+        with pytest.raises(ValueError, match="3rd grid time"):
+            adiabatic_propagate(lambda t: qubit_h(1.0 + t), couplings, rho0, grid)
 
     def test_coarse_grid_warns_and_refines(self):
         bath = ohmic_bath("b", 1.0)
@@ -1171,3 +1264,36 @@ class TestBlockLedgerAgainstPointLoop:
         kept = trajectory(gen, DensityMatrix.pure([1.0, 0.0]), grid, keep_states=True)
         assert all(isinstance(s, DensityMatrix) for s in kept.states)
         assert ledger_csv(kept) == ledger_csv(led)
+
+
+def _per_point_ledger(h_of_t, couplings, rho0, grid, substeps):
+    """adiabatic_propagate's ledger with one build_davies per substep and
+    per grid point, on a grid that needs no refinement."""
+    n = len(grid)
+    cols = {k: np.zeros(n) for k in ("energy", "power", "entropy", "entropy_production")}
+    currents = {bath.label: np.zeros(n) for _, bath in couplings}
+    states = []
+    rho = rho0.mat
+
+    def record(i, t):
+        gen = build_davies(h_of_t(t), couplings)
+        row = slice(i, i + 1)
+        cols["energy"][row], cols["entropy"][row], cols["entropy_production"][row], js = \
+            lindblad._ledger_columns(gen, rho[None])
+        for k, j in js.items():
+            currents[k][row] = j
+        eps = max(1e-7, 1e-7 * abs(t))
+        lo, span = (h_of_t(t - eps), 2 * eps) if t - eps >= grid[0] else (h_of_t(t), eps)
+        cols["power"][i] = -float(np.real(np.trace(rho @ ((h_of_t(t + eps).mat - lo.mat) / span))))
+        states.append(rho)
+
+    record(0, grid[0])
+    for i in range(1, n):
+        sub = np.linspace(grid[i - 1], grid[i], substeps + 1)
+        for j in range(substeps):
+            gen = build_davies(h_of_t(0.5 * (sub[j] + sub[j + 1])), couplings)
+            m = scipy.linalg.expm(gen.liouvillian().mat * (sub[j + 1] - sub[j]))
+            out = unvec(m @ vec(rho), rho0.dim)
+            rho = (out + out.conj().T) / 2.0
+        record(i, grid[i])
+    return {**cols, "currents": currents, "states": states}

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,13 +17,13 @@ from qthermo.baths import BathSpec
 from qthermo.lindblad import build_davies
 from qthermo.machines import (
     _PROTOCOLS,
-    _adiabat_superop,
+    _adiabat_superops,
     _nelder_mead,
     _transfer_superop,
     _tricycle_couplings,
     _tricycle_hamiltonian,
     _tricycle_pieces,
-    _walk_cycle,
+    _walk_states,
     CycleSpec,
     OscillatorMedium,
     QubitMedium,
@@ -61,7 +63,7 @@ from qthermo.states import (
 )
 from qthermo.tolerances import ALGEBRAIC
 
-from models import random_unitary
+from models import random_unitary, sequential_optimize_power
 
 
 def ohmic(label, t, gamma=0.2):
@@ -332,7 +334,7 @@ class TestStrokeSuperopsBitwise:
         for medium in (QubitMedium(transverse=transverse), OscillatorMedium(levels=levels)):
             _, v_s = eig_hermitian(medium.hamiltonian(omega_start))
             _, v_e = eig_hermitian(medium.hamiltonian(omega_end))
-            got = _adiabat_superop(medium, spec, v_s.mat, v_e.mat).mat
+            got = _adiabat_superops(medium, "adiabatic", [spec], v_s.mat[None], v_e.mat[None])[0]
             assert got.tobytes() == _kron_adiabat(medium, spec).tobytes()
 
 
@@ -507,9 +509,10 @@ def _reference_friction(spec):
             continue
         e_in = float(np.real(np.trace(rho_in.mat @ op.h_in.mat)))
         e_actual = float(np.real(np.trace(rho.mat @ op.h_out.mat))) - e_in
-        ideal = _adiabat_superop(spec.medium, replace(op.spec, protocol="adiabatic"),
-                                 gens[op.spec.omega_start].eigenbasis()[1].mat,
-                                 gens[op.spec.omega_end].eigenbasis()[1].mat)
+        v_start = gens[op.spec.omega_start].eigenbasis()[1].mat
+        v_end = gens[op.spec.omega_end].eigenbasis()[1].mat
+        ideal = Superoperator(_adiabat_superops(spec.medium, "adiabatic", [op.spec],
+                                                v_start[None], v_end[None])[0])
         e_ideal = float(np.real(np.trace(ideal.apply(rho_in).mat @ op.h_out.mat))) - e_in
         extra_work += e_actual - e_ideal
         gap = shannon_entropy_in_basis(rho, op.h_out) - von_neumann_entropy(rho)
@@ -556,7 +559,7 @@ class TestOneWalkPerReport:
 
     def test_reports_make_no_convergence_walk(self, monkeypatch):
         entropies = _count_calls(monkeypatch, states._relative_entropy_of_spectra)
-        walks = _count_calls(monkeypatch, machines._walk_cycle)
+        walks = _count_calls(monkeypatch, machines._walk_states)
         spec = engine_spec(medium=QubitMedium(transverse=0.5), protocol="sudden",
                            tau_h=1.0, tau_c=1.0)
         run_otto(spec)
@@ -575,7 +578,7 @@ class TestIsochoreCache:
         calls = _count_calls(monkeypatch, operators.eig_hermitian)
         for protocol in _PROTOCOLS:
             for dephase in (False, True):
-                machines._isochore_generator.cache_clear()
+                machines._isochores.clear()
                 spec = engine_spec(medium=QubitMedium(transverse=0.5), protocol=protocol,
                                    dephase_after_adiabats=dephase)
                 calls.clear()
@@ -588,27 +591,31 @@ class TestIsochoreCache:
 
     @pytest.mark.filterwarnings("ignore:power optimisation hit its evaluation cap")
     def test_optimize_power_builds_each_stroke_generator_once(self, monkeypatch):
-        calls = _count_calls(monkeypatch, lindblad.build_davies)
-        runs = _count_calls(monkeypatch, machines.run_otto)
+        stacks = _count_calls(monkeypatch, lindblad._davies_stack)
+        cycles = _count_calls(monkeypatch, machines._otto_stack)
         spec = CycleSpec(
             medium=QubitMedium(), omega_h=6.0, omega_c=3.0,
             bath_h=ohmic("hot", 4.0, gamma=2.0), bath_c=ohmic("cold", 1.0, gamma=2.0),
             tau_h=2.0, tau_c=2.0, tau_hc=0.01, tau_ch=0.01,
         )
         optimize_power(spec, {"omega_c": (1.8, 5.4), "tau_h": (0.3, 6.0), "tau_c": (0.3, 6.0)},
-                       restarts=1, max_evals=20)
-        keys = {(h.mat.tobytes(), couplings[0][1]) for h, couplings in calls}
-        assert len(calls) == len(keys)
+                       restarts=2, max_evals=12)
+        built = [(h.mat.tobytes(), couplings[0][1]) for hs, couplings in stacks for h in hs]
+        assert len(built) == len(set(built))
         # the hot stroke is shared by every evaluation
-        assert len(calls) < 2 * len(runs)
-        assert len(calls) <= machines._isochore_generator.cache_info().maxsize
+        assert len(built) < 2 * sum(len(specs) for (specs,) in cycles)
+        assert len(built) <= machines._ISOCHORE_CACHE
+        # at most one build per bath and stack of cycles, and the two
+        # restarts' points share the stacks
+        assert len(stacks) <= 2 * len(cycles)
+        assert max(len(hs) for hs, _ in stacks) > 1
 
     def test_cached_arrays_reject_writes_and_the_cache_is_bounded(self):
-        maxsize = machines._isochore_generator.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < math.inf
+        maxsize = machines._ISOCHORE_CACHE
+        assert 0 < maxsize < math.inf
         for medium in (QubitMedium(transverse=0.3), OscillatorMedium(levels=4)):
-            gen = machines._isochore_generator(medium, 1.0, ohmic("hot", 1.0))
-            assert machines._isochore_generator(medium, 1.0, ohmic("hot", 1.0)) is gen
+            (gen,) = machines._isochore_generators(medium, [(1.0, ohmic("hot", 1.0))])
+            assert machines._isochore_generators(medium, [(1.0, ohmic("hot", 1.0))])[0] is gen
             assert isinstance(gen.channels, tuple)
             evals, v = gen.eigenbasis()
             arrays = [gen.h.mat, evals, v.mat, gen.liouvillian().mat, gen.dissipator().mat]
@@ -616,6 +623,14 @@ class TestIsochoreCache:
             for arr in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
+        # one stack of more points than the bound keeps the most recent ones
+        medium, bath = QubitMedium(transverse=0.3), ohmic("hot", 1.0)
+        points = [(1.0 + 0.01 * k, bath) for k in range(maxsize + 8)]
+        gens = machines._isochore_generators(medium, points + points[:1])
+        assert gens[-1] is gens[0]
+        assert len(machines._isochores) == maxsize
+        assert machines._isochore_generators(medium, points[-1:])[0] is gens[-2]
+        assert machines._isochore_generators(medium, points[:1])[0] is not gens[0]
 
 
 def _non_positive_map():
@@ -647,17 +662,22 @@ class TestNonPositiveStroke:
 
     def test_walk_raises_the_message_of_the_first_bad_state(self):
         # the state after the bad stroke has a negative eigenvalue and the
-        # one after the next has trace 1.5; the earlier fault is reported
-        h = QubitMedium().hamiltonian(1.0)
-        stroke = StrokeSpec(kind="adiabat", duration=0.0, protocol="sudden", label="injected")
-        superops = [identity_superop(2), _non_positive_map(), Superoperator(1.5 * np.eye(4))]
-        ops = [machines.StrokeOp(spec=stroke, superop=s, h_in=h, h_out=h) for s in superops]
+        # one after the next has trace 1.5; the earlier fault is reported,
+        # for the bad walk alone, between two good walks of one stack
+        faults = [_non_positive_map(), Superoperator(1.5 * np.eye(4))]
         rho = DensityMatrix.maximally_mixed(2)
-        expected = _parent_message(superops, rho)
-        assert "negative eigenvalue" in expected
-        with pytest.raises(ValueError) as err:
-            _walk_cycle(ops, rho.mat)
-        assert str(err.value) == expected
+        good = [identity_superop(2).mat] * 3
+        # the first bad state right after the first stroke, then after the second
+        for superops in (faults + [identity_superop(2)], [identity_superop(2)] + faults):
+            expected = _parent_message(superops, rho)
+            assert "negative eigenvalue" in expected
+            bad = [s.mat for s in superops]
+            rhos, errors = _walk_states(np.array([good, bad, good]), np.array([rho.mat] * 3))
+            assert errors[0] is None and errors[2] is None
+            assert isinstance(errors[1], ValueError) and str(errors[1]) == expected
+            alone, (error,) = _walk_states(np.array([bad]), rho.mat[None])
+            assert str(error) == expected
+            assert alone[0].tobytes() == rhos[1].tobytes()
 
 
 def test_first_non_cptp_stroke_in_time_order_is_reported(monkeypatch):
@@ -665,19 +685,21 @@ def test_first_non_cptp_stroke_in_time_order_is_reported(monkeypatch):
     # compression (fourth) is CP but has trace 1.5: the stacked check
     # reports the expansion alone, with its own Choi eigenvalue and drift
     faulty = {"expansion": _non_positive_map(), "compression": Superoperator(1.5 * np.eye(4))}
-    ideal = _adiabat_superop
+    ideal = _adiabat_superops
 
-    def injected(medium, spec, v_start, v_end):
-        if spec.label in faulty:
-            return faulty[spec.label]
-        return ideal(medium, spec, v_start, v_end)
+    def injected(medium, kind, strokes, v_start, v_end):
+        out = np.array(ideal(medium, kind, strokes, v_start, v_end))
+        for j, st_ in enumerate(strokes):
+            if st_.label in faulty:
+                out[j] = faulty[st_.label].mat
+        return out
 
     def message(label):
         sop = faulty[label]
         return (f"stroke {label!r} is not CPTP (choi min eig {cp_check(sop)[1]:.3e}, "
                 f"trace drift {sop.trace_preservation_residual():.3e})")
 
-    monkeypatch.setattr(machines, "_adiabat_superop", injected)
+    monkeypatch.setattr(machines, "_adiabat_superops", injected)
     spec = engine_spec()
     assert [st_.label for st_ in spec.strokes()][1::2] == ["expansion", "compression"]
     expected = message("expansion")
@@ -688,6 +710,16 @@ def test_first_non_cptp_stroke_in_time_order_is_reported(monkeypatch):
     with pytest.raises(ValueError) as err:
         run_otto(spec)
     assert str(err.value) == expected
+    # in a stack, each cycle reports its own first failing stroke
+    fine = replace(spec, omega_h=3.0)
+    monkeypatch.setattr(machines, "_adiabat_superops", lambda medium, kind, strokes, *v: np.array([
+        faulty[st_.label].mat if st_.omega_start == spec.omega_h else m
+        for st_, m in zip(strokes, ideal(medium, kind, strokes, *v))
+    ]))
+    reports = machines._otto_stack([fine, spec, fine])
+    assert str(reports[1]) == expected
+    assert _bits(reports[0].work) == _bits(reports[2].work) == _bits(run_otto(fine).work)
+    monkeypatch.setattr(machines, "_adiabat_superops", injected)
     # with the expansion ideal again, the compression fails on its drift
     del faulty["expansion"]
     assert cp_check(faulty["compression"])[0]
@@ -710,11 +742,15 @@ class TestOptimizePower:
 
     def test_otto_optimize_config_runs_428_cycles(self, monkeypatch):
         # the midpoint, three restarts of at most 200 evaluations and the
-        # final report, as many as SciPy's search made
-        runs = _count_calls(monkeypatch, machines.run_otto)
+        # final report, as many as SciPy's search made; the restarts of
+        # 128, 147 and 151 evaluations run in lockstep, so the midpoint
+        # rides in the first of 151 stacks and the report is the 152nd
+        stacks = _count_calls(monkeypatch, machines._otto_stack)
         spec, free = _otto_optimize_config()
         optimize_power(spec, free, seed=11)
-        assert len(runs) == 428
+        sizes = [len(specs) for (specs,) in stacks]
+        assert sum(sizes) == 428
+        assert sizes == [4] + [3] * 127 + [2] * (147 - 128) + [1] * (151 - 147) + [1]
 
     @pytest.mark.filterwarnings("ignore:power optimisation hit its evaluation cap")
     def test_only_bohr_collisions_score_zero(self, monkeypatch):
@@ -724,21 +760,37 @@ class TestOptimizePower:
 
         spec = engine_spec()
         free = {"tau_h": (2.0, 6.0)}
-        run = machines.run_otto
+        stack = machines._otto_stack
         calls = []
 
         def failing(error):
-            def otto(cycle):
-                calls.append(cycle)
-                if len(calls) == 2:
-                    raise error
-                return run(cycle)
+            def otto(cycles):
+                out = stack(cycles)
+                for j, cycle in enumerate(cycles):
+                    calls.append(cycle)
+                    if len(calls) == 2:
+                        out[j] = error
+                return out
             return otto
 
-        monkeypatch.setattr(machines, "run_otto", failing(BohrResolutionError("collision")))
-        optimize_power(spec, free, restarts=1, max_evals=10)
+        monkeypatch.setattr(machines, "_otto_stack", failing(BohrResolutionError("collision")))
+        best, power, _ = optimize_power(spec, free, restarts=1, max_evals=10)
+        # the collision scored zero: the search is that of a zero there
+        scored = []
+
+        def zero_at_second(cycles):
+            out = stack(cycles)
+            for j, cycle in enumerate(cycles):
+                scored.append(cycle)
+                if len(scored) == 2:
+                    out[j] = replace(out[j], work=0.0)
+            return out
+
+        monkeypatch.setattr(machines, "_otto_stack", zero_at_second)
+        best_zero, power_zero, _ = optimize_power(spec, free, restarts=1, max_evals=10)
+        assert _bits([*best.values(), power]) == _bits([*best_zero.values(), power_zero])
         calls.clear()
-        monkeypatch.setattr(machines, "run_otto",
+        monkeypatch.setattr(machines, "_otto_stack",
                             failing(ValueError("fixed point is not a positive state")))
         with pytest.raises(ValueError, match="not a positive state"):
             optimize_power(spec, free, restarts=1, max_evals=10)
@@ -840,19 +892,198 @@ class TestNelderMeadAgainstScipy:
         assert len(points) == 21 and not success
 
     def test_one_restart_of_the_otto_optimize_objective(self, monkeypatch):
-        # optimize_power's own objective, compared inside the real search
+        # optimize_power's own objective, compared inside the real search:
+        # the points that the lockstep search has evaluated, with the values
+        # it is sent, are those of SciPy's search on the same values
         spec, free = _otto_optimize_config()
+        steps = machines._nelder_mead_steps
         searched = []
 
-        def compared(f, x0, lo, hi, maxfev, xatol, fatol):
+        def recorded(x0, lo, hi, maxfev, xatol, fatol):
             assert (maxfev, xatol, fatol) == (200, 1e-4, 1e-10)
-            points, result = _searches(f, x0, lo, hi, maxfev)
-            searched.append(points)
-            return result
+            trace = {"start": (x0, lo, hi), "points": [], "values": {}}
+            searched.append(trace)
+            search, value = steps(x0, lo, hi, maxfev, xatol, fatol), None
+            try:
+                while True:
+                    x = search.send(value)
+                    trace["points"].append(x.tobytes())
+                    value = yield x
+                    trace["values"][x.tobytes()] = value
+            except StopIteration as stop:
+                trace["result"] = stop.value
+                return stop.value
 
-        monkeypatch.setattr(machines, "_nelder_mead", compared)
+        monkeypatch.setattr(machines, "_nelder_mead_steps", recorded)
         optimize_power(spec, free, seed=11, restarts=1)
-        assert len(searched) == 1 and len(searched[0]) > 20
+        (trace,) = searched
+        points, (x, fun, success) = _searches(lambda p: trace["values"][p.tobytes()],
+                                              *trace["start"], 200)
+        assert points == trace["points"] and len(points) > 20
+        x_ref, fun_ref, success_ref = trace["result"]
+        assert x.tobytes() == x_ref.tobytes() and _bits(fun) == _bits(fun_ref)
+        assert success is success_ref
+
+
+def _outcome(search, *args, **kwargs):
+    """The result bits, or the error message, and the warnings of a search."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            best, power, eta = search(*args, **kwargs)
+            result = (list(best), _bits([*best.values(), power]),
+                      None if eta is None else _bits(eta))
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestLockstepRestarts:
+    """optimize_power runs its restarts in lockstep with the outcome of
+    running them one after another (`models.sequential_optimize_power`)."""
+
+    @pytest.mark.parametrize("case", ["shipped", "capped", "one-parameter", "ramp",
+                                      "oscillator-dephased", "no-restarts"])
+    def test_same_bits_and_warning_as_restart_after_restart(self, case):
+        spec, free = _otto_optimize_config()
+        kwargs = dict(seed=11)
+        if case == "capped":
+            kwargs = dict(seed=3, restarts=2, max_evals=30)
+        elif case == "one-parameter":
+            free, kwargs = {"tau_h": (0.3, 6.0)}, dict(seed=5, restarts=4, max_evals=40)
+        elif case == "ramp":
+            spec = replace(spec, medium=QubitMedium(transverse=0.4), protocol="linear-ramp",
+                           tau_hc=0.2, tau_ch=0.2)
+            free = {"omega_c": (1.0, 5.0), "tau_hc": (0.05, 0.5)}
+            kwargs = dict(seed=2, max_evals=40)
+        elif case == "oscillator-dephased":
+            spec = replace(spec, medium=OscillatorMedium(levels=4), dephase_after_adiabats=True,
+                           order="refrigerator")
+            free, kwargs = {"omega_c": (1.0, 5.0), "tau_c": (0.3, 4.0)}, dict(seed=9, max_evals=30)
+        elif case == "no-restarts":
+            kwargs = dict(seed=11, restarts=0)
+        got = _outcome(optimize_power, spec, free, **kwargs)
+        assert got == _outcome(sequential_optimize_power, spec, free, **kwargs)
+        assert got[1] == ([] if case in ("shipped", "no-restarts", "one-parameter") else
+                          [(UserWarning, "power optimisation hit its evaluation cap in every "
+                                         "restart; returning the best point found")])
+
+    def test_no_restart_gives_no_evaluation_cap_warning(self):
+        # no restart ran, so none hit its cap: the midpoint is the answer
+        spec, free = _otto_optimize_config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best, power, _ = optimize_power(spec, free, restarts=0)
+        mid = {k: (lo + hi) / 2.0 for k, (lo, hi) in free.items()}
+        assert best == mid
+        assert _bits(power) == _bits(run_otto(replace(spec, **mid)).power)
+
+    @pytest.mark.parametrize("failing", [(1, 0), (1,), (0, 2), (-1, 0)])
+    def test_the_error_of_the_earliest_restart_surfaces(self, monkeypatch, failing):
+        # a non-Bohr error injected at one point of each listed restart (-1
+        # the midpoint): restart 1 fails at its 3rd point, before restart 0
+        # fails at its 40th in lockstep order, yet restart 0's error is the
+        # one that running the restarts in turn raises
+        spec, free = _otto_optimize_config()
+        trace = []
+        sequential_optimize_power(spec, free, seed=11, trace=trace)
+        points = {}
+        for r, params in trace:
+            points.setdefault(r, []).append(tuple(params.values()))
+        counts = {}
+        for pts in points.values():
+            for p in pts:
+                counts[p] = counts.get(p, 0) + 1
+        at = {-1: 0, 0: 39, 1: 2, 2: 5}
+        bad = {}
+        for r in failing:
+            p = points[r][at[r]]
+            assert counts[p] == 1
+            bad[p] = ValueError(f"injected into restart {r}")
+        stack = machines._otto_stack
+        names = list(free)
+
+        def injected(cycles):
+            out = stack(cycles)
+            for j, cycle in enumerate(cycles):
+                key = tuple(getattr(cycle, k) for k in names)
+                if key in bad:
+                    out[j] = bad[key]
+            return out
+
+        monkeypatch.setattr(machines, "_otto_stack", injected)
+        got = _outcome(optimize_power, spec, free, seed=11)
+        assert got == _outcome(sequential_optimize_power, spec, free, seed=11)
+        assert got[0] == (ValueError, f"injected into restart {min(failing)}")
+
+
+_STACK_MEDIA = st.one_of(_MEDIA, st.just(QubitMedium()))
+
+
+class TestOttoStackMemberByMember:
+    """Each member of a stack of cycles is its cycle evaluated alone."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_STACK_MEDIA, st.sampled_from(_PROTOCOLS), st.sampled_from(["engine", "refrigerator"]),
+           st.booleans(),
+           st.lists(st.tuples(st.sampled_from(["plain", "plain", "cold-collision",
+                                               "both-collide"]),
+                              st.floats(min_value=0.3, max_value=1.5),
+                              st.floats(min_value=1.2, max_value=3.0),
+                              st.lists(st.floats(min_value=0.02, max_value=1.0),
+                                       min_size=4, max_size=4)),
+                    min_size=1, max_size=5))
+    def test_bitwise_the_cycle_alone(self, medium, protocol, order, dephase, points):
+        specs = []
+        for kind, omega_c, ratio, taus in points:
+            omega_h = ratio * omega_c
+            if kind != "plain":  # gaps of about 1e-7 that can be neither merged nor resolved
+                omega_c = 1e-7 * omega_c
+                omega_h = ratio * omega_c if kind == "both-collide" else omega_h
+            specs.append(CycleSpec(
+                medium=medium, omega_h=omega_h, omega_c=omega_c,
+                bath_h=ohmic("hot", 2.0, gamma=1.0), bath_c=ohmic("cold", 0.5, gamma=1.0),
+                tau_h=8 * taus[0], tau_c=8 * taus[1], tau_hc=taus[2], tau_ch=taus[3],
+                protocol=protocol, order=order, dephase_after_adiabats=dephase,
+            ))
+        specs.append(specs[0])
+        alone = []
+        for spec in specs:
+            machines._isochores.clear()
+            try:
+                alone.append(run_otto(spec))
+            except ValueError as exc:
+                alone.append(exc)
+        machines._isochores.clear()
+        for got, ref in zip(machines._otto_stack(specs), alone, strict=True):
+            if isinstance(ref, ValueError):
+                assert type(got) is type(ref) and str(got) == str(ref)
+                continue
+            fields = [getattr(got, f.name) for f in dataclasses.fields(got)]
+            ref_fields = [getattr(ref, f.name) for f in dataclasses.fields(ref)]
+            assert repr(fields) == repr(ref_fields)
+            assert _bits([x for x in fields if isinstance(x, float)]) \
+                == _bits([x for x in ref_fields if isinstance(x, float)])
+
+    def test_a_stack_mixes_collisions_and_cycles(self):
+        from qthermo.lindblad import BohrResolutionError
+
+        spec = engine_spec(medium=OscillatorMedium(levels=3))
+        specs = [spec, replace(spec, omega_c=1e-7), replace(spec, omega_h=3e-7, omega_c=1e-7),
+                 replace(spec, tau_h=3.0)]
+        reports = machines._otto_stack(specs)
+        assert isinstance(reports[1], BohrResolutionError) and "'cold'" in str(reports[1])
+        assert isinstance(reports[2], BohrResolutionError) and "'hot'" in str(reports[2])
+        for i in (0, 3):
+            assert _bits(reports[i].work) == _bits(run_otto(specs[i]).work)
+
+    def test_a_stack_shares_its_medium_and_structure(self):
+        spec = engine_spec()
+        for other in (replace(spec, protocol="sudden"), replace(spec, order="refrigerator"),
+                      replace(spec, dephase_after_adiabats=True),
+                      replace(spec, medium=QubitMedium(transverse=0.1))):
+            with pytest.raises(ValueError, match="must share their medium"):
+                machines._otto_stack([spec, other])
 
 
 class TestSuddenLimit:

@@ -10,7 +10,11 @@ from qthermo.operators import (
     _bin_frequencies,
     _choi_stack,
     _cluster,
+    _commutators,
+    _density_matrices,
+    _dissipators,
     _first_nonhermitian,
+    _sandwich,
     _state_spectra,
     PAULI_X,
     PAULI_Y,
@@ -268,6 +272,24 @@ class TestStackedDissipator:
             assert np.max(np.abs(t - dual)) <= ALGEBRAIC
         assert np.max(np.abs(adjoint_dissipator(ops[0], x) - terms[0])) <= ALGEBRAIC
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([1, 2, 3, 8]), st.integers(min_value=0, max_value=6),
+           st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10 ** 9))
+    def test_stacks_are_bitwise_their_members(self, d, k, n, seed):
+        # n channel stacks, n Hamiltonians and n sandwich pairs at once give
+        # the bits of each member alone
+        rng = np.random.default_rng(seed)
+        ops = _with_zeros(rng, (n, k, d, d))
+        rates = rng.uniform(0.0, 2.0, size=(n, k))
+        h = _with_zeros(rng, (n, d, d))
+        h = (h + h.conj().swapaxes(-1, -2)) / 2.0
+        a, b = _with_zeros(rng, (n, d, d)), _with_zeros(rng, (n, d, d))
+        for i, (m, c, s) in enumerate(zip(_dissipators(ops, rates), _commutators(h),
+                                          _sandwich(a, b))):
+            assert _same_bits(m, dissipator_superop(ops[i], rates[i]).mat)
+            assert _same_bits(c, hamiltonian_superop(h[i]).mat)
+            assert _same_bits(s, sandwich_superop(a[i], b[i]).mat)
+
     def test_empty_stack_is_zero(self):
         m = dissipator_superop(np.zeros((0, 3, 3)), np.zeros(0)).mat
         assert m.shape == (9, 9) and not np.any(m)
@@ -448,6 +470,27 @@ class TestStackedStateChecks:
         assert str(err.value) == str(single.value)
 
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=8),
+           st.data(), st.integers(min_value=0, max_value=10 ** 9))
+    def test_density_matrices_are_checked_member_by_member(self, d, n, data, seed):
+        # each member is the DensityMatrix of its matrix alone, or the error
+        # constructing it raises, whichever members are spoiled
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_density(d, rng).mat for _ in range(n)])
+        faults = ["trace", "negative eigenvalue", "NaN or Inf", "not hermitian"]
+        for i in data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3)):
+            stack[i] = self._spoil(stack[i], data.draw(st.sampled_from(faults)))
+        for m, got in zip(stack, _density_matrices(stack), strict=True):
+            try:
+                ref = DensityMatrix(m)
+            except ValueError as exc:
+                assert isinstance(got, ValueError) and str(got) == str(exc)
+                continue
+            assert isinstance(got, DensityMatrix) and _same_bits(got.mat, ref.mat)
+            assert not got.mat.flags.writeable
+
+
 def test_hermiticity_bound_is_floored_at_one():
     # a member's bound is STRUCTURAL max(1, |A|): a small-norm member keeps
     # the absolute floor, so its residual is not held to STRUCTURAL |A|.  The
@@ -616,7 +659,7 @@ class TestClusterAgainstLoop:
             assert [sorted(g.tolist()) for g in got] == [sorted(g.tolist()) for g in ref]
         one = np.zeros(len(values), dtype=int)
         o1, s1, _, c1 = _cluster(values, one, tols[:1])
-        assert o1.tobytes() == np.argsort(values).tobytes()
+        assert o1.tobytes() == np.argsort(values, kind="stable").tobytes()
         ref = loop_group_degenerate(values, tols[0])
         assert c1.tobytes() == np.array([np.mean(values[g]) for g in ref]).tobytes()
 
