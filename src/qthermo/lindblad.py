@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -27,7 +26,6 @@ from .operators import (
     Superoperator,
     _bin_frequencies,
     _commutators,
-    _density_matrices,
     _dissipators,
     _level_blocks,
     _state_spectra,
@@ -862,10 +860,15 @@ def _fixed_point_states(mats: np.ndarray) -> list:
     with np.errstate(invalid="ignore", divide="ignore"):
         weights = evals / evals.sum(axis=-1, keepdims=True)
     rho = (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    out: list = [ValueError("fixed point is not a positive state")] * len(rho)
-    kept = positive.nonzero()[0]
-    for i, state in zip(kept, _density_matrices(rho[kept])):
-        out[i] = state
+    out = []
+    for ok, r in zip(positive, rho):
+        if not ok:
+            out.append(ValueError("fixed point is not a positive state"))
+            continue
+        try:
+            out.append(DensityMatrix(r))
+        except ValueError as exc:
+            out.append(exc)
     return out
 
 
@@ -1017,15 +1020,14 @@ def adiabatic_propagate(
 
     Steps longer than a tenth of the fastest Bohr period are refined
     (with a warning) so the instantaneous-generator picture stays inside
-    its window of validity.  The generators of each block of at most
-    ``_LEDGER_BLOCK`` grid steps, at its substep midpoints and grid times,
-    come from one `_davies_stack`, with the bits of building each alone;
-    a generator's BohrResolutionError is raised when the loop reaches it.
-    Each grid point's ledger is read as a stack of one by the kernel of
-    :func:`trajectory` (:func:`_ledger_columns`), against the generator of
-    that point; its check is the one check of that state.  Power is
-    -Tr(rho dH/dt), from the supplied derivative or a centred difference
-    of the schedule.
+    its window of validity.  The generators of each grid step, at its
+    substep midpoints and its end, come from one `_davies_stack`, with the
+    bits of building each alone; a generator's BohrResolutionError is
+    raised when the loop reaches it.  Each grid point's ledger is read as
+    a stack of one by the kernel of :func:`trajectory`
+    (:func:`_ledger_columns`), against the generator of that point; its
+    check is the one check of that state.  Power is -Tr(rho dH/dt), from
+    the supplied derivative or a centred difference of the schedule.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -1069,55 +1071,39 @@ def adiabatic_propagate(
         if keep_states:
             states.append(DensityMatrix(rho))
 
-    # every Hamiltonian the loop diagonalises is known before the loop: a
-    # block of grid steps queues its substep grids and one stack of the
-    # generators of their midpoints and ends, in the order the loop reads
-    # them; a generator's BohrResolutionError is raised where it is read
-    steps: deque = deque()
-    gens: deque = deque()
-
-    def queue_block(first: int) -> None:
-        hs = [hamiltonian(grid[0])] if first == 1 else []
-        for i in range(first, min(first + _LEDGER_BLOCK, n)):
-            t_a, t_b = grid[i - 1], grid[i]
-            dt = t_b - t_a
-            omega_max = _max_bohr_frequency(hamiltonian(0.5 * (t_a + t_b)))
-            dt_cap = (2 * math.pi / omega_max) / 10.0 if omega_max > 0 else dt
-            n_sub = max(max(1, substeps), int(math.ceil(dt / dt_cap)))
-            sub = np.linspace(t_a, t_b, n_sub + 1)
-            steps.append((sub, dt, n_sub > max(1, substeps)))
-            hs.extend(hamiltonian(0.5 * (sub[j] + sub[j + 1])) for j in range(n_sub))
-            hs.append(hamiltonian(t_b))
-        gens.extend(_davies_stack(hs, couplings))
-
-    def next_generator() -> GKLSGenerator:
-        gen = gens.popleft()
-        if isinstance(gen, BohrResolutionError):
-            raise gen
-        return gen
-
-    queue_block(1)
-    record(0, next_generator(), grid[0])
+    gen0 = build_davies(hamiltonian(grid[0]), couplings)
+    record(0, gen0, grid[0])
     for i in range(1, n):
-        if not steps:
-            queue_block(i)
-        sub, dt, refined = steps.popleft()
-        if refined and not warned:
+        t_a, t_b = grid[i - 1], grid[i]
+        dt = t_b - t_a
+        h_mid = hamiltonian(0.5 * (t_a + t_b))
+        omega_max = _max_bohr_frequency(h_mid)
+        dt_cap = (2 * math.pi / omega_max) / 10.0 if omega_max > 0 else dt
+        n_sub = max(max(1, substeps), int(math.ceil(dt / dt_cap)))
+        if n_sub > max(1, substeps) and not warned:
             warnings.warn(
                 f"adiabatic step {dt:.3g} exceeds a tenth of the Bohr period; "
                 f"refining internally",
                 stacklevel=2,
             )
             warned = True
-        for j in range(len(sub) - 1):
+        sub = np.linspace(t_a, t_b, n_sub + 1)
+        # the generators of the step's substep midpoints and of its end
+        hs = [hamiltonian(0.5 * (sub[j] + sub[j + 1])) for j in range(n_sub)]
+        gens = _davies_stack(hs + [hamiltonian(t_b)], couplings)
+        for j in range(n_sub):
             if j:
                 # the state between two substeps, which no ledger row reads
                 _state_spectra(rho[None])
-            gen = next_generator()
+            gen = gens[j]
+            if isinstance(gen, BohrResolutionError):
+                raise gen
             m = scipy.linalg.expm(gen.liouvillian().mat * (sub[j + 1] - sub[j]))
             out = unvec(m @ vec(rho), rho0.dim)
             rho = (out + out.conj().T) / 2.0
-        record(i, next_generator(), grid[i])
+        if isinstance(gens[-1], BohrResolutionError):
+            raise gens[-1]
+        record(i, gens[-1], t_b)
     return ThermoLedger(
         times=grid,
         energy=energy,

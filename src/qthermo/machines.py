@@ -219,11 +219,6 @@ def _transfer_maps(v_start: np.ndarray, v_end: np.ndarray) -> np.ndarray:
     return m
 
 
-def _transfer_superop(v_start: np.ndarray, v_end: np.ndarray) -> Superoperator:
-    """The transfer map of :func:`_transfer_maps` between two eigenbases."""
-    return Superoperator(_transfer_maps(v_start, v_end))
-
-
 def _adiabat_superops(medium, kind: str, strokes: list[StrokeSpec], v_start: np.ndarray,
                       v_end: np.ndarray) -> np.ndarray:
     """The (n, d^2, d^2) propagators of one operation of n cycles:
@@ -698,8 +693,8 @@ def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
             continue
         rho_in, rho_out = walk.rhos[k], walk.rhos[k + 1]
         h_in, h_out = gens[st.omega_start].h, gens[st.omega_end].h
-        ideal = _transfer_superop(gens[st.omega_start].eigenbasis()[1].mat,
-                                  gens[st.omega_end].eigenbasis()[1].mat)
+        ideal = Superoperator(_transfer_maps(gens[st.omega_start].eigenbasis()[1].mat,
+                                             gens[st.omega_end].eigenbasis()[1].mat))
         rho_ideal = DensityMatrix(_symmetrised(ideal.apply_matrix(rho_in)))
         e_in = float(np.real(np.trace(rho_in @ h_in.mat)))
         e_ideal = float(np.real(np.trace(rho_ideal.mat @ h_out.mat))) - e_in
@@ -793,19 +788,6 @@ def _nelder_mead_steps(x0, lo, hi, maxfev: int, xatol: float, fatol: float):
             pass
         sim, fsim = _sorted_simplex(sim, fsim)
     return sim[0], np.min(fsim), calls < maxfev
-
-
-def _nelder_mead(f, x0, lo, hi, maxfev: int, xatol: float, fatol: float):
-    """Minimise f over the box [lo, hi] by driving
-    :func:`_nelder_mead_steps` (SciPy's bounded Nelder–Mead, point for
-    point) with f; returns (x, fun, success)."""
-    search = _nelder_mead_steps(x0, lo, hi, maxfev, xatol, fatol)
-    try:
-        x = next(search)
-        while True:
-            x = search.send(f(x))
-    except StopIteration as stop:
-        return stop.value
 
 
 def optimize_power(

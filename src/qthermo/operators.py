@@ -221,31 +221,6 @@ def _state_spectra(stack: np.ndarray, vectors: bool = False):
     return evals, evecs
 
 
-def _density_matrices(stack: np.ndarray) -> list:
-    """A DensityMatrix of every member of a (n, d, d) stack, or the
-    ValueError that constructing it raises.  The stack is checked once
-    (:func:`_state_spectra`), and member by member only when that check
-    fails; each state's matrix is its member's, read-only."""
-    arr = np.array(stack, dtype=complex, order="C")
-    try:
-        _state_spectra(arr)
-    except ValueError:
-        out = []
-        for m in arr:
-            try:
-                out.append(DensityMatrix(m))
-            except ValueError as exc:
-                out.append(exc)
-        return out
-    arr.setflags(write=False)
-    states = []
-    for m in arr:
-        rho = object.__new__(DensityMatrix)  # checked above, with its own checks
-        object.__setattr__(rho, "mat", m)
-        states.append(rho)
-    return states
-
-
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
     return np.asarray(mat).reshape(-1, order="F")

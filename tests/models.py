@@ -1,8 +1,9 @@
 """Models and tools that only the tests use: a Haar-random unitary, two
 driven schedules with closed-form Floquet structure, the reconstruction
 check of a harmonic decomposition, the per-value clustering loop that is
-the reference of the segmented kernel, and the restart-after-restart
-power search that is the reference of the lockstep one."""
+the reference of the segmented kernel, a point-at-a-time driver of the
+Nelder–Mead steps, and the restart-after-restart power search that is
+the reference of the lockstep one."""
 
 from __future__ import annotations
 
@@ -110,9 +111,22 @@ def loop_group_degenerate(values, tol: float | None = None) -> list[np.ndarray]:
     return [np.array(g, dtype=int) for g in groups]
 
 
+def nelder_mead(f, x0, lo, hi, maxfev, xatol, fatol):
+    """Minimise f over the box [lo, hi] by driving
+    `machines._nelder_mead_steps` (SciPy's bounded Nelder–Mead, point for
+    point) with f, one point at a time; returns (x, fun, success)."""
+    search = machines._nelder_mead_steps(x0, lo, hi, maxfev, xatol, fatol)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def sequential_optimize_power(spec, free, seed=7, restarts=3, max_evals=200, trace=None):
     """`machines.optimize_power` with its restarts run one after another,
-    each driving `machines._nelder_mead` with one `machines.run_otto` per
+    each driving `nelder_mead` with one `machines.run_otto` per
     point, and the evaluation-cap warning only when a restart ran.  When
     ``trace`` is a list, it receives (restart, parameters) for every
     evaluated point in order, restart -1 being the box's midpoint."""
@@ -137,8 +151,8 @@ def sequential_optimize_power(spec, free, seed=7, restarts=3, max_evals=200, tra
     any_converged = False
     for r in range(restarts):
         x0 = lo + rng.uniform(0.15, 0.85, size=len(names)) * span
-        x, fun, success = machines._nelder_mead(lambda p: -objective(p, r), x0, lo, hi,
-                                                max_evals, 1e-4, 1e-10)
+        x, fun, success = nelder_mead(lambda p: -objective(p, r), x0, lo, hi,
+                                      max_evals, 1e-4, 1e-10)
         any_converged = any_converged or success
         if -fun > best_p:
             best_p = -fun

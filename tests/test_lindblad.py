@@ -477,9 +477,11 @@ class TestAdiabaticDriving:
         assert sum(checked) == 41 + 40
         assert led.states == []
 
-    def test_one_generator_stack_per_block_of_grid_steps(self, monkeypatch):
-        # a 41-point ramp with two substeps reads 121 generators, all from
-        # one stack; a 130-point grid takes blocks of 64, 64 and 1 steps
+    def test_one_generator_stack_per_grid_step(self, monkeypatch):
+        # each grid step builds its substep midpoints and its end as one
+        # stack: a 41-point ramp with two substeps makes 40 stacks of 3
+        # after the first point's stack of one, and on a coarse grid that is
+        # refined a step's stack holds its n_sub midpoints and its end
         stacks = []
         original = lindblad._davies_stack
 
@@ -492,11 +494,16 @@ class TestAdiabaticDriving:
         rho0 = DensityMatrix(np.diag([0.7, 0.3]))
         adiabatic_propagate(lambda t: qubit_h(1.0 + 0.1 * t), couplings, rho0,
                             np.linspace(0.0, 2.0, 41), substeps=2)
-        assert stacks == [1 + 40 * 3]
+        assert stacks == [1] + [3] * 40
         stacks.clear()
-        adiabatic_propagate(lambda t: qubit_h(1.0 + 0.1 * t), couplings, rho0,
-                            np.linspace(0.0, 2.0, 130))
-        assert stacks == [1 + 64 * 2, 64 * 2, 1 * 2]
+        grid = np.linspace(0.0, 5.0, 4)  # far coarser than the Bohr period
+        with pytest.warns(UserWarning, match="refining"):
+            adiabatic_propagate(lambda t: qubit_h(5.0 + t), couplings, rho0, grid)
+        # the Bohr frequency of qubit_h(w) is w
+        n_sub = [math.ceil((b - a) / ((2 * math.pi / (5.0 + 0.5 * (a + b))) / 10.0))
+                 for a, b in zip(grid, grid[1:])]
+        assert min(n_sub) > 10
+        assert stacks == [1] + [k + 1 for k in n_sub]
 
     @pytest.mark.parametrize("substeps, points", [(1, 9), (2, 41), (3, 70)])
     def test_ledger_bitwise_the_per_point_builds(self, substeps, points):
@@ -518,20 +525,25 @@ class TestAdiabaticDriving:
             assert j.tobytes() == ref["currents"][k].tobytes()
         assert [s.mat.tobytes() for s in got.states] == [r.tobytes() for r in ref["states"]]
 
-    def test_a_collision_is_raised_where_the_loop_reads_it(self, monkeypatch):
-        # the generator of the 5th grid time collides: the four grid times
-        # before it are recorded first, and a state check that fails at the
-        # 3rd grid time is the error reported
+    @pytest.mark.parametrize("substeps, member", [(1, 0), (1, 1), (2, 1), (2, 2)])
+    def test_a_collision_is_raised_where_the_loop_reads_it(self, monkeypatch, substeps,
+                                                           member):
+        # a generator of the step to the 5th grid time, a substep midpoint
+        # or its end, collides: the four grid times before it are recorded
+        # first, and a state check that fails at the 3rd grid time is the
+        # error reported
         couplings = [(Operator.hermitian(PAULI_X), ohmic_bath("b", 1.0))]
         grid = np.linspace(0.0, 1.0, 9)
         rho0 = DensityMatrix(np.diag([0.7, 0.3]))
         stack, columns = lindblad._davies_stack, lindblad._ledger_columns
-        recorded, fail_at = [], None
+        recorded, built, fail_at = [], [], None
 
         def colliding(hs, cs):
-            # one substep per grid step: grid time k is member 2 k
+            # stack k builds the step to grid time k, stack 0 grid time 0
             out = stack(hs, cs)
-            out[2 * 4] = BohrResolutionError("collision at the 5th grid time")
+            built.append(len(hs))
+            if len(built) == 1 + 4:
+                out[member] = BohrResolutionError("collision before the 5th grid time")
             return out
 
         def checked(gen, rho):
@@ -542,13 +554,19 @@ class TestAdiabaticDriving:
 
         monkeypatch.setattr(lindblad, "_davies_stack", colliding)
         monkeypatch.setattr(lindblad, "_ledger_columns", checked)
+
+        def run():
+            adiabatic_propagate(lambda t: qubit_h(1.0 + t), couplings, rho0, grid,
+                                substeps=substeps)
+
         with pytest.raises(BohrResolutionError, match="5th grid time"):
-            adiabatic_propagate(lambda t: qubit_h(1.0 + t), couplings, rho0, grid)
-        assert len(recorded) == 4
+            run()
+        assert len(recorded) == 4 and built == [1] + [substeps + 1] * 4
         recorded.clear()
+        built.clear()
         fail_at = 3
         with pytest.raises(ValueError, match="3rd grid time"):
-            adiabatic_propagate(lambda t: qubit_h(1.0 + t), couplings, rho0, grid)
+            run()
 
     def test_coarse_grid_warns_and_refines(self):
         bath = ohmic_bath("b", 1.0)

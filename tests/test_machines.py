@@ -18,8 +18,7 @@ from qthermo.lindblad import build_davies
 from qthermo.machines import (
     _PROTOCOLS,
     _adiabat_superops,
-    _nelder_mead,
-    _transfer_superop,
+    _transfer_maps,
     _tricycle_couplings,
     _tricycle_hamiltonian,
     _tricycle_pieces,
@@ -63,7 +62,7 @@ from qthermo.states import (
 )
 from qthermo.tolerances import ALGEBRAIC
 
-from models import random_unitary, sequential_optimize_power
+from models import nelder_mead, random_unitary, sequential_optimize_power
 
 
 def ohmic(label, t, gamma=0.2):
@@ -321,7 +320,7 @@ class TestStrokeSuperopsBitwise:
         h = random_hermitian(d, np.random.default_rng(seed))
         for h_op in (h, OscillatorMedium(levels=d).hamiltonian(1.3)):
             v = eig_hermitian(h_op)[1].mat
-            got = _transfer_superop(v, v).mat
+            got = _transfer_maps(v, v)
             assert got.tobytes() == _kron_dephase(h_op).tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -819,16 +818,16 @@ class TestOptimizePower:
 
 
 def _searches(f, x0, lo, hi, maxfev):
-    """Run SciPy's bounded Nelder–Mead and `_nelder_mead` on f; assert
+    """Run SciPy's bounded Nelder–Mead and `nelder_mead` on f; assert
     that they evaluate the same points and return the same bits, and
-    return the evaluated points and `_nelder_mead`'s result."""
+    return the evaluated points and `nelder_mead`'s result."""
     theirs, ours = [], []
     res = scipy.optimize.minimize(
         lambda x: (theirs.append(x.tobytes()), f(x))[1], x0, method="Nelder-Mead",
         bounds=list(zip(lo, hi)), options={"maxfev": maxfev, "xatol": 1e-4, "fatol": 1e-10},
     )
-    result = _nelder_mead(lambda x: (ours.append(x.tobytes()), f(x))[1],
-                          x0, lo, hi, maxfev, 1e-4, 1e-10)
+    result = nelder_mead(lambda x: (ours.append(x.tobytes()), f(x))[1],
+                         x0, lo, hi, maxfev, 1e-4, 1e-10)
     x, fun, success = result
     assert ours == theirs
     assert x.tobytes() == res.x.tobytes()
@@ -844,7 +843,7 @@ def _otto_optimize_config():
 
 
 class TestNelderMeadAgainstScipy:
-    """`_nelder_mead` is SciPy's bounded Nelder–Mead, point for point."""
+    """`_nelder_mead_steps` is SciPy's bounded Nelder–Mead, point for point."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())

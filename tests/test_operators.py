@@ -11,7 +11,6 @@ from qthermo.operators import (
     _choi_stack,
     _cluster,
     _commutators,
-    _density_matrices,
     _dissipators,
     _first_nonhermitian,
     _sandwich,
@@ -468,27 +467,6 @@ class TestStackedStateChecks:
         with pytest.raises(ValueError) as single:
             DensityMatrix(stack[first])
         assert str(err.value) == str(single.value)
-
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=8),
-           st.data(), st.integers(min_value=0, max_value=10 ** 9))
-    def test_density_matrices_are_checked_member_by_member(self, d, n, data, seed):
-        # each member is the DensityMatrix of its matrix alone, or the error
-        # constructing it raises, whichever members are spoiled
-        rng = np.random.default_rng(seed)
-        stack = np.array([random_density(d, rng).mat for _ in range(n)])
-        faults = ["trace", "negative eigenvalue", "NaN or Inf", "not hermitian"]
-        for i in data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3)):
-            stack[i] = self._spoil(stack[i], data.draw(st.sampled_from(faults)))
-        for m, got in zip(stack, _density_matrices(stack), strict=True):
-            try:
-                ref = DensityMatrix(m)
-            except ValueError as exc:
-                assert isinstance(got, ValueError) and str(got) == str(exc)
-                continue
-            assert isinstance(got, DensityMatrix) and _same_bits(got.mat, ref.mat)
-            assert not got.mat.flags.writeable
 
 
 def test_hermiticity_bound_is_floored_at_one():

@@ -11,12 +11,13 @@ from qthermo.operators import (
     PAULI_Z,
     DensityMatrix,
     Operator,
+    Superoperator,
     eig_hermitian,
     expect,
     random_density,
     random_hermitian,
 )
-from qthermo.machines import _transfer_superop
+from qthermo.machines import _transfer_maps
 from qthermo.states import (
     diagonal_vs_microcanonical,
     ergotropy,
@@ -185,7 +186,7 @@ class TestDephase:
     @staticmethod
     def _pinch(rho, h):
         v = np.linalg.eigh(h.mat)[1]
-        return _transfer_superop(v, v).apply(rho)
+        return Superoperator(_transfer_maps(v, v)).apply(rho)
 
     def test_diagonal_state_unchanged(self, rng):
         h = random_hermitian(4, rng)
