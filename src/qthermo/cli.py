@@ -351,11 +351,14 @@ def _run_third_law(cfg: dict):
         raise ConfigError("t_c_grid must hold at least one temperature")
     if any(t < 1e-3 for t in grid):
         raise ConfigError("t_c_grid is floored at 1e-3")
+    if max(grid) >= spec.bath_h.temperature:
+        raise ConfigError(f"t_c_grid must lie below the hot bath's T = {spec.bath_h.temperature:g}")
     rows = mc.third_law_sweep(spec, grid, float(p["ratio_lo"]), float(p["ratio_hi"]))
     cert = LawCertificate([])
     cooling = [r for r in rows if not r.no_cooling]
     js = [r.j_c for r in cooling]
-    mono = all(js[i] > js[i + 1] for i in range(len(js) - 1)) if len(js) > 1 else True
+    # a fall needs two cooling rows; fewer show nothing, and fail
+    mono = len(js) > 1 and all(js[i] > js[i + 1] for i in range(len(js) - 1))
     cert.add("cooling_current_monotone", 1.0 if mono else 0.0, 1.0, ">=")
     if cooling:
         cert.add("conductance_min", min(r.conductance for r in cooling), 0.0, ">=")

@@ -236,8 +236,8 @@ class _Tables:
     rate floor, and ``rates[c]`` the rate of that bin (0 outside).  Bin k
     is the channel ``s_e[c]`` restricted to ``bins[c] == k``, at the Bohr
     frequency ``freqs[c][k]`` with the rate ``bin_rates[c][k]``.  Tables
-    of one shape stack into dense (n, C, d, d) arrays, whatever their
-    channel counts."""
+    of one shape stack into (n, C, d, d) arrays, whatever their channel
+    counts, and are read through the pairs that share a bin (``_bin_pairs``)."""
 
     labels: tuple[str, ...]
     s_e: np.ndarray
@@ -416,13 +416,42 @@ def _stacked_tables(gens: Sequence[GKLSGenerator]):
             np.array([g._eig[1] for g in gens]))
 
 
-def _bin_products(s: np.ndarray, bins: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """x[..., m, a, b] = r conj(S[m, a]) S[m, b] when the elements (m, a)
-    and (m, b) of the (..., d, d) tables lie in one bin of rate r, else 0.
-    Summed over m it is sum_k r_k V_k^dag V_k over the bins k; the array
-    is (..., d, d, d), never d^4."""
-    same = (bins[..., :, :, None] == bins[..., :, None, :]) & (bins >= 0)[..., :, :, None]
-    return np.where(same, (rates * s.conj())[..., :, :, None] * s[..., :, None, :], 0.0)
+def _bin_pairs(s: np.ndarray, bins: np.ndarray, rates: np.ndarray):
+    """Every pair of elements e = (i, c, a, x) and f = (i, c, b, y) of
+    (n, C, d, d) tables that share a bin, weighted r S[e] conj(S[f]) by the
+    bin's rate r: the nonzero entries ((a, b), (x, y)) of each coupling's
+    jump map X -> sum_k r_k V_k X V_k^dag in the eigenbasis.  The
+    coordinates i, c, a, x, b, y and the weights are listed member-major
+    and, within a member, by coupling, bin, e and f, whatever the stack.
+    A bin of m elements gives m^2 pairs, at most d^3 per coupling for
+    nondegenerate levels, whatever the number of bins."""
+    ids = _bin_ids(bins)[0].ravel()
+    order = np.flatnonzero(ids >= 0)
+    order = order[np.argsort(ids[order], kind="stable")]
+    sizes = np.unique(ids[order], return_counts=True)[1]
+    # each element of a bin of m heads a run of m pairs, one per element
+    runs = np.repeat(sizes, sizes)
+    e = np.repeat(order, runs)
+    heads = np.repeat(np.cumsum(sizes) - sizes, sizes) - (np.cumsum(runs) - runs)
+    f = order[np.repeat(heads, runs) + np.arange(len(e))]
+    w = rates.ravel()[e] * (s.ravel()[e] * s.ravel()[f].conj())
+    return (*np.unravel_index(e, s.shape), *np.unravel_index(f, s.shape)[2:], w)
+
+
+def _scatter(index: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
+    """Complex weights summed into ``size`` slots, in the order listed."""
+    return np.bincount(index, w.real, size) + 1j * np.bincount(index, w.imag, size)
+
+
+def _jump_map(pairs, ops: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """sum_k r_k V_k X V_k^dag, or with ``adjoint`` sum_k r_k V_k^dag X V_k,
+    for each X of a (n, d, d) stack in the eigenbasis, scattered from the
+    ``_bin_pairs``; G = sum_k r_k V_k^dag V_k is the adjoint map of 1."""
+    n, d, _ = ops.shape
+    i, _, a, x, b, y, w = pairs
+    if adjoint:
+        a, b, x, y, w = x, y, a, b, w.conj()
+    return _scatter((i * d + a) * d + b, w * ops[i, x, y], n * d * d).reshape(n, d, d)
 
 
 def _table_heat_observables(gens: Sequence[GKLSGenerator]) -> tuple[list[str], np.ndarray]:
@@ -432,16 +461,19 @@ def _table_heat_observables(gens: Sequence[GKLSGenerator]) -> tuple[list[str], n
     labels, in the order of their first coupling, and the (n, L, d, d)
     observables.
 
-    In the eigenbasis, Q[a, b] = sum_{k, m} r_k conj(V_k[m, a]) V_k[m, b]
-    (E_m - (E_a + E_b) / 2): one pass over the tables per coupling,
-    whatever its channel count."""
+    In the eigenbasis Q[x, y] = sum_{k, a} r_k conj(V_k[a, x]) V_k[a, y]
+    (E_a - (E_x + E_y) / 2): one scatter over the ``_bin_pairs`` of the
+    tables with each bin split by row, each pair booked to its member's
+    bath.  Split by row, a coupling lists at most d^3 pairs."""
     labels = list(dict.fromkeys(gens[0]._tables.labels))
+    bath = np.array([labels.index(label) for label in gens[0]._tables.labels], dtype=int)
     s, bins, rates, evals, v = _stacked_tables(gens)
-    x = _bin_products(s, bins, rates)
-    jump = (x * evals[:, None, :, None, None]).sum(axis=2)
-    q_e = jump - 0.5 * x.sum(axis=2) * (evals[:, None, :, None] + evals[:, None, None, :])
-    coupling_labels = np.array(gens[0]._tables.labels)
-    q_e = np.stack([q_e[:, coupling_labels == label].sum(axis=1) for label in labels], axis=1)
+    n, _, d, _ = s.shape
+    by_row = np.where(bins >= 0, bins * d + np.arange(d)[:, None], -1)
+    i, c, a, x, _, y, w = _bin_pairs(s, by_row, rates)
+    gap = evals[i, a] - 0.5 * (evals[i, x] + evals[i, y])
+    at = ((i * len(labels) + bath[c]) * d + x) * d + y
+    q_e = _scatter(at, w.conj() * gap, n * len(labels) * d * d).reshape(n, len(labels), d, d)
     q = v[:, None] @ q_e @ v.conj().swapaxes(-1, -2)[:, None]
     for gen, q_i in zip(gens, q):
         gen._heat_observables.update(zip(labels, q_i))
@@ -518,30 +550,21 @@ def _bin_ids(bins: np.ndarray) -> tuple[np.ndarray, int]:
     return np.where(bins >= 0, bins + base, -1), n * c * k
 
 
-def _closure(pattern: np.ndarray, bins: np.ndarray) -> np.ndarray:
+def _closure(pairs, pattern: np.ndarray) -> np.ndarray:
     """The closure of the diagonal index pairs (i, i) under rho -> V rho
     V^dag for every channel V of each member of (n, C, d, d) tables,
-    whose nonzero entries are ``pattern``: a pair (c, d) feeds (a, b) when
-    one bin holds (a, c) and (b, d).  Each pair is expanded once, at
-    C d^2 per pair.  Returns the (n, d, d) boolean mask of the pairs."""
+    whose nonzero entries are ``pattern``: a pair (x, y) feeds (a, b) along
+    each of the ``_bin_pairs`` between two pattern elements, an edge
+    dropped once its source is reached.  The (n, d, d) mask of the pairs."""
     n, _, d, _ = pattern.shape
-    b = np.where(pattern, bins, -1)
-    reach = np.zeros((n, d, d), dtype=bool)
-    member, i = np.divmod(np.arange(n * d), d)
-    reach[member, i, i] = True
-    front = member, i, i
-    while len(front[0]):
-        member, c, dd = front
-        b_in, b_out = b[member, :, :, c], b[member, :, :, dd]  # (F, C, d)
-        hit = ((b_in[..., :, None] == b_out[..., None, :])
-               & (b_in >= 0)[..., :, None]).any(axis=1)
-        starts = np.flatnonzero(np.r_[True, member[1:] != member[:-1]])
-        grown = np.zeros_like(reach)
-        grown[member[starts]] = np.logical_or.reduceat(hit, starts, axis=0)
-        fresh = grown & ~reach
-        reach |= fresh
-        front = np.nonzero(fresh)
-    return reach
+    i, c, a, x, b, y, _ = pairs
+    edge = pattern[i, c, a, x] & pattern[i, c, b, y]
+    src, dst = ((i * d + x) * d + y)[edge], ((i * d + a) * d + b)[edge]
+    reach = np.tile(np.eye(d, dtype=bool).ravel(), n)
+    while (hit := reach[src]).any():
+        reach[dst[hit]] = True
+        src, dst = src[~hit], dst[~hit]
+    return reach.reshape(n, d, d)
 
 
 def _adjoint_closed(s: np.ndarray, ids: np.ndarray, n_ids: int,
@@ -589,45 +612,33 @@ def _adjoint_closed(s: np.ndarray, ids: np.ndarray, n_ids: int,
     return ok & ~bad.reshape(n, -1).any(axis=1)
 
 
-def _pair_lists(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns, in column-stacked order, of the pairs of a (g, d, d)
-    mask whose members all hold the same number P of pairs: two (g, P)
-    arrays."""
-    _, cols, rows = np.nonzero(mask.swapaxes(-1, -2))
-    return rows.reshape(len(mask), -1), cols.reshape(len(mask), -1)
-
-
-def _by_size(mask: np.ndarray, members: np.ndarray):
-    """The members (indices into ``mask``) grouped by their pair count,
-    each group with its ``_pair_lists``."""
+def _blocks(pairs, mask: np.ndarray, members: np.ndarray):
+    """The members (indices into a (n, d, d) ``mask``) grouped by pair count
+    P, each group of g with the rows and columns of its pairs in
+    column-stacked order, two (g, P) arrays, and its (g, P, P) jump block:
+    entry (p, q) is the weight of rho[x, y] in the jump part of L(rho)[a, b]
+    for listed pairs p = (a, b) and q = (x, y), from the ``_bin_pairs``."""
+    i, _, a, x, b, y, w = pairs
     sizes = mask.sum(axis=(1, 2))
     for size in np.unique(sizes[members]):
         sel = members[sizes[members] == size]
-        yield (sel, *_pair_lists(mask[sel]))
+        k, cols, rows = np.nonzero(mask[sel].swapaxes(-1, -2))
+        # pair p of the k-th member of the group is at k P + p
+        pos = np.full(mask.shape, -1)
+        pos[sel[k], rows, cols] = np.arange(len(k))
+        p, q = pos[i, a, b], pos[i, x, y]
+        on = (p >= 0) & (q >= 0)
+        jumps = _scatter(p[on] * size + q[on] % size, w[on], len(k) * size)
+        yield (sel, rows.reshape(len(sel), -1), cols.reshape(len(sel), -1),
+               jumps.reshape(len(sel), size, size))
 
 
-def _table_pair_jumps(s, bins, rates, rows, cols) -> np.ndarray:
-    """Entry (p, q) is sum_k r_k V_k[a, c] conj(V_k[b, d]) for the pairs
-    p = (a, b) and q = (c, d) listed by the (g, P) ``rows`` and ``cols``:
-    the weight of rho[c, d] in the jump part of L(rho)[a, b], read from
-    (g, C, d, d) tables; (g, P, P)."""
-    i = np.arange(len(s))[:, None, None]
-    ac = rows[:, :, None], rows[:, None, :]
-    bd = cols[:, :, None], cols[:, None, :]
-    out = np.zeros((len(s), rows.shape[1], rows.shape[1]), dtype=complex)
-    for c in range(s.shape[1]):
-        b_ac = bins[i, c, ac[0], ac[1]]
-        same = (b_ac >= 0) & (b_ac == bins[i, c, bd[0], bd[1]])
-        out += np.where(same, rates[i, c, ac[0], ac[1]] * s[i, c, ac[0], ac[1]]
-                        * s[i, c, bd[0], bd[1]].conj(), 0.0)
-    return out
-
-
-def _certified_sectors(s, bins, rates, evals, g_e) -> tuple[np.ndarray, np.ndarray]:
-    """The sectors of (n, C, d, d) tables with the (n, d) levels of H, as an
-    (n, d, d) mask of index pairs, and the members whose sector is
-    certified to hold every stationary state; ``g_e`` is G = sum_k r_k
-    V_k^dag V_k of each member.
+def _certified_sectors(s, bins, level, pairs, g_e) -> tuple[np.ndarray, np.ndarray]:
+    """The sectors of (n, C, d, d) tables, whose (n, d) ``level`` numbers the
+    level group of each level of H, as an (n, d, d) mask of index pairs,
+    and the members whose sector is certified to hold every stationary
+    state, read from the tables' ``_bin_pairs`` and G = sum_k r_k V_k^dag
+    V_k (``g_e``).
 
     Certificate (Spohn, Lett. Math. Phys. 2, 33 (1977)): the sector, the
     closure of the diagonal pairs under the channels (``_closure``), is
@@ -636,16 +647,16 @@ def _certified_sectors(s, bins, rates, evals, g_e) -> tuple[np.ndarray, np.ndarr
     with them and H.  The commutant is checked on the pairs Z inside the
     degenerate level groups of H, where sum_k r_k |[V_k, X]|^2 is the form
     delta_bd G[a, c] + delta_ac G'[d, b] - J - J^dag between the pairs
-    (a, b) and (c, d), with G' = sum_k r_k V_k V_k^dag; its null space
-    holds the identity, and a second eigenvalue above
-    ``_COMMUTANT_GAP_REL`` tr G leaves it nothing else (the form is at
-    most 4 tr G, and tr G is not roundoff when every channel commutes with
-    every operator on Z).  The support projection P of a stationary state
-    then commutes with every channel, its adjoint and H, so P = 1: every
-    stationary state is faithful, and two of them would give, by their
-    difference, one that is not.  The generator maps the sector into
-    itself, so a second null vector of its block is one of the generator,
-    and the bordered solve rejects it."""
+    (a, b) and (c, d), with G' = sum_k r_k V_k V_k^dag and J the jump map
+    on Z (``_blocks``); its null space holds the identity, and a second
+    eigenvalue above ``_COMMUTANT_GAP_REL`` tr G leaves it nothing else
+    (the form is at most 4 tr G, and tr G is not roundoff when every
+    channel commutes with every operator on Z).  The support projection P
+    of a stationary state then commutes with every channel, its adjoint
+    and H, so P = 1: every stationary state is faithful, and two of them
+    would give, by their difference, one that is not.  The generator maps
+    the sector into itself, so a second null vector of its block is one
+    of the generator, and the bordered solve rejects it."""
     n, _, d, _ = s.shape
     ids, n_ids = _bin_ids(bins)
     kept = ids >= 0
@@ -654,24 +665,19 @@ def _certified_sectors(s, bins, rates, evals, g_e) -> tuple[np.ndarray, np.ndarr
     top = np.zeros(n_ids + 1)
     np.maximum.at(top, ids[kept], mag[kept])
     pattern = kept & (mag > _PATTERN_REL * top[ids])
-    reach = _closure(pattern, bins)
+    reach = _closure(pairs, pattern)
     if not kept.any():
         return reach, np.zeros(0, dtype=int)
-    tol = LEVEL_MERGE_REL * np.maximum(np.ptp(evals, axis=1), 1.0)
-    level = np.concatenate([np.zeros((n, 1), dtype=int),
-                            np.cumsum(np.diff(evals, axis=1) > tol[:, None], axis=1)], axis=1)
     candidates = np.flatnonzero(
         kept.any(axis=(1, 2, 3)) & (level[:, -1] > 0) & (reach.sum(axis=(1, 2)) < d * d)
         & _adjoint_closed(s, ids, n_ids, pattern))
-    if not len(candidates):
-        return reach, candidates
-    g_out = _bin_products(*(x.swapaxes(-1, -2) for x in (s, bins, rates))).sum(axis=(1, 2)).conj()
     certified = []
-    for sel, rows, cols in _by_size(level[:, :, None] == level[:, None, :], candidates):
-        i = np.arange(len(sel))[:, None, None]
+    g_out = _jump_map(pairs, np.broadcast_to(np.eye(d), (n, d, d)))
+    for sel, rows, cols, jumps in _blocks(pairs, level[:, :, None] == level[:, None, :],
+                                          candidates):
+        i = sel[:, None, None]
         rp, rq, cp, cq = rows[:, :, None], rows[:, None, :], cols[:, :, None], cols[:, None, :]
-        jumps = _table_pair_jumps(s[sel], bins[sel], rates[sel], rows, cols)
-        form = g_e[sel][i, rp, rq] * (cp == cq) + (rp == rq) * g_out[sel][i, cq, cp]
+        form = g_e[i, rp, rq] * (cp == cq) + (rp == rq) * g_out[i, cq, cp]
         form -= jumps + jumps.conj().swapaxes(-1, -2)
         gap = np.linalg.eigvalsh(form)[:, 1]
         certified.extend(sel[gap > _COMMUTANT_GAP_REL * np.trace(g_e[sel], axis1=1, axis2=2).real])
@@ -681,67 +687,58 @@ def _certified_sectors(s, bins, rates, evals, g_e) -> tuple[np.ndarray, np.ndarr
 def _sector_states(gens: Sequence[GKLSGenerator]) -> list:
     """Stationary states of tabled generators of one shape, solved on their
     certified sectors (``_certified_sectors``) in the eigenbasis of H as
-    one stack.  Entry i is the state, a ValueError, or None when the
-    sector of generator i is not certified."""
+    one stack.  Every reading of the tables is a scatter over their
+    ``_bin_pairs``: G and G' (``_jump_map`` of the identity), each sector
+    block (``_blocks``) and the jump part of the residual.  Entry i is the
+    state, a ValueError, or None when the sector of generator i is not
+    certified."""
     s, bins, rates, evals, v = _stacked_tables(gens)
     n, _, d, _ = s.shape
     out: list = [None] * n
-    g_e = _bin_products(s, bins, rates).sum(axis=(1, 2))
-    reach, certified = _certified_sectors(s, bins, rates, evals, g_e)
+    tol = LEVEL_MERGE_REL * np.maximum(np.ptp(evals, axis=1), 1.0)
+    level = np.concatenate([np.zeros((n, 1), dtype=int),
+                            np.cumsum(np.diff(evals, axis=1) > tol[:, None], axis=1)], axis=1)
+    # one level group is never certified, and its bins may hold d^4 pairs
+    pairs = _bin_pairs(s, np.where(level[:, -1:, None, None] > 0, bins, -1), rates)
+    g_e = _jump_map(pairs, np.broadcast_to(np.eye(d), (n, d, d)), adjoint=True)
+    reach, certified = _certified_sectors(s, bins, level, pairs, g_e)
     a_e = -0.5 * g_e
     a_e[:, np.arange(d), np.arange(d)] -= 1j * evals
-    for sel, rows, cols in _by_size(reach, certified):
-        i = np.arange(len(sel))[:, None, None]
+    m, resid_tol = np.zeros((n, d, d), dtype=complex), np.zeros(n)
+    for sel, rows, cols, kernel in _blocks(pairs, reach, certified):
+        i = sel[:, None, None]
         rp, rq, cp, cq = rows[:, :, None], rows[:, None, :], cols[:, :, None], cols[:, None, :]
-        kernel = _table_pair_jumps(s[sel], bins[sel], rates[sel], rows, cols)
-        kernel += a_e[sel][i, rp, rq] * (cp == cq)
-        kernel += (rp == rq) * a_e[sel][i, cp, cq].conj()
+        kernel += a_e[i, rp, rq] * (cp == cq) + (rp == rq) * a_e[i, cp, cq].conj()
         # the trace row and the rcond are scaled to the whole generator, its
         # coherent spread and G, never to the block alone, whose entries may
         # be pure roundoff; the residual is held to 1e-10 max(1, |block|_F)
         mag_k = np.abs(kernel)
-        resid_tol = 1e-10 * np.maximum(1.0, np.sqrt(np.sum(mag_k ** 2, axis=(1, 2))))
+        resid_tol[sel] = 1e-10 * np.maximum(1.0, np.sqrt(np.sum(mag_k ** 2, axis=(1, 2))))
         border = np.maximum.reduce([mag_k.max(axis=(1, 2)), np.ptp(evals[sel], axis=1),
                                     np.abs(g_e[sel]).max(axis=(1, 2)), np.full(len(sel), 1e-300)])
-        m = np.zeros((len(sel), d, d), dtype=complex)
-        solved = np.zeros(len(sel), dtype=bool)
         # LAPACK factorises one matrix per call
-        for j, (block, r, c, edge) in enumerate(zip(kernel, rows, cols, border)):
+        for j, block, r, c, edge in zip(sel, kernel, rows, cols, border):
             try:
                 m[j, r, c] = _bordered_fixed_point(np.asfortranarray(block), np.flatnonzero(r == c),
                                                    float(edge), "stationary state not unique")
-                solved[j] = True
             except ValueError as exc:
-                out[sel[j]] = exc
-        sel, m, resid_tol = sel[solved], m[solved], resid_tol[solved]
-        if not len(sel):
-            continue
-        vs = v[sel]
-        states = _fixed_point_states(vs @ m @ vs.conj().swapaxes(-1, -2))
-        rho = np.array([x.mat if isinstance(x, DensityMatrix) else np.zeros((d, d))
-                        for x in states])
-        # the operator-level residual max |L(rho)|, with the jump part read
-        # from the tables bin by bin
-        rho_e = vs.conj().swapaxes(-1, -2) @ rho @ vs
-        lr = _table_jumps(s[sel], bins[sel], rates[sel], rho_e)
-        lr += a_e[sel] @ rho_e + rho_e @ a_e[sel].conj().swapaxes(-1, -2)
-        resid = np.abs(vs @ lr @ vs.conj().swapaxes(-1, -2)).max(axis=(1, 2))
-        for j, state, res, res_tol in zip(sel, states, resid, resid_tol):
-            if isinstance(state, DensityMatrix) and res > res_tol:
-                state = ValueError(f"fixed-point residual too large: {res:.3e}")
-            out[j] = state
-    return out
-
-
-def _table_jumps(s, bins, rates, rho_e) -> np.ndarray:
-    """sum_k r_k V_k rho V_k^dag for (g, C, d, d) tables and (g, d, d)
-    states in the eigenbasis, bin by bin: K d^3 for K bins."""
-    out = np.zeros_like(rho_e)
-    rs = rates * s
-    s_h, bins_t = s.conj().swapaxes(-1, -2), bins.swapaxes(-1, -2)
-    for k in range(int(bins.max(initial=-1)) + 1):
-        left = np.where(bins == k, rs, 0.0)
-        out += (left @ rho_e[:, None] @ np.where(bins_t == k, s_h, 0.0)).sum(axis=1)
+                out[j] = exc
+    solved = np.array([j for j in certified if out[j] is None], dtype=int)
+    if not len(solved):
+        return out
+    vs = v[solved]
+    states = _fixed_point_states(vs @ m[solved] @ vs.conj().swapaxes(-1, -2))
+    rho = np.array([x.mat if isinstance(x, DensityMatrix) else np.zeros((d, d)) for x in states])
+    # the operator-level residual max |L(rho)|, its jump part read from the
+    # pairs of the whole stack in the eigenbasis
+    rho_e = np.zeros((n, d, d), dtype=complex)
+    rho_e[solved] = vs.conj().swapaxes(-1, -2) @ rho @ vs
+    lr = (_jump_map(pairs, rho_e) + a_e @ rho_e + rho_e @ a_e.conj().swapaxes(-1, -2))[solved]
+    resid = np.abs(vs @ lr @ vs.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+    for j, state, res, res_tol in zip(solved, states, resid, resid_tol[solved]):
+        if isinstance(state, DensityMatrix) and res > res_tol:
+            state = ValueError(f"fixed-point residual too large: {res:.3e}")
+        out[j] = state
     return out
 
 
@@ -778,9 +775,9 @@ def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
     span of the sector, the closure of the diagonal pairs (i, i) under
     the nonzero patterns of the V_k, into itself when the V_k span a
     self-adjoint set.  A generator built by ``build_davies`` is solved on
-    its sector, read from its tables, when ``_sector_states`` certifies
-    that every stationary state lies in that span; for a secular generator
-    this is the zero-Bohr sector (s = d for a nondegenerate spectrum).
+    its sector, read from its tables' ``_bin_pairs``, when ``_sector_states``
+    certifies that every stationary state lies in that span; for a secular
+    generator this is the zero-Bohr sector (s = d for a nondegenerate spectrum).
     Otherwise, for a qubit and for a generator built from explicit
     channels, the block is the whole Liouvillian in the computational
     basis.  Either block is solved by ``_bordered_fixed_point``, and the

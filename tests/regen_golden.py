@@ -11,7 +11,9 @@ per config holding its artifacts.  Running an older checkout's ``src``
 with ``--src``, ``--keep`` and ``--dry-run`` makes such a directory
 without touching the golden file.  Each moved cell is printed as
 ``config/file row column: old -> new``; a file or row that appears or
-disappears is printed as well.  All configs run in one fresh interpreter
+disappears is printed as well.  Then each config's largest relative move
+|new - old| / max(1, |old|) over its cells is printed, so that a move at
+roundoff shows at a glance.  All configs run in one fresh interpreter
 with ``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1``, as
 ``test_blas_thread_count_preserves_output`` runs them.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,18 +65,33 @@ def run_configs(src: Path, out: Path) -> dict:
     return golden
 
 
-def moved_cells(old: Path, new: Path) -> list[str]:
-    """Every CSV cell, row or file that differs between two artifact trees."""
+def _relative_move(old: str, new: str) -> float:
+    """|new - old| / max(1, |old|) of two CSV cells; inf when either is not
+    a number."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    return abs(b - a) / max(1.0, abs(a))
+
+
+def moved_cells(old: Path, new: Path) -> tuple[list[str], dict[str, float]]:
+    """Every CSV cell, row or file that differs between two artifact trees,
+    and each config's largest relative move (inf for a file or row that
+    appears or disappears, or a cell that is not a number)."""
     lines = []
+    largest = {}
     names = sorted({p.name for p in old.iterdir() if p.is_dir()}
                    | {p.name for p in new.iterdir() if p.is_dir()})
     for name in names:
+        largest[name] = 0.0
         files = sorted({f.name for d in (old / name, new / name) if d.exists()
                         for f in d.iterdir()})
         for fname in files:
             a, b = old / name / fname, new / name / fname
             if not (a.exists() and b.exists()):
                 lines.append(f"{name}/{fname}: only in {'new' if b.exists() else 'old'}")
+                largest[name] = math.inf
                 continue
             rows_a, rows_b = a.read_text().splitlines(), b.read_text().splitlines()
             header = rows_b[0].split(",") if rows_b else []
@@ -81,12 +99,14 @@ def moved_cells(old: Path, new: Path) -> list[str]:
                 if i >= len(rows_a) or i >= len(rows_b):
                     lines.append(f"{name}/{fname} row {i}: only in "
                                  f"{'new' if i >= len(rows_a) else 'old'}")
+                    largest[name] = math.inf
                     continue
                 for k, (x, y) in enumerate(zip(rows_a[i].split(","), rows_b[i].split(","))):
                     if x != y:
                         col = header[k] if k < len(header) else str(k)
                         lines.append(f"{name}/{fname} row {i} {col}: {x} -> {y}")
-    return lines
+                        largest[name] = max(largest[name], _relative_move(x, y))
+    return lines, largest
 
 
 def main(argv=None) -> int:
@@ -101,8 +121,11 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         golden = run_configs(args.src.resolve(), out.resolve())
         if args.parent is not None:
-            for line in moved_cells(args.parent, out):
+            lines, largest = moved_cells(args.parent, out)
+            for line in lines:
                 print(line)
+            for name, move in largest.items():
+                print(f"{name}: largest relative move {move:.3g}")
     if not args.dry_run:
         GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     return 0

@@ -495,6 +495,31 @@ class TestConfigEntryTypes:
         assert not (tmp_path / "out").exists()
 
 
+class TestThirdLawSweepNeverPassesForWantOfRows:
+    def _sweep(self, tmp_path, grid):
+        cfg = json.loads((CONFIGS / "third_law_sweep.json").read_text())
+        cfg["params"]["t_c_grid"] = grid
+        cfg["output_dir"] = str(tmp_path / "out")
+        p = tmp_path / "sweep.json"
+        p.write_text(json.dumps(cfg))
+        return run(str(p))
+
+    @pytest.mark.parametrize("grid", [[3.0], [0.4, 2.0]])
+    def test_cold_bath_at_or_above_the_hot_one_is_a_config_error(self, tmp_path, capsys, grid):
+        # a "cold" bath at T = 3 beside the hot one at T = 2 gave one
+        # "cooling" row, which passed the monotone check for want of rows
+        assert self._sweep(tmp_path, grid) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_c_grid must lie below the hot bath's T = 2")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_cooling_row_fails_the_monotone_check(self, tmp_path):
+        assert self._sweep(tmp_path, [0.4]) == 2
+        rows = (tmp_path / "out" / "certificate.csv").read_text().splitlines()
+        assert rows[1] == "cooling_current_monotone,0,1,>=,false"
+        assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 2
+
+
 class TestToleranceOverrides:
     def test_override_tightens_to_failure(self, tmp_path):
         cfg = json.loads((CONFIGS / "evolve_qubit.json").read_text())

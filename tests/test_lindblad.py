@@ -860,6 +860,20 @@ class TestSectorSolveAgainstDenseOracle:
         assert abs(rho.mat[0, 1]) > 1e-2
         assert np.max(np.abs(rho.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
 
+    def test_one_level_group_lists_no_pairs(self, monkeypatch):
+        # a flat spectrum puts the d^2 elements of a coupling in one bin, d^4
+        # pairs; one level group is never certified, so none are listed and
+        # the whole Liouvillian says that the state is not unique
+        listed, bin_pairs = [], lindblad._bin_pairs
+        monkeypatch.setattr(lindblad, "_bin_pairs",
+                            lambda *tables: listed.append(bin_pairs(*tables)) or listed[-1])
+        rng = np.random.default_rng(5)
+        gen = build_davies(Operator.hermitian(np.eye(12)),
+                           [(random_hermitian(12, rng), ohmic_bath("b", 1.0))])
+        with pytest.raises(ValueError, match="not unique"):
+            stationary_state(gen)
+        assert [len(w) for *_, w in listed] == [0]
+
     def test_pure_dephasing_not_unique(self, monkeypatch):
         # the sector is the three populations and its block is roundoff;
         # every diagonal operator commutes with the channel, so the sector
@@ -1039,6 +1053,107 @@ class TestStackSolvesMemberByMember:
             assert isinstance(state, DensityMatrix)
             assert state.mat.tobytes() == stationary_state(build_davies(gen.h, couplings)).mat.tobytes()
             assert np.max(np.abs(state.mat - _dense_bordered_stationary(gen))) <= ALGEBRAIC
+
+
+def _dense_closure(ops):
+    """Dense oracle: the index pairs reached from the diagonal ones under
+    the nonzero patterns P of the channels, (x, y) feeding (a, b) when
+    P[a, x] and P[b, y], grown until nothing changes."""
+    mag = np.abs(ops)
+    pat = (mag > lindblad._PATTERN_REL * mag.max(axis=(1, 2), keepdims=True)).astype(int)
+    reach = np.eye(ops.shape[-1], dtype=bool)
+    while True:
+        grown = reach | (pat @ reach.astype(int) @ pat.swapaxes(-1, -2) > 0).any(axis=0)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
+class TestBinPairsAgainstDenseChannelSums:
+    """Every reading of the tables through ``_bin_pairs`` against sums over
+    the channel operators of ``_table_ops``, member by member."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(["degenerate", "near-degenerate", "equal-gap", "flat"]),
+                    min_size=1, max_size=3),
+           st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=5),
+           st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3),
+           st.booleans(), st.integers(min_value=0, max_value=10 ** 9))
+    def test_every_reading_matches_dense_sums(self, spectra, picks, d, n_baths, sparse, seed):
+        # sparse: diagonal Hamiltonians and couplings with few nonzero
+        # entries, whose closures take several steps through degenerate levels
+        rng = np.random.default_rng(seed)
+        hs = []
+        for spectrum in spectra:
+            u = np.eye(d) if sparse else random_unitary(d, rng).mat
+            evals = np.zeros(d) if spectrum == "flat" else _spectrum(rng, d, spectrum)
+            hs.append(Operator.hermitian(u @ np.diag(evals) @ u.conj().T))
+        # a stack with repeated members, and couplings that may share a bath
+        baths = [ohmic_bath("a", 0.7), ohmic_bath("b", 2.0)]
+        couplings = []
+        for _ in range(n_baths):
+            c = random_hermitian(d, rng).mat
+            if sparse:
+                keep = np.triu(rng.random((d, d)) < 0.3, 1)
+                c = np.where(keep | keep.T, c, 0.0)
+            couplings.append((Operator.hermitian(c), baths[int(rng.integers(2))]))
+        built = [g for g in _davies_stack([hs[i % len(hs)] for i in picks], couplings)
+                 if isinstance(g, GKLSGenerator)]
+        if not built:
+            return
+        s, bins, rates, evals, v = lindblad._stacked_tables(built)
+        n = len(built)
+        pairs = lindblad._bin_pairs(s, bins, rates)
+        eye = np.broadcast_to(np.eye(d), (n, d, d))
+        x = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        g_e = lindblad._jump_map(pairs, eye, adjoint=True)
+        readings = [g_e, lindblad._jump_map(pairs, eye), lindblad._jump_map(pairs, x),
+                    lindblad._jump_map(pairs, x, adjoint=True)]
+        # one level group per member: the sectors alone, no certificate
+        reach, _ = lindblad._certified_sectors(s, bins, np.zeros((n, d), dtype=int), pairs, g_e)
+        # the sectors, the pairs within level groups that the commutant form
+        # reads, and random sets of pairs holding the diagonal
+        tol = LEVEL_MERGE_REL * np.maximum(np.ptp(evals, axis=1), 1.0)[:, None, None]
+        masks = [reach, np.abs(evals[:, :, None] - evals[:, None, :]) <= tol,
+                 (rng.random((n, d, d)) < 0.5) | np.eye(d, dtype=bool)]
+        blocks = {}
+        for k, mask in enumerate(masks):
+            for sel, rows, cols, jumps in lindblad._blocks(pairs, mask, np.arange(n)):
+                for j, listed in zip(sel, zip(rows, cols, jumps)):
+                    blocks[k, j] = listed
+        labels, qs = _table_heat_observables(built)
+
+        def close(got, ref):
+            return np.max(np.abs(got - ref), initial=0.0) <= ALGEBRAIC * max(
+                1.0, float(np.max(np.abs(ref), initial=0.0)))
+
+        for j, gen in enumerate(built):
+            ops, r = lindblad._table_ops(gen._tables)
+            dag = ops.conj().swapaxes(-1, -2)
+            ref = [np.einsum("k,kij->ij", r, dag @ ops), np.einsum("k,kij->ij", r, ops @ dag),
+                   np.einsum("k,kij->ij", r, ops @ x[j] @ dag),
+                   np.einsum("k,kij->ij", r, dag @ x[j] @ ops)]
+            for got, want in zip(readings, ref):
+                assert close(got[j], want)
+            assert np.array_equal(reach[j], _dense_closure(ops))
+            # the jump superoperator on column-stacked vectors
+            sup = np.einsum("k,kij->ij", r, np.array([np.kron(o.conj(), o) for o in ops])
+                            .reshape(-1, d * d, d * d))
+            for k, mask in enumerate(masks):
+                rows, cols, block = blocks[k, j]
+                idx = cols * d + rows
+                assert np.array_equal(idx, np.flatnonzero(mask[j].ravel(order="F")))
+                assert close(block, sup[np.ix_(idx, idx)])
+            ch_labels = [lb for lb, rr in zip(gen._tables.labels, gen._tables.bin_rates)
+                         for _ in rr]
+            e = np.diag(evals[j])
+            for label, q in zip(labels, qs[j]):
+                mine = np.array([lb == label for lb in ch_labels], dtype=bool)
+                vk, rk = ops[mine], r[mine]
+                vd = vk.conj().swapaxes(-1, -2)
+                gk = np.einsum("k,kij->ij", rk, vd @ vk)
+                q_e = np.einsum("k,kij->ij", rk, vd @ e @ vk) - 0.5 * (gk @ e + e @ gk)
+                assert close(q, v[j] @ q_e @ v[j].conj().T)
 
 
 def _tables_bits(t):

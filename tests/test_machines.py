@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -60,7 +61,7 @@ from qthermo.states import (
     shannon_entropy_in_basis,
     von_neumann_entropy,
 )
-from qthermo.tolerances import ALGEBRAIC
+from qthermo.tolerances import ALGEBRAIC, DYNAMICAL
 
 from models import nelder_mead, random_unitary, sequential_optimize_power
 
@@ -1226,6 +1227,37 @@ class TestTricycle:
         assert st.state.dim == 27
         assert st.first_law_residual <= 1e-9
         assert st.currents["cold"] > 0
+
+    def test_five_level_tricycle_cools_on_its_sector_in_small_memory(self, monkeypatch):
+        # d = 125: a kernel that loops over the 610 Bohr bins, or builds a
+        # d^3 array per coupling, takes seconds and 184 MB; the pair
+        # readings of the tables take under 10 MB
+        config = Path(__file__).resolve().parent.parent / "configs" / "tricycle_ladder4.json"
+        p = cli.load_config(str(config))["params"]
+        spec = cli._tricycle_spec(dict(p, oscillator_levels=5, eps=0.3), "tricycle")
+        sides = []
+        solve = lindblad._bordered_fixed_point
+
+        def recording(kernel, *args):
+            sides.append(len(kernel))
+            return solve(kernel, *args)
+
+        def forbidden(gen):
+            raise AssertionError("the sector was not certified")
+
+        monkeypatch.setattr(lindblad, "_bordered_fixed_point", recording)
+        monkeypatch.setattr(lindblad, "_liouvillian_state", forbidden)
+        tracemalloc.start()
+        try:
+            st = tricycle_steady(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.state.dim == 125 and len(sides) == 1 and sides[0] < 125 ** 2
+        # the machine heats its cold bath at this interaction strength
+        assert -0.0062 < st.currents["cold"] < -0.0060
+        assert st.first_law_residual <= DYNAMICAL
+        assert peak < 32 * 2 ** 20
 
     def test_near_degenerate_resonance_rejected(self):
         # eps close to a bare gap spacing collides dressed and bare lines
