@@ -382,9 +382,7 @@ def _run_floquet(cfg: dict):
     )
     dec = fl.floquet_decompose(sched, sched.tau, int(p["grid_points"]))
     s_op = Operator.hermitian(PAULI_X)
-    channels = []
-    for b in baths:
-        channels.extend(fl.harmonic_decompose(dec, s_op, int(p["q_max"]), b))
+    channels = fl.harmonic_decompose(dec, s_op, int(p["q_max"]), baths)
     gen = fl.build_floquet_generator(channels, dec.h_av, by_label)
     report = fl.limit_cycle_laws(gen, channels)
     cert = LawCertificate([])

@@ -13,6 +13,7 @@ bath and the drive.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,17 +68,13 @@ class FloquetDecomposition:
         return self.h_av.dim
 
 
-def _as_matrix(h) -> np.ndarray:
-    return h.mat if isinstance(h, Operator) else np.asarray(h, dtype=complex)
-
-
 def _magnus_steps(h_of_t, times: np.ndarray) -> np.ndarray:
     """Fourth-order Magnus (two-point Gauss-Legendre) propagators of the
-    steps between consecutive times, shape (len(times) - 1, d, d), with d
-    taken from the first sample.
+    steps between consecutive times, shape (len(times) - 1, d, d).
 
-    The schedule is sampled in time order into one preallocated stack,
-    which is checked once for finite, hermitian samples.  Each step's
+    The schedule is called once, on the 1-d array of the 2N Gauss nodes
+    in time order, and must return their (2N, d, d) stack of samples;
+    the stack is checked once for finite, hermitian samples.  Each step's
     exponent Omega is anti-hermitian, so exp(Omega) = exp(-iK) with the
     hermitian K = i Omega; K is formed in Omega's buffer once the sample
     stack is freed, and every step's exponential comes from one batched
@@ -85,12 +82,10 @@ def _magnus_steps(h_of_t, times: np.ndarray) -> np.ndarray:
     c = math.sqrt(3.0) / 6.0
     t, dt = times[:-1], np.diff(times)
     nodes = np.stack([t + (0.5 - c) * dt, t + (0.5 + c) * dt], axis=1).ravel()
-    samples = (_as_matrix(h_of_t(s)) for s in nodes)
-    first = next(samples)
-    h = np.empty((len(nodes),) + first.shape, dtype=complex)
-    h[0] = first
-    for k, m in enumerate(samples, 1):
-        h[k] = m
+    h = np.asarray(h_of_t(nodes), dtype=complex)
+    if h.ndim != 3 or h.shape[0] != len(nodes) or h.shape[1] != h.shape[2]:
+        raise ValueError(f"schedule must return one (d, d) sample per time; got shape "
+                         f"{h.shape} for {len(nodes)} times")
     _check_finite(h)
     bad = _first_nonhermitian(h)
     if bad is not None:
@@ -109,6 +104,12 @@ def floquet_decompose(h_of_t, tau: float, grid_points: int = 400) -> FloquetDeco
     """Split the time-ordered propagator of one period into its periodic
     part and the averaged Hamiltonian.
 
+    ``h_of_t`` maps a time array of any shape to the ``(*shape, d, d)``
+    stack of Hamiltonian samples (a 0-d time gives one (d, d) matrix); it
+    is called once, on every Gauss node of the grid (:func:`_magnus_steps`).
+    The cumulative propagators U(t_{k+1}) = step_k U(t_k) are multiplied
+    in time order, each product written in place into the grid.
+
     The averaged Hamiltonian uses the principal branch of the logarithm
     of the monodromy, folding quasi-energies into (-Omega/2, Omega/2];
     a monodromy eigenvalue at the branch cut (-1) is rejected.
@@ -122,8 +123,8 @@ def floquet_decompose(h_of_t, tau: float, grid_points: int = 400) -> FloquetDeco
     d = steps.shape[-1]
     u_grid = np.empty((grid_points + 1, d, d), dtype=complex)
     u_grid[0] = np.eye(d)
-    for k in range(grid_points):
-        u_grid[k + 1] = steps[k] @ u_grid[k]
+    for step, prev, nxt in zip(steps, u_grid[:-1], u_grid[1:]):
+        np.matmul(step, prev, out=nxt)
     monodromy = u_grid[-1]
     # unitary monodromy is normal: complex Schur form is diagonal
     tmat, z = scipy.linalg.schur(monodromy, output="complex")
@@ -181,17 +182,27 @@ def harmonic_decompose(
     dec: FloquetDecomposition,
     s_op: Operator,
     q_max: int,
-    bath: BathSpec,
+    baths: Sequence[BathSpec],
 ) -> list[FloquetChannel]:
     """Fourier decomposition of U^dag(t) S U(t) over the extended
     frequencies, crossed with the Bohr structure of the averaged
-    Hamiltonian.
+    Hamiltonian, with the channels of each bath coupled through S.
+
+    The decomposition does not depend on the bath, so it is done once:
+    one ``eigh``, one stack of coupling samples, one ``ifft`` and one
+    binning pass.  Each bath then draws one rate per extended frequency.
+    The channels come bath by bath, in the order of ``baths``, and each
+    channel's operator is built once and shared by the baths that keep it.
 
     Rejects when the weight beyond |q| <= q_max exceeds 1e-6 of the total,
-    when two channels with different omega_av land on one extended
-    frequency (the heat-current weight would be ambiguous), or when the
-    bath has a pole at one of the harmonics.
+    when two extended frequencies are unresolved, when two channels with
+    different omega_av land on one extended frequency (the heat-current
+    weight would be ambiguous), or when a bath has a pole at one of the
+    harmonics.  Errors and messages are those of decomposing for one bath
+    at a time, in order.
     """
+    if not baths:
+        return []
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
     if not s_op.is_hermitian():
@@ -240,35 +251,40 @@ def harmonic_decompose(
         i, j = pairs[0]
         raise ValueError(
             f"extended frequencies {centers_ext[i]:.12g} and "
-            f"{centers_ext[j]:.12g} are unresolved for bath {bath.label!r}"
+            f"{centers_ext[j]:.12g} are unresolved for bath {baths[0].label!r}"
         )
+    lines = [(b, center, {round(w, 9) for w in omega_av[b].tolist()}, int(q_of_line[b[0]]))
+             for b, center in zip(_group_indices(order, start), centers_ext.tolist())]
+    ops: dict[int, np.ndarray] = {}
     channels = []
-    for b, center in zip(_group_indices(order, start), centers_ext.tolist()):
-        avs = {round(w, 9) for w in omega_av[b].tolist()}
-        if len(avs) > 1:
-            raise ValueError(
-                f"extended frequency {center:.12g} mixes averaged-Hamiltonian gaps "
-                f"{sorted(avs)}; the heat-current weight is ambiguous"
+    # the first bath meets every bin's gap check before a later bath is
+    # asked for a rate, as in one call per bath
+    for bath in baths:
+        for k, (b, center, avs, q_rep) in enumerate(lines):
+            if len(avs) > 1:
+                raise ValueError(
+                    f"extended frequency {center:.12g} mixes averaged-Hamiltonian gaps "
+                    f"{sorted(avs)}; the heat-current weight is ambiguous"
+                )
+            try:
+                rate = spectral_density(center, bath)
+            except ValueError as exc:
+                raise ValueError(
+                    f"bath {bath.label!r} rejects harmonic q = {q_rep} at "
+                    f"omega = {center:.12g}: {exc}"
+                ) from exc
+            if rate <= 0.0:
+                continue
+            if k not in ops:
+                op = np.zeros((d, d), dtype=complex)
+                for m in b:
+                    in_block = (label[:, None] == g_row[m]) & (label[None, :] == g_col[m])
+                    op += np.where(in_block, c_kept[member[m]], 0.0)
+                # rotate back to the computational basis
+                ops[k] = v @ op @ v.conj().T
+            channels.append(
+                FloquetChannel(bath.label, center, float(omega_av[b[0]]), q_rep, ops[k], rate)
             )
-        op = np.zeros((d, d), dtype=complex)
-        q_rep = int(q_of_line[b[0]])
-        for k in b:
-            in_block = (label[:, None] == g_row[k]) & (label[None, :] == g_col[k])
-            op += np.where(in_block, c_kept[member[k]], 0.0)
-        try:
-            rate = spectral_density(center, bath)
-        except ValueError as exc:
-            raise ValueError(
-                f"bath {bath.label!r} rejects harmonic q = {q_rep} at "
-                f"omega = {center:.12g}: {exc}"
-            ) from exc
-        if rate <= 0.0:
-            continue
-        # rotate back to the computational basis
-        op = v @ op @ v.conj().T
-        channels.append(
-            FloquetChannel(bath.label, center, float(omega_av[b[0]]), q_rep, op, rate)
-        )
     return channels
 
 
@@ -387,7 +403,11 @@ class ModulatedGapQubit:
     """Qubit with a sinusoidally modulated gap: H(t) = (1/2)(omega0 +
     amplitude sin(Omega t)) sigma_z.  The drive commutes with itself at
     all times, so the harmonic weights are Bessel functions and no
-    zero-gap channels appear."""
+    zero-gap channels appear.
+
+    Called on a time array of any shape, it returns the ``(*shape, 2, 2)``
+    stack of samples; a 0-d time gives one 2x2 matrix.  The sine is
+    ``math.sin`` per time, so every sample has the bits of a scalar call."""
 
     omega0: float
     amplitude: float
@@ -397,6 +417,8 @@ class ModulatedGapQubit:
     def tau(self) -> float:
         return 2.0 * math.pi / self.big_omega
 
-    def __call__(self, t: float) -> np.ndarray:
-        w = self.omega0 + self.amplitude * math.sin(self.big_omega * t)
-        return 0.5 * w * PAULI_Z
+    def __call__(self, t) -> np.ndarray:
+        wt = self.big_omega * np.asarray(t, dtype=float)
+        sin = np.array([math.sin(x) for x in wt.ravel().tolist()]).reshape(wt.shape)
+        w = self.omega0 + self.amplitude * sin
+        return (0.5 * w)[..., None, None] * PAULI_Z

@@ -1,9 +1,11 @@
 """Models and tools that only the tests use: a Haar-random unitary, two
-driven schedules with closed-form Floquet structure, the reconstruction
-check of a harmonic decomposition, the per-value clustering loop that is
-the reference of the segmented kernel, a point-at-a-time driver of the
-Nelder–Mead steps, and the restart-after-restart power search that is
-the reference of the lockstep one."""
+driven schedules with closed-form Floquet structure (each maps a time
+array of any shape to its ``(*shape, d, d)`` stack of samples), the
+reconstruction check of a harmonic decomposition, the per-value
+clustering loop that is the reference of the segmented kernel, a
+point-at-a-time driver of the Nelder–Mead steps, and the
+restart-after-restart power search that is the reference of the
+lockstep one."""
 
 from __future__ import annotations
 
@@ -27,6 +29,13 @@ def random_unitary(dim: int, rng: np.random.Generator) -> Operator:
     return Operator.unitary(q)
 
 
+def per_time(f, t: np.ndarray) -> np.ndarray:
+    """The scalar function ``f`` (``math.sin``, say) at every entry of
+    ``t``, in ``t``'s shape: a schedule sampled on a time array then has
+    the bits of its calls at single times."""
+    return np.array([f(x) for x in t.ravel().tolist()]).reshape(t.shape)
+
+
 @dataclass(frozen=True)
 class CircularlyDrivenQubit:
     """H(t) = (1/2) omega0 sigma_z + (1/2) eps (sigma_x cos Omega t +
@@ -40,11 +49,10 @@ class CircularlyDrivenQubit:
     def tau(self) -> float:
         return 2.0 * math.pi / self.big_omega
 
-    def __call__(self, t: float) -> np.ndarray:
-        wt = self.big_omega * t
-        return 0.5 * self.omega0 * PAULI_Z + 0.5 * self.eps * (
-            math.cos(wt) * PAULI_X + math.sin(wt) * PAULI_Y
-        )
+    def __call__(self, t) -> np.ndarray:
+        wt = self.big_omega * np.asarray(t, dtype=float)
+        cos, sin = (per_time(f, wt)[..., None, None] for f in (math.cos, math.sin))
+        return 0.5 * self.omega0 * PAULI_Z + 0.5 * self.eps * (cos * PAULI_X + sin * PAULI_Y)
 
     def rotating_gap(self) -> float:
         return math.hypot(self.omega0 - self.big_omega, self.eps)
@@ -65,10 +73,13 @@ class ModulatedLadder:
     def tau(self) -> float:
         return 2.0 * math.pi / self.big_omega
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
         levels = np.array([0.0, self.omega1, self.omega1 + self.omega2], dtype=complex)
         num = np.array([0.0, 1.0, 2.0])
-        return np.diag(levels + self.amplitude * math.sin(self.big_omega * t) * num)
+        sin = per_time(math.sin, self.big_omega * np.asarray(t, dtype=float))
+        out = np.zeros(sin.shape + (3, 3), dtype=complex)
+        out[..., range(3), range(3)] = levels + (self.amplitude * sin)[..., None] * num
+        return out
 
 
 def reconstruction_residual(

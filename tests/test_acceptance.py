@@ -143,9 +143,7 @@ def floquet_machine():
     hot = BathSpec(label="hot", temperature=2.0, form_factor="power",
                    exponent=2.0, gamma=0.05, cutoff=10.0)
     sx = Operator.hermitian(PAULI_X)
-    channels = []
-    for b in (hot, cold):
-        channels.extend(harmonic_decompose(dec, sx, 8, b))
+    channels = harmonic_decompose(dec, sx, 8, (hot, cold))
     gen = build_floquet_generator(channels, dec.h_av, {"hot": hot, "cold": cold})
     return sched, dec, channels, gen
 
@@ -433,9 +431,7 @@ def test_c12_floquet_consistency(floquet_machine):
                     gamma=0.1, cutoff=0.7)
     hot = BathSpec(label="hot", temperature=2.0, form_factor="power",
                    exponent=2.0, gamma=0.05, cutoff=10.0)
-    ch0 = []
-    for b in (hot, cold):
-        ch0.extend(harmonic_decompose(dec0, sx, 8, b))
+    ch0 = harmonic_decompose(dec0, sx, 8, (hot, cold))
     gen0 = build_floquet_generator(ch0, dec0.h_av, {"hot": hot, "cold": cold})
     rep0 = limit_cycle_laws(gen0, ch0)
     gd = build_davies(qubit_h(), [(sx, hot), (sx, cold)])
@@ -461,9 +457,7 @@ def test_c12_floquet_consistency(floquet_machine):
             hot_i = BathSpec(label="hot", temperature=t_h,
                              form_factor="power", exponent=2.0, gamma=0.05,
                              cutoff=10.0)
-            ch_i = []
-            for b in (hot_i, cold_i):
-                ch_i.extend(harmonic_decompose(dec_i, sx, 10, b))
+            ch_i = harmonic_decompose(dec_i, sx, 10, (hot_i, cold_i))
             gen_i = build_floquet_generator(ch_i, dec_i.h_av,
                                             {"hot": hot_i, "cold": cold_i})
             rep_i = limit_cycle_laws(gen_i, ch_i)

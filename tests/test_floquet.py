@@ -44,6 +44,7 @@ from models import (
     CircularlyDrivenQubit,
     ModulatedLadder,
     loop_group_degenerate,
+    per_time,
     random_unitary,
     reconstruction_residual,
 )
@@ -64,9 +65,7 @@ def two_bath_machine(omega0=1.0, lam=0.6, Omega=0.45, t_c=1.2, t_h=2.0,
                     gamma=gamma_c, cutoff=0.7 * omega0)
     hot = BathSpec(label="hot", temperature=t_h, form_factor="power",
                    exponent=2.0, gamma=gamma_h, cutoff=10.0)
-    channels = []
-    for b in (hot, cold):
-        channels.extend(harmonic_decompose(dec, SX, 8, b))
+    channels = harmonic_decompose(dec, SX, 8, (hot, cold))
     gen = build_floquet_generator(channels, dec.h_av, {"hot": hot, "cold": cold})
     return sched, dec, channels, gen
 
@@ -128,7 +127,8 @@ def test_bad_array_schedule_rejected_at_its_first_sample(bad, message, after):
     base = np.array([[0.3, 0.0], [0.0, -0.3]], dtype=complex)
     tau, n = 2.0 * math.pi / 0.45, 64
     with pytest.raises(ValueError, match=message) as err:
-        floquet_decompose(lambda t: base + bad if t > after else base, tau, n)
+        floquet_decompose(lambda t: np.where((np.asarray(t) > after)[..., None, None],
+                                             base + bad, base), tau, n)
     if message == "not hermitian":
         c = math.sqrt(3.0) / 6.0
         times = np.linspace(0.0, tau, n + 1)
@@ -158,18 +158,43 @@ def test_floquet_decompose_builds_no_operator_per_sample(monkeypatch):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("schedule", [
+    lambda t: np.diag([0.3, -0.3]).astype(complex),  # constant, ignores t
+    lambda t: np.zeros(np.shape(t) + (2, 3)),        # not square
+    lambda t: np.zeros((np.size(t) - 1, 2, 2)),      # one sample short
+])
+def test_schedule_without_one_sample_per_time_rejected(schedule):
+    with pytest.raises(ValueError, match=r"schedule must return one \(d, d\) sample per "
+                                         r"time; got shape \("):
+        floquet_decompose(schedule, 2.0 * math.pi / 0.45, 64)
+
+
+def test_floquet_decompose_calls_the_schedule_once():
+    sched = ModulatedGapQubit(omega0=1.0, amplitude=0.6, big_omega=0.45)
+    calls = []
+
+    def counting(t):
+        calls.append(np.shape(t))
+        return sched(t)
+
+    n = 256
+    assert _bits(floquet_decompose(counting, sched.tau, n).u_grid) == _bits(
+        floquet_decompose(sched, sched.tau, n).u_grid)
+    assert calls == [(2 * n,)]
+
+
 class TestHarmonics:
     def test_undriven_reduces_to_static_lines(self):
         sched = ModulatedGapQubit(omega0=1.0, amplitude=0.0, big_omega=0.45)
         dec = floquet_decompose(sched, sched.tau, 256)
-        chans = harmonic_decompose(dec, SX, 8, unit_bath())
+        chans = harmonic_decompose(dec, SX, 8, [unit_bath()])
         freqs = sorted(ch.omega for ch in chans)
         assert np.allclose(freqs, [-1.0, 1.0], atol=1e-9)
 
     def test_bessel_weights(self):
         sched = ModulatedGapQubit(omega0=1.0, amplitude=0.6, big_omega=0.45)
         dec = floquet_decompose(sched, sched.tau, 512)
-        chans = harmonic_decompose(dec, SX, 8, unit_bath())
+        chans = harmonic_decompose(dec, SX, 8, [unit_bath()])
         z = sched.amplitude / sched.big_omega
         checked = 0
         for ch in chans:
@@ -196,7 +221,7 @@ class TestHarmonics:
         # three lines in the rotating frame
         sched = CircularlyDrivenQubit(omega0=1.0, eps=0.4, big_omega=1.7)
         dec = floquet_decompose(sched, sched.tau, 800)
-        chans = harmonic_decompose(dec, SX, 6, unit_bath())
+        chans = harmonic_decompose(dec, SX, 6, [unit_bath()])
         omega_r = sched.rotating_gap()
         expected = sorted(
             [sched.big_omega - omega_r, sched.big_omega, sched.big_omega + omega_r]
@@ -207,14 +232,14 @@ class TestHarmonics:
     def test_reconstruction_residual(self):
         sched = ModulatedGapQubit(omega0=1.0, amplitude=0.6, big_omega=0.45)
         dec = floquet_decompose(sched, sched.tau, 512)
-        chans = harmonic_decompose(dec, SX, 12, unit_bath())
+        chans = harmonic_decompose(dec, SX, 12, [unit_bath()])
         assert reconstruction_residual(dec, SX, chans) <= 1e-8
 
     def test_insufficient_qmax_rejected_with_tail(self):
         sched = ModulatedGapQubit(omega0=1.0, amplitude=1.8, big_omega=0.45)
         dec = floquet_decompose(sched, sched.tau, 512)
         with pytest.raises(ValueError, match="weight"):
-            harmonic_decompose(dec, SX, 3, unit_bath())
+            harmonic_decompose(dec, SX, 3, [unit_bath()])
 
 
 class TestGeneratorAndLaws:
@@ -274,7 +299,7 @@ class TestGeneratorAndLaws:
         dec = floquet_decompose(sched, sched.tau, 256)
         bath = BathSpec(label="b", temperature=1.0, form_factor="ohmic",
                         gamma=0.2, cutoff=10.0)
-        chans = harmonic_decompose(dec, SX, 8, bath)
+        chans = harmonic_decompose(dec, SX, 8, [bath])
         gen = build_floquet_generator(chans, dec.h_av, {"b": bath})
         rep = limit_cycle_laws(gen, chans)
         assert abs(rep.currents["b"]) < 1e-12
@@ -292,8 +317,8 @@ class TestGeneratorAndLaws:
                         gamma=0.2, cutoff=10.0)
         hot = BathSpec(label="hot", temperature=2.5, form_factor="ohmic",
                        gamma=0.2, cutoff=10.0)
-        channels = harmonic_decompose(dec, lower, 6, cold)
-        channels += harmonic_decompose(dec, upper, 6, hot)
+        channels = harmonic_decompose(dec, lower, 6, [cold])
+        channels += harmonic_decompose(dec, upper, 6, [hot])
         gen = build_floquet_generator(channels, dec.h_av,
                                       {"cold": cold, "hot": hot})
         rep = limit_cycle_laws(gen, channels)
@@ -308,7 +333,7 @@ class TestGeneratorAndLaws:
         sched = CircularlyDrivenQubit(omega0=1.0, eps=0.4, big_omega=1.7)
         dec = floquet_decompose(sched, sched.tau, 512)
         bath = unit_bath("b")
-        chans = harmonic_decompose(dec, SX, 6, bath)
+        chans = harmonic_decompose(dec, SX, 6, [bath])
         assert any(abs(c.omega_av) < 1e-12 and abs(c.omega) > 1e-12 for c in chans)
         gen = build_floquet_generator(chans, dec.h_av, {"b": bath})
         with pytest.raises(ValueError, match="omega_av = 0"):
@@ -336,13 +361,12 @@ def ladder_machine():
     # of the ledger is real or diagonal
     w = random_unitary(3, np.random.default_rng(7)).mat
     sched = ModulatedLadder(omega1=1.0, omega2=1.55, amplitude=0.3, big_omega=0.6)
-    dec = floquet_decompose(lambda t: Operator.hermitian(w @ sched(t) @ w.conj().T),
-                            sched.tau, 256)
+    dec = floquet_decompose(lambda t: w @ sched(t) @ w.conj().T, sched.tau, 256)
     lower = Operator.hermitian(w @ np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) @ w.conj().T)
     upper = Operator.hermitian(w @ np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]) @ w.conj().T)
     cold = BathSpec(label="cold", temperature=0.8, form_factor="ohmic", gamma=0.2, cutoff=10.0)
     hot = BathSpec(label="hot", temperature=2.5, form_factor="ohmic", gamma=0.2, cutoff=10.0)
-    channels = harmonic_decompose(dec, lower, 6, cold) + harmonic_decompose(dec, upper, 6, hot)
+    channels = harmonic_decompose(dec, lower, 6, [cold]) + harmonic_decompose(dec, upper, 6, [hot])
     return dec, channels, {"cold": cold, "hot": hot}
 
 
@@ -384,7 +408,7 @@ class TestLedgersAgainstDenseChannelSuperoperators:
 @dataclasses.dataclass(frozen=True)
 class _RandomDrive:
     """H(t) = H0 + cos(Omega t) H1 + sin(2 Omega t) H2, returned as a plain
-    array: a generic non-commuting schedule."""
+    array stack: a generic non-commuting schedule."""
 
     h0: np.ndarray
     h1: np.ndarray
@@ -396,27 +420,26 @@ class _RandomDrive:
         return 2.0 * math.pi / self.big_omega
 
     def __call__(self, t):
-        w = self.big_omega * t
-        return self.h0 + math.cos(w) * self.h1 + math.sin(2.0 * w) * self.h2
+        w = self.big_omega * np.asarray(t, dtype=float)
+        cos = per_time(math.cos, w)[..., None, None]
+        sin = per_time(math.sin, 2.0 * w)[..., None, None]
+        return self.h0 + cos * self.h1 + sin * self.h2
 
 
 def _loop_floquet(h_of_t, tau, n):
     """Per-step reference of floquet_decompose: one Magnus exponential
     exp(Omega) = exp(-iK), K = i Omega, from the package kernel on a
     one-member stack, and one product per step; one periodic-part product
-    per sample."""
-    def mat(h):
-        return h.mat if isinstance(h, Operator) else np.asarray(h, dtype=complex)
-
+    per sample.  The schedule is called at one (0-d) time per sample."""
     c = math.sqrt(3.0) / 6.0
     times = np.linspace(0.0, tau, n + 1)
-    d = mat(h_of_t(0.0)).shape[0]
+    d = h_of_t(0.0).shape[0]
     u = np.empty((n + 1, d, d), dtype=complex)
     u[0] = np.eye(d)
     for k in range(n):
         t, dt = times[k], times[k + 1] - times[k]
-        m1 = mat(h_of_t(t + (0.5 - c) * dt))
-        m2 = mat(h_of_t(t + (0.5 + c) * dt))
+        m1 = np.asarray(h_of_t(t + (0.5 - c) * dt), dtype=complex)
+        m2 = np.asarray(h_of_t(t + (0.5 + c) * dt), dtype=complex)
         omega = -0.5j * dt * (m1 + m2) - (math.sqrt(3.0) / 12.0) * dt * dt * (
             m2 @ m1 - m1 @ m2
         )
@@ -474,6 +497,41 @@ class TestStackedFloquetAgainstStepLoop:
         s = random_hermitian(d, rng).mat
         loop = np.array([v.conj().T @ u.conj().T @ s @ u @ v for u in up])
         assert _bits(_coupling_samples(up, v, s)) == _bits(loop)
+
+
+class TestArraySchedules:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["gap", "circular", "ladder", "random"]),
+           st.lists(st.integers(min_value=1, max_value=5), max_size=3),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_array_call_bitwise_equal_to_its_per_time_calls(self, kind, shape, seed):
+        rng = np.random.default_rng(seed)
+        amp, big_omega = rng.uniform(0.0, 0.8), rng.uniform(0.3, 2.0)
+        if kind == "gap":
+            sched = ModulatedGapQubit(omega0=rng.uniform(0.5, 1.5), amplitude=amp,
+                                      big_omega=big_omega)
+        elif kind == "circular":
+            sched = CircularlyDrivenQubit(omega0=rng.uniform(0.5, 1.5), eps=amp,
+                                          big_omega=big_omega)
+        elif kind == "ladder":
+            sched = ModulatedLadder(1.0, rng.uniform(0.5, 1.5), amplitude=amp,
+                                    big_omega=big_omega)
+        else:
+            d = int(rng.integers(2, 5))
+            sched = _RandomDrive(*(random_hermitian(d, rng, scale).mat
+                                   for scale in (1.0, amp, 0.5 * amp)), big_omega)
+        times = rng.uniform(-20.0, 20.0, size=shape)
+        got = sched(times)
+        samples = [sched(t) for t in times.ravel().tolist()]
+        d = samples[0].shape[-1]
+        assert got.shape == tuple(shape) + (d, d)
+        assert _bits(got) == _bits(np.array(samples).reshape(got.shape))
+        # a 0-d time gives one matrix, whether a float, a numpy scalar or
+        # a 0-d array
+        t0 = float(times.flat[0])
+        for t in (np.float64(t0), np.array(t0)):
+            assert sched(t).shape == (d, d)
+            assert _bits(sched(t)) == _bits(samples[0])
 
 
 def _loop_harmonic_decompose(dec, s_op, q_max, bath):
@@ -605,13 +663,13 @@ class TestHarmonicsAgainstBlockLoop:
         except ValueError:
             assume(False)  # the branch cut is not under test here
         bath = unit_bath()
-        got = _outcome(harmonic_decompose, dec, s_op, q_max, bath)
+        got = _outcome(harmonic_decompose, dec, s_op, q_max, [bath])
         assert got == _outcome(_loop_harmonic_decompose, dec, s_op, q_max, bath)
 
     def test_mixed_averaged_gaps_rejected_as_by_loop(self):
         sched = _resonant_qubit(1.0, 0.3)
         dec = floquet_decompose(sched, sched.tau, 64)
-        got = _outcome(harmonic_decompose, dec, SX, 6, unit_bath())
+        got = _outcome(harmonic_decompose, dec, SX, 6, [unit_bath()])
         assert got[0] is ValueError and "mixes averaged-Hamiltonian gaps" in got[1]
         assert got == _outcome(_loop_harmonic_decompose, dec, SX, 6, unit_bath())
 
@@ -621,6 +679,98 @@ class TestHarmonicsAgainstBlockLoop:
         sched = _resonant_qubit(1.0, 0.3, 2e-7)
         dec = floquet_decompose(sched, sched.tau, 64)
         with pytest.raises(ValueError, match="are unresolved for bath 'u'"):
-            harmonic_decompose(dec, SX, 6, unit_bath())
-        got = _outcome(harmonic_decompose, dec, SX, 6, unit_bath())
+            harmonic_decompose(dec, SX, 6, [unit_bath()])
+        got = _outcome(harmonic_decompose, dec, SX, 6, [unit_bath()])
         assert got == _outcome(_loop_harmonic_decompose, dec, SX, 6, unit_bath())
+
+
+def _one_bath_at_a_time(dec, s_op, q_max, baths):
+    """The channels of several baths from one harmonic_decompose per bath,
+    concatenated in bath order."""
+    return [ch for bath in baths for ch in harmonic_decompose(dec, s_op, q_max, [bath])]
+
+
+def _pole_bath(label="p"):
+    # a flat bosonic bath at finite temperature rejects omega = 0
+    return BathSpec(label=label, temperature=1.0, form_factor="flat", gamma=0.1,
+                    cutoff=10.0)
+
+
+class TestHarmonicsForManyBaths:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["gap", "resonant", "circular", "ladder", "random"]),
+           st.integers(min_value=16, max_value=128), st.integers(min_value=3, max_value=12),
+           st.lists(st.sampled_from(["unit", "ohmic", "power", "pole"]), min_size=1,
+                    max_size=3),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_bitwise_equal_to_one_bath_at_a_time(self, kind, n, q_max, kinds, seed):
+        rng = np.random.default_rng(seed)
+        amp, big_omega = rng.uniform(0.0, 0.8), rng.uniform(0.3, 2.0)
+        # a diagonal part puts lines at omega = 0, the pole bath's pole
+        s_op = Operator.hermitian(PAULI_X + rng.choice([0.0, 0.3]) * PAULI_Z)
+        if kind == "gap":
+            sched = ModulatedGapQubit(omega0=1.0, amplitude=amp, big_omega=big_omega)
+        elif kind == "resonant":
+            sched = _resonant_qubit(big_omega, amp, float(rng.choice([0.0, 5e-9, 2e-7])))
+        elif kind == "circular":
+            sched = CircularlyDrivenQubit(omega0=1.0, eps=amp, big_omega=big_omega)
+        elif kind == "ladder":
+            sched = ModulatedLadder(1.0, float(rng.choice([1.0, 1.3])), amplitude=amp,
+                                    big_omega=big_omega)
+            s_op = Operator.hermitian(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+        else:
+            d = int(rng.integers(2, 5))
+            sched = _RandomDrive(*(random_hermitian(d, rng, scale).mat
+                                   for scale in (1.0, amp, 0.5 * amp)), big_omega)
+            s_op = random_hermitian(d, rng)
+        try:
+            dec = floquet_decompose(sched, sched.tau, n)
+        except ValueError:
+            assume(False)  # the branch cut is not under test here
+        make = {
+            "unit": unit_bath,
+            "ohmic": lambda label: BathSpec(label=label, temperature=0.7, form_factor="ohmic",
+                                            gamma=0.2, cutoff=10.0),
+            "power": lambda label: BathSpec(label=label, temperature=1.5, form_factor="power",
+                                            exponent=2.0, gamma=0.05, cutoff=5.0),
+            "pole": _pole_bath,
+        }
+        baths = [make[k](f"b{i}") for i, k in enumerate(kinds)]
+        got = _outcome(harmonic_decompose, dec, s_op, q_max, baths)
+        assert got == _outcome(_one_bath_at_a_time, dec, s_op, q_max, baths)
+
+    def test_coupling_decomposed_once_for_all_baths(self, monkeypatch):
+        sched = ModulatedGapQubit(omega0=1.0, amplitude=0.6, big_omega=0.45)
+        dec = floquet_decompose(sched, sched.tau, 256)
+        baths = [unit_bath("a"), unit_bath("b", gamma=0.5),
+                 BathSpec(label="c", temperature=1.2, form_factor="flat", gamma=0.1,
+                          cutoff=0.7)]
+        calls = []
+        original = floquet._coupling_samples
+
+        def counting(up, v, s):
+            calls.append(len(up))
+            return original(up, v, s)
+
+        monkeypatch.setattr(floquet, "_coupling_samples", counting)
+        got = _outcome(harmonic_decompose, dec, SX, 8, baths)
+        assert calls == [256]
+        assert [c[0] for c in got] == sorted(c[0] for c in got)  # bath order
+        assert {c[0] for c in got} == {"a", "b", "c"}
+        assert got == _outcome(_one_bath_at_a_time, dec, SX, 8, baths)
+
+    def test_second_bath_pole_rejected_as_by_one_bath_at_a_time(self):
+        sched = ModulatedGapQubit(omega0=1.0, amplitude=0.6, big_omega=0.45)
+        dec = floquet_decompose(sched, sched.tau, 256)
+        s_op = Operator.hermitian(PAULI_X + 0.3 * PAULI_Z)
+        baths = [unit_bath(), _pole_bath()]
+        assert harmonic_decompose(dec, s_op, 8, baths[:1])  # the first bath passes
+        got = _outcome(harmonic_decompose, dec, s_op, 8, baths)
+        assert got[0] is ValueError
+        assert got[1].startswith("bath 'p' rejects harmonic q = 0 at omega = 0: ")
+        assert got == _outcome(_one_bath_at_a_time, dec, s_op, 8, baths)
+
+    def test_no_baths_no_channels(self):
+        sched = ModulatedGapQubit(omega0=1.0, amplitude=0.6, big_omega=0.45)
+        dec = floquet_decompose(sched, sched.tau, 64)
+        assert harmonic_decompose(dec, SX, 8, []) == []

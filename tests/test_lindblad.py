@@ -952,7 +952,8 @@ class TestSectorSolveAgainstDenseOracle:
         lower = Operator.hermitian(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
         upper = Operator.hermitian(np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]))
         cold, hot = ohmic_bath("cold", 0.8), ohmic_bath("hot", 2.5)
-        channels = harmonic_decompose(dec, lower, 6, cold) + harmonic_decompose(dec, upper, 6, hot)
+        channels = (harmonic_decompose(dec, lower, 6, [cold])
+                    + harmonic_decompose(dec, upper, 6, [hot]))
         gen = build_floquet_generator(channels, dec.h_av, {"cold": cold, "hot": hot})
         kernels = _record_sector_kernels(monkeypatch)
         sectors = []
