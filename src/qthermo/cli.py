@@ -45,9 +45,17 @@ def _fmt(x: float) -> str:
 
 def _csv(header: list[str], rows) -> str:
     """CSV text of a header and rows; strings are written as they are,
-    numbers through `_fmt`."""
+    numbers through `_fmt`.  A row of numbers as long as the header is
+    written by one "%.12g" format, which gives `_fmt`'s text for every
+    float, int and bool; any other row is written cell by cell."""
     lines = [",".join(header)]
-    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    fmt = ",".join(["%.12g"] * len(header))
+    for row in rows:
+        row = tuple(row)
+        try:
+            lines.append(fmt % row)
+        except TypeError:  # a string, or a row of another length
+            lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

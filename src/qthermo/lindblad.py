@@ -247,16 +247,18 @@ class _Tables:
     bin_rates: tuple[tuple[float, ...], ...]
 
 
-def _stack_tables(evals: np.ndarray, s_e: np.ndarray,
-                  couplings) -> list[_Tables | BohrResolutionError]:
+def _stack_tables(evals: np.ndarray, s_e: np.ndarray, baths) -> list[_Tables | BohrResolutionError]:
     """The tables of the couplings ``s_e`` (n, C, d, d), given in the
     eigenbases of n Hamiltonians with the ascending levels ``evals``
     (n, d), in one segmented pass: levels grouped per member, the level
     blocks of all members and couplings found at once, and Bohr gaps
-    binned per (member, coupling).  Entry i is member i's tables, or the
-    BohrResolutionError of its first unresolved coupling, as a build of
-    the member alone gives them; the rate of each distinct (bath, gap) is
-    drawn once, in the order in which those builds first draw it."""
+    binned per (member, coupling).  ``baths[i][c]`` is the bath of member
+    i's coupling c; members may carry different baths, and shared ones
+    are the case of a repeated sequence.  Entry i is member i's tables,
+    or the BohrResolutionError of its first unresolved coupling, as a
+    build of the member alone gives them; the rate of each distinct
+    (bath, gap) of the stack is drawn once, in the order in which those
+    builds first draw it."""
     n, n_c, d = s_e.shape[:3]
     abs_se = np.abs(s_e)
     spread = np.maximum(evals[:, -1] - evals[:, 0], 1.0)
@@ -275,14 +277,17 @@ def _stack_tables(evals: np.ndarray, s_e: np.ndarray,
     _, _, block_bin, bin_centers, pairs = _bin_frequencies(
         gaps, seg, merge_tol.repeat(n_c), resolve_tol.repeat(n_c)
     )
-    labels = tuple(bath.label for _, bath in couplings)
+    # the distinct baths of the stack, indexed once per (member, coupling)
+    distinct: dict[BathSpec, int] = {}
+    seg_bath = [distinct.setdefault(bath, len(distinct)) for member in baths for bath in member]
+    specs = list(distinct)
     errors = {}  # member: (first unresolved coupling, its error)
     for s, (i, j) in pairs.items():
         m, c = divmod(s, n_c)
         if m not in errors:
             errors[m] = c, BohrResolutionError(
                 f"Bohr gaps {bin_centers[i]:.12g} and {bin_centers[j]:.12g} of coupling to "
-                f"bath {labels[c]!r} differ by {abs(bin_centers[i] - bin_centers[j]):.3e}, "
+                f"bath {baths[m][c].label!r} differ by {abs(bin_centers[i] - bin_centers[j]):.3e}, "
                 f"inside the unresolved band ({merge_tol[m]:.1e}, {resolve_tol[m]:.1e})"
             )
 
@@ -292,15 +297,15 @@ def _stack_tables(evals: np.ndarray, s_e: np.ndarray,
     bin_seg[block_bin] = seg
     local, rates = np.full(len(bin_centers) + 1, -1), np.zeros(len(bin_centers) + 1)
     freqs, bin_rates = [[] for _ in range(n * n_c)], [[] for _ in range(n * n_c)]
-    drawn: dict[tuple[str, int], float] = {}
+    drawn: dict[tuple[int, int], float] = {}
     for k, (s, center, bits) in enumerate(zip(bin_seg.tolist(), bin_centers.tolist(),
                                               bin_centers.view(np.int64).tolist())):
         m, c = divmod(s, n_c)
         if m in errors and c >= errors[m][0]:
             continue
-        rate = drawn.get((labels[c], bits))
+        rate = drawn.get((seg_bath[s], bits))
         if rate is None:
-            rate = drawn[labels[c], bits] = spectral_density(center, couplings[c][1])
+            rate = drawn[seg_bath[s], bits] = spectral_density(center, specs[seg_bath[s]])
         if rate > _RATE_FLOOR:
             local[k], rates[k] = len(freqs[s]), rate
             freqs[s].append(center)
@@ -312,7 +317,8 @@ def _stack_tables(evals: np.ndarray, s_e: np.ndarray,
     for arr in (bins, elem_rates):
         arr.setflags(write=False)
     return [errors[m][1] if m in errors else _Tables(
-        labels, s_e[m], bins[m], elem_rates[m], tuple(map(tuple, freqs[m * n_c:(m + 1) * n_c])),
+        tuple(bath.label for bath in baths[m]), s_e[m], bins[m], elem_rates[m],
+        tuple(map(tuple, freqs[m * n_c:(m + 1) * n_c])),
         tuple(map(tuple, bin_rates[m * n_c:(m + 1) * n_c])),
     ) for m in range(n)]
 
@@ -360,22 +366,53 @@ def _liouvillian_stack(gens: Sequence[GKLSGenerator]) -> None:
             gen._liouvillian = Superoperator(mi)
 
 
-def _davies_stack(hs: Sequence[Operator], couplings) -> list[GKLSGenerator | BohrResolutionError]:
+class _Levelled(list):
+    """Hamiltonians of one stack whose first ``len(evals)`` members come
+    with the ascending levels ``evals`` and eigenvectors ``v`` of one
+    batched :func:`_eigh`: a caller that read those levels hands them on,
+    and :func:`_davies_stack` diagonalises only the other members."""
+
+    def __init__(self, hs: Sequence[Operator], evals: np.ndarray, v: np.ndarray):
+        super().__init__(hs)
+        self.evals, self.v = evals, v
+
+
+def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending levels and eigenvectors of a (n, d, d) stack of hermitian
+    matrices, each with the bits of diagonalising it alone."""
+    return np.linalg.eigh((mats + mats.conj().swapaxes(-1, -2)) / 2.0)
+
+
+def _davies_stack(hs: Sequence[Operator], couplings,
+                  baths=None) -> list[GKLSGenerator | BohrResolutionError]:
     """Weak-coupling generators of the Hamiltonians ``hs`` (one dimension)
-    against one list of hermitian couplings: one batched ``eigh``, one
-    batched rotation of the couplings into every eigenbasis and one
-    segmented binning pass over the whole stack (:func:`_stack_tables`).
-    A member whose gaps the secular approximation can neither merge nor
-    resolve is its BohrResolutionError.  Each member's bits are those of
-    building it alone."""
+    against one list of (hermitian coupling, bath) pairs: one batched
+    ``eigh``, one batched rotation of the couplings into every eigenbasis
+    and one segmented binning pass over the whole stack
+    (:func:`_stack_tables`).  ``baths``, when given, holds for each member
+    the baths of its couplings in their order, in place of the pairs' own:
+    the members of one stack then carry different baths, each its own
+    labels checked and its own baths registered on its generator.  When
+    ``hs`` is a :class:`_Levelled` list, the decomposition of its first
+    members is taken as handed on.  A member whose gaps the secular
+    approximation can neither merge nor resolve is its
+    BohrResolutionError.  Each member's bits are those of building it
+    alone."""
     d = hs[0].dim
-    baths = {}
-    for s_op, bath in couplings:
-        if s_op.dim != d:
-            raise ValueError("coupling dimension does not match the Hamiltonian")
-        if bath.label in baths and baths[bath.label] != bath:
-            raise ValueError(f"two different baths share the label {bath.label!r}")
-        baths[bath.label] = bath
+    if baths is None:
+        baths = [tuple(bath for _, bath in couplings)] * len(hs)
+    if len(baths) != len(hs) or any(len(member) != len(couplings) for member in baths):
+        raise ValueError("need one bath per coupling for every Hamiltonian of the stack")
+    if any(s_op.dim != d for s_op, _ in couplings):
+        raise ValueError("coupling dimension does not match the Hamiltonian")
+    registered = []
+    for member in baths:
+        by_label = {}
+        for bath in member:
+            known = by_label.setdefault(bath.label, bath)
+            if known is not bath and known != bath:
+                raise ValueError(f"two different baths share the label {bath.label!r}")
+        registered.append(by_label)
     if any(h.dim != d for h in hs):
         raise ValueError("the Hamiltonians of one stack must share their dimension")
     if not all(h.is_hermitian() for h in hs):
@@ -383,14 +420,17 @@ def _davies_stack(hs: Sequence[Operator], couplings) -> list[GKLSGenerator | Boh
     if not all(s_op.is_hermitian() for s_op, _ in couplings):
         raise ValueError("coupling operators must be hermitian")
     mats = np.array([h.mat for h in hs])
-    evals, v = np.linalg.eigh((mats + mats.conj().swapaxes(-1, -2)) / 2.0)
+    k = len(hs.evals) if isinstance(hs, _Levelled) else 0
+    evals, v = _eigh(mats[k:])
+    if k:
+        evals, v = np.concatenate([hs.evals, evals]), np.concatenate([hs.v, v])
     s = np.array([s_op.mat for s_op, _ in couplings], dtype=complex).reshape(-1, d, d)
     s_e = v.conj().swapaxes(-1, -2)[:, None] @ s[None] @ v[:, None]
     for arr in (evals, v, s_e):
         arr.setflags(write=False)
-    tables = _stack_tables(evals, s_e, couplings)
-    return [t if isinstance(t, BohrResolutionError) else GKLSGenerator._tabled(h, t, e, vi, baths)
-            for h, t, e, vi in zip(hs, tables, evals, v)]
+    tables = _stack_tables(evals, s_e, baths)
+    return [t if isinstance(t, BohrResolutionError) else GKLSGenerator._tabled(h, t, e, vi, reg)
+            for h, t, e, vi, reg in zip(hs, tables, evals, v, registered)]
 
 
 def build_davies(h: Operator, couplings: list[tuple[Operator, BathSpec]]) -> GKLSGenerator:
@@ -465,8 +505,11 @@ def _table_heat_observables(gens: Sequence[GKLSGenerator]) -> tuple[list[str], n
     (E_a - (E_x + E_y) / 2): one scatter over the ``_bin_pairs`` of the
     tables with each bin split by row, each pair booked to its member's
     bath.  Split by row, a coupling lists at most d^3 pairs."""
-    labels = list(dict.fromkeys(gens[0]._tables.labels))
-    bath = np.array([labels.index(label) for label in gens[0]._tables.labels], dtype=int)
+    coupled = gens[0]._tables.labels
+    if any(gen._tables.labels != coupled for gen in gens):
+        raise ValueError("the heat observables of one stack need one list of coupling labels")
+    labels = list(dict.fromkeys(coupled))
+    bath = np.array([labels.index(label) for label in coupled], dtype=int)
     s, bins, rates, evals, v = _stacked_tables(gens)
     n, _, d, _ = s.shape
     by_row = np.where(bins >= 0, bins * d + np.arange(d)[:, None], -1)
@@ -997,11 +1040,6 @@ def trajectory(
     )
 
 
-def _max_bohr_frequency(h: Operator) -> float:
-    evals = np.linalg.eigvalsh(h.mat)
-    return float(evals.max() - evals.min())
-
-
 def adiabatic_propagate(
     h_of_t,
     couplings: list[tuple[Operator, BathSpec]],
@@ -1017,9 +1055,12 @@ def adiabatic_propagate(
 
     Steps longer than a tenth of the fastest Bohr period are refined
     (with a warning) so the instantaneous-generator picture stays inside
-    its window of validity.  The generators of each grid step, at its
+    its window of validity; the cap reads the levels of the step's
+    midpoint, diagonalised once.  The generators of each grid step, at its
     substep midpoints and its end, come from one `_davies_stack`, with the
-    bits of building each alone; a generator's BohrResolutionError is
+    bits of building each alone; with one substep the midpoint's
+    decomposition is handed on to it (:class:`_Levelled`), and a refined
+    step builds its own midpoints.  A generator's BohrResolutionError is
     raised when the loop reaches it.  Each grid point's ledger is read as
     a stack of one by the kernel of :func:`trajectory`
     (:func:`_ledger_columns`), against the generator of that point; its
@@ -1074,7 +1115,8 @@ def adiabatic_propagate(
         t_a, t_b = grid[i - 1], grid[i]
         dt = t_b - t_a
         h_mid = hamiltonian(0.5 * (t_a + t_b))
-        omega_max = _max_bohr_frequency(h_mid)
+        evals, v = _eigh(h_mid.mat[None])
+        omega_max = float(evals[0, -1] - evals[0, 0])
         dt_cap = (2 * math.pi / omega_max) / 10.0 if omega_max > 0 else dt
         n_sub = max(max(1, substeps), int(math.ceil(dt / dt_cap)))
         if n_sub > max(1, substeps) and not warned:
@@ -1084,10 +1126,15 @@ def adiabatic_propagate(
                 stacklevel=2,
             )
             warned = True
+        # the generators of the step's substep midpoints and of its end; one
+        # substep's midpoint is h_mid, whose decomposition is handed on
         sub = np.linspace(t_a, t_b, n_sub + 1)
-        # the generators of the step's substep midpoints and of its end
-        hs = [hamiltonian(0.5 * (sub[j] + sub[j + 1])) for j in range(n_sub)]
-        gens = _davies_stack(hs + [hamiltonian(t_b)], couplings)
+        if n_sub == 1:
+            hs = _Levelled([h_mid, hamiltonian(t_b)], evals, v)
+        else:
+            hs = [hamiltonian(0.5 * (sub[j] + sub[j + 1])) for j in range(n_sub)]
+            hs.append(hamiltonian(t_b))
+        gens = _davies_stack(hs, couplings)
         for j in range(n_sub):
             if j:
                 # the state between two substeps, which no ledger row reads

@@ -1043,16 +1043,17 @@ class TricycleSteady:
     state: DensityMatrix
 
 
-def _tricycle_steady_stack(spec: TricycleSpec, omegas_c) -> list:
-    """:func:`tricycle_steady` of ``spec`` at each cold frequency of
-    ``omegas_c``, all solved as one stack: one batched ``eigh``
-    (``_davies_stack``), one stacked stationary solve and one stacked
-    evaluation of the heat observables.  Entry i is the TricycleSteady of
-    the i-th frequency, or the ValueError (a BohrResolutionError among
-    them) that its build or solve raised; each entry's bits are those of
-    solving it alone."""
-    specs = [replace(spec, omega_c=float(w)) for w in omegas_c]
-    gens = _davies_stack([_tricycle_hamiltonian(sp) for sp in specs], _tricycle_couplings(spec))
+def _tricycle_steady_stack(specs) -> list:
+    """:func:`tricycle_steady` of every spec of ``specs``, one per member,
+    all solved as one stack: one batched ``eigh`` (``_davies_stack``, each
+    member with its own three baths), one stacked stationary solve and one
+    stacked evaluation of the heat observables.  The specs share their
+    filter levels and bath labels; their frequencies and baths may
+    differ.  Entry i is the TricycleSteady of ``specs[i]``, or the
+    ValueError (a BohrResolutionError among them) that its build or solve
+    raised; each entry's bits are those of solving it alone."""
+    gens = _davies_stack([_tricycle_hamiltonian(sp) for sp in specs], _tricycle_couplings(specs[0]),
+                         [(sp.bath_h, sp.bath_c, sp.bath_w) for sp in specs])
     out: list = list(gens)
     built = [i for i, gen in enumerate(gens) if isinstance(gen, GKLSGenerator)]
     for i, state in zip(built, _stationary_stack([gens[i] for i in built])):
@@ -1063,7 +1064,7 @@ def _tricycle_steady_stack(spec: TricycleSpec, omegas_c) -> list:
     labels, q = _table_heat_observables([gens[i] for i in solved])
     rho = np.array([out[i].mat for i in solved])
     # basis order |h c w>: |100> is index d^2, |010> is index d
-    d = spec.levels
+    d = specs[0].levels
     for i, j, r in zip(solved, _currents(q, rho), rho):
         gen = gens[i]
         currents = {label: float(x) for label, x in zip(labels, j) if label in gen.bath_labels}
@@ -1093,7 +1094,7 @@ def tricycle_steady(spec: TricycleSpec) -> TricycleSteady:
     hot and cold filter states, the three-level-amplifier inversion
     reading of the machine; it changes sign together with the cooling
     window."""
-    (steady,) = _tricycle_steady_stack(spec, [spec.omega_c])
+    (steady,) = _tricycle_steady_stack([spec])
     if isinstance(steady, ValueError):
         raise steady
     return steady
@@ -1123,57 +1124,91 @@ def third_law_sweep(
 
     For each cold temperature the cold filter frequency is optimised over
     the bracket [ratio_lo, ratio_hi] * T_c to maximise the cooling current
-    J_c; rows report the optimum, the gain, and the conductance
-    K = J_c / (omega_c G).  Each grid of candidates is solved as one stack
-    (``_tricycle_steady_stack``).  Candidate frequencies that collide with
-    the interaction-split Bohr structure (BohrResolutionError) are skipped
+    J_c: a coarse grid, then a fine one between the neighbours of its best
+    point.  Rows report the optimum, the gain, and the conductance
+    K = J_c / (omega_c G).  Candidate frequencies that collide with the
+    interaction-split Bohr structure (BohrResolutionError) are skipped
     rather than guessed; any other solver error reaches the caller.
+
+    The grids are pipelined: stack k (``_tricycle_steady_stack``) solves
+    the fine grid of the (k-1)-th cold temperature together with the
+    coarse grid of the k-th, so n temperatures take n + 1 stacks.  A fine
+    grid needs its own coarse result, so no stack can hold more grids.
+    Rows and errors are those of solving the grids one after another: the
+    fine grid's members come first in their stack, and an error met in
+    setting up the next temperature (the 1e-3 floor, say) is raised only
+    after the fine grid before it is solved alone.
 
     For a power-law cold bath of exponent p (J(w) ~ w**p), the optimum
     omega_c* stays proportional to T_c below the cooling-window edge
     omega_h T_c / T_h, so the absorption rate goes as T_c**p and the
     cooling current as J_c ~ T_c**(p + 1); the third-law acceptance
     criterion checks the fitted exponent against p + 1."""
-    rows = []
     label = spec.bath_c.label
-    for t_c in t_c_grid:
+    half = _SWEEP_EVALS // 2
+
+    def coarse(t_c):
+        # the coarse grid over [lo, hi] of one cold temperature, and its
+        # candidates
         t_c = float(t_c)
         if t_c < 1e-3:
             raise ValueError("cold temperature grid is floored at 1e-3")
-        lo, hi = ratio_lo * t_c, ratio_hi * t_c
-        hi = min(hi, 0.95 * spec.omega_h)
         at_t_c = replace(spec, bath_c=replace(spec.bath_c, temperature=t_c))
+        grid = np.linspace(ratio_lo * t_c, min(ratio_hi * t_c, 0.95 * spec.omega_h), half)
+        return (t_c, at_t_c, grid), [replace(at_t_c, omega_c=float(w)) for w in grid]
 
-        def solve(omegas) -> list[tuple[float, TricycleSteady | None]]:
-            # one stack per grid; a Bohr collision skips its candidate
-            out = []
-            for steady in _tricycle_steady_stack(at_t_c, omegas):
-                if isinstance(steady, BohrResolutionError):
-                    out.append((-math.inf, None))
-                elif isinstance(steady, ValueError):
-                    raise steady
-                else:
-                    out.append((steady.currents[label], steady))
-            return out
+    def scored(steadies) -> list[tuple[float, TricycleSteady | None]]:
+        # a Bohr collision skips its candidate
+        out = []
+        for steady in steadies:
+            if isinstance(steady, BohrResolutionError):
+                out.append((-math.inf, None))
+            elif isinstance(steady, ValueError):
+                raise steady
+            else:
+                out.append((steady.currents[label], steady))
+        return out
 
-        # a coarse grid over [lo, hi], then as many points again between
-        # the neighbours of its best point; np.linspace sets both ends of
-        # the fine grid exactly, so they reuse the coarse solves
-        grid = np.linspace(lo, hi, _SWEEP_EVALS // 2)
-        coarse = solve(grid)
-        k = int(np.argmax([j for j, _ in coarse]))
+    def refine(t_c, at_t_c, grid, solves):
+        # as many points again between the neighbours of the best coarse
+        # point; np.linspace sets both ends exactly, so they reuse its solves
+        k = int(np.argmax([j for j, _ in solves]))
         ka, kb = max(0, k - 1), min(len(grid) - 1, k + 1)
-        fine = np.linspace(grid[ka], grid[kb], _SWEEP_EVALS - _SWEEP_EVALS // 2)
-        solves = [coarse[ka], *solve(fine[1:-1]), coarse[kb]]
+        fine = np.linspace(grid[ka], grid[kb], _SWEEP_EVALS - half)
+        return (t_c, fine, solves[ka], solves[kb]), [replace(at_t_c, omega_c=float(w))
+                                                     for w in fine[1:-1]]
+
+    def row(t_c, fine, first, last, inner) -> SweepRow:
+        solves = [first, *inner, last]
         kk = int(np.argmax([j for j, _ in solves]))
         best_w, best_j = float(fine[kk]), float(solves[kk][0])
         if not math.isfinite(best_j) or best_j <= 0:
-            rows.append(SweepRow(t_c, best_w, max(best_j, 0.0) if math.isfinite(best_j) else 0.0,
-                                 0.0, 0.0, no_cooling=True))
-            continue
+            return SweepRow(t_c, best_w, max(best_j, 0.0) if math.isfinite(best_j) else 0.0,
+                            0.0, 0.0, no_cooling=True)
         # in the cooling window the amplifier inversion p2 - p1 is negative;
         # the cold current tracks the cooling inversion, its mirror image
         gain = -solves[kk][1].gain
         cond = best_j / (best_w * gain) if abs(gain) > 1e-300 else math.nan
-        rows.append(SweepRow(t_c, best_w, best_j, cond, gain))
+        return SweepRow(t_c, best_w, best_j, cond, gain)
+
+    t_cs = list(t_c_grid)
+    if not t_cs:
+        return []
+    rows = []
+    fine, fine_specs = None, []  # the pending fine grid: its row's arguments, its candidates
+    for k in range(len(t_cs) + 1):
+        nxt, coarse_specs = None, []
+        try:
+            if k < len(t_cs):
+                nxt, coarse_specs = coarse(t_cs[k])
+            steadies = _tricycle_steady_stack(fine_specs + coarse_specs)
+        except Exception:
+            # one grid after another, the pending fine grid is solved first
+            if fine_specs:
+                scored(_tricycle_steady_stack(fine_specs))
+            raise
+        solves = scored(steadies)
+        if fine is not None:
+            rows.append(row(*fine, solves[:len(fine_specs)]))
+        fine, fine_specs = refine(*nxt, solves[len(fine_specs):]) if nxt else (None, [])
     return rows

@@ -5,7 +5,8 @@ reconstruction check of a harmonic decomposition, the per-value
 clustering loop that is the reference of the segmented kernel, a
 point-at-a-time driver of the Nelder–Mead steps, and the
 restart-after-restart power search that is the reference of the
-lockstep one."""
+lockstep one.  The grid-after-grid third-law sweep is the reference of
+the pipelined one."""
 
 from __future__ import annotations
 
@@ -174,3 +175,48 @@ def sequential_optimize_power(spec, free, seed=7, restarts=3, max_evals=200, tra
     best = {k: float(v) for k, v in zip(names, best_x)}
     rep = machines.run_otto(replace(spec, **best))
     return best, rep.power, rep.efficiency
+
+
+def per_grid_sweep(spec, t_c_grid, ratio_lo=0.2, ratio_hi=3.0):
+    """`machines.third_law_sweep` with each cold temperature's coarse and
+    fine grids solved one after another, each grid its own
+    `machines._tricycle_steady_stack`."""
+    rows = []
+    label = spec.bath_c.label
+    for t_c in t_c_grid:
+        t_c = float(t_c)
+        if t_c < 1e-3:
+            raise ValueError("cold temperature grid is floored at 1e-3")
+        lo, hi = ratio_lo * t_c, ratio_hi * t_c
+        hi = min(hi, 0.95 * spec.omega_h)
+        at_t_c = replace(spec, bath_c=replace(spec.bath_c, temperature=t_c))
+
+        def solve(omegas):
+            out = []
+            for steady in machines._tricycle_steady_stack(
+                    [replace(at_t_c, omega_c=float(w)) for w in omegas]):
+                if isinstance(steady, BohrResolutionError):
+                    out.append((-math.inf, None))
+                elif isinstance(steady, ValueError):
+                    raise steady
+                else:
+                    out.append((steady.currents[label], steady))
+            return out
+
+        grid = np.linspace(lo, hi, machines._SWEEP_EVALS // 2)
+        coarse = solve(grid)
+        k = int(np.argmax([j for j, _ in coarse]))
+        ka, kb = max(0, k - 1), min(len(grid) - 1, k + 1)
+        fine = np.linspace(grid[ka], grid[kb], machines._SWEEP_EVALS - machines._SWEEP_EVALS // 2)
+        solves = [coarse[ka], *solve(fine[1:-1]), coarse[kb]]
+        kk = int(np.argmax([j for j, _ in solves]))
+        best_w, best_j = float(fine[kk]), float(solves[kk][0])
+        if not math.isfinite(best_j) or best_j <= 0:
+            rows.append(machines.SweepRow(
+                t_c, best_w, max(best_j, 0.0) if math.isfinite(best_j) else 0.0, 0.0, 0.0,
+                no_cooling=True))
+            continue
+        gain = -solves[kk][1].gain
+        cond = best_j / (best_w * gain) if abs(gain) > 1e-300 else math.nan
+        rows.append(machines.SweepRow(t_c, best_w, best_j, cond, gain))
+    return rows

@@ -5,6 +5,7 @@ config, and list the CSV cells that moved against an earlier run.
     python tests/regen_golden.py --keep DIR            # and keep the artifacts in DIR
     python tests/regen_golden.py --parent DIR          # and print every cell that moved
     python tests/regen_golden.py --src OTHER/src --keep DIR --dry-run
+    python tests/regen_golden.py --dry-run             # check against the golden file
 
 ``--parent`` names a directory laid out as ``--keep`` leaves one: a folder
 per config holding its artifacts.  Running an older checkout's ``src``
@@ -13,7 +14,9 @@ without touching the golden file.  Each moved cell is printed as
 ``config/file row column: old -> new``; a file or row that appears or
 disappears is printed as well.  Then each config's largest relative move
 |new - old| / max(1, |old|) over its cells is printed, so that a move at
-roundoff shows at a glance.  All configs run in one fresh interpreter
+roundoff shows at a glance.  ``--dry-run`` compares each config's exit
+code and artifact hashes with the golden file instead of writing it,
+prints every mismatch, and exits 1 when there is one.  All configs run in one fresh interpreter
 with ``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1``, as
 ``test_blas_thread_count_preserves_output`` runs them.
 """
@@ -109,12 +112,33 @@ def moved_cells(old: Path, new: Path) -> tuple[list[str], dict[str, float]]:
     return lines, largest
 
 
+def golden_mismatches(golden: dict, got: dict) -> list[str]:
+    """Every config, exit code, artifact or artifact hash of ``got`` that
+    differs from ``golden``, one line each."""
+    lines = []
+    for name in sorted(golden.keys() | got.keys()):
+        if name not in got or name not in golden:
+            lines.append(f"{name}: only in {'the run' if name in got else 'the golden file'}")
+            continue
+        want, have = golden[name], got[name]
+        if want["exit"] != have["exit"]:
+            lines.append(f"{name}: exit {have['exit']}, golden {want['exit']}")
+        for fname in sorted(want["artifacts"].keys() | have["artifacts"].keys()):
+            a, b = want["artifacts"].get(fname), have["artifacts"].get(fname)
+            if a is None or b is None:
+                lines.append(f"{name}/{fname}: only in {'the run' if a is None else 'the golden file'}")
+            elif a != b:
+                lines.append(f"{name}/{fname}: sha256 {b}, golden {a}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="library source to run")
     ap.add_argument("--keep", type=Path, help="directory that keeps the artifacts")
     ap.add_argument("--parent", type=Path, help="earlier artifacts to compare against")
-    ap.add_argument("--dry-run", action="store_true", help="leave the golden file as it is")
+    ap.add_argument("--dry-run", action="store_true",
+                    help="compare with the golden file instead of writing it")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         out = args.keep if args.keep is not None else Path(tmp)
@@ -126,8 +150,12 @@ def main(argv=None) -> int:
                 print(line)
             for name, move in largest.items():
                 print(f"{name}: largest relative move {move:.3g}")
-    if not args.dry_run:
-        GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    if args.dry_run:
+        lines = golden_mismatches(json.loads(GOLDEN.read_text()), golden)
+        for line in lines:
+            print(line)
+        return 1 if lines else 0
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     return 0
 
 

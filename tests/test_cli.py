@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qthermo import cli
 from qthermo.cli import (
@@ -60,6 +63,33 @@ class TestCertificate:
             value >= threshold if sense == ">=" else value <= threshold)
         assert cert.passed() == expected
 
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.booleans(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(min_value=-(2 ** 62), max_value=2 ** 62).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=st.integers(min_value=0, max_value=6).flatmap(lambda width: st.tuples(
+           st.just(width), st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=5))),
+       odd=st.lists(st.lists(st.one_of(_CELLS, st.text(alphabet="abc_<=", max_size=4)),
+                             max_size=7), max_size=2))
+def test_csv_rows_are_the_cell_by_cell_text(table, odd):
+    # rows of numbers as long as the header, written by one format, and
+    # rows with strings or of another length, against the per-cell route
+    width, rows = table
+    rows = rows + odd
+    header = [f"h{k}" for k in range(width)]
+    cells = [",".join(v if isinstance(v, str) else cli._fmt(v) for v in row) for row in rows]
+    assert cli._csv(header, rows) == "\n".join([",".join(header), *cells]) + "\n"
+    assert cli._csv(header, iter(map(tuple, rows))) == cli._csv(header, rows)
 
 class TestConfigValidation:
     def test_unknown_kind(self, tmp_path):
@@ -562,3 +592,39 @@ class TestToleranceOverrides:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(cfg))
         assert run(str(p)) == 1
+
+
+class TestGoldenDryRun:
+    GOLDEN = {"a": {"artifacts": {"x.csv": "11", "y.csv": "22"}, "exit": 0},
+              "b": {"artifacts": {}, "exit": 1}}
+
+    def test_mismatches_listed_one_per_line(self):
+        import regen_golden
+
+        assert regen_golden.golden_mismatches(self.GOLDEN, json.loads(json.dumps(self.GOLDEN))) == []
+        got = {"a": {"artifacts": {"x.csv": "12", "z.csv": "33"}, "exit": 2},
+               "c": {"artifacts": {}, "exit": 0}}
+        assert regen_golden.golden_mismatches(self.GOLDEN, got) == [
+            "a: exit 2, golden 0",
+            "a/x.csv: sha256 12, golden 11",
+            "a/y.csv: only in the golden file",
+            "a/z.csv: only in the run",
+            "b: only in the golden file",
+            "c: only in the run",
+        ]
+
+    def test_dry_run_exits_1_on_a_mismatch_and_leaves_the_file(self, tmp_path, monkeypatch,
+                                                                capsys):
+        import regen_golden
+
+        golden = tmp_path / "golden.json"
+        golden.write_text(json.dumps(self.GOLDEN))
+        monkeypatch.setattr(regen_golden, "GOLDEN", golden)
+        got = json.loads(json.dumps(self.GOLDEN))
+        monkeypatch.setattr(regen_golden, "run_configs", lambda src, out: got)
+        assert regen_golden.main(["--dry-run"]) == 0
+        assert capsys.readouterr().out == ""
+        got["b"]["exit"] = 0
+        assert regen_golden.main(["--dry-run"]) == 1
+        assert capsys.readouterr().out == "b: exit 0, golden 1\n"
+        assert json.loads(golden.read_text()) == self.GOLDEN

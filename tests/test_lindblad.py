@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -504,6 +505,31 @@ class TestAdiabaticDriving:
                  for a, b in zip(grid, grid[1:])]
         assert min(n_sub) > 10
         assert stacks == [1] + [k + 1 for k in n_sub]
+
+    def test_each_hamiltonian_diagonalised_once(self, monkeypatch):
+        # one substep: a step's midpoint sets its Bohr cap and builds its
+        # generator from one decomposition, so the generators of a 9-point
+        # ramp diagonalise its first point and each step's midpoint and end
+        # once: 17 Hamiltonians (trace 3, where a state's is 1), none twice
+        seen = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+        def recording(fn):
+            def wrapped(a, *args, **kwargs):
+                if sys._getframe(1).f_globals["__name__"] == "qthermo.lindblad":
+                    mats = np.asarray(a).reshape(-1, *np.shape(a)[-2:])
+                    seen.extend(m.tobytes() for m in mats if abs(np.trace(m) - 3.0) < 1e-9)
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", recording(eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(eigvalsh))
+        couplings = [(Operator.hermitian(PAULI_X), ohmic_bath("b", 1.0))]
+        rho0 = DensityMatrix(np.diag([0.7, 0.3]))
+        adiabatic_propagate(lambda t: Operator.hermitian(qubit_h(1.0 + t).mat + 1.5 * np.eye(2)),
+                            couplings, rho0, np.linspace(0.0, 1.0, 9))
+        assert len(seen) == 1 + 2 * 8
+        assert len(set(seen)) == len(seen)
 
     @pytest.mark.parametrize("substeps, points", [(1, 9), (2, 41), (3, 70)])
     def test_ledger_bitwise_the_per_point_builds(self, substeps, points):
@@ -1213,6 +1239,64 @@ class TestStackTablesMemberByMember:
         # and stops at its second
         assert single_calls[2] == [("a", np.float64(w).tobytes()) for w in (-3.0, 3.0)]
 
+    def test_members_with_their_own_baths(self, monkeypatch):
+        # five members, each with its own baths: one label at two
+        # temperatures, a bath repeated as an equal copy, a member whose
+        # two couplings share a bath, and a Bohr collision.  Each member's
+        # generator has the bits, the registered baths and the error of
+        # building it alone, and the stack draws each distinct (bath, gap)
+        # rate once, in the order in which those builds first draw it
+        rng = np.random.default_rng(11)
+        d = 4
+        u = random_unitary(d, rng).mat
+        generic = Operator.hermitian(u @ np.diag([0.0, 0.7, 1.9, 3.2]) @ u.conj().T)
+        colliding = Operator.hermitian(np.diag([0.0, 1.0, 2.0 + 1e-7, 3.0]))
+        hs = [generic, generic, colliding, generic, generic]
+        ops = [random_hermitian(d, rng), random_hermitian(d, rng)]
+        a1, a3, b2 = ohmic_bath("a", 1.0), ohmic_bath("a", 0.3), ohmic_bath("b", 2.0)
+        baths = [(a1, b2), (a3, b2), (a1, b2), (replace(a1), b2), (a1, a1)]
+        calls = []
+        original = lindblad.spectral_density
+
+        def counting(omega, spec):
+            calls.append((spec, np.float64(omega).tobytes()))
+            return original(omega, spec)
+
+        monkeypatch.setattr(lindblad, "spectral_density", counting)
+        couplings = [(op, b2) for op in ops]  # the pairs' own baths are replaced
+        gens = _davies_stack(hs, couplings, baths)
+        stack_calls, single_calls = list(calls), []
+        for h, member, gen in zip(hs, baths, gens):
+            calls.clear()
+            (single,) = _davies_stack([h], list(zip(ops, member)))
+            single_calls.append(list(calls))
+            if isinstance(single, BohrResolutionError):
+                assert isinstance(gen, BohrResolutionError) and str(gen) == str(single)
+            else:
+                assert _tables_bits(gen._tables) == _tables_bits(single._tables)
+                assert gen.baths == single.baths == {bath.label: bath for bath in member}
+                assert gen.liouvillian().mat.tobytes() == single.liouvillian().mat.tobytes()
+        assert [type(g).__name__ for g in gens] == ["GKLSGenerator", "GKLSGenerator",
+                                                    "BohrResolutionError", "GKLSGenerator",
+                                                    "GKLSGenerator"]
+        assert gens[0].baths["a"].temperature == 1.0 and gens[1].baths["a"].temperature == 0.3
+        assert len(stack_calls) == len(set(stack_calls))
+        assert stack_calls == list(dict.fromkeys(sum(single_calls, [])))
+        assert {spec for spec, _ in stack_calls} == {a1, a3, b2}
+
+    def test_label_clash_checked_per_member(self):
+        # one label at two temperatures in two members is two baths; in one
+        # member it is a clash
+        h = Operator.hermitian(np.diag([0.0, 1.0]))
+        ops = [Operator.hermitian(PAULI_X), Operator.hermitian(PAULI_X)]
+        a1, a3 = ohmic_bath("a", 1.0), ohmic_bath("a", 0.3)
+        couplings = [(op, a1) for op in ops]
+        assert len(_davies_stack([h, h], couplings, [(a1, a1), (a3, a3)])) == 2
+        with pytest.raises(ValueError, match="two different baths share the label 'a'"):
+            _davies_stack([h, h], couplings, [(a1, a1), (a1, a3)])
+        with pytest.raises(ValueError, match="one bath per coupling"):
+            _davies_stack([h, h], couplings, [(a1, a1)])
+
 
 def _degenerate_coherence_generator():
     """Levels 0 < 1 = 2 whose coherence (1, 2) no jump creates; G does, as
@@ -1233,7 +1317,7 @@ def _coupling_channels(h_evals, basis, couplings):
     levels ``h_evals`` with the eigenvectors ``basis``."""
     d = len(h_evals)
     s_e = np.array([basis.conj().T @ s_op.mat @ basis for s_op, _ in couplings]).reshape(-1, d, d)
-    (tables,) = _stack_tables(h_evals[None], s_e[None], couplings)
+    (tables,) = _stack_tables(h_evals[None], s_e[None], [[bath for _, bath in couplings]])
     if isinstance(tables, BohrResolutionError):
         raise tables
     return _table_channels(tables, basis)

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from qthermo import cli, lindblad, machines, operators, states
 from qthermo.baths import BathSpec
-from qthermo.lindblad import build_davies
+from qthermo.lindblad import BohrResolutionError, build_davies
 from qthermo.machines import (
     _PROTOCOLS,
     _adiabat_superops,
@@ -63,7 +64,7 @@ from qthermo.states import (
 )
 from qthermo.tolerances import ALGEBRAIC, DYNAMICAL
 
-from models import nelder_mead, random_unitary, sequential_optimize_power
+from models import nelder_mead, per_grid_sweep, random_unitary, sequential_optimize_power
 
 
 def ohmic(label, t, gamma=0.2):
@@ -1271,8 +1272,8 @@ class TestTricycle:
 class TestThirdLawSweep:
     def test_shipped_sweep_bins_once_per_grid_stack(self, monkeypatch):
         # the 8 cold temperatures of the shipped sweep solve a coarse and a
-        # fine grid each, and each grid's Bohr gaps are binned in one pass
-        # over its stack, not candidate by candidate
+        # fine grid each, pipelined into 9 stacks, and each stack's Bohr
+        # gaps are binned in one pass, not candidate by candidate
         config = Path(__file__).resolve().parent.parent / "configs" / "third_law_sweep.json"
         p = cli.load_config(str(config))["params"]
         passes = []
@@ -1285,7 +1286,7 @@ class TestThirdLawSweep:
         monkeypatch.setattr(lindblad, "_bin_frequencies", counting)
         rows = third_law_sweep(cli._tricycle_spec(p, "third-law-sweep"), p["t_c_grid"])
         assert len(rows) == len(p["t_c_grid"]) == 8
-        assert len(passes) == 16
+        assert len(passes) == 9
 
     def test_sweep_structure_and_monotonicity(self):
         spec = tricycle_spec(
@@ -1331,10 +1332,11 @@ class TestThirdLawSweep:
             third_law_sweep(tricycle_spec(), [0.5, 1e-4])
 
     def test_each_candidate_is_solved_once(self, monkeypatch):
-        # 20 coarse candidates and 18 fine ones per cold temperature, each
-        # grid one stack: the fine grid's two ends are coarse points, whose
-        # solves are reused; the best one's gain is reported from its own
-        # solve
+        # 20 coarse candidates and 18 fine ones per cold temperature, the
+        # fine grid of one temperature in the stack of the next one's coarse
+        # grid, ahead of it: the fine grid's two ends are coarse points,
+        # whose solves are reused; the best one's gain is reported from its
+        # own solve
         calls = _count_calls(monkeypatch, machines._tricycle_steady_stack)
         spec = tricycle_spec(
             bath_c=BathSpec(label="cold", temperature=0.5, form_factor="power",
@@ -1342,9 +1344,12 @@ class TestThirdLawSweep:
             eps=1e-3,
         )
         rows = third_law_sweep(spec, [0.4, 0.1])
-        assert [len(omegas) for _, omegas in calls] == [20, 18, 20, 18]
-        for (_, coarse), (_, fine) in zip(calls[::2], calls[1::2]):
-            assert not set(np.asarray(coarse).tolist()) & set(np.asarray(fine).tolist())
+        assert [len(specs) for (specs,) in calls] == [20, 38, 18]
+        temps = [[sp.bath_c.temperature for sp in specs] for (specs,) in calls]
+        assert temps == [[0.4] * 20, [0.4] * 18 + [0.1] * 20, [0.1] * 18]
+        omegas = [[sp.omega_c for sp in specs] for (specs,) in calls]
+        for coarse, fine in ((omegas[0], omegas[1][:18]), (omegas[1][18:], omegas[2])):
+            assert not set(coarse) & set(fine)
         for row in rows:
             assert not row.no_cooling
             best = tricycle_steady(replace(spec, omega_c=row.omega_c_star,
@@ -1388,8 +1393,8 @@ class TestThirdLawSweep:
         spec = tricycle_spec(eps=1e-3)
         build, solve = machines._davies_stack, machines._stationary_stack
 
-        def colliding(hs, couplings):
-            gens = build(hs, couplings)
+        def colliding(hs, couplings, baths):
+            gens = build(hs, couplings, baths)
             return [BohrResolutionError("collision")] + gens[1:]
 
         monkeypatch.setattr(machines, "_davies_stack", colliding)
@@ -1403,6 +1408,111 @@ class TestThirdLawSweep:
         monkeypatch.setattr(machines, "_stationary_stack", failing)
         with pytest.raises(ValueError, match="stationary state not unique"):
             third_law_sweep(spec, [0.4])
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(t_cs=st.lists(st.floats(min_value=0.02, max_value=1.5), min_size=1, max_size=5),
+           cold_work=st.booleans(), collide=st.sampled_from([None, 0, 1, 2, "all"]))
+    def test_rows_bitwise_the_per_grid_sweep(self, t_cs, cold_work, collide):
+        # the pipelined sweep against solving each grid as its own stack:
+        # rows that cool, rows that do not (a work bath at T = 0.2 against a
+        # hot one at 0.3 stops the machine cooling at low T_c), and
+        # candidates whose build collides, one in three or all of them
+        spec = tricycle_spec(eps=1e-3)
+        if cold_work:
+            spec = replace(spec, bath_h=replace(spec.bath_h, temperature=0.3),
+                           bath_w=replace(spec.bath_w, temperature=0.2))
+        build = machines._davies_stack
+
+        def colliding(hs, couplings, baths=None):
+            gens = build(hs, couplings, baths)
+            return [BohrResolutionError("injected") if collide == "all" or (
+                collide is not None and zlib.crc32(h.mat.tobytes()) % 3 == collide) else gen
+                for h, gen in zip(hs, gens)]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(machines, "_davies_stack", colliding)
+            got = third_law_sweep(spec, t_cs)
+            ref = per_grid_sweep(spec, t_cs)
+        assert [(r.no_cooling, _bits(dataclasses.astuple(r)[:-1])) for r in got] \
+            == [(r.no_cooling, _bits(dataclasses.astuple(r)[:-1])) for r in ref]
+        if collide == "all" or (cold_work and max(t_cs) < 0.4):
+            assert all(r.no_cooling for r in got)
+
+    @staticmethod
+    def _grids(spec, t_cs):
+        # the (temperature, omega_c) of each grid's candidates, in the order
+        # of solving the grids one after another
+        calls = []
+        stack = machines._tricycle_steady_stack
+
+        def recording(specs):
+            calls.append([(sp.bath_c.temperature, sp.omega_c) for sp in specs])
+            return stack(specs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(machines, "_tricycle_steady_stack", recording)
+            per_grid_sweep(spec, t_cs)
+        return calls
+
+    @pytest.mark.parametrize("fine_at, coarse_at", [(0, 0), (17, 0), (0, 19), (17, 19)])
+    def test_fine_grid_error_raised_before_the_next_coarse_grids(self, monkeypatch, fine_at,
+                                                                 coarse_at):
+        # the fine grid of 0.4 shares a stack with the coarse grid of 0.1,
+        # behind it: a solver error in each, and the fine grid's is raised,
+        # as solving the grids one after another raises it
+        spec = tricycle_spec(eps=1e-3)
+        _, fine_0, coarse_1, _ = self._grids(spec, [0.4, 0.1])
+        bad = {fine_0[fine_at]: "fine grid of 0.4", coarse_1[coarse_at]: "coarse grid of 0.1"}
+        stack = machines._tricycle_steady_stack
+
+        def failing(specs):
+            out = stack(specs)
+            for i, sp in enumerate(specs):
+                if (sp.bath_c.temperature, sp.omega_c) in bad:
+                    out[i] = ValueError(bad[sp.bath_c.temperature, sp.omega_c])
+            return out
+
+        monkeypatch.setattr(machines, "_tricycle_steady_stack", failing)
+        for sweep in (third_law_sweep, per_grid_sweep):
+            with pytest.raises(ValueError, match="^fine grid of 0.4$"):
+                sweep(spec, [0.4, 0.1])
+        del bad[fine_0[fine_at]]
+        for sweep in (third_law_sweep, per_grid_sweep):
+            with pytest.raises(ValueError, match="^coarse grid of 0.1$"):
+                sweep(spec, [0.4, 0.1])
+
+    def test_floor_checked_only_after_the_fine_grid_before_it(self, monkeypatch):
+        # 1e-4 is below the 1e-3 floor: the error is raised once the fine
+        # grid of 0.4 is solved, alone, and a solver error in that grid is
+        # raised instead
+        spec = tricycle_spec(eps=1e-3)
+        _, fine_0 = self._grids(spec, [0.4])
+        sizes, fail = [], []
+        stack = machines._tricycle_steady_stack
+
+        def failing(specs):
+            sizes.append(len(specs))
+            out = stack(specs)
+            for i, sp in enumerate(specs):
+                if (sp.bath_c.temperature, sp.omega_c) in fail:
+                    out[i] = ValueError("stationary state not unique: bordered-system rcond 0")
+            return out
+
+        monkeypatch.setattr(machines, "_tricycle_steady_stack", failing)
+        for sweep in (third_law_sweep, per_grid_sweep):
+            sizes.clear()
+            with pytest.raises(ValueError, match="floored"):
+                sweep(spec, [0.4, 1e-4])
+            assert sizes == [20, 18]
+        fail.append(fine_0[5])
+        for sweep in (third_law_sweep, per_grid_sweep):
+            with pytest.raises(ValueError, match="not unique"):
+                sweep(spec, [0.4, 1e-4])
+        # a floor error on the first temperature comes before any solve
+        sizes.clear()
+        with pytest.raises(ValueError, match="floored"):
+            third_law_sweep(spec, [1e-4, 0.4])
+        assert sizes == []
 
 
 def test_third_law_flat_bath_exponent_reported():
