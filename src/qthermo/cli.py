@@ -200,6 +200,8 @@ def _run_evolve(cfg: dict):
     p = cfg["params"]
     medium = _parse_medium(p["medium"], "evolve.medium")
     baths = [_parse_bath(b, "evolve.baths") for b in p["baths"]]
+    if p["points"] < 2:
+        raise ConfigError("points must be at least 2: the first is t = 0")
     h = medium.hamiltonian(float(p["omega"]))
     couplings = [(medium.coupling(), b) for b in baths]
     gen = build_davies(h, couplings)
@@ -239,6 +241,8 @@ def _run_davies_audit(cfg: dict):
     p = cfg["params"]
     medium = _parse_medium(p["medium"], "davies-audit.medium")
     baths = [_parse_bath(b, "davies-audit.baths") for b in p["baths"]]
+    if not baths:
+        raise ConfigError("baths must hold at least one bath")
     h = medium.hamiltonian(float(p["omega"]))
     gen = build_davies(h, [(medium.coupling(), b) for b in baths])
     audit = davies_audit(gen)
@@ -377,6 +381,8 @@ def _run_third_law(cfg: dict):
 def _run_floquet(cfg: dict):
     p = cfg["params"]
     baths = [_parse_bath(b, "floquet.baths") for b in p["baths"]]
+    if not baths:
+        raise ConfigError("baths must hold at least one bath")
     # channels and currents are booked by bath label
     by_label = {}
     for b in baths:
@@ -408,6 +414,8 @@ def _run_eth(cfg: dict):
     p = cfg["params"]
     rng = _rng(cfg["seed"])
     n = int(p["n_spins"])
+    if n < 1:
+        raise ConfigError("n_spins must be at least 1")
     h = heisenberg_chain(n, rng, float(p["field_scale"]))
     site = int(p["site"])
     if not 0 <= site < n:

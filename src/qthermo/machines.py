@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -159,47 +157,17 @@ class StrokeOp:
         return self.spec.kind == "isochore"
 
 
-# isochore generators kept by `_isochore_generators`, most recently used
-# last: an Otto optimisation revisits its hot stroke at every evaluation, and
-# at d = 10 one entry holds about 170 KB, mostly its Liouvillian
-_ISOCHORE_CACHE = 32
-_isochores: OrderedDict[tuple, GKLSGenerator] = OrderedDict()
-_isochores_lock = threading.Lock()
-
-
 def _isochore_generators(medium, points) -> list[GKLSGenerator | BohrResolutionError]:
     """The weak-coupling generators of ``medium`` at each (omega, bath) of
-    ``points``, with their eigenbases and Liouvillians built.
-
-    Generators missing from the cache are built with one `_davies_stack`
-    per bath, then kept; a point whose Bohr gaps collide is its
-    BohrResolutionError, and is not kept.  Every cycle that has a stroke
-    shares its generator: its channels are a tuple, its arrays are
-    read-only, and it never leaves this module."""
-    keys = [(medium, omega, bath) for omega, bath in points]
-    found: dict = {}
-    with _isochores_lock:
-        for key in keys:
-            if key in _isochores:
-                _isochores.move_to_end(key)
-                found[key] = _isochores[key]
-    missing: dict[BathSpec, list] = {}
-    for _, omega, bath in dict.fromkeys(k for k in keys if k not in found):
-        missing.setdefault(bath, []).append(omega)
-    built = []
-    for bath, omegas in missing.items():
-        gens = _davies_stack([medium.hamiltonian(w) for w in omegas], [(medium.coupling(), bath)])
-        for omega, gen in zip(omegas, gens):
-            if isinstance(gen, GKLSGenerator):
-                built.append((medium, omega, bath))
-            found[medium, omega, bath] = gen
-    _liouvillian_stack([found[key] for key in built])
-    with _isochores_lock:
-        for key in built:
-            _isochores[key] = found[key]
-        while len(_isochores) > _ISOCHORE_CACHE:
-            _isochores.popitem(last=False)
-    return [found[key] for key in keys]
+    ``points``, Liouvillians built: the distinct points as one `_davies_stack`,
+    each member against its own bath.  A repeated point is the same generator;
+    a point whose Bohr gaps collide is its BohrResolutionError."""
+    distinct = list(dict.fromkeys(points))
+    gens = _davies_stack([medium.hamiltonian(omega) for omega, _ in distinct],
+                         [(medium.coupling(), distinct[0][1])], [(bath,) for _, bath in distinct])
+    _liouvillian_stack([gen for gen in gens if isinstance(gen, GKLSGenerator)])
+    found = dict(zip(distinct, gens))
+    return [found[point] for point in points]
 
 
 def _transfer_maps(v_start: np.ndarray, v_end: np.ndarray) -> np.ndarray:
@@ -366,16 +334,16 @@ class _CycleStack:
 
 def _compile_stack(specs) -> tuple[list, _CycleStack | None]:
     """Compile the cycles ``specs``, which share their medium, protocol,
-    order and dephasing: the missing isochore generators from one
-    `_davies_stack` per bath, every isochore's exp(L tau) from one stacked
-    ``expm`` (which takes the slices one by one), every adiabat from one
-    broadcast sandwich, and every stroke verified completely positive and
-    trace preserving in one stacked check; the cycles are composed as
-    stacked products.  Returns, per cycle, None or the ValueError that
-    compiling it alone raises (its hot generator's BohrResolutionError
-    before its cold one's; then its first stroke in time order that is not
-    finite or not CPTP), and the stack of the cycles whose generators were
-    built.  Each cycle's bits are those of compiling it alone."""
+    order and dephasing: the isochore generators as one `_davies_stack`,
+    every isochore's exp(L tau) from one stacked ``expm`` (which takes the
+    slices one by one), every adiabat from one broadcast sandwich, and
+    every stroke verified completely positive and trace preserving in one
+    stacked check; the cycles are composed as stacked products.  Returns,
+    per cycle, None or the ValueError that compiling it alone raises (its
+    hot generator's BohrResolutionError before its cold one's; then its
+    first stroke in time order that is not finite or not CPTP), and the
+    stack of the cycles whose generators were built.  Each cycle's bits
+    are those of compiling it alone."""
     first = specs[0]
     shape = (first.medium, first.protocol, first.order, first.dephase_after_adiabats)
     if any((sp.medium, sp.protocol, sp.order, sp.dephase_after_adiabats) != shape for sp in specs):
@@ -985,6 +953,8 @@ class TricycleSpec:
             raise ValueError("need omega_h > omega_c > 0")
         if self.representation not in ("qubits", "oscillators"):
             raise ValueError(f"unknown representation {self.representation!r}")
+        if self.levels < 2:
+            raise ValueError("need at least 2 oscillator levels")
 
     @property
     def levels(self) -> int:

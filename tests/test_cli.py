@@ -525,6 +525,41 @@ class TestConfigEntryTypes:
         assert not (tmp_path / "out").exists()
 
 
+class TestUndescribableRunsAreErrors:
+    """A config that describes no run is an error that names its key,
+    never an internal error."""
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("eth_chain.json", lambda p: p.update(n_spins=-1),
+         "config error: n_spins must be at least 1"),
+        ("eth_chain.json", lambda p: p.update(n_spins=0),
+         "config error: n_spins must be at least 1"),
+        ("tricycle_fridge.json", lambda p: p.update(representation="oscillators",
+                                                    oscillator_levels=1),
+         "error: need at least 2 oscillator levels"),
+        ("davies_audit_oscillator.json", lambda p: p.update(baths=[]),
+         "config error: baths must hold at least one bath"),
+        ("floquet_fridge.json", lambda p: p.update(baths=[]),
+         "config error: baths must hold at least one bath"),
+        ("evolve_qubit.json", lambda p: p.update(points=0),
+         "config error: points must be at least 2"),
+        ("evolve_qubit.json", lambda p: p.update(points=1),
+         "config error: points must be at least 2"),
+    ], ids=["eth-negative-spins", "eth-no-spins", "tricycle-one-level", "audit-no-baths",
+            "floquet-no-baths", "evolve-no-points", "evolve-one-point"])
+    def test_exit_1_with_an_error_naming_the_key(self, tmp_path, capsys, name, edit, message):
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        edit(cfg["params"])
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "internal error" not in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestThirdLawSweepNeverPassesForWantOfRows:
     def _sweep(self, tmp_path, grid):
         cfg = json.loads((CONFIGS / "third_law_sweep.json").read_text())

@@ -6,6 +6,7 @@ import warnings
 import zlib
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -429,10 +430,12 @@ _MEDIA = st.one_of(
     st.integers(min_value=2, max_value=6).map(lambda n: OscillatorMedium(levels=n)),
 )
 
+_STACK_MEDIA = st.one_of(_MEDIA, st.just(QubitMedium()))
+
 
 class TestCompiledCycleBitwise:
-    """Cycles compiled from the cached generators give the bits of cycles
-    built stroke by stroke from fresh generators and decompositions."""
+    """Cycles compiled from stacked generators give the bits of cycles
+    built stroke by stroke from generators and decompositions of their own."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_MEDIA, st.sampled_from(_PROTOCOLS), st.sampled_from(["engine", "refrigerator"]),
@@ -574,24 +577,29 @@ class TestOneWalkPerReport:
         assert len(entropies) > 3
 
 
-class TestIsochoreCache:
+_POINT_BATHS = (ohmic("hot", 2.0, gamma=1.0), ohmic("hot", 0.7, gamma=1.0),
+                replace(ohmic("hot", 2.0, gamma=1.0)), ohmic("cold", 0.5, gamma=1.0))
+
+
+def _tables_bits(t):
+    return (t.labels, t.s_e.tobytes(), t.bins.tobytes(), t.rates.tobytes(),
+            [np.array(f).tobytes() for f in t.freqs], [np.array(r).tobytes() for r in t.bin_rates])
+
+
+class TestIsochoreGenerators:
     def test_cycle_diagonalises_each_hamiltonian_once(self, monkeypatch):
-        calls = _count_calls(monkeypatch, operators.eig_hermitian)
+        calls = _count_calls(monkeypatch, lindblad._eigh)
         for protocol in _PROTOCOLS:
             for dephase in (False, True):
-                machines._isochores.clear()
                 spec = engine_spec(medium=QubitMedium(transverse=0.5), protocol=protocol,
                                    dephase_after_adiabats=dephase)
-                calls.clear()
-                compose_cycle(spec)
-                assert len(calls) <= 2
-                calls.clear()
-                compose_cycle(spec)
-                run_otto(spec)
-                assert calls == []
+                for evaluate in (compose_cycle, run_otto):
+                    calls.clear()
+                    evaluate(spec)
+                    assert sum(len(mats) for (mats,) in calls) == 2
 
     @pytest.mark.filterwarnings("ignore:power optimisation hit its evaluation cap")
-    def test_optimize_power_builds_each_stroke_generator_once(self, monkeypatch):
+    def test_optimize_power_builds_each_point_once_per_stack(self, monkeypatch):
         stacks = _count_calls(monkeypatch, lindblad._davies_stack)
         cycles = _count_calls(monkeypatch, machines._otto_stack)
         spec = CycleSpec(
@@ -601,22 +609,17 @@ class TestIsochoreCache:
         )
         optimize_power(spec, {"omega_c": (1.8, 5.4), "tau_h": (0.3, 6.0), "tau_c": (0.3, 6.0)},
                        restarts=2, max_evals=12)
-        built = [(h.mat.tobytes(), couplings[0][1]) for hs, couplings in stacks for h in hs]
-        assert len(built) == len(set(built))
-        # the hot stroke is shared by every evaluation
-        assert len(built) < 2 * sum(len(specs) for (specs,) in cycles)
-        assert len(built) <= machines._ISOCHORE_CACHE
-        # at most one build per bath and stack of cycles, and the two
-        # restarts' points share the stacks
-        assert len(stacks) <= 2 * len(cycles)
-        assert max(len(hs) for hs, _ in stacks) > 1
+        # one Davies stack per stack of cycles, each (H, bath) in it once,
+        # and the two restarts' points share the stacks
+        assert len(stacks) == len(cycles)
+        for hs, _, baths in stacks:
+            built = [(h.mat.tobytes(), bath) for h, (bath,) in zip(hs, baths, strict=True)]
+            assert len(built) == len(set(built))
+        assert max(len(specs) for (specs,) in cycles) > 1
 
-    def test_cached_arrays_reject_writes_and_the_cache_is_bounded(self):
-        maxsize = machines._ISOCHORE_CACHE
-        assert 0 < maxsize < math.inf
+    def test_generator_arrays_reject_writes(self):
         for medium in (QubitMedium(transverse=0.3), OscillatorMedium(levels=4)):
             (gen,) = machines._isochore_generators(medium, [(1.0, ohmic("hot", 1.0))])
-            assert machines._isochore_generators(medium, [(1.0, ohmic("hot", 1.0))])[0] is gen
             assert isinstance(gen.channels, tuple)
             evals, v = gen.eigenbasis()
             arrays = [gen.h.mat, evals, v.mat, gen.liouvillian().mat, gen.dissipator().mat]
@@ -624,14 +627,37 @@ class TestIsochoreCache:
             for arr in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
-        # one stack of more points than the bound keeps the most recent ones
-        medium, bath = QubitMedium(transverse=0.3), ohmic("hot", 1.0)
-        points = [(1.0 + 0.01 * k, bath) for k in range(maxsize + 8)]
-        gens = machines._isochore_generators(medium, points + points[:1])
-        assert gens[-1] is gens[0]
-        assert len(machines._isochores) == maxsize
-        assert machines._isochore_generators(medium, points[-1:])[0] is gens[-2]
-        assert machines._isochore_generators(medium, points[:1])[0] is not gens[0]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_STACK_MEDIA,
+           st.lists(st.tuples(st.booleans(), st.floats(min_value=0.3, max_value=3.0),
+                              st.lists(st.sampled_from(_POINT_BATHS), min_size=1, max_size=4)),
+                    min_size=1, max_size=4),
+           st.lists(st.integers(min_value=0, max_value=15), max_size=3))
+    def test_each_point_is_its_build_alone(self, medium, drawn, repeats):
+        # one label at two temperatures, an equal copy of a bath, repeated
+        # points and Bohr collisions (gaps of about 1e-7) in one call: the
+        # distinct points are one Davies stack, each entry has the bits of
+        # building its point alone, and equal points share their entry
+        points = [(1e-7 * omega if collide else omega, bath)
+                  for collide, omega, baths in drawn for bath in baths]
+        points += [points[i % len(points)] for i in repeats]
+        with mock.patch.object(machines, "_davies_stack", wraps=lindblad._davies_stack) as stack:
+            gens = machines._isochore_generators(medium, points)
+        assert stack.call_count == 1
+        assert len(stack.call_args.args[0]) == len(set(points))
+        for (omega, bath), gen in zip(points, gens, strict=True):
+            try:
+                alone = build_davies(medium.hamiltonian(omega), [(medium.coupling(), bath)])
+            except BohrResolutionError as exc:
+                assert type(gen) is BohrResolutionError and str(gen) == str(exc)
+                continue
+            assert gen._liouvillian is not None
+            assert _tables_bits(gen._tables) == _tables_bits(alone._tables)
+            assert gen.liouvillian().mat.tobytes() == alone.liouvillian().mat.tobytes()
+            assert gen.baths == alone.baths
+        for p, gen in zip(points, gens):
+            assert [other is gen for other in gens] == [q == p for q in points]
 
 
 def _non_positive_map():
@@ -1018,9 +1044,6 @@ class TestLockstepRestarts:
         assert got[0] == (ValueError, f"injected into restart {min(failing)}")
 
 
-_STACK_MEDIA = st.one_of(_MEDIA, st.just(QubitMedium()))
-
-
 class TestOttoStackMemberByMember:
     """Each member of a stack of cycles is its cycle evaluated alone."""
 
@@ -1050,12 +1073,10 @@ class TestOttoStackMemberByMember:
         specs.append(specs[0])
         alone = []
         for spec in specs:
-            machines._isochores.clear()
             try:
                 alone.append(run_otto(spec))
             except ValueError as exc:
                 alone.append(exc)
-        machines._isochores.clear()
         for got, ref in zip(machines._otto_stack(specs), alone, strict=True):
             if isinstance(ref, ValueError):
                 assert type(got) is type(ref) and str(got) == str(ref)
