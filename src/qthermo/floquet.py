@@ -413,6 +413,10 @@ class ModulatedGapQubit:
     amplitude: float
     big_omega: float
 
+    def __post_init__(self):
+        if not self.big_omega > 0:
+            raise ValueError("drive frequency big_omega must be positive")
+
     @property
     def tau(self) -> float:
         return 2.0 * math.pi / self.big_omega

@@ -833,7 +833,8 @@ def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
 
 def _liouvillian_state(gen: GKLSGenerator) -> DensityMatrix:
     """The stationary state from the whole Liouvillian in the computational
-    basis; its residual is held to 1e-10 max(1, |L|_F)."""
+    basis, checked by `_fixed_point_states`; its residual max |L(rho)| is
+    held to 1e-10 max(1, |L|_F)."""
     ops, rates = gen._stacked_channels(None)
     d, k = gen.dim, len(rates)
     kernel = np.array(gen.liouvillian().mat, order="F")
@@ -847,12 +848,15 @@ def _liouvillian_state(gen: GKLSGenerator) -> DensityMatrix:
     cols, rows = np.divmod(np.arange(d * d), d)
     x = _bordered_fixed_point(kernel, np.flatnonzero(rows == cols), border,
                               "stationary state not unique")
-
-    def residual(r: np.ndarray) -> float:
-        jump = np.einsum("k,kij->ij", rates, ops @ r @ ops.conj().swapaxes(-1, -2))
-        return float(np.max(np.abs(jump + a @ r + r @ a.conj().T)))
-
-    return _fixed_point_state(unvec(x, d), residual, resid_tol)
+    (rho,) = _fixed_point_states(unvec(x, d)[None])
+    if isinstance(rho, ValueError):
+        raise rho
+    r = rho.mat
+    jump = np.einsum("k,kij->ij", rates, ops @ r @ ops.conj().swapaxes(-1, -2))
+    resid = float(np.max(np.abs(jump + a @ r + r @ a.conj().T)))
+    if resid > resid_tol:
+        raise ValueError(f"fixed-point residual too large: {resid:.3e}")
+    return rho
 
 
 def _bordered_fixed_point(
@@ -910,18 +914,6 @@ def _fixed_point_states(mats: np.ndarray) -> list:
         except ValueError as exc:
             out.append(exc)
     return out
-
-
-def _fixed_point_state(m: np.ndarray, residual, resid_tol: float) -> DensityMatrix:
-    """The state of a solved fixed point m: a non-positive m, or a
-    ``residual(rho)`` above ``resid_tol``, raises ValueError."""
-    (rho,) = _fixed_point_states(m[None])
-    if isinstance(rho, ValueError):
-        raise rho
-    resid = residual(rho.mat)
-    if resid > resid_tol:
-        raise ValueError(f"fixed-point residual too large: {resid:.3e}")
-    return rho
 
 
 @dataclass

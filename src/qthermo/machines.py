@@ -105,6 +105,10 @@ class OscillatorMedium:
 
     levels: int = 10
 
+    def __post_init__(self):
+        if self.levels < 2:
+            raise ValueError("need at least 2 oscillator levels")
+
     @property
     def dim(self) -> int:
         return self.levels
@@ -297,39 +301,22 @@ def _ends(st: StrokeSpec) -> tuple[float, float]:
     return st.omega_start, st.omega_end
 
 
-def _cycle_generators(spec: CycleSpec) -> dict[float, GKLSGenerator]:
-    """The isochore generators of the cycle by frequency: omega_h against
-    the hot bath, omega_c against the cold one.  The adiabats run between
-    their two Hamiltonians."""
-    gens = _isochore_generators(spec.medium, [(spec.omega_h, spec.bath_h),
-                                              (spec.omega_c, spec.bath_c)])
-    for gen in gens:
-        if isinstance(gen, BohrResolutionError):
-            raise gen
-    return dict(zip((spec.omega_h, spec.omega_c), gens))
-
-
 @dataclass(frozen=True)
 class _CycleStack:
     """The cycles of a stack whose generators were built: ``members`` are
     their places in the stack; for each, ``kinds`` and ``ops`` list its
-    operations in time order (:func:`_cycle_ops`) and ``gens`` its
-    generators by frequency; ``sops`` (m, K, d^2, d^2) holds the
-    operations' propagators and ``total`` (m, d^2, d^2) the cycle
-    propagators, products read right to left."""
+    operations in time order (:func:`_cycle_ops`), ``h`` and ``v``
+    (m, K, 2, d, d) the Hamiltonians and eigenvectors (as columns) at each
+    operation's entry and exit, ``sops`` (m, K, d^2, d^2) its propagators
+    and ``total`` (m, d^2, d^2) the cycle propagators, read right to left."""
 
     members: list[int]
     kinds: list[str]
     ops: list[list[StrokeSpec]]
-    gens: list[dict[float, GKLSGenerator]]
+    h: np.ndarray
+    v: np.ndarray
     sops: np.ndarray
     total: np.ndarray
-
-    def hamiltonians(self, j: int) -> tuple[list[Operator], list[Operator]]:
-        """The Hamiltonians of cycle j at the entry and at the exit of each
-        operation."""
-        ends = [_ends(st) for st in self.ops[j]]
-        return [self.gens[j][w].h for w, _ in ends], [self.gens[j][w].h for _, w in ends]
 
 
 def _compile_stack(specs) -> tuple[list, _CycleStack | None]:
@@ -365,6 +352,9 @@ def _compile_stack(specs) -> tuple[list, _CycleStack | None]:
         return out, None
     kinds = [kind for kind, _ in _cycle_ops(first)]
     ops = [[st for _, st in _cycle_ops(specs[i])] for i in members]
+    ends = [[[g[w] for w in _ends(st)] for st in op] for op, g in zip(ops, gens)]
+    h = np.array([[[gen.h.mat for gen in pair] for pair in row] for row in ends])
+    v = np.array([[[gen._eig[1] for gen in pair] for pair in row] for row in ends])
     sops = np.empty((len(members), len(kinds), side, side), dtype=complex)
     iso = [k for k, kind in enumerate(kinds) if kind == "isochore"]
     sops[:, iso] = scipy.linalg.expm(np.array([
@@ -373,10 +363,8 @@ def _compile_stack(specs) -> tuple[list, _CycleStack | None]:
     ])).reshape(len(members), len(iso), side, side)
     for k, kind in enumerate(kinds):
         if kind != "isochore":
-            ends = [_ends(op[k]) for op in ops]
-            v_in = np.array([g[w].eigenbasis()[1].mat for g, (w, _) in zip(gens, ends)])
-            v_out = np.array([g[w].eigenbasis()[1].mat for g, (_, w) in zip(gens, ends)])
-            sops[:, k] = _adiabat_superops(medium, kind, [op[k] for op in ops], v_in, v_out)
+            sops[:, k] = _adiabat_superops(medium, kind, [op[k] for op in ops],
+                                           v[:, k, 0], v[:, k, 1])
     # the strokes, not the pinches, are checked, as a Superoperator checks
     # its entries and then as one stack of CPTP residuals
     strokes = [k for k, kind in enumerate(kinds) if kind != "pinch"]
@@ -398,7 +386,7 @@ def _compile_stack(specs) -> tuple[list, _CycleStack | None]:
     total = np.broadcast_to(np.eye(side, dtype=complex), (len(members), side, side))
     for k in range(len(kinds)):
         total = sops[:, k] @ total
-    return out, _CycleStack(members, kinds, ops, gens, sops, total)
+    return out, _CycleStack(members, kinds, ops, h, v, sops, total)
 
 
 def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
@@ -410,8 +398,8 @@ def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
     (error,), stack = _compile_stack([spec])
     if error is not None:
         raise error
-    ops = [StrokeOp(spec=st, superop=Superoperator(sop), h_in=h_in, h_out=h_out)
-           for st, sop, h_in, h_out in zip(stack.ops[0], stack.sops[0], *stack.hamiltonians(0))]
+    ops = [StrokeOp(st, Superoperator(sop), Operator.hermitian(h_in), Operator.hermitian(h_out))
+           for st, sop, (h_in, h_out) in zip(stack.ops[0], stack.sops[0], stack.h[0])]
     return Superoperator(stack.total[0]), ops
 
 
@@ -529,20 +517,26 @@ def _walk_states(sops: np.ndarray, rho_start: np.ndarray) -> tuple[np.ndarray, l
 class _Walk:
     """A cycle walked from its limit cycle: the states (K + 1, d, d) from
     the limit cycle on, each operation's <H_out>_out - <H_in>_in, the
-    extracted work (junction quenches included) and the heat per bath
-    label."""
+    extracted work (junction quenches included), the heats from the hot
+    and the cold bath, and the cycle's operation kinds with their entry
+    and exit Hamiltonians ``h`` and eigenvectors ``v`` (K, 2, d, d)."""
 
     rhos: np.ndarray
     deltas: list[float]
     work: float
-    heat: dict[str, float]
+    q_h: float
+    q_c: float
+    kinds: list[str]
+    h: np.ndarray
+    v: np.ndarray
 
 
 def _walk_stack(specs) -> list:
     """Compile (:func:`_compile_stack`), solve and walk the cycles
     ``specs``: one LU per cycle for its limit cycle, one stacked state
-    check of every walk, and the energies as stacked traces.  Entry i is
-    cycle i's _Walk, or the ValueError that walking it alone raises."""
+    check and one booking pass for all walks, and the energies as
+    stacked traces.  Entry i is cycle i's _Walk, or the ValueError that
+    walking it alone raises."""
     out, stack = _compile_stack(specs)
     if stack is None:
         return out
@@ -557,40 +551,32 @@ def _walk_stack(specs) -> list:
         return out
     live = list(starts)
     rhos, errors = _walk_states(stack.sops[live], np.array(list(starts.values())))
-    ends = [stack.hamiltonians(j) for j in live]
-    h_in = np.array([[h.mat for h in entry] for entry, _ in ends])
-    h_out = np.array([[h.mat for h in exit_] for _, exit_ in ends])
+    h_in, h_out = stack.h[live, :, 0], stack.h[live, :, 1]
     e_in = np.real(np.trace(rhos[:, :-1] @ h_in, axis1=-2, axis2=-1))
-    deltas = (np.real(np.trace(rhos[:, 1:] @ h_out, axis1=-2, axis2=-1)) - e_in).tolist()
+    deltas = np.real(np.trace(rhos[:, 1:] @ h_out, axis1=-2, axis2=-1)) - e_in
     # a sudden quench at a junction whose Hamiltonians differ, the closing
-    # one included, is work: the energy jump at a fixed state
+    # one included, is work: the energy jump at a fixed state, else 0.0
     jump_h = np.concatenate([h_in[:, 1:], h_in[:, :1]], axis=1) - h_out
-    jumps = np.real(np.trace(rhos[:, 1:] @ jump_h, axis1=-2, axis2=-1)).tolist()
-    quench = (np.abs(jump_h).max(axis=(-2, -1)) > 1e-12).tolist()
-    for j, err, rho, delta, jump, at in zip(live, errors, rhos, deltas, jumps, quench):
-        if err is not None:
-            out[stack.members[j]] = err
-            continue
-        work, heat = 0.0, {}
-        for k, (kind, st) in enumerate(zip(stack.kinds, stack.ops[j])):
-            if k and at[k - 1]:
-                work -= jump[k - 1]
-            if kind == "isochore":
-                heat[st.bath.label] = heat.get(st.bath.label, 0.0) + delta[k]
-            else:
-                work -= delta[k]
-        if at[-1]:
-            work -= jump[-1]
-        out[stack.members[j]] = _Walk(rho, delta, work, heat)
+    jumps = np.where(np.abs(jump_h).max(axis=(-2, -1)) > 1e-12,
+                     np.real(np.trace(rhos[:, 1:] @ jump_h, axis1=-2, axis2=-1)), 0.0)
+    work = np.zeros(len(live))
+    for k, kind in enumerate(stack.kinds):
+        if kind != "isochore":
+            work -= deltas[:, k]
+        work -= jumps[:, k]
+    # the hot isochore opens every cycle; the cold one is the other, and
+    # 0.0 + q books a heat of -0.0 as 0.0
+    hot, cold = (k for k, kind in enumerate(stack.kinds) if kind == "isochore")
+    for j, err, rho, delta, w in zip(live, errors, rhos, deltas.tolist(), work.tolist()):
+        out[stack.members[j]] = err if err is not None else _Walk(
+            rho, delta, w, 0.0 + delta[hot], 0.0 + delta[cold], stack.kinds, stack.h[j], stack.v[j])
     return out
 
 
 def _report(spec: CycleSpec, walk: _Walk) -> CycleReport:
     """The energy split of a walked cycle."""
-    work, heat = walk.work, walk.heat
+    work, q_h, q_c = walk.work, walk.q_h, walk.q_c
     flags = []
-    q_h = heat.get(spec.bath_h.label, 0.0)
-    q_c = heat.get(spec.bath_c.label, 0.0)
     scale = max(abs(q_h), abs(q_c), abs(work), 1e-30)
     is_engine = work > DYNAMICAL * scale and q_h > 0
     efficiency = None
@@ -647,28 +633,26 @@ def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
     same entry state; the summed excess is the coherence work and cannot
     be negative when the entry states are passive.  Also returns the
     largest energy-basis Shannon-minus-von-Neumann entropy gap seen at a
-    stroke exit (the coherence signature).  The states and the actual
-    energy changes are those of the limit-cycle walk of :func:`run_otto`,
-    a stack of one."""
+    stroke exit (the coherence signature).  The states, the actual
+    energy changes and each adiabat's Hamiltonians and eigenbases are
+    those of the limit-cycle walk of :func:`run_otto`, a stack of one."""
     (walk,) = _walk_stack([spec])
     if isinstance(walk, ValueError):
         raise walk
-    gens = _cycle_generators(spec)
     extra_work = 0.0
     entropy_gap = 0.0
-    for k, (kind, st) in enumerate(_cycle_ops(spec)):
+    for k, kind in enumerate(walk.kinds):
         if kind == "isochore":
             continue
         rho_in, rho_out = walk.rhos[k], walk.rhos[k + 1]
-        h_in, h_out = gens[st.omega_start].h, gens[st.omega_end].h
-        ideal = Superoperator(_transfer_maps(gens[st.omega_start].eigenbasis()[1].mat,
-                                             gens[st.omega_end].eigenbasis()[1].mat))
+        (h_in, h_out), (v_in, v_out) = walk.h[k], walk.v[k]
+        ideal = Superoperator(_transfer_maps(v_in, v_out))
         rho_ideal = DensityMatrix(_symmetrised(ideal.apply_matrix(rho_in)))
-        e_in = float(np.real(np.trace(rho_in @ h_in.mat)))
-        e_ideal = float(np.real(np.trace(rho_ideal.mat @ h_out.mat))) - e_in
+        e_in = float(np.real(np.trace(rho_in @ h_in)))
+        e_ideal = float(np.real(np.trace(rho_ideal.mat @ h_out))) - e_in
         extra_work += walk.deltas[k] - e_ideal
         rho = DensityMatrix(rho_out)
-        gap = shannon_entropy_in_basis(rho, h_out) - von_neumann_entropy(rho)
+        gap = shannon_entropy_in_basis(rho, Operator.hermitian(h_out)) - von_neumann_entropy(rho)
         entropy_gap = max(entropy_gap, gap)
     return extra_work, entropy_gap
 
@@ -873,8 +857,11 @@ def sudden_limit_check(spec: CycleSpec, tau_list) -> list[tuple[float, float]]:
     the matched eigenvalue distance between the split and merged
     propagators.  It vanishes to third order in tau (the raw operator-norm
     gap between the two matrices is only second order)."""
-    gens = _cycle_generators(spec)
-    gen_h, gen_c = gens[spec.omega_h], gens[spec.omega_c]
+    gen_h, gen_c = _isochore_generators(spec.medium, [(spec.omega_h, spec.bath_h),
+                                                      (spec.omega_c, spec.bath_c)])
+    for gen in (gen_h, gen_c):
+        if isinstance(gen, BohrResolutionError):
+            raise gen
     l_h = gen_h.liouvillian().mat
     l_c = gen_c.liouvillian().mat
     l_hc = hamiltonian_superop(gen_c.h).mat

@@ -545,8 +545,22 @@ class TestUndescribableRunsAreErrors:
          "config error: points must be at least 2"),
         ("evolve_qubit.json", lambda p: p.update(points=1),
          "config error: points must be at least 2"),
+        ("floquet_fridge.json", lambda p: p.update(drive_omega=0),
+         "error: drive frequency big_omega must be positive"),
+        ("evolve_qubit.json", lambda p: p.update(medium={"kind": "oscillator", "levels": 1}),
+         "error: need at least 2 oscillator levels"),
+        ("evolve_qubit.json", lambda p: p.update(medium={"kind": "oscillator", "levels": 0}),
+         "error: need at least 2 oscillator levels"),
+        ("otto_engine.json", lambda p: p.update(medium={"kind": "oscillator", "levels": 1}),
+         "error: need at least 2 oscillator levels"),
+        ("davies_audit_oscillator.json", lambda p: p["medium"].update(levels=1),
+         "error: need at least 2 oscillator levels"),
+        ("correlations_qubit.json", lambda p: p.update(medium={"kind": "oscillator", "levels": 1}),
+         "error: need at least 2 oscillator levels"),
     ], ids=["eth-negative-spins", "eth-no-spins", "tricycle-one-level", "audit-no-baths",
-            "floquet-no-baths", "evolve-no-points", "evolve-one-point"])
+            "floquet-no-baths", "evolve-no-points", "evolve-one-point", "floquet-no-drive",
+            "evolve-one-level", "evolve-no-levels", "otto-one-level", "audit-one-level",
+            "correlations-one-level"])
     def test_exit_1_with_an_error_naming_the_key(self, tmp_path, capsys, name, edit, message):
         cfg = json.loads((CONFIGS / name).read_text())
         cfg["output_dir"] = str(tmp_path / "out")

@@ -321,13 +321,13 @@ class TestStrokeSuperopsBitwise:
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10 ** 9))
     def test_dephase_superop(self, d, seed):
         h = random_hermitian(d, np.random.default_rng(seed))
-        for h_op in (h, OscillatorMedium(levels=d).hamiltonian(1.3)):
+        for h_op in (h, OscillatorMedium(levels=max(d, 2)).hamiltonian(1.3)):
             v = eig_hermitian(h_op)[1].mat
             got = _transfer_maps(v, v)
             assert got.tobytes() == _kron_dephase(h_op).tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.integers(min_value=1, max_value=6),
+    @given(st.integers(min_value=2, max_value=6),
            st.floats(min_value=0.05, max_value=2.0), st.floats(min_value=0.1, max_value=5.0),
            st.floats(min_value=0.1, max_value=5.0))
     def test_adiabatic_adiabat_superop(self, levels, transverse, omega_start, omega_end):
@@ -504,7 +504,8 @@ def _reference_friction(spec):
     every stroke again with one DensityMatrix per state."""
     u_cyc, ops = compose_cycle(spec)
     rho, _ = find_limit_cycle(u_cyc)
-    gens = machines._cycle_generators(spec)
+    gens = {omega: build_davies(spec.medium.hamiltonian(omega), [(spec.medium.coupling(), bath)])
+            for omega, bath in ((spec.omega_h, spec.bath_h), (spec.omega_c, spec.bath_c))}
     extra_work, entropy_gap = 0.0, 0.0
     for op in ops:
         rho_in = rho
@@ -593,10 +594,12 @@ class TestIsochoreGenerators:
             for dephase in (False, True):
                 spec = engine_spec(medium=QubitMedium(transverse=0.5), protocol=protocol,
                                    dephase_after_adiabats=dephase)
-                for evaluate in (compose_cycle, run_otto):
+                for evaluate in (compose_cycle, run_otto, quantum_friction):
                     calls.clear()
-                    evaluate(spec)
+                    result = evaluate(spec)
                     assert sum(len(mats) for (mats,) in calls) == 2
+                # quantum_friction, the last, returns two Python floats
+                assert [type(x) for x in result] == [float, float]
 
     @pytest.mark.filterwarnings("ignore:power optimisation hit its evaluation cap")
     def test_optimize_power_builds_each_point_once_per_stack(self, monkeypatch):
