@@ -329,6 +329,9 @@ def _run_otto_optimize(cfg: dict):
 
 
 def _tricycle_spec(p: dict, where: str) -> mc.TricycleSpec:
+    if p["representation"] not in mc.TricycleSpec.representations:
+        raise ConfigError(f"unknown representation {p['representation']!r} in {where}; "
+                          f"valid: {', '.join(mc.TricycleSpec.representations)}")
     return mc.TricycleSpec(
         omega_h=float(p["omega_h"]),
         omega_c=float(p["omega_c"]),
@@ -374,6 +377,11 @@ def _run_third_law(cfg: dict):
     cert.add("cooling_current_monotone", 1.0 if mono else 0.0, 1.0, ">=")
     if cooling:
         cert.add("conductance_min", min(r.conductance for r in cooling), 0.0, ">=")
+    # a T_c whose every candidate collided was never solved: it fails, as
+    # a count, and its sweep.csv row reads nan
+    unsolved = sum(r.unsolved for r in rows)
+    if unsolved:
+        cert.add("t_c_unsolved", float(unsolved), 0.0, "<=")
     table = [(r.t_c, r.omega_c_star, r.j_c, r.conductance, r.gain) for r in rows]
     return cert, {"sweep.csv": _csv(["T_c", "omega_c_star", "J_c", "K", "G"], table)}
 
@@ -513,13 +521,12 @@ _KINDS: dict[str, _Kind] = {
     "third-law-sweep": _Kind(
         schema={"omega_h": (int, float), "omega_c": (int, float),
                 "bath_h": dict, "bath_c": dict, "bath_w": dict,
-                "eps": (int, float), "t_c_grid": list,
-                "ratio_lo": (int, float), "ratio_hi": (int, float)},
+                "eps": (int, float), "representation": str, "oscillator_levels": int,
+                "t_c_grid": list, "ratio_lo": (int, float), "ratio_hi": (int, float)},
         required=("bath_h", "bath_c", "bath_w", "t_c_grid"),
         defaults={"omega_h": 3.0, "omega_c": 1.0, "eps": 1e-3,
-                  "ratio_lo": 0.2, "ratio_hi": 3.0,
-                  # outside the schema, so fixed: the sweep runs qubit filters
-                  "representation": "qubits", "oscillator_levels": 3},
+                  "representation": "qubits", "oscillator_levels": 3,
+                  "ratio_lo": 0.2, "ratio_hi": 3.0},
         runner=_run_third_law,
     ),
     "floquet": _Kind(

@@ -40,7 +40,7 @@ from .operators import (
     vec,
     unvec,
 )
-from .states import _entropy_of_probs, gibbs_state
+from .states import _entropy_of_probs, _gibbs_weights, gibbs_state
 from .tolerances import ALGEBRAIC, LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
 __all__ = [
@@ -208,12 +208,19 @@ class GKLSGenerator:
 
     def log_gibbs_reference(self, label: str) -> np.ndarray:
         """Clipped logarithm of the Gibbs state of H at the temperature of
-        the bath registered under ``label``."""
+        the bath registered under ``label``.  A tabled generator weighs its
+        own eigenbasis (``_eig``) at a finite beta; otherwise the state is
+        ``gibbs_state``'s."""
         if label not in self._log_references:
             bath = self.baths.get(label)
             if bath is None:
                 raise ValueError(f"no bath registered under label {label!r}")
-            self._log_references[label] = _clipped_log(gibbs_state(self.h, bath.beta).mat)
+            if self._eig is None or math.isinf(bath.beta):
+                rho = gibbs_state(self.h, bath.beta).mat
+            else:
+                evals, v = self._eig
+                rho = (v * _gibbs_weights(evals, bath.beta)) @ v.conj().T
+            self._log_references[label] = _clipped_log(rho)
         return self._log_references[label]
 
     def liouvillian(self) -> Superoperator:
@@ -897,23 +904,16 @@ def _bordered_fixed_point(
 def _fixed_point_states(mats: np.ndarray) -> list:
     """The states of a (n, d, d) stack of solved fixed points: entry i is a
     DensityMatrix, or the ValueError of a non-positive member.  Eigenvalue
-    dust below zero is clipped and the spectrum renormalised."""
+    dust below zero is clipped and the spectrum renormalised, and the
+    states are checked as one stack (``DensityMatrix.stack``)."""
     evals, vecs = np.linalg.eigh((mats + mats.conj().swapaxes(-1, -2)) / 2.0)
     positive = ~(evals[:, 0] < -100 * ALGEBRAIC)
     evals = np.clip(evals, 0.0, None)
     with np.errstate(invalid="ignore", divide="ignore"):
         weights = evals / evals.sum(axis=-1, keepdims=True)
     rho = (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    out = []
-    for ok, r in zip(positive, rho):
-        if not ok:
-            out.append(ValueError("fixed point is not a positive state"))
-            continue
-        try:
-            out.append(DensityMatrix(r))
-        except ValueError as exc:
-            out.append(exc)
-    return out
+    return [state if ok else ValueError("fixed point is not a positive state")
+            for ok, state in zip(positive.tolist(), DensityMatrix.stack(rho))]
 
 
 @dataclass
@@ -1005,7 +1005,7 @@ def trajectory(
         for k, j in js.items():
             currents[k][lo:hi] = j
         if keep_states:
-            states.extend(DensityMatrix(r) for r in rho)
+            states.extend(DensityMatrix.stack(rho))
 
     v = vec(rho0.mat)
     prev_t = 0.0

@@ -18,6 +18,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -42,6 +43,7 @@ from .operators import (
     Operator,
     Superoperator,
     _sandwich,
+    _state_checks,
     _state_spectra,
     cptp_residuals,
     hamiltonian_superop,
@@ -49,7 +51,7 @@ from .operators import (
     unvec,
     vec,
 )
-from .states import _relative_entropy_of_spectra, shannon_entropy_in_basis, von_neumann_entropy
+from .states import _entropy_of_probs, _relative_entropy_of_spectra
 from .tolerances import DYNAMICAL
 
 __all__ = [
@@ -489,9 +491,9 @@ def _walk_states(sops: np.ndarray, rho_start: np.ndarray) -> tuple[np.ndarray, l
     """The states of n chronological walks: from the (n, d, d) states
     ``rho_start`` through the K propagators (n, K, d^2, d^2) of each, as
     an (n, K + 1, d, d) array, ``rho_start`` first.  The states after the
-    propagators are checked as one stack; entry i of the list is None, or
-    the message that DensityMatrix raises for walk i's first bad state,
-    as a ValueError."""
+    propagators are checked as one stack (``_state_checks``); entry i of
+    the list is None, or the message that DensityMatrix raises for walk
+    i's first bad state, as a ValueError."""
     n, n_ops, side = sops.shape[:3]
     d = rho_start.shape[-1]
     rhos = np.empty((n, n_ops + 1, d, d), dtype=complex)
@@ -502,14 +504,10 @@ def _walk_states(sops: np.ndarray, rho_start: np.ndarray) -> tuple[np.ndarray, l
         m = (sops[:, k] @ x).reshape(n, d, d).swapaxes(-1, -2)
         rhos[:, k + 1] = (m + m.conj().swapaxes(-1, -2)) / 2.0
     errors: list = [None] * n
-    try:
-        _state_spectra(rhos[:, 1:].reshape(-1, d, d))
-    except ValueError:
-        for i in range(n):
-            try:
-                _state_spectra(rhos[i, 1:])
-            except ValueError as exc:
-                errors[i] = exc
+    # the verdicts come in walk order, so a walk's first is its earliest
+    for k, message in _state_checks(rhos[:, 1:].reshape(-1, d, d))[2].items():
+        if errors[k // n_ops] is None:
+            errors[k // n_ops] = ValueError(message)
     return rhos, errors
 
 
@@ -635,7 +633,10 @@ def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
     largest energy-basis Shannon-minus-von-Neumann entropy gap seen at a
     stroke exit (the coherence signature).  The states, the actual
     energy changes and each adiabat's Hamiltonians and eigenbases are
-    those of the limit-cycle walk of :func:`run_otto`, a stack of one."""
+    those of the limit-cycle walk of :func:`run_otto`, a stack of one,
+    whose states are already checked; the energy-basis populations are
+    read in the walk's exit eigenbasis, so no Hamiltonian is diagonalised
+    again."""
     (walk,) = _walk_stack([spec])
     if isinstance(walk, ValueError):
         raise walk
@@ -651,8 +652,8 @@ def quantum_friction(spec: CycleSpec) -> tuple[float, float]:
         e_in = float(np.real(np.trace(rho_in @ h_in)))
         e_ideal = float(np.real(np.trace(rho_ideal.mat @ h_out))) - e_in
         extra_work += walk.deltas[k] - e_ideal
-        rho = DensityMatrix(rho_out)
-        gap = shannon_entropy_in_basis(rho, Operator.hermitian(h_out)) - von_neumann_entropy(rho)
+        pops = np.real(np.einsum("ij,jk,ki->i", v_out.conj().T, rho_out, v_out))
+        gap = float(_entropy_of_probs(pops)) - float(_entropy_of_probs(np.linalg.eigvalsh(rho_out)))
         entropy_gap = max(entropy_gap, gap)
     return extra_work, entropy_gap
 
@@ -932,13 +933,14 @@ class TricycleSpec:
     eps: float = 0.05
     representation: str = "qubits"
     oscillator_levels: int = 3
+    representations: ClassVar[tuple[str, ...]] = ("qubits", "oscillators")
 
     def __post_init__(self):
         if self.eps < 0:
             raise ValueError("interaction strength must be >= 0")
         if not (self.omega_h > self.omega_c > 0):
             raise ValueError("need omega_h > omega_c > 0")
-        if self.representation not in ("qubits", "oscillators"):
+        if self.representation not in self.representations:
             raise ValueError(f"unknown representation {self.representation!r}")
         if self.levels < 2:
             raise ValueError("need at least 2 oscillator levels")
@@ -980,10 +982,14 @@ def _tricycle_pieces(levels: int) -> tuple[np.ndarray, np.ndarray, tuple[Operato
     return nums, inter, tuple(Operator.hermitian(emb(a + a.conj().T, slot)) for slot in range(3))
 
 
-def _tricycle_hamiltonian(spec: TricycleSpec) -> Operator:
-    nums, inter, _ = _tricycle_pieces(spec.levels)
-    h = spec.omega_h * nums[0] + spec.omega_c * nums[1] + spec.omega_w * nums[2]
-    return Operator.hermitian(h + spec.eps * inter)
+def _tricycle_hamiltonians(specs) -> list[Operator]:
+    """The Hamiltonians of tricycles that share their filter levels, built
+    as one array and checked as one stack; each member has the bits of
+    omega_h N_h + omega_c N_c + omega_w N_w + eps V built alone."""
+    nums, inter, _ = _tricycle_pieces(specs[0].levels)
+    w = np.array([(sp.omega_h, sp.omega_c, sp.omega_w, sp.eps) for sp in specs])[:, :, None, None]
+    h = w[:, 0] * nums[0] + w[:, 1] * nums[1] + w[:, 2] * nums[2]
+    return Operator.hermitian_stack(h + w[:, 3] * inter)
 
 
 def _tricycle_couplings(spec: TricycleSpec) -> list[tuple[Operator, BathSpec]]:
@@ -1009,7 +1015,7 @@ def _tricycle_steady_stack(specs) -> list:
     differ.  Entry i is the TricycleSteady of ``specs[i]``, or the
     ValueError (a BohrResolutionError among them) that its build or solve
     raised; each entry's bits are those of solving it alone."""
-    gens = _davies_stack([_tricycle_hamiltonian(sp) for sp in specs], _tricycle_couplings(specs[0]),
+    gens = _davies_stack(_tricycle_hamiltonians(specs), _tricycle_couplings(specs[0]),
                          [(sp.bath_h, sp.bath_c, sp.bath_w) for sp in specs])
     out: list = list(gens)
     built = [i for i, gen in enumerate(gens) if isinstance(gen, GKLSGenerator)]
@@ -1065,6 +1071,9 @@ class SweepRow:
     conductance: float
     gain: float
     no_cooling: bool = False
+    # every candidate's build collided (BohrResolutionError): nothing was
+    # solved, and the row's numbers are nan
+    unsolved: bool = False
 
 
 # cold-frequency candidates per sweep point, half coarse and half fine
@@ -1085,7 +1094,9 @@ def third_law_sweep(
     point.  Rows report the optimum, the gain, and the conductance
     K = J_c / (omega_c G).  Candidate frequencies that collide with the
     interaction-split Bohr structure (BohrResolutionError) are skipped
-    rather than guessed; any other solver error reaches the caller.
+    rather than guessed; any other solver error reaches the caller.  A
+    cold temperature whose every candidate is skipped is ``unsolved``, its
+    row's numbers nan.
 
     The grids are pipelined: stack k (``_tricycle_steady_stack``) solves
     the fine grid of the (k-1)-th cold temperature together with the
@@ -1137,6 +1148,11 @@ def third_law_sweep(
 
     def row(t_c, fine, first, last, inner) -> SweepRow:
         solves = [first, *inner, last]
+        # the fine grid holds the best coarse point, so a fine grid with no
+        # solve had no coarse one either
+        if all(steady is None for _, steady in solves):
+            return SweepRow(t_c, math.nan, math.nan, math.nan, math.nan,
+                            no_cooling=True, unsolved=True)
         kk = int(np.argmax([j for j, _ in solves]))
         best_w, best_j = float(fine[kk]), float(solves[kk][0])
         if not math.isfinite(best_j) or best_j <= 0:

@@ -75,14 +75,23 @@ def _check_finite(arr: np.ndarray) -> None:
         raise ValueError("matrix has NaN or Inf entries")
 
 
-def _as_square_complex(mat) -> np.ndarray:
-    arr = np.array(mat, dtype=complex, copy=True, order="C")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 1:
+def _square_copy(mats, ndim: int) -> np.ndarray:
+    """A read-only, C-ordered complex copy of a square matrix (``ndim``
+    2) or of an (n, d, d) stack of them (``ndim`` 3); its entries are not
+    checked."""
+    arr = np.array(mats, dtype=complex, copy=True, order="C")
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2]:
+        what = "a square matrix" if ndim == 2 else "an (n, d, d) stack of square matrices"
+        raise ValueError(f"expected {what}, got shape {arr.shape}")
+    if arr.shape[-1] < 1:
         raise ValueError("empty matrix")
-    _check_finite(arr)
     arr.setflags(write=False)
+    return arr
+
+
+def _as_square_complex(mat) -> np.ndarray:
+    arr = _square_copy(mat, 2)
+    _check_finite(arr)
     return arr
 
 
@@ -90,22 +99,43 @@ def _maxabs(arr: np.ndarray) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def _first_nonhermitian(stack: np.ndarray) -> tuple[int, float] | None:
-    """Index and residual |A - A^dag| of the first member of a (n, d, d)
-    stack that is not hermitian within STRUCTURAL of its largest entry, or
-    None: the one hermiticity check of the package."""
+def _hermitian_residuals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The residual |A - A^dag| of every member of a (n, d, d) stack of
+    finite matrices, and whether it exceeds STRUCTURAL of the member's
+    largest entry (floored at 1): the one hermiticity check of the
+    package.  None when no residual exceeds STRUCTURAL, which is within
+    every member's bound."""
     # the difference overwrites the adjoint's copy: a Floquet sample stack
     # is the largest array of its run
     adj = stack.conj().swapaxes(-1, -2)
     resid = np.abs(np.subtract(stack, adj, out=adj))
-    if resid.max(initial=0.0) <= STRUCTURAL:  # within every member's bound
+    if resid.max(initial=0.0) <= STRUCTURAL:
         return None
     herm = resid.max(axis=(-2, -1))
-    bad = herm > STRUCTURAL * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
-    if not bad.any():
+    return herm, herm > STRUCTURAL * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+
+
+def _first_nonhermitian(stack: np.ndarray) -> tuple[int, float] | None:
+    """Index and residual of the first member of a (n, d, d) stack that
+    :func:`_hermitian_residuals` rejects, or None."""
+    checked = _hermitian_residuals(stack)
+    if checked is None or not checked[1].any():
         return None
+    herm, bad = checked
     k = int(bad.argmax())
     return k, float(herm[k])
+
+
+def _hermitian_failure(stack: np.ndarray) -> str | None:
+    """The message that ``Operator.hermitian`` raises for the first member
+    of a (n, d, d) stack that it rejects, or None."""
+    n = len(stack)
+    if not np.isfinite(stack).all():
+        n = int(np.isfinite(stack).all(axis=(-2, -1)).argmin())
+    bad = _first_nonhermitian(stack[:n])
+    if bad is not None:
+        return f"matrix tagged hermitian but |A - A^dag| = {bad[1]:.3e}"
+    return None if n == len(stack) else "matrix has NaN or Inf entries"
 
 
 @dataclass(frozen=True)
@@ -113,34 +143,54 @@ class Operator:
     """A dense complex square matrix with a structural tag.
 
     ``kind`` is one of ``hermitian``, ``unitary`` or ``general``; the tag
-    is verified at construction so downstream code can trust it.
+    is verified at construction so downstream code can trust it.  A
+    hermitian Operator is the stack of one of :meth:`hermitian_stack`.
     """
 
     mat: np.ndarray
     kind: str = "general"
 
     def __post_init__(self):
-        arr = _as_square_complex(self.mat)
-        object.__setattr__(self, "mat", arr)
         if self.kind == "hermitian":
-            bad = _first_nonhermitian(arr[None])
-            if bad is not None:
-                raise ValueError(
-                    f"matrix tagged hermitian but |A - A^dag| = {bad[1]:.3e}"
-                )
-        elif self.kind == "unitary":
+            arr = _square_copy(self.mat, 2)
+            fail = _hermitian_failure(arr[None])
+            if fail is not None:
+                raise ValueError(fail)
+        else:
+            arr = _as_square_complex(self.mat)
+        object.__setattr__(self, "mat", arr)
+        if self.kind == "unitary":
             d = arr.shape[0]
             resid = _maxabs(arr.conj().T @ arr - np.eye(d))
             if resid > ALGEBRAIC:
                 raise ValueError(
                     f"matrix tagged unitary but |A^dag A - I| = {resid:.3e}"
                 )
-        elif self.kind != "general":
+        elif self.kind not in ("general", "hermitian"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
 
     @classmethod
     def hermitian(cls, mat) -> "Operator":
         return cls(mat, kind="hermitian")
+
+    @classmethod
+    def hermitian_stack(cls, mats) -> list["Operator"]:
+        """Hermitian Operators of the members of an (n, d, d) stack, checked
+        as one stack: each member's ``mat`` is bitwise the read-only copy
+        that ``Operator.hermitian`` stores, and a stack with a member that
+        ``Operator.hermitian`` rejects raises what it raises for the first
+        such member."""
+        arr = _square_copy(mats, 3)
+        fail = _hermitian_failure(arr)
+        if fail is not None:
+            raise ValueError(fail)
+        out = []
+        for m in arr:
+            op = object.__new__(cls)
+            object.__setattr__(op, "mat", m)
+            object.__setattr__(op, "kind", "hermitian")
+            out.append(op)
+        return out
 
     @classmethod
     def unitary(cls, mat) -> "Operator":
@@ -157,14 +207,35 @@ class Operator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A positive unit-trace operator: the state of the system."""
+    """A positive unit-trace operator: the state of the system.  The
+    constructor is the stack of one of :meth:`stack`."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        arr = _as_square_complex(self.mat)
+        arr = _square_copy(self.mat, 2)
+        fails = _state_checks(arr[None])[2]
+        if fails:
+            raise ValueError(fails[0])
         object.__setattr__(self, "mat", arr)
-        _state_spectra(arr[None])
+
+    @classmethod
+    def stack(cls, mats) -> list:
+        """The states of an (n, d, d) stack, checked as one stack: entry i
+        is a DensityMatrix whose ``mat`` is bitwise the read-only copy that
+        ``DensityMatrix(mats[i])`` stores, or the ValueError that it
+        raises."""
+        arr = _square_copy(mats, 3)
+        fails = _state_checks(arr)[2]
+        out = []
+        for i, m in enumerate(arr):
+            if i in fails:
+                out.append(ValueError(fails[i]))
+                continue
+            rho = object.__new__(cls)
+            object.__setattr__(rho, "mat", m)
+            out.append(rho)
+        return out
 
     @classmethod
     def pure(cls, ket) -> "DensityMatrix":
@@ -181,43 +252,53 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def _state_spectra(stack: np.ndarray, vectors: bool = False):
-    """Check that every member of a (n, d, d) stack is a density matrix and
-    return the spectra of the symmetrised members.
-
-    The checks are those of :class:`DensityMatrix`, in its order: finite
-    entries, hermitian within STRUCTURAL of the member's largest entry,
-    unit trace within ALGEBRAIC, and no eigenvalue below -ALGEBRAIC.  The
-    first member that fails any of them raises the message that
-    DensityMatrix raises for it, so a stack of consecutive states fails
-    as checking them one by one would.  Each check runs only on the
-    members before the first failure found so far.  Returns the (n, d)
-    ascending eigenvalues and, with ``vectors``, the (n, d, d)
-    eigenvectors (else None), from one batched call.
+def _state_checks(stack: np.ndarray, vectors: bool = False):
+    """Check every member of a (n, d, d) stack as :class:`DensityMatrix`
+    checks a state, in its order: finite entries, hermitian within
+    STRUCTURAL of the member's largest entry, unit trace within ALGEBRAIC,
+    and no eigenvalue below -ALGEBRAIC; a member that fails a check takes
+    no later one.  Returns the ascending eigenvalues of the symmetrised
+    members that pass the first three checks (all n when every member
+    does) and, with ``vectors``, their eigenvectors (else None), from one
+    batched call; and the verdicts: for each member that fails, in
+    ascending order, its index mapped to the message that DensityMatrix
+    raises for it.
     """
-    n, fail = len(stack), None
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    if not finite.all():
-        n, fail = int(finite.argmin()), "matrix has NaN or Inf entries"
-    bad = _first_nonhermitian(stack[:n])
-    if bad is not None:
-        n, fail = bad[0], f"density matrix not hermitian: residual {bad[1]:.3e}"
-    tr = np.trace(stack[:n], axis1=-2, axis2=-1)
-    bad = np.abs(tr - 1.0) > ALGEBRAIC
-    if bad.any():
-        n = int(bad.argmax())
-        fail = f"density matrix trace {complex(tr[n])} differs from 1"
-    sym = (stack[:n] + stack[:n].conj().swapaxes(-1, -2)) / 2.0
+    fails: dict[int, str] = {}
+    live = np.isfinite(stack).all(axis=(-2, -1))
+    for i in (~live).nonzero()[0].tolist():
+        fails[i] = "matrix has NaN or Inf entries"
+    live = live.nonzero()[0]
+    sub = stack[live] if fails else stack
+    checked = _hermitian_residuals(sub)
+    bad = np.zeros(len(sub), dtype=bool) if checked is None else checked[1]
+    tr = np.trace(sub, axis1=-2, axis2=-1)
+    off = ~bad & (np.abs(tr - 1.0) > ALGEBRAIC)
+    for j in bad.nonzero()[0].tolist():
+        fails[int(live[j])] = f"density matrix not hermitian: residual {checked[0][j]:.3e}"
+    for j in off.nonzero()[0].tolist():
+        fails[int(live[j])] = f"density matrix trace {complex(tr[j])} differs from 1"
+    keep = ~(bad | off)
+    if not keep.all():
+        sub, live = sub[keep], live[keep]
+    sym = (sub + sub.conj().swapaxes(-1, -2)) / 2.0
     if vectors:
         evals, evecs = np.linalg.eigh(sym)
     else:
         evals, evecs = np.linalg.eigvalsh(sym), None
-    bad = evals[:, 0] < -ALGEBRAIC
-    if bad.any():
-        n = int(bad.argmax())
-        fail = f"density matrix has negative eigenvalue {evals[n, 0]:.3e}"
-    if fail is not None:
-        raise ValueError(fail)
+    for j in (evals[:, 0] < -ALGEBRAIC).nonzero()[0].tolist():
+        fails[int(live[j])] = f"density matrix has negative eigenvalue {evals[j, 0]:.3e}"
+    return evals, evecs, dict(sorted(fails.items()))
+
+
+def _state_spectra(stack: np.ndarray, vectors: bool = False):
+    """The spectra of :func:`_state_checks` for a (n, d, d) stack of
+    density matrices; the first member that fails a check raises the
+    message that DensityMatrix raises for it, so a stack of consecutive
+    states fails as checking them one by one would."""
+    evals, evecs, fails = _state_checks(stack, vectors)
+    if fails:
+        raise ValueError(next(iter(fails.values())))
     return evals, evecs
 
 

@@ -121,10 +121,15 @@ def gibbs_state(
         w = np.zeros_like(evals)
         w[ground] = 1.0 / len(ground)
     else:
-        shifted = -beta * (evals - evals.min())
-        w = np.exp(shifted)
-        w = w / w.sum()
+        w = _gibbs_weights(evals, beta)
     return DensityMatrix((v * w) @ v.conj().T)
+
+
+def _gibbs_weights(evals: np.ndarray, beta: float) -> np.ndarray:
+    """The Gibbs populations exp(-beta E) / Z of the ascending levels
+    ``evals`` at a finite beta >= 0, shifted to the ground level."""
+    w = np.exp(-beta * (evals - evals.min()))
+    return w / w.sum()
 
 
 def ergotropy(rho: DensityMatrix, h: Operator) -> tuple[float, DensityMatrix]:

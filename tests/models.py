@@ -209,6 +209,11 @@ def per_grid_sweep(spec, t_c_grid, ratio_lo=0.2, ratio_hi=3.0):
         ka, kb = max(0, k - 1), min(len(grid) - 1, k + 1)
         fine = np.linspace(grid[ka], grid[kb], machines._SWEEP_EVALS - machines._SWEEP_EVALS // 2)
         solves = [coarse[ka], *solve(fine[1:-1]), coarse[kb]]
+        # every candidate of both grids collided
+        if all(steady is None for _, steady in coarse + solves):
+            rows.append(machines.SweepRow(t_c, math.nan, math.nan, math.nan, math.nan,
+                                          no_cooling=True, unsolved=True))
+            continue
         kk = int(np.argmax([j for j, _ in solves]))
         best_w, best_j = float(fine[kk]), float(solves[kk][0])
         if not math.isfinite(best_j) or best_j <= 0:

@@ -212,6 +212,8 @@ parameters (with defaults where set):
   bath_c: object (required)
   bath_w: object (required)
   eps: number = 0.001
+  representation: str = "qubits"
+  oscillator_levels: int = 3
   t_c_grid: array (required)
   ratio_lo: number = 0.2
   ratio_hi: number = 3.0
@@ -597,6 +599,70 @@ class TestThirdLawSweepNeverPassesForWantOfRows:
         rows = (tmp_path / "out" / "certificate.csv").read_text().splitlines()
         assert rows[1] == "cooling_current_monotone,0,1,>=,false"
         assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 2
+
+
+class TestThirdLawSweepOnOscillatorFilters:
+    """The sweep takes the tricycle's representation and filter levels, and
+    a cold temperature with no solved candidate fails the certificate
+    instead of reading as one that does not cool."""
+
+    def _sweep(self, tmp_path, grid, **params):
+        cfg = json.loads((CONFIGS / "third_law_sweep.json").read_text())
+        cfg["params"].update(t_c_grid=grid, **params)
+        cfg["output_dir"] = str(tmp_path / "out")
+        p = tmp_path / "sweep.json"
+        p.write_text(json.dumps(cfg))
+        return run(str(p))
+
+    def test_three_level_oscillators_pass(self, tmp_path):
+        assert self._sweep(tmp_path, [0.4, 0.17, 0.072], representation="oscillators",
+                           oscillator_levels=3) == 0
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 4 and "nan" not in "".join(rows)
+        cert = (tmp_path / "out" / "certificate.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in cert[1:]] == ["cooling_current_monotone",
+                                                       "conductance_min"]
+
+    def test_unknown_representation_is_a_config_error(self, tmp_path, capsys):
+        assert self._sweep(tmp_path, [0.4], representation="spins") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown representation 'spins' in third-law-sweep")
+        assert not (tmp_path / "out").exists()
+
+    def test_unsolved_cold_temperature_fails(self, tmp_path):
+        # at four levels per filter every candidate's Bohr gaps collide
+        # (BohrResolutionError): nothing is solved at T_c = 0.4
+        assert self._sweep(tmp_path, [0.4], representation="oscillators",
+                           oscillator_levels=4) == 2
+        assert (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1] \
+            == "0.4,nan,nan,nan,nan"
+        cert = (tmp_path / "out" / "certificate.csv").read_text().splitlines()
+        assert cert[1:] == ["cooling_current_monotone,0,1,>=,false",
+                            "t_c_unsolved,1,0,<=,false"]
+
+    def test_one_unsolved_temperature_among_solved_ones(self, tmp_path, monkeypatch):
+        # every candidate at T_c = 0.17 collides, the others are solved: the
+        # unsolved row reads nan, the others are the rows of a sweep that
+        # never met it, and the count row fails
+        build = cli.mc._davies_stack
+
+        def colliding(hs, couplings, baths=None):
+            return [cli.mc.BohrResolutionError("injected") if member[1].temperature == 0.17 else gen
+                    for gen, member in zip(build(hs, couplings, baths), baths)]
+
+        grid = [0.4, 0.26, 0.17, 0.11]
+        (tmp_path / "all").mkdir()
+        assert self._sweep(tmp_path / "all", grid) == 0
+        monkeypatch.setattr(cli.mc, "_davies_stack", colliding)
+        assert self._sweep(tmp_path, grid) == 2
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        ref = (tmp_path / "all" / "out" / "sweep.csv").read_text().splitlines()
+        assert rows[3] == "0.17,nan,nan,nan,nan"
+        assert rows[:3] + rows[4:] == ref[:3] + ref[4:]
+        cert = (tmp_path / "out" / "certificate.csv").read_text().splitlines()
+        assert cert[1:] == ["cooling_current_monotone,1,1,>=,true",
+                            cert[2], "t_c_unsolved,1,0,<=,false"]
+        assert cert[2].startswith("conductance_min,") and cert[2].endswith(",true")
 
 
 class TestToleranceOverrides:

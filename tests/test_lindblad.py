@@ -478,6 +478,40 @@ class TestAdiabaticDriving:
         assert sum(checked) == 41 + 40
         assert led.states == []
 
+    def test_each_hamiltonian_is_diagonalised_once(self, monkeypatch):
+        # a 9-point ramp diagonalises its first Hamiltonian and, per step,
+        # the step's midpoint and its end: 17 decompositions.  The Gibbs
+        # reference of each point's bath weighs its generator's own
+        # eigenbasis, so gibbs_state adds none (one per point before)
+        members = []
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name in ("_eigh", "gibbs_state"):
+                members.append(1 if np.ndim(a) == 2 else len(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        adiabatic_propagate(lambda t: qubit_h(1.0 + 0.1 * t),
+                            [(Operator.hermitian(PAULI_X), ohmic_bath("b", 1.0, gamma=0.4))],
+                            DensityMatrix(np.diag([0.7, 0.3])), np.linspace(0.0, 2.0, 9),
+                            dh_dt=lambda t: Operator.hermitian(0.05 * PAULI_Z))
+        assert sum(members) == 17
+
+    @pytest.mark.parametrize("temperature", [0.3, 1.0, math.inf, 0.0])
+    def test_gibbs_reference_bitwise_gibbs_state(self, temperature):
+        # a tabled generator's reference is the log of gibbs_state(H, beta),
+        # bit for bit, from its own levels at a finite beta (T = inf is
+        # beta = 0) and from gibbs_state itself at beta = inf (T = 0)
+        rng = np.random.default_rng(11)
+        for h in (qubit_h(1.3), random_hermitian(4, rng), oscillator(5)[0]):
+            s_op = Operator.hermitian(np.diag(np.ones(h.dim - 1), k=1)
+                                      + np.diag(np.ones(h.dim - 1), k=-1))
+            bath = ohmic_bath("b", temperature)
+            gen = build_davies(h, [(s_op, bath)])
+            ref = lindblad._clipped_log(gibbs_state(h, bath.beta).mat)
+            assert gen.log_gibbs_reference("b").tobytes() == ref.tobytes()
+
     def test_one_generator_stack_per_grid_step(self, monkeypatch):
         # each grid step builds its substep midpoints and its end as one
         # stack: a 41-point ramp with two substeps makes 40 stacks of 3

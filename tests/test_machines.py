@@ -23,7 +23,7 @@ from qthermo.machines import (
     _adiabat_superops,
     _transfer_maps,
     _tricycle_couplings,
-    _tricycle_hamiltonian,
+    _tricycle_hamiltonians,
     _tricycle_pieces,
     _walk_states,
     CycleSpec,
@@ -274,6 +274,17 @@ class TestQuantumFriction:
         extra, gap = quantum_friction(spec)
         assert extra > 1e-4
         assert gap > 1e-6
+
+    def test_friction_diagonalises_no_hamiltonian_again(self, monkeypatch):
+        # the energy-basis populations are read in the walk's exit
+        # eigenbasis: no eig_hermitian per adiabat, with or without the pinch
+        calls = _count_calls(monkeypatch, operators.eig_hermitian)
+        for dephase in (False, True):
+            spec = engine_spec(medium=QubitMedium(transverse=0.5), protocol="sudden",
+                               tau_h=1.0, tau_c=1.0, dephase_after_adiabats=dephase)
+            _, gap = quantum_friction(spec)
+            assert gap > 1e-6
+        assert calls == []
 
     def test_commuting_medium_no_friction_even_sudden(self):
         spec = engine_spec(protocol="sudden")  # no transverse term
@@ -689,6 +700,23 @@ class TestNonPositiveStroke:
         with pytest.raises(ValueError) as err:
             find_limit_cycle(bad)
         assert str(err.value) == expected
+
+    def test_walks_are_checked_in_one_stack(self, monkeypatch):
+        # one stacked check per call, with walks that fail: each walk's
+        # error is read from the verdicts, with no second pass over it
+        rho = DensityMatrix.maximally_mixed(2)
+        eye, neg, big = (identity_superop(2).mat, _non_positive_map().mat, 1.5 * np.eye(4))
+        walks = [[eye] * 3, [neg, eye, eye], [eye] * 3, [eye, big, neg]]
+        checks = _count_calls(monkeypatch, operators._state_checks)
+        spectra = _count_calls(monkeypatch, operators._state_spectra)
+        _, errors = _walk_states(np.array(walks), np.array([rho.mat] * 4))
+        assert len(checks) == 1 and len(checks[0][0]) == 4 * 3
+        assert spectra == []
+        monkeypatch.undo()
+        assert errors[0] is None and errors[2] is None
+        assert str(errors[1]) == _parent_message([Superoperator(m) for m in walks[1]], rho)
+        assert str(errors[3]) == _parent_message([Superoperator(m) for m in walks[3]], rho)
+        assert "negative eigenvalue" in str(errors[1]) and "trace" in str(errors[3])
 
     def test_walk_raises_the_message_of_the_first_bad_state(self):
         # the state after the bad stroke has a negative eigenvalue and the
@@ -1212,10 +1240,13 @@ class TestTricycle:
                                 + emb(a.conj().T, 0) @ emb(a, 1) @ emb(a, 2))
             return h + inter, [emb(a + a.conj().T, slot) for slot in range(3)]
 
-        for omega_c, eps in [(1.0, 0.05), (0.37, 0.2), (2.1, 0.0)]:
-            spec = tricycle_spec(representation=representation, oscillator_levels=levels,
-                                 omega_c=omega_c, eps=eps)
-            h = _tricycle_hamiltonian(spec)
+        # the three Hamiltonians are built as one stack, each with the bits
+        # of its own uncached build
+        specs = [tricycle_spec(representation=representation, oscillator_levels=levels,
+                               omega_c=omega_c, eps=eps)
+                 for omega_c, eps in [(1.0, 0.05), (0.37, 0.2), (2.1, 0.0)]]
+        for spec, h in zip(specs, _tricycle_hamiltonians(specs)):
+            assert h.kind == "hermitian" and not h.mat.flags.writeable
             couplings = [c for c, _ in _tricycle_couplings(spec)]
             h_ref, couplings_ref = uncached(spec)
             assert np.array_equal(h.mat, h_ref)
@@ -1311,6 +1342,48 @@ class TestThirdLawSweep:
         rows = third_law_sweep(cli._tricycle_spec(p, "third-law-sweep"), p["t_c_grid"])
         assert len(rows) == len(p["t_c_grid"]) == 8
         assert len(passes) == 9
+
+    def test_shipped_sweep_stacks_build_no_member_alone(self, monkeypatch):
+        # each of the 9 stacks builds its Hamiltonians as one checked stack
+        # and hands its states out of one stacked check: no DensityMatrix
+        # and no Operator is constructed one at a time inside a stack
+        config = Path(__file__).resolve().parent.parent / "configs" / "third_law_sweep.json"
+        p = cli.load_config(str(config))["params"]
+        spec = cli._tricycle_spec(p, "third-law-sweep")
+        _tricycle_pieces(spec.levels)  # the couplings, built once per process
+        inside, alone, stacked = [False], [], []
+        solve = machines._tricycle_steady_stack
+
+        def in_stack(specs):
+            inside[0] = True
+            try:
+                return solve(specs)
+            finally:
+                inside[0] = False
+
+        for cls in (DensityMatrix, Operator):
+            def counting(self, post_init=cls.__post_init__):
+                if inside[0]:
+                    alone.append(type(self).__name__)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        for cls, name in ((DensityMatrix, "stack"), (Operator, "hermitian_stack")):
+            def counting_stack(mats, method=getattr(cls, name), name=name):
+                if inside[0]:
+                    stacked.append((name, len(mats)))
+                return method(mats)
+
+            monkeypatch.setattr(cls, name, staticmethod(counting_stack))
+        monkeypatch.setattr(machines, "_tricycle_steady_stack", in_stack)
+        rows = third_law_sweep(spec, p["t_c_grid"])
+        assert len(rows) == 8 and not any(r.unsolved for r in rows)
+        assert alone == []
+        # 8 grids of 20 coarse and 18 inner fine candidates, in 9 stacks
+        hermitian = [n for name, n in stacked if name == "hermitian_stack"]
+        assert len(hermitian) == 9 and sum(hermitian) == 8 * 38
+        states = [n for name, n in stacked if name == "stack"]
+        assert len(states) == 9 and sum(states) == 8 * 38
 
     def test_sweep_structure_and_monotonicity(self):
         spec = tricycle_spec(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -467,6 +468,115 @@ class TestStackedStateChecks:
         with pytest.raises(ValueError) as single:
             DensityMatrix(stack[first])
         assert str(err.value) == str(single.value)
+
+
+class TestStackedConstructors:
+    """DensityMatrix.stack and Operator.hermitian_stack check a stack once
+    and hand out what the one-at-a-time constructors give member by
+    member: the same message, or a bitwise-equal, C-ordered, read-only
+    ``mat``."""
+
+    _STATE_FAULTS = ["trace", "negative eigenvalue", "NaN or Inf", "Inf", "not hermitian"]
+
+    @staticmethod
+    def _spoil(m, fault):
+        if fault == "Inf":
+            out = m.copy()
+            out[0, 0] = complex(np.inf, 0.0)
+            return out
+        return TestStackedStateChecks._spoil(m, fault)
+
+    @staticmethod
+    def _same_member(member, ref):
+        assert type(member) is type(ref)
+        assert member.mat.dtype == ref.mat.dtype and member.mat.shape == ref.mat.shape
+        assert member.mat.tobytes() == ref.mat.tobytes()
+        assert member.mat.flags.c_contiguous and not member.mat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            member.mat[0, 0] = 0.0
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=12),
+           st.data(), st.integers(min_value=0, max_value=10 ** 9))
+    def test_density_stack_is_the_constructor_member_by_member(self, d, n, data, seed):
+        rng = np.random.default_rng(seed)
+        rank = data.draw(st.integers(min_value=1, max_value=d))
+        stack = np.array([random_density(d, rng, rank=rank).mat for _ in range(n)])
+        faults = data.draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1),
+                                           st.sampled_from(self._STATE_FAULTS), max_size=n))
+        for i, fault in faults.items():
+            stack[i] = self._spoil(stack[i], fault)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no arithmetic on a non-finite member
+            got = DensityMatrix.stack(stack)
+        assert len(got) == n
+        first = None
+        for i, (r, member) in enumerate(zip(stack, got)):
+            if i not in faults:
+                self._same_member(member, DensityMatrix(r))
+                continue
+            # the injected fault decides the verdict, which is the message of
+            # the constructor alone
+            with pytest.raises(ValueError) as err:
+                DensityMatrix(r)
+            assert isinstance(member, ValueError) and str(member) == str(err.value)
+            assert {"Inf": "NaN or Inf"}.get(faults[i], faults[i]) in str(member)
+            first = str(member) if first is None else first
+        # the first failure's verdict is what the stacked check raises
+        if first is None:
+            _state_spectra(stack)
+        else:
+            with pytest.raises(ValueError) as err:
+                _state_spectra(stack)
+            assert str(err.value) == first
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=12),
+           st.data(), st.integers(min_value=0, max_value=10 ** 9))
+    def test_hermitian_stack_raises_the_first_constructor_error(self, d, n, data, seed):
+        rng = np.random.default_rng(seed)
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        stack = np.array([random_hermitian(d, rng, scale=scale).mat for _ in range(n)])
+        faults = data.draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1),
+                                           st.sampled_from(["NaN", "Inf", "not hermitian"]),
+                                           max_size=3))
+        for i, fault in faults.items():
+            if fault == "not hermitian":
+                stack[i, 0, d - 1] += 1e-6 * max(1.0, scale)
+                stack[i, d - 1, 0] += 1j * 1e-6 * max(1.0, scale)
+            else:
+                stack[i, d - 1, 0] = np.nan if fault == "NaN" else complex(0.0, -np.inf)
+        if faults:
+            i = min(faults)
+            for r in stack[:i]:
+                Operator.hermitian(r)
+            with pytest.raises(ValueError) as alone:
+                Operator.hermitian(stack[i])
+            assert ("tagged hermitian" if faults[i] == "not hermitian"
+                    else "NaN or Inf") in str(alone.value)
+            with pytest.raises(ValueError) as err:
+                Operator.hermitian_stack(stack)
+            assert str(err.value) == str(alone.value)
+            return
+        refs = [Operator.hermitian(r) for r in stack]
+        got = Operator.hermitian_stack(stack)
+        assert len(got) == n
+        for member, ref in zip(got, refs):
+            self._same_member(member, ref)
+            assert member.kind == ref.kind == "hermitian"
+
+    def test_a_stack_of_one_is_the_constructor(self):
+        # the single constructors check a stack of one with the same routine
+        rho = DensityMatrix(np.diag([0.25, 0.75]))
+        (member,) = DensityMatrix.stack(rho.mat[None])
+        self._same_member(member, rho)
+        h = Operator.hermitian(PAULI_X)
+        (op,) = Operator.hermitian_stack(PAULI_X[None])
+        self._same_member(op, h)
+        assert DensityMatrix.stack(np.zeros((0, 2, 2))) == []
+        for build in (DensityMatrix.stack, Operator.hermitian_stack):
+            with pytest.raises(ValueError, match="stack of square matrices"):
+                build(np.eye(2))
 
 
 def test_hermiticity_bound_is_floored_at_one():
