@@ -1,6 +1,6 @@
 """Alternating parent/change benchmark pairs, written as one evidence file.
 
-    python3 tools/bench_pairs.py --pr 26 --workload tricycle-steady \
+    python3 tools/bench_pairs.py --pr N --workload tricycle-steady \
         --seeds 0 1 --pairs 10 --seconds 60
 
 Run from a qthermo checkout: that checkout, as it stands, is the change.
