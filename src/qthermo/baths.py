@@ -79,57 +79,90 @@ class BathSpec:
         return 1.0 / self.temperature
 
 
-def occupation(x: float, spec: BathSpec) -> float:
-    """Mean occupation 1 / (exp(beta (x - mu)) -+ 1); minus for bosons,
-    plus for fermions."""
-    beta = spec.beta
+def _math(f, x: np.ndarray) -> np.ndarray:
+    """The scalar function f, built on ``math``, of every entry of the 1-d
+    array x.  numpy's ``exp``, ``expm1`` and ``power`` need not give libm's
+    bits; the rates keep those of the float formula."""
+    return np.array([f(v) for v in x.tolist()], dtype=float)
+
+
+def occupation(x, spec: BathSpec):
+    """Mean occupation 1 / (exp(beta (x - mu)) -+ 1), minus for bosons,
+    plus for fermions, of a float or of every entry of a float array.
+    Above beta (x - mu) = 700 both are exp(-beta (x - mu)), which equals
+    them to double precision where the exponential would overflow.  An
+    array that fails raises the message of its first failing entry."""
+    x = np.asarray(x, dtype=float)
+    return _first_error(_occupation, x.reshape(-1), spec).reshape(x.shape)[()]
+
+
+def _first_error(f, x: np.ndarray, spec: BathSpec) -> np.ndarray:
+    """f(x, spec) of a 1-d array x.  Should it fail, the entries are taken
+    one at a time, so that the error raised is that of the first entry
+    that fails alone."""
+    # Python floats overflow to inf without a warning; so do these
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return f(x, spec)
+        except (ValueError, ArithmeticError):
+            if x.size > 1:
+                for v in x.tolist():
+                    f(np.array([v]), spec)
+            raise
+
+
+def _occupation(x: np.ndarray, spec: BathSpec) -> np.ndarray:
+    """:func:`occupation` of a 1-d array, each entry through ``math``."""
+    beta, mu = spec.beta, spec.mu
     if spec.statistics == "bose":
-        if x <= spec.mu:
+        below = x <= mu
+        if below.any():
             raise ValueError(
-                f"bosonic occupation undefined at x = {x} <= mu = {spec.mu}"
+                f"bosonic occupation undefined at x = {x[below.argmax()].item()} <= mu = {mu}"
             )
-        if beta == 0.0:
+        if beta == 0.0 and x.size:
             raise ValueError("bosonic occupation diverges at beta = 0")
         if math.isinf(beta):
-            return 0.0
-        arg = beta * (x - spec.mu)
-        return 1.0 / math.expm1(arg)
+            return np.zeros(len(x))
+
+        def bose(v):
+            arg = beta * (v - mu)
+            return math.exp(-arg) if arg > 700 else 1.0 / math.expm1(arg)
+        return _math(bose, x)
     # fermi
     if beta == 0.0:
-        return 0.5
+        return np.full(len(x), 0.5)
     if math.isinf(beta):
-        if x < spec.mu:
-            return 1.0
-        if x > spec.mu:
-            return 0.0
-        return 0.5
-    arg = beta * (x - spec.mu)
-    if arg > 700:
-        return math.exp(-arg)
-    return 1.0 / (math.exp(arg) + 1.0)
+        return np.where(x < mu, 1.0, np.where(x > mu, 0.0, 0.5))
+
+    def fermi(v):
+        arg = beta * (v - mu)
+        return math.exp(-arg) if arg > 700 else 1.0 / (math.exp(arg) + 1.0)
+    return _math(fermi, x)
 
 
-def _form_factor(w: float, spec: BathSpec) -> float:
-    """One-sided form factor J(w), defined for w >= 0."""
-    if w < 0:
-        raise ValueError("form factor takes w >= 0")
+def _form_factor(w: np.ndarray, spec: BathSpec) -> np.ndarray:
+    """One-sided form factor J(w) of a 1-d array of w >= 0, each entry
+    through ``math``."""
+    gamma, cutoff, p = spec.gamma, spec.cutoff, spec.exponent
     if spec.form_factor == "flat":
-        return spec.gamma if w <= spec.cutoff else 0.0
+        return np.where(w <= cutoff, gamma, 0.0)
     if spec.form_factor == "ohmic":
-        return spec.gamma * w * math.exp(-w / spec.cutoff)
-    return spec.gamma * w**spec.exponent * math.exp(-w / spec.cutoff)
+        return _math(lambda v: gamma * v * math.exp(-v / cutoff), w)
+    return _math(lambda v: gamma * v**p * math.exp(-v / cutoff), w)
 
 
 def _zero_frequency_limit(spec: BathSpec) -> float:
     """lim_{w -> 0+} of the emission side; equals the absorption limit."""
     beta = spec.beta
+    zero = np.zeros(1)
     if spec.statistics == "fermi":
-        return _form_factor(0.0, spec) * (1.0 - occupation(0.0, spec))
+        return float(_form_factor(zero, spec)[0] * (1.0 - _occupation(zero, spec)[0]))
     # bose: J(w) (1 + n(w)) -> J(w) / (beta w) as w -> 0 when mu = 0
     if math.isinf(beta):
         return 0.0
     if spec.mu < 0.0:
-        return _form_factor(0.0, spec) * (1.0 + occupation(0.0, spec))
+        return float(_form_factor(zero, spec)[0] * (1.0 + _occupation(zero, spec)[0]))
     # mu == 0
     if spec.form_factor == "flat":
         raise ValueError(
@@ -143,27 +176,43 @@ def _zero_frequency_limit(spec: BathSpec) -> float:
     raise ValueError("sub-ohmic bosonic bath diverges at omega = 0")
 
 
-def spectral_density(omega: float, spec: BathSpec) -> float:
+def spectral_density(omega, spec: BathSpec):
     """Transition-rate table R(omega) of the bath, including the coupling
-    scale.  omega > 0 is the emission side, omega < 0 absorption."""
+    scale, of a float or of every entry of a float array.  omega > 0 is
+    the emission side, omega < 0 absorption.  The arithmetic runs on the
+    array; every transcendental goes through ``math``, once per distinct
+    |omega|, so each entry has the bits of the float alone.  An array that
+    fails raises the error of its first failing entry."""
+    omega = np.asarray(omega, dtype=float)
+    return _first_error(_spectral_density, omega.reshape(-1), spec).reshape(omega.shape)[()]
+
+
+def _spectral_density(omega: np.ndarray, spec: BathSpec) -> np.ndarray:
+    """:func:`spectral_density` of a 1-d array: J and n of each distinct
+    |omega|, then both sides of every |omega| and one gather."""
     if spec.coupling == 0.0:
-        return 0.0
-    beta = spec.beta
-    if beta == 0.0:
+        return np.zeros(len(omega))
+    # the distinct |omega|, 0 first where it occurs, and the index of each
+    # entry's among them
+    w = np.abs(omega).tolist()
+    zero = int(0.0 in w)
+    index = {0.0: 0} if zero else {}
+    at = np.array([index.setdefault(x, len(index)) for x in w], dtype=int)
+    u = np.array(list(index), dtype=float)
+    if spec.beta == 0.0:
         # singular infinite-temperature bath: symmetric rate table
-        return spec.coupling * _form_factor(abs(omega), spec) * (
-            spec.absorption_scale if omega < 0 else 1.0
-        )
-    if omega == 0.0:
-        return spec.coupling * _zero_frequency_limit(spec)
-    w = abs(omega)
-    if spec.statistics == "bose" and w <= spec.mu:
-        raise ValueError(f"bosonic bath pole: |omega| = {w} <= mu = {spec.mu}")
-    n = occupation(w, spec)
-    if omega > 0:
-        bracket = (1.0 + n) if spec.statistics == "bose" else (1.0 - n)
-        return spec.coupling * _form_factor(w, spec) * bracket
-    return spec.coupling * _form_factor(w, spec) * n * spec.absorption_scale
+        return spec.coupling * _form_factor(u, spec)[at] * np.where(
+            omega < 0, spec.absorption_scale, 1.0)
+    n = _occupation(u[zero:], spec)
+    scaled = spec.coupling * _form_factor(u[zero:], spec)
+    # row 0 the absorption side, row 1 the emission side; both reach one
+    # limit at omega = 0
+    sides = np.empty((2, len(u)))
+    sides[0, zero:] = scaled * n * spec.absorption_scale
+    sides[1, zero:] = scaled * ((1.0 + n) if spec.statistics == "bose" else (1.0 - n))
+    if zero:
+        sides[:, 0] = spec.coupling * _zero_frequency_limit(spec)
+    return sides.reshape(-1)[at + len(u) * (omega > 0)]
 
 
 def verify_kms_ratio(spec: BathSpec, omegas) -> float:
@@ -175,18 +224,17 @@ def verify_kms_ratio(spec: BathSpec, omegas) -> float:
     """
     beta = spec.beta
     eps = 1e-300
-    worst = 0.0
-    for w in np.atleast_1d(np.asarray(omegas, dtype=float)):
-        r_plus = spectral_density(float(w), spec)
-        r_minus = spectral_density(float(-w), spec)
-        arg = -beta * (w - spec.mu) if not math.isinf(beta) else (
-            -math.inf if w > spec.mu else (math.inf if w < spec.mu else 0.0)
-        )
-        if arg > 700:
-            # Boltzmann factor overflows; test the inverted relation instead.
-            resid = abs(r_plus - math.exp(-arg) * r_minus) / (abs(r_minus) + eps)
-        else:
-            factor = math.exp(arg) if not math.isinf(arg) else 0.0
-            resid = abs(r_minus - factor * r_plus) / (abs(r_plus) + eps)
-        worst = max(worst, resid)
-    return worst
+    w = np.asarray(omegas, dtype=float).reshape(-1)
+    r = spectral_density(np.stack([w, -w], axis=1), spec)
+    r_plus, r_minus = r[:, 0], r[:, 1]
+    if math.isinf(beta):
+        arg = np.where(w > spec.mu, -math.inf, np.where(w < spec.mu, math.inf, 0.0))
+    else:
+        arg = -beta * (w - spec.mu)
+    # where the Boltzmann factor overflows, test the inverted relation
+    inverted = arg > 700
+    factor = _math(math.exp, np.where(inverted, -arg, arg))
+    resid = np.where(inverted,
+                     np.abs(r_plus - factor * r_minus) / (np.abs(r_minus) + eps),
+                     np.abs(r_minus - factor * r_plus) / (np.abs(r_plus) + eps))
+    return float(np.max(resid[~np.isnan(resid)], initial=0.0))

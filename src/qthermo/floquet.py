@@ -190,9 +190,10 @@ def harmonic_decompose(
 
     The decomposition does not depend on the bath, so it is done once:
     one ``eigh``, one stack of coupling samples, one ``ifft`` and one
-    binning pass.  Each bath then draws one rate per extended frequency.
-    The channels come bath by bath, in the order of ``baths``, and each
-    channel's operator is built once and shared by the baths that keep it.
+    binning pass.  Each bath then draws its rates at every extended
+    frequency as one array.  The channels come bath by bath, in the order
+    of ``baths``, and each channel's operator is built once and shared by
+    the baths that keep it.
 
     Rejects when the weight beyond |q| <= q_max exceeds 1e-6 of the total,
     when two extended frequencies are unresolved, when two channels with
@@ -255,24 +256,21 @@ def harmonic_decompose(
         )
     lines = [(b, center, {round(w, 9) for w in omega_av[b].tolist()}, int(q_of_line[b[0]]))
              for b, center in zip(_group_indices(order, start), centers_ext.tolist())]
+    # the first bath meets every line's gap check, and the rates of the
+    # lines before it, before a later bath is asked for a rate, as in one
+    # call per bath
+    mixed = next((k for k, (_, _, avs, _) in enumerate(lines) if len(avs) > 1), len(lines))
     ops: dict[int, np.ndarray] = {}
     channels = []
-    # the first bath meets every bin's gap check before a later bath is
-    # asked for a rate, as in one call per bath
     for bath in baths:
-        for k, (b, center, avs, q_rep) in enumerate(lines):
-            if len(avs) > 1:
-                raise ValueError(
-                    f"extended frequency {center:.12g} mixes averaged-Hamiltonian gaps "
-                    f"{sorted(avs)}; the heat-current weight is ambiguous"
-                )
-            try:
-                rate = spectral_density(center, bath)
-            except ValueError as exc:
-                raise ValueError(
-                    f"bath {bath.label!r} rejects harmonic q = {q_rep} at "
-                    f"omega = {center:.12g}: {exc}"
-                ) from exc
+        rates = _line_rates(centers_ext[:mixed], [q for *_, q in lines], bath)
+        if mixed < len(lines):
+            _, center, avs, _ = lines[mixed]
+            raise ValueError(
+                f"extended frequency {center:.12g} mixes averaged-Hamiltonian gaps "
+                f"{sorted(avs)}; the heat-current weight is ambiguous"
+            )
+        for k, ((b, center, _, q_rep), rate) in enumerate(zip(lines, rates)):
             if rate <= 0.0:
                 continue
             if k not in ops:
@@ -286,6 +284,24 @@ def harmonic_decompose(
                 FloquetChannel(bath.label, center, float(omega_av[b[0]]), q_rep, ops[k], rate)
             )
     return channels
+
+
+def _line_rates(centers: np.ndarray, q: list[int], bath: BathSpec) -> list[float]:
+    """The bath's rates at the extended frequencies ``centers`` of the
+    harmonics ``q``, drawn as one array.  A pole raises a ValueError naming
+    the first line whose rate, drawn alone, fails."""
+    try:
+        return spectral_density(centers, bath).tolist()
+    except ValueError:
+        for center, q_rep in zip(centers.tolist(), q):
+            try:
+                spectral_density(center, bath)
+            except ValueError as exc:
+                raise ValueError(
+                    f"bath {bath.label!r} rejects harmonic q = {q_rep} at "
+                    f"omega = {center:.12g}: {exc}"
+                ) from exc
+        raise
 
 
 def build_floquet_generator(

@@ -263,9 +263,9 @@ def _stack_tables(evals: np.ndarray, s_e: np.ndarray, baths) -> list[_Tables | B
     i's coupling c; members may carry different baths, and shared ones
     are the case of a repeated sequence.  Entry i is member i's tables,
     or the BohrResolutionError of its first unresolved coupling, as a
-    build of the member alone gives them; the rate of each distinct
-    (bath, gap) of the stack is drawn once, in the order in which those
-    builds first draw it."""
+    build of the member alone gives them.  The rates of the bins are drawn
+    as one array per distinct bath of the stack (:func:`_bath_rates`); a
+    member draws none from its first unresolved coupling on."""
     n, n_c, d = s_e.shape[:3]
     abs_se = np.abs(s_e)
     spread = np.maximum(evals[:, -1] - evals[:, 0], 1.0)
@@ -286,8 +286,8 @@ def _stack_tables(evals: np.ndarray, s_e: np.ndarray, baths) -> list[_Tables | B
     )
     # the distinct baths of the stack, indexed once per (member, coupling)
     distinct: dict[BathSpec, int] = {}
-    seg_bath = [distinct.setdefault(bath, len(distinct)) for member in baths for bath in member]
-    specs = list(distinct)
+    seg_bath = np.array([distinct.setdefault(bath, len(distinct))
+                         for member in baths for bath in member], dtype=int)
     errors = {}  # member: (first unresolved coupling, its error)
     for s, (i, j) in pairs.items():
         m, c = divmod(s, n_c)
@@ -298,25 +298,27 @@ def _stack_tables(evals: np.ndarray, s_e: np.ndarray, baths) -> list[_Tables | B
                 f"inside the unresolved band ({merge_tol[m]:.1e}, {resolve_tol[m]:.1e})"
             )
 
-    # kept bins are renumbered 0, 1, ... within their segment; the others,
-    # and the elements in no block (the last slot), are -1 at rate 0
+    # the bins come in (segment, frequency) order, and a member draws no
+    # rate from its first unresolved coupling on
     bin_seg = np.empty(len(bin_centers), dtype=int)
     bin_seg[block_bin] = seg
+    drawn = np.ones(len(bin_centers), dtype=bool)
+    for m, (c, _) in errors.items():
+        drawn[slice(*bin_seg.searchsorted([m * n_c + c, (m + 1) * n_c]))] = False
+    rate = np.zeros(len(bin_centers))
+    rate[drawn] = _bath_rates(bin_centers[drawn], seg_bath[bin_seg[drawn]], list(distinct))
+    # kept bins, those above the rate floor, are renumbered 0, 1, ... within
+    # their segment; the others, and the elements in no block (the last
+    # slot), are -1 at rate 0
+    kept = rate > _RATE_FLOOR
+    kept_seg = bin_seg[kept]
+    lo = kept_seg.searchsorted(np.arange(n * n_c + 1))
     local, rates = np.full(len(bin_centers) + 1, -1), np.zeros(len(bin_centers) + 1)
-    freqs, bin_rates = [[] for _ in range(n * n_c)], [[] for _ in range(n * n_c)]
-    drawn: dict[tuple[int, int], float] = {}
-    for k, (s, center, bits) in enumerate(zip(bin_seg.tolist(), bin_centers.tolist(),
-                                              bin_centers.view(np.int64).tolist())):
-        m, c = divmod(s, n_c)
-        if m in errors and c >= errors[m][0]:
-            continue
-        rate = drawn.get((seg_bath[s], bits))
-        if rate is None:
-            rate = drawn[seg_bath[s], bits] = spectral_density(center, specs[seg_bath[s]])
-        if rate > _RATE_FLOOR:
-            local[k], rates[k] = len(freqs[s]), rate
-            freqs[s].append(center)
-            bin_rates[s].append(rate)
+    local[:-1][kept] = np.arange(len(kept_seg)) - lo[kept_seg]
+    rates[:-1][kept] = rate[kept]
+    lo = lo.tolist()
+    freqs, bin_rates = ([tuple(x[a:b]) for a, b in zip(lo, lo[1:])]
+                        for x in (bin_centers[kept].tolist(), rates[:-1][kept].tolist()))
     elem_bin = np.full(s_e.size, -1)
     elem_bin[kept_blocks] = block_bin
     elem_bin = elem_bin[block.swapaxes(-1, -2)]
@@ -325,9 +327,26 @@ def _stack_tables(evals: np.ndarray, s_e: np.ndarray, baths) -> list[_Tables | B
         arr.setflags(write=False)
     return [errors[m][1] if m in errors else _Tables(
         tuple(bath.label for bath in baths[m]), s_e[m], bins[m], elem_rates[m],
-        tuple(map(tuple, freqs[m * n_c:(m + 1) * n_c])),
-        tuple(map(tuple, bin_rates[m * n_c:(m + 1) * n_c])),
+        tuple(freqs[m * n_c:(m + 1) * n_c]), tuple(bin_rates[m * n_c:(m + 1) * n_c]),
     ) for m in range(n)]
+
+
+def _bath_rates(omega: np.ndarray, bath: np.ndarray, specs: list[BathSpec]) -> np.ndarray:
+    """The rate R(omega[k]) of the bath ``specs[bath[k]]`` for every k, one
+    :func:`spectral_density` array per bath.  A failed draw raises the
+    error of the first k whose rate, drawn alone, fails: the error a draw
+    in the order of k meets."""
+    out = np.empty(len(omega))
+    try:
+        for b, spec in enumerate(specs):
+            at = bath == b
+            if at.any():
+                out[at] = spectral_density(omega[at], spec)
+    except (ValueError, ArithmeticError):
+        for w, b in zip(omega.tolist(), bath.tolist()):
+            spectral_density(w, specs[b])
+        raise
+    return out
 
 
 def _table_ops(t: _Tables) -> tuple[np.ndarray, np.ndarray]:
@@ -654,9 +673,11 @@ def _adjoint_closed(s: np.ndarray, ids: np.ndarray, n_ids: int,
     both = (src >= 0) & (src == adj)
     only_j = (src >= 0) & ~both
     only_i = (adj >= 0) & ~both
-    resid = (np.bincount(src[both], np.abs(s - coef[adj] * s_t.conj())[both] ** 2, minlength=n_ids)
+    # each term is computed on the entries it books only
+    resid = (np.bincount(src[both], np.abs(s[both] - coef[adj[both]] * s_t[both].conj()) ** 2,
+                         minlength=n_ids)
              + np.bincount(src[only_j], mag2[only_j], minlength=n_ids)
-             + np.bincount(adj[only_i], (np.abs(coef[adj]) ** 2 * np.abs(s_t) ** 2)[only_i],
+             + np.bincount(adj[only_i], np.abs(coef[adj[only_i]]) ** 2 * np.abs(s_t[only_i]) ** 2,
                            minlength=n_ids))
     bad = present & (f >= 0) & (resid > ALGEBRAIC ** 2 * norm2[f])
     return ok & ~bad.reshape(n, -1).any(axis=1)
@@ -766,11 +787,15 @@ def _sector_states(gens: Sequence[GKLSGenerator]) -> list:
         resid_tol[sel] = 1e-10 * np.maximum(1.0, np.sqrt(np.sum(mag_k ** 2, axis=(1, 2))))
         border = np.maximum.reduce([mag_k.max(axis=(1, 2)), np.ptp(evals[sel], axis=1),
                                     np.abs(g_e[sel]).max(axis=(1, 2)), np.full(len(sel), 1e-300)])
-        # LAPACK factorises one matrix per call
-        for j, block, r, c, edge in zip(sel, kernel, rows, cols, border):
+        # LAPACK factorises one matrix per call: each member is a
+        # Fortran-ordered view of one transposed copy of the group, and
+        # every sector holds the d diagonal pairs
+        blocks = np.ascontiguousarray(kernel.swapaxes(-1, -2)).swapaxes(-1, -2)
+        diag = np.nonzero(rows == cols)[1].reshape(len(sel), d)
+        for j, block, r, c, dg, edge in zip(sel.tolist(), blocks, rows, cols, diag,
+                                            border.tolist()):
             try:
-                m[j, r, c] = _bordered_fixed_point(np.asfortranarray(block), np.flatnonzero(r == c),
-                                                   float(edge), "stationary state not unique")
+                m[j, r, c] = _bordered_fixed_point(block, dg, edge, "stationary state not unique")
             except ValueError as exc:
                 out[j] = exc
     solved = np.array([j for j in certified if out[j] is None], dtype=int)
@@ -959,13 +984,19 @@ class ThermoLedger:
         return max(max(vals) if vals else 0.0, 1e-30)
 
 
-def _ledger_columns(gen: GKLSGenerator, rho: np.ndarray):
+def _ledger_columns(gen: GKLSGenerator, rho: np.ndarray, kept: list | None = None):
     """Energy, von Neumann entropy, entropy production and per-bath heat
     currents of every member of a (n, d, d) stack of states, which is
-    checked first as a stack of density matrices.  One batched
-    eigendecomposition serves the check, the entropy and ln rho; the rest
-    are one product with each bath's dissipator and batched traces."""
-    evals, evecs = _state_spectra(rho, vectors=True)
+    checked first as a stack of density matrices; with a list ``kept``,
+    the checked states are appended to it (``DensityMatrix.stack_with_spectra``).
+    One batched eigendecomposition serves the check, the entropy and
+    ln rho; the rest are one product with each bath's dissipator and
+    batched traces."""
+    if kept is None:
+        evals, evecs = _state_spectra(rho, vectors=True)
+    else:
+        states, evals, evecs = DensityMatrix.stack_with_spectra(rho)
+        kept.extend(states)
     energy = np.real(np.trace(rho @ gen.h.mat, axis1=-2, axis2=-1))
     sigma = _entropy_production_stack(gen, rho, evals, evecs)
     return energy, _entropy_of_probs(evals), sigma, _heat_current_stack(gen, rho)
@@ -1001,11 +1032,10 @@ def trajectory(
         # row k of the block is vec(M_k), which read row-major is M_k^T
         mt = block[: hi - lo].reshape(-1, d, d)
         rho = (mt.swapaxes(-1, -2) + mt.conj()) / 2.0
-        energy[lo:hi], entropy[lo:hi], sigma[lo:hi], js = _ledger_columns(gen, rho)
+        energy[lo:hi], entropy[lo:hi], sigma[lo:hi], js = _ledger_columns(
+            gen, rho, states if keep_states else None)
         for k, j in js.items():
             currents[k][lo:hi] = j
-        if keep_states:
-            states.extend(DensityMatrix.stack(rho))
 
     v = vec(rho0.mat)
     prev_t = 0.0

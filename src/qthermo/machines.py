@@ -1024,24 +1024,33 @@ def _tricycle_steady_stack(specs) -> list:
     solved = [i for i in built if isinstance(out[i], DensityMatrix)]
     if not solved:
         return out
-    labels, q = _table_heat_observables([gens[i] for i in solved])
+    solved_gens = [gens[i] for i in solved]
+    labels, q = _table_heat_observables(solved_gens)
     rho = np.array([out[i].mat for i in solved])
+    j = _currents(q, rho)
+    # the columns of every member at once: a label counts where the member
+    # has channels to its bath, and a bath at T = inf adds no entropy flow
+    on = np.array([[label in names for label in labels]
+                   for names in (set(gen.bath_labels) for gen in solved_gens)])
+    t = np.array([[gen.baths[label].temperature for label in labels] for gen in solved_gens])
+    if (on & (t == 0.0)).any():
+        raise ZeroDivisionError("float division by zero")
+    second, total = np.zeros(len(solved)), np.zeros(len(solved))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(len(labels)):
+            second = np.where(on[:, k] & ~np.isinf(t[:, k]), second - j[:, k] / t[:, k], second)
+            total = np.where(on[:, k], total + j[:, k], total)
     # basis order |h c w>: |100> is index d^2, |010> is index d
     d = specs[0].levels
-    for i, j, r in zip(solved, _currents(q, rho), rho):
-        gen = gens[i]
-        currents = {label: float(x) for label, x in zip(labels, j) if label in gen.bath_labels}
-        second = 0.0
-        for label, x in currents.items():
-            t = gen.baths[label].temperature
-            if not math.isinf(t):
-                second -= x / t
-        diag = np.real(np.diag(r))
+    gain = rho[:, d * d, d * d].real - rho[:, d, d].real
+    for i, j_i, on_i, second_i, total_i, gain_i in zip(
+            solved, j.tolist(), on.tolist(), second.tolist(), np.abs(total).tolist(),
+            gain.tolist()):
         out[i] = TricycleSteady(
-            currents=currents,
-            second_law_value=second,
-            first_law_residual=abs(sum(currents.values())),
-            gain=float(diag[d * d] - diag[d]),
+            currents={label: x for label, x, has in zip(labels, j_i, on_i) if has},
+            second_law_value=second_i,
+            first_law_residual=total_i,
+            gain=gain_i,
             state=out[i],
         )
     return out

@@ -226,7 +226,24 @@ class DensityMatrix:
         ``DensityMatrix(mats[i])`` stores, or the ValueError that it
         raises."""
         arr = _square_copy(mats, 3)
-        fails = _state_checks(arr)[2]
+        return cls._members(arr, _state_checks(arr)[2])
+
+    @classmethod
+    def stack_with_spectra(cls, mats):
+        """The states of an (n, d, d) stack that must all pass, as
+        :meth:`stack` gives them, with the ascending eigenvalues (n, d) and
+        eigenvectors (n, d, d) of the symmetrised members that its one check
+        computed; the first member that fails raises the message that
+        ``DensityMatrix`` raises for it."""
+        arr = _square_copy(mats, 3)
+        evals, evecs, fails = _state_checks(arr, vectors=True)
+        if fails:
+            raise ValueError(next(iter(fails.values())))
+        return cls._members(arr, fails), evals, evecs
+
+    @classmethod
+    def _members(cls, arr: np.ndarray, fails: dict[int, str]) -> list:
+        # the members of a stack just checked, each its own row of ``arr``
         out = []
         for i, m in enumerate(arr):
             if i in fails:

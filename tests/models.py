@@ -6,7 +6,8 @@ clustering loop that is the reference of the segmented kernel, a
 point-at-a-time driver of the Nelder–Mead steps, and the
 restart-after-restart power search that is the reference of the
 lockstep one.  The grid-after-grid third-law sweep is the reference of
-the pipelined one."""
+the pipelined one, and the float-at-a-time rate formula of the array
+one."""
 
 from __future__ import annotations
 
@@ -225,3 +226,83 @@ def per_grid_sweep(spec, t_c_grid, ratio_lo=0.2, ratio_hi=3.0):
         cond = best_j / (best_w * gain) if abs(gain) > 1e-300 else math.nan
         rows.append(machines.SweepRow(t_c, best_w, best_j, cond, gain))
     return rows
+
+
+def scalar_occupation(x: float, spec) -> float:
+    """Mean occupation of one float: the reference of ``baths.occupation``,
+    which reads arrays."""
+    beta = spec.beta
+    if spec.statistics == "bose":
+        if x <= spec.mu:
+            raise ValueError(f"bosonic occupation undefined at x = {x} <= mu = {spec.mu}")
+        if beta == 0.0:
+            raise ValueError("bosonic occupation diverges at beta = 0")
+        if math.isinf(beta):
+            return 0.0
+        arg = beta * (x - spec.mu)
+        if arg > 700:
+            return math.exp(-arg)
+        return 1.0 / math.expm1(arg)
+    if beta == 0.0:
+        return 0.5
+    if math.isinf(beta):
+        if x < spec.mu:
+            return 1.0
+        if x > spec.mu:
+            return 0.0
+        return 0.5
+    arg = beta * (x - spec.mu)
+    if arg > 700:
+        return math.exp(-arg)
+    return 1.0 / (math.exp(arg) + 1.0)
+
+
+def _scalar_form_factor(w: float, spec) -> float:
+    if spec.form_factor == "flat":
+        return spec.gamma if w <= spec.cutoff else 0.0
+    if spec.form_factor == "ohmic":
+        return spec.gamma * w * math.exp(-w / spec.cutoff)
+    return spec.gamma * w**spec.exponent * math.exp(-w / spec.cutoff)
+
+
+def _scalar_zero_frequency_limit(spec) -> float:
+    beta = spec.beta
+    if spec.statistics == "fermi":
+        return _scalar_form_factor(0.0, spec) * (1.0 - scalar_occupation(0.0, spec))
+    if math.isinf(beta):
+        return 0.0
+    if spec.mu < 0.0:
+        return _scalar_form_factor(0.0, spec) * (1.0 + scalar_occupation(0.0, spec))
+    if spec.form_factor == "flat":
+        raise ValueError(
+            "flat bosonic bath diverges at omega = 0; use an ohmic or power form factor"
+        )
+    p = 1.0 if spec.form_factor == "ohmic" else spec.exponent
+    if p > 1.0:
+        return 0.0
+    if p == 1.0:
+        return spec.gamma / beta
+    raise ValueError("sub-ohmic bosonic bath diverges at omega = 0")
+
+
+def scalar_spectral_density(omega: float, spec) -> float:
+    """The rate R(omega) of one float, each step in Python floats and
+    ``math``: the reference of ``baths.spectral_density``, which reads
+    arrays and must give these bits entry by entry."""
+    if spec.coupling == 0.0:
+        return 0.0
+    beta = spec.beta
+    if beta == 0.0:
+        return spec.coupling * _scalar_form_factor(abs(omega), spec) * (
+            spec.absorption_scale if omega < 0 else 1.0
+        )
+    if omega == 0.0:
+        return spec.coupling * _scalar_zero_frequency_limit(spec)
+    w = abs(omega)
+    if spec.statistics == "bose" and w <= spec.mu:
+        raise ValueError(f"bosonic bath pole: |omega| = {w} <= mu = {spec.mu}")
+    n = scalar_occupation(w, spec)
+    if omega > 0:
+        bracket = (1.0 + n) if spec.statistics == "bose" else (1.0 - n)
+        return spec.coupling * _scalar_form_factor(w, spec) * bracket
+    return spec.coupling * _scalar_form_factor(w, spec) * n * spec.absorption_scale

@@ -576,6 +576,29 @@ class TestUndescribableRunsAreErrors:
         assert not (tmp_path / "out").exists()
 
 
+class TestColdBathsAreNotInternalErrors:
+    """A bosonic bath at T = 0.001 puts beta omega far above 709.78, where
+    exp(beta omega) - 1 overflows a double; each run certifies as a
+    warmer bath does."""
+
+    @pytest.mark.parametrize("name, edit", [
+        ("evolve_qubit.json", lambda p: p["baths"][0].update(temperature=0.001)),
+        ("otto_engine.json", lambda p: p["bath_c"].update(temperature=0.001)),
+        ("tricycle_fridge.json", lambda p: p["bath_h"].update(temperature=0.001)),
+        ("davies_audit_oscillator.json", lambda p: p["baths"][0].update(temperature=0.001)),
+    ], ids=["evolve", "otto-cold", "tricycle-hot", "davies-audit"])
+    def test_exit_0_and_pass(self, tmp_path, capsys, name, edit):
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        edit(cfg["params"])
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 0
+        captured = capsys.readouterr()
+        assert ": PASS" in captured.out
+        assert "error" not in captured.err
+
+
 class TestThirdLawSweepNeverPassesForWantOfRows:
     def _sweep(self, tmp_path, grid):
         cfg = json.loads((CONFIGS / "third_law_sweep.json").read_text())

@@ -1222,13 +1222,28 @@ def _tables_bits(t):
             [np.array(f).tobytes() for f in t.freqs], [np.array(r).tobytes() for r in t.bin_rates])
 
 
+def _recording_draws(monkeypatch):
+    """Patch the rate draws of ``_stack_tables`` to record, per call, the
+    bath and the bits of each frequency drawn."""
+    calls = []
+    original = lindblad.spectral_density
+
+    def recording(omega, spec):
+        calls.append([(spec, w.tobytes()) for w in np.atleast_1d(omega)])
+        return original(omega, spec)
+
+    monkeypatch.setattr(lindblad, "spectral_density", recording)
+    return calls
+
+
 class TestStackTablesMemberByMember:
     def test_mixed_group_counts_and_a_collision(self, monkeypatch):
         # members with 4, 2, 4 and 1 level groups and a repeated member, with
         # a Bohr collision in the middle on the second coupling: each
         # member's tables, or its error, are those of its own stack of one,
-        # and the stack draws each distinct (bath, gap) rate once, in the
-        # order in which building the members one by one first draws it
+        # and the stack draws the (bath, gap) rates those stacks draw, one
+        # array per bath; the collided member draws none from its second
+        # coupling on
         rng = np.random.default_rng(5)
         d = 4
 
@@ -1245,20 +1260,13 @@ class TestStackTablesMemberByMember:
         couplings = [(Operator.hermitian(edge), ohmic_bath("a", 1.0)),
                      (random_hermitian(d, rng), ohmic_bath("b", 2.0)),
                      (random_hermitian(d, rng), ohmic_bath("a", 1.0))]
-        calls = []
-        original = lindblad.spectral_density
-
-        def counting(omega, spec):
-            calls.append((spec.label, np.float64(omega).tobytes()))
-            return original(omega, spec)
-
-        monkeypatch.setattr(lindblad, "spectral_density", counting)
+        calls = _recording_draws(monkeypatch)
         gens = _davies_stack(hs, couplings)
         stack_calls, single_calls = list(calls), []
         for h, gen in zip(hs, gens):
             calls.clear()
             (single,) = _davies_stack([h], couplings)
-            single_calls.append(list(calls))
+            single_calls.append(sum(calls, []))
             if isinstance(single, BohrResolutionError):
                 assert isinstance(gen, BohrResolutionError) and str(gen) == str(single)
                 assert "coupling to bath 'b'" in str(gen)
@@ -1267,19 +1275,22 @@ class TestStackTablesMemberByMember:
         assert [type(g).__name__ for g in gens] == ["GKLSGenerator", "GKLSGenerator",
                                                     "BohrResolutionError", "GKLSGenerator",
                                                     "GKLSGenerator"]
-        assert stack_calls == list(dict.fromkeys(sum(single_calls, [])))
-        assert len(stack_calls) < len(sum(single_calls, []))
+        # one array per distinct bath, holding what the members alone draw
+        assert [{spec for spec, _ in call} for call in stack_calls] == [
+            {couplings[0][1]}, {couplings[1][1]}]
+        assert set(sum(stack_calls, [])) == set(sum(single_calls, []))
         # alone, the colliding member draws the rates of its first coupling
         # and stops at its second
-        assert single_calls[2] == [("a", np.float64(w).tobytes()) for w in (-3.0, 3.0)]
+        assert single_calls[2] == [(couplings[0][1], np.float64(w).tobytes())
+                                   for w in (-3.0, 3.0)]
 
     def test_members_with_their_own_baths(self, monkeypatch):
         # five members, each with its own baths: one label at two
         # temperatures, a bath repeated as an equal copy, a member whose
         # two couplings share a bath, and a Bohr collision.  Each member's
         # generator has the bits, the registered baths and the error of
-        # building it alone, and the stack draws each distinct (bath, gap)
-        # rate once, in the order in which those builds first draw it
+        # building it alone, and the stack draws the (bath, gap) rates
+        # those builds draw, one array per distinct bath
         rng = np.random.default_rng(11)
         d = 4
         u = random_unitary(d, rng).mat
@@ -1289,21 +1300,14 @@ class TestStackTablesMemberByMember:
         ops = [random_hermitian(d, rng), random_hermitian(d, rng)]
         a1, a3, b2 = ohmic_bath("a", 1.0), ohmic_bath("a", 0.3), ohmic_bath("b", 2.0)
         baths = [(a1, b2), (a3, b2), (a1, b2), (replace(a1), b2), (a1, a1)]
-        calls = []
-        original = lindblad.spectral_density
-
-        def counting(omega, spec):
-            calls.append((spec, np.float64(omega).tobytes()))
-            return original(omega, spec)
-
-        monkeypatch.setattr(lindblad, "spectral_density", counting)
+        calls = _recording_draws(monkeypatch)
         couplings = [(op, b2) for op in ops]  # the pairs' own baths are replaced
         gens = _davies_stack(hs, couplings, baths)
         stack_calls, single_calls = list(calls), []
         for h, member, gen in zip(hs, baths, gens):
             calls.clear()
             (single,) = _davies_stack([h], list(zip(ops, member)))
-            single_calls.append(list(calls))
+            single_calls.append(sum(calls, []))
             if isinstance(single, BohrResolutionError):
                 assert isinstance(gen, BohrResolutionError) and str(gen) == str(single)
             else:
@@ -1314,9 +1318,33 @@ class TestStackTablesMemberByMember:
                                                     "BohrResolutionError", "GKLSGenerator",
                                                     "GKLSGenerator"]
         assert gens[0].baths["a"].temperature == 1.0 and gens[1].baths["a"].temperature == 0.3
-        assert len(stack_calls) == len(set(stack_calls))
-        assert stack_calls == list(dict.fromkeys(sum(single_calls, [])))
-        assert {spec for spec, _ in stack_calls} == {a1, a3, b2}
+        assert [{spec for spec, _ in call} for call in stack_calls] == [{a1}, {b2}, {a3}]
+        assert set(sum(stack_calls, [])) == set(sum(single_calls, []))
+
+    def test_a_pole_raises_the_error_of_the_first_bin_met(self):
+        # coupling 0 has no diagonal, so no zero-frequency bin, and its flat
+        # bosonic bath draws no pole; coupling 1's sub-ohmic bath is the
+        # first to draw omega = 0, then coupling 2's flat bath.  The bins
+        # met in (member, coupling, frequency) order raise the sub-ohmic
+        # pole, though the flat bath comes first among the stack's baths
+        rng = np.random.default_rng(3)
+        d = 3
+        u = random_unitary(d, rng).mat
+        hs = [Operator.hermitian(u @ np.diag([0.0, 0.7, 1.9]) @ u.conj().T)] * 2
+        edge = np.zeros((d, d))
+        edge[0, 2] = edge[2, 0] = 1.0
+        flat = BathSpec(label="f", temperature=1.0, form_factor="flat", gamma=0.2)
+        sub = BathSpec(label="s", temperature=1.0, form_factor="power", exponent=0.5)
+        diagonal = Operator.hermitian(np.diag([0.3, -0.2, 0.5]))
+        for couplings, message in (
+                ([(Operator.hermitian(u @ edge @ u.conj().T), flat), (diagonal, sub),
+                  (diagonal, flat)], "sub-ohmic bosonic bath diverges at omega = 0"),
+                ([(Operator.hermitian(u @ edge @ u.conj().T), sub), (diagonal, flat),
+                  (diagonal, sub)], "flat bosonic bath diverges at omega = 0")):
+            for stack in (hs[:1], hs):
+                with pytest.raises(ValueError) as err:
+                    _davies_stack(stack, couplings)
+                assert str(err.value).startswith(message)
 
     def test_label_clash_checked_per_member(self):
         # one label at two temperatures in two members is two baths; in one
@@ -1517,6 +1545,34 @@ class TestBlockLedgerAgainstPointLoop:
         assert all(isinstance(s, DensityMatrix) for s in kept.states)
         assert ledger_csv(kept) == ledger_csv(led)
 
+
+    def test_kept_states_are_checked_once(self, monkeypatch):
+        # the stacked check that hands out the kept states also hands the
+        # ledger its spectra: one check per block of 64, as without states
+        gen = build_davies(qubit_h(), [(Operator.hermitian(PAULI_X), ohmic_bath("b", 1.0))])
+        rho0 = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+        grid = np.linspace(0.0, 5.0, 100)
+        sizes, checks = [], operators._state_checks
+
+        def counting(stack, vectors=False):
+            sizes.append(len(stack))
+            return checks(stack, vectors)
+
+        monkeypatch.setattr(operators, "_state_checks", counting)
+        led = trajectory(gen, rho0, grid)
+        assert sizes == [64, 36]
+        sizes.clear()
+        kept = trajectory(gen, rho0, grid, keep_states=True)
+        assert sizes == [64, 36]
+        for name in ("energy", "entropy", "entropy_production", "power"):
+            assert getattr(kept, name).tobytes() == getattr(led, name).tobytes()
+        assert {k: v.tobytes() for k, v in kept.currents.items()} == \
+            {k: v.tobytes() for k, v in led.currents.items()}
+        assert len(kept.states) == 100
+        assert all(not s.mat.flags.writeable and s.mat.flags.c_contiguous for s in kept.states)
+        monkeypatch.undo()
+        again = DensityMatrix.stack(np.array([s.mat for s in kept.states]))
+        assert [s.mat.tobytes() for s in again] == [s.mat.tobytes() for s in kept.states]
 
 def _per_point_ledger(h_of_t, couplings, rho0, grid, substeps):
     """adiabatic_propagate's ledger with one build_davies per substep and
