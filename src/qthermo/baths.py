@@ -179,10 +179,11 @@ def _zero_frequency_limit(spec: BathSpec) -> float:
 def spectral_density(omega, spec: BathSpec):
     """Transition-rate table R(omega) of the bath, including the coupling
     scale, of a float or of every entry of a float array.  omega > 0 is
-    the emission side, omega < 0 absorption.  The arithmetic runs on the
-    array; every transcendental goes through ``math``, once per distinct
-    |omega|, so each entry has the bits of the float alone.  An array that
-    fails raises the error of its first failing entry."""
+    the emission side, omega < 0 absorption.  The form factor J(|omega|)
+    and the occupation n(|omega|), which hold every transcendental, are
+    taken from ``math`` once per distinct |omega|, and the rate arithmetic
+    runs on the array, so each entry has the bits of the float alone.  An
+    array that fails raises the error of its first failing entry."""
     omega = np.asarray(omega, dtype=float)
     return _first_error(_spectral_density, omega.reshape(-1), spec).reshape(omega.shape)[()]
 

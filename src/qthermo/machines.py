@@ -1029,7 +1029,8 @@ def _tricycle_steady_stack(specs) -> list:
     rho = np.array([out[i].mat for i in solved])
     j = _currents(q, rho)
     # the columns of every member at once: a label counts where the member
-    # has channels to its bath, and a bath at T = inf adds no entropy flow
+    # has channels to its bath, a bath at T = inf adds no entropy flow, and
+    # one at T = 0 divides by zero as the float division -J / T does
     on = np.array([[label in names for label in labels]
                    for names in (set(gen.bath_labels) for gen in solved_gens)])
     t = np.array([[gen.baths[label].temperature for label in labels] for gen in solved_gens])
