@@ -79,6 +79,11 @@ class BathSpec:
         return 1.0 / self.temperature
 
 
+def _zero_temperature_flow(bath: BathSpec) -> ValueError:
+    """The error of a bath at T = 0 in an entropy-flow sum of Q / T."""
+    return ValueError(f"bath {bath.label!r} is at T = 0, where its entropy flow Q / T is undefined")
+
+
 def _math(f, x: np.ndarray) -> np.ndarray:
     """The scalar function f, built on ``math``, of every entry of the 1-d
     array x.  numpy's ``exp``, ``expm1`` and ``power`` need not give libm's

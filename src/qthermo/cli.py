@@ -25,7 +25,7 @@ from . import floquet as fl
 from . import machines as mc
 from .baths import BathSpec, verify_kms_ratio
 from .lindblad import build_davies, davies_audit, trajectory
-from .operators import PAULI_X, PAULI_Z, DensityMatrix, Operator, random_density
+from .operators import PAULI_X, PAULI_Z, DensityMatrix, Operator, eig_hermitian, random_density
 from .states import (
     diagonal_vs_microcanonical,
     heisenberg_chain,
@@ -208,7 +208,7 @@ def _run_evolve(cfg: dict):
     rng = _rng(cfg["seed"])
     if p["initial"] == "excited":
         # the top eigenvector of H
-        rho0 = DensityMatrix.pure(gen.eigenbasis()[1].mat[:, -1])
+        rho0 = DensityMatrix.pure(eig_hermitian(gen.h)[1].mat[:, -1])
     elif p["initial"] == "random":
         rho0 = random_density(medium.dim, rng)
     elif p["initial"] == "mixed":
@@ -285,13 +285,13 @@ def _otto_certificate(spec: mc.CycleSpec, rep: mc.CycleReport) -> LawCertificate
     scale = max(abs(rep.work), abs(rep.q_h), abs(rep.q_c), 1e-30)
     cert.add("cyclic_first_law", abs(rep.work - rep.q_h - rep.q_c) / scale, 1e-8, "<=")
     cert.add("entropy_production_per_cycle", rep.entropy_production, -DYNAMICAL, ">=")
+    t_c, t_h = spec.bath_c.temperature, spec.bath_h.temperature
     if rep.is_engine and rep.efficiency is not None:
-        t_c, t_h = spec.bath_c.temperature, spec.bath_h.temperature
         eta_carnot = 1.0 - t_c / t_h
         cert.add("carnot_bound", eta_carnot + DYNAMICAL - rep.efficiency, 0.0, ">=")
     if rep.cop is not None:
-        t_c, t_h = spec.bath_c.temperature, spec.bath_h.temperature
-        cop_carnot = t_c / (t_h - t_c)
+        # no finite bound unless the cold bath is the colder
+        cop_carnot = t_c / (t_h - t_c) if t_h > t_c else math.inf
         cert.add("carnot_cop_bound", cop_carnot + DYNAMICAL - rep.cop, 0.0, ">=")
     return cert
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .baths import BathSpec, spectral_density
+from .baths import BathSpec, _zero_temperature_flow, spectral_density
 from .lindblad import GKLSGenerator, JumpChannel, stationary_state
 from .operators import (
     PAULI_Z,
@@ -210,7 +210,7 @@ def harmonic_decompose(
         raise ValueError("coupling operators must be hermitian")
     d = dec.dim
     n = len(dec.times) - 1  # periodic samples, endpoint dropped
-    evals, v = np.linalg.eigh(dec.h_av.mat)
+    evals, v = dec.h_av.eigh()
     s_t = _coupling_samples(dec.up_grid[:n], v, s_op.mat)
     # DFT over the period: s_t = sum_q c_q exp(-i q Omega t), so the ifft
     # bin m holds c_q with q = m folded to (-n/2, n/2]
@@ -394,6 +394,8 @@ def limit_cycle_laws(gen: GKLSGenerator, channels: list[FloquetChannel]) -> Limi
     second = 0.0
     for label, j in currents.items():
         bath = gen.baths[label]
+        if bath.temperature == 0.0:
+            raise _zero_temperature_flow(bath)
         if not math.isinf(bath.temperature):
             second += j / bath.temperature
     scale = max(max(abs(v) for v in currents.values()), abs(power), 1e-30)

@@ -27,6 +27,7 @@ from .operators import (
     _bin_frequencies,
     _commutators,
     _dissipators,
+    _eigh_stack,
     _level_blocks,
     _state_spectra,
     adjoint_dissipator,
@@ -103,8 +104,9 @@ class GKLSGenerator:
 
     A generator is built either from explicit channels or, by
     :func:`build_davies`, from the Bohr-indexed tables of its couplings
-    (:class:`_Tables`); for the latter ``channels`` is a view derived from
-    the tables on first use.  ``include_hamiltonian`` is switched off for
+    (:class:`_Tables`), in the eigenbasis that ``h`` carries
+    (:meth:`Operator.eigh`); ``channels`` is then a view derived from the
+    tables on first use.  ``include_hamiltonian`` is switched off for
     interaction-picture generators whose coherent part lives in the frame
     transformation.
     """
@@ -128,15 +130,11 @@ class GKLSGenerator:
         self._bath_parts: dict[str, Superoperator] = {}
         self._heat_observables: dict[str, np.ndarray] = {}
         self._log_references: dict[str, np.ndarray] = {}
-        # ascending eigenvalues and eigenvector matrix of H, read-only arrays
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
-        self._eigenbasis: tuple[np.ndarray, Operator] | None = None
 
     @classmethod
-    def _tabled(cls, h: Operator, tables: "_Tables", evals: np.ndarray, v: np.ndarray,
-                baths: dict[str, BathSpec]) -> "GKLSGenerator":
+    def _tabled(cls, h: Operator, tables: "_Tables", baths: dict[str, BathSpec]) -> "GKLSGenerator":
         gen = cls(h, (), baths)
-        gen._channels, gen._tables, gen._eig = None, tables, (evals, v)
+        gen._channels, gen._tables = None, tables
         return gen
 
     @property
@@ -148,21 +146,8 @@ class GKLSGenerator:
         """The jump channels; those of a tabled generator are rotated out of
         the eigenbasis of H once, on first use."""
         if self._channels is None:
-            self._channels = _table_channels(self._tables, self._eig[1])
+            self._channels = _table_channels(self._tables, self.h.eigh()[1])
         return self._channels
-
-    def eigenbasis(self) -> tuple[np.ndarray, Operator]:
-        """Ascending eigenvalues of H and the unitary of its eigenvectors,
-        as :func:`eig_hermitian` gives them, computed once; both read-only.
-        ``build_davies`` hands over the decomposition it computed."""
-        if self._eigenbasis is None:
-            if self._eig is None:
-                evals, v = eig_hermitian(self.h)
-                evals.setflags(write=False)
-                self._eigenbasis = evals, v
-            else:
-                self._eigenbasis = self._eig[0], Operator.unitary(self._eig[1])
-        return self._eigenbasis
 
     @property
     def bath_labels(self) -> list[str]:
@@ -208,17 +193,17 @@ class GKLSGenerator:
 
     def log_gibbs_reference(self, label: str) -> np.ndarray:
         """Clipped logarithm of the Gibbs state of H at the temperature of
-        the bath registered under ``label``.  A tabled generator weighs its
-        own eigenbasis (``_eig``) at a finite beta; otherwise the state is
-        ``gibbs_state``'s."""
+        the bath registered under ``label``: the eigenbasis of H weighed at
+        a finite beta, with the bits of ``gibbs_state``, and
+        ``gibbs_state`` itself at beta = inf."""
         if label not in self._log_references:
             bath = self.baths.get(label)
             if bath is None:
                 raise ValueError(f"no bath registered under label {label!r}")
-            if self._eig is None or math.isinf(bath.beta):
+            if math.isinf(bath.beta):
                 rho = gibbs_state(self.h, bath.beta).mat
             else:
-                evals, v = self._eig
+                evals, v = self.h.eigh()
                 rho = (v * _gibbs_weights(evals, bath.beta)) @ v.conj().T
             self._log_references[label] = _clipped_log(rho)
         return self._log_references[label]
@@ -384,7 +369,7 @@ def _liouvillian_stack(gens: Sequence[GKLSGenerator]) -> None:
         by_count.setdefault(len(rates), []).append((gen, ops, rates))
     for group in by_count.values():
         members = [gen for gen, _, _ in group]
-        v = np.array([gen._eig[1] for gen in members])[:, None]
+        v = _eigh_stack([gen.h for gen in members])[1][:, None]
         ops = v @ np.array([ops for _, ops, _ in group]) @ v.conj().swapaxes(-1, -2)
         m = _dissipators(ops, np.array([rates for _, _, rates in group]))
         m += _commutators(np.array([gen.h.mat for gen in members]))
@@ -392,35 +377,18 @@ def _liouvillian_stack(gens: Sequence[GKLSGenerator]) -> None:
             gen._liouvillian = Superoperator(mi)
 
 
-class _Levelled(list):
-    """Hamiltonians of one stack whose first ``len(evals)`` members come
-    with the ascending levels ``evals`` and eigenvectors ``v`` of one
-    batched :func:`_eigh`: a caller that read those levels hands them on,
-    and :func:`_davies_stack` diagonalises only the other members."""
-
-    def __init__(self, hs: Sequence[Operator], evals: np.ndarray, v: np.ndarray):
-        super().__init__(hs)
-        self.evals, self.v = evals, v
-
-
-def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending levels and eigenvectors of a (n, d, d) stack of hermitian
-    matrices, each with the bits of diagonalising it alone."""
-    return np.linalg.eigh((mats + mats.conj().swapaxes(-1, -2)) / 2.0)
-
-
 def _davies_stack(hs: Sequence[Operator], couplings,
                   baths=None) -> list[GKLSGenerator | BohrResolutionError]:
     """Weak-coupling generators of the Hamiltonians ``hs`` (one dimension)
     against one list of (hermitian coupling, bath) pairs: one batched
-    ``eigh``, one batched rotation of the couplings into every eigenbasis
-    and one segmented binning pass over the whole stack
-    (:func:`_stack_tables`).  ``baths``, when given, holds for each member
-    the baths of its couplings in their order, in place of the pairs' own:
-    the members of one stack then carry different baths, each its own
-    labels checked and its own baths registered on its generator.  When
-    ``hs`` is a :class:`_Levelled` list, the decomposition of its first
-    members is taken as handed on.  A member whose gaps the secular
+    ``eigh`` of the members not yet diagonalised (:func:`_eigh_stack`;
+    the others bring the decomposition they carry), one batched rotation
+    of the couplings into every eigenbasis and one segmented binning pass
+    over the whole stack (:func:`_stack_tables`).  ``baths``, when given,
+    holds for each member the baths of its couplings in their order, in
+    place of the pairs' own: the members of one stack then carry
+    different baths, each its own labels checked and its own baths
+    registered on its generator.  A member whose gaps the secular
     approximation can neither merge nor resolve is its
     BohrResolutionError.  Each member's bits are those of building it
     alone."""
@@ -445,18 +413,13 @@ def _davies_stack(hs: Sequence[Operator], couplings,
         raise ValueError("generator Hamiltonian must be hermitian")
     if not all(s_op.is_hermitian() for s_op, _ in couplings):
         raise ValueError("coupling operators must be hermitian")
-    mats = np.array([h.mat for h in hs])
-    k = len(hs.evals) if isinstance(hs, _Levelled) else 0
-    evals, v = _eigh(mats[k:])
-    if k:
-        evals, v = np.concatenate([hs.evals, evals]), np.concatenate([hs.v, v])
+    evals, v = _eigh_stack(hs)
     s = np.array([s_op.mat for s_op, _ in couplings], dtype=complex).reshape(-1, d, d)
     s_e = v.conj().swapaxes(-1, -2)[:, None] @ s[None] @ v[:, None]
-    for arr in (evals, v, s_e):
-        arr.setflags(write=False)
+    s_e.setflags(write=False)
     tables = _stack_tables(evals, s_e, baths)
-    return [t if isinstance(t, BohrResolutionError) else GKLSGenerator._tabled(h, t, e, vi, reg)
-            for h, t, e, vi, reg in zip(hs, tables, evals, v, registered)]
+    return [t if isinstance(t, BohrResolutionError) else GKLSGenerator._tabled(h, t, reg)
+            for h, t, reg in zip(hs, tables, registered)]
 
 
 def build_davies(h: Operator, couplings: list[tuple[Operator, BathSpec]]) -> GKLSGenerator:
@@ -478,8 +441,7 @@ def _stacked_tables(gens: Sequence[GKLSGenerator]):
     shape as (n, C, d, d), (n, d) and (n, d, d) arrays."""
     tabs = [g._tables for g in gens]
     return (np.array([t.s_e for t in tabs]), np.array([t.bins for t in tabs]),
-            np.array([t.rates for t in tabs]), np.array([g._eig[0] for g in gens]),
-            np.array([g._eig[1] for g in gens]))
+            np.array([t.rates for t in tabs]), *_eigh_stack([g.h for g in gens]))
 
 
 def _bin_pairs(s: np.ndarray, bins: np.ndarray, rates: np.ndarray):
@@ -1021,9 +983,7 @@ def trajectory(
         raise ValueError("grid must be strictly increasing and non-negative")
     lmat = gen.liouvillian().mat
     n, d = len(grid), gen.dim
-    energy = np.zeros(n)
-    entropy = np.zeros(n)
-    sigma = np.zeros(n)
+    energy, entropy, sigma = np.zeros((3, n))
     currents = {k: np.zeros(n) for k in gen.bath_labels}
     states = []
     block = np.empty((min(n, _LEDGER_BLOCK), d * d), dtype=complex)
@@ -1078,16 +1038,14 @@ def adiabatic_propagate(
     Steps longer than a tenth of the fastest Bohr period are refined
     (with a warning) so the instantaneous-generator picture stays inside
     its window of validity; the cap reads the levels of the step's
-    midpoint, diagonalised once.  The generators of each grid step, at its
-    substep midpoints and its end, come from one `_davies_stack`, with the
-    bits of building each alone; with one substep the midpoint's
-    decomposition is handed on to it (:class:`_Levelled`), and a refined
-    step builds its own midpoints.  A generator's BohrResolutionError is
-    raised when the loop reaches it.  Each grid point's ledger is read as
-    a stack of one by the kernel of :func:`trajectory`
-    (:func:`_ledger_columns`), against the generator of that point; its
-    check is the one check of that state.  Power is -Tr(rho dH/dt), from
-    the supplied derivative or a centred difference of the schedule.
+    midpoint, which one substep builds from.  The generators of each grid
+    step, at its substep midpoints and its end, come from one
+    `_davies_stack`, with the bits of building each alone; a
+    BohrResolutionError is raised when the loop reaches it.  Each grid
+    point's ledger is read as a stack of one by the kernel of
+    :func:`trajectory` (:func:`_ledger_columns`), whose check is the one
+    check of that state and of the state kept.  Power is -Tr(rho dH/dt),
+    from the supplied derivative or a centred difference of the schedule.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -1111,12 +1069,8 @@ def adiabatic_propagate(
         return (hi - lo) / span
 
     n = len(grid)
-    energy = np.zeros(n)
-    power = np.zeros(n)
-    entropy = np.zeros(n)
-    sigma = np.zeros(n)
-    labels = [bath.label for _, bath in couplings]
-    currents = {k: np.zeros(n) for k in labels}
+    energy, power, entropy, sigma = np.zeros((4, n))
+    currents = {bath.label: np.zeros(n) for _, bath in couplings}
     states = []
 
     warned = False
@@ -1124,12 +1078,11 @@ def adiabatic_propagate(
 
     def record(i: int, gen: GKLSGenerator, t: float):
         row = slice(i, i + 1)
-        energy[row], entropy[row], sigma[row], js = _ledger_columns(gen, rho[None])
+        energy[row], entropy[row], sigma[row], js = _ledger_columns(
+            gen, rho[None], states if keep_states else None)
         for k, j in js.items():
             currents[k][row] = j
         power[i] = -float(np.real(np.trace(rho @ deriv(t))))
-        if keep_states:
-            states.append(DensityMatrix(rho))
 
     gen0 = build_davies(hamiltonian(grid[0]), couplings)
     record(0, gen0, grid[0])
@@ -1137,8 +1090,8 @@ def adiabatic_propagate(
         t_a, t_b = grid[i - 1], grid[i]
         dt = t_b - t_a
         h_mid = hamiltonian(0.5 * (t_a + t_b))
-        evals, v = _eigh(h_mid.mat[None])
-        omega_max = float(evals[0, -1] - evals[0, 0])
+        evals = h_mid.eigh()[0]
+        omega_max = float(evals[-1] - evals[0])
         dt_cap = (2 * math.pi / omega_max) / 10.0 if omega_max > 0 else dt
         n_sub = max(max(1, substeps), int(math.ceil(dt / dt_cap)))
         if n_sub > max(1, substeps) and not warned:
@@ -1149,10 +1102,10 @@ def adiabatic_propagate(
             )
             warned = True
         # the generators of the step's substep midpoints and of its end; one
-        # substep's midpoint is h_mid, whose decomposition is handed on
+        # substep's midpoint is h_mid, already diagonalised
         sub = np.linspace(t_a, t_b, n_sub + 1)
         if n_sub == 1:
-            hs = _Levelled([h_mid, hamiltonian(t_b)], evals, v)
+            hs = [h_mid, hamiltonian(t_b)]
         else:
             hs = [hamiltonian(0.5 * (sub[j] + sub[j + 1])) for j in range(n_sub)]
             hs.append(hamiltonian(t_b))
@@ -1208,7 +1161,7 @@ def davies_audit(gen: GKLSGenerator, times=(0.1, 1.0)) -> dict[str, float]:
     out["hamiltonian_commute"] = float(np.max(np.abs(comm))) / scale
 
     # population block decoupling, in the H eigenbasis
-    evals, v = gen.eigenbasis()
+    evals, v = eig_hermitian(gen.h)
     d = gen.dim
     basis_change = unitary_superop(v).mat  # its adjoint maps X to V^dag X V
     l_in_basis = basis_change.conj().T @ gen.dissipator().mat @ basis_change

@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.linalg
 
-from .baths import BathSpec
+from .baths import BathSpec, _zero_temperature_flow
 from .lindblad import (
     BohrResolutionError,
     GKLSGenerator,
@@ -356,7 +356,7 @@ def _compile_stack(specs) -> tuple[list, _CycleStack | None]:
     ops = [[st for _, st in _cycle_ops(specs[i])] for i in members]
     ends = [[[g[w] for w in _ends(st)] for st in op] for op, g in zip(ops, gens)]
     h = np.array([[[gen.h.mat for gen in pair] for pair in row] for row in ends])
-    v = np.array([[[gen._eig[1] for gen in pair] for pair in row] for row in ends])
+    v = np.array([[[gen.h.eigh()[1] for gen in pair] for pair in row] for row in ends])
     sops = np.empty((len(members), len(kinds), side, side), dtype=complex)
     iso = [k for k, kind in enumerate(kinds) if kind == "isochore"]
     sops[:, iso] = scipy.linalg.expm(np.array([
@@ -571,8 +571,9 @@ def _walk_stack(specs) -> list:
     return out
 
 
-def _report(spec: CycleSpec, walk: _Walk) -> CycleReport:
-    """The energy split of a walked cycle."""
+def _report(spec: CycleSpec, walk: _Walk) -> CycleReport | ValueError:
+    """The energy split of a walked cycle, or the ValueError of a bath at
+    T = 0, whose entropy flow has no value."""
     work, q_h, q_c = walk.work, walk.q_h, walk.q_c
     flags = []
     scale = max(abs(q_h), abs(q_c), abs(work), 1e-30)
@@ -587,6 +588,8 @@ def _report(spec: CycleSpec, walk: _Walk) -> CycleReport:
         cop = q_c / (-work)
     sigma = 0.0
     for q, bath in ((q_h, spec.bath_h), (q_c, spec.bath_c)):
+        if bath.temperature == 0.0:
+            return _zero_temperature_flow(bath)
         if not math.isinf(bath.temperature):
             sigma -= q / bath.temperature
     return CycleReport(
@@ -1014,7 +1017,8 @@ def _tricycle_steady_stack(specs) -> list:
     filter levels and bath labels; their frequencies and baths may
     differ.  Entry i is the TricycleSteady of ``specs[i]``, or the
     ValueError (a BohrResolutionError among them) that its build or solve
-    raised; each entry's bits are those of solving it alone."""
+    raised, or that of a bath at T = 0 with channels, whose entropy flow
+    has no value; each entry's bits are those of solving it alone."""
     gens = _davies_stack(_tricycle_hamiltonians(specs), _tricycle_couplings(specs[0]),
                          [(sp.bath_h, sp.bath_c, sp.bath_w) for sp in specs])
     out: list = list(gens)
@@ -1030,12 +1034,11 @@ def _tricycle_steady_stack(specs) -> list:
     j = _currents(q, rho)
     # the columns of every member at once: a label counts where the member
     # has channels to its bath, a bath at T = inf adds no entropy flow, and
-    # one at T = 0 divides by zero as the float division -J / T does
+    # a member with a bath at T = 0, whose -J / T has no value, is an error
     on = np.array([[label in names for label in labels]
                    for names in (set(gen.bath_labels) for gen in solved_gens)])
     t = np.array([[gen.baths[label].temperature for label in labels] for gen in solved_gens])
-    if (on & (t == 0.0)).any():
-        raise ZeroDivisionError("float division by zero")
+    at_zero = on & (t == 0.0)
     second, total = np.zeros(len(solved)), np.zeros(len(solved))
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(len(labels)):
@@ -1044,9 +1047,12 @@ def _tricycle_steady_stack(specs) -> list:
     # basis order |h c w>: |100> is index d^2, |010> is index d
     d = specs[0].levels
     gain = rho[:, d * d, d * d].real - rho[:, d, d].real
-    for i, j_i, on_i, second_i, total_i, gain_i in zip(
-            solved, j.tolist(), on.tolist(), second.tolist(), np.abs(total).tolist(),
-            gain.tolist()):
+    for i, gen, j_i, on_i, at_zero_i, second_i, total_i, gain_i in zip(
+            solved, solved_gens, j.tolist(), on.tolist(), at_zero.tolist(), second.tolist(),
+            np.abs(total).tolist(), gain.tolist()):
+        if True in at_zero_i:
+            out[i] = _zero_temperature_flow(gen.baths[labels[at_zero_i.index(True)]])
+            continue
         out[i] = TricycleSteady(
             currents={label: x for label, x, has in zip(labels, j_i, on_i) if has},
             second_law_value=second_i,

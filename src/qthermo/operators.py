@@ -13,7 +13,11 @@ this form; every builder uses it except the rate-weighted jump sum of
 ``np.kron`` is left to the models that build tensor products of Hilbert
 spaces.
 
-Two kernels act on whole stacks in one batched LAPACK call:
+A hermitian :class:`Operator` carries its one eigendecomposition
+(:meth:`Operator.eigh`); :func:`_eigh_stack`, its stack form, is where
+every Hamiltonian of the package is diagonalised.
+
+Two more kernels act on whole stacks in one batched LAPACK call:
 :func:`unitary_exp` gives exp(-iK) for a stack of hermitian K, and
 :func:`cptp_residuals` gives the smallest Choi eigenvalue and the trace
 drift of a stack of superoperators.
@@ -28,7 +32,7 @@ Units are hbar = k_B = 1 everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -149,6 +153,7 @@ class Operator:
 
     mat: np.ndarray
     kind: str = "general"
+    _eig: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "hermitian":
@@ -203,6 +208,35 @@ class Operator:
     def is_hermitian(self) -> bool:
         # the tag was verified at construction, and ``mat`` is read-only
         return self.kind == "hermitian" or _first_nonhermitian(self.mat[None]) is None
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors (as columns) of a hermitian
+        operator, read-only and computed once, as ``mat`` is read-only too:
+        the stack of one of :func:`_eigh_stack`."""
+        if self._eig is None:
+            if not self.is_hermitian():
+                raise ValueError("eigh needs a hermitian operator")
+            _eigh_stack([self])
+        return self._eig
+
+
+def _eigh_stack(ops) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (n, d) and eigenvectors (n, d, d) of a list of
+    hermitian Operators of one dimension.  Those not yet diagonalised are,
+    in one batched ``eigh`` of their symmetrised stack, each with the bits
+    of diagonalising it alone, and keep their rows (:meth:`Operator.eigh`);
+    a batch of every member is returned as it is."""
+    fresh = [op for op in ops if op._eig is None]
+    if fresh:
+        mats = np.array([op.mat for op in fresh])
+        evals, v = np.linalg.eigh((mats + mats.conj().swapaxes(-1, -2)) / 2.0)
+        for arr in (evals, v):
+            arr.setflags(write=False)
+        for op, eig in zip(fresh, zip(evals, v)):
+            object.__setattr__(op, "_eig", eig)
+        if len(fresh) == len(ops):
+            return evals, v
+    return np.array([op._eig[0] for op in ops]), np.array([op._eig[1] for op in ops])
 
 
 @dataclass(frozen=True)
@@ -473,14 +507,14 @@ def unitary_superop(u: Operator | np.ndarray) -> Superoperator:
 def eig_hermitian(a: Operator) -> tuple[np.ndarray, Operator]:
     """Eigendecomposition of a hermitian operator.
 
-    Returns ascending eigenvalues and the unitary of eigenvectors V with
-    A = V diag(lam) V^dag.
+    Returns the ascending eigenvalues of :meth:`Operator.eigh`, read-only,
+    and the unitary of eigenvectors V with A = V diag(lam) V^dag.
     """
     if not isinstance(a, Operator):
         raise TypeError("eig_hermitian expects an Operator")
     if not a.is_hermitian():
         raise ValueError("eig_hermitian: input is not hermitian")
-    evals, evecs = np.linalg.eigh((a.mat + a.mat.conj().T) / 2.0)
+    evals, evecs = a.eigh()
     return evals, Operator.unitary(evecs)
 
 

@@ -98,7 +98,8 @@ def gibbs_state(
     mu: float = 0.0,
     number_op: Operator | None = None,
 ) -> DensityMatrix:
-    """Z^-1 exp(-beta (H - mu N)).
+    """Z^-1 exp(-beta (H - mu N)), weighed in the eigenbasis of the hermitian
+    H - mu N (at mu = 0, the one H carries: :meth:`Operator.eigh`).
 
     ``beta`` must be >= 0 (population inversion is modelled by the machine
     configurations, never by negative temperature);  beta = inf gives the
@@ -106,18 +107,16 @@ def gibbs_state(
     """
     if beta < 0:
         raise ValueError("gibbs_state: beta must be non-negative")
-    h_eff = h.mat
     if mu != 0.0:
         if number_op is None:
             raise ValueError("gibbs_state: chemical potential needs a number operator")
         comm = h.mat @ number_op.mat - number_op.mat @ h.mat
         if np.max(np.abs(comm)) > ALGEBRAIC * max(1.0, np.max(np.abs(h.mat))):
             raise ValueError("gibbs_state: [H, N] != 0")
-        h_eff = h.mat - mu * number_op.mat
-    evals, v = np.linalg.eigh((h_eff + h_eff.conj().T) / 2.0)
+        h = Operator(h.mat - mu * number_op.mat)
+    evals, v = h.eigh()
     if math.isinf(beta):
-        groups = group_degenerate(evals)
-        ground = groups[0]
+        ground = group_degenerate(evals)[0]
         w = np.zeros_like(evals)
         w[ground] = 1.0 / len(ground)
     else:

@@ -7,11 +7,13 @@ point-at-a-time driver of the Nelder–Mead steps, and the
 restart-after-restart power search that is the reference of the
 lockstep one.  The grid-after-grid third-law sweep is the reference of
 the pipelined one, and the float-at-a-time rate formula of the array
-one."""
+one.  A Hamiltonian's decomposition has a one-matrix LAPACK oracle, and
+the batched decompositions of a run can be counted."""
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -29,6 +31,28 @@ def random_unitary(dim: int, rng: np.random.Generator) -> Operator:
     q, r = np.linalg.qr(g)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     return Operator.unitary(q)
+
+
+def eigh_oracle(m) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's eigh of the symmetrised matrix (m + m^dag) / 2, taken
+    alone: the decomposition that ``Operator.eigh`` keeps, bit for bit."""
+    m = np.asarray(m, dtype=complex)
+    return np.linalg.eigh((m + m.conj().T) / 2.0)
+
+
+def count_decompositions(monkeypatch) -> list[int]:
+    """A list that records, for each batched ``eigh`` of
+    ``operators._eigh_stack`` from now on, the number of Hamiltonians it
+    diagonalises."""
+    counts, original = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_eigh_stack":
+            counts.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return counts
 
 
 def per_time(f, t: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qthermo import cli
+from qthermo import machines as mc
 from qthermo.cli import (
     ConfigError,
     LawCertificate,
@@ -597,6 +598,95 @@ class TestColdBathsAreNotInternalErrors:
         captured = capsys.readouterr()
         assert ": PASS" in captured.out
         assert "error" not in captured.err
+
+
+class TestOneDecompositionPerHamiltonian:
+    """Each run diagonalises its Hamiltonian once: the decomposition that
+    build_davies computes, or the first one, travels with H to the
+    eigenvectors of the initial state, the audit's Gibbs state and the
+    correlation series, which before diagonalised it again."""
+
+    @pytest.mark.parametrize("name", ["correlations_qubit.json", "evolve_qubit.json",
+                                      "davies_audit_oscillator.json"])
+    def test_the_run_diagonalises_its_hamiltonian_once(self, tmp_path, monkeypatch, name):
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        p = tmp_path / name
+        p.write_text(json.dumps(cfg))
+        params = cfg["params"]
+        h = cli._parse_medium(params["medium"], "medium").hamiltonian(float(params["omega"])).mat
+        # every eigh and eigvalsh of a matrix with the bits of H, batched or
+        # not, wherever it is called
+        seen = []
+
+        def recording(fn):
+            def wrapped(a, *args, **kwargs):
+                mats = np.asarray(a).reshape(-1, *np.shape(a)[-2:])
+                seen.extend(1 for m in mats if m.shape == h.shape and m.tobytes() == h.tobytes())
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        assert run(str(p)) == 0
+        assert len(seen) == 1
+
+
+class TestZeroTemperatureBathsAreNamedErrors:
+    """A bath at T = 0 whose heat enters an entropy-flow sum has no Q / T:
+    the run is an error that names the bath, not an internal error.  With
+    T_h = T_c the Carnot COP has no finite bound, and the run certifies."""
+
+    @pytest.mark.parametrize("name, edit, label", [
+        ("otto_engine.json", lambda p: p["bath_h"].update(temperature=0), "hot"),
+        ("otto_engine.json", lambda p: p["bath_c"].update(temperature=0), "cold"),
+        ("otto_optimize.json", lambda p: p["bath_c"].update(temperature=0), "cold"),
+        ("tricycle_fridge.json", lambda p: p["bath_h"].update(temperature=0), "hot"),
+        ("tricycle_fridge.json", lambda p: p["bath_w"].update(temperature=0), "work"),
+        ("third_law_sweep.json", lambda p: p["bath_w"].update(temperature=0), "work"),
+        ("floquet_fridge.json", lambda p: p["baths"][0].update(temperature=0), "hot"),
+        ("floquet_fridge.json", lambda p: p["baths"][1].update(temperature=0), "cold"),
+    ], ids=["otto-hot", "otto-cold", "optimize-cold", "tricycle-hot", "tricycle-work",
+            "sweep-work", "floquet-hot", "floquet-cold"])
+    def test_exit_1_naming_the_bath(self, tmp_path, capsys, name, edit, label):
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        edit(cfg["params"])
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert err.startswith(f"error: bath {label!r} is at T = 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("hot_from_cold", [False, True], ids=["t_c-raised", "t_h-lowered"])
+    def test_equal_temperatures_certify(self, tmp_path, capsys, hot_from_cold):
+        cfg = json.loads((CONFIGS / "otto_engine.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        params = cfg["params"]
+        t_h, t_c = params["bath_h"]["temperature"], params["bath_c"]["temperature"]
+        if hot_from_cold:
+            params["bath_h"]["temperature"] = t_c
+        else:
+            params["bath_c"]["temperature"] = t_h
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 0
+        captured = capsys.readouterr()
+        assert ": PASS" in captured.out
+        assert "error" not in captured.err
+
+    def test_carnot_cop_bound_is_infinite_unless_the_cold_bath_is_colder(self):
+        spec = cli._otto_spec(load_config(str(CONFIGS / "otto_engine.json"))["params"], "otto")
+        rep = mc.CycleReport(work=-1.0, q_h=-1.5, q_c=0.5, efficiency=None, cop=0.5, power=-0.1,
+                             entropy_production=0.1, is_engine=False, flags=())
+        for t_c, t_h in ((1.0, 1.0), (2.0, 1.0)):
+            warm = dataclasses.replace(
+                spec, bath_c=dataclasses.replace(spec.bath_c, temperature=t_c),
+                bath_h=dataclasses.replace(spec.bath_h, temperature=t_h))
+            rows = {name: value for name, value, _, _ in cli._otto_certificate(warm, rep).entries}
+            assert rows["carnot_cop_bound"] == math.inf
 
 
 class TestThirdLawSweepNeverPassesForWantOfRows:

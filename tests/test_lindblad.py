@@ -43,6 +43,7 @@ from qthermo.operators import (
     Operator,
     cp_check,
     dissipator_superop,
+    eig_hermitian,
     matexp,
     random_density,
     random_hermitian,
@@ -53,7 +54,13 @@ from qthermo.operators import (
 from qthermo.states import gibbs_state, relative_entropy, von_neumann_entropy
 from qthermo.tolerances import ALGEBRAIC, LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
-from models import ModulatedLadder, loop_group_degenerate, random_unitary
+from models import (
+    ModulatedLadder,
+    count_decompositions,
+    eigh_oracle,
+    loop_group_degenerate,
+    random_unitary,
+)
 
 
 def qubit_h(omega=1.0):
@@ -478,20 +485,44 @@ class TestAdiabaticDriving:
         assert sum(checked) == 41 + 40
         assert led.states == []
 
+    def test_kept_states_are_checked_once(self, monkeypatch):
+        # the ledger's check of each grid point hands out the kept state:
+        # one check per point with kept states, as without (two before),
+        # and the ledger's bits do not move
+        couplings = [(Operator.hermitian(PAULI_X), ohmic_bath("b", 1.0, gamma=0.4))]
+        rho0 = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+        grid = np.linspace(0.0, 2.0, 9)
+        sizes, checks = [], operators._state_checks
+
+        def counting(stack, vectors=False):
+            sizes.append(len(stack))
+            return checks(stack, vectors)
+
+        def ramp(t):
+            return qubit_h(1.0 + 0.1 * t)
+
+        monkeypatch.setattr(operators, "_state_checks", counting)
+        led = adiabatic_propagate(ramp, couplings, rho0, grid)
+        assert sizes == [1] * 9
+        sizes.clear()
+        kept = adiabatic_propagate(ramp, couplings, rho0, grid, keep_states=True)
+        assert sizes == [1] * 9
+        for name in ("energy", "entropy", "entropy_production", "power"):
+            assert getattr(kept, name).tobytes() == getattr(led, name).tobytes()
+        assert {k: v.tobytes() for k, v in kept.currents.items()} == \
+            {k: v.tobytes() for k, v in led.currents.items()}
+        assert len(kept.states) == 9 and led.states == []
+        monkeypatch.undo()
+        again = DensityMatrix.stack(np.array([s.mat for s in kept.states]))
+        assert [s.mat.tobytes() for s in again] == [s.mat.tobytes() for s in kept.states]
+        assert all(not s.mat.flags.writeable for s in kept.states)
+
     def test_each_hamiltonian_is_diagonalised_once(self, monkeypatch):
         # a 9-point ramp diagonalises its first Hamiltonian and, per step,
         # the step's midpoint and its end: 17 decompositions.  The Gibbs
-        # reference of each point's bath weighs its generator's own
-        # eigenbasis, so gibbs_state adds none (one per point before)
-        members = []
-        original = np.linalg.eigh
-
-        def counting(a, *args, **kwargs):
-            if sys._getframe(1).f_code.co_name in ("_eigh", "gibbs_state"):
-                members.append(1 if np.ndim(a) == 2 else len(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        # reference of each point's bath weighs the eigenbasis its
+        # Hamiltonian carries, so it adds none
+        members = count_decompositions(monkeypatch)
         adiabatic_propagate(lambda t: qubit_h(1.0 + 0.1 * t),
                             [(Operator.hermitian(PAULI_X), ohmic_bath("b", 1.0, gamma=0.4))],
                             DensityMatrix(np.diag([0.7, 0.3])), np.linspace(0.0, 2.0, 9),
@@ -544,13 +575,14 @@ class TestAdiabaticDriving:
         # one substep: a step's midpoint sets its Bohr cap and builds its
         # generator from one decomposition, so the generators of a 9-point
         # ramp diagonalise its first point and each step's midpoint and end
-        # once: 17 Hamiltonians (trace 3, where a state's is 1), none twice
+        # once: 17 Hamiltonians (trace 3, where a state's is 1), none twice,
+        # counted wherever the package calls eigh or eigvalsh
         seen = []
         eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
         def recording(fn):
             def wrapped(a, *args, **kwargs):
-                if sys._getframe(1).f_globals["__name__"] == "qthermo.lindblad":
+                if sys._getframe(1).f_globals["__name__"].startswith("qthermo."):
                     mats = np.asarray(a).reshape(-1, *np.shape(a)[-2:])
                     seen.extend(m.tobytes() for m in mats if abs(np.trace(m) - 3.0) < 1e-9)
                 return fn(a, *args, **kwargs)
@@ -606,11 +638,11 @@ class TestAdiabaticDriving:
                 out[member] = BohrResolutionError("collision before the 5th grid time")
             return out
 
-        def checked(gen, rho):
+        def checked(gen, rho, kept=None):
             recorded.append(gen)
             if len(recorded) == fail_at:
                 raise ValueError("state check failed at the 3rd grid time")
-            return columns(gen, rho)
+            return columns(gen, rho, kept)
 
         monkeypatch.setattr(lindblad, "_davies_stack", colliding)
         monkeypatch.setattr(lindblad, "_ledger_columns", checked)
@@ -638,34 +670,31 @@ class TestAdiabaticDriving:
 
 
 def test_generator_diagonalises_its_hamiltonian_once(monkeypatch):
-    # build_davies diagonalises H in its batched eigh and hands the result
-    # to the generator; the stationary solve and the audit read it from
-    # there and never call eig_hermitian
-    calls = []
-    original = lindblad.eig_hermitian
-
-    def counting(a):
-        calls.append(a)
-        return original(a)
-
-    monkeypatch.setattr(lindblad, "eig_hermitian", counting)
+    # build_davies diagonalises H in its batched eigh and H keeps the
+    # decomposition: the stationary solve, the audit, the Gibbs reference
+    # and eig_hermitian(gen.h) read it and diagonalise nothing more
     h = Operator.hermitian(np.diag([0.0, 1.0, 2.5]))
+    ref_evals, ref_v = eigh_oracle(h.mat)
+    calls = count_decompositions(monkeypatch)
     a = np.diag([1.0, 1.0], k=1)
     gen = build_davies(h, [(Operator.hermitian(a + a.T), ohmic_bath("b", 1.0))])
     stationary_state(gen)
     davies_audit(gen)
-    assert calls == []
-    evals, v = gen.eigenbasis()
-    ref_evals, ref_v = original(h)
-    assert evals.tobytes() == ref_evals.tobytes() and v.mat.tobytes() == ref_v.mat.tobytes()
+    gen.log_gibbs_reference("b")
+    evals, v = eig_hermitian(gen.h)
+    assert calls == [1]
+    assert evals.tobytes() == ref_evals.tobytes() and v.mat.tobytes() == ref_v.tobytes()
+    assert gen.h.eigh()[0] is evals
     assert not evals.flags.writeable and not v.mat.flags.writeable
-    # a generator built from explicit channels computes it on first use,
-    # once; it is solved on its whole Liouvillian, the Davies generator on
-    # its sector from the tables
-    direct = GKLSGenerator(h, gen.channels, baths=gen.baths)
-    assert direct.eigenbasis() is direct.eigenbasis()
-    assert len(calls) == 1
-    assert direct.eigenbasis()[0].tobytes() == ref_evals.tobytes()
+    # a generator built from explicit channels on a fresh copy of H
+    # diagonalises it on first use, once; it is solved on its whole
+    # Liouvillian, the Davies generator on its sector from the tables
+    direct = GKLSGenerator(Operator.hermitian(h.mat), gen.channels, baths=gen.baths)
+    assert calls == [1]
+    direct.log_gibbs_reference("b")
+    assert direct.h.eigh() is direct.h.eigh()
+    assert calls == [1, 1]
+    assert direct.h.eigh()[0].tobytes() == ref_evals.tobytes()
     assert np.max(np.abs(stationary_state(direct).mat - stationary_state(gen).mat)) <= ALGEBRAIC
 
 
@@ -1234,6 +1263,46 @@ def _recording_draws(monkeypatch):
 
     monkeypatch.setattr(lindblad, "spectral_density", recording)
     return calls
+
+
+class TestStackOfCarriedDecompositions:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=4),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=2**32 - 1),
+                              st.sampled_from(["fresh", "decomposed", "in a stack", "repeated"])),
+                    min_size=1, max_size=6))
+    def test_mixed_members_have_the_bits_of_their_builds_alone(self, d, members):
+        # members diagonalised before the stack (alone, or in a stack of
+        # their own), fresh ones and a repeated object, at any positions:
+        # each generator has the bits of building a fresh copy of its
+        # Hamiltonian alone, and each Hamiltonian keeps the oracle's bits
+        rng = np.random.default_rng(d)
+        couplings = [(random_hermitian(d, rng), ohmic_bath("a", 1.0)),
+                     (Operator.hermitian(np.diag(np.arange(d, dtype=float))), ohmic_bath("b", 0.4))]
+        hs, batch = [], []
+        for seed, made in members:
+            h = hs[-1] if made == "repeated" and hs else random_hermitian(
+                d, np.random.default_rng(seed))
+            if made == "decomposed":
+                h.eigh()
+            elif made == "in a stack":
+                batch.append(h)
+            hs.append(h)
+        if batch:
+            operators._eigh_stack(batch)
+        gens = _davies_stack(hs, couplings)
+        for h, gen in zip(hs, gens):
+            (alone,) = _davies_stack([Operator.hermitian(h.mat)], couplings)
+            assert [x.tobytes() for x in h.eigh()] == [x.tobytes() for x in eigh_oracle(h.mat)]
+            if isinstance(alone, BohrResolutionError):
+                assert isinstance(gen, BohrResolutionError) and str(gen) == str(alone)
+                continue
+            assert _tables_bits(gen._tables) == _tables_bits(alone._tables)
+            assert [ch.op.tobytes() for ch in gen.channels] == \
+                [ch.op.tobytes() for ch in alone.channels]
+            assert gen.liouvillian().mat.tobytes() == alone.liouvillian().mat.tobytes()
+            assert gen.log_gibbs_reference("b").tobytes() == \
+                alone.log_gibbs_reference("b").tobytes()
 
 
 class TestStackTablesMemberByMember:

@@ -13,6 +13,7 @@ from qthermo.operators import (
     _cluster,
     _commutators,
     _dissipators,
+    _eigh_stack,
     _first_nonhermitian,
     _sandwich,
     _state_spectra,
@@ -43,7 +44,7 @@ from qthermo.operators import (
 )
 from qthermo.tolerances import ALGEBRAIC, DYNAMICAL
 
-from models import loop_group_degenerate, random_unitary
+from models import eigh_oracle, loop_group_degenerate, random_unitary
 
 
 class TestOperatorTags:
@@ -100,6 +101,67 @@ class TestEigHermitian:
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
             eig_hermitian(Operator([[0, 1], [0, 0]]))
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(TypeError, match="expects an Operator"):
+            eig_hermitian(PAULI_Z)
+
+    def test_reads_the_decomposition_the_operator_keeps(self, rng):
+        a = random_hermitian(5, rng)
+        lam, v = eig_hermitian(a)
+        assert lam is a.eigh()[0]
+        assert v.kind == "unitary" and v.mat.tobytes() == a.eigh()[1].tobytes()
+
+
+def _bits(eig):
+    return [np.asarray(x).tobytes() for x in eig]
+
+
+class TestOperatorEigh:
+    """A hermitian Operator keeps its one decomposition, the oracle's bits."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["hermitian", "general", "stack member"]))
+    def test_bitwise_the_oracle_once_and_read_only(self, d, seed, made):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        # hermitian within STRUCTURAL, so that the symmetrisation shows
+        m = g + g.conj().T + 1e-13 * rng.normal(size=(d, d))
+        if made == "stack member":
+            a = Operator.hermitian_stack([0.5 * m, m])[1]
+        else:
+            a = Operator(m, kind=made)
+        evals, v = a.eigh()
+        assert _bits((evals, v)) == _bits(eigh_oracle(m))
+        again = a.eigh()
+        assert again[0] is evals and again[1] is v
+        for arr in (evals, v):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_rejects_a_nonhermitian_operator(self):
+        a = Operator([[0, 1], [0, 0]])
+        with pytest.raises(ValueError, match="eigh needs a hermitian operator"):
+            a.eigh()
+
+    def test_a_stack_stores_each_members_rows(self, rng):
+        # the members not yet diagonalised are, in one batch, and keep
+        # their rows; a member that was keeps its own arrays
+        hs = [random_hermitian(4, rng) for _ in range(5)]
+        kept = hs[1].eigh()
+        evals, v = _eigh_stack(hs)
+        assert hs[1].eigh() is kept
+        for h, e, vi in zip(hs, evals, v):
+            assert _bits(h.eigh()) == _bits((e, vi)) == _bits(eigh_oracle(h.mat))
+
+    def test_a_fresh_stack_returns_its_batch(self, rng):
+        hs = [random_hermitian(3, rng) for _ in range(4)]
+        evals, v = _eigh_stack(hs)
+        assert not evals.flags.writeable and not v.flags.writeable
+        for i, h in enumerate(hs):
+            assert np.shares_memory(h.eigh()[0], evals) and np.shares_memory(h.eigh()[1], v)
+            assert h.eigh()[1].tobytes() == v[i].tobytes()
 
 
 class TestMatexp:
