@@ -319,7 +319,23 @@ def _run_otto_optimize(cfg: dict):
         if (not isinstance(bounds, list) or len(bounds) != 2
                 or not all(_is_a(b, (int, float)) for b in bounds)):
             raise ConfigError(f"bounds of {key!r} must be two numbers [lo, hi]")
-        free[key] = (float(bounds[0]), float(bounds[1]))
+        lo, hi = float(bounds[0]), float(bounds[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"bounds of {key!r} must be finite")
+        if lo > hi:
+            raise ConfigError(f"bounds of {key!r} must have lo <= hi, got [{lo:g}, {hi:g}]")
+        if key.startswith("tau") and lo < 0:
+            raise ConfigError(f"bounds of {key!r} must be >= 0: it is a stroke duration")
+        if key.startswith("omega") and lo <= 0:
+            raise ConfigError(f"bounds of {key!r} must be > 0: it is a frequency")
+        free[key] = (lo, hi)
+    # every point of the box is a cycle only if its worst corner is one
+    omega_c = free.get("omega_c", (spec.omega_c, spec.omega_c))[1]
+    omega_h = free.get("omega_h", (spec.omega_h, spec.omega_h))[0]
+    if not omega_h > omega_c:
+        keys = " and ".join(repr(k) for k in ("omega_c", "omega_h") if k in free)
+        raise ConfigError(f"bounds of {keys} must keep omega_h > omega_c at every corner, "
+                          f"but reach omega_c = {omega_c:g} with omega_h = {omega_h:g}")
     best, pmax, eta = mc.optimize_power(spec, free, seed=cfg["seed"])
     rep = mc.run_otto(replace(spec, **best))
     cert = _otto_certificate(spec, rep)

@@ -307,14 +307,17 @@ def _ends(st: StrokeSpec) -> tuple[float, float]:
 class _CycleStack:
     """The cycles of a stack whose generators were built: ``members`` are
     their places in the stack; for each, ``kinds`` and ``ops`` list its
-    operations in time order (:func:`_cycle_ops`), ``h`` and ``v``
-    (m, K, 2, d, d) the Hamiltonians and eigenvectors (as columns) at each
-    operation's entry and exit, ``sops`` (m, K, d^2, d^2) its propagators
-    and ``total`` (m, d^2, d^2) the cycle propagators, read right to left."""
+    operations in time order (:func:`_cycle_ops`), ``ends`` the
+    Hamiltonians of its Davies stack (which carry their decompositions)
+    at each operation's entry and exit, ``h`` and ``v`` (m, K, 2, d, d)
+    their matrices and eigenvectors (as columns), ``sops`` (m, K, d^2,
+    d^2) its propagators and ``total`` (m, d^2, d^2) the cycle
+    propagators, read right to left."""
 
     members: list[int]
     kinds: list[str]
     ops: list[list[StrokeSpec]]
+    ends: list[list[tuple[Operator, Operator]]]
     h: np.ndarray
     v: np.ndarray
     sops: np.ndarray
@@ -354,9 +357,9 @@ def _compile_stack(specs) -> tuple[list, _CycleStack | None]:
         return out, None
     kinds = [kind for kind, _ in _cycle_ops(first)]
     ops = [[st for _, st in _cycle_ops(specs[i])] for i in members]
-    ends = [[[g[w] for w in _ends(st)] for st in op] for op, g in zip(ops, gens)]
-    h = np.array([[[gen.h.mat for gen in pair] for pair in row] for row in ends])
-    v = np.array([[[gen.h.eigh()[1] for gen in pair] for pair in row] for row in ends])
+    ends = [[tuple(g[w].h for w in _ends(st)) for st in op] for op, g in zip(ops, gens)]
+    h = np.array([[[ham.mat for ham in pair] for pair in row] for row in ends])
+    v = np.array([[[ham.eigh()[1] for ham in pair] for pair in row] for row in ends])
     sops = np.empty((len(members), len(kinds), side, side), dtype=complex)
     iso = [k for k, kind in enumerate(kinds) if kind == "isochore"]
     sops[:, iso] = scipy.linalg.expm(np.array([
@@ -388,7 +391,7 @@ def _compile_stack(specs) -> tuple[list, _CycleStack | None]:
     total = np.broadcast_to(np.eye(side, dtype=complex), (len(members), side, side))
     for k in range(len(kinds)):
         total = sops[:, k] @ total
-    return out, _CycleStack(members, kinds, ops, h, v, sops, total)
+    return out, _CycleStack(members, kinds, ops, ends, h, v, sops, total)
 
 
 def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
@@ -396,12 +399,13 @@ def compose_cycle(spec: CycleSpec) -> tuple[Superoperator, list[StrokeOp]]:
     application; the product reads right to left): the stack of one of
     :func:`_compile_stack`.  Every stroke is verified completely positive
     and trace preserving; the first failing stroke in chronological order
-    is reported."""
+    is reported.  Each stroke's Hamiltonians are those of the cycle's
+    Davies stack, with the decompositions it computed."""
     (error,), stack = _compile_stack([spec])
     if error is not None:
         raise error
-    ops = [StrokeOp(st, Superoperator(sop), Operator.hermitian(h_in), Operator.hermitian(h_out))
-           for st, sop, (h_in, h_out) in zip(stack.ops[0], stack.sops[0], stack.h[0])]
+    ops = [StrokeOp(st, Superoperator(sop), h_in, h_out)
+           for st, sop, (h_in, h_out) in zip(stack.ops[0], stack.sops[0], stack.ends[0])]
     return Superoperator(stack.total[0]), ops
 
 
@@ -673,10 +677,10 @@ def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.n
 def _nelder_mead_steps(x0, lo, hi, maxfev: int, xatol: float, fatol: float):
     """Minimise f over the box [lo, hi] by the Nelder–Mead simplex
     (Comput. J. 7, 308 (1965)) with reflection 1, expansion 2 and
-    contraction and shrink ½, as a generator: it yields a copy of each
-    point it wants evaluated, is sent f there, and returns (x, fun,
-    success), where success is False when the evaluation cap ended the
-    search.
+    contraction and shrink ½, as a generator: it yields each point it
+    wants evaluated, as a pair (x, hints), is sent f(x), and returns
+    (x, fun, success), where success is False when the evaluation cap
+    ended the search.
 
     This is SciPy 1.17.1's ``minimize(method="Nelder-Mead")`` with
     ``bounds`` and ``maxfev`` set, repeated operation for operation so
@@ -684,15 +688,24 @@ def _nelder_mead_steps(x0, lo, hi, maxfev: int, xatol: float, fatol: float):
     initial simplex steps 5 % along each axis (0.00025 from a zero
     coordinate) and is reflected into the box, then clipped; every trial
     point is clipped; the first evaluation past ``maxfev`` ends the search
-    at once."""
+    at once.
+
+    ``hints`` lists points the search may ask for next, so that a driver
+    can evaluate them beside x; they are asked for, if at all, in their
+    order and with their bits, and none counts toward ``maxfev`` unless it
+    is asked for.  At the first simplex vertex they are the other
+    vertices, at a shrink point the remaining shrink points, and with a
+    reflection the follow-up (expansion, outside or inside contraction)
+    that the last two iterations both needed, if they needed the same one.
+    No hint is given that the cap would keep the search from asking for."""
     calls = 0
 
-    def func(x: np.ndarray):
+    def func(x: np.ndarray, hints=()):
         nonlocal calls
         if calls >= maxfev:
             raise _EvaluationCap
         calls += 1
-        return (yield np.copy(x))
+        return (yield np.copy(x), [np.copy(h) for h in hints[:maxfev - calls]])
 
     x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
     n = len(x0)
@@ -706,40 +719,52 @@ def _nelder_mead_steps(x0, lo, hi, maxfev: int, xatol: float, fatol: float):
     fsim = np.full((n + 1,), np.inf)
     try:
         for k in range(n + 1):
-            fsim[k] = yield from func(sim[k])
+            fsim[k] = yield from func(sim[k], sim[k + 1:])
     except _EvaluationCap:
         pass
     sim, fsim = _sorted_simplex(sim, fsim)
     sim, fsim = _sorted_simplex(sim, fsim)  # SciPy sorts twice here
+    # the follow-up point that each of the last two iterations needed
+    needed = [None, None]
     while calls < maxfev:
         try:
             if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
                     and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
+            follow_ups = {"expansion": np.clip(3 * xbar - 2 * sim[-1], lo, hi),
+                          "outside": np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi),
+                          "inside": np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)}
             xr = np.clip(2 * xbar - sim[-1], lo, hi)
-            fxr = yield from func(xr)
+            agreed = needed[0] if needed[0] == needed[1] else None
+            fxr = yield from func(xr, [follow_ups[agreed]] if agreed else [])
+            needed[0] = needed[1]
             if fxr < fsim[0]:
-                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+                needed[1] = "expansion"
+                xe = follow_ups["expansion"]
                 fxe = yield from func(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
+                needed[1] = None
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:
-                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                    needed[1] = "outside"
+                    xc = follow_ups["outside"]
                     fxc = yield from func(xc)
                     shrink = not fxc <= fxr
                 else:
-                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                    needed[1] = "inside"
+                    xc = follow_ups["inside"]
                     fxc = yield from func(xc)
                     shrink = not fxc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
+                    shrunk = np.clip(sim[0] + 0.5 * (sim[1:] - sim[0]), lo, hi)
                     for j in range(1, n + 1):
-                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
-                        fsim[j] = yield from func(sim[j])
+                        sim[j] = shrunk[j - 1]
+                        fsim[j] = yield from func(sim[j], shrunk[j:])
         except _EvaluationCap:
             pass
         sim, fsim = _sorted_simplex(sim, fsim)
@@ -762,14 +787,22 @@ def optimize_power(
     bit) from the box's midpoint and seeded restarts, each capped at
     ``max_evals`` evaluations; non-engine points and Bohr collisions score
     zero power.  The restarts are independent, so they run in lockstep:
-    each round evaluates the pending point of every running restart (and
-    the midpoint, in the first) as one stack of cycles (`_otto_stack`).
+    each round evaluates the pending point of every running restart and
+    the points it hints it may ask for next (and the midpoint, in the
+    first) as one stack of cycles (`_otto_stack`); a restart that then
+    asks for a point evaluated in that round is sent its value at once.
     The result, any error and the warning when no restart converged are
-    those of running the restarts one after another: the restarts are
-    compared in order, and an error raised for a restart surfaces only
-    once every earlier restart has finished without one.  A box collapsed
-    to one point runs that point alone.  Returns (best parameters, max
-    power, efficiency there)."""
+    those of running the restarts one after another, each asking for one
+    point at a time: the restarts are compared in order, an error raised
+    for a restart surfaces only once every earlier restart has finished
+    without one, and a hinted point that is never asked for neither
+    counts toward ``max_evals`` nor raises.  A box collapsed to one point
+    runs that point alone.  Returns (best parameters, max power,
+    efficiency there)."""
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be >= 1, got {max_evals}")
     names = list(free)
     lo = np.array([free[k][0] for k in names], dtype=float)
     hi = np.array([free[k][1] for k in names], dtype=float)
@@ -803,36 +836,50 @@ def optimize_power(
     rng = np.random.default_rng(seed)
     searches = [_nelder_mead_steps(lo + rng.uniform(0.15, 0.85, size=len(names)) * span,
                                    lo, hi, max_evals, 1e-4, 1e-10) for _ in range(restarts)]
-    pending, results, failed = {}, {}, {}
+    # each running restart's pending point with its hints, and the values
+    # of the points evaluated for it in the last round, by their bits
+    pending = {r: next(search) for r, search in enumerate(searches)}
+    known: dict[int, dict] = {}
+    results, failed = {}, {}
 
     def advance(r: int, value):
-        try:
-            pending[r] = searches[r].send(value)
-        except StopIteration as stop:
-            pending.pop(r, None)
-            results[r] = stop.value
-
-    for r in range(restarts):
-        advance(r, None)
-    best_x = (lo + hi) / 2.0
-    best_p = None
-    while best_p is None or pending:
-        running = sorted(pending)
-        values = scores(([best_x] if best_p is None else []) + [pending[r] for r in running])
-        if best_p is None:
-            best_p = values.pop(0)
-            if isinstance(best_p, ValueError):
-                raise best_p
-        for r, value in zip(running, values):
-            if r not in pending:
-                continue
+        # send restart r its value, then each value of the last round that
+        # it asks for next, until it asks for a point not yet evaluated
+        while True:
             if isinstance(value, ValueError):
                 # the restarts from r on no longer decide the outcome
                 failed[r] = value
                 for q in [q for q in pending if q >= r]:
                     del pending[q]
-            else:
-                advance(r, -value)
+                return
+            try:
+                pending[r] = searches[r].send(-value)
+            except StopIteration as stop:
+                del pending[r]
+                results[r] = stop.value
+                return
+            value = known[r].get(pending[r][0].tobytes())
+            if value is None:
+                return
+
+    best_x = (lo + hi) / 2.0
+    best_p = None
+    while best_p is None or pending:
+        running = sorted(pending)
+        points = {}
+        for r in running:
+            x, hints = pending[r]
+            points[r] = {p.tobytes(): p for p in (x, *hints)}
+        values = iter(scores(([best_x] if best_p is None else [])
+                             + [p for r in running for p in points[r].values()]))
+        if best_p is None:
+            best_p = next(values)
+            if isinstance(best_p, ValueError):
+                raise best_p
+        for r in running:
+            known[r] = {key: next(values) for key in points[r]}
+            if r in pending:
+                advance(r, known[r][pending[r][0].tobytes()])
     if failed:
         raise failed[min(failed)]
     any_converged = False

@@ -3,7 +3,8 @@ driven schedules with closed-form Floquet structure (each maps a time
 array of any shape to its ``(*shape, d, d)`` stack of samples), the
 reconstruction check of a harmonic decomposition, the per-value
 clustering loop that is the reference of the segmented kernel, a
-point-at-a-time driver of the Nelder–Mead steps, and the
+point-at-a-time driver of the Nelder–Mead steps and one that evaluates
+their hints as `machines.optimize_power` does, and the
 restart-after-restart power search that is the reference of the
 lockstep one.  The grid-after-grid third-law sweep is the reference of
 the pipelined one, and the float-at-a-time rate formula of the array
@@ -151,14 +152,38 @@ def loop_group_degenerate(values, tol: float | None = None) -> list[np.ndarray]:
 def nelder_mead(f, x0, lo, hi, maxfev, xatol, fatol):
     """Minimise f over the box [lo, hi] by driving
     `machines._nelder_mead_steps` (SciPy's bounded Nelder–Mead, point for
-    point) with f, one point at a time; returns (x, fun, success)."""
+    point) with f, one point at a time and ignoring its hints; returns
+    (x, fun, success)."""
     search = machines._nelder_mead_steps(x0, lo, hi, maxfev, xatol, fatol)
     try:
-        x = next(search)
+        x, _ = next(search)
         while True:
-            x = search.send(f(x))
+            x, _ = search.send(f(x))
     except StopIteration as stop:
         return stop.value
+
+
+def hinted_nelder_mead(f, x0, lo, hi, maxfev, xatol, fatol):
+    """Drive `machines._nelder_mead_steps` as `machines.optimize_power`
+    drives one restart: each round calls f at the asked-for point and at
+    its hints, and each later request whose bits match a point of that
+    round is answered from its value, until the search asks for a point
+    the round did not evaluate.  Returns (result, asked, rounds): the
+    search's (x, fun, success), the bits of each point it asked for, and
+    per round the bits of the points f was called at, the asked-for one
+    first, with the number of points the search had asked for before."""
+    search = machines._nelder_mead_steps(x0, lo, hi, maxfev, xatol, fatol)
+    asked, rounds = [], []
+    try:
+        x, hints = next(search)
+        while True:
+            rounds.append(([p.tobytes() for p in (x, *hints)], len(asked)))
+            values = {p.tobytes(): f(p) for p in (x, *hints)}
+            while x.tobytes() in values:
+                asked.append(x.tobytes())
+                x, hints = search.send(values[x.tobytes()])
+    except StopIteration as stop:
+        return stop.value, asked, rounds
 
 
 def sequential_optimize_power(spec, free, seed=7, restarts=3, max_evals=200, trace=None):

@@ -528,6 +528,54 @@ class TestConfigEntryTypes:
         assert not (tmp_path / "out").exists()
 
 
+class TestOttoOptimizeSearchesOnlyBoxesOfCycles:
+    """A ``free`` box holding a point that is no cycle (a bound that is
+    not finite, a negative duration, a frequency at or below zero, ω_c at
+    or above ω_h at a corner) or no point at all is a config error that
+    names its key, raised before any cycle is evaluated."""
+
+    @pytest.mark.parametrize("free, message", [
+        ({"tau_h": [math.nan, 2.0]}, "bounds of 'tau_h' must be finite"),
+        ({"tau_h": [0.3, math.inf]}, "bounds of 'tau_h' must be finite"),
+        ({"tau_h": [-1.0, 2.0]}, "bounds of 'tau_h' must be >= 0: it is a stroke duration"),
+        ({"omega_c": [1.8, 7.0]}, "bounds of 'omega_c' must keep omega_h > omega_c at every "
+                                  "corner, but reach omega_c = 7 with omega_h = 6"),
+        ({"omega_c": [1.8, 6.0]}, "bounds of 'omega_c' must keep omega_h > omega_c at every "
+                                  "corner, but reach omega_c = 6 with omega_h = 6"),
+        ({"omega_h": [2.5, 8.0]}, "bounds of 'omega_h' must keep omega_h > omega_c at every "
+                                  "corner, but reach omega_c = 3 with omega_h = 2.5"),
+        ({"omega_c": [1.0, 4.0], "omega_h": [3.5, 8.0]},
+         "bounds of 'omega_c' and 'omega_h' must keep omega_h > omega_c at every corner, "
+         "but reach omega_c = 4 with omega_h = 3.5"),
+        ({"omega_c": [0.0, 2.0]}, "bounds of 'omega_c' must be > 0: it is a frequency"),
+        ({"omega_c": [5.4, 1.8]}, "bounds of 'omega_c' must have lo <= hi, got [5.4, 1.8]"),
+    ], ids=["nan", "infinite", "negative-duration", "omega_c-above-omega_h",
+            "omega_c-at-omega_h", "omega_h-below-omega_c", "both-frequencies",
+            "zero-frequency", "reversed"])
+    def test_config_error_before_any_evaluation(self, tmp_path, capsys, monkeypatch, free,
+                                                message):
+        cfg = json.loads((CONFIGS / "otto_optimize.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["params"]["free"] = free
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        evaluated = []
+        monkeypatch.setattr(mc, "_otto_stack", evaluated.append)
+        assert run(str(p)) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert evaluated == []
+        assert not (tmp_path / "out").exists()
+
+    def test_a_box_touching_zero_duration_runs(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "otto_optimize.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["params"]["free"] = {"tau_c": [0.0, 1.0]}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 0
+        assert ": PASS" in capsys.readouterr().out
+
+
 class TestUndescribableRunsAreErrors:
     """A config that describes no run is an error that names its key,
     never an internal error."""

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 import tracemalloc
@@ -67,6 +68,7 @@ from qthermo.tolerances import ALGEBRAIC, DYNAMICAL
 
 from models import (
     count_decompositions,
+    hinted_nelder_mead,
     nelder_mead,
     per_grid_sweep,
     random_unitary,
@@ -618,6 +620,24 @@ class TestIsochoreGenerators:
                 # quantum_friction, the last, returns two Python floats
                 assert [type(x) for x in result] == [float, float]
 
+    def test_stroke_hamiltonians_carry_the_cycle_decompositions(self, monkeypatch):
+        # the Hamiltonians that compose_cycle hands out are those its Davies
+        # stack diagonalised, so reading a state in each stroke's exit
+        # energy basis diagonalises nothing more
+        p = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs"
+                                / "otto_engine.json"))["params"]
+        spec = cli._otto_spec(p, "otto")
+        calls = count_decompositions(monkeypatch)
+        u_cyc, ops = compose_cycle(spec)
+        rho, _ = find_limit_cycle(u_cyc)
+        for op in ops:
+            assert shannon_entropy_in_basis(rho, op.h_out) >= von_neumann_entropy(rho) - 1e-12
+        assert len(ops) == 4 and calls == [2]
+        for op, (w_in, w_out) in zip(ops, [(spec.omega_h,) * 2, (spec.omega_h, spec.omega_c),
+                                           (spec.omega_c,) * 2, (spec.omega_c, spec.omega_h)]):
+            assert op.h_in.mat.tobytes() == spec.medium.hamiltonian(w_in).mat.tobytes()
+            assert op.h_out.mat.tobytes() == spec.medium.hamiltonian(w_out).mat.tobytes()
+
     @pytest.mark.filterwarnings("ignore:power optimisation hit its evaluation cap")
     def test_optimize_power_builds_each_point_once_per_stack(self, monkeypatch):
         stacks = _count_calls(monkeypatch, lindblad._davies_stack)
@@ -804,17 +824,47 @@ class TestOptimizePower:
         rep = run_otto(spec)
         assert _bits([power, eta]) == _bits([rep.power, rep.efficiency])
 
-    def test_otto_optimize_config_runs_428_cycles(self, monkeypatch):
-        # the midpoint, three restarts of at most 200 evaluations and the
-        # final report, as many as SciPy's search made; the restarts of
-        # 128, 147 and 151 evaluations run in lockstep, so the midpoint
-        # rides in the first of 151 stacks and the report is the 152nd
+    def test_otto_optimize_config_runs_441_cycles(self, monkeypatch):
+        # the midpoint, three restarts that ask for 128, 147 and 151 points
+        # (as SciPy's searches evaluate), the hints evaluated beside them
+        # and the final report: the first stack holds the midpoint and the
+        # three whole simplices, and the report is the 113th
         stacks = _count_calls(monkeypatch, machines._otto_stack)
         spec, free = _otto_optimize_config()
         optimize_power(spec, free, seed=11)
         sizes = [len(specs) for (specs,) in stacks]
-        assert sum(sizes) == 428
-        assert sizes == [4] + [3] * 127 + [2] * (147 - 128) + [1] * (151 - 147) + [1]
+        assert (len(sizes), sum(sizes)) == (113, 441)
+        assert sizes[0] == 1 + 3 * (len(free) + 1) and sizes[-1] == 1
+
+    def test_one_otto_optimize_run_makes_at_most_120_stacks(self, monkeypatch, tmp_path):
+        # one run of the shipped config: the search, the CLI's report of
+        # its optimum and the certificate; asking for one point at a time,
+        # the restarts took 153 stacks of 429 cycles
+        stacks = _count_calls(monkeypatch, machines._otto_stack)
+        cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                          / "otto_optimize.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "otto_optimize.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run(str(path)) == 0
+        assert len(stacks) <= 120
+        assert sum(len(specs) for (specs,) in stacks) <= 460
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(restarts=-1), "restarts must be >= 0, got -1"),
+        (dict(max_evals=0), "max_evals must be >= 1, got 0"),
+        (dict(max_evals=-3), "max_evals must be >= 1, got -3"),
+    ])
+    def test_no_search_is_a_value_error(self, monkeypatch, kwargs, message):
+        # rather than the midpoint with a warning that every restart hit
+        # its cap, when no restart ran or none could evaluate a point
+        stacks = _count_calls(monkeypatch, machines._otto_stack)
+        spec, free = _otto_optimize_config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                optimize_power(spec, free, **kwargs)
+        assert stacks == []
 
     @pytest.mark.filterwarnings("ignore:power optimisation hit its evaluation cap")
     def test_only_bohr_collisions_score_zero(self, monkeypatch):
@@ -907,37 +957,62 @@ def _otto_optimize_config():
     return cli._otto_spec(p, "otto-optimize"), {k: tuple(v) for k, v in p["free"].items()}
 
 
+def _drawn_search(data):
+    """A drawn box of 1–4 dimensions, a start in it, a cap and an
+    objective (constant, smooth or stepped): (f, x0, lo, hi, maxfev)."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    lo, hi, x0 = [], [], []
+    for _ in range(n):
+        a = data.draw(st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)))
+        width = data.draw(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=4.0)))
+        u = data.draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                st.floats(min_value=0.0, max_value=1.0)))
+        lo.append(a)
+        hi.append(a + width)
+        x0.append(a + u * width)
+    lo, hi, x0 = np.array(lo), np.array(hi), np.array(x0)
+    maxfev = data.draw(st.integers(min_value=1, max_value=300))
+    kind = data.draw(st.sampled_from(["constant", "smooth", "steps"]))
+    centre = np.array(data.draw(st.lists(st.floats(min_value=-4.0, max_value=4.0),
+                                         min_size=n, max_size=n)))
+
+    def f(x):
+        if kind == "constant":
+            return 1.0
+        if kind == "smooth":
+            return float(np.sum((x - centre) ** 2) + 0.1 * np.sum(np.sin(5.0 * x)))
+        return float(np.round(np.sum(np.abs(x - centre)), 1))
+
+    return f, x0, lo, hi, maxfev
+
+
 class TestNelderMeadAgainstScipy:
     """`_nelder_mead_steps` is SciPy's bounded Nelder–Mead, point for point."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
     def test_same_points_and_bits(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=4))
-        lo, hi, x0 = [], [], []
-        for _ in range(n):
-            a = data.draw(st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)))
-            width = data.draw(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=4.0)))
-            u = data.draw(st.one_of(st.sampled_from([0.0, 1.0]),
-                                    st.floats(min_value=0.0, max_value=1.0)))
-            lo.append(a)
-            hi.append(a + width)
-            x0.append(a + u * width)
-        lo, hi, x0 = np.array(lo), np.array(hi), np.array(x0)
-        maxfev = data.draw(st.integers(min_value=1, max_value=300))
-        kind = data.draw(st.sampled_from(["constant", "smooth", "steps"]))
-        centre = np.array(data.draw(st.lists(st.floats(min_value=-4.0, max_value=4.0),
-                                             min_size=n, max_size=n)))
-
-        def f(x):
-            if kind == "constant":
-                return 1.0
-            if kind == "smooth":
-                return float(np.sum((x - centre) ** 2) + 0.1 * np.sum(np.sin(5.0 * x)))
-            return float(np.round(np.sum(np.abs(x - centre)), 1))
-
+        f, x0, lo, hi, maxfev = _drawn_search(data)
         points, _ = _searches(f, x0, lo, hi, maxfev)
         assert 0 < len(points) <= maxfev
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_hinted_points_answer_scipys_points(self, data):
+        # a driver that evaluates every hint and answers the requests that
+        # match one from its value: the search asks for SciPy's points,
+        # point for point, returns SciPy's bits, and hints no point that
+        # the cap would keep it from asking for
+        f, x0, lo, hi, maxfev = _drawn_search(data)
+        points, (x, fun, success) = _searches(f, x0, lo, hi, maxfev)
+        result, asked, rounds = hinted_nelder_mead(f, x0, lo, hi, maxfev, 1e-4, 1e-10)
+        assert asked == points
+        assert result[0].tobytes() == x.tobytes() and _bits(result[1]) == _bits(fun)
+        assert result[2] is success
+        assert len(rounds[0][0]) == min(len(x0) + 1, maxfev)
+        assert all(len(evaluated) <= maxfev - before for evaluated, before in rounds)
+        assert len(rounds) <= len(asked)
+
 
     def test_cap_below_the_simplex_fails(self):
         # three vertices, two evaluations: the third vertex keeps +inf
@@ -970,9 +1045,9 @@ class TestNelderMeadAgainstScipy:
             search, value = steps(x0, lo, hi, maxfev, xatol, fatol), None
             try:
                 while True:
-                    x = search.send(value)
+                    x, hints = search.send(value)
                     trace["points"].append(x.tobytes())
-                    value = yield x
+                    value = yield x, hints
                     trace["values"][x.tobytes()] = value
             except StopIteration as stop:
                 trace["result"] = stop.value
@@ -1042,13 +1117,17 @@ class TestLockstepRestarts:
         assert best == mid
         assert _bits(power) == _bits(run_otto(replace(spec, **mid)).power)
 
-    @pytest.mark.parametrize("failing", [(1, 0), (1,), (0, 2), (-1, 0)])
+    @pytest.mark.parametrize("failing", [(1, 0), (1,), (0, 2), (-1, 0), ("hinted",),
+                                         ("hinted", 1)])
     def test_the_error_of_the_earliest_restart_surfaces(self, monkeypatch, failing):
         # a non-Bohr error injected at one point of each listed restart (-1
         # the midpoint): restart 1 fails at its 3rd point, before restart 0
         # fails at its 40th in lockstep order, yet restart 0's error is the
-        # one that running the restarts in turn raises
+        # one that running the restarts in turn raises.  An error at the
+        # first evaluated point that no restart asks for, a hint, is
+        # evaluated and never surfaces.
         spec, free = _otto_optimize_config()
+        names = list(free)
         trace = []
         sequential_optimize_power(spec, free, seed=11, trace=trace)
         points = {}
@@ -1058,27 +1137,38 @@ class TestLockstepRestarts:
         for pts in points.values():
             for p in pts:
                 counts[p] = counts.get(p, 0) + 1
-        at = {-1: 0, 0: 39, 1: 2, 2: 5}
+        stacks = _count_calls(monkeypatch, machines._otto_stack)
+        optimize_power(spec, free, seed=11)
+        evaluated = [tuple(getattr(cycle, k) for k in names) for (cycles,) in stacks[1:]
+                     for cycle in cycles]
+        points["hinted"] = [p for p in evaluated if p not in counts]
+        at = {-1: 0, 0: 39, 1: 2, 2: 5, "hinted": 0}
         bad = {}
         for r in failing:
             p = points[r][at[r]]
-            assert counts[p] == 1
+            assert counts.get(p, 1) == 1
             bad[p] = ValueError(f"injected into restart {r}")
         stack = machines._otto_stack
-        names = list(free)
+        hit = set()
 
         def injected(cycles):
             out = stack(cycles)
             for j, cycle in enumerate(cycles):
                 key = tuple(getattr(cycle, k) for k in names)
                 if key in bad:
+                    hit.add(key)
                     out[j] = bad[key]
             return out
 
         monkeypatch.setattr(machines, "_otto_stack", injected)
         got = _outcome(optimize_power, spec, free, seed=11)
         assert got == _outcome(sequential_optimize_power, spec, free, seed=11)
-        assert got[0] == (ValueError, f"injected into restart {min(failing)}")
+        asked = [r for r in failing if r != "hinted"]
+        if asked:
+            assert got[0] == (ValueError, f"injected into restart {min(asked)}")
+        else:
+            assert points["hinted"][0] in hit
+            assert got[0][0] == names
 
 
 class TestOttoStackMemberByMember:
