@@ -837,9 +837,9 @@ class TestOptimizePower:
         assert sizes[0] == 1 + 3 * (len(free) + 1) and sizes[-1] == 1
 
     def test_one_otto_optimize_run_makes_at_most_120_stacks(self, monkeypatch, tmp_path):
-        # one run of the shipped config: the search, the CLI's report of
-        # its optimum and the certificate; asking for one point at a time,
-        # the restarts took 153 stacks of 429 cycles
+        # one run of the shipped config: the search with its final report,
+        # and the CLI's own run at the optimum; asking for one point at a
+        # time, the restarts took 153 stacks of 429 cycles
         stacks = _count_calls(monkeypatch, machines._otto_stack)
         cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
                           / "otto_optimize.json").read_text())
