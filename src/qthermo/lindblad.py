@@ -33,13 +33,12 @@ from .operators import (
     adjoint_dissipator,
     cptp_residuals,
     dissipator_superop,
-    eig_hermitian,
     group_degenerate,
     hamiltonian_superop,
     matexp,
     unitary_superop,
-    vec,
     unvec,
+    vec,
 )
 from .states import _entropy_of_probs, _gibbs_weights, gibbs_state
 from .tolerances import ALGEBRAIC, LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
@@ -784,7 +783,8 @@ def _stationary_stack(gens: Sequence[GKLSGenerator]) -> list:
     generator i or the ValueError that solving it raised.  Tabled
     generators larger than a qubit are solved on their sectors, one stack
     per shape (``_sector_states``); the others, and those whose sector is
-    not certified, on their whole Liouvillian (``_liouvillian_state``)."""
+    not certified, on their whole Liouvillian by the one fixed-point
+    routine, residual max |L vec(rho)| (``_liouvillian_state``)."""
     out: list = [None] * len(gens)
     shapes: dict[tuple, list[int]] = {}
     for i, gen in enumerate(gens):
@@ -793,13 +793,7 @@ def _stationary_stack(gens: Sequence[GKLSGenerator]) -> list:
     for idx in shapes.values():
         for i, state in zip(idx, _sector_states([gens[i] for i in idx])):
             out[i] = state
-    for i, gen in enumerate(gens):
-        if out[i] is None:
-            try:
-                out[i] = _liouvillian_state(gen)
-            except ValueError as exc:
-                out[i] = exc
-    return out
+    return [_liouvillian_state(gen) if state is None else state for gen, state in zip(gens, out)]
 
 
 def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
@@ -816,41 +810,57 @@ def stationary_state(gen: GKLSGenerator) -> DensityMatrix:
     certifies that every stationary state lies in that span; for a secular
     generator this is the zero-Bohr sector (s = d for a nondegenerate spectrum).
     Otherwise, for a qubit and for a generator built from explicit
-    channels, the block is the whole Liouvillian in the computational
-    basis.  Either block is solved by ``_bordered_fixed_point``, and the
-    state is checked by its operator-level residual max |L(rho)|."""
+    channels, the whole Liouvillian L in the computational basis is
+    solved by ``_whole_fixed_points``, the routine of limit cycles too,
+    with residual max |L vec(rho)|; a sector by ``_bordered_fixed_point``,
+    with residual max |L(rho)|."""
     (state,) = _stationary_stack([gen])
     if isinstance(state, ValueError):
         raise state
     return state
 
 
-def _liouvillian_state(gen: GKLSGenerator) -> DensityMatrix:
-    """The stationary state from the whole Liouvillian in the computational
-    basis, checked by `_fixed_point_states`; its residual max |L(rho)| is
-    held to 1e-10 max(1, |L|_F)."""
+def _liouvillian_state(gen: GKLSGenerator) -> DensityMatrix | ValueError:
+    """The stationary state, or its ValueError, from the whole Liouvillian
+    L: the stack of one of `_whole_fixed_points` with K = L, the trace row
+    scaled to the largest of L's entries, the coherent spread and G, and
+    the residual held to 1e-10 max(1, |L|_F)."""
     ops, rates = gen._stacked_channels(None)
     d, k = gen.dim, len(rates)
-    kernel = np.array(gen.liouvillian().mat, order="F")
+    kernel = gen.liouvillian().mat
     g = ops.reshape(k * d, d).conj().T @ (rates[:, None, None] * ops).reshape(k * d, d)
-    h_coh = gen.h.mat if gen.include_hamiltonian else np.zeros((d, d))
-    a = -1j * h_coh - 0.5 * g
-    resid_tol = 1e-10 * max(1.0, float(np.linalg.norm(kernel)))
-    spread = float(np.ptp(h_coh.diagonal().real))
+    spread = float(np.ptp(gen.h.mat.diagonal().real)) if gen.include_hamiltonian else 0.0
     border = max(float(scipy.linalg.lapack.zlange("M", kernel)), spread,
                  float(np.max(np.abs(g))), 1e-300)
-    cols, rows = np.divmod(np.arange(d * d), d)
-    x = _bordered_fixed_point(kernel, np.flatnonzero(rows == cols), border,
-                              "stationary state not unique")
-    (rho,) = _fixed_point_states(unvec(x, d)[None])
-    if isinstance(rho, ValueError):
-        raise rho
-    r = rho.mat
-    jump = np.einsum("k,kij->ij", rates, ops @ r @ ops.conj().swapaxes(-1, -2))
-    resid = float(np.max(np.abs(jump + a @ r + r @ a.conj().T)))
-    if resid > resid_tol:
-        raise ValueError(f"fixed-point residual too large: {resid:.3e}")
-    return rho
+    tol = 1e-10 * max(1.0, float(np.linalg.norm(kernel)))
+    return _whole_fixed_points(kernel[None], [border], [tol], "stationary state not unique")[0]
+
+
+def _whole_fixed_points(kernels: np.ndarray, borders, tols, degenerate: str) -> list:
+    """Fixed points of a (n, d^2, d^2) stack of kernels K on the whole
+    column-stacked space, each a generator or U - I for a trace-preserving
+    map U: one `_bordered_fixed_point` each at the d diagonal positions,
+    its trace row scaled by ``borders[i]``, checked as one stack
+    (`_fixed_point_states`) and by its residual max |K vec(rho)| <=
+    ``tols[i]``.  Entry i is a DensityMatrix or a ValueError, with the
+    message ``degenerate`` for a null space that is not one-dimensional."""
+    n, side, _ = kernels.shape
+    d = math.isqrt(side)
+    out: list = [None] * n
+    xs = np.zeros((n, side), dtype=complex)
+    for i, (kernel, border) in enumerate(zip(kernels, borders)):
+        try:  # on a Fortran-ordered copy, which the solve overwrites
+            xs[i] = _bordered_fixed_point(np.array(kernel, dtype=complex, order="F"),
+                                          np.arange(d) * (d + 1), border, degenerate)
+        except ValueError as exc:
+            out[i] = exc
+    solved = [i for i, x in enumerate(out) if x is None]
+    # the column-stacked entries of a solution, read row-major, are rho^T
+    for i, rho in zip(solved, _fixed_point_states(xs[solved].reshape(-1, d, d).swapaxes(-1, -2))):
+        ok = isinstance(rho, DensityMatrix)
+        resid = float(np.max(np.abs(kernels[i] @ vec(rho.mat)))) if ok else 0.0
+        out[i] = ValueError(f"fixed-point residual too large: {resid:.3e}") if resid > tols[i] else rho
+    return out
 
 
 def _bordered_fixed_point(
@@ -1161,7 +1171,7 @@ def davies_audit(gen: GKLSGenerator, times=(0.1, 1.0)) -> dict[str, float]:
     out["hamiltonian_commute"] = float(np.max(np.abs(comm))) / scale
 
     # population block decoupling, in the H eigenbasis
-    evals, v = eig_hermitian(gen.h)
+    evals, v = gen.h.eigh()
     d = gen.dim
     basis_change = unitary_superop(v).mat  # its adjoint maps X to V^dag X V
     l_in_basis = basis_change.conj().T @ gen.dissipator().mat @ basis_change

@@ -27,13 +27,12 @@ from .baths import BathSpec, _zero_temperature_flow
 from .lindblad import (
     BohrResolutionError,
     GKLSGenerator,
-    _bordered_fixed_point,
     _currents,
     _davies_stack,
-    _fixed_point_states,
     _liouvillian_stack,
     _stationary_stack,
     _table_heat_observables,
+    _whole_fixed_points,
     stationary_state,  # re-exported: tools that wrap it look it up here as well
 )
 from .operators import (
@@ -48,8 +47,6 @@ from .operators import (
     cptp_residuals,
     hamiltonian_superop,
     unitary_exp,
-    unvec,
-    vec,
 )
 from .states import _entropy_of_probs, _relative_entropy_of_spectra
 from .tolerances import DYNAMICAL
@@ -413,34 +410,12 @@ _MAX_ITER = 2000
 
 
 def _limit_cycle_states(u: np.ndarray) -> list:
-    """Fixed points of a (n, d^2, d^2) stack of cycle propagators, each
-    from one bordered solve of U - I; entry i is the DensityMatrix of
-    member i, or the ValueError of a degenerate unit eigenspace, a
-    non-positive solution or a residual above 1e-10."""
-    side = u.shape[-1]
-    d = math.isqrt(side)
-    out: list = [None] * len(u)
-    solved, xs = [], []
-    for i, m in enumerate(u):
-        kernel = np.array(m, dtype=complex, order="F")
-        kernel.flat[:: side + 1] -= 1.0
-        border = max(float(scipy.linalg.lapack.zlange("M", kernel)), 1e-300)
-        try:
-            xs.append(unvec(_bordered_fixed_point(kernel, np.arange(d) * (d + 1), border,
-                                                  "cycle fixed point degenerate"), d))
-            solved.append(i)
-        except ValueError as exc:
-            out[i] = exc
-    if not solved:
-        return out
-    for i, rho in zip(solved, _fixed_point_states(np.array(xs))):
-        if isinstance(rho, DensityMatrix):
-            r = vec(rho.mat)
-            resid = float(np.max(np.abs(u[i] @ r - r)))
-            if resid > 1e-10:
-                rho = ValueError(f"fixed-point residual too large: {resid:.3e}")
-        out[i] = rho
-    return out
+    """Fixed points of a (n, d^2, d^2) stack of cycle maps U: the stack of
+    `_whole_fixed_points` with K = U - I, each trace row scaled to K's
+    largest entry and each residual held to 1e-10."""
+    kernels = u - np.eye(u.shape[-1])
+    borders = [max(float(scipy.linalg.lapack.zlange("M", k)), 1e-300) for k in kernels]
+    return _whole_fixed_points(kernels, borders, [1e-10] * len(u), "cycle fixed point degenerate")
 
 
 def find_limit_cycle(u_cyc: Superoperator) -> tuple[DensityMatrix, list[float]]:
@@ -771,6 +746,33 @@ def _nelder_mead_steps(x0, lo, hi, maxfev: int, xatol: float, fatol: float):
     return sim[0], np.min(fsim), calls < maxfev
 
 
+def _search_box(spec: CycleSpec, free: dict[str, tuple[float, float]]) -> None:
+    """Raise ValueError unless every point of the ``free`` box of
+    `optimize_power` is a cycle: it names at least one parameter, each a
+    stroke duration or a frequency, with finite bounds lo <= hi, and
+    durations >= 0, frequencies > 0 and omega_h > omega_c at the worst
+    corner."""
+    if not free:
+        raise ValueError("free must name at least one parameter to optimise")
+    for key, (lo, hi) in free.items():
+        if key not in ("omega_c", "omega_h", "tau_h", "tau_c", "tau_hc", "tau_ch"):
+            raise ValueError(f"cannot optimise over {key!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"bounds of {key!r} must be finite")
+        if lo > hi:
+            raise ValueError(f"bounds of {key!r} must have lo <= hi, got [{lo:g}, {hi:g}]")
+        if key.startswith("tau") and lo < 0:
+            raise ValueError(f"bounds of {key!r} must be >= 0: it is a stroke duration")
+        if key.startswith("omega") and lo <= 0:
+            raise ValueError(f"bounds of {key!r} must be > 0: it is a frequency")
+    omega_c = free.get("omega_c", (spec.omega_c, spec.omega_c))[1]
+    omega_h = free.get("omega_h", (spec.omega_h, spec.omega_h))[0]
+    if not omega_h > omega_c:
+        keys = " and ".join(repr(k) for k in ("omega_c", "omega_h") if k in free)
+        raise ValueError(f"bounds of {keys} must keep omega_h > omega_c at every corner, "
+                         f"but reach omega_c = {omega_c:g} with omega_h = {omega_h:g}")
+
+
 def optimize_power(
     spec: CycleSpec,
     free: dict[str, tuple[float, float]],
@@ -781,55 +783,43 @@ def optimize_power(
     """Maximise extracted power over the named cycle parameters.
 
     ``free`` maps CycleSpec field names (stroke durations, and optionally
-    ``omega_c``/``omega_h``) to search bounds.  The search is the
-    in-library bounded Nelder–Mead simplex (`_nelder_mead_steps`, which
-    reproduces SciPy's bounded ``minimize(method="Nelder-Mead")`` bit for
-    bit) from the box's midpoint and seeded restarts, each capped at
-    ``max_evals`` evaluations; non-engine points and Bohr collisions score
-    zero power.  The restarts are independent, so they run in lockstep:
-    each round evaluates the pending point of every running restart and
-    the points it hints it may ask for next (and the midpoint, in the
-    first) as one stack of cycles (`_otto_stack`); a restart that then
-    asks for a point evaluated in that round is sent its value at once.
-    The result, any error and the warning when no restart converged are
-    those of running the restarts one after another, each asking for one
-    point at a time: the restarts are compared in order, an error raised
-    for a restart surfaces only once every earlier restart has finished
-    without one, and a hinted point that is never asked for neither
-    counts toward ``max_evals`` nor raises.  A box collapsed to one point
-    runs that point alone.  Returns (best parameters, max power,
+    ``omega_c``/``omega_h``) to search bounds, a box every point of which
+    must be a cycle (`_search_box`, checked before any evaluation).  The
+    search is the in-library bounded Nelder–Mead simplex
+    (`_nelder_mead_steps`, which reproduces SciPy's bounded
+    ``minimize(method="Nelder-Mead")`` bit for bit) from the box's
+    midpoint and seeded restarts, each capped at ``max_evals``
+    evaluations; non-engine points and Bohr collisions score zero power.
+    The restarts are independent, so they run in lockstep: each round
+    evaluates the pending point of every running restart and the points
+    it hints it may ask for next (and the midpoint, in the first) as one
+    stack of cycles (`_otto_stack`); a restart that then asks for a point
+    evaluated in that round is sent its value at once.  The result, any
+    error and the warning when no restart converged are those of running
+    the restarts one after another, each asking for one point at a time:
+    the restarts are compared in order, an error raised for a restart
+    surfaces only once every earlier restart has finished without one,
+    and a hinted point that is never asked for neither counts toward
+    ``max_evals`` nor raises.  Returns (best parameters, max power,
     efficiency there)."""
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals}")
+    _search_box(spec, free)
     names = list(free)
     lo = np.array([free[k][0] for k in names], dtype=float)
     hi = np.array([free[k][1] for k in names], dtype=float)
-    if np.any(hi < lo):
-        raise ValueError("empty search box")
     span = hi - lo
-    if np.all(span <= 0):
-        rep = run_otto(replace(spec, **{k: float(v) for k, v in zip(names, lo)}))
-        return dict(zip(names, lo)), rep.power, rep.efficiency
 
     def scores(points) -> list:
         # the power of each point, 0 for a non-engine point or a Bohr
         # collision, or the ValueError that evaluating it raises
-        out, specs, at = [], [], []
-        for x in points:
-            try:
-                specs.append(replace(spec, **dict(zip(names, map(float, np.clip(x, lo, hi))))))
-                at.append(len(out))
-                out.append(None)
-            except ValueError as exc:
-                out.append(exc)
-        for i, rep in zip(at, _otto_stack(specs) if specs else ()):
+        out = _otto_stack([replace(spec, **dict(zip(names, map(float, x)))) for x in points])
+        for i, rep in enumerate(out):
             if isinstance(rep, BohrResolutionError):
                 out[i] = 0.0
-            elif isinstance(rep, ValueError):
-                out[i] = rep
-            else:
+            elif not isinstance(rep, ValueError):
                 out[i] = rep.power if rep.work > 0 else 0.0
         return out
 
@@ -888,7 +878,7 @@ def optimize_power(
         any_converged = any_converged or success
         if -fun > best_p:
             best_p = -fun
-            best_x = np.clip(x, lo, hi)
+            best_x = x
     if restarts and not any_converged:
         warnings.warn("power optimisation hit its evaluation cap in every "
                       "restart; returning the best point found", stacklevel=2)

@@ -22,7 +22,6 @@ from .operators import (
     _cluster,
     _group_indices,
     _level_blocks,
-    eig_hermitian,
     expect,
     group_degenerate,
 )
@@ -63,8 +62,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def shannon_entropy_in_basis(rho: DensityMatrix, a: Operator) -> float:
     """Entropy of the outcome distribution of a complete measurement of
     the hermitian observable ``a``; never below the von Neumann entropy."""
-    _, v = eig_hermitian(a)
-    p = np.real(np.einsum("ij,jk,ki->i", v.mat.conj().T, rho.mat, v.mat))
+    _, v = a.eigh()
+    p = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho.mat, v))
     return float(_entropy_of_probs(p))
 
 
@@ -138,9 +137,9 @@ def ergotropy(rho: DensityMatrix, h: Operator) -> tuple[float, DensityMatrix]:
     ascending eigenvalues of H; any ordering inside a degenerate level
     leaves its energy unchanged.
     """
-    evals_h, v = eig_hermitian(h)
+    evals_h, v = h.eigh()
     lam = np.linalg.eigvalsh(rho.mat)[::-1]  # descending
-    passive = (v.mat * np.clip(lam, 0.0, None)) @ v.mat.conj().T
+    passive = (v * np.clip(lam, 0.0, None)) @ v.conj().T
     passive_energy = float(np.dot(lam, evals_h))
     work = expect(rho, h) - passive_energy
     return work, DensityMatrix((passive + passive.conj().T) / 2.0)
@@ -168,8 +167,8 @@ def is_completely_passive(rho: DensityMatrix, h: Operator, n_max: int) -> bool:
         )
     if not is_passive(rho, h):
         return False
-    evals_h, v = eig_hermitian(h)
-    pops = np.real(np.diag(v.mat.conj().T @ rho.mat @ v.mat))
+    evals_h, v = h.eigh()
+    pops = np.real(np.diag(v.conj().T @ rho.mat @ v))
     spread = max(float(evals_h.max() - evals_h.min()), 1.0)
     tol_e = LEVEL_MERGE_REL * spread
     for n in range(2, n_max + 1):
@@ -209,11 +208,11 @@ def two_point_correlation(
     state of H, indexed by the Bohr gaps omega = E_n - E_m."""
     if not (a.is_hermitian() and b.is_hermitian()):
         raise ValueError("two_point_correlation expects hermitian observables")
-    evals, v = eig_hermitian(h)
+    evals, v = h.eigh()
     rho = gibbs_state(h, beta)
-    p = np.real(np.diag(v.mat.conj().T @ rho.mat @ v.mat))
-    a_e = v.mat.conj().T @ a.mat @ v.mat
-    b_e = v.mat.conj().T @ b.mat @ v.mat
+    p = np.real(np.diag(v.conj().T @ rho.mat @ v))
+    a_e = v.conj().T @ a.mat @ v
+    b_e = v.conj().T @ b.mat @ v
     # term (m, n) belongs to the line omega = E_n - E_m of its level block
     terms = p[:, None] * a_e * b_e.T
     # levels and lines both merge within LEVEL_MERGE_REL of the spread;
@@ -293,9 +292,9 @@ def diagonal_vs_microcanonical(
     the state's mean energy.  Returns (diag_avg, micro_avg, |gap|)."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     psi = psi / np.linalg.norm(psi)
-    evals, v = eig_hermitian(h)
-    c = v.mat.conj().T @ psi
-    a_diag = np.real(np.einsum("ij,jk,ki->i", v.mat.conj().T, a.mat, v.mat))
+    evals, v = h.eigh()
+    c = v.conj().T @ psi
+    a_diag = np.real(np.einsum("ij,jk,ki->i", v.conj().T, a.mat, v))
     weights = np.abs(c) ** 2
     diag_avg = float(np.dot(weights, a_diag))
     spacing = float(evals.max() - evals.min()) / max(len(evals) - 1, 1)

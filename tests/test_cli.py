@@ -576,6 +576,31 @@ class TestOttoOptimizeSearchesOnlyBoxesOfCycles:
         assert ": PASS" in capsys.readouterr().out
 
 
+class TestThirdLawBracketHoldsAColdFrequency:
+    """A cold-frequency bracket [ratio_lo, ratio_hi] T_c that holds no
+    frequency above zero, or is reversed, is a config error that names its
+    key, raised before any steady state is solved."""
+
+    @pytest.mark.parametrize("ratios, message", [
+        ({"ratio_lo": 0}, "ratio_lo must be > 0, got 0"),
+        ({"ratio_lo": -0.5}, "ratio_lo must be > 0, got -0.5"),
+        ({"ratio_lo": 2, "ratio_hi": 0.5}, "ratio_hi must be >= ratio_lo = 2, got 0.5"),
+    ], ids=["zero", "negative", "reversed"])
+    def test_config_error_before_any_solve(self, tmp_path, capsys, monkeypatch, ratios,
+                                           message):
+        cfg = json.loads((CONFIGS / "third_law_sweep.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["params"].update(ratios)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        solved = []
+        monkeypatch.setattr(mc, "_tricycle_steady_stack", solved.append)
+        assert run(str(p)) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert solved == []
+        assert not (tmp_path / "out").exists()
+
+
 class TestUndescribableRunsAreErrors:
     """A config that describes no run is an error that names its key,
     never an internal error."""

@@ -1674,3 +1674,42 @@ def _per_point_ledger(h_of_t, couplings, rho0, grid, substeps):
             rho = (out + out.conj().T) / 2.0
         record(i, grid[i])
     return {**cols, "currents": currents, "states": states}
+
+
+class TestWholeFixedPointBorders:
+    """The trace row of a whole-space bordered solve is scaled to the
+    largest of L's entries, the coherent spread and max |G| for a
+    generator, and to the largest entry of U - I for a cycle map."""
+
+    @pytest.fixture
+    def borders(self, monkeypatch):
+        seen = []
+
+        def recording(kernel, diag, border, degenerate):
+            seen.append(border)
+            return _bordered_fixed_point(kernel, diag, border, degenerate)
+
+        monkeypatch.setattr(lindblad, "_bordered_fixed_point", recording)
+        return seen
+
+    @staticmethod
+    def _generator():
+        # a projector at rate 1 and a decay at rate 0.1: max |G| = 1 is
+        # above every entry of L, the largest of which is 0.55
+        proj = JumpChannel("b", 0.0, np.diag([1.0, 0.0]), 1.0)
+        decay = JumpChannel("b", 0.0, SIGMA_MINUS, 0.1)
+        return GKLSGenerator(Operator.hermitian(np.zeros((2, 2))), [proj, decay])
+
+    def test_generator_border_follows_g_where_it_exceeds_l(self, borders):
+        gen = self._generator()
+        assert np.max(np.abs(gen.liouvillian().mat)) == pytest.approx(0.55)
+        rho = stationary_state(gen)
+        assert borders == [1.0]
+        assert np.max(np.abs(gen.liouvillian().apply_matrix(rho.mat))) < 1e-12
+
+    def test_cycle_map_border_is_the_largest_entry_of_u_less_i(self, borders):
+        from qthermo.machines import find_limit_cycle
+
+        u = matexp(self._generator().liouvillian(), 2.0)
+        find_limit_cycle(u)
+        assert borders == pytest.approx([np.max(np.abs(u.mat - np.eye(4)))], rel=1e-12)

@@ -43,6 +43,7 @@ from qthermo.machines import (
     tricycle_steady,
 )
 from qthermo.operators import (
+    PAULI_X,
     PAULI_Z,
     DensityMatrix,
     Operator,
@@ -165,6 +166,22 @@ class TestLimitCycle:
         with pytest.raises(ValueError, match="residual too large"):
             find_limit_cycle(Superoperator((1 + 1e-6) * u_cyc.mat))
 
+    def test_a_stack_gives_each_member_what_solving_it_alone_gives(self):
+        # a degenerate (identity) map and one that gains trace, stacked
+        # between good cycle maps: each entry is the state bits, or the
+        # error, of solving that member alone
+        good = [compose_cycle(engine_spec(tau_h=t, tau_c=t))[0].mat for t in (1.0, 3.0)]
+        maps = np.array([good[0], np.eye(4), (1 + 1e-6) * good[0], good[1]])
+        stacked = machines._limit_cycle_states(maps)
+        assert [type(x) for x in stacked] == [DensityMatrix, ValueError, ValueError, DensityMatrix]
+        assert "degenerate" in str(stacked[1]) and "residual too large" in str(stacked[2])
+        for got, m in zip(stacked, maps):
+            (alone,) = machines._limit_cycle_states(m[None])
+            if isinstance(alone, ValueError):
+                assert str(got) == str(alone)
+            else:
+                assert _bits(got.mat.view(float)) == _bits(alone.mat.view(float))
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(min_value=2, max_value=5), st.floats(min_value=0.5, max_value=6.0),
            st.integers(min_value=0, max_value=10 ** 9))
@@ -206,6 +223,41 @@ class TestLimitCycle:
         finite = [c for c in conv if math.isfinite(c)]
         assert len(finite) > 3
         assert all(b <= a + 1e-9 for a, b in zip(finite, finite[1:]))
+
+
+class TestFixedPointResidualGate:
+    """A bordered solution that misses K vec(rho) = 0, for K a whole
+    Liouvillian or a cycle map less the identity, is rejected by its
+    residual instead of being returned."""
+
+    @pytest.fixture
+    def perturbed(self, monkeypatch):
+        # each solution gains 1e-6 of the identity: still a positive state
+        solve = lindblad._bordered_fixed_point
+
+        def off(kernel, diag, *args):
+            x = solve(kernel, diag, *args)
+            x[diag] += 1e-6
+            return x
+
+        monkeypatch.setattr(lindblad, "_bordered_fixed_point", off)
+
+    def test_floquet_stationary_state(self, perturbed):
+        from qthermo import floquet
+
+        sched = floquet.ModulatedGapQubit(omega0=1.0, amplitude=0.6, big_omega=0.45)
+        dec = floquet.floquet_decompose(sched, sched.tau, 128)
+        baths = {"hot": ohmic("hot", 2.0), "cold": ohmic("cold", 1.2)}
+        channels = floquet.harmonic_decompose(dec, Operator.hermitian(PAULI_X), 8,
+                                              tuple(baths.values()))
+        gen = floquet.build_floquet_generator(channels, dec.h_av, baths)
+        with pytest.raises(ValueError, match="^fixed-point residual too large: "):
+            lindblad.stationary_state(gen)
+
+    def test_limit_cycle(self, perturbed):
+        u_cyc, _ = compose_cycle(engine_spec(tau_h=1.0, tau_c=1.0))
+        with pytest.raises(ValueError, match="^fixed-point residual too large: "):
+            find_limit_cycle(u_cyc)
 
 
 class TestRunOtto:
@@ -864,6 +916,30 @@ class TestOptimizePower:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{message}$"):
                 optimize_power(spec, free, **kwargs)
+        assert stacks == []
+
+    @pytest.mark.parametrize("free, message", [
+        ({}, "free must name at least one parameter to optimise"),
+        ({"order": (0.0, 1.0)}, "cannot optimise over 'order'"),
+        ({"tau_h": (math.nan, 2.0)}, "bounds of 'tau_h' must be finite"),
+        ({"tau_c": (0.3, math.inf)}, "bounds of 'tau_c' must be finite"),
+        ({"tau_c": (3.0, 1.0)}, "bounds of 'tau_c' must have lo <= hi, got [3, 1]"),
+        ({"tau_h": (-1.0, 2.0)}, "bounds of 'tau_h' must be >= 0: it is a stroke duration"),
+        ({"omega_c": (0.0, 2.0)}, "bounds of 'omega_c' must be > 0: it is a frequency"),
+        ({"omega_c": (1.8, 7.0)}, "bounds of 'omega_c' must keep omega_h > omega_c at every "
+                                  "corner, but reach omega_c = 7 with omega_h = 6"),
+        ({"omega_h": (2.5, 8.0), "tau_h": (0.3, 6.0)},
+         "bounds of 'omega_h' must keep omega_h > omega_c at every corner, "
+         "but reach omega_c = 3 with omega_h = 2.5"),
+    ], ids=["empty", "unknown-key", "nan", "infinite", "reversed", "negative-duration",
+            "zero-frequency", "omega_c-above-omega_h", "omega_h-below-omega_c"])
+    def test_a_box_holding_no_cycle_raises_before_any_evaluation(self, monkeypatch, free,
+                                                                   message):
+        stacks = _count_calls(monkeypatch, machines._otto_stack)
+        spec, _ = _otto_optimize_config()
+        with pytest.raises(ValueError) as err:
+            optimize_power(spec, free)
+        assert str(err.value) == message
         assert stacks == []
 
     @pytest.mark.filterwarnings("ignore:power optimisation hit its evaluation cap")

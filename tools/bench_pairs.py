@@ -15,9 +15,14 @@ leaves ``perfbench/`` alone is measured by the same benchmark code.
 The file ``BENCH_<pr>.json``, at the root of the checkout, holds, for
 each workload and seed and each end-to-end metric of
 ``BENCHMARK.json``: both sides' medians and quartiles over the runs, the
-pairs the change won (ties count for neither side) and whether a gain
+pairs the change won (ties count for neither side), whether a gain
 may be claimed (won at least nine tenths of the pairs, and the medians
-differ by more than the parent's interquartile range).  The last seed
+differ by more than the parent's interquartile range) and a
+no-regression verdict against the metric's relative ``bound``:
+``unresolved`` when the parent's interquartile range exceeds the bound
+(relative to its median) and some change run fails to beat every parent
+run, else ``regressed`` when the change's median is worse than the
+parent's by more than the bound, else ``held``.  The last seed
 listed is recorded as the hold-out.  Every run's printed metrics,
 failure counts and environment stamp (from its results file) are kept.
 """
@@ -84,12 +89,30 @@ def quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric medians, quartiles, wins and the claim verdict of the
-    pairs in ``runs`` (entries with ``pair``, ``side`` and ``metrics``)."""
+def verdict(parent: list[float], change: list[float], sense: str, bound: float) -> str:
+    """``held``, ``regressed`` or ``unresolved``: whether the change's runs
+    stay within the relative ``bound`` of the parent's (see the module
+    docstring)."""
+    sign = -1.0 if sense == "lower" else 1.0
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        return "held"  # every change run beats every parent run
+    ref = quartiles(parent)
+    scale = abs(ref["median"])
+    if not scale or ref["iqr"] > bound * scale:
+        return "unresolved"
+    worse = sign * (ref["median"] - statistics.median(change)) / scale
+    return "regressed" if worse > bound else "held"
+
+
+def summarise(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per-metric medians, quartiles, wins, the claim verdict and the
+    no-regression verdict of the pairs in ``runs`` (entries with ``pair``,
+    ``side`` and ``metrics``), for ``metrics`` mapping each name to its
+    ``better`` and ``bound``, as in ``BENCHMARK.json``."""
     out = {}
     pairs = sorted({r["pair"] for r in runs})
-    for name, sense in better.items():
+    for name, metric in metrics.items():
+        sense, bound = metric["better"], metric["bound"]
         side = {s: {r["pair"]: r["metrics"].get(name) for r in runs if r["side"] == s}
                 for s in ("parent", "change")}
         both = [k for k in pairs
@@ -97,17 +120,19 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
         if not both:
             out[name] = {"pairs": 0}
             continue
-        parent = quartiles([side["parent"][k] for k in both])
-        change = quartiles([side["change"][k] for k in both])
+        parent_values = [side["parent"][k] for k in both]
+        change_values = [side["change"][k] for k in both]
+        parent, change = quartiles(parent_values), quartiles(change_values)
         sign = -1.0 if sense == "lower" else 1.0
         wins = sum(sign * (side["change"][k] - side["parent"][k]) > 0 for k in both)
         losses = sum(sign * (side["change"][k] - side["parent"][k]) < 0 for k in both)
         gain = sign * (change["median"] - parent["median"])
         out[name] = {
-            "better": sense, "pairs": len(both), "change_wins": wins, "parent_wins": losses,
-            "parent": parent, "change": change,
+            "better": sense, "bound": bound, "pairs": len(both), "change_wins": wins,
+            "parent_wins": losses, "parent": parent, "change": change,
             "change_over_parent": change["median"] / parent["median"] if parent["median"] else None,
             "gain_claimable": wins >= 0.9 * len(both) and gain > parent["iqr"],
+            "verdict": verdict(parent_values, change_values, sense, bound),
         }
     return out
 
@@ -123,8 +148,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=60.0)
     args = parser.parse_args(argv)
     out_path = ROOT / f"BENCH_{args.pr}.json"
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m
+               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     record = {
         "pr": args.pr,
         "command": ["tools/bench_pairs.py", *(argv if argv is not None else sys.argv[1:])],
@@ -150,7 +175,7 @@ def main(argv=None) -> int:
                         runs.append({"pair": pair, "side": side, **res})
                         print(f"{workload} seed {seed} pair {pair} {side}: "
                               f"{json.dumps(res['metrics'])} failed {res['failed']}", flush=True)
-                per_seed[str(seed)] = {"summary": summarise(runs, better), "runs": runs}
+                per_seed[str(seed)] = {"summary": summarise(runs, metrics), "runs": runs}
                 # written after every seed, so a run cut short keeps what it measured
                 out_path.write_text(json.dumps(record, indent=1) + "\n")
     record["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -161,7 +186,7 @@ def main(argv=None) -> int:
                 if m["pairs"]:
                     print(f"{workload} seed {seed} {name}: parent {m['parent']['median']:.4f} "
                           f"change {m['change']['median']:.4f}, change won {m['change_wins']}"
-                          f"/{m['pairs']}, claimable {m['gain_claimable']}")
+                          f"/{m['pairs']}, claimable {m['gain_claimable']}, {m['verdict']}")
     return 0
 
 
