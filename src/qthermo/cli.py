@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -320,11 +320,11 @@ def _run_otto_optimize(cfg: dict):
         mc._search_box(spec, free)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    best, pmax, eta = mc.optimize_power(spec, free, seed=cfg["seed"])
-    rep = mc.run_otto(replace(spec, **best))
+    best, rep = mc._optimum(spec, free, cfg["seed"])
     cert = _otto_certificate(spec, rep)
     header = list(best) + ["max_power", "eta_at_max_power"]
-    row = [best[k] for k in best] + [pmax, eta if eta is not None else math.nan]
+    eta = rep.efficiency
+    row = [best[k] for k in best] + [rep.power, eta if eta is not None else math.nan]
     return cert, {"optimum.csv": _csv(header, [row])}
 
 
@@ -374,6 +374,11 @@ def _run_third_law(cfg: dict):
         raise ConfigError(f"ratio_lo must be > 0, got {ratio_lo:g}")
     if ratio_hi < ratio_lo:
         raise ConfigError(f"ratio_hi must be >= ratio_lo = {ratio_lo:g}, got {ratio_hi:g}")
+    try:
+        for t_c in grid:
+            mc._cold_bracket(spec, t_c, ratio_lo, ratio_hi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     rows = mc.third_law_sweep(spec, grid, ratio_lo, ratio_hi)
     cert = LawCertificate([])
     cooling = [r for r in rows if not r.no_cooling]

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .baths import BathSpec, _zero_temperature_flow, spectral_density
-from .lindblad import GKLSGenerator, JumpChannel, stationary_state
+from .lindblad import GKLSGenerator, JumpChannel, _by_label, stationary_state
 from .operators import (
     PAULI_Z,
     DensityMatrix,
@@ -200,10 +200,12 @@ def harmonic_decompose(
     different omega_av land on one extended frequency (the heat-current
     weight would be ambiguous), or when a bath has a pole at one of the
     harmonics.  Errors and messages are those of decomposing for one bath
-    at a time, in order.
+    at a time, in order.  Two different baths that share a label raise
+    first, since channels and currents are booked by label.
     """
     if not baths:
         return []
+    _by_label(baths)
     if q_max < 1:
         raise ValueError("q_max must be at least 1")
     if not s_op.is_hermitian():

@@ -376,6 +376,16 @@ def _liouvillian_stack(gens: Sequence[GKLSGenerator]) -> None:
             gen._liouvillian = Superoperator(mi)
 
 
+def _by_label(baths) -> dict[str, BathSpec]:
+    """The baths by label; two different baths that share a label raise."""
+    by_label = {}
+    for bath in baths:
+        known = by_label.setdefault(bath.label, bath)
+        if known is not bath and known != bath:
+            raise ValueError(f"two different baths share the label {bath.label!r}")
+    return by_label
+
+
 def _davies_stack(hs: Sequence[Operator], couplings,
                   baths=None) -> list[GKLSGenerator | BohrResolutionError]:
     """Weak-coupling generators of the Hamiltonians ``hs`` (one dimension)
@@ -398,14 +408,7 @@ def _davies_stack(hs: Sequence[Operator], couplings,
         raise ValueError("need one bath per coupling for every Hamiltonian of the stack")
     if any(s_op.dim != d for s_op, _ in couplings):
         raise ValueError("coupling dimension does not match the Hamiltonian")
-    registered = []
-    for member in baths:
-        by_label = {}
-        for bath in member:
-            known = by_label.setdefault(bath.label, bath)
-            if known is not bath and known != bath:
-                raise ValueError(f"two different baths share the label {bath.label!r}")
-        registered.append(by_label)
+    registered = [_by_label(member) for member in baths]
     if any(h.dim != d for h in hs):
         raise ValueError("the Hamiltonians of one stack must share their dimension")
     if not all(h.is_hermitian() for h in hs):

@@ -457,7 +457,6 @@ class CycleReport:
     power: float                     # W / cycle time
     entropy_production: float        # -sum_k Q_k / T_k per cycle
     is_engine: bool
-    flags: tuple[str, ...] = ()
 
 
 def _symmetrised(m: np.ndarray) -> np.ndarray:
@@ -541,12 +540,11 @@ def _walk_stack(specs) -> list:
         if kind != "isochore":
             work -= deltas[:, k]
         work -= jumps[:, k]
-    # the hot isochore opens every cycle; the cold one is the other, and
-    # 0.0 + q books a heat of -0.0 as 0.0
+    # the hot isochore opens every cycle; the cold one is the other
     hot, cold = (k for k, kind in enumerate(stack.kinds) if kind == "isochore")
     for j, err, rho, delta, w in zip(live, errors, rhos, deltas.tolist(), work.tolist()):
         out[stack.members[j]] = err if err is not None else _Walk(
-            rho, delta, w, 0.0 + delta[hot], 0.0 + delta[cold], stack.kinds, stack.h[j], stack.v[j])
+            rho, delta, w, delta[hot], delta[cold], stack.kinds, stack.h[j], stack.v[j])
     return out
 
 
@@ -554,17 +552,10 @@ def _report(spec: CycleSpec, walk: _Walk) -> CycleReport | ValueError:
     """The energy split of a walked cycle, or the ValueError of a bath at
     T = 0, whose entropy flow has no value."""
     work, q_h, q_c = walk.work, walk.q_h, walk.q_c
-    flags = []
     scale = max(abs(q_h), abs(q_c), abs(work), 1e-30)
     is_engine = work > DYNAMICAL * scale and q_h > 0
-    efficiency = None
-    cop = None
-    if is_engine:
-        efficiency = work / q_h
-    elif spec.order == "engine":
-        flags.append("not an engine at these parameters")
-    if work < -DYNAMICAL * scale and q_c > 0:
-        cop = q_c / (-work)
+    efficiency = work / q_h if is_engine else None
+    cop = q_c / (-work) if work < -DYNAMICAL * scale and q_c > 0 else None
     sigma = 0.0
     for q, bath in ((q_h, spec.bath_h), (q_c, spec.bath_c)):
         if bath.temperature == 0.0:
@@ -580,7 +571,6 @@ def _report(spec: CycleSpec, walk: _Walk) -> CycleReport | ValueError:
         power=work / spec.cycle_time(),
         entropy_production=sigma,
         is_engine=is_engine,
-        flags=tuple(flags),
     )
 
 
@@ -773,12 +763,16 @@ def _search_box(spec: CycleSpec, free: dict[str, tuple[float, float]]) -> None:
                          f"but reach omega_c = {omega_c:g} with omega_h = {omega_h:g}")
 
 
+# the restarts of an Otto power search and each one's evaluation cap
+_RESTARTS, _MAX_EVALS = 3, 200
+
+
 def optimize_power(
     spec: CycleSpec,
     free: dict[str, tuple[float, float]],
     seed: int = 7,
-    restarts: int = 3,
-    max_evals: int = 200,
+    restarts: int = _RESTARTS,
+    max_evals: int = _MAX_EVALS,
 ) -> tuple[dict[str, float], float, float | None]:
     """Maximise extracted power over the named cycle parameters.
 
@@ -787,21 +781,32 @@ def optimize_power(
     must be a cycle (`_search_box`, checked before any evaluation).  The
     search is the in-library bounded Nelder–Mead simplex
     (`_nelder_mead_steps`, which reproduces SciPy's bounded
-    ``minimize(method="Nelder-Mead")`` bit for bit) from the box's
-    midpoint and seeded restarts, each capped at ``max_evals``
-    evaluations; non-engine points and Bohr collisions score zero power.
-    The restarts are independent, so they run in lockstep: each round
-    evaluates the pending point of every running restart and the points
-    it hints it may ask for next (and the midpoint, in the first) as one
-    stack of cycles (`_otto_stack`); a restart that then asks for a point
-    evaluated in that round is sent its value at once.  The result, any
-    error and the warning when no restart converged are those of running
-    the restarts one after another, each asking for one point at a time:
-    the restarts are compared in order, an error raised for a restart
-    surfaces only once every earlier restart has finished without one,
-    and a hinted point that is never asked for neither counts toward
+    ``minimize(method="Nelder-Mead")`` bit for bit) from seeded
+    restarts, each capped at ``max_evals`` evaluations, beside search 0,
+    which evaluates the box's midpoint alone; non-engine points and Bohr
+    collisions score zero power.  The searches are independent, so they
+    run in lockstep over one table of evaluated cycles, keyed by each
+    point's bits: each round evaluates the pending points of every
+    running search, and the points it hints it may ask for next, that
+    are not in the table yet, as one stack of cycles (`_otto_stack`); a
+    search is then sent values from the table until it asks for a point
+    that is not there.  So no point is evaluated twice, the optimum
+    included: its report is read from the table.  The result, any error
+    and the warning when no restart converged are those of running the
+    searches one after another, each asking for one point at a time:
+    they are compared in order, an error raised for a search surfaces
+    only once every earlier search has finished without one, and a
+    hinted point that is never asked for neither counts toward
     ``max_evals`` nor raises.  Returns (best parameters, max power,
     efficiency there)."""
+    best, rep = _optimum(spec, free, seed, restarts, max_evals)
+    return best, rep.power, rep.efficiency
+
+
+def _optimum(spec: CycleSpec, free: dict[str, tuple[float, float]], seed: int,
+             restarts: int = _RESTARTS, max_evals: int = _MAX_EVALS) -> tuple[dict, CycleReport]:
+    """The search of :func:`optimize_power`: the best parameters and the
+    CycleReport of the cycle there."""
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     if max_evals < 1:
@@ -810,81 +815,51 @@ def optimize_power(
     names = list(free)
     lo = np.array([free[k][0] for k in names], dtype=float)
     hi = np.array([free[k][1] for k in names], dtype=float)
-    span = hi - lo
+    mid = (lo + hi) / 2.0
 
-    def scores(points) -> list:
-        # the power of each point, 0 for a non-engine point or a Bohr
-        # collision, or the ValueError that evaluating it raises
-        out = _otto_stack([replace(spec, **dict(zip(names, map(float, x)))) for x in points])
-        for i, rep in enumerate(out):
-            if isinstance(rep, BohrResolutionError):
-                out[i] = 0.0
-            elif not isinstance(rep, ValueError):
-                out[i] = rep.power if rep.work > 0 else 0.0
-        return out
+    def search_0():
+        # the midpoint alone, a search that never converges: only the
+        # restarts decide the evaluation-cap warning
+        return mid, (yield mid, []), False
 
     rng = np.random.default_rng(seed)
-    searches = [_nelder_mead_steps(lo + rng.uniform(0.15, 0.85, size=len(names)) * span,
-                                   lo, hi, max_evals, 1e-4, 1e-10) for _ in range(restarts)]
-    # each running restart's pending point with its hints, and the values
-    # of the points evaluated for it in the last round, by their bits
+    searches = [search_0()] + [
+        _nelder_mead_steps(lo + rng.uniform(0.15, 0.85, size=len(names)) * (hi - lo),
+                           lo, hi, max_evals, 1e-4, 1e-10) for _ in range(restarts)]
+    # each running search's pending point with its hints
     pending = {r: next(search) for r, search in enumerate(searches)}
-    known: dict[int, dict] = {}
-    results, failed = {}, {}
-
-    def advance(r: int, value):
-        # send restart r its value, then each value of the last round that
-        # it asks for next, until it asks for a point not yet evaluated
-        while True:
-            if isinstance(value, ValueError):
-                # the restarts from r on no longer decide the outcome
-                failed[r] = value
-                for q in [q for q in pending if q >= r]:
-                    del pending[q]
-                return
-            try:
-                pending[r] = searches[r].send(-value)
-            except StopIteration as stop:
-                del pending[r]
-                results[r] = stop.value
-                return
-            value = known[r].get(pending[r][0].tobytes())
-            if value is None:
-                return
-
-    best_x = (lo + hi) / 2.0
-    best_p = None
-    while best_p is None or pending:
-        running = sorted(pending)
-        points = {}
-        for r in running:
-            x, hints = pending[r]
-            points[r] = {p.tobytes(): p for p in (x, *hints)}
-        values = iter(scores(([best_x] if best_p is None else [])
-                             + [p for r in running for p in points[r].values()]))
-        if best_p is None:
-            best_p = next(values)
-            if isinstance(best_p, ValueError):
-                raise best_p
-        for r in running:
-            known[r] = {key: next(values) for key in points[r]}
-            if r in pending:
-                advance(r, known[r][pending[r][0].tobytes()])
-    if failed:
-        raise failed[min(failed)]
-    any_converged = False
-    for r in range(restarts):
-        x, fun, success = results[r]
-        any_converged = any_converged or success
-        if -fun > best_p:
-            best_p = -fun
-            best_x = x
-    if restarts and not any_converged:
+    table: dict[bytes, CycleReport | ValueError] = {}
+    results, failure = [None] * len(searches), None
+    while pending:
+        new = {p.tobytes(): p for x, hints in pending.values() for p in (x, *hints)}
+        new = {key: p for key, p in new.items() if key not in table}
+        table.update(zip(new, _otto_stack([replace(spec, **dict(zip(names, map(float, p))))
+                                           for p in new.values()])))
+        for r in list(pending):
+            while r in pending and (rep := table.get(pending[r][0].tobytes())) is not None:
+                if isinstance(rep, ValueError) and not isinstance(rep, BohrResolutionError):
+                    # the searches from r on no longer decide the outcome, and
+                    # every earlier failure was of a later search
+                    failure = rep
+                    pending = {q: point for q, point in pending.items() if q < r}
+                    break
+                power = rep.power if isinstance(rep, CycleReport) and rep.work > 0 else 0.0
+                try:
+                    pending[r] = searches[r].send(-power)
+                except StopIteration as stop:
+                    del pending[r]
+                    results[r] = stop.value
+    if failure is not None:
+        raise failure
+    # the first of the searches that reached the lowest -power
+    best_x = min(results, key=lambda result: result[1])[0]
+    if restarts and not any(success for _, _, success in results):
         warnings.warn("power optimisation hit its evaluation cap in every "
-                      "restart; returning the best point found", stacklevel=2)
-    best = {k: float(v) for k, v in zip(names, best_x)}
-    rep = run_otto(replace(spec, **best))
-    return best, rep.power, rep.efficiency
+                      "restart; returning the best point found", stacklevel=3)
+    rep = table[best_x.tobytes()]
+    if isinstance(rep, ValueError):
+        raise rep
+    return {k: float(v) for k, v in zip(names, best_x)}, rep
 
 
 def sudden_limit_check(spec: CycleSpec, tau_list) -> list[tuple[float, float]]:
@@ -1133,6 +1108,17 @@ class SweepRow:
 _SWEEP_EVALS = 40
 
 
+def _cold_bracket(spec: TricycleSpec, t_c: float, ratio_lo: float, ratio_hi: float):
+    """The cold frequencies searched at T_c, capped inside the machine,
+    or a ValueError when they are none."""
+    lo, hi = ratio_lo * t_c, min(ratio_hi * t_c, 0.95 * spec.omega_h)
+    if lo > hi:
+        raise ValueError(f"t_c_grid holds T_c = {t_c:g}, whose cold-frequency bracket "
+                         f"[ratio_lo T_c, min(ratio_hi T_c, 0.95 omega_h)] = [{lo:g}, {hi:g}] "
+                         f"holds no frequency")
+    return lo, hi
+
+
 def third_law_sweep(
     spec: TricycleSpec,
     t_c_grid,
@@ -1142,9 +1128,10 @@ def third_law_sweep(
     """Cooling-current sweep toward absolute zero.
 
     For each cold temperature the cold filter frequency is optimised over
-    the bracket [ratio_lo, ratio_hi] * T_c to maximise the cooling current
-    J_c: a coarse grid, then a fine one between the neighbours of its best
-    point.  Rows report the optimum, the gain, and the conductance
+    the bracket [ratio_lo, ratio_hi] * T_c, capped at 0.95 omega_h
+    (`_cold_bracket`, which raises when it holds no frequency), to
+    maximise the cooling current J_c: a coarse grid, then a fine one
+    between the neighbours of its best point.  Rows report the optimum, the gain, and the conductance
     K = J_c / (omega_c G).  Candidate frequencies that collide with the
     interaction-split Bohr structure (BohrResolutionError) are skipped
     rather than guessed; any other solver error reaches the caller.  A
@@ -1175,7 +1162,7 @@ def third_law_sweep(
         if t_c < 1e-3:
             raise ValueError("cold temperature grid is floored at 1e-3")
         at_t_c = replace(spec, bath_c=replace(spec.bath_c, temperature=t_c))
-        grid = np.linspace(ratio_lo * t_c, min(ratio_hi * t_c, 0.95 * spec.omega_h), half)
+        grid = np.linspace(*_cold_bracket(spec, t_c, ratio_lo, ratio_hi), half)
         return (t_c, at_t_c, grid), [replace(at_t_c, omega_c=float(w)) for w in grid]
 
     def scored(steadies) -> list[tuple[float, TricycleSteady | None]]:

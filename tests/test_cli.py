@@ -600,6 +600,31 @@ class TestThirdLawBracketHoldsAColdFrequency:
         assert solved == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("grid, t_c, bracket", [
+        ([1.45, 1.44], 1.45, "[2.9, 2.85]"),
+        ([1.5, 1.2], 1.5, "[3, 2.85]"),
+        ([1.2, 1.5], 1.5, "[3, 2.85]"),
+    ], ids=["reversed-below-the-cap", "above-omega_h", "after-a-good-t_c"])
+    def test_a_bracket_past_the_cap_names_t_c_grid(self, tmp_path, capsys, monkeypatch, grid,
+                                                     t_c, bracket):
+        # at ratio_lo 2 the bottom 2 T_c passes the cap 0.95 omega_h = 2.85:
+        # the sweep used to run a reversed grid of J_c = 0 rows, or to end
+        # as "need omega_h > omega_c > 0"; the first such T_c is named,
+        # and a good one before it is not solved
+        cfg = json.loads((CONFIGS / "third_law_sweep.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["params"].update(t_c_grid=grid, ratio_lo=2, ratio_hi=3)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        solved = []
+        monkeypatch.setattr(mc, "_tricycle_steady_stack", solved.append)
+        assert run(str(p)) == 1
+        assert capsys.readouterr().err == (
+            f"config error: t_c_grid holds T_c = {t_c:g}, whose cold-frequency bracket "
+            f"[ratio_lo T_c, min(ratio_hi T_c, 0.95 omega_h)] = {bracket} holds no frequency\n")
+        assert solved == []
+        assert not (tmp_path / "out").exists()
+
 
 class TestUndescribableRunsAreErrors:
     """A config that describes no run is an error that names its key,
@@ -753,7 +778,7 @@ class TestZeroTemperatureBathsAreNamedErrors:
     def test_carnot_cop_bound_is_infinite_unless_the_cold_bath_is_colder(self):
         spec = cli._otto_spec(load_config(str(CONFIGS / "otto_engine.json"))["params"], "otto")
         rep = mc.CycleReport(work=-1.0, q_h=-1.5, q_c=0.5, efficiency=None, cop=0.5, power=-0.1,
-                             entropy_production=0.1, is_engine=False, flags=())
+                             entropy_production=0.1, is_engine=False)
         for t_c, t_h in ((1.0, 1.0), (2.0, 1.0)):
             warm = dataclasses.replace(
                 spec, bath_c=dataclasses.replace(spec.bath_c, temperature=t_c),

@@ -759,6 +759,20 @@ class TestHarmonicsForManyBaths:
         assert {c[0] for c in got} == {"a", "b", "c"}
         assert got == _outcome(_one_bath_at_a_time, dec, SX, 8, baths)
 
+    def test_two_baths_sharing_a_label_rejected_before_any_decomposition(self, monkeypatch):
+        # the floquet_fridge baths, both labelled "b": merged, all 40
+        # channels would be booked at the first bath's temperature
+        sched = ModulatedGapQubit(omega0=1.0, amplitude=0.6, big_omega=0.45)
+        dec = floquet_decompose(sched, sched.tau, 512)
+        hot = BathSpec(label="b", temperature=2.0, form_factor="power", exponent=2.0,
+                       gamma=0.05, cutoff=10.0)
+        cold = BathSpec(label="b", temperature=1.2, form_factor="flat", gamma=0.1, cutoff=0.7)
+        calls = []
+        monkeypatch.setattr(floquet, "_coupling_samples", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="^two different baths share the label 'b'$"):
+            harmonic_decompose(dec, SX, 8, [hot, cold])
+        assert calls == []
+
     def test_second_bath_pole_rejected_as_by_one_bath_at_a_time(self):
         sched = ModulatedGapQubit(omega0=1.0, amplitude=0.6, big_omega=0.45)
         dec = floquet_decompose(sched, sched.tau, 256)

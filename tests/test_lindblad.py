@@ -21,6 +21,7 @@ from qthermo.lindblad import (
     BohrResolutionError,
     GKLSGenerator,
     JumpChannel,
+    ThermoLedger,
     _bordered_fixed_point,
     _davies_stack,
     _stack_tables,
@@ -424,6 +425,18 @@ class TestAdiabaticDriving:
                                   substeps=8)
         assert led.first_law_residual() <= 1e-6 * led.current_scale()
         assert np.all(led.entropy_production >= -1e-9)
+
+    def test_first_law_residual_on_a_non_uniform_grid(self):
+        # off a uniform grid, dE/dt is np.gradient's second-order stencil,
+        # exact for E(t) = t^2, and is compared with sum_k J_k - P = 3t - t
+        # at the interior points; an interior mismatch is read back whole
+        t = np.array([0.0, 0.1, 0.25, 0.6, 0.7, 1.3, 2.0])
+        zeros = np.zeros_like(t)
+        led = ThermoLedger(times=t, energy=t ** 2, power=t, entropy=zeros,
+                           entropy_production=zeros, currents={"b": 3.0 * t})
+        assert led.first_law_residual() <= 1e-12
+        led.currents["b"][3] += 0.5
+        assert led.first_law_residual() == pytest.approx(0.5, abs=1e-12)
 
     def test_instantaneous_gibbs_annihilated(self):
         bath = ohmic_bath("b", 1.0)

@@ -227,8 +227,9 @@ class TestLimitCycle:
 
 class TestFixedPointResidualGate:
     """A bordered solution that misses K vec(rho) = 0, for K a whole
-    Liouvillian or a cycle map less the identity, is rejected by its
-    residual instead of being returned."""
+    Liouvillian, a certified sector block or a cycle map less the
+    identity, is rejected by its residual instead of being returned; a
+    singular sector block is the error of its member alone."""
 
     @pytest.fixture
     def perturbed(self, monkeypatch):
@@ -258,6 +259,44 @@ class TestFixedPointResidualGate:
         u_cyc, _ = compose_cycle(engine_spec(tau_h=1.0, tau_c=1.0))
         with pytest.raises(ValueError, match="^fixed-point residual too large: "):
             find_limit_cycle(u_cyc)
+
+    @staticmethod
+    def _sides(monkeypatch, solve) -> list:
+        # route every bordered solve through solve, recording its side
+        sides = []
+
+        def recorded(kernel, *args):
+            sides.append(len(kernel))
+            return solve(kernel, *args)
+
+        monkeypatch.setattr(lindblad, "_bordered_fixed_point", recorded)
+        return sides
+
+    def test_sector_stationary_state(self, perturbed, monkeypatch):
+        # a tabled tricycle (d = 8) is solved on its certified sector, a
+        # block of fewer than d^2 = 64 pairs, and held to the same gate
+        sides = self._sides(monkeypatch, lindblad._bordered_fixed_point)
+        with pytest.raises(ValueError, match="^fixed-point residual too large: "):
+            tricycle_steady(tricycle_spec())
+        assert len(sides) == 1 and sides[0] < 64
+
+    def test_degenerate_sector_block(self, monkeypatch):
+        # the middle member's sector block is zeroed, so its bordered system
+        # is singular: that member alone is "stationary state not unique",
+        # and the others keep the bits of solving them alone
+        specs = [tricycle_spec(omega_c=w) for w in (0.8, 1.0, 1.2)]
+        alone = [tricycle_steady(spec) for spec in specs]
+        solve = lindblad._bordered_fixed_point
+        sides = self._sides(monkeypatch, lambda kernel, *args: solve(
+            kernel * 0.0 if len(sides) == 2 else kernel, *args))
+        got = machines._tricycle_steady_stack(specs)
+        assert len(sides) == 3 and max(sides) < 64
+        assert isinstance(got[1], ValueError)
+        assert str(got[1]).startswith("stationary state not unique: bordered-system rcond")
+        for steady, ref in ((got[0], alone[0]), (got[2], alone[2])):
+            assert steady.state.mat.tobytes() == ref.state.mat.tobytes()
+            assert _bits([*steady.currents.values(), steady.second_law_value, steady.gain]) == \
+                _bits([*ref.currents.values(), ref.second_law_value, ref.gain])
 
 
 class TestRunOtto:
@@ -291,7 +330,6 @@ class TestRunOtto:
         # omega_c / omega_h below T_c / T_h: no positive work window
         rep = run_otto(engine_spec(omega_c=0.4))
         assert not rep.is_engine
-        assert any("not an engine" in f for f in rep.flags)
 
     def test_refrigerator_window(self):
         # Q_c > 0 exactly when the post-expansion medium temperature
@@ -864,33 +902,50 @@ def test_first_non_cptp_stroke_in_time_order_is_reported(monkeypatch):
     assert str(err.value) == message("compression")
 
 
+def test_a_degenerate_limit_cycle_is_its_member_s_error():
+    # with no time on either isochore the sudden cycle map is U = I, whose
+    # fixed point is any state: stacked between two good cycles, it alone
+    # is an error, and they keep the bits of running alone
+    good = [engine_spec(protocol="sudden"), engine_spec(protocol="sudden", tau_h=2.0)]
+    frozen = engine_spec(protocol="sudden", tau_h=0.0, tau_c=0.0)
+    reports = machines._otto_stack([good[0], frozen, good[1]])
+    assert isinstance(reports[1], ValueError)
+    assert str(reports[1]).startswith("cycle fixed point degenerate: bordered-system rcond")
+    for rep, spec in zip(reports[::2], good):
+        alone = run_otto(spec)
+        assert _bits([rep.work, rep.q_h, rep.q_c, rep.efficiency, rep.power,
+                      rep.entropy_production]) == _bits([
+            alone.work, alone.q_h, alone.q_c, alone.efficiency, alone.power,
+            alone.entropy_production])
+
+
 class TestOptimizePower:
     def test_collapsed_box_returns_point(self, monkeypatch):
-        # the one point is run once, with the bits of a plain run there
-        runs = _count_calls(monkeypatch, machines.run_otto)
+        # the one point is evaluated once, with the bits of a plain run there
+        stacks = _count_calls(monkeypatch, machines._otto_stack)
         spec = engine_spec(tau_h=4.0, tau_c=4.0)
         best, power, eta = optimize_power(spec, {"tau_h": (4.0, 4.0)})
-        assert len(runs) == 1
+        assert [len(specs) for (specs,) in stacks] == [1]
         assert best["tau_h"] == pytest.approx(4.0)
         assert power == pytest.approx(run_otto(spec).power, rel=1e-9)
         rep = run_otto(spec)
         assert _bits([power, eta]) == _bits([rep.power, rep.efficiency])
 
-    def test_otto_optimize_config_runs_441_cycles(self, monkeypatch):
+    def test_otto_optimize_config_runs_440_cycles(self, monkeypatch):
         # the midpoint, three restarts that ask for 128, 147 and 151 points
-        # (as SciPy's searches evaluate), the hints evaluated beside them
-        # and the final report: the first stack holds the midpoint and the
-        # three whole simplices, and the report is the 113th
+        # (as SciPy's searches evaluate) and the hints evaluated beside
+        # them: the first stack holds the midpoint and the three whole
+        # simplices, and the optimum's report is read from the table
         stacks = _count_calls(monkeypatch, machines._otto_stack)
         spec, free = _otto_optimize_config()
         optimize_power(spec, free, seed=11)
         sizes = [len(specs) for (specs,) in stacks]
-        assert (len(sizes), sum(sizes)) == (113, 441)
-        assert sizes[0] == 1 + 3 * (len(free) + 1) and sizes[-1] == 1
+        assert (len(sizes), sum(sizes)) == (112, 440)
+        assert sizes[0] == 1 + 3 * (len(free) + 1)
 
     def test_one_otto_optimize_run_makes_at_most_120_stacks(self, monkeypatch, tmp_path):
-        # one run of the shipped config: the search with its final report,
-        # and the CLI's own run at the optimum; asking for one point at a
+        # one run of the shipped config, whose certificate reads the
+        # search's own report of the optimum; asking for one point at a
         # time, the restarts took 153 stacks of 429 cycles
         stacks = _count_calls(monkeypatch, machines._otto_stack)
         cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
@@ -901,6 +956,21 @@ class TestOptimizePower:
         assert cli.run(str(path)) == 0
         assert len(stacks) <= 120
         assert sum(len(specs) for (specs,) in stacks) <= 460
+
+    def test_one_otto_optimize_run_evaluates_each_point_once(self, monkeypatch, tmp_path):
+        # the search, the optimum's report and the certificate share one
+        # table of evaluated cycles: no cycle is run again
+        stacks = _count_calls(monkeypatch, machines._otto_stack)
+        runs = _count_calls(monkeypatch, machines.run_otto)
+        cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                          / "otto_optimize.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "otto_optimize.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run(str(path)) == 0
+        cycles = [cycle for (specs,) in stacks for cycle in specs]
+        assert (len(stacks), len(cycles)) == (112, 440)
+        assert len(set(cycles)) == len(cycles) and runs == []
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(restarts=-1), "restarts must be >= 0, got -1"),
@@ -1782,6 +1852,20 @@ class TestThirdLawSweep:
         with pytest.raises(ValueError, match="floored"):
             third_law_sweep(spec, [1e-4, 0.4])
         assert sizes == []
+
+    def test_a_bracket_past_the_cap_is_raised_as_the_floor_is(self, monkeypatch):
+        # at ratio_lo 2 the bracket of T_c = 1.45 starts at 2.9, above the
+        # cap 0.95 omega_h = 2.85: before any solve when it comes first, and
+        # once the fine grid of the T_c before it is solved, alone, else
+        spec = tricycle_spec(eps=1e-3)
+        sizes = _count_calls(monkeypatch, machines._tricycle_steady_stack)
+        for t_cs, solved in (([1.45, 1.44], []), ([0.4, 1.45], [20, 18])):
+            sizes.clear()
+            with pytest.raises(ValueError, match=r"^t_c_grid holds T_c = 1\.45, whose "
+                                                 r"cold-frequency bracket .* = \[2\.9, 2\.85\] "
+                                                 r"holds no frequency$"):
+                third_law_sweep(spec, t_cs, ratio_lo=2.0)
+            assert [len(specs) for (specs,) in sizes] == solved
 
 
 def test_third_law_flat_bath_exponent_reported():
