@@ -179,9 +179,12 @@ def load_config(path: str) -> dict:
     missing = [k for k in entry.required if k not in params]
     if missing:
         raise ConfigError(f"experiment {kind!r} missing required params: {missing}")
+    seed = raw.get("seed", 0)
+    if not 0 <= seed < 2 ** 128:  # a Philox key (``_rng``)
+        raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
     return {
         "kind": kind,
-        "seed": int(raw.get("seed", 0)),
+        "seed": seed,
         "output_dir": raw.get("output_dir", "."),
         "params": params,
         "tolerances": raw.get("tolerance_overrides", {}),

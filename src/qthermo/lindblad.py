@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .baths import BathSpec, spectral_density
+from .baths import BathSpec, _zero_temperature_flow, spectral_density
 from .operators import (
     DensityMatrix,
     Operator,
@@ -40,7 +40,7 @@ from .operators import (
     unvec,
     vec,
 )
-from .states import _entropy_of_probs, _gibbs_weights, gibbs_state
+from .states import _entropy_of_probs, gibbs_state
 from .tolerances import ALGEBRAIC, LEVEL_MERGE_REL, LEVEL_RESOLVE_REL
 
 __all__ = [
@@ -107,7 +107,8 @@ class GKLSGenerator:
     (:meth:`Operator.eigh`); ``channels`` is then a view derived from the
     tables on first use.  ``include_hamiltonian`` is switched off for
     interaction-picture generators whose coherent part lives in the frame
-    transformation.
+    transformation.  The whole dissipator, the Liouvillian and each bath's
+    heat observable are built once and cached; the ledgers read only these.
     """
 
     def __init__(
@@ -128,7 +129,6 @@ class GKLSGenerator:
         self._liouvillian: Superoperator | None = None
         self._bath_parts: dict[str, Superoperator] = {}
         self._heat_observables: dict[str, np.ndarray] = {}
-        self._log_references: dict[str, np.ndarray] = {}
 
     @classmethod
     def _tabled(cls, h: Operator, tables: "_Tables", baths: dict[str, BathSpec]) -> "GKLSGenerator":
@@ -189,23 +189,6 @@ class GKLSGenerator:
                 terms = adjoint_dissipator(ops, self.h.mat)
                 self._heat_observables[label] = np.tensordot(rates, terms, axes=1)
         return self._heat_observables[label]
-
-    def log_gibbs_reference(self, label: str) -> np.ndarray:
-        """Clipped logarithm of the Gibbs state of H at the temperature of
-        the bath registered under ``label``: the eigenbasis of H weighed at
-        a finite beta, with the bits of ``gibbs_state``, and
-        ``gibbs_state`` itself at beta = inf."""
-        if label not in self._log_references:
-            bath = self.baths.get(label)
-            if bath is None:
-                raise ValueError(f"no bath registered under label {label!r}")
-            if math.isinf(bath.beta):
-                rho = gibbs_state(self.h, bath.beta).mat
-            else:
-                evals, v = self.h.eigh()
-                rho = (v * _gibbs_weights(evals, bath.beta)) @ v.conj().T
-            self._log_references[label] = _clipped_log(rho)
-        return self._log_references[label]
 
     def liouvillian(self) -> Superoperator:
         if self._liouvillian is None:
@@ -542,35 +525,39 @@ def _log_of_spectra(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     return (evecs * logs[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
-def _clipped_log(rho_mat: np.ndarray) -> np.ndarray:
-    return _log_of_spectra(*np.linalg.eigh((rho_mat + rho_mat.conj().T) / 2.0))
-
-
 def _entropy_production_stack(
-    gen: GKLSGenerator, stack: np.ndarray, evals: np.ndarray, evecs: np.ndarray
+    gen: GKLSGenerator, stack: np.ndarray, evals: np.ndarray, evecs: np.ndarray, currents: dict
 ) -> np.ndarray:
-    """-sum_b Re Tr[D_b(rho) (ln rho - ln rho_b)] for every member of a
-    (n, d, d) stack, given the eigendecompositions of the members."""
+    """Spohn's sigma = dS/dt - sum_b J_b / T_b of every member of a (n, d, d)
+    stack, from the members' spectra and per-bath heat currents.  It is
+    -sum_b Re Tr[D_b(rho) (ln rho - ln rho_b)], since D_b^dag(1) = 0 and
+    ln rho_b = -H / T_b - ln Z_b (Spohn, J. Math. Phys. 19, 1227 (1978))."""
     n, d = stack.shape[0], gen.dim
     log_rho = _log_of_spectra(evals, evecs)
-    # row k is vec(rho_k); row k of the product is vec(D_b(rho_k))
-    vecs = stack.swapaxes(-1, -2).reshape(n, d * d)
-    total = np.zeros(n)
-    for label in gen.bath_labels:
-        log_ref = gen.log_gibbs_reference(label)
-        drho = vecs @ gen.dissipator(label).mat.T
-        # Tr(A X) = sum_j vec(A)_j vec(X^T)_j, and vec(X^T) is X read row-major
-        total -= np.real(np.einsum("kj,kj->k", drho, (log_rho - log_ref).reshape(n, d * d)))
-    return total
+    # row k is vec(rho_k); row k of the product is vec(D(rho_k)), and
+    # Tr(A X) = sum_j vec(A)_j vec(X^T)_j, where vec(X^T) is X read row-major
+    drho = stack.swapaxes(-1, -2).reshape(n, d * d) @ gen.dissipator().mat.T
+    sigma = -np.real(np.einsum("kj,kj->k", drho, log_rho.reshape(n, d * d)))
+    for label, j in currents.items():
+        bath = gen.baths.get(label)
+        if bath is None:
+            raise ValueError(f"no bath registered under label {label!r}")
+        if bath.temperature == 0.0:
+            raise _zero_temperature_flow(bath)
+        if not math.isinf(bath.temperature):
+            sigma -= j / bath.temperature
+    return sigma
 
 
 def entropy_production_rate(gen: GKLSGenerator, rho: DensityMatrix) -> float:
-    """Sum over baths of -Tr[L_k rho (ln rho - ln rho_k_st)], the
-    non-negative dynamical entropy production.  Each bath's reference is
-    its own Gibbs state of the generator Hamiltonian (uniform for a
-    beta = 0 bath)."""
+    """The non-negative dynamical entropy production sigma = dS/dt -
+    sum_b J_b / T_b, the ledger's kernel on a stack of one.  A bath at
+    T = inf adds no flow; one at T = 0 that has channels is an error,
+    since its flow J / T has no value."""
+    stack = rho.mat[None]
     evals, evecs = np.linalg.eigh((rho.mat + rho.mat.conj().T) / 2.0)
-    return float(_entropy_production_stack(gen, rho.mat[None], evals[None], evecs[None])[0])
+    currents = _heat_current_stack(gen, stack)
+    return float(_entropy_production_stack(gen, stack, evals[None], evecs[None], currents)[0])
 
 
 def _bin_ids(bins: np.ndarray) -> tuple[np.ndarray, int]:
@@ -965,16 +952,18 @@ def _ledger_columns(gen: GKLSGenerator, rho: np.ndarray, kept: list | None = Non
     checked first as a stack of density matrices; with a list ``kept``,
     the checked states are appended to it (``DensityMatrix.stack_with_spectra``).
     One batched eigendecomposition serves the check, the entropy and
-    ln rho; the rest are one product with each bath's dissipator and
-    batched traces."""
+    ln rho; the heat currents are batched traces, and the entropy
+    production is dS/dt, one product with the whole dissipator, less
+    their flows J_b / T_b (:func:`_entropy_production_stack`)."""
     if kept is None:
         evals, evecs = _state_spectra(rho, vectors=True)
     else:
         states, evals, evecs = DensityMatrix.stack_with_spectra(rho)
         kept.extend(states)
     energy = np.real(np.trace(rho @ gen.h.mat, axis1=-2, axis2=-1))
-    sigma = _entropy_production_stack(gen, rho, evals, evecs)
-    return energy, _entropy_of_probs(evals), sigma, _heat_current_stack(gen, rho)
+    currents = _heat_current_stack(gen, rho)
+    sigma = _entropy_production_stack(gen, rho, evals, evecs, currents)
+    return energy, _entropy_of_probs(evals), sigma, currents
 
 
 def trajectory(

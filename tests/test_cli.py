@@ -528,6 +528,39 @@ class TestConfigEntryTypes:
         assert not (tmp_path / "out").exists()
 
 
+class TestSeedIsAPhiloxKey:
+    """The seed keys every run's random draws (a Philox key, 0 <= key <
+    2**128): one outside that range is a config error that names it, for
+    every kind, where the kinds that draw ended with numpy's message."""
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["-1", "2**128"])
+    @pytest.mark.parametrize("name, edit", [
+        ("evolve_qubit.json", lambda p: p.update(initial="random")),
+        ("eth_chain.json", lambda p: None),
+        ("otto_optimize.json", lambda p: None),
+        ("otto_engine.json", lambda p: None),
+    ], ids=["evolve-random", "eth-check", "otto-optimize", "otto"])
+    def test_out_of_range_seed_is_a_config_error(self, tmp_path, capsys, name, edit, seed):
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["seed"] = seed
+        edit(cfg["params"])
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        assert run(str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: seed must be in [0, 2**128), got {seed}")
+        assert not (tmp_path / "out").exists()
+
+    def test_the_ends_of_the_range_load(self, tmp_path):
+        cfg = json.loads((CONFIGS / "evolve_qubit.json").read_text())
+        for seed in (0, 2 ** 128 - 1):
+            cfg["seed"] = seed
+            p = tmp_path / "c.json"
+            p.write_text(json.dumps(cfg))
+            assert load_config(str(p))["seed"] == seed
+
+
 class TestOttoOptimizeSearchesOnlyBoxesOfCycles:
     """A ``free`` box holding a point that is no cycle (a bound that is
     not finite, a negative duration, a frequency at or below zero, ω_c at
@@ -744,8 +777,9 @@ class TestZeroTemperatureBathsAreNamedErrors:
         ("third_law_sweep.json", lambda p: p["bath_w"].update(temperature=0), "work"),
         ("floquet_fridge.json", lambda p: p["baths"][0].update(temperature=0), "hot"),
         ("floquet_fridge.json", lambda p: p["baths"][1].update(temperature=0), "cold"),
+        ("evolve_qubit.json", lambda p: p["baths"][0].update(temperature=0), "bath"),
     ], ids=["otto-hot", "otto-cold", "optimize-cold", "tricycle-hot", "tricycle-work",
-            "sweep-work", "floquet-hot", "floquet-cold"])
+            "sweep-work", "floquet-hot", "floquet-cold", "evolve"])
     def test_exit_1_naming_the_bath(self, tmp_path, capsys, name, edit, label):
         cfg = json.loads((CONFIGS / name).read_text())
         cfg["output_dir"] = str(tmp_path / "out")
