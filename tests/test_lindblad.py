@@ -305,17 +305,20 @@ class TestEntropyProduction:
         # temperature and one at T = inf, which adds no flow
         rng = np.random.default_rng(5)
         if model == "qubit":
-            h, s, rho = qubit_h(), Operator.hermitian(PAULI_X), DensityMatrix(np.diag([0.3, 0.7]))
-            baths = []
+            h, s = qubit_h(), Operator.hermitian(PAULI_X)
+        elif model == "random":
+            h, s = random_hermitian(4, rng), random_hermitian(4, rng)
         else:
-            h, s = oscillator(5) if model == "oscillator" else (
-                random_hermitian(4, rng), random_hermitian(4, rng))
-            rho = random_density(h.dim, rng)
+            h, s = oscillator(5)
         evals = np.linalg.eigvalsh(h.mat)
         t = float(evals[-1] - evals[0]) / spread_beta
-        if model != "qubit":
-            baths = [ohmic_bath("b", 2.0 * t, gamma=0.1), ohmic_bath("c", math.inf)]
-        gen = build_davies(h, [(s, bath) for bath in [ohmic_bath("a", t)] + baths])
+        baths = [ohmic_bath("a", t)]
+        if model == "qubit":
+            rho = DensityMatrix(np.diag([0.3, 0.7]))
+        else:
+            rho = random_density(h.dim, rng)
+            baths += [ohmic_bath("b", 2.0 * t, gamma=0.1), ohmic_bath("c", math.inf)]
+        gen = build_davies(h, [(s, bath) for bath in baths])
         sigma = entropy_production_rate(gen, rho)
         assert abs(sigma - _dense_spohn(gen, rho.mat)) <= ALGEBRAIC * max(1.0, abs(sigma))
 
